@@ -79,24 +79,12 @@ impl IndexTable {
     /// select an NINode along dimension NO. j"): a uniformly random `k`
     /// among the populated entries.
     pub fn random_ninode<R: Rng>(&self, dim: usize, rng: &mut R) -> Option<NodeId> {
-        let v = self.negative.get(dim)?;
-        let filled: Vec<NodeId> = v.iter().flatten().copied().collect();
-        if filled.is_empty() {
-            None
-        } else {
-            Some(filled[rng.random_range(0..filled.len())])
-        }
+        pick_uniform(self.negative.get(dim)?.iter().flatten().copied(), rng)
     }
 
     /// Pick a random positive index node along `dim`.
     pub fn random_positive<R: Rng>(&self, dim: usize, rng: &mut R) -> Option<NodeId> {
-        let v = self.positive.get(dim)?;
-        let filled: Vec<NodeId> = v.iter().flatten().copied().collect();
-        if filled.is_empty() {
-            None
-        } else {
-            Some(filled[rng.random_range(0..filled.len())])
-        }
+        pick_uniform(self.positive.get(dim)?.iter().flatten().copied(), rng)
     }
 
     /// Drop every reference to `node` (it churned away); returns how many
@@ -172,17 +160,28 @@ pub fn walk_step<R: Rng>(
     positive: bool,
     rng: &mut R,
 ) -> Option<NodeId> {
-    let cands: Vec<NodeId> = ov
+    let cands = ov
         .neighbors(from)
         .iter()
         .filter(|e| e.dim == dim && e.positive == positive)
-        .map(|e| e.node)
-        .collect();
-    if cands.is_empty() {
-        None
-    } else {
-        Some(cands[rng.random_range(0..cands.len())])
+        .map(|e| e.node);
+    pick_uniform(cands, rng)
+}
+
+/// Uniformly random element of `items`, or `None` (and no draw) when it is
+/// empty. Two passes instead of a collected `Vec`: count, draw an index
+/// below the count, take `.nth` — the same bound, hence the same draw and
+/// stream position, as indexing a collected vector.
+fn pick_uniform<I, R>(mut items: I, rng: &mut R) -> Option<NodeId>
+where
+    I: Iterator<Item = NodeId> + Clone,
+    R: Rng,
+{
+    let count = items.clone().count();
+    if count == 0 {
+        return None;
     }
+    items.nth(rng.random_range(0..count))
 }
 
 /// All nodes' index tables, plus shared bookkeeping.
@@ -364,6 +363,58 @@ mod tests {
                 assert!(negs.contains(&pick));
             }
         }
+    }
+
+    /// The collecting pick the three call sites used before: the model the
+    /// allocation-free `pick_uniform` must match draw for draw.
+    fn pick_collected<R: Rng>(filled: Vec<NodeId>, rng: &mut R) -> Option<NodeId> {
+        if filled.is_empty() {
+            None
+        } else {
+            Some(filled[rng.random_range(0..filled.len())])
+        }
+    }
+
+    #[test]
+    fn picks_match_the_collecting_model_in_lockstep() {
+        let mut rng = SmallRng::seed_from_u64(56);
+        let ov = CanOverlay::bootstrap(2, 64, 64, &mut rng);
+        let mut tables = IndexTables::new(2, 64, 64);
+        tables.refresh_all(&ov, &mut rng);
+        let (mut fast, mut model) = (rng.clone(), rng);
+        let mut empties = 0;
+        for node in ov.live_nodes() {
+            let t = tables.get(node);
+            for d in 0..2 {
+                for positive in [true, false] {
+                    let cands: Vec<NodeId> = ov
+                        .neighbors(node)
+                        .iter()
+                        .filter(|e| e.dim == d && e.positive == positive)
+                        .map(|e| e.node)
+                        .collect();
+                    empties += usize::from(cands.is_empty());
+                    assert_eq!(
+                        walk_step(&ov, node, d, positive, &mut fast),
+                        pick_collected(cands, &mut model)
+                    );
+                    let side = if positive { &t.positive } else { &t.negative };
+                    let filled: Vec<NodeId> = side[d].iter().flatten().copied().collect();
+                    let got = if positive {
+                        t.random_positive(d, &mut fast)
+                    } else {
+                        t.random_ninode(d, &mut fast)
+                    };
+                    assert_eq!(got, pick_collected(filled, &mut model));
+                    // Same stream position after every pick, empty or not.
+                    assert_eq!(fast.random::<u64>(), model.random::<u64>());
+                }
+            }
+        }
+        assert!(
+            empties > 0,
+            "edge nodes must exercise the zero-candidate arm"
+        );
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Property test: the calendar-queue backend is observationally identical
 //! to the binary-heap reference model on random schedules — same pop order,
 //! same timestamps, same `now()`/`len()` at every step — including
-//! same-timestamp FIFO bursts and far-future overflow entries.
+//! same-timestamp FIFO bursts, far-future overflow entries and delays that
+//! straddle the wheel horizon. A second property pins the order argument
+//! the runner's sort-free barrier merge rests on.
 //!
 //! Runs 256 cases minimum (`PROPTEST_CASES` can only raise it), per the
 //! acceptance bar for the queue rewrite.
@@ -42,7 +44,14 @@ fn decode(kind: u8, a: u64, burst: usize) -> Op {
         },
         // Possibly-past absolute times exercise the clamp-to-now path.
         3 => Op::ScheduleAt { at: a % 5_000 },
-        4 => Op::Pop,
+        // Horizon straddle: RING_MS − 2 ..= RING_MS + 2 (the ring is 512 ms
+        // wide), so same-instant ties split between direct ring inserts
+        // and overflow entries that migrate as the window slides.
+        4 => Op::ScheduleIn {
+            delay: 510 + a % 5,
+            burst: 1 + burst % 2,
+        },
+        5 => Op::Pop,
         _ => Op::PopUntil { ahead: a % 10_000 },
     }
 }
@@ -112,7 +121,7 @@ proptest! {
 
     #[test]
     fn calendar_matches_heap_model(
-        kinds in prop::collection::vec(0u8..6, 1..120),
+        kinds in prop::collection::vec(0u8..7, 1..120),
         args in prop::collection::vec(0u64..u64::MAX / 2, 120),
         bursts in prop::collection::vec(0usize..8, 120),
     ) {
@@ -156,5 +165,41 @@ proptest! {
             prop_assert_eq!(cal.pop(), Some(e));
         }
         prop_assert_eq!(cal.pop(), None);
+    }
+
+    /// What licenses the runner's sort-free barrier merge: queue order is
+    /// `(time, insertion seq)`, so scheduling per-shard outboxes
+    /// concatenated in shard order pops exactly like scheduling the same
+    /// batch stably sorted by time — also relative to same-instant events
+    /// the target queue already holds.
+    #[test]
+    fn shard_order_insertion_pops_like_time_sorted_batch(
+        lens in prop::collection::vec(0usize..12, 1..8),
+        times in prop::collection::vec(0u64..6, 96),
+        locals in prop::collection::vec(0u64..6, 0..10),
+    ) {
+        // Tiny timestamp range on purpose: maximal tie pressure.
+        let mut times = times.iter().copied();
+        let concat: Vec<(u64, u64)> = lens
+            .iter()
+            .enumerate()
+            .flat_map(|(shard, &len)| (0..len).map(move |seq| (shard * 100 + seq) as u64))
+            .map(|payload| (times.next().expect("96 >= 8 * 12"), payload))
+            .collect();
+        let mut sorted = concat.clone();
+        sorted.sort_by_key(|&(t, _)| t); // stable
+        for backend in [QueueBackend::Calendar, QueueBackend::Heap] {
+            let pops = |batch: &[(u64, u64)]| -> Vec<(u64, u64)> {
+                let mut q: EventQueue<u64> = EventQueue::with_backend(backend);
+                for (i, &t) in locals.iter().enumerate() {
+                    q.schedule_at(t, 10_000 + i as u64);
+                }
+                for &(t, payload) in batch {
+                    q.schedule_at(t, payload);
+                }
+                std::iter::from_fn(|| q.pop()).collect()
+            };
+            prop_assert_eq!(pops(&concat), pops(&sorted), "{:?} diverged", backend);
+        }
     }
 }
