@@ -74,23 +74,50 @@ const PIN_CHURN: &str = "[scenario]\nname = pin-churn\nprotocol = hid\nnodes = 1
      duration_ms = 7200000\nlambda = 0.5\nseed = 12\nchurn = 0.5\nsample_ms = 600000\n\
      mean_arrival_s = 600\nmean_duration_s = 600\n";
 
+const PIN_NEWSCAST: &str = "[scenario]\nname = pin-newscast\nprotocol = newscast\nnodes = 150\n\
+     duration_ms = 7200000\nlambda = 0.5\nseed = 13\nsample_ms = 600000\n\
+     mean_arrival_s = 600\nmean_duration_s = 600\n";
+
+const PIN_KHDN: &str = "[scenario]\nname = pin-khdn\nprotocol = khdn\nnodes = 150\n\
+     duration_ms = 7200000\nlambda = 0.5\nseed = 14\nsample_ms = 600000\n\
+     mean_arrival_s = 600\nmean_duration_s = 600\n";
+
+/// 24-node LANs: 8 LANs before churn headroom, so the windowed engine runs
+/// its full 8 shards, with churn swaps and checkpoint resubmissions
+/// crossing them.
+const PIN_LANS_CKPT: &str = "[scenario]\nname = pin-lans-ckpt\nprotocol = hid\nnodes = 192\n\
+     lan_size = 24\nduration_ms = 7200000\nlambda = 0.5\nseed = 15\nchurn = 0.5\n\
+     checkpointing = true\nsample_ms = 600000\nmean_arrival_s = 600\nmean_duration_s = 600\n";
+
 /// Fault-free fingerprints (recorded via `repro scenario`). Zero-fault
-/// runs must reproduce them bitwise.
+/// runs must reproduce them bitwise. These constants are what pins
+/// behaviour across engine and data-structure replacements: a change that
+/// only swaps an implementation must leave every one of them alone.
 #[test]
 fn zero_fault_runs_match_pre_fault_pins() {
-    let (quick, churn) = with_env("off", None, || (run_spec(PIN_QUICK), run_spec(PIN_CHURN)));
-    assert_eq!(
-        fnv(&quick),
-        0xb239_bcba_f76d_fa0f,
-        "static zero-fault run diverged from the pinned baseline"
-    );
-    assert_eq!(
-        fnv(&churn),
-        0x026b_e06b_8477_ce0b,
-        "churny zero-fault run diverged from the pinned baseline"
-    );
-    assert!(!quick.faults.any());
-    assert!(!churn.faults.any());
+    let pins: [(&str, &str, u64); 5] = [
+        ("static HID", PIN_QUICK, 0xb239_bcba_f76d_fa0f),
+        ("churny HID", PIN_CHURN, 0x026b_e06b_8477_ce0b),
+        ("Newscast", PIN_NEWSCAST, 0xe326_5c4f_f52a_3bbd),
+        ("KHDN", PIN_KHDN, 0x68f9_d495_9232_2402),
+        (
+            "8-shard churny HID with checkpointing",
+            PIN_LANS_CKPT,
+            0xd0e7_50d5_39de_447d,
+        ),
+    ];
+    for (what, spec, pin) in pins {
+        let r = with_env("off", None, || run_spec(spec));
+        assert_eq!(
+            fnv(&r),
+            pin,
+            "{what}: zero-fault run diverged from the pinned baseline"
+        );
+        assert!(!r.faults.any());
+        if spec == PIN_LANS_CKPT {
+            assert!(r.checkpoint_resubmits > 0, "checkpointing never fired");
+        }
+    }
 }
 
 /// Omitting `[fault]` and writing it out all-zero are the same run.
