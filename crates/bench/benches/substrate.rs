@@ -151,7 +151,7 @@ fn bench_event_queue(c: &mut Criterion) {
     // The simulator's innermost loop: hold a realistic pending-event
     // population and do schedule+pop round-trips with the runner's latency
     // mix (LAN 2–10 ms, WAN 150–250 ms, task/protocol timers in seconds).
-    use soc_simcore::{EventQueue, QueueBackend};
+    use soc_simcore::EventQueue;
     let mut g = c.benchmark_group("event_queue");
     let delays: Vec<u64> = {
         let mut rng = SmallRng::seed_from_u64(46);
@@ -164,51 +164,40 @@ fn bench_event_queue(c: &mut Criterion) {
             })
             .collect()
     };
-    for (label, backend) in [
-        ("heap", QueueBackend::Heap),
-        ("calendar", QueueBackend::Calendar),
-    ] {
-        g.bench_function(&format!("steady_state_{label}"), |b| {
-            let mut q: EventQueue<u32> = EventQueue::with_backend(backend);
-            for (i, &d) in delays.iter().enumerate() {
-                q.schedule_in(d * 16, i as u32);
+    g.bench_function("steady_state", |b| {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        for (i, &d) in delays.iter().enumerate() {
+            q.schedule_in(d * 16, i as u32);
+        }
+        let mut i = 0usize;
+        b.iter(|| {
+            // Alternating net +1 / net −1 iterations: the pending
+            // population oscillates around its initial 1024 — a
+            // steady-state simulation, never draining or ballooning.
+            let ev = q.pop().expect("queue never drains");
+            i = (i + 1) % delays.len();
+            q.schedule_in(delays[i], ev.1);
+            if i % 2 == 0 {
+                q.schedule_in(delays[(i * 7) % delays.len()], ev.1);
+            } else {
+                q.pop();
             }
-            let mut i = 0usize;
-            b.iter(|| {
-                // Alternating net +1 / net −1 iterations: the pending
-                // population oscillates around its initial 1024 — a
-                // steady-state simulation, never draining or ballooning.
-                let ev = q.pop().expect("queue never drains");
-                i = (i + 1) % delays.len();
-                q.schedule_in(delays[i], ev.1);
-                if i % 2 == 0 {
-                    q.schedule_in(delays[(i * 7) % delays.len()], ev.1);
-                } else {
-                    q.pop();
-                }
-                black_box(ev)
-            })
-        });
-    }
+            black_box(ev)
+        })
+    });
     g.finish();
 }
 
 fn bench_record_cache(c: &mut Criterion) {
-    // The per-query protocol hot path: `qualified` over a duty/jump node's
-    // record cache. The scan backend walks and tests every record; the
-    // indexed backend cuts expired records with one binary search and
-    // prunes 16-record blocks whose componentwise-max availability cannot
-    // dominate the demand. Cache sizes bracket what bench/smoke-scale duty
-    // nodes accumulate within one TTL window.
-    use soc_overlay::{CacheBackend, RecordCache, StateRecord};
+    // The per-query protocol hot path: `qualified_into` over a duty/jump
+    // node's record cache — a walk that tests every record's age and
+    // Inequality (2). In situ a duty cache holds tens of records; the
+    // larger sizes show how the walk scales past that.
+    use soc_overlay::{RecordCache, StateRecord};
     let mut g = c.benchmark_group("record_cache");
     let mut rng = SmallRng::seed_from_u64(47);
     for &n in &[64usize, 256, 1024] {
-        let mut caches = [
-            RecordCache::with_backend(CacheBackend::Scan, 600_000),
-            RecordCache::with_backend(CacheBackend::Indexed, 600_000),
-        ];
-        let mut records = Vec::new();
+        let mut cache = RecordCache::new(600_000);
         for i in 0..n {
             let avail = ResVec::from_slice(&[
                 rng.random::<f64>() * 25.6,
@@ -217,38 +206,24 @@ fn bench_record_cache(c: &mut Criterion) {
                 rng.random::<f64>() * 240.0,
                 rng.random::<f64>() * 4096.0,
             ]);
-            records.push(StateRecord {
+            cache.insert(StateRecord {
                 subject: NodeId(i as u32),
                 avail,
                 stored_at: (i as u64 * 600_000) / n as u64,
             });
         }
-        for cache in &mut caches {
-            for &r in &records {
-                cache.insert(r);
-            }
-        }
         // A mid-corner demand: scarce but not hopeless — a few percent of
         // records qualify, like a λ≈0.5 duty-zone probe. `now` keeps ~half
-        // the records fresh, exercising the TTL cut too.
+        // the records fresh, exercising the TTL filter too.
         let demand = ResVec::from_slice(&[20.0, 60.0, 7.5, 180.0, 3000.0]);
         let now = 900_000;
-        let [scan, indexed] = caches;
-        let hits = scan.qualified(&demand, now).len();
-        assert_eq!(hits, indexed.qualified(&demand, now).len());
-        for (label, cache) in [("scan", &scan), ("indexed", &indexed)] {
-            g.bench_with_input(
-                BenchmarkId::new(format!("qualified_{label}"), n),
-                &n,
-                |b, _| {
-                    let mut buf = Vec::new();
-                    b.iter(|| {
-                        cache.qualified_into(&demand, now, &mut buf);
-                        black_box(buf.len())
-                    })
-                },
-            );
-        }
+        g.bench_with_input(BenchmarkId::new("qualified", n), &n, |b, _| {
+            let mut buf = Vec::new();
+            b.iter(|| {
+                cache.qualified_into(&demand, now, &mut buf);
+                black_box(buf.len())
+            })
+        });
     }
     g.finish();
 }

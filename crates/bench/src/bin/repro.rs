@@ -7,17 +7,6 @@
 //! repro fig8              # Fig. 8: HID-CAN under churn
 //! repro table3            # Table III: HID-CAN scalability
 //! repro all               # everything above
-//! repro perf              # serial/parallel x heap/calendar x scan/indexed
-//!                         #   x route scan/cached x exec serial/sharded
-//!                         #   timing grid; appends a record to
-//!                         #   bench_history/ (see --history, --rev) and
-//!                         #   prints the per-phase attribution table
-//!                         #   (SOC_PROFILE)
-//! repro perf --trend      # no timing: load bench_history/, print per-axis
-//!                         #   speedup trajectories across revisions, exit 1
-//!                         #   on an above-threshold wall-time regression
-//! repro perf --import F   # migrate a legacy BENCH_PR2.json snapshot into
-//!                         #   bench_history/ (tag it with --rev)
 //! repro diag              # λ=0.5 rejection split (oracle on), baseline vs
 //!                         #   search-corner jitter (--jitter)
 //! repro scenario FILE     # run a scenario file (see scenarios/ gallery);
@@ -31,10 +20,12 @@
 //! `--json PATH` (dump every report of the command as JSON), `--jitter J`
 //! (diag comparison point, default 0.15). Full scale reproduces §IV-A
 //! exactly (2000–12000 nodes, 24 simulated hours) and takes minutes per
-//! figure; smoke preserves the shapes in seconds.
+//! figure; smoke preserves the shapes in seconds. Wall time, RSS and the
+//! per-layer breakdown are measured by the repo benchmark (`benchmark/`),
+//! not here.
 
 use soc_bench::{
-    diag_hostility, diag_lambda05, diag_lambda05_with, fig4, fig5, fig8, fig8_checkpointing, perf,
+    diag_hostility, diag_lambda05, diag_lambda05_with, fig4, fig5, fig8, fig8_checkpointing,
     print_diag, print_diag_compare, print_fig8, print_hostility, print_series, print_table3,
     reports_json, table3, Scale,
 };
@@ -52,11 +43,6 @@ struct Args {
     json: Option<String>,
     record: Option<String>,
     jitter: f64,
-    reps: usize,
-    trend: bool,
-    rev: Option<String>,
-    history: String,
-    import: Option<String>,
 }
 
 fn parse_args() -> Args {
@@ -71,11 +57,6 @@ fn parse_args() -> Args {
         json: None,
         record: None,
         jitter: 0.15,
-        reps: 2,
-        trend: false,
-        rev: None,
-        history: soc_bench::history::DEFAULT_DIR.to_string(),
-        import: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -105,12 +86,6 @@ fn parse_args() -> Args {
                     std::process::exit(2);
                 }));
             }
-            "--reps" => {
-                args.reps = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--reps needs an integer");
-                    std::process::exit(2);
-                });
-            }
             "--seed" => {
                 args.seed = Some(it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
                     eprintln!("--seed needs an integer");
@@ -122,25 +97,6 @@ fn parse_args() -> Args {
                     eprintln!("--lambda needs a number");
                     std::process::exit(2);
                 });
-            }
-            "--trend" => args.trend = true,
-            "--rev" => {
-                args.rev = Some(it.next().unwrap_or_else(|| {
-                    eprintln!("--rev needs a git revision string");
-                    std::process::exit(2);
-                }));
-            }
-            "--history" => {
-                args.history = it.next().unwrap_or_else(|| {
-                    eprintln!("--history needs a directory");
-                    std::process::exit(2);
-                });
-            }
-            "--import" => {
-                args.import = Some(it.next().unwrap_or_else(|| {
-                    eprintln!("--import needs a legacy BENCH_PR2.json path");
-                    std::process::exit(2);
-                }));
             }
             "--jitter" => {
                 args.jitter = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
@@ -162,17 +118,12 @@ fn parse_args() -> Args {
     }
     if args.cmd.is_empty() {
         eprintln!(
-            "usage: repro <fig4|fig5|fig8|table3|ckpt|perf|diag|all> \
+            "usage: repro <fig4|fig5|fig8|table3|ckpt|diag|all> \
              [--scale full|smoke|bench] [--seed N] [--lambda L] [--json PATH] \
-             [--reps N] [--jitter J]\n\
-             \x20      repro perf [--trend] [--rev SHA] [--history DIR] [--import PATH]\n\
+             [--jitter J]\n\
              \x20      repro scenario FILE [--seed N] [--record PATH] [--json PATH]\n\
              \x20      repro replay TRACE [--json PATH]"
         );
-        std::process::exit(2);
-    }
-    if (args.trend || args.rev.is_some() || args.import.is_some()) && args.cmd != "perf" {
-        eprintln!("--trend/--rev/--import only apply to `repro perf`");
         std::process::exit(2);
     }
     args
@@ -262,106 +213,6 @@ fn run_table3(scale: Scale, seed: u64) -> Sections {
         println!("# {}", r.summary());
     }
     vec![("table3".to_string(), reports)]
-}
-
-/// Short git revision for history stamping: `--rev` wins; otherwise ask
-/// git once (a subprocess, not a wall-clock/env trick); "unknown" when
-/// neither is available (e.g. an unpacked tarball).
-fn detect_rev(args: &Args) -> String {
-    if let Some(rev) = &args.rev {
-        return rev.clone();
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// `rustc --version` for history stamping ("unknown" when unavailable).
-fn detect_rustc() -> String {
-    std::process::Command::new("rustc")
-        .arg("--version")
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-fn run_perf(args: &Args, seed: u64) {
-    use soc_bench::history;
-    let hist_dir = std::path::Path::new(&args.history);
-
-    if let Some(legacy) = &args.import {
-        let rev = detect_rev(args);
-        let path = history::import_legacy(
-            hist_dir,
-            std::path::Path::new(legacy),
-            &rev,
-            &detect_rustc(),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("cannot import {legacy}: {e}");
-            std::process::exit(1);
-        });
-        println!("imported legacy snapshot {legacy} -> {}", path.display());
-        return;
-    }
-
-    if args.trend {
-        let records = history::load(hist_dir).unwrap_or_else(|e| {
-            eprintln!("cannot load {}: {e}", hist_dir.display());
-            std::process::exit(1);
-        });
-        let Some(t) = history::trend(&records) else {
-            eprintln!(
-                "no history records in {} (run `repro perf` or `repro perf --import BENCH_PR2.json` first)",
-                hist_dir.display()
-            );
-            std::process::exit(1);
-        };
-        println!("{}", t.render());
-        if t.regressed() {
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    println!(
-        "== perf: sweep parallelism x event queue x record cache x route cache x exec driver ({} scale) ==",
-        args.scale_label
-    );
-    let rep = perf::perf_compare(args.scale, args.scale_label, seed, args.reps);
-    println!("{}", rep.render());
-    if !rep.deterministic {
-        eprintln!("FATAL: configurations disagreed — optimisation changed results");
-        std::process::exit(1);
-    }
-    let rev = detect_rev(args);
-    let path = history::append(
-        hist_dir,
-        &rep.to_json(),
-        &rev,
-        &detect_rustc(),
-        args.scale_label,
-        seed,
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("cannot append history record: {e}");
-        std::process::exit(1);
-    });
-    println!("appended history record {}", path.display());
-    match perf::profile_attribution(args.scale, seed) {
-        Some(table) => println!("\n{table}"),
-        None => eprintln!("profile attribution unavailable (profiler produced no summary)"),
-    }
 }
 
 fn run_diag(scale: Scale, seed: u64, jitter: f64) -> Sections {
@@ -516,10 +367,6 @@ fn main() {
         "fig8" => run_fig8(args.scale, seed),
         "ckpt" => run_ckpt(args.scale, seed),
         "table3" => run_table3(args.scale, seed),
-        "perf" => {
-            run_perf(&args, seed);
-            Vec::new()
-        }
         "diag" => run_diag(args.scale, seed, args.jitter),
         "scenario" => {
             let (sections, used_seed) = run_scenario_cmd(&args);
@@ -549,13 +396,6 @@ fn main() {
         }
     };
     if let Some(path) = &args.json {
-        if sections.is_empty() {
-            eprintln!(
-                "--json: `{}` has no report output (perf appends to bench_history/)",
-                args.cmd
-            );
-            std::process::exit(2);
-        }
         let doc = reports_json(&args.cmd, json_scale, json_seed, &sections);
         std::fs::write(path, doc).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");

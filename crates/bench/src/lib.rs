@@ -7,8 +7,6 @@
 //! the command line; the Criterion benches call the same code at smoke
 //! scale so `cargo bench` regenerates every figure's shape.
 
-pub mod history;
-pub mod perf;
 pub mod sweep;
 
 use soc_sim::{FaultConfig, ProtocolChoice, RunReport, Scenario};
@@ -248,6 +246,28 @@ impl HostilityAb {
     }
 }
 
+/// Set an environment knob for the lifetime of the returned guard, which
+/// restores the previous value (or absence) on drop. Knobs are re-read per
+/// `Sim` construction precisely so one process can compare configurations;
+/// callers must not overlap guards for the same key.
+fn env_guard(key: &'static str, value: &str) -> impl Drop {
+    struct Restore {
+        key: &'static str,
+        prev: Option<String>,
+    }
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            match self.prev.take() {
+                Some(v) => std::env::set_var(self.key, v),
+                None => std::env::remove_var(self.key),
+            }
+        }
+    }
+    let prev = std::env::var(key).ok();
+    std::env::set_var(key, value);
+    Restore { key, prev }
+}
+
 /// Run the hostility A/B at one blackhole fraction. The defence knob is
 /// read once per `Sim` construction, so each env guard brackets a whole
 /// sweep; the clean and undefended cells pin it off explicitly rather
@@ -259,13 +279,13 @@ pub fn diag_hostility(scale: Scale, seed: u64, blackhole_frac: f64) -> Hostility
         ..FaultConfig::default()
     });
     let (clean, undefended) = {
-        let _g = perf::env_guard("SOC_FAULT_DEFENSE", Some("off".into()));
+        let _g = env_guard("SOC_FAULT_DEFENSE", "off");
         let mut r = run_cells(vec![clean_sc, hostile_sc]);
         let undefended = r.pop().expect("undefended cell");
         (r.pop().expect("clean cell"), undefended)
     };
     let defended = {
-        let _g = perf::env_guard("SOC_FAULT_DEFENSE", Some("on".into()));
+        let _g = env_guard("SOC_FAULT_DEFENSE", "on");
         run_cells(vec![hostile_sc]).pop().expect("defended cell")
     };
     HostilityAb {
@@ -479,6 +499,23 @@ mod tests {
         assert_eq!(sc.n_nodes, 300);
         assert_eq!(sc.duration_ms, 6 * 3_600_000);
         assert_eq!(sc.mean_arrival_s, 1200.0);
+    }
+
+    #[test]
+    fn env_guard_restores() {
+        // A scratch name outside the `SOC_` namespace: not a knob.
+        const KEY: &str = "BENCH_ENV_GUARD_SCRATCH";
+        std::env::set_var(KEY, "orig");
+        {
+            let _g = env_guard(KEY, "temp");
+            assert_eq!(std::env::var(KEY).unwrap(), "temp");
+        }
+        assert_eq!(std::env::var(KEY).unwrap(), "orig");
+        std::env::remove_var(KEY);
+        {
+            let _g = env_guard(KEY, "temp");
+        }
+        assert!(std::env::var(KEY).is_err(), "absence is restored too");
     }
 
     #[test]

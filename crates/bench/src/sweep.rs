@@ -42,8 +42,8 @@ pub fn with_thread_override<T>(n: usize, f: impl FnOnce() -> T) -> T {
 /// active, else `SOC_BENCH_THREADS` (clamped to ≥1), else the machine's
 /// available parallelism.
 ///
-/// Read per call (never cached) so the `repro perf` A/B harness can switch
-/// modes within one process.
+/// Read per call, never cached — the rule for every knob (see
+/// `soc_types::knobs`).
 pub fn thread_count() -> usize {
     if let Some(n) = THREAD_OVERRIDE.with(|c| c.get()) {
         return n;

@@ -114,9 +114,11 @@ fn zero_fault_runs_match_pre_fault_pins() {
             "{what}: zero-fault run diverged from the pinned baseline"
         );
         assert!(!r.faults.any());
-        if spec == PIN_LANS_CKPT {
-            assert!(r.checkpoint_resubmits > 0, "checkpointing never fired");
-        }
+        assert_eq!(
+            r.checkpoint_resubmits > 0,
+            spec.contains("checkpointing = true"),
+            "{what}: checkpoint resubmissions"
+        );
     }
 }
 

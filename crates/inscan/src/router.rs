@@ -25,8 +25,8 @@
 //! (`crates/bench/tests/route_equivalence.rs` pins whole-run fingerprints;
 //! `crates/inscan/tests/route_props.rs` pins the step in lockstep).
 //!
-//! Select with `SOC_ROUTE=scan|cached` (read per router construction,
-//! mirroring `SOC_SIM_QUEUE`/`SOC_CACHE`); default `cached`.
+//! Select with `SOC_ROUTE=scan|cached` (read per router construction);
+//! default `cached`.
 
 use crate::routing::inscan_next_hop;
 use crate::table::IndexTables;
@@ -52,9 +52,9 @@ impl RouteBackend {
     /// in `soc_types::knobs::raw`, the one `env::var` site for all
     /// `SOC_*` knobs). Still read on every router construction —
     /// deliberately not `OnceLock`-cached, because the equivalence suites
-    /// and `repro perf` flip the variable between runs inside one process
-    /// to A/B both backends; a process-global cache would freeze the
-    /// first value and reduce those bitwise checks to self-comparisons.
+    /// flip the variable between runs inside one process to A/B both
+    /// backends; a process-global cache would freeze the first value and
+    /// reduce those bitwise checks to self-comparisons.
     pub fn from_env() -> Self {
         match soc_types::knobs::raw("SOC_ROUTE") {
             Some(v) if v.eq_ignore_ascii_case("scan") => RouteBackend::Scan,

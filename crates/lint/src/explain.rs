@@ -80,8 +80,9 @@ pub const EXPLAINS: &[Explain] = &[
     },
     Explain {
         rule: "ignored-test-wiring",
-        rationale: "An #[ignore] suite that no CI job names never runs anywhere. The file's \
-                    stem must appear in the nightly cron of .github/workflows/ci.yml.",
+        rationale: "An #[ignore] suite that no CI job runs never runs anywhere. The nightly \
+                    cron of .github/workflows/ci.yml must call `cargo tier2` (every ignored \
+                    test of the workspace) or name the file's stem.",
         rel: "crates/soc/tests/slow_suite.rs",
         good: include_str!("../tests/fixtures/examples/ignored-test-wiring/good.rs"),
         bad: include_str!("../tests/fixtures/examples/ignored-test-wiring/bad.rs"),

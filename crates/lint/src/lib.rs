@@ -8,16 +8,16 @@
 //! against a per-file item tree ([`items`]) and a workspace
 //! use/ownership graph ([`graph`]).
 //!
-//! Every optimisation axis in this workspace (`SOC_SIM_QUEUE`,
-//! `SOC_CACHE`, `SOC_ROUTE`) is pinned bitwise-identical to a reference
-//! backend, and the next planned steps (10⁵–10⁶-node scaling, a sharded
-//! intra-run executor) stay honest only if that discipline is enforced
-//! mechanically. These rules encode the invariants that previously lived
-//! in tests and prose: RNG stream isolation and ownership, no
-//! unordered-collection iteration or order-sensitive float reduction on
-//! fingerprint-feeding paths, no shared mutable state a shard boundary
-//! could cross, no wall clock outside the bench harness, every `SOC_*`
-//! knob documented, every fingerprint exclusion declared, every
+//! Every selectable implementation in this workspace (`SOC_ROUTE`'s two
+//! routers, `SOC_SIM_EXEC`'s two drivers) is pinned bitwise-identical to
+//! its counterpart, every data-structure replacement is proven against
+//! pinned fingerprints, and the sharded executor stays sound only if that
+//! discipline is enforced mechanically. These rules encode the invariants
+//! that previously lived in tests and prose: RNG stream isolation and
+//! ownership, no unordered-collection iteration or order-sensitive float
+//! reduction on fingerprint-feeding paths, no shared mutable state a shard
+//! boundary could cross, no wall clock outside the bench harness, every
+//! `SOC_*` knob documented, every fingerprint exclusion declared, every
 //! `#[ignore]` suite wired into CI, every dispatch arm profiled.
 //!
 //! Findings are suppressible only via a justified pragma on (or directly

@@ -1,3 +1,3 @@
-pub fn cache_mode() -> String {
-    std::env::var("SOC_CACHE").unwrap_or_default()
+pub fn route_mode() -> String {
+    std::env::var("SOC_ROUTE").unwrap_or_default()
 }

@@ -1,5 +1,5 @@
-pub fn cache_mode() -> Option<String> {
+pub fn route_mode() -> Option<String> {
     // Reads go through the registry, which debug-asserts the knob is
     // declared + documented.
-    soc_types::knobs::raw("SOC_CACHE")
+    soc_types::knobs::raw("SOC_ROUTE")
 }

@@ -5,28 +5,14 @@
 //! seconds", §IV-A) and a fresher record from the same subject node replaces
 //! the older one.
 //!
-//! Two interchangeable backends sit behind the same [`RecordCache`] API:
-//!
-//! * **Indexed** (default): a freshness-ordered slot array (records sorted
-//!   by `stored_at`, so the TTL filter is one binary-search cut) plus a
-//!   blocked dominance index — per 16-slot block, the componentwise **max**
-//!   of the live availability vectors. A block whose max does not dominate
-//!   the demand cannot contain a qualified record (Inequality (2) is
-//!   componentwise `≥`), so [`RecordCache::qualified_into`] prunes whole
-//!   blocks instead of testing every record — the skyline/range-index trick
-//!   of ART-style decentralized range queries applied to the `FoundList`
-//!   test. Expiry is lazy: `purge_expired` tombstones and advances a head
-//!   pointer (amortized O(1) per record lifetime), and the array compacts
-//!   when more than half the slots are dead.
-//! * **Scan**: the original `BTreeMap` walk, kept as the reference model
-//!   for the lockstep property test (`tests/cache_props.rs`), the
-//!   fingerprint-equivalence suite and `repro perf` A/B timing.
-//!
-//! Select with `SOC_CACHE=scan|indexed` (read per cache construction, like
-//! `SOC_SIM_QUEUE`) or explicitly via [`RecordCache::with_backend`]. Both
-//! backends return the exact same records in the exact same order
-//! (ascending subject id), so whole-run reports are bitwise identical —
-//! `crates/bench/tests/cache_equivalence.rs` pins this.
+//! The cache is a `BTreeMap` keyed by subject, and every read is a walk
+//! that tests each record's age and Inequality (2). In situ a duty cache
+//! holds the tens of records routed to one zone within one TTL, so the
+//! walk is a few hundred nanoseconds and inserts — which outnumber probes
+//! — are one map operation. Results come out in ascending subject order,
+//! which fixes `FoundList` order and every downstream random draw per
+//! seed; `tests/cache_props.rs` holds the cache to its contract against a
+//! naive `Vec` oracle.
 
 use soc_types::{NodeId, ResVec, SimMillis};
 use std::collections::BTreeMap;
@@ -43,367 +29,37 @@ pub struct StateRecord {
     pub stored_at: SimMillis,
 }
 
-/// Which cache implementation a [`RecordCache`] uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CacheBackend {
-    /// Freshness-sorted slots + blocked dominance index (default).
-    Indexed,
-    /// Full `BTreeMap` walk (reference implementation).
-    Scan,
+/// Is `r` within `ttl` of `now`? (Exactly at the TTL still counts.)
+fn is_fresh(r: &StateRecord, now: SimMillis, ttl: SimMillis) -> bool {
+    now.saturating_sub(r.stored_at) <= ttl
 }
 
-impl CacheBackend {
-    /// Backend selected by the `SOC_CACHE` environment variable (`scan` or
-    /// `indexed`, case-insensitive); defaults to `Indexed`.
-    ///
-    /// Read on every cache construction — deliberately uncached so a single
-    /// process can A/B both backends (`repro perf`).
-    pub fn from_env() -> Self {
-        match soc_types::knobs::raw("SOC_CACHE") {
-            Some(v) if v.eq_ignore_ascii_case("scan") => CacheBackend::Scan,
-            _ => CacheBackend::Indexed,
-        }
-    }
-}
-
-/// Records per dominance-index block. Pruning tests one componentwise max
-/// per block, so a miss (the common case: scarce resources rarely qualify)
-/// costs ~1/16 of the full scan; 16 keeps the boundary-block rescan cheap.
-const BLOCK: usize = 16;
-
-/// Dead-slot fraction that triggers compaction (dead > live ⇒ rebuild).
-/// Compaction touches every live slot once, so with this threshold each
-/// slot is moved O(1) times per lifetime.
-const COMPACT_MIN_SLOTS: usize = 32;
-
-#[derive(Clone, Copy, Debug)]
-struct Slot {
-    rec: StateRecord,
-    live: bool,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct Block {
-    /// Live slots in this block.
-    live: u32,
-    /// Componentwise max availability over the block's *live* slots;
-    /// meaningless when `live == 0`.
-    max_avail: ResVec,
-}
-
-/// The indexed backend. Invariants:
-///
-/// * `slots` is sorted by `rec.stored_at` (ascending; ties allowed);
-/// * every slot below `head` is dead;
-/// * `by_subject` maps each subject with a live record to its slot, and
-///   every live slot is reachable this way (one live slot per subject);
-/// * `blocks[b]` summarizes `slots[b*BLOCK .. (b+1)*BLOCK]` exactly.
-#[derive(Clone, Debug)]
-struct Indexed {
-    slots: Vec<Slot>,
-    head: usize,
-    blocks: Vec<Block>,
-    by_subject: BTreeMap<NodeId, usize>,
-    live: usize,
-}
-
-impl Indexed {
-    fn new() -> Self {
-        Indexed {
-            slots: Vec::new(),
-            head: 0,
-            blocks: Vec::new(),
-            by_subject: BTreeMap::new(),
-            live: 0,
-        }
-    }
-
-    /// First slot index whose record is fresh at `now` (sortedness makes
-    /// the TTL filter a single binary search).
-    fn fresh_cut(&self, now: SimMillis, ttl: SimMillis) -> usize {
-        let cutoff = now.saturating_sub(ttl);
-        self.slots.partition_point(|s| s.rec.stored_at < cutoff)
-    }
-
-    /// Kill slot `i` and maintain its block summary.
-    fn tombstone(&mut self, i: usize) {
-        debug_assert!(self.slots[i].live);
-        self.slots[i].live = false;
-        self.live -= 1;
-        let b = i / BLOCK;
-        self.blocks[b].live -= 1;
-        if self.blocks[b].live > 0 {
-            self.recompute_block_max(b);
-        }
-    }
-
-    fn recompute_block_max(&mut self, b: usize) {
-        let lo = b * BLOCK;
-        let hi = ((b + 1) * BLOCK).min(self.slots.len());
-        let mut max: Option<ResVec> = None;
-        for s in &self.slots[lo..hi] {
-            if s.live {
-                max = Some(match max {
-                    None => s.rec.avail,
-                    Some(m) => m.max(&s.rec.avail),
-                });
-            }
-        }
-        if let Some(m) = max {
-            self.blocks[b].max_avail = m;
-        }
-    }
-
-    /// Append a record whose `stored_at` is `>=` every stored slot's.
-    fn push(&mut self, rec: StateRecord) {
-        let i = self.slots.len();
-        self.slots.push(Slot { rec, live: true });
-        let b = i / BLOCK;
-        if b == self.blocks.len() {
-            self.blocks.push(Block {
-                live: 1,
-                max_avail: rec.avail,
-            });
-        } else {
-            let blk = &mut self.blocks[b];
-            blk.max_avail = if blk.live == 0 {
-                rec.avail
-            } else {
-                blk.max_avail.max(&rec.avail)
-            };
-            blk.live += 1;
-        }
-        self.live += 1;
-        self.by_subject.insert(rec.subject, i);
-    }
-
-    /// Rebuild from the given records (must arrive sorted by `stored_at`).
-    fn rebuild(&mut self, recs: Vec<StateRecord>) {
-        self.slots.clear();
-        self.blocks.clear();
-        self.by_subject.clear();
-        self.head = 0;
-        self.live = 0;
-        for rec in recs {
-            self.push(rec);
-        }
-    }
-
-    /// Insert a record *behind* the tail: splice it into its sorted
-    /// position and repair everything positional from there on. Records
-    /// arrive out of order whenever a protocol carries the origin's
-    /// `stored_at` through routing/replication (KHDN does; PID-CAN
-    /// re-stamps on arrival), but the inversion distance is bounded by the
-    /// network latency spread — a few seconds against a 600 s TTL — so
-    /// `pos` lands near the tail and the suffix repair is short.
-    fn insert_sorted(&mut self, rec: StateRecord) {
-        // After ties, so equal-timestamp records keep arrival order.
-        let pos = self
-            .slots
-            .partition_point(|s| s.rec.stored_at <= rec.stored_at);
-        self.slots.insert(pos, Slot { rec, live: true });
-        self.live += 1;
-        // Every live slot at or past `pos` shifted right by one.
-        for (i, s) in self.slots.iter().enumerate().skip(pos) {
-            if s.live {
-                self.by_subject.insert(s.rec.subject, i);
-            }
-        }
-        // Block summaries from the touched block onward are stale.
-        self.rebuild_blocks_from(pos / BLOCK);
-        // A very stale record can land below the dead-prefix pointer.
-        self.head = self.head.min(pos);
-    }
-
-    /// Recompute `blocks[b0..]` from the slots they cover.
-    fn rebuild_blocks_from(&mut self, b0: usize) {
-        self.blocks.truncate(b0);
-        let mut i = b0 * BLOCK;
-        while i < self.slots.len() {
-            let hi = (i + BLOCK).min(self.slots.len());
-            let mut blk = Block {
-                live: 0,
-                max_avail: self.slots[i].rec.avail,
-            };
-            for s in &self.slots[i..hi] {
-                if s.live {
-                    blk.max_avail = if blk.live == 0 {
-                        s.rec.avail
-                    } else {
-                        blk.max_avail.max(&s.rec.avail)
-                    };
-                    blk.live += 1;
-                }
-            }
-            self.blocks.push(blk);
-            i = hi;
-        }
-    }
-
-    fn maybe_compact(&mut self) {
-        let dead = self.slots.len() - self.live;
-        if self.slots.len() >= COMPACT_MIN_SLOTS && dead > self.live {
-            let recs: Vec<StateRecord> = self
-                .slots
-                .iter()
-                .filter(|s| s.live)
-                .map(|s| s.rec)
-                .collect();
-            self.rebuild(recs);
-        }
-    }
-
-    fn insert(&mut self, rec: StateRecord) {
-        if let Some(&i) = self.by_subject.get(&rec.subject) {
-            if self.slots[i].rec.stored_at > rec.stored_at {
-                return; // stale duplicate; keep the newer record
-            }
-            self.tombstone(i);
-        }
-        match self.slots.last() {
-            Some(last) if last.rec.stored_at > rec.stored_at => {
-                self.insert_sorted(rec);
-            }
-            _ => self.push(rec),
-        }
-        self.maybe_compact();
-    }
-
-    fn remove(&mut self, subject: NodeId) -> Option<StateRecord> {
-        let i = self.by_subject.remove(&subject)?;
-        let rec = self.slots[i].rec;
-        self.tombstone(i);
-        self.maybe_compact();
-        Some(rec)
-    }
-
-    fn purge_expired(&mut self, now: SimMillis, ttl: SimMillis) -> usize {
-        let cut = self.fresh_cut(now, ttl);
-        let mut dropped = 0;
-        for i in self.head..cut {
-            if self.slots[i].live {
-                let subject = self.slots[i].rec.subject;
-                self.slots[i].live = false;
-                self.live -= 1;
-                self.blocks[i / BLOCK].live -= 1;
-                self.by_subject.remove(&subject);
-                dropped += 1;
-            }
-        }
-        // The block straddling the cut keeps live (fresh) slots whose max
-        // may have shrunk; fully-expired blocks have live == 0.
-        if dropped > 0 {
-            let b = cut / BLOCK;
-            if b < self.blocks.len() && self.blocks[b].live > 0 {
-                self.recompute_block_max(b);
-            }
-        }
-        self.head = self.head.max(cut);
-        self.maybe_compact();
-        dropped
-    }
-
-    /// Live fresh slots at `now`, i.e. live slots at index `>= cut`.
-    fn fresh_len(&self, now: SimMillis, ttl: SimMillis) -> usize {
-        if self.live == 0 {
-            return 0;
-        }
-        let start = self.fresh_cut(now, ttl).max(self.head);
-        if start == self.head {
-            return self.live; // nothing expired: every live slot is fresh
-        }
-        // Count expired-but-unpurged live slots block by block.
-        let mut expired_live = 0;
-        for (b, blk) in self.blocks.iter().enumerate() {
-            let lo = b * BLOCK;
-            if lo >= start {
-                break;
-            }
-            let hi = ((b + 1) * BLOCK).min(self.slots.len());
-            if hi <= start {
-                expired_live += blk.live as usize;
-            } else {
-                expired_live += self.slots[lo..start].iter().filter(|s| s.live).count();
-            }
-        }
-        self.live - expired_live
-    }
-
-    fn for_each_fresh_qualified(
-        &self,
-        demand: Option<&ResVec>,
-        now: SimMillis,
-        ttl: SimMillis,
-        mut f: impl FnMut(&StateRecord) -> bool,
-    ) {
-        if self.live == 0 {
-            return;
-        }
-        let start = self.fresh_cut(now, ttl).max(self.head);
-        for (b, blk) in self.blocks.iter().enumerate().skip(start / BLOCK) {
-            if blk.live == 0 {
-                continue;
-            }
-            if let Some(d) = demand {
-                // Dominance pruning: if even the componentwise max of the
-                // block's live records fails Inequality (2), no record in
-                // the block can pass it.
-                if !blk.max_avail.dominates(d) {
-                    continue;
-                }
-            }
-            let lo = (b * BLOCK).max(start);
-            let hi = ((b + 1) * BLOCK).min(self.slots.len());
-            for s in &self.slots[lo..hi] {
-                if s.live && demand.is_none_or(|d| s.rec.avail.dominates(d)) && !f(&s.rec) {
-                    return;
-                }
-            }
-        }
-    }
-}
-
+/// TTL'd cache of state records, keyed by subject node.
 #[derive(Clone)]
-enum Store {
-    Scan(BTreeMap<NodeId, StateRecord>),
-    Indexed(Indexed),
+pub struct RecordCache {
+    ttl_ms: SimMillis,
+    // BTreeMap (not HashMap) so iteration order is deterministic per seed.
+    records: BTreeMap<NodeId, StateRecord>,
 }
 
 // Debug stays manual: dumping every cached record per node would swamp any
 // diagnostic output the cache appears in.
-impl std::fmt::Debug for Store {
+impl std::fmt::Debug for RecordCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Store::Scan(m) => f.debug_tuple("Scan").field(&m.len()).finish(),
-            Store::Indexed(ix) => f.debug_tuple("Indexed").field(&ix.live).finish(),
-        }
+        f.debug_struct("RecordCache")
+            .field("ttl_ms", &self.ttl_ms)
+            .field("len", &self.records.len())
+            .finish()
     }
-}
-
-/// TTL'd cache of state records, keyed by subject node.
-#[derive(Clone, Debug)]
-pub struct RecordCache {
-    ttl_ms: SimMillis,
-    // Scan keeps a BTreeMap (not HashMap) so iteration order — and
-    // therefore FoundList order and every downstream random draw — is
-    // deterministic per seed; Indexed sorts its results into the same
-    // ascending-subject order.
-    store: Store,
 }
 
 impl RecordCache {
-    /// Cache with the given record TTL and the `SOC_CACHE` backend.
+    /// Cache with the given record TTL.
     pub fn new(ttl_ms: SimMillis) -> Self {
-        Self::with_backend(CacheBackend::from_env(), ttl_ms)
-    }
-
-    /// Cache with an explicit backend (tests / benches).
-    pub fn with_backend(backend: CacheBackend, ttl_ms: SimMillis) -> Self {
-        let store = match backend {
-            CacheBackend::Scan => Store::Scan(BTreeMap::new()),
-            CacheBackend::Indexed => Store::Indexed(Indexed::new()),
-        };
-        RecordCache { ttl_ms, store }
+        RecordCache {
+            ttl_ms,
+            records: BTreeMap::new(),
+        }
     }
 
     /// The paper's configuration: 600 s TTL.
@@ -416,62 +72,34 @@ impl RecordCache {
         self.ttl_ms
     }
 
-    /// Which backend this cache runs on.
-    pub fn backend(&self) -> CacheBackend {
-        match &self.store {
-            Store::Scan(_) => CacheBackend::Scan,
-            Store::Indexed(_) => CacheBackend::Indexed,
-        }
-    }
-
     /// Insert/replace the record for its subject. Keeps the newer one if a
     /// record for the same subject is already present.
     pub fn insert(&mut self, rec: StateRecord) {
-        match &mut self.store {
-            Store::Scan(m) => match m.get(&rec.subject) {
-                Some(old) if old.stored_at > rec.stored_at => {}
-                _ => {
-                    m.insert(rec.subject, rec);
-                }
-            },
-            Store::Indexed(ix) => ix.insert(rec),
+        match self.records.get(&rec.subject) {
+            Some(old) if old.stored_at > rec.stored_at => {}
+            _ => {
+                self.records.insert(rec.subject, rec);
+            }
         }
     }
 
     /// Remove expired records; returns how many were dropped.
     pub fn purge_expired(&mut self, now: SimMillis) -> usize {
         let ttl = self.ttl_ms;
-        match &mut self.store {
-            Store::Scan(m) => {
-                let before = m.len();
-                m.retain(|_, r| now.saturating_sub(r.stored_at) <= ttl);
-                before - m.len()
-            }
-            Store::Indexed(ix) => ix.purge_expired(now, ttl),
-        }
+        let before = self.records.len();
+        self.records.retain(|_, r| is_fresh(r, now, ttl));
+        before - self.records.len()
     }
 
     /// Remove the record about `subject` (e.g. it churned away).
     pub fn remove(&mut self, subject: NodeId) -> Option<StateRecord> {
-        match &mut self.store {
-            Store::Scan(m) => m.remove(&subject),
-            Store::Indexed(ix) => ix.remove(subject),
-        }
+        self.records.remove(&subject)
     }
 
     /// Is the cache empty of *fresh* records at `now`? (Algorithm 1's
     /// "cache γ is non-empty" test.)
-    ///
-    /// On the indexed backend this is a binary-search cut plus a head-pointer
-    /// check — amortized O(1) on the protocol path, where `purge_expired`
-    /// runs immediately before it.
     pub fn is_empty_at(&self, now: SimMillis) -> bool {
-        match &self.store {
-            Store::Scan(m) => !m
-                .values()
-                .any(|r| now.saturating_sub(r.stored_at) <= self.ttl_ms),
-            Store::Indexed(ix) => ix.fresh_len(now, self.ttl_ms) == 0,
-        }
+        !self.records.values().any(|r| is_fresh(r, now, self.ttl_ms))
     }
 
     /// Number of *stored* records — including expired ones not yet purged,
@@ -479,28 +107,22 @@ impl RecordCache {
     /// question is "how many records are usable right now"; a cache can
     /// report `len() > 0` with zero fresh records.
     pub fn len(&self) -> usize {
-        match &self.store {
-            Store::Scan(m) => m.len(),
-            Store::Indexed(ix) => ix.live,
-        }
+        self.records.len()
     }
 
     /// True when no records are stored at all (expired ones included —
     /// the mirror of [`Self::len`], not of [`Self::is_empty_at`]).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.records.is_empty()
     }
 
     /// Number of records still fresh at `now` — the consistent companion of
     /// [`Self::is_empty_at`]: `fresh_len(now) == 0 ⇔ is_empty_at(now)`.
     pub fn fresh_len(&self, now: SimMillis) -> usize {
-        match &self.store {
-            Store::Scan(m) => m
-                .values()
-                .filter(|r| now.saturating_sub(r.stored_at) <= self.ttl_ms)
-                .count(),
-            Store::Indexed(ix) => ix.fresh_len(now, self.ttl_ms),
-        }
+        self.records
+            .values()
+            .filter(|r| is_fresh(r, now, self.ttl_ms))
+            .count()
     }
 
     /// Fresh records whose availability dominates `demand` (Inequality (2)),
@@ -515,63 +137,33 @@ impl RecordCache {
     }
 
     /// [`Self::qualified`] into a caller-provided buffer (cleared first).
-    /// Results are in ascending subject order on both backends.
+    /// Results are in ascending subject order.
     pub fn qualified_into(&self, demand: &ResVec, now: SimMillis, out: &mut Vec<StateRecord>) {
         out.clear();
-        match &self.store {
-            Store::Scan(m) => out.extend(
-                m.values()
-                    .filter(|r| now.saturating_sub(r.stored_at) <= self.ttl_ms)
-                    .filter(|r| r.avail.dominates(demand))
-                    .copied(),
-            ),
-            Store::Indexed(ix) => {
-                ix.for_each_fresh_qualified(Some(demand), now, self.ttl_ms, |r| {
-                    out.push(*r);
-                    true
-                });
-                out.sort_unstable_by_key(|r| r.subject); // soc-lint: allow(no-unstable-sort) -- one record per subject in a cache, so keys are unique
-            }
-        }
+        out.extend(
+            self.records
+                .values()
+                .filter(|r| is_fresh(r, now, self.ttl_ms) && r.avail.dominates(demand))
+                .copied(),
+        );
     }
 
     /// Does any fresh record qualify `demand`? Early-exits on the first hit
-    /// (and on the indexed backend skips whole blocks) — the cheap form of
-    /// `!qualified(..).is_empty()` for oracles/diagnostics.
+    /// — the cheap form of `!qualified(..).is_empty()` for
+    /// oracles/diagnostics.
     pub fn has_qualified(&self, demand: &ResVec, now: SimMillis) -> bool {
-        match &self.store {
-            Store::Scan(m) => m.values().any(|r| {
-                now.saturating_sub(r.stored_at) <= self.ttl_ms && r.avail.dominates(demand)
-            }),
-            Store::Indexed(ix) => {
-                let mut found = false;
-                ix.for_each_fresh_qualified(Some(demand), now, self.ttl_ms, |_| {
-                    found = true;
-                    false
-                });
-                found
-            }
-        }
+        self.records
+            .values()
+            .any(|r| is_fresh(r, now, self.ttl_ms) && r.avail.dominates(demand))
     }
 
     /// All fresh records, in ascending subject order.
     pub fn fresh(&self, now: SimMillis) -> Vec<StateRecord> {
-        match &self.store {
-            Store::Scan(m) => m
-                .values()
-                .filter(|r| now.saturating_sub(r.stored_at) <= self.ttl_ms)
-                .copied()
-                .collect(),
-            Store::Indexed(ix) => {
-                let mut out = Vec::new();
-                ix.for_each_fresh_qualified(None, now, self.ttl_ms, |r| {
-                    out.push(*r);
-                    true
-                });
-                out.sort_unstable_by_key(|r| r.subject); // soc-lint: allow(no-unstable-sort) -- one record per subject in a cache, so keys are unique
-                out
-            }
-        }
+        self.records
+            .values()
+            .filter(|r| is_fresh(r, now, self.ttl_ms))
+            .copied()
+            .collect()
     }
 }
 
@@ -587,67 +179,56 @@ mod tests {
         }
     }
 
-    fn both(ttl: SimMillis) -> [RecordCache; 2] {
-        [
-            RecordCache::with_backend(CacheBackend::Scan, ttl),
-            RecordCache::with_backend(CacheBackend::Indexed, ttl),
-        ]
-    }
-
     #[test]
     fn insert_replaces_older_same_subject() {
-        for mut c in both(600_000) {
-            c.insert(rec(1, &[1.0, 1.0], 1_000));
-            c.insert(rec(1, &[2.0, 2.0], 2_000));
-            assert_eq!(c.len(), 1);
-            let fresh = c.fresh(2_000);
-            assert_eq!(fresh[0].avail[0], 2.0);
-            // Stale duplicate does not clobber the newer record.
-            c.insert(rec(1, &[9.0, 9.0], 500));
-            assert_eq!(c.fresh(2_000)[0].avail[0], 2.0);
-        }
+        let mut c = RecordCache::new(600_000);
+        c.insert(rec(1, &[1.0, 1.0], 1_000));
+        c.insert(rec(1, &[2.0, 2.0], 2_000));
+        assert_eq!(c.len(), 1);
+        let fresh = c.fresh(2_000);
+        assert_eq!(fresh[0].avail[0], 2.0);
+        // Stale duplicate does not clobber the newer record.
+        c.insert(rec(1, &[9.0, 9.0], 500));
+        assert_eq!(c.fresh(2_000)[0].avail[0], 2.0);
     }
 
     #[test]
     fn ttl_expiry() {
-        for mut c in both(600_000) {
-            c.insert(rec(1, &[1.0], 0));
-            assert!(!c.is_empty_at(600_000)); // exactly at TTL: still fresh
-            assert!(c.is_empty_at(600_001));
-            assert_eq!(c.purge_expired(700_000), 1);
-            assert_eq!(c.len(), 0);
-        }
+        let mut c = RecordCache::new(600_000);
+        c.insert(rec(1, &[1.0], 0));
+        assert!(!c.is_empty_at(600_000)); // exactly at TTL: still fresh
+        assert!(c.is_empty_at(600_001));
+        assert_eq!(c.purge_expired(700_000), 1);
+        assert_eq!(c.len(), 0);
     }
 
     #[test]
     fn qualified_filters_by_dominance_and_freshness() {
-        for mut c in both(600_000) {
-            c.insert(rec(1, &[4.0, 4.0], 0)); // qualifies, fresh at 100k
-            c.insert(rec(2, &[1.0, 9.0], 0)); // fails dim 0
-            c.insert(rec(3, &[9.0, 9.0], 0)); // qualifies
-            let demand = ResVec::from_slice(&[2.0, 2.0]);
-            let q: Vec<u32> = c
-                .qualified(&demand, 100_000)
-                .iter()
-                .map(|r| r.subject.0)
-                .collect();
-            // Both backends report in ascending subject order.
-            assert_eq!(q, vec![1, 3]);
-            assert!(c.has_qualified(&demand, 100_000));
-            // Far in the future everything expired.
-            assert!(c.qualified(&demand, 10_000_000).is_empty());
-            assert!(!c.has_qualified(&demand, 10_000_000));
-        }
+        let mut c = RecordCache::new(600_000);
+        c.insert(rec(1, &[4.0, 4.0], 0)); // qualifies, fresh at 100k
+        c.insert(rec(2, &[1.0, 9.0], 0)); // fails dim 0
+        c.insert(rec(3, &[9.0, 9.0], 0)); // qualifies
+        let demand = ResVec::from_slice(&[2.0, 2.0]);
+        let q: Vec<u32> = c
+            .qualified(&demand, 100_000)
+            .iter()
+            .map(|r| r.subject.0)
+            .collect();
+        // Ascending subject order.
+        assert_eq!(q, vec![1, 3]);
+        assert!(c.has_qualified(&demand, 100_000));
+        // Far in the future everything expired.
+        assert!(c.qualified(&demand, 10_000_000).is_empty());
+        assert!(!c.has_qualified(&demand, 10_000_000));
     }
 
     #[test]
     fn remove_subject() {
-        for mut c in both(1_000) {
-            c.insert(rec(5, &[1.0], 0));
-            assert!(c.remove(NodeId(5)).is_some());
-            assert!(c.remove(NodeId(5)).is_none());
-            assert!(c.is_empty());
-        }
+        let mut c = RecordCache::new(1_000);
+        c.insert(rec(5, &[1.0], 0));
+        assert!(c.remove(NodeId(5)).is_some());
+        assert!(c.remove(NodeId(5)).is_none());
+        assert!(c.is_empty());
     }
 
     /// Regression (ISSUE 4 satellite): `len`/`is_empty` count
@@ -656,89 +237,34 @@ mod tests {
     /// freshness-consistent counterpart of `is_empty_at`.
     #[test]
     fn len_counts_expired_records_fresh_len_does_not() {
-        for mut c in both(1_000) {
-            c.insert(rec(1, &[1.0], 0));
-            c.insert(rec(2, &[1.0], 5_000));
-            // At t = 10 s, record 1 is long expired but never purged.
-            assert_eq!(c.len(), 2, "len counts expired-but-unpurged records");
-            assert!(!c.is_empty());
-            assert_eq!(c.fresh_len(5_500), 1);
-            assert!(!c.is_empty_at(5_500));
-            // Both expired: len still 2, fresh view empty.
-            assert_eq!(c.len(), 2);
-            assert_eq!(c.fresh_len(10_000), 0);
-            assert!(c.is_empty_at(10_000), "no fresh records at t=10s");
-            assert!(!c.is_empty(), "…though stale ones are still stored");
-            // After the purge the two views agree again.
-            assert_eq!(c.purge_expired(10_000), 2);
-            assert_eq!(c.len(), 0);
-            assert!(c.is_empty());
-        }
-    }
-
-    #[test]
-    fn indexed_survives_churny_op_mix() {
-        // Drive the indexed cache through enough inserts/replacements/
-        // purges to force tombstoning, block recomputation and compaction,
-        // cross-checking the scan backend at every step.
-        let mut scan = RecordCache::with_backend(CacheBackend::Scan, 10_000);
-        let mut ix = RecordCache::with_backend(CacheBackend::Indexed, 10_000);
-        let mut now = 0;
-        for step in 0u64..400 {
-            now += (step * 7) % 900;
-            let subject = (step * 31 % 37) as u32;
-            let a = (step % 13) as f64;
-            let b = (step % 7) as f64;
-            let r = rec(subject, &[a, b], now);
-            scan.insert(r);
-            ix.insert(r);
-            if step % 11 == 0 {
-                assert_eq!(
-                    scan.remove(NodeId(subject)).is_some(),
-                    ix.remove(NodeId(subject)).is_some()
-                );
-            }
-            if step % 17 == 0 {
-                assert_eq!(scan.purge_expired(now), ix.purge_expired(now));
-            }
-            let demand = ResVec::from_slice(&[(step % 5) as f64, (step % 3) as f64]);
-            assert_eq!(scan.qualified(&demand, now), ix.qualified(&demand, now));
-            assert_eq!(
-                scan.has_qualified(&demand, now),
-                ix.has_qualified(&demand, now)
-            );
-            assert_eq!(scan.fresh(now), ix.fresh(now));
-            assert_eq!(scan.len(), ix.len());
-            assert_eq!(scan.fresh_len(now), ix.fresh_len(now));
-            assert_eq!(scan.is_empty_at(now), ix.is_empty_at(now));
-        }
+        let mut c = RecordCache::new(1_000);
+        c.insert(rec(1, &[1.0], 0));
+        c.insert(rec(2, &[1.0], 5_000));
+        // At t = 10 s, record 1 is long expired but never purged.
+        assert_eq!(c.len(), 2, "len counts expired-but-unpurged records");
+        assert!(!c.is_empty());
+        assert_eq!(c.fresh_len(5_500), 1);
+        assert!(!c.is_empty_at(5_500));
+        // Both expired: len still 2, fresh view empty.
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.fresh_len(10_000), 0);
+        assert!(c.is_empty_at(10_000), "no fresh records at t=10s");
+        assert!(!c.is_empty(), "…though stale ones are still stored");
+        // After the purge the two views agree again.
+        assert_eq!(c.purge_expired(10_000), 2);
+        assert_eq!(c.len(), 0);
+        assert!(c.is_empty());
     }
 
     #[test]
     fn out_of_order_inserts_keep_freshness_sorted() {
-        for mut c in both(600_000) {
-            // Timestamps arrive shuffled; the TTL cut must still be exact.
-            for (s, at) in [(1, 5_000), (2, 1_000), (3, 9_000), (4, 3_000)] {
-                c.insert(rec(s, &[1.0], at));
-            }
-            assert_eq!(c.fresh_len(601_500), 3); // record 2 expired
-            let ids: Vec<u32> = c.fresh(601_500).iter().map(|r| r.subject.0).collect();
-            assert_eq!(ids, vec![1, 3, 4]);
+        let mut c = RecordCache::new(600_000);
+        // Timestamps arrive shuffled; the TTL cut must still be exact.
+        for (s, at) in [(1, 5_000), (2, 1_000), (3, 9_000), (4, 3_000)] {
+            c.insert(rec(s, &[1.0], at));
         }
-    }
-
-    #[test]
-    fn backend_env_selection() {
-        // Not set / garbage → Indexed; "scan" (any case) → Scan. Serialized
-        // in one test to avoid races on the process environment.
-        std::env::remove_var("SOC_CACHE");
-        assert_eq!(CacheBackend::from_env(), CacheBackend::Indexed);
-        std::env::set_var("SOC_CACHE", "scan");
-        assert_eq!(CacheBackend::from_env(), CacheBackend::Scan);
-        std::env::set_var("SOC_CACHE", "SCAN");
-        assert_eq!(CacheBackend::from_env(), CacheBackend::Scan);
-        std::env::set_var("SOC_CACHE", "indexed");
-        assert_eq!(CacheBackend::from_env(), CacheBackend::Indexed);
-        std::env::remove_var("SOC_CACHE");
+        assert_eq!(c.fresh_len(601_500), 3); // record 2 expired
+        let ids: Vec<u32> = c.fresh(601_500).iter().map(|r| r.subject.0).collect();
+        assert_eq!(ids, vec![1, 3, 4]);
     }
 }

@@ -26,5 +26,5 @@
 pub mod queue;
 pub mod rng;
 
-pub use queue::{EventQueue, QueueBackend, Time};
+pub use queue::{EventQueue, Time};
 pub use rng::{stream_rng, stream_rng_shard, RngStreams};

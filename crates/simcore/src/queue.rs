@@ -1,93 +1,27 @@
-//! The timestamped event queue.
+//! The timestamped event queue: a sliding timing wheel over an event slab.
 //!
-//! Two interchangeable backends sit behind the same [`EventQueue`] API:
+//! The wheel is a power-of-two ring of per-millisecond FIFO buckets whose
+//! window always starts at the queue clock — it slides forward on every
+//! pop and on every idle `pop_until` jump — with a hierarchical occupancy
+//! bitmap for O(1) next-event search and a memoized minimum so the
+//! windowed executor's per-window peeks cost a single load. Events live
+//! once in a per-queue slab (`Vec` of nodes with a LIFO free list);
+//! buckets are intrusive singly-linked lists of `u32` slab handles, so an
+//! event is written once on schedule and read once on pop. Timers beyond
+//! the window wait in a `BTreeMap` of handles and migrate into the ring
+//! *eagerly*, the moment the window slides over them — which keeps every
+//! overflow key at or beyond the window's end, and with it same-instant
+//! FIFO across migration.
 //!
-//! * **Calendar** (default): a sliding timing wheel over an event slab.
-//!   The wheel is a power-of-two ring of per-millisecond FIFO buckets
-//!   whose window always starts at the queue clock — it slides forward
-//!   on every pop and on every idle `pop_until` jump — with a
-//!   hierarchical occupancy bitmap for O(1) next-event search and a
-//!   memoized minimum so the windowed executor's per-window peeks cost a
-//!   single load. Events live once in a per-queue slab (`Vec` of nodes
-//!   with a LIFO free list); buckets are intrusive singly-linked lists of
-//!   `u32` slab handles, so an event is written once on schedule and read
-//!   once on pop. Timers beyond the window wait in a `BTreeMap` of
-//!   handles and migrate into the ring *eagerly*, the moment the window
-//!   slides over them — which keeps every overflow key at or beyond the
-//!   window's end, and with it same-instant FIFO across migration.
-//! * **Heap**: the original `BinaryHeap` future-event list, kept as the
-//!   reference implementation for the property tests and for runtime A/B
-//!   timing (`repro perf`).
-//!
-//! Select with `SOC_SIM_QUEUE=heap|calendar` (read per queue construction,
-//! so one process can time both) or explicitly via
-//! [`EventQueue::with_backend`]. Both backends deliver the exact same event
-//! order: earliest timestamp first, FIFO among events scheduled for the
-//! same instant.
+//! Delivery order is earliest timestamp first, FIFO among events scheduled
+//! for the same instant. `tests/queue_props.rs` holds the wheel to that
+//! contract in lockstep with a `BinaryHeap` model keyed `(time, seq)`.
 
 use std::cell::Cell;
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 /// Simulation time in milliseconds (matches `soc_types::SimMillis`).
 pub type Time = u64;
-
-/// Which future-event-list implementation an [`EventQueue`] uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueueBackend {
-    /// Calendar/bucket queue (default; O(1) schedule/pop).
-    Calendar,
-    /// Binary heap (reference implementation).
-    Heap,
-}
-
-impl QueueBackend {
-    /// Backend selected by the `SOC_SIM_QUEUE` environment variable
-    /// (`heap` or `calendar`, case-insensitive); defaults to `Calendar`.
-    ///
-    /// Read on every call — deliberately uncached so a single process can
-    /// construct queues with different backends for A/B timing.
-    pub fn from_env() -> Self {
-        match soc_types::knobs::raw("SOC_SIM_QUEUE") {
-            Some(v) if v.eq_ignore_ascii_case("heap") => QueueBackend::Heap,
-            _ => QueueBackend::Calendar,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Heap backend (the original implementation).
-// ---------------------------------------------------------------------------
-
-struct Entry<E> {
-    time: Time,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    // Reversed: BinaryHeap is a max-heap, we want the earliest (time, seq).
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Calendar backend.
-// ---------------------------------------------------------------------------
 
 /// Ring width in milliseconds. Control-plane latencies are 2–250 ms and
 /// the window slides with the clock, so every message delivery lands in
@@ -114,10 +48,16 @@ struct Node<E> {
     ev: Option<E>,
 }
 
-/// Calendar queue state. The ring window is `[now, now + RING_MS)` where
-/// `now` is the owning [`EventQueue`]'s clock, passed into every call; the
-/// queue reports each clock move through [`Calendar::slide`] (idle jumps)
-/// or [`Calendar::pop`]. Invariants:
+/// A deterministic future-event list.
+///
+/// Events scheduled for the same instant are delivered in scheduling order
+/// (FIFO), which makes simulation runs bit-reproducible regardless of queue
+/// internals.
+///
+/// Popping advances the clock: [`EventQueue::now`] is the timestamp of the
+/// most recently popped event. The ring window is `[now, now + RING_MS)`;
+/// every clock move goes through [`EventQueue::pop`] or the idle jump in
+/// [`EventQueue::pop_until`], and both slide the window. Invariants:
 ///
 /// * every ring event's time `t` satisfies `now <= t < now + RING_MS`;
 /// * bucket `t % RING_MS` holds only events at exactly `t` (unique within
@@ -127,7 +67,10 @@ struct Node<E> {
 ///   direct ring insert at `t` always follows every overflow entry at `t`;
 /// * `ovf_min` is the earliest overflow key's time (`Time::MAX` if none);
 /// * `occ`/`summary` bits mirror bucket non-emptiness exactly.
-struct Calendar<E> {
+pub struct EventQueue<E> {
+    now: Time,
+    seq: u64,
+    scheduled_total: u64,
     /// Every pending event, plus recycled slots on the free list.
     slab: Vec<Node<E>>,
     /// Head of the LIFO free list through `Node::next`.
@@ -161,9 +104,19 @@ struct Calendar<E> {
     min_hint: Cell<Option<Time>>,
 }
 
-impl<E> Calendar<E> {
-    fn new() -> Self {
-        Calendar {
+impl<E> Default for EventQueue<E> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<E> EventQueue<E> {
+    /// An empty queue at time 0.
+    pub fn new() -> Self {
+        EventQueue {
+            now: 0,
+            seq: 0,
+            scheduled_total: 0,
             slab: Vec::new(),
             free: NIL,
             heads: [NIL; RING_MS],
@@ -177,8 +130,35 @@ impl<E> Calendar<E> {
         }
     }
 
-    fn len(&self) -> usize {
+    /// An empty queue whose event slab has room for `cap` pending events.
+    pub fn with_capacity(cap: usize) -> Self {
+        let mut q = Self::new();
+        q.slab.reserve(cap);
+        q
+    }
+
+    /// Current simulation time: the timestamp of the last popped event.
+    #[inline]
+    pub fn now(&self) -> Time {
+        self.now
+    }
+
+    /// Number of pending events.
+    #[inline]
+    pub fn len(&self) -> usize {
         self.ring_len + self.overflow.len()
+    }
+
+    /// True when no events are pending.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Total number of events ever scheduled (diagnostics).
+    #[inline]
+    pub fn scheduled_total(&self) -> u64 {
+        self.scheduled_total
     }
 
     /// Store `ev` in a recycled or fresh slab slot.
@@ -259,42 +239,22 @@ impl<E> Calendar<E> {
         None
     }
 
-    /// Earliest pending timestamp, given the queue clock `now`.
+    /// Schedule `event` at absolute time `at`.
     ///
-    /// Served from `min_hint` when it is warm; otherwise one search runs
-    /// and the result is memoized. Ring events always precede overflow
-    /// events (window invariants), so the overflow only answers when the
-    /// ring is empty.
-    fn min_time(&self, now: Time) -> Option<Time> {
-        if self.len() == 0 {
-            return None;
-        }
-        if let Some(t) = self.min_hint.get() {
-            return Some(t);
-        }
-        let t = if self.ring_len > 0 {
-            let from = (now % RING_MS as u64) as usize;
-            let (_, dist) = self
-                .next_occupied(from)
-                .expect("ring_len > 0 implies an occupied bucket");
-            now + dist as Time
-        } else {
-            self.ovf_min
-        };
-        self.min_hint.set(Some(t));
-        Some(t)
-    }
-
-    /// Schedule `event` at `time >= now`.
-    fn schedule(&mut self, time: Time, seq: u64, event: E, now: Time) {
-        debug_assert!(time >= now, "event before window");
-        if self.len() == 0 {
+    /// Scheduling into the past is clamped to `now` — the event fires
+    /// immediately-next rather than violating clock monotonicity.
+    pub fn schedule_at(&mut self, at: Time, event: E) {
+        let time = at.max(self.now);
+        let seq = self.seq;
+        self.seq += 1;
+        self.scheduled_total += 1;
+        if self.is_empty() {
             self.min_hint.set(Some(time));
         } else if let Some(h) = self.min_hint.get() {
             self.min_hint.set(Some(h.min(time)));
         }
         let h = self.alloc(event);
-        if time - now < RING_MS as u64 {
+        if time - self.now < RING_MS as u64 {
             self.link(time, h);
         } else {
             self.overflow.insert((time, seq), h);
@@ -302,15 +262,48 @@ impl<E> Calendar<E> {
         }
     }
 
-    /// The clock moved to `now`: migrate every overflow entry the window
-    /// slid over. The common case is the one compare in the loop header.
-    /// Entries leave in `(time, seq)` order and land behind nothing but
-    /// earlier migrants at their instant, so plain appends keep FIFO.
-    /// Migrants lie beyond every ring event, so a warm `min_hint` stays
-    /// exact (when the ring is empty the hint already is `ovf_min`).
+    /// Schedule `event` `delay` milliseconds from now.
     #[inline]
-    fn slide(&mut self, now: Time) {
-        while self.ovf_min - now < RING_MS as u64 {
+    pub fn schedule_in(&mut self, delay: Time, event: E) {
+        self.schedule_at(self.now.saturating_add(delay), event);
+    }
+
+    /// Timestamp of the next pending event, if any.
+    ///
+    /// Served from `min_hint` when it is warm; otherwise one search runs
+    /// and the result is memoized. Ring events always precede overflow
+    /// events (window invariants), so the overflow only answers when the
+    /// ring is empty.
+    #[inline]
+    pub fn peek_time(&self) -> Option<Time> {
+        if self.is_empty() {
+            return None;
+        }
+        if let Some(t) = self.min_hint.get() {
+            return Some(t);
+        }
+        let t = if self.ring_len > 0 {
+            let from = (self.now % RING_MS as u64) as usize;
+            let (_, dist) = self
+                .next_occupied(from)
+                .expect("ring_len > 0 implies an occupied bucket");
+            self.now + dist as Time
+        } else {
+            self.ovf_min
+        };
+        self.min_hint.set(Some(t));
+        Some(t)
+    }
+
+    /// The clock moved: migrate every overflow entry the window slid over.
+    /// The common case is the one compare in the loop header. Entries
+    /// leave in `(time, seq)` order and land behind nothing but earlier
+    /// migrants at their instant, so plain appends keep FIFO. Migrants lie
+    /// beyond every ring event, so a warm `min_hint` stays exact (when the
+    /// ring is empty the hint already is `ovf_min`).
+    #[inline]
+    fn slide(&mut self) {
+        while self.ovf_min - self.now < RING_MS as u64 {
             // Empty only in the last window of time, where the `Time::MAX`
             // "no entry" sentinel itself falls inside the ring.
             let Some(((t, _), h)) = self.overflow.pop_first() else {
@@ -324,10 +317,13 @@ impl<E> Calendar<E> {
         }
     }
 
-    /// Pop the earliest event and slide the window onto its timestamp.
-    fn pop(&mut self, now: Time) -> Option<(Time, E)> {
-        let t = self.min_time(now)?;
-        self.slide(t);
+    /// Pop the earliest event, advancing the clock (and sliding the
+    /// window) to its timestamp.
+    pub fn pop(&mut self) -> Option<(Time, E)> {
+        let t = self.peek_time()?;
+        debug_assert!(t >= self.now, "clock went backwards");
+        self.now = t;
+        self.slide();
         let idx = (t % RING_MS as u64) as usize;
         let h = self.heads[idx];
         let node = &mut self.slab[h as usize];
@@ -349,7 +345,26 @@ impl<E> Calendar<E> {
         Some((t, event))
     }
 
-    fn clear(&mut self) {
+    /// Pop the earliest event only if it fires at or before `deadline`.
+    ///
+    /// When the next event is after `deadline`, the clock jumps to
+    /// `deadline` and `None` is returned — this is how the scenario runner
+    /// stops exactly at the simulated day boundary.
+    pub fn pop_until(&mut self, deadline: Time) -> Option<(Time, E)> {
+        match self.peek_time() {
+            Some(t) if t <= deadline => self.pop(),
+            _ => {
+                if self.now < deadline {
+                    self.now = deadline;
+                    self.slide();
+                }
+                None
+            }
+        }
+    }
+
+    /// Drop all pending events (used between scenario repetitions).
+    pub fn clear(&mut self) {
         self.slab.clear();
         self.free = NIL;
         self.heads = [NIL; RING_MS];
@@ -362,275 +377,90 @@ impl<E> Calendar<E> {
     }
 }
 
-enum Core<E> {
-    // Boxed: the ring heads/tails make the calendar state much larger
-    // than a heap header (clippy::large_enum_variant).
-    Calendar(Box<Calendar<E>>),
-    Heap(BinaryHeap<Entry<E>>),
-}
-
-/// A deterministic future-event list.
-///
-/// Events scheduled for the same instant are delivered in scheduling order
-/// (FIFO), which makes simulation runs bit-reproducible regardless of queue
-/// internals.
-///
-/// Popping advances the clock: [`EventQueue::now`] is the timestamp of the
-/// most recently popped event.
-pub struct EventQueue<E> {
-    core: Core<E>,
-    now: Time,
-    seq: u64,
-    scheduled_total: u64,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// An empty queue at time 0, using the backend selected by
-    /// [`QueueBackend::from_env`].
-    pub fn new() -> Self {
-        Self::with_backend(QueueBackend::from_env())
-    }
-
-    /// An empty queue at time 0 on an explicit backend.
-    pub fn with_backend(backend: QueueBackend) -> Self {
-        let core = match backend {
-            QueueBackend::Calendar => Core::Calendar(Box::new(Calendar::new())),
-            QueueBackend::Heap => Core::Heap(BinaryHeap::new()),
-        };
-        EventQueue {
-            core,
-            now: 0,
-            seq: 0,
-            scheduled_total: 0,
-        }
-    }
-
-    /// An empty queue with room for `cap` pending events.
-    pub fn with_capacity(cap: usize) -> Self {
-        let mut q = Self::new();
-        match &mut q.core {
-            Core::Calendar(c) => c.slab.reserve(cap),
-            Core::Heap(h) => h.reserve(cap),
-        }
-        q
-    }
-
-    /// The backend this queue runs on.
-    pub fn backend(&self) -> QueueBackend {
-        match self.core {
-            Core::Calendar(_) => QueueBackend::Calendar,
-            Core::Heap(_) => QueueBackend::Heap,
-        }
-    }
-
-    /// Current simulation time: the timestamp of the last popped event.
-    #[inline]
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    /// Number of pending events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match &self.core {
-            Core::Calendar(c) => c.len(),
-            Core::Heap(h) => h.len(),
-        }
-    }
-
-    /// True when no events are pending.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total number of events ever scheduled (diagnostics).
-    #[inline]
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
-    /// Schedule `event` at absolute time `at`.
-    ///
-    /// Scheduling into the past is clamped to `now` — the event fires
-    /// immediately-next rather than violating clock monotonicity.
-    pub fn schedule_at(&mut self, at: Time, event: E) {
-        let time = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        self.scheduled_total += 1;
-        match &mut self.core {
-            Core::Calendar(c) => c.schedule(time, seq, event, self.now),
-            Core::Heap(h) => h.push(Entry { time, seq, event }),
-        }
-    }
-
-    /// Schedule `event` `delay` milliseconds from now.
-    #[inline]
-    pub fn schedule_in(&mut self, delay: Time, event: E) {
-        self.schedule_at(self.now.saturating_add(delay), event);
-    }
-
-    /// Timestamp of the next pending event, if any.
-    #[inline]
-    pub fn peek_time(&self) -> Option<Time> {
-        match &self.core {
-            Core::Calendar(c) => c.min_time(self.now),
-            Core::Heap(h) => h.peek().map(|e| e.time),
-        }
-    }
-
-    /// Pop the earliest event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(Time, E)> {
-        let (time, event) = match &mut self.core {
-            Core::Calendar(c) => c.pop(self.now)?,
-            Core::Heap(h) => {
-                let e = h.pop()?;
-                (e.time, e.event)
-            }
-        };
-        debug_assert!(time >= self.now, "clock went backwards");
-        self.now = time;
-        Some((time, event))
-    }
-
-    /// Pop the earliest event only if it fires at or before `deadline`.
-    ///
-    /// When the next event is after `deadline`, the clock jumps to
-    /// `deadline` and `None` is returned — this is how the scenario runner
-    /// stops exactly at the simulated day boundary.
-    pub fn pop_until(&mut self, deadline: Time) -> Option<(Time, E)> {
-        match self.peek_time() {
-            Some(t) if t <= deadline => self.pop(),
-            _ => {
-                if self.now < deadline {
-                    self.now = deadline;
-                    if let Core::Calendar(c) = &mut self.core {
-                        c.slide(deadline);
-                    }
-                }
-                None
-            }
-        }
-    }
-
-    /// Drop all pending events (used between scenario repetitions).
-    pub fn clear(&mut self) {
-        match &mut self.core {
-            Core::Calendar(c) => c.clear(),
-            Core::Heap(h) => h.clear(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn backends() -> [QueueBackend; 2] {
-        [QueueBackend::Calendar, QueueBackend::Heap]
-    }
-
     #[test]
     fn orders_by_time() {
-        for b in backends() {
-            let mut q = EventQueue::with_backend(b);
-            q.schedule_at(30, "c");
-            q.schedule_at(10, "a");
-            q.schedule_at(20, "b");
-            assert_eq!(q.pop(), Some((10, "a")));
-            assert_eq!(q.pop(), Some((20, "b")));
-            assert_eq!(q.pop(), Some((30, "c")));
-            assert_eq!(q.pop(), None);
-            assert_eq!(q.now(), 30);
-        }
+        let mut q = EventQueue::new();
+        q.schedule_at(30, "c");
+        q.schedule_at(10, "a");
+        q.schedule_at(20, "b");
+        assert_eq!(q.pop(), Some((10, "a")));
+        assert_eq!(q.pop(), Some((20, "b")));
+        assert_eq!(q.pop(), Some((30, "c")));
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.now(), 30);
     }
 
     #[test]
     fn simultaneous_events_are_fifo() {
-        for b in backends() {
-            let mut q = EventQueue::with_backend(b);
-            for i in 0..100 {
-                q.schedule_at(5, i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop(), Some((5, i)));
-            }
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.schedule_at(5, i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop(), Some((5, i)));
         }
     }
 
     #[test]
     fn schedule_in_is_relative_to_now() {
-        for b in backends() {
-            let mut q = EventQueue::with_backend(b);
-            q.schedule_in(10, "x");
-            assert_eq!(q.pop(), Some((10, "x")));
-            q.schedule_in(5, "y");
-            assert_eq!(q.pop(), Some((15, "y")));
-        }
+        let mut q = EventQueue::new();
+        q.schedule_in(10, "x");
+        assert_eq!(q.pop(), Some((10, "x")));
+        q.schedule_in(5, "y");
+        assert_eq!(q.pop(), Some((15, "y")));
     }
 
     #[test]
     fn past_scheduling_clamps_to_now() {
-        for b in backends() {
-            let mut q = EventQueue::with_backend(b);
-            q.schedule_at(100, "later");
-            assert_eq!(q.pop(), Some((100, "later")));
-            q.schedule_at(50, "past");
-            assert_eq!(q.pop(), Some((100, "past")));
-        }
+        let mut q = EventQueue::new();
+        q.schedule_at(100, "later");
+        assert_eq!(q.pop(), Some((100, "later")));
+        q.schedule_at(50, "past");
+        assert_eq!(q.pop(), Some((100, "past")));
     }
 
     #[test]
     fn pop_until_respects_deadline() {
-        for b in backends() {
-            let mut q = EventQueue::with_backend(b);
-            q.schedule_at(10, 1);
-            q.schedule_at(200, 2);
-            assert_eq!(q.pop_until(100), Some((10, 1)));
-            assert_eq!(q.pop_until(100), None);
-            assert_eq!(q.now(), 100); // clock advanced to the deadline
-            assert_eq!(q.len(), 1); // the 200-event is still pending
-            assert_eq!(q.pop_until(300), Some((200, 2)));
-        }
+        let mut q = EventQueue::new();
+        q.schedule_at(10, 1);
+        q.schedule_at(200, 2);
+        assert_eq!(q.pop_until(100), Some((10, 1)));
+        assert_eq!(q.pop_until(100), None);
+        assert_eq!(q.now(), 100); // clock advanced to the deadline
+        assert_eq!(q.len(), 1); // the 200-event is still pending
+        assert_eq!(q.pop_until(300), Some((200, 2)));
     }
 
     #[test]
     fn counters_and_clear() {
-        for b in backends() {
-            let mut q = EventQueue::with_backend(b);
-            q.schedule_at(1, ());
-            q.schedule_at(2, ());
-            assert_eq!(q.scheduled_total(), 2);
-            assert_eq!(q.len(), 2);
-            q.clear();
-            assert!(q.is_empty());
-            assert_eq!(q.scheduled_total(), 2);
-        }
+        let mut q = EventQueue::new();
+        q.schedule_at(1, ());
+        q.schedule_at(2, ());
+        assert_eq!(q.scheduled_total(), 2);
+        assert_eq!(q.len(), 2);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.scheduled_total(), 2);
     }
 
     #[test]
     fn interleaved_schedule_pop_preserves_order() {
-        for b in backends() {
-            let mut q = EventQueue::with_backend(b);
-            q.schedule_at(10, "a");
-            q.schedule_at(30, "c");
-            assert_eq!(q.pop(), Some((10, "a")));
-            q.schedule_in(10, "b"); // at 20
-            assert_eq!(q.pop(), Some((20, "b")));
-            assert_eq!(q.pop(), Some((30, "c")));
-        }
+        let mut q = EventQueue::new();
+        q.schedule_at(10, "a");
+        q.schedule_at(30, "c");
+        assert_eq!(q.pop(), Some((10, "a")));
+        q.schedule_in(10, "b"); // at 20
+        assert_eq!(q.pop(), Some((20, "b")));
+        assert_eq!(q.pop(), Some((30, "c")));
     }
 
     #[test]
     fn far_future_events_round_trip_the_overflow() {
-        let mut q = EventQueue::with_backend(QueueBackend::Calendar);
+        let mut q = EventQueue::new();
         // Beyond the ring horizon (512 ms) and beyond many windows.
         q.schedule_at(5_000, "near-overflow");
         q.schedule_at(10_000_000, "far");
@@ -646,7 +476,7 @@ mod tests {
 
     #[test]
     fn overflow_same_timestamp_is_fifo() {
-        let mut q = EventQueue::with_backend(QueueBackend::Calendar);
+        let mut q = EventQueue::new();
         for i in 0..50 {
             q.schedule_at(1_000_000, i);
         }
@@ -657,7 +487,7 @@ mod tests {
 
     #[test]
     fn window_rebases_after_long_idle_jump() {
-        let mut q = EventQueue::with_backend(QueueBackend::Calendar);
+        let mut q = EventQueue::new();
         q.schedule_at(10, "a");
         assert_eq!(q.pop(), Some((10, "a")));
         assert_eq!(q.pop_until(50_000_000), None);
@@ -673,44 +503,40 @@ mod tests {
 
     #[test]
     fn idle_jump_then_near_and_far_schedules_keep_order() {
-        for b in backends() {
-            let mut q = EventQueue::with_backend(b);
-            q.schedule_at(10, "a");
-            q.schedule_at(9_000, "timer"); // pending across the jump
-            assert_eq!(q.pop(), Some((10, "a")));
-            // Several windows of idle time with a timer still pending.
-            assert_eq!(q.pop_until(5_000), None);
-            assert_eq!(q.now(), 5_000);
-            q.schedule_in(600, "far"); // beyond the slid window
-            q.schedule_in(3, "near");
-            q.schedule_in(511, "edge"); // last ring slot
-            q.schedule_at(9_000, "timer2");
-            assert_eq!(q.peek_time(), Some(5_003));
-            assert_eq!(q.pop(), Some((5_003, "near")));
-            assert_eq!(q.pop(), Some((5_511, "edge")));
-            assert_eq!(q.pop(), Some((5_600, "far")));
-            assert_eq!(q.pop(), Some((9_000, "timer")));
-            assert_eq!(q.pop(), Some((9_000, "timer2")));
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        q.schedule_at(10, "a");
+        q.schedule_at(9_000, "timer"); // pending across the jump
+        assert_eq!(q.pop(), Some((10, "a")));
+        // Several windows of idle time with a timer still pending.
+        assert_eq!(q.pop_until(5_000), None);
+        assert_eq!(q.now(), 5_000);
+        q.schedule_in(600, "far"); // beyond the slid window
+        q.schedule_in(3, "near");
+        q.schedule_in(511, "edge"); // last ring slot
+        q.schedule_at(9_000, "timer2");
+        assert_eq!(q.peek_time(), Some(5_003));
+        assert_eq!(q.pop(), Some((5_003, "near")));
+        assert_eq!(q.pop(), Some((5_511, "edge")));
+        assert_eq!(q.pop(), Some((5_600, "far")));
+        assert_eq!(q.pop(), Some((9_000, "timer")));
+        assert_eq!(q.pop(), Some((9_000, "timer2")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn tie_across_migration_is_fifo() {
-        for b in backends() {
-            let mut q = EventQueue::with_backend(b);
-            q.schedule_at(100, "slide");
-            // T = 600 is beyond the window [0, 512): overflow map.
-            q.schedule_at(600, "first");
-            assert_eq!(q.pop(), Some((100, "slide")));
-            // The window is now [100, 612): "first" migrated, and this
-            // same-instant event goes straight to the ring behind it.
-            q.schedule_at(600, "second");
-            q.schedule_at(612, "beyond"); // overflow again
-            assert_eq!(q.pop(), Some((600, "first")));
-            assert_eq!(q.pop(), Some((600, "second")));
-            assert_eq!(q.pop(), Some((612, "beyond")));
-        }
+        let mut q = EventQueue::new();
+        q.schedule_at(100, "slide");
+        // T = 600 is beyond the window [0, 512): overflow map.
+        q.schedule_at(600, "first");
+        assert_eq!(q.pop(), Some((100, "slide")));
+        // The window is now [100, 612): "first" migrated, and this
+        // same-instant event goes straight to the ring behind it.
+        q.schedule_at(600, "second");
+        q.schedule_at(612, "beyond"); // overflow again
+        assert_eq!(q.pop(), Some((600, "first")));
+        assert_eq!(q.pop(), Some((600, "second")));
+        assert_eq!(q.pop(), Some((612, "beyond")));
     }
 
     /// Payload whose drops are counted.
@@ -723,33 +549,31 @@ mod tests {
 
     #[test]
     fn clear_and_drop_release_every_payload_exactly_once() {
-        for b in backends() {
-            let drops = std::rc::Rc::new(Cell::new(0));
-            let mut q = EventQueue::with_backend(b);
-            let fill = |q: &mut EventQueue<Counted>| {
-                for t in [5, 5, 300, 511, 512, 90_000] {
-                    q.schedule_in(t, Counted(drops.clone()));
-                }
-            };
-            fill(&mut q);
-            drop(q.pop()); // one freed slab slot on the free list
-            assert_eq!(drops.get(), 1);
-            q.clear();
-            assert_eq!((drops.get(), q.len()), (6, 0));
-            // The cleared queue is fully usable and, dropped non-empty,
-            // releases the rest.
-            fill(&mut q);
-            drop(q.pop());
-            assert_eq!(drops.get(), 7);
-            drop(q);
-            assert_eq!(drops.get(), 12);
-        }
+        let drops = std::rc::Rc::new(Cell::new(0));
+        let mut q = EventQueue::new();
+        let fill = |q: &mut EventQueue<Counted>| {
+            for t in [5, 5, 300, 511, 512, 90_000] {
+                q.schedule_in(t, Counted(drops.clone()));
+            }
+        };
+        fill(&mut q);
+        drop(q.pop()); // one freed slab slot on the free list
+        assert_eq!(drops.get(), 1);
+        q.clear();
+        assert_eq!((drops.get(), q.len()), (6, 0));
+        // The cleared queue is fully usable and, dropped non-empty,
+        // releases the rest.
+        fill(&mut q);
+        drop(q.pop());
+        assert_eq!(drops.get(), 7);
+        drop(q);
+        assert_eq!(drops.get(), 12);
     }
 
     #[test]
     fn slab_stays_bounded_under_steady_hold_traffic() {
         const P: usize = 300;
-        let mut q = EventQueue::with_backend(QueueBackend::Calendar);
+        let mut q = EventQueue::new();
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         let mut delay = move || {
             x ^= x << 13;
@@ -770,24 +594,18 @@ mod tests {
             q.schedule_in(delay(), ev);
         }
         assert_eq!(q.len(), P);
-        let Core::Calendar(c) = &q.core else {
-            unreachable!("explicit calendar backend")
-        };
-        assert!(c.slab.len() <= P + 1, "slab grew to {}", c.slab.len());
+        assert!(q.slab.len() <= P + 1, "slab grew to {}", q.slab.len());
     }
 
     #[test]
     fn with_capacity_reserves_the_slab() {
-        // The default backend is the calendar unless the env knob says heap.
         let q: EventQueue<u64> = EventQueue::with_capacity(1000);
-        if let Core::Calendar(c) = &q.core {
-            assert!(c.slab.capacity() >= 1000);
-        }
+        assert!(q.slab.capacity() >= 1000);
     }
 
     #[test]
     fn schedule_during_pop_at_same_instant_stays_fifo() {
-        let mut q = EventQueue::with_backend(QueueBackend::Calendar);
+        let mut q = EventQueue::new();
         q.schedule_at(40, "x");
         assert_eq!(q.pop(), Some((40, "x")));
         // Handler schedules at the current instant: fires next, after
@@ -799,23 +617,9 @@ mod tests {
     }
 
     #[test]
-    fn backend_selection_from_env_defaults_to_calendar() {
-        // Not exercising the env var itself (process-global); just the
-        // default and the explicit constructors.
-        assert_eq!(
-            EventQueue::<()>::with_backend(QueueBackend::Calendar).backend(),
-            QueueBackend::Calendar
-        );
-        assert_eq!(
-            EventQueue::<()>::with_backend(QueueBackend::Heap).backend(),
-            QueueBackend::Heap
-        );
-    }
-
-    #[test]
     fn dense_wraparound_traffic_keeps_order() {
         // Push/pop across several ring wraps with interleaving.
-        let mut q = EventQueue::with_backend(QueueBackend::Calendar);
+        let mut q = EventQueue::new();
         let mut expect = Vec::new();
         let mut t = 0u64;
         for i in 0..10_000u64 {

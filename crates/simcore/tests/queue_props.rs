@@ -1,15 +1,59 @@
-//! Property test: the calendar-queue backend is observationally identical
-//! to the binary-heap reference model on random schedules — same pop order,
-//! same timestamps, same `now()`/`len()` at every step — including
-//! same-timestamp FIFO bursts, far-future overflow entries and delays that
-//! straddle the wheel horizon. A second property pins the order argument
-//! the runner's sort-free barrier merge rests on.
+//! Property test: the timing-wheel `EventQueue` is observationally
+//! identical to a binary-heap model keyed `(time, seq)` on random schedules
+//! — same pop order, same timestamps, same `now()`/`len()` at every step —
+//! including same-timestamp FIFO bursts, far-future overflow entries and
+//! delays that straddle the wheel horizon. A second property pins the
+//! order argument the runner's sort-free barrier merge rests on.
 //!
 //! Runs 256 cases minimum (`PROPTEST_CASES` can only raise it), per the
 //! acceptance bar for the queue rewrite.
 
 use proptest::prelude::*;
-use soc_simcore::{EventQueue, QueueBackend};
+use soc_simcore::EventQueue;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// The reference future-event list: a min-heap on `(time, insertion seq)`
+/// with the same clock rules as [`EventQueue`] (past schedules clamp to
+/// `now`, `pop_until` jumps an idle clock to the deadline).
+#[derive(Default)]
+struct HeapModel {
+    heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
+    now: u64,
+    seq: u64,
+}
+
+impl HeapModel {
+    fn schedule_at(&mut self, at: u64, payload: u64) {
+        self.heap
+            .push(Reverse((at.max(self.now), self.seq, payload)));
+        self.seq += 1;
+    }
+
+    fn schedule_in(&mut self, delay: u64, payload: u64) {
+        self.schedule_at(self.now.saturating_add(delay), payload);
+    }
+
+    fn peek_time(&self) -> Option<u64> {
+        self.heap.peek().map(|e| e.0 .0)
+    }
+
+    fn pop(&mut self) -> Option<(u64, u64)> {
+        let Reverse((time, _, payload)) = self.heap.pop()?;
+        self.now = time;
+        Some((time, payload))
+    }
+
+    fn pop_until(&mut self, deadline: u64) -> Option<(u64, u64)> {
+        match self.peek_time() {
+            Some(t) if t <= deadline => self.pop(),
+            _ => {
+                self.now = self.now.max(deadline);
+                None
+            }
+        }
+    }
+}
 
 /// One scripted queue operation. Decoded from a generated tuple so the
 /// vendored proptest's tuple-free strategies suffice.
@@ -18,7 +62,7 @@ enum Op {
     /// Schedule `burst` events `delay` ms from now (same-instant FIFO).
     ScheduleIn { delay: u64, burst: usize },
     /// Schedule at an absolute time that may lie in the past (clamping) or
-    /// far beyond the calendar ring (overflow).
+    /// far beyond the wheel window (overflow).
     ScheduleAt { at: u64 },
     /// Pop one event.
     Pop,
@@ -56,11 +100,11 @@ fn decode(kind: u8, a: u64, burst: usize) -> Op {
     }
 }
 
-/// Run the same op script against both backends, asserting lockstep
-/// equality of every observable.
+/// Run the same op script against the wheel and the model, asserting
+/// lockstep equality of every observable.
 fn run_script(ops: &[(u8, u64, usize)]) -> Result<(), String> {
-    let mut cal: EventQueue<u64> = EventQueue::with_backend(QueueBackend::Calendar);
-    let mut heap: EventQueue<u64> = EventQueue::with_backend(QueueBackend::Heap);
+    let mut cal: EventQueue<u64> = EventQueue::new();
+    let mut heap = HeapModel::default();
     let mut payload = 0u64;
     for &(kind, a, burst) in ops {
         match decode(kind, a, burst) {
@@ -86,20 +130,16 @@ fn run_script(ops: &[(u8, u64, usize)]) -> Result<(), String> {
                 prop_assert_eq!(c, h, "pop_until({deadline}) mismatch");
             }
         }
-        prop_assert_eq!(cal.now(), heap.now(), "clock diverged");
-        prop_assert_eq!(cal.len(), heap.len(), "len diverged");
+        prop_assert_eq!(cal.now(), heap.now, "clock diverged");
+        prop_assert_eq!(cal.len(), heap.heap.len(), "len diverged");
         prop_assert_eq!(cal.peek_time(), heap.peek_time(), "peek diverged");
-        prop_assert_eq!(
-            cal.scheduled_total(),
-            heap.scheduled_total(),
-            "scheduled_total diverged"
-        );
+        prop_assert_eq!(cal.scheduled_total(), heap.seq, "scheduled_total diverged");
     }
     // Drain both to the end: the full residual order must agree too.
     loop {
         let (c, h) = (cal.pop(), heap.pop());
         prop_assert_eq!(c, h, "drain mismatch");
-        prop_assert_eq!(cal.now(), heap.now(), "drain clock diverged");
+        prop_assert_eq!(cal.now(), heap.now, "drain clock diverged");
         if c.is_none() {
             break;
         }
@@ -139,7 +179,7 @@ proptest! {
         t in 0u64..10_000,
         n in 1usize..200,
     ) {
-        let mut cal: EventQueue<usize> = EventQueue::with_backend(QueueBackend::Calendar);
+        let mut cal: EventQueue<usize> = EventQueue::new();
         for i in 0..n {
             cal.schedule_at(t, i);
         }
@@ -153,7 +193,7 @@ proptest! {
     fn overflow_entries_migrate_in_order(
         offsets in prop::collection::vec(0u64..100_000_000, 1..60),
     ) {
-        let mut cal: EventQueue<usize> = EventQueue::with_backend(QueueBackend::Calendar);
+        let mut cal: EventQueue<usize> = EventQueue::new();
         let mut expect: Vec<(u64, usize)> =
             offsets.iter().enumerate().map(|(i, &t)| (t, i)).collect();
         for &(t, i) in &expect {
@@ -188,18 +228,22 @@ proptest! {
             .collect();
         let mut sorted = concat.clone();
         sorted.sort_by_key(|&(t, _)| t); // stable
-        for backend in [QueueBackend::Calendar, QueueBackend::Heap] {
-            let pops = |batch: &[(u64, u64)]| -> Vec<(u64, u64)> {
-                let mut q: EventQueue<u64> = EventQueue::with_backend(backend);
-                for (i, &t) in locals.iter().enumerate() {
-                    q.schedule_at(t, 10_000 + i as u64);
-                }
-                for &(t, payload) in batch {
-                    q.schedule_at(t, payload);
-                }
-                std::iter::from_fn(|| q.pop()).collect()
-            };
-            prop_assert_eq!(pops(&concat), pops(&sorted), "{:?} diverged", backend);
-        }
+        // Full pop order of `locals` then `batch`, on the wheel and on the
+        // model, so the argument is checked against the contract itself.
+        let pops = |batch: &[(u64, u64)]| {
+            let mut q: EventQueue<u64> = EventQueue::new();
+            let mut m = HeapModel::default();
+            let held = locals.iter().enumerate().map(|(i, &t)| (t, 10_000 + i as u64));
+            for (t, payload) in held.chain(batch.iter().copied()) {
+                q.schedule_at(t, payload);
+                m.schedule_at(t, payload);
+            }
+            let wheel: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+            let model: Vec<_> = std::iter::from_fn(|| m.pop()).collect();
+            (wheel, model)
+        };
+        let (wheel, model) = pops(&concat);
+        prop_assert_eq!(&pops(&sorted), &(wheel.clone(), model.clone()), "order diverged");
+        prop_assert_eq!(wheel, model, "wheel left the model");
     }
 }

@@ -175,8 +175,8 @@ impl RunReport {
     /// Bit-exact canonical encoding of every *deterministic* field — all of
     /// them except `wall_ms` (wall-clock diagnostics). Floats are encoded
     /// as raw IEEE-754 bits, so two reports fingerprint equal iff the runs
-    /// were bitwise identical. Used by the parallel-sweep equivalence test
-    /// and the `repro perf` cross-backend determinism check.
+    /// were bitwise identical. Every equivalence suite, pinned constant
+    /// and the repo benchmark's per-rep check compare this string.
     pub fn fingerprint(&self) -> String {
         use std::fmt::Write;
         fn f(out: &mut String, v: f64) {

@@ -56,6 +56,7 @@ use soc_types::{NodeId, QueryId, ResVec, SimMillis, TaskId, PERF_DIMS};
 use soc_workload::{cmax, SyntheticSource, WorkloadSource};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex, RwLock};
 
@@ -1565,6 +1566,13 @@ fn drive_inline<P: DiscoveryOverlay>(
 /// (`w, w+W, …`), so a shard is only ever pumped by one thread and the
 /// Mutexes are uncontended — they exist to satisfy the type system and to
 /// keep the inline driver on the identical code path.
+///
+/// A panic (a protocol handler, a violated invariant) must not strand the
+/// other threads at the barrier. A worker catches its unwind, parks the
+/// payload in `failed` and keeps crossing; the coordinator sees it when
+/// the window closes. A coordinator panic is caught the same way, between
+/// windows. Either way every worker is released before the original
+/// payload is re-raised on the calling thread.
 fn drive_threaded<P: DiscoveryOverlay + Send>(
     coord: &mut Coord<'_>,
     world: &RwLock<World>,
@@ -1581,11 +1589,13 @@ fn drive_threaded<P: DiscoveryOverlay + Send>(
     let barrier = Barrier::new(n_workers + 1);
     let bound = AtomicU64::new(0);
     let done = AtomicBool::new(false);
+    let failed: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
     std::thread::scope(|scope| {
         for w in 0..n_workers {
             let barrier = &barrier;
             let bound = &bound;
             let done = &done;
+            let failed = &failed;
             scope.spawn(move || {
                 // Each worker times its own barrier waits on a private
                 // profiler (the shared ones live inside the shard locks)
@@ -1599,21 +1609,33 @@ fn drive_threaded<P: DiscoveryOverlay + Send>(
                         break;
                     }
                     let wb = bound.load(Ordering::Acquire);
-                    let wr = world.read().expect("world lock");
-                    let mut s = w;
-                    while s < n_shards {
-                        shards[s].lock().expect("shard lock").pump_owned(wb, &wr);
-                        s += n_workers;
+                    let pumped = catch_unwind(AssertUnwindSafe(|| {
+                        let wr = world.read().expect("world lock");
+                        let mut s = w;
+                        while s < n_shards {
+                            shards[s].lock().expect("shard lock").pump_owned(wb, &wr);
+                            s += n_workers;
+                        }
+                    }));
+                    if let Err(payload) = pumped {
+                        // First panic of the window wins; the run is over.
+                        failed
+                            .lock()
+                            .unwrap_or_else(|e| e.into_inner())
+                            .get_or_insert(payload);
                     }
-                    drop(wr);
                     let t = prof.start();
                     barrier.wait();
                     prof.stop(Phase::BarrierWait, t);
                 }
-                shards[w].lock().expect("shard lock").prof.absorb(&prof);
+                // A panicking pump poisons its shard; there is no report to
+                // fold timings into then.
+                if let Ok(mut sh) = shards[w].lock() {
+                    sh.prof.absorb(&prof);
+                }
             });
         }
-        loop {
+        let coordinated = catch_unwind(AssertUnwindSafe(|| loop {
             match coordinator_step(coord, world, shards) {
                 Step::Done => break,
                 Step::Merged => merge_outboxes(shards),
@@ -1621,13 +1643,23 @@ fn drive_threaded<P: DiscoveryOverlay + Send>(
                     bound.store(wb, Ordering::Release);
                     barrier.wait(); // open the window
                     barrier.wait(); // every shard pumped to wb
+                    if failed.lock().unwrap_or_else(|e| e.into_inner()).is_some() {
+                        break;
+                    }
                     merge_outboxes(shards);
                 }
             }
-        }
+        }));
+        // Workers are parked at the window-opening barrier in every case.
         done.store(true, Ordering::Release);
         barrier.wait();
+        if let Err(payload) = coordinated {
+            resume_unwind(payload);
+        }
     });
+    if let Some(payload) = failed.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        resume_unwind(payload);
+    }
 }
 
 /// Tear down the shards and assemble the report.
@@ -2213,6 +2245,7 @@ mod exec_tests {
     use super::*;
     use crate::scenario::Scenario;
     use soc_net::FaultConfig;
+    use soc_overlay::TimerKind;
 
     fn fp(sc: &Scenario, mode: ExecMode) -> String {
         let mut source = build_source(sc);
@@ -2262,6 +2295,119 @@ mod exec_tests {
                 ..FaultConfig::default()
             });
         assert_eq!(fp(&sc, ExecMode::Serial), fp(&sc, ExecMode::Sharded));
+    }
+
+    /// Where [`Tripwire`] panics.
+    #[derive(Clone, Copy)]
+    enum Trip {
+        /// On a shard's k-th message delivery — inside a worker's window.
+        Delivery(usize),
+        /// On the first node departure — on the coordinator, between windows.
+        Leave,
+    }
+
+    /// A protocol that behaves exactly like `inner` until its tripwire
+    /// fires. Every shard fork carries its own copy of the wire.
+    struct Tripwire<P> {
+        inner: P,
+        trip: Trip,
+    }
+
+    impl<P: DiscoveryOverlay> DiscoveryOverlay for Tripwire<P> {
+        type Msg = P::Msg;
+
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
+            self.inner.on_start(ctx)
+        }
+        fn on_start_nodes(&mut self, ctx: &mut Ctx<'_, Self::Msg>, nodes: &[NodeId]) {
+            self.inner.on_start_nodes(ctx, nodes)
+        }
+        fn shardable(&self) -> bool {
+            self.inner.shardable()
+        }
+        fn fork_shard(&self) -> Option<Self> {
+            let inner = self.inner.fork_shard()?;
+            Some(Tripwire {
+                inner,
+                trip: self.trip,
+            })
+        }
+        fn absorb_diag(&mut self, other: &Self) {
+            self.inner.absorb_diag(&other.inner)
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Self::Msg>, node: NodeId, msg: Self::Msg) {
+            if let Trip::Delivery(left) = &mut self.trip {
+                *left -= 1;
+                assert!(*left > 0, "tripwire: delivery handler blew up");
+            }
+            self.inner.on_message(ctx, node, msg)
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Self::Msg>, node: NodeId, kind: TimerKind) {
+            self.inner.on_timer(ctx, node, kind)
+        }
+        fn start_query(&mut self, ctx: &mut Ctx<'_, Self::Msg>, req: QueryRequest) {
+            self.inner.start_query(ctx, req)
+        }
+        fn on_node_joined(&mut self, ctx: &mut Ctx<'_, Self::Msg>, node: NodeId) {
+            self.inner.on_node_joined(ctx, node)
+        }
+        fn on_node_left(&mut self, ctx: &mut Ctx<'_, Self::Msg>, node: NodeId) {
+            assert!(
+                !matches!(self.trip, Trip::Leave),
+                "tripwire: churn handler blew up"
+            );
+            self.inner.on_node_left(ctx, node)
+        }
+        fn on_zones_reassigned(&mut self, ctx: &mut Ctx<'_, Self::Msg>, affected: &[NodeId]) {
+            self.inner.on_zones_reassigned(ctx, affected)
+        }
+        fn on_message_dropped(
+            &mut self,
+            ctx: &mut Ctx<'_, Self::Msg>,
+            from: NodeId,
+            to: NodeId,
+            msg: Self::Msg,
+        ) {
+            self.inner.on_message_dropped(ctx, from, to, msg)
+        }
+    }
+
+    /// A 120-node (4-LAN, 4-shard) HID run on the threaded driver with a
+    /// tripwire around the protocol.
+    fn run_tripped(trip: Trip, churn: f64) {
+        let sc = Scenario::quick(ProtocolChoice::Hid)
+            .nodes(120)
+            .hours(1)
+            .churn(churn)
+            .seed(16);
+        let cfg = PidCanConfig::hid();
+        let dim = cfg.overlay_dim();
+        let max_nodes = sc.n_nodes + id_headroom(sc.n_nodes);
+        let proto = Tripwire {
+            inner: PidCan::new(cfg, dim, sc.n_nodes, max_nodes),
+            trip,
+        };
+        run_windowed(&sc, &mut build_source(&sc), proto, dim, ExecMode::Sharded);
+    }
+
+    /// A worker that panics mid-window must surface its own message on the
+    /// calling thread — not leave the coordinator and the other workers
+    /// waiting at the window barrier forever.
+    #[test]
+    #[should_panic(expected = "tripwire: delivery handler blew up")]
+    fn worker_panic_propagates_instead_of_deadlocking() {
+        run_tripped(Trip::Delivery(500), 0.0);
+    }
+
+    /// Same for a panic on the coordinator, between windows, while every
+    /// worker is parked at the window-opening barrier.
+    #[test]
+    #[should_panic(expected = "tripwire: churn handler blew up")]
+    fn coordinator_panic_propagates_instead_of_deadlocking() {
+        run_tripped(Trip::Leave, 0.75);
     }
 
     /// Unshardable protocols (gossip keeps cross-node handler state) force
