@@ -34,6 +34,6 @@ pub mod protocol;
 
 pub use config::{DiffusionMethod, PidCanConfig};
 pub use diffusion::{simulate_diffusion, DiffusionOutcome};
-pub use messages::PidMsg;
+pub use messages::{DutyQuery, PidMsg, Search, StateUpdate};
 pub use pilist::PiList;
 pub use protocol::PidCan;

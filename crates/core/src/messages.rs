@@ -8,21 +8,15 @@ use soc_overlay::Candidate;
 use soc_types::{NodeId, QueryId, ResVec};
 
 /// Everything PID-CAN puts on the wire.
+///
+/// One event carries one message through `Effect` → event queue → handler,
+/// so the enum stays small: the hot diffusion message is inline, and every
+/// fat body sits behind a `Box` that travels with the message — a relaying
+/// hop updates the body in place and re-sends the same box.
 #[derive(Clone, Debug)]
 pub enum PidMsg {
     /// A node's availability record being routed to its duty node.
-    StateUpdate {
-        /// Node the record describes.
-        subject: NodeId,
-        /// Its availability vector (raw units).
-        avail: ResVec,
-        /// CAN key-space target (normalized availability, plus the virtual
-        /// coordinate under VD).
-        target: ResVec,
-        /// Remaining routing-hop budget (drop the record when it hits 0 —
-        /// the next cycle re-publishes anyway).
-        hops_left: u32,
-    },
+    StateUpdate(Box<StateUpdate>),
     /// Index-diffusion message `{ID, dim_NO, dim_TTL}` (Algorithms 1–2).
     Index {
         /// Identifier being diffused (a node whose cache is non-empty).
@@ -34,52 +28,12 @@ pub enum PidMsg {
         dim_ttl: usize,
     },
     /// Query routing toward the duty node (Algorithm 3).
-    DutyQuery {
-        /// Query identity.
-        qid: QueryId,
-        /// Requester (receives FoundList notifications).
-        requester: NodeId,
-        /// Demand vector being matched (raw units; under SoS this is the
-        /// slacked `e'`).
-        demand: ResVec,
-        /// CAN key-space target (normalized demand).
-        target: ResVec,
-        /// Results still wanted (`δ`).
-        delta: usize,
-        /// Remaining routing-hop budget (bounds the query delay; exhausting
-        /// it fails the query rather than wandering forever).
-        hops_left: u32,
-    },
-    /// Index-agent message `{v, ι − α}` (Algorithm 4).
-    IndexAgent {
-        /// Query identity.
-        qid: QueryId,
-        /// Requester.
-        requester: NodeId,
-        /// Demand vector (raw units).
-        demand: ResVec,
-        /// Results still wanted.
-        delta: usize,
-        /// Remaining agents (`ι` minus already-consumed ones).
-        agents: Vec<NodeId>,
-    },
+    DutyQuery(Box<DutyQuery>),
+    /// Index-agent message `{v, ι − α}` (Algorithm 4): the search arriving
+    /// at an agent, which samples a fresh jump list from its PIList.
+    IndexAgent(Box<Search>),
     /// Index-jump message `{v, δ, j − β}` (Algorithm 5).
-    IndexJump {
-        /// Query identity.
-        qid: QueryId,
-        /// Requester.
-        requester: NodeId,
-        /// Demand vector (raw units).
-        demand: ResVec,
-        /// Results still wanted.
-        delta: usize,
-        /// Remaining jump targets (`j`).
-        jumps: Vec<NodeId>,
-        /// Remaining agents to fall back to.
-        agents: Vec<NodeId>,
-        /// Remaining jump-hop budget (query delay bound).
-        budget: usize,
-    },
+    IndexJump(Box<Search>),
     /// FoundList `ϕ` notification to the requester.
     Found {
         /// Query identity.
@@ -95,15 +49,72 @@ pub enum PidMsg {
     },
 }
 
+const _: () = assert!(std::mem::size_of::<PidMsg>() <= 32);
+
+/// Body of [`PidMsg::StateUpdate`].
+#[derive(Clone, Debug)]
+pub struct StateUpdate {
+    /// Node the record describes.
+    pub subject: NodeId,
+    /// Its availability vector (raw units).
+    pub avail: ResVec,
+    /// CAN key-space target (normalized availability, plus the virtual
+    /// coordinate under VD).
+    pub target: ResVec,
+    /// Remaining routing-hop budget (drop the record when it hits 0 —
+    /// the next cycle re-publishes anyway).
+    pub hops_left: u32,
+}
+
+/// Body of [`PidMsg::DutyQuery`].
+#[derive(Clone, Debug)]
+pub struct DutyQuery {
+    /// Query identity.
+    pub qid: QueryId,
+    /// Requester (receives FoundList notifications).
+    pub requester: NodeId,
+    /// Demand vector being matched (raw units; under SoS this is the
+    /// slacked `e'`).
+    pub demand: ResVec,
+    /// CAN key-space target (normalized demand).
+    pub target: ResVec,
+    /// Results still wanted (`δ`).
+    pub delta: usize,
+    /// Remaining routing-hop budget (bounds the query delay; exhausting
+    /// it fails the query rather than wandering forever).
+    pub hops_left: u32,
+}
+
+/// The travelling search state of Algorithms 4–5, shared by
+/// [`PidMsg::IndexAgent`] and [`PidMsg::IndexJump`]: one box follows the
+/// search from agent to jump targets and back to the next agent.
+#[derive(Clone, Debug)]
+pub struct Search {
+    /// Query identity.
+    pub qid: QueryId,
+    /// Requester.
+    pub requester: NodeId,
+    /// Demand vector (raw units).
+    pub demand: ResVec,
+    /// Results still wanted.
+    pub delta: usize,
+    /// Remaining jump targets (`j`); empty on the way to an agent.
+    pub jumps: Vec<NodeId>,
+    /// Remaining agents (`ι` minus already-consumed ones).
+    pub agents: Vec<NodeId>,
+    /// Remaining jump-hop budget (query delay bound); set by the agent.
+    pub budget: usize,
+}
+
 impl PidMsg {
     /// Short label for traces and tests.
     pub fn label(&self) -> &'static str {
         match self {
-            PidMsg::StateUpdate { .. } => "state-update",
+            PidMsg::StateUpdate(_) => "state-update",
             PidMsg::Index { .. } => "index",
-            PidMsg::DutyQuery { .. } => "duty-query",
-            PidMsg::IndexAgent { .. } => "index-agent",
-            PidMsg::IndexJump { .. } => "index-jump",
+            PidMsg::DutyQuery(_) => "duty-query",
+            PidMsg::IndexAgent(_) => "index-agent",
+            PidMsg::IndexJump(_) => "index-jump",
             PidMsg::Found { .. } => "found",
             PidMsg::Exhausted { .. } => "exhausted",
         }
@@ -116,42 +127,37 @@ mod tests {
 
     #[test]
     fn labels_are_distinct() {
+        let search = Search {
+            qid: QueryId(0),
+            requester: NodeId(0),
+            demand: ResVec::zeros(2),
+            delta: 1,
+            jumps: vec![],
+            agents: vec![],
+            budget: 8,
+        };
         let msgs = [
-            PidMsg::StateUpdate {
+            PidMsg::StateUpdate(Box::new(StateUpdate {
                 subject: NodeId(0),
                 avail: ResVec::zeros(2),
                 target: ResVec::zeros(2),
                 hops_left: 8,
-            },
+            })),
             PidMsg::Index {
                 id: NodeId(0),
                 dim_no: 0,
                 dim_ttl: 2,
             },
-            PidMsg::DutyQuery {
+            PidMsg::DutyQuery(Box::new(DutyQuery {
                 qid: QueryId(0),
                 requester: NodeId(0),
                 demand: ResVec::zeros(2),
                 target: ResVec::zeros(2),
                 delta: 1,
                 hops_left: 8,
-            },
-            PidMsg::IndexAgent {
-                qid: QueryId(0),
-                requester: NodeId(0),
-                demand: ResVec::zeros(2),
-                delta: 1,
-                agents: vec![],
-            },
-            PidMsg::IndexJump {
-                qid: QueryId(0),
-                requester: NodeId(0),
-                demand: ResVec::zeros(2),
-                delta: 1,
-                jumps: vec![],
-                agents: vec![],
-                budget: 8,
-            },
+            })),
+            PidMsg::IndexAgent(Box::new(search.clone())),
+            PidMsg::IndexJump(Box::new(search)),
             PidMsg::Found {
                 qid: QueryId(0),
                 candidates: vec![],

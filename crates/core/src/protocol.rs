@@ -3,7 +3,7 @@
 //! (Algorithms 3–5), with optional SoS and VD.
 
 use crate::config::{DiffusionMethod, PidCanConfig};
-use crate::messages::PidMsg;
+use crate::messages::{DutyQuery, PidMsg, Search, StateUpdate};
 use crate::pilist::PiList;
 use rand::{Rng, RngExt};
 use soc_can::greedy_next_hop_filtered;
@@ -12,7 +12,7 @@ use soc_net::MsgKind;
 use soc_overlay::{
     Candidate, Ctx, DiscoveryOverlay, Phase, QueryRequest, QueryVerdict, RecordCache, StateRecord,
 };
-use soc_types::{NodeId, QueryId, ResVec};
+use soc_types::{NodeId, QueryId, ResVec, SimMillis};
 use std::collections::HashMap;
 
 /// Timer discriminants.
@@ -169,60 +169,45 @@ impl PidCan {
         ctx.timer(node, T_REFRESH, r);
     }
 
-    /// Route-or-consume for messages targeting a key-space point. Returns
-    /// `true` when `node` owns the point (message consumed by caller).
-    fn forward_toward(
+    /// Next hop for a message at `node` targeting a key-space point, or
+    /// `None` when `node` consumes it (it owns the point). The caller does
+    /// the send, so a relayed message's box moves straight into it.
+    fn route_toward(
         &mut self,
-        ctx: &mut Ctx<'_, PidMsg>,
+        ctx: &Ctx<'_, PidMsg>,
         node: NodeId,
         target: &ResVec,
-        kind: MsgKind,
-        msg: PidMsg,
-    ) -> bool {
+    ) -> Option<NodeId> {
         let t = ctx.prof.start();
         let hop = self.router.next_hop(ctx.can, &self.tables, node, target);
         ctx.prof.stop(Phase::Route, t);
-        match hop {
-            None => true,
-            Some(next) => {
-                if ctx.host.is_suspect(node, next, ctx.now) {
-                    // Defence layer: the computed next hop is on `node`'s
-                    // blacklist. Detour greedily around every suspect (and
-                    // the dead); an isolated sender consumes the message.
-                    let detour = greedy_next_hop_filtered(ctx.can, node, target, |n| {
-                        ctx.host.is_alive(n) && !ctx.host.is_suspect(node, n, ctx.now)
-                    });
-                    return match detour {
-                        Some(next) => {
-                            ctx.send(node, next, kind, msg);
-                            false
-                        }
-                        None => true,
-                    };
-                }
-                ctx.send(node, next, kind, msg);
-                false
-            }
+        let next = hop?;
+        if ctx.host.is_suspect(node, next, ctx.now) {
+            // Defence layer: the computed next hop is on `node`'s
+            // blacklist. Detour greedily around every suspect (and the
+            // dead); an isolated sender consumes the message.
+            return greedy_next_hop_filtered(ctx.can, node, target, |n| {
+                ctx.host.is_alive(n) && !ctx.host.is_suspect(node, n, ctx.now)
+            });
         }
+        Some(next)
     }
 
     /// Retransmission path after a delivery failure: like
-    /// [`Self::forward_toward`] but never picks `avoid` or a node the host
+    /// [`Self::route_toward`] but never picks `avoid` or a node the host
     /// layer knows to be dead (the failure detector just told us). Falls
     /// back to the closest *live* adjacent neighbor; when the sender is the
     /// closest live zone to the target it consumes the message itself
-    /// (returns `true`).
-    fn forward_avoiding(
+    /// (returns `None`).
+    fn route_avoiding(
         &mut self,
-        ctx: &mut Ctx<'_, PidMsg>,
+        ctx: &Ctx<'_, PidMsg>,
         node: NodeId,
         target: &ResVec,
-        kind: MsgKind,
-        msg: PidMsg,
         avoid: NodeId,
-    ) -> bool {
+    ) -> Option<NodeId> {
         if ctx.can.zone(node).is_some_and(|z| z.contains(target)) {
-            return true;
+            return None;
         }
         let t = ctx.prof.start();
         let hop = self.router.next_hop(ctx.can, &self.tables, node, target);
@@ -230,22 +215,24 @@ impl PidCan {
         if let Some(next) = hop {
             if next != avoid && ctx.host.is_alive(next) && !ctx.host.is_suspect(node, next, ctx.now)
             {
-                ctx.send(node, next, kind, msg);
-                return false;
+                return Some(next);
             }
         }
         // Greedy over live, unsuspected neighbors, excluding the dead hop.
-        let next = greedy_next_hop_filtered(ctx.can, node, target, |n| {
+        // An isolated sender treats the message as arrived (best effort).
+        greedy_next_hop_filtered(ctx.can, node, target, |n| {
             n != avoid && ctx.host.is_alive(n) && !ctx.host.is_suspect(node, n, ctx.now)
+        })
+    }
+
+    /// Store a routed record at `node` (its duty node, or the closest node
+    /// the route could reach).
+    fn store_record(&mut self, node: NodeId, subject: NodeId, avail: ResVec, now: SimMillis) {
+        self.caches[node.idx()].insert(StateRecord {
+            subject,
+            avail,
+            stored_at: now,
         });
-        match next {
-            Some(next) => {
-                ctx.send(node, next, kind, msg);
-                false
-            }
-            // Isolated sender: treat the message as arrived (best effort).
-            None => true,
-        }
     }
 
     /// Algorithm 1 (index-sender): diffuse `node`'s identifier because its
@@ -438,78 +425,46 @@ impl PidCan {
         }
         if agents.is_empty() {
             self.diag.duty_no_agents += 1;
+            self.finish_query(ctx, duty, qid, requester);
+            return;
         }
-        self.continue_with_agents(ctx, duty, qid, requester, demand, delta, agents);
+        let search = Box::new(Search {
+            qid,
+            requester,
+            demand,
+            delta,
+            jumps: Vec::new(),
+            agents,
+            budget: 0,
+        });
+        self.continue_with_agents(ctx, duty, search);
     }
 
     /// "Randomly select an index agent α from ι; send the index-agent
     /// message {v, ι − α} to α" — shared by Algorithms 3–5 fallback paths.
-    #[allow(clippy::too_many_arguments)]
-    fn continue_with_agents(
-        &mut self,
-        ctx: &mut Ctx<'_, PidMsg>,
-        at: NodeId,
-        qid: QueryId,
-        requester: NodeId,
-        demand: ResVec,
-        delta: usize,
-        mut agents: Vec<NodeId>,
-    ) {
-        if agents.is_empty() {
-            self.finish_query(ctx, at, qid, requester);
+    fn continue_with_agents(&mut self, ctx: &mut Ctx<'_, PidMsg>, at: NodeId, mut s: Box<Search>) {
+        if s.agents.is_empty() {
+            self.finish_query(ctx, at, s.qid, s.requester);
             return;
         }
-        let i = ctx.rng.random_range(0..agents.len());
-        let alpha = agents.swap_remove(i);
-        ctx.send(
-            at,
-            alpha,
-            MsgKind::IndexAgent,
-            PidMsg::IndexAgent {
-                qid,
-                requester,
-                demand,
-                delta,
-                agents,
-            },
-        );
+        let i = ctx.rng.random_range(0..s.agents.len());
+        let alpha = s.agents.swap_remove(i);
+        // The agent samples its own jump list; leftovers stay behind.
+        s.jumps.clear();
+        ctx.send(at, alpha, MsgKind::IndexAgent, PidMsg::IndexAgent(s));
     }
 
     /// "Randomly choose next index node β from list j; send index-jump
     /// message {v, δ, j − β} to β" — shared continuation.
-    #[allow(clippy::too_many_arguments)]
-    fn continue_jump(
-        &mut self,
-        ctx: &mut Ctx<'_, PidMsg>,
-        at: NodeId,
-        qid: QueryId,
-        requester: NodeId,
-        demand: ResVec,
-        delta: usize,
-        mut jumps: Vec<NodeId>,
-        agents: Vec<NodeId>,
-        budget: usize,
-    ) {
-        if jumps.is_empty() || budget == 0 {
-            self.continue_with_agents(ctx, at, qid, requester, demand, delta, agents);
+    fn continue_jump(&mut self, ctx: &mut Ctx<'_, PidMsg>, at: NodeId, mut s: Box<Search>) {
+        if s.jumps.is_empty() || s.budget == 0 {
+            self.continue_with_agents(ctx, at, s);
             return;
         }
-        let i = ctx.rng.random_range(0..jumps.len());
-        let beta = jumps.swap_remove(i);
-        ctx.send(
-            at,
-            beta,
-            MsgKind::IndexJump,
-            PidMsg::IndexJump {
-                qid,
-                requester,
-                demand,
-                delta,
-                jumps,
-                agents,
-                budget: budget - 1,
-            },
-        );
+        let i = ctx.rng.random_range(0..s.jumps.len());
+        let beta = s.jumps.swap_remove(i);
+        s.budget -= 1;
+        ctx.send(at, beta, MsgKind::IndexJump, PidMsg::IndexJump(s));
     }
 
     /// The search path died out; tell the requester (who owns the SoS
@@ -567,17 +522,20 @@ impl PidCan {
             let cmax = *ctx.host.cmax();
             self.key_point(&cmax, &effective, ctx.rng, true)
         };
-        let msg = PidMsg::DutyQuery {
-            qid,
-            requester,
-            demand: effective,
-            target,
-            delta: wanted,
-            hops_left: self.route_budget,
-        };
-        if self.forward_toward(ctx, requester, &target, MsgKind::DutyQuery, msg) {
+        match self.route_toward(ctx, requester, &target) {
+            Some(next) => {
+                let q = Box::new(DutyQuery {
+                    qid,
+                    requester,
+                    demand: effective,
+                    target,
+                    delta: wanted,
+                    hops_left: self.route_budget,
+                });
+                ctx.send(requester, next, MsgKind::DutyQuery, PidMsg::DutyQuery(q));
+            }
             // Requester itself is the duty node.
-            self.handle_duty(ctx, requester, qid, requester, effective, wanted);
+            None => self.handle_duty(ctx, requester, qid, requester, effective, wanted),
         }
     }
 
@@ -648,109 +606,59 @@ impl DiscoveryOverlay for PidCan {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, PidMsg>, node: NodeId, msg: PidMsg) {
         match msg {
-            PidMsg::StateUpdate {
-                subject,
-                avail,
-                target,
-                hops_left,
-            } => {
-                let consumed = {
-                    let zone = ctx.can.zone(node).expect("message at dead node");
-                    zone.contains(&target)
-                };
-                if consumed {
-                    self.caches[node.idx()].insert(StateRecord {
-                        subject,
-                        avail,
-                        stored_at: ctx.now,
-                    });
-                } else if hops_left > 0 {
-                    let m = PidMsg::StateUpdate {
-                        subject,
-                        avail,
-                        target,
-                        hops_left: hops_left - 1,
-                    };
-                    if self.forward_toward(ctx, node, &target, MsgKind::StateUpdate, m) {
-                        self.caches[node.idx()].insert(StateRecord {
-                            subject,
-                            avail,
-                            stored_at: ctx.now,
-                        });
+            PidMsg::StateUpdate(mut m) => {
+                let zone = ctx.can.zone(node).expect("message at dead node");
+                if !zone.contains(&m.target) {
+                    if m.hops_left == 0 {
+                        return; // budget exhausted: the next cycle re-publishes
+                    }
+                    if let Some(next) = self.route_toward(ctx, node, &m.target) {
+                        m.hops_left -= 1;
+                        ctx.send(node, next, MsgKind::StateUpdate, PidMsg::StateUpdate(m));
+                        return;
                     }
                 }
-                // Budget exhausted: drop; the next cycle re-publishes.
+                self.store_record(node, m.subject, m.avail, ctx.now);
             }
             PidMsg::Index {
                 id,
                 dim_no,
                 dim_ttl,
             } => self.relay_index(ctx, node, id, dim_no, dim_ttl),
-            PidMsg::DutyQuery {
-                qid,
-                requester,
-                demand,
-                target,
-                delta,
-                hops_left,
-            } => {
-                let here = ctx.can.zone(node).is_some_and(|z| z.contains(&target));
-                if here {
-                    self.handle_duty(ctx, node, qid, requester, demand, delta);
-                } else if hops_left == 0 {
-                    // Routing budget exhausted: settle at the closest node
-                    // reached (best effort) rather than wandering.
-                    self.handle_duty(ctx, node, qid, requester, demand, delta);
-                } else {
-                    let m = PidMsg::DutyQuery {
-                        qid,
-                        requester,
-                        demand,
-                        target,
-                        delta,
-                        hops_left: hops_left - 1,
-                    };
-                    if self.forward_toward(ctx, node, &target, MsgKind::DutyQuery, m) {
-                        self.handle_duty(ctx, node, qid, requester, demand, delta);
+            PidMsg::DutyQuery(mut q) => {
+                let here = ctx.can.zone(node).is_some_and(|z| z.contains(&q.target));
+                if !here && q.hops_left > 0 {
+                    if let Some(next) = self.route_toward(ctx, node, &q.target) {
+                        q.hops_left -= 1;
+                        ctx.send(node, next, MsgKind::DutyQuery, PidMsg::DutyQuery(q));
+                        return;
                     }
                 }
+                // At the duty node — or the routing budget is exhausted and
+                // the query settles at the closest node reached (best
+                // effort) rather than wandering.
+                self.handle_duty(ctx, node, q.qid, q.requester, q.demand, q.delta);
             }
-            PidMsg::IndexAgent {
-                qid,
-                requester,
-                demand,
-                delta,
-                agents,
-            } => {
+            PidMsg::IndexAgent(mut s) => {
                 // Algorithm 4: sample a jump list from the local PIList.
-                let jumps = self.pilists[node.idx()].sample(
+                s.jumps = self.pilists[node.idx()].sample(
                     self.cfg.jump_sample,
                     ctx.now,
                     self.cfg.pilist_ttl_ms,
                     ctx.rng,
                 );
                 self.diag.agent_visits += 1;
-                if jumps.is_empty() {
+                if s.jumps.is_empty() {
                     self.diag.agent_pil_empty += 1;
                 }
-                let budget = self.cfg.jump_budget;
-                self.continue_jump(
-                    ctx, node, qid, requester, demand, delta, jumps, agents, budget,
-                );
+                s.budget = self.cfg.jump_budget;
+                self.continue_jump(ctx, node, s);
             }
-            PidMsg::IndexJump {
-                qid,
-                requester,
-                demand,
-                mut delta,
-                mut jumps,
-                agents,
-                budget,
-            } => {
+            PidMsg::IndexJump(mut s) => {
                 // Algorithm 5: search the local cache.
                 let mut found = std::mem::take(&mut self.found_buf);
                 let t = ctx.prof.start();
-                self.caches[node.idx()].qualified_into(&demand, ctx.now, &mut found);
+                self.caches[node.idx()].qualified_into(&s.demand, ctx.now, &mut found);
                 ctx.prof.stop(Phase::CacheProbe, t);
                 self.diag.jump_visits += 1;
                 let cands: Vec<Candidate> = found
@@ -763,9 +671,9 @@ impl DiscoveryOverlay for PidCan {
                 self.found_buf = found;
                 if !cands.is_empty() {
                     self.diag.jump_hits += 1;
-                    delta = delta.saturating_sub(cands.len());
-                    self.notify_found(ctx, node, qid, requester, cands);
-                } else if budget > 0 {
+                    s.delta = s.delta.saturating_sub(cands.len());
+                    self.notify_found(ctx, node, s.qid, s.requester, cands);
+                } else if s.budget > 0 {
                     // §III-B1 relay: extend the chain with this index
                     // node's own positive-index knowledge.
                     for extra in self.pilists[node.idx()].sample(
@@ -774,15 +682,13 @@ impl DiscoveryOverlay for PidCan {
                         self.cfg.pilist_ttl_ms,
                         ctx.rng,
                     ) {
-                        if extra != node && !jumps.contains(&extra) {
-                            jumps.push(extra);
+                        if extra != node && !s.jumps.contains(&extra) {
+                            s.jumps.push(extra);
                         }
                     }
                 }
-                if delta > 0 {
-                    self.continue_jump(
-                        ctx, node, qid, requester, demand, delta, jumps, agents, budget,
-                    );
+                if s.delta > 0 {
+                    self.continue_jump(ctx, node, s);
                 }
             }
             PidMsg::Found { qid, candidates } => {
@@ -801,18 +707,17 @@ impl DiscoveryOverlay for PidCan {
                     let cmax = *ctx.host.cmax();
                     self.key_point(&cmax, &avail, ctx.rng, false)
                 };
-                let msg = PidMsg::StateUpdate {
-                    subject: node,
-                    avail,
-                    target,
-                    hops_left: self.route_budget,
-                };
-                if self.forward_toward(ctx, node, &target, MsgKind::StateUpdate, msg) {
-                    self.caches[node.idx()].insert(StateRecord {
-                        subject: node,
-                        avail,
-                        stored_at: ctx.now,
-                    });
+                match self.route_toward(ctx, node, &target) {
+                    Some(next) => {
+                        let m = Box::new(StateUpdate {
+                            subject: node,
+                            avail,
+                            target,
+                            hops_left: self.route_budget,
+                        });
+                        ctx.send(node, next, MsgKind::StateUpdate, PidMsg::StateUpdate(m));
+                    }
+                    None => self.store_record(node, node, avail, ctx.now),
                 }
                 ctx.timer(node, T_STATE, self.cfg.state_update_ms);
             }
@@ -906,74 +811,33 @@ impl DiscoveryOverlay for PidCan {
             // reassigns the dead node's zone before the retry; the explicit
             // `avoid` + liveness filter also covers windows where routing
             // state still references it.
-            PidMsg::StateUpdate {
-                subject,
-                avail,
-                target,
-                hops_left,
-            } => {
-                if hops_left == 0 {
+            PidMsg::StateUpdate(mut m) => {
+                if m.hops_left == 0 {
                     return;
                 }
-                let m = PidMsg::StateUpdate {
-                    subject,
-                    avail,
-                    target,
-                    hops_left: hops_left - 1,
-                };
-                if self.forward_avoiding(ctx, from, &target, MsgKind::StateUpdate, m, to) {
-                    self.caches[from.idx()].insert(StateRecord {
-                        subject,
-                        avail,
-                        stored_at: ctx.now,
-                    });
+                match self.route_avoiding(ctx, from, &m.target, to) {
+                    Some(next) => {
+                        m.hops_left -= 1;
+                        ctx.send(from, next, MsgKind::StateUpdate, PidMsg::StateUpdate(m));
+                    }
+                    None => self.store_record(from, m.subject, m.avail, ctx.now),
                 }
             }
-            PidMsg::DutyQuery {
-                qid,
-                requester,
-                demand,
-                target,
-                delta,
-                hops_left,
-            } => {
-                if hops_left == 0 {
-                    self.handle_duty(ctx, from, qid, requester, demand, delta);
-                    return;
+            PidMsg::DutyQuery(mut q) => {
+                if q.hops_left > 0 {
+                    if let Some(next) = self.route_avoiding(ctx, from, &q.target, to) {
+                        q.hops_left -= 1;
+                        ctx.send(from, next, MsgKind::DutyQuery, PidMsg::DutyQuery(q));
+                        return;
+                    }
                 }
-                let m = PidMsg::DutyQuery {
-                    qid,
-                    requester,
-                    demand,
-                    target,
-                    delta,
-                    hops_left: hops_left - 1,
-                };
-                if self.forward_avoiding(ctx, from, &target, MsgKind::DutyQuery, m, to) {
-                    self.handle_duty(ctx, from, qid, requester, demand, delta);
-                }
+                self.handle_duty(ctx, from, q.qid, q.requester, q.demand, q.delta);
             }
             // Diffusion is best-effort.
             PidMsg::Index { .. } => {}
             // Continue the search from the sender, skipping the dead hop.
-            PidMsg::IndexAgent {
-                qid,
-                requester,
-                demand,
-                delta,
-                agents,
-            } => self.continue_with_agents(ctx, from, qid, requester, demand, delta, agents),
-            PidMsg::IndexJump {
-                qid,
-                requester,
-                demand,
-                delta,
-                jumps,
-                agents,
-                budget,
-            } => self.continue_jump(
-                ctx, from, qid, requester, demand, delta, jumps, agents, budget,
-            ),
+            PidMsg::IndexAgent(s) => self.continue_with_agents(ctx, from, s),
+            PidMsg::IndexJump(s) => self.continue_jump(ctx, from, s),
             // The requester died; nothing to deliver to.
             PidMsg::Found { .. } | PidMsg::Exhausted { .. } => {}
         }
@@ -987,11 +851,10 @@ mod tests {
     use rand::SeedableRng;
     use soc_can::CanOverlay;
     use soc_overlay::testkit::TestHost;
-    use soc_overlay::Effect;
 
     const N: usize = 16;
 
-    /// ISSUE 5 satellite: `forward_avoiding`'s greedy-over-live fallback
+    /// ISSUE 5 satellite: `route_avoiding`'s greedy-over-live fallback
     /// was previously exercised only indirectly through churn runs; these
     /// tests drive the private method straight.
     fn world(seed: u64) -> (PidCan, CanOverlay, TestHost, SmallRng) {
@@ -1003,15 +866,6 @@ mod tests {
         // degenerates to the plain greedy hop — deterministic without RNG.
         let proto = PidCan::new(PidCanConfig::hid(), 2, N, N);
         (proto, can, host, rng)
-    }
-
-    fn dummy_msg() -> PidMsg {
-        PidMsg::StateUpdate {
-            subject: NodeId(0),
-            avail: ResVec::from_slice(&[5.0, 5.0]),
-            target: ResVec::from_slice(&[0.9, 0.9]),
-            hops_left: 4,
-        }
     }
 
     /// The greedy choice over `node`'s neighbors restricted by `ok`,
@@ -1049,29 +903,15 @@ mod tests {
     fn avoided_hop_is_never_chosen() {
         let (mut proto, can, host, mut rng) = world(71);
         let (sender, hop, target) = pick_route(&can);
-        let mut ctx = Ctx::new(0, &can, &host, &mut rng);
-        let consumed = proto.forward_avoiding(
-            &mut ctx,
-            sender,
-            &target,
-            MsgKind::StateUpdate,
-            dummy_msg(),
-            hop,
-        );
-        assert!(!consumed, "other live neighbors exist");
-        let (fx, _) = ctx.finish();
+        let ctx = Ctx::new(0, &can, &host, &mut rng);
+        let next = proto.route_avoiding(&ctx, sender, &target, hop);
         let expect = manual_greedy(&can, &host, sender, &target, hop).unwrap();
         assert_ne!(expect, hop);
-        match &fx[..] {
-            [Effect::Send { from, to, .. }] => {
-                assert_eq!(*from, sender);
-                assert_eq!(
-                    *to, expect,
-                    "fallback must pick the nearest non-avoided live neighbor"
-                );
-            }
-            other => panic!("expected exactly one send, got {other:?}"),
-        }
+        assert_eq!(
+            next,
+            Some(expect),
+            "fallback must pick the nearest non-avoided live neighbor"
+        );
     }
 
     #[test]
@@ -1089,21 +929,11 @@ mod tests {
         } else {
             hop
         };
-        let mut ctx = Ctx::new(0, &can, &host, &mut rng);
-        let consumed = proto.forward_avoiding(
-            &mut ctx,
-            sender,
-            &target,
-            MsgKind::StateUpdate,
-            dummy_msg(),
-            avoid,
+        let ctx = Ctx::new(0, &can, &host, &mut rng);
+        assert_eq!(
+            proto.route_avoiding(&ctx, sender, &target, avoid),
+            Some(survivor)
         );
-        assert!(!consumed);
-        let (fx, _) = ctx.finish();
-        match &fx[..] {
-            [Effect::Send { to, .. }] => assert_eq!(*to, survivor),
-            other => panic!("expected exactly one send, got {other:?}"),
-        }
     }
 
     #[test]
@@ -1113,55 +943,44 @@ mod tests {
         for e in can.neighbors(sender) {
             host.alive[e.node.idx()] = false;
         }
-        let mut ctx = Ctx::new(0, &can, &host, &mut rng);
-        let consumed = proto.forward_avoiding(
-            &mut ctx,
-            sender,
-            &target,
-            MsgKind::StateUpdate,
-            dummy_msg(),
-            hop,
+        let ctx = Ctx::new(0, &can, &host, &mut rng);
+        assert_eq!(
+            proto.route_avoiding(&ctx, sender, &target, hop),
+            None,
+            "an isolated sender must consume the message"
         );
-        assert!(consumed, "an isolated sender must consume the message");
-        let (fx, sent) = ctx.finish();
-        assert!(fx.is_empty(), "nothing to send: {fx:?}");
-        assert!(sent.is_zero());
     }
 
     #[test]
     fn suspected_next_hop_is_detoured_by_its_observer_only() {
-        // Blacklist the sender's natural next hop: `forward_toward` must
+        // Blacklist the sender's natural next hop: `route_toward` must
         // detour to the nearest live unsuspected neighbor. The suspicion
         // is per-observer, so routing *from the suspect itself* (or any
         // other node) is unaffected.
         let (mut proto, can, mut host, mut rng) = world(75);
         let (sender, hop, target) = pick_route(&can);
         host.suspects.push((sender, hop));
-        let mut ctx = Ctx::new(0, &can, &host, &mut rng);
-        let consumed =
-            proto.forward_toward(&mut ctx, sender, &target, MsgKind::StateUpdate, dummy_msg());
-        assert!(!consumed, "other unsuspected neighbors exist");
-        let (fx, _) = ctx.finish();
+        let ctx = Ctx::new(0, &can, &host, &mut rng);
+        let next = proto.route_toward(&ctx, sender, &target);
         let expect = manual_greedy(&can, &host, sender, &target, hop).unwrap();
-        match &fx[..] {
-            [Effect::Send { from, to, .. }] => {
-                assert_eq!(*from, sender);
-                assert_ne!(*to, hop, "must not route through the blacklisted hop");
-                assert_eq!(*to, expect, "detour is the greedy choice minus the suspect");
-            }
-            other => panic!("expected exactly one send, got {other:?}"),
-        }
+        assert_ne!(
+            next,
+            Some(hop),
+            "must not route through the blacklisted hop"
+        );
+        assert_eq!(
+            next,
+            Some(expect),
+            "detour is the greedy choice minus the suspect"
+        );
         // Another observer with an empty blacklist keeps the plain route.
         host.suspects.clear();
-        let mut ctx = Ctx::new(0, &can, &host, &mut rng);
-        let consumed =
-            proto.forward_toward(&mut ctx, sender, &target, MsgKind::StateUpdate, dummy_msg());
-        assert!(!consumed);
-        let (fx, _) = ctx.finish();
-        match &fx[..] {
-            [Effect::Send { to, .. }] => assert_eq!(*to, hop, "no suspicion, no detour"),
-            other => panic!("expected exactly one send, got {other:?}"),
-        }
+        let ctx = Ctx::new(0, &can, &host, &mut rng);
+        assert_eq!(
+            proto.route_toward(&ctx, sender, &target),
+            Some(hop),
+            "no suspicion, no detour"
+        );
     }
 
     #[test]
@@ -1171,15 +990,12 @@ mod tests {
         for e in can.neighbors(sender) {
             host.suspects.push((sender, e.node));
         }
-        let mut ctx = Ctx::new(0, &can, &host, &mut rng);
-        let consumed =
-            proto.forward_toward(&mut ctx, sender, &target, MsgKind::StateUpdate, dummy_msg());
-        assert!(
-            consumed,
+        let ctx = Ctx::new(0, &can, &host, &mut rng);
+        assert_eq!(
+            proto.route_toward(&ctx, sender, &target),
+            None,
             "a sender that suspects every neighbor must consume, not loop"
         );
-        let (fx, _) = ctx.finish();
-        assert!(fx.is_empty());
     }
 
     #[test]
@@ -1190,26 +1006,10 @@ mod tests {
         // must dodge both.
         let fallback = manual_greedy(&can, &host, sender, &target, hop).unwrap();
         host.suspects.push((sender, fallback));
-        let mut ctx = Ctx::new(0, &can, &host, &mut rng);
-        let consumed = proto.forward_avoiding(
-            &mut ctx,
-            sender,
-            &target,
-            MsgKind::StateUpdate,
-            dummy_msg(),
-            hop,
-        );
-        let (fx, _) = ctx.finish();
-        if consumed {
-            assert!(fx.is_empty());
-        } else {
-            match &fx[..] {
-                [Effect::Send { to, .. }] => {
-                    assert_ne!(*to, hop, "avoided hop chosen");
-                    assert_ne!(*to, fallback, "suspected fallback chosen");
-                }
-                other => panic!("expected exactly one send, got {other:?}"),
-            }
+        let ctx = Ctx::new(0, &can, &host, &mut rng);
+        if let Some(next) = proto.route_avoiding(&ctx, sender, &target, hop) {
+            assert_ne!(next, hop, "avoided hop chosen");
+            assert_ne!(next, fallback, "suspected fallback chosen");
         }
     }
 
@@ -1218,17 +1018,11 @@ mod tests {
         let (mut proto, can, host, mut rng) = world(74);
         let target = ResVec::from_slice(&[0.97, 0.97]);
         let owner = can.owner_of(&target);
-        let mut ctx = Ctx::new(0, &can, &host, &mut rng);
-        let consumed = proto.forward_avoiding(
-            &mut ctx,
-            owner,
-            &target,
-            MsgKind::StateUpdate,
-            dummy_msg(),
-            NodeId(u32::MAX),
+        let ctx = Ctx::new(0, &can, &host, &mut rng);
+        assert_eq!(
+            proto.route_avoiding(&ctx, owner, &target, NodeId(u32::MAX)),
+            None,
+            "the zone owner consumes directly"
         );
-        assert!(consumed, "the zone owner consumes directly");
-        let (fx, _) = ctx.finish();
-        assert!(fx.is_empty());
     }
 }

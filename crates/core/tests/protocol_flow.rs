@@ -2,13 +2,13 @@
 //! state publication → index diffusion → duty-query → agents → jumps →
 //! FoundList, plus SoS retry and churn-drop recovery.
 
-use pidcan::{PidCan, PidCanConfig, PidMsg};
+use pidcan::{DutyQuery, PidCan, PidCanConfig, PidMsg, StateUpdate};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use soc_can::CanOverlay;
 use soc_net::MsgKind;
 use soc_overlay::testkit::{TestHarness, TestHost};
-use soc_overlay::{DiscoveryOverlay, QueryRequest, QueryVerdict};
+use soc_overlay::{Ctx, DiscoveryOverlay, Effect, QueryRequest, QueryVerdict};
 use soc_types::{NodeId, QueryId, ResVec};
 
 const N: usize = 64;
@@ -281,4 +281,149 @@ fn index_messages_carry_decreasing_ttl() {
         dim_no: 0,
         dim_ttl: 2,
     };
+}
+
+/// How a hand-driven hop reaches the protocol: a normal delivery at `at`,
+/// or the transport telling sender `at` that next hop `dead` is gone.
+#[derive(Clone, Copy)]
+enum Hop {
+    Deliver,
+    Dropped { dead: NodeId },
+}
+
+/// Run one protocol callback for `msg` at `at` and return what it emitted.
+fn step(
+    h: &mut TestHarness<PidCan>,
+    rng: &mut SmallRng,
+    at: NodeId,
+    hop: Hop,
+    msg: PidMsg,
+) -> Vec<Effect<PidMsg>> {
+    let mut ctx = Ctx::new(600_000, &h.can, &h.host, rng);
+    match hop {
+        Hop::Deliver => h.proto.on_message(&mut ctx, at, msg),
+        Hop::Dropped { dead } => h.proto.on_message_dropped(&mut ctx, at, dead, msg),
+    }
+    ctx.finish().0
+}
+
+/// Walk a routed message from the low corner toward the high corner, one
+/// callback per hop, with the second hop taken through
+/// `on_message_dropped` (the chosen next hop is declared dead and the
+/// sender re-routes around it). `relayed` inspects every relayed message
+/// and returns its `hops_left`; the walk checks it falls by exactly one per
+/// hop. Returns where the message settled and what that node emitted.
+fn walk_routed(
+    h: &mut TestHarness<PidCan>,
+    first: PidMsg,
+    budget: u32,
+    kind: MsgKind,
+    relayed: impl Fn(&PidMsg) -> Option<u32>,
+) -> (NodeId, Vec<Effect<PidMsg>>) {
+    let mut rng = SmallRng::seed_from_u64(99);
+    let mut at = h.can.owner_of(&ResVec::from_slice(&[0.02, 0.02]));
+    let (mut msg, mut hop, mut hops) = (first, Hop::Deliver, 0u32);
+    loop {
+        let sender = at;
+        let mut fx = step(h, &mut rng, sender, hop, msg);
+        let forwarded = match &fx[..] {
+            [Effect::Send { msg, kind: k, .. }] if *k == kind => relayed(msg),
+            _ => None,
+        };
+        let Some(left) = forwarded else {
+            assert!(
+                hops >= 4,
+                "only {hops} hops: the route is too short to test"
+            );
+            return (sender, fx);
+        };
+        hops += 1;
+        assert_eq!(left, budget - hops, "hops_left falls by one per hop");
+        let Some(Effect::Send {
+            from, to, msg: m, ..
+        }) = fx.pop()
+        else {
+            unreachable!("matched a single send above");
+        };
+        assert_eq!(from, sender);
+        msg = m;
+        if hops == 1 {
+            // The transport reports `to` dead back at the sender.
+            hop = Hop::Dropped { dead: to };
+        } else {
+            if let Hop::Dropped { dead } = hop {
+                assert_ne!(to, dead, "re-routed onto the dead hop");
+            }
+            hop = Hop::Deliver;
+            at = to;
+        }
+    }
+}
+
+#[test]
+fn routed_state_update_travels_intact_and_pays_one_hop_each() {
+    let mut h = world(PidCanConfig::hid(), 11);
+    let (subject, avail) = (NodeId(7), ResVec::from_slice(&[3.25, 4.5]));
+    let target = ResVec::from_slice(&[0.97, 0.96]);
+    let first = PidMsg::StateUpdate(Box::new(StateUpdate {
+        subject,
+        avail,
+        target,
+        hops_left: 40,
+    }));
+    let (end, fx) = walk_routed(&mut h, first, 40, MsgKind::StateUpdate, |m| match m {
+        PidMsg::StateUpdate(m) => {
+            assert_eq!((m.subject, m.avail, m.target), (subject, avail, target));
+            Some(m.hops_left)
+        }
+        _ => None,
+    });
+    assert!(fx.is_empty(), "the duty node stores, it does not relay");
+    assert_eq!(end, h.can.owner_of(&target));
+    let stored = h.proto.cache(end).fresh(600_000);
+    assert!(stored
+        .iter()
+        .any(|r| r.subject == subject && r.avail == avail));
+}
+
+#[test]
+fn routed_duty_query_travels_intact_and_pays_one_hop_each() {
+    let mut h = world(PidCanConfig::hid(), 12);
+    let (qid, requester) = (QueryId(77), NodeId(9));
+    let demand = ResVec::from_slice(&[9.25, 9.5]);
+    let target = ResVec::from_slice(&[0.96, 0.97]);
+    let first = PidMsg::DutyQuery(Box::new(DutyQuery {
+        qid,
+        requester,
+        demand,
+        target,
+        delta: 2,
+        hops_left: 40,
+    }));
+    let (end, fx) = walk_routed(&mut h, first, 40, MsgKind::DutyQuery, |m| match m {
+        PidMsg::DutyQuery(q) => {
+            assert_eq!((q.qid, q.requester, q.delta), (qid, requester, 2));
+            assert_eq!((q.demand, q.target), (demand, target));
+            Some(q.hops_left)
+        }
+        _ => None,
+    });
+    assert_eq!(end, h.can.owner_of(&target));
+    // No record is cached yet, so the duty node either hands the search to
+    // an agent — carrying the published demand — or reports exhaustion.
+    match &fx[..] {
+        [Effect::Send {
+            msg: PidMsg::IndexAgent(s),
+            ..
+        }] => assert_eq!(
+            (s.qid, s.requester, s.demand, s.delta),
+            (qid, requester, demand, 2)
+        ),
+        [Effect::Send {
+            to,
+            msg: PidMsg::Exhausted { qid: q },
+            ..
+        }] => assert_eq!((*to, *q), (requester, qid)),
+        other => panic!("unexpected duty-node output: {other:?}"),
+    }
 }

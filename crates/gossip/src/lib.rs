@@ -71,30 +71,25 @@ impl GossipConfig {
     }
 }
 
-/// Newscast wire messages.
+/// Newscast wire messages. The enum is what every event carries, so it
+/// stays at 32 bytes: the exchange's direction is the variant rather than a
+/// flag next to the entries, and the walk's demand vector sits behind a
+/// `Box` that travels with the walk.
 #[derive(Clone, Debug)]
 pub enum GossipMsg {
-    /// View exchange: the sender's view (plus its own fresh entry).
-    /// `reply = true` asks the receiver to send its view back.
+    /// View exchange, initiating half: the sender's view (plus its own
+    /// fresh entry); the receiver replies with its own.
     Exchange {
         /// Entries offered.
         entries: Vec<ViewEntry>,
-        /// Whether the receiver should reply with its own view.
-        reply: bool,
+    },
+    /// View exchange, answering half (no further reply).
+    ExchangeReply {
+        /// Entries offered.
+        entries: Vec<ViewEntry>,
     },
     /// TTL-bounded discovery walk.
-    Query {
-        /// Query identity.
-        qid: QueryId,
-        /// Requester (receives results).
-        requester: NodeId,
-        /// Demand vector.
-        demand: ResVec,
-        /// Results still wanted.
-        wanted: usize,
-        /// Remaining hops.
-        ttl: usize,
-    },
+    Query(Box<Walk>),
     /// Results reported back to the requester.
     Found {
         /// Query identity.
@@ -107,6 +102,23 @@ pub enum GossipMsg {
         /// Query identity.
         qid: QueryId,
     },
+}
+
+const _: () = assert!(std::mem::size_of::<GossipMsg>() <= 32);
+
+/// Body of [`GossipMsg::Query`].
+#[derive(Clone, Debug)]
+pub struct Walk {
+    /// Query identity.
+    pub qid: QueryId,
+    /// Requester (receives results).
+    pub requester: NodeId,
+    /// Demand vector.
+    pub demand: ResVec,
+    /// Results still wanted.
+    pub wanted: usize,
+    /// Remaining hops.
+    pub ttl: usize,
 }
 
 /// The Newscast protocol state.
@@ -193,60 +205,36 @@ impl Newscast {
         }
     }
 
+    /// Tell the requester the walk ended at `node` without enough results.
+    fn walk_exhausted(ctx: &mut Ctx<'_, GossipMsg>, node: NodeId, w: &Walk) {
+        if node == w.requester {
+            ctx.query_done(w.qid, QueryVerdict::Exhausted);
+        } else {
+            ctx.send(
+                node,
+                w.requester,
+                MsgKind::FoundNotify,
+                GossipMsg::Exhausted { qid: w.qid },
+            );
+        }
+    }
+
     /// Continue (or end) a query walk from `node`.
-    #[allow(clippy::too_many_arguments)]
-    fn walk_on(
-        &mut self,
-        ctx: &mut Ctx<'_, GossipMsg>,
-        node: NodeId,
-        qid: QueryId,
-        requester: NodeId,
-        demand: ResVec,
-        wanted: usize,
-        ttl: usize,
-    ) {
-        if wanted == 0 {
+    fn walk_on(&mut self, ctx: &mut Ctx<'_, GossipMsg>, node: NodeId, mut w: Box<Walk>) {
+        if w.wanted == 0 {
             return;
         }
-        if ttl == 0 {
-            if node == requester {
-                ctx.query_done(qid, QueryVerdict::Exhausted);
-            } else {
-                ctx.send(
-                    node,
-                    requester,
-                    MsgKind::FoundNotify,
-                    GossipMsg::Exhausted { qid },
-                );
-            }
+        if w.ttl == 0 {
+            Self::walk_exhausted(ctx, node, &w);
             return;
         }
         match self.random_view_peer(node, ctx.rng) {
-            Some(next) => ctx.send(
-                node,
-                next,
-                MsgKind::DutyQuery,
-                GossipMsg::Query {
-                    qid,
-                    requester,
-                    demand,
-                    wanted,
-                    ttl: ttl - 1,
-                },
-            ),
-            None => {
-                // Empty view: dead end.
-                if node == requester {
-                    ctx.query_done(qid, QueryVerdict::Exhausted);
-                } else {
-                    ctx.send(
-                        node,
-                        requester,
-                        MsgKind::FoundNotify,
-                        GossipMsg::Exhausted { qid },
-                    );
-                }
+            Some(next) => {
+                w.ttl -= 1;
+                ctx.send(node, next, MsgKind::DutyQuery, GossipMsg::Query(w));
             }
+            // Empty view: dead end.
+            None => Self::walk_exhausted(ctx, node, &w),
         }
     }
 
@@ -289,50 +277,40 @@ impl DiscoveryOverlay for Newscast {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, GossipMsg>, node: NodeId, msg: GossipMsg) {
         match msg {
-            GossipMsg::Exchange { entries, reply } => {
-                if reply {
-                    let mine = self.offer(ctx, node);
-                    // Reply to the freshest sender entry (the initiator put
-                    // itself in the offer).
-                    if let Some(initiator) = entries.iter().max_by_key(|e| e.heartbeat) {
-                        ctx.send(
-                            node,
-                            initiator.peer,
-                            MsgKind::GossipExchange,
-                            GossipMsg::Exchange {
-                                entries: mine,
-                                reply: false,
-                            },
-                        );
-                    }
+            GossipMsg::Exchange { entries } => {
+                let mine = self.offer(ctx, node);
+                // Reply to the freshest sender entry (the initiator put
+                // itself in the offer).
+                if let Some(initiator) = entries.iter().max_by_key(|e| e.heartbeat) {
+                    ctx.send(
+                        node,
+                        initiator.peer,
+                        MsgKind::GossipExchange,
+                        GossipMsg::ExchangeReply { entries: mine },
+                    );
                 }
                 self.merge_view(node, &entries);
             }
-            GossipMsg::Query {
-                qid,
-                requester,
-                demand,
-                wanted,
-                ttl,
-            } => {
-                let found = self.qualified(node, &demand, ctx.now);
-                let still_wanted = wanted.saturating_sub(found.len());
+            GossipMsg::ExchangeReply { entries } => self.merge_view(node, &entries),
+            GossipMsg::Query(mut w) => {
+                let found = self.qualified(node, &w.demand, ctx.now);
+                w.wanted = w.wanted.saturating_sub(found.len());
                 if !found.is_empty() {
-                    if node == requester {
-                        ctx.query_results(qid, found);
+                    if node == w.requester {
+                        ctx.query_results(w.qid, found);
                     } else {
                         ctx.send(
                             node,
-                            requester,
+                            w.requester,
                             MsgKind::FoundNotify,
                             GossipMsg::Found {
-                                qid,
+                                qid: w.qid,
                                 candidates: found,
                             },
                         );
                     }
                 }
-                self.walk_on(ctx, node, qid, requester, demand, still_wanted, ttl);
+                self.walk_on(ctx, node, w);
             }
             GossipMsg::Found { qid, candidates } => {
                 ctx.query_results(qid, candidates);
@@ -351,10 +329,7 @@ impl DiscoveryOverlay for Newscast {
                 node,
                 peer,
                 MsgKind::GossipExchange,
-                GossipMsg::Exchange {
-                    entries: offer,
-                    reply: true,
-                },
+                GossipMsg::Exchange { entries: offer },
             );
         } else {
             self.bootstrap_view(ctx, node);
@@ -368,16 +343,14 @@ impl DiscoveryOverlay for Newscast {
         if !found.is_empty() {
             ctx.query_results(req.qid, found.clone());
         }
-        let still_wanted = req.wanted.saturating_sub(found.len());
-        self.walk_on(
-            ctx,
-            req.requester,
-            req.qid,
-            req.requester,
-            req.demand,
-            still_wanted,
-            self.query_ttl,
-        );
+        let walk = Box::new(Walk {
+            qid: req.qid,
+            requester: req.requester,
+            demand: req.demand,
+            wanted: req.wanted.saturating_sub(found.len()),
+            ttl: self.query_ttl,
+        });
+        self.walk_on(ctx, req.requester, walk);
     }
 
     fn on_node_joined(&mut self, ctx: &mut Ctx<'_, GossipMsg>, node: NodeId) {
@@ -405,15 +378,8 @@ impl DiscoveryOverlay for Newscast {
             return;
         }
         self.views[from.idx()].retain(|e| e.peer != to);
-        if let GossipMsg::Query {
-            qid,
-            requester,
-            demand,
-            wanted,
-            ttl,
-        } = msg
-        {
-            self.walk_on(ctx, from, qid, requester, demand, wanted, ttl);
+        if let GossipMsg::Query(w) = msg {
+            self.walk_on(ctx, from, w);
         }
     }
 }

@@ -65,7 +65,10 @@ impl RouteBackend {
 
 /// Cache slots (power of two). At 300–2000 nodes a duty-routing burst
 /// touches a few hundred (node, target) pairs; 4096 cells keep the
-/// direct-mapped conflict rate low for ~400 KiB per protocol instance.
+/// direct-mapped conflict rate low for 416 KiB per router (104-byte
+/// cells). There is one router per protocol instance and the sharded
+/// executor forks one instance per shard, so a default 8-shard run holds
+/// 8 × 416 KiB.
 const CELLS: usize = 4096;
 
 /// One memoized next-hop decision.

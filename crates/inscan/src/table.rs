@@ -5,23 +5,38 @@ use soc_can::CanOverlay;
 use soc_types::NodeId;
 
 /// The paper's `k` bound: `⌊log2 n^{1/d}⌋` (so the largest finger spans
-/// roughly half the nodes along one dimension).
+/// roughly half the nodes along one dimension) — the largest `k` with
+/// `2^(k·d) ≤ n`, computed in integers: `powf` rounds perfect powers down
+/// (`64^(1/3)` = 3.9999999999999996), and the arena's row stride derives
+/// from this number.
 pub fn kmax_for(n: usize, dim: usize) -> usize {
-    if n <= 1 {
-        return 0;
+    let dim = dim.max(1);
+    let mut k = 0;
+    while ((k + 1) * dim) < usize::BITS as usize && (1usize << ((k + 1) * dim)) <= n {
+        k += 1;
     }
-    let r = (n as f64).powf(1.0 / dim as f64);
-    r.log2().floor().max(0.0) as usize
+    k
+}
+
+/// Arena marker for "no entry" (edge of the space, or evicted).
+const EMPTY: u32 = u32::MAX;
+
+#[inline]
+fn filled(seg: &[u32]) -> impl Iterator<Item = NodeId> + Clone + '_ {
+    seg.iter().filter(|&&e| e != EMPTY).map(|&e| NodeId(e))
 }
 
 /// One node's index table: for each dimension and direction, the sampled
-/// node at `2^k` hops (`entries[dim][k]`), `k = 0..=kmax`.
+/// node at `2^k` hops, `k = 0..=kmax` — a borrowed view of that node's row
+/// in the [`IndexTables`] arena. A row holds `dim` blocks of
+/// `[positive k = 0..=kmax | negative k = 0..=kmax]`.
 ///
-/// Entries may be `None` near the edge of the (non-toroidal) key space.
-#[derive(Clone, Debug, Default)]
-pub struct IndexTable {
-    positive: Vec<Vec<Option<NodeId>>>,
-    negative: Vec<Vec<Option<NodeId>>>,
+/// Entries may be absent near the edge of the (non-toroidal) key space.
+#[derive(Clone, Copy, Debug)]
+pub struct IndexTable<'a> {
+    row: &'a [u32],
+    /// `kmax + 1`: entries per (dimension, direction) segment.
+    seg: usize,
 }
 
 /// Message accounting for one refresh sweep.
@@ -31,45 +46,39 @@ pub struct WalkStats {
     pub probe_msgs: u64,
 }
 
-impl IndexTable {
-    /// Empty table for a `dim`-dimensional overlay with fingers up to
-    /// `2^kmax`.
-    pub fn new(dim: usize, kmax: usize) -> Self {
-        IndexTable {
-            positive: vec![vec![None; kmax + 1]; dim],
-            negative: vec![vec![None; kmax + 1]; dim],
-        }
-    }
-
+impl<'a> IndexTable<'a> {
     /// Largest finger exponent.
     pub fn kmax(&self) -> usize {
-        self.positive.first().map(|v| v.len() - 1).unwrap_or(0)
+        self.seg - 1
+    }
+
+    /// The `k = 0..=kmax` entries along `dim` in one direction; `None` for
+    /// a dimension the overlay does not have.
+    #[inline]
+    fn segment(&self, dim: usize, positive: bool) -> Option<&'a [u32]> {
+        // Saturating, so an absurd `dim` is a miss rather than an overflow.
+        let at = dim
+            .saturating_mul(2 * self.seg)
+            .saturating_add(if positive { 0 } else { self.seg });
+        self.row.get(at..at.saturating_add(self.seg))
     }
 
     /// Index node at `2^k` hops along `dim` in the given direction.
+    #[inline]
     pub fn get(&self, dim: usize, positive: bool, k: usize) -> Option<NodeId> {
-        let side = if positive {
-            &self.positive
-        } else {
-            &self.negative
-        };
-        side.get(dim).and_then(|v| v.get(k).copied().flatten())
+        match self.segment(dim, positive)?.get(k) {
+            Some(&e) if e != EMPTY => Some(NodeId(e)),
+            _ => None,
+        }
     }
 
     /// All known index nodes along `dim` in the given direction
     /// (deduplicated, ascending `k`).
     pub fn along(&self, dim: usize, positive: bool) -> Vec<NodeId> {
-        let side = if positive {
-            &self.positive
-        } else {
-            &self.negative
-        };
         let mut out = Vec::new();
-        if let Some(v) = side.get(dim) {
-            for id in v.iter().flatten() {
-                if !out.contains(id) {
-                    out.push(*id);
-                }
+        for id in self.segment(dim, positive).into_iter().flat_map(filled) {
+            if !out.contains(&id) {
+                out.push(id);
             }
         }
         out
@@ -79,75 +88,12 @@ impl IndexTable {
     /// select an NINode along dimension NO. j"): a uniformly random `k`
     /// among the populated entries.
     pub fn random_ninode<R: Rng>(&self, dim: usize, rng: &mut R) -> Option<NodeId> {
-        pick_uniform(self.negative.get(dim)?.iter().flatten().copied(), rng)
+        pick_uniform(filled(self.segment(dim, false)?), rng)
     }
 
     /// Pick a random positive index node along `dim`.
     pub fn random_positive<R: Rng>(&self, dim: usize, rng: &mut R) -> Option<NodeId> {
-        pick_uniform(self.positive.get(dim)?.iter().flatten().copied(), rng)
-    }
-
-    /// Drop every reference to `node` (it churned away); returns how many
-    /// entries were invalidated.
-    pub fn evict(&mut self, node: NodeId) -> usize {
-        let mut n = 0;
-        for side in [&mut self.positive, &mut self.negative] {
-            for v in side.iter_mut() {
-                for e in v.iter_mut() {
-                    if *e == Some(node) {
-                        *e = None;
-                        n += 1;
-                    }
-                }
-            }
-        }
-        n
-    }
-
-    /// Rebuild the table for `node` by probe walks along every dimension
-    /// ("flooding the querying messages to its neighbors along the d
-    /// dimensions until reaching the edge of the CAN space", §III-A).
-    ///
-    /// Each walk step picks a random neighbor with the right orientation,
-    /// recording the nodes reached at power-of-two hop counts.
-    pub fn refresh<R: Rng>(
-        node: NodeId,
-        ov: &CanOverlay,
-        kmax: usize,
-        rng: &mut R,
-    ) -> (IndexTable, WalkStats) {
-        let dim = ov.dim();
-        let mut table = IndexTable::new(dim, kmax);
-        let mut stats = WalkStats::default();
-        let max_steps = 1usize << kmax;
-        for d in 0..dim {
-            for positive in [true, false] {
-                let mut cur = node;
-                let mut next_k = 0usize;
-                for step in 1..=max_steps {
-                    match walk_step(ov, cur, d, positive, rng) {
-                        Some(next) => {
-                            stats.probe_msgs += 1;
-                            cur = next;
-                            if step == (1usize << next_k) {
-                                let side = if positive {
-                                    &mut table.positive
-                                } else {
-                                    &mut table.negative
-                                };
-                                side[d][next_k] = Some(cur);
-                                next_k += 1;
-                                if next_k > kmax {
-                                    break;
-                                }
-                            }
-                        }
-                        None => break, // reached the edge of the space
-                    }
-                }
-            }
-        }
-        (table, stats)
+        pick_uniform(filled(self.segment(dim, true)?), rng)
     }
 }
 
@@ -184,14 +130,20 @@ where
     items.nth(rng.random_range(0..count))
 }
 
-/// All nodes' index tables, plus shared bookkeeping.
+/// All nodes' index tables in one arena, plus shared bookkeeping.
+///
+/// Node `i`'s row is `arena[i·stride .. (i+1)·stride]` with
+/// `stride = 2·dim·(kmax+1)` node ids ([`EMPTY`] for "no entry"): no
+/// per-node heap object, refreshes write in place, and cloning all tables
+/// (one per shard fork) is a single `memcpy`.
 #[derive(Clone, Debug)]
 pub struct IndexTables {
-    tables: Vec<IndexTable>,
+    arena: Vec<u32>,
     /// Per-node refresh epochs: bumped whenever a node's table content
     /// changes (refresh, clear, eviction). Routing caches compare these to
     /// decide whether a memoized next hop computed from the table is stale.
     epochs: Vec<u64>,
+    dim: usize,
     kmax: usize,
 }
 
@@ -201,8 +153,9 @@ impl IndexTables {
     pub fn new(dim: usize, n: usize, max_nodes: usize) -> Self {
         let kmax = kmax_for(n, dim);
         IndexTables {
-            tables: vec![IndexTable::new(dim, kmax); max_nodes],
+            arena: vec![EMPTY; max_nodes * 2 * dim * (kmax + 1)],
             epochs: vec![0; max_nodes],
+            dim,
             kmax,
         }
     }
@@ -212,9 +165,25 @@ impl IndexTables {
         self.kmax
     }
 
+    #[inline]
+    fn stride(&self) -> usize {
+        2 * self.dim * (self.kmax + 1)
+    }
+
+    /// Where `node`'s row sits in the arena.
+    #[inline]
+    fn row_span(&self, node: NodeId) -> std::ops::Range<usize> {
+        let stride = self.stride();
+        node.idx() * stride..(node.idx() + 1) * stride
+    }
+
     /// Table of `node`.
-    pub fn get(&self, node: NodeId) -> &IndexTable {
-        &self.tables[node.idx()]
+    #[inline]
+    pub fn get(&self, node: NodeId) -> IndexTable<'_> {
+        IndexTable {
+            row: &self.arena[self.row_span(node)],
+            seg: self.kmax + 1,
+        }
     }
 
     /// Refresh epoch of `node`'s table (changes exactly when the table's
@@ -224,15 +193,43 @@ impl IndexTables {
         self.epochs[node.idx()]
     }
 
-    /// Refresh one node's table in place; returns probe accounting.
+    /// Rebuild `node`'s table in place by probe walks along every
+    /// dimension ("flooding the querying messages to its neighbors along
+    /// the d dimensions until reaching the edge of the CAN space", §III-A);
+    /// returns probe accounting.
+    ///
+    /// Each walk step picks a random neighbor with the right orientation,
+    /// recording the nodes reached at power-of-two hop counts.
     pub fn refresh_node<R: Rng>(
         &mut self,
         node: NodeId,
         ov: &CanOverlay,
         rng: &mut R,
     ) -> WalkStats {
-        let (t, stats) = IndexTable::refresh(node, ov, self.kmax, rng);
-        self.tables[node.idx()] = t;
+        debug_assert_eq!(ov.dim(), self.dim, "overlay/table dimension mismatch");
+        let (span, kmax) = (self.row_span(node), self.kmax);
+        let row = &mut self.arena[span];
+        row.fill(EMPTY);
+        let mut stats = WalkStats::default();
+        // One segment per (dimension, direction), positive first — the walk
+        // (and RNG draw) order.
+        for (s, entries) in row.chunks_exact_mut(kmax + 1).enumerate() {
+            let (d, positive) = (s / 2, s % 2 == 0);
+            let mut cur = node;
+            let mut next_k = 0usize;
+            for step in 1..=(1usize << kmax) {
+                let Some(next) = walk_step(ov, cur, d, positive, rng) else {
+                    break; // reached the edge of the space
+                };
+                stats.probe_msgs += 1;
+                cur = next;
+                if step == (1usize << next_k) {
+                    debug_assert_ne!(cur.0, EMPTY, "the sentinel is not a node id");
+                    entries[next_k] = cur.0;
+                    next_k += 1;
+                }
+            }
+        }
         self.epochs[node.idx()] += 1;
         stats
     }
@@ -250,11 +247,17 @@ impl IndexTables {
 
     /// Evict a churned-away node from every table; returns entries dropped.
     pub fn evict_everywhere(&mut self, node: NodeId) -> usize {
+        debug_assert_ne!(node.0, EMPTY, "the sentinel is not a node id");
         let mut total = 0;
-        for (i, t) in self.tables.iter_mut().enumerate() {
-            let n = t.evict(node);
+        let stride = self.stride();
+        for (row, epoch) in self.arena.chunks_exact_mut(stride).zip(&mut self.epochs) {
+            let mut n = 0;
+            for e in row.iter_mut().filter(|e| **e == node.0) {
+                *e = EMPTY;
+                n += 1;
+            }
             if n > 0 {
-                self.epochs[i] += 1;
+                *epoch += 1;
             }
             total += n;
         }
@@ -263,8 +266,8 @@ impl IndexTables {
 
     /// Clear one node's own table (it departed).
     pub fn clear_node(&mut self, node: NodeId) {
-        let dim = self.tables[node.idx()].positive.len();
-        self.tables[node.idx()] = IndexTable::new(dim, self.kmax);
+        let span = self.row_span(node);
+        self.arena[span].fill(EMPTY);
         self.epochs[node.idx()] += 1;
     }
 }
@@ -283,6 +286,28 @@ mod tests {
         // n = 2000, d = 2 ⇒ r ≈ 44.7 ⇒ kmax = 5.
         assert_eq!(kmax_for(2000, 2), 5);
         assert_eq!(kmax_for(1, 3), 0);
+        assert_eq!(kmax_for(0, 3), 0);
+    }
+
+    #[test]
+    fn kmax_is_exact_on_perfect_powers() {
+        // `powf` put 64^(1/3) at 3.9999999999999996 and answered 1.
+        assert_eq!(kmax_for(64, 3), 2);
+        assert_eq!(kmax_for(4096, 6), 2);
+        assert_eq!(kmax_for(4096, 3), 4);
+        for d in [2usize, 3, 5, 6] {
+            for k in 1..=(40 / d) {
+                let n = 1usize << (k * d);
+                assert_eq!(kmax_for(n, d), k, "n = 2^({k}*{d})");
+                assert_eq!(kmax_for(n - 1, d), k - 1, "n = 2^({k}*{d}) - 1");
+                assert_eq!(kmax_for(n + 1, d), k, "n = 2^({k}*{d}) + 1");
+            }
+        }
+        // The pinned and gallery scales keep their value.
+        for n in [192, 600, 2000, 10_000] {
+            assert_eq!(kmax_for(n, 5), if n < 1024 { 1 } else { 2 });
+        }
+        assert_eq!(kmax_for(usize::MAX, 1), usize::BITS as usize - 1);
     }
 
     #[test]
@@ -290,7 +315,9 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(51);
         let ov = CanOverlay::bootstrap(2, 64, 64, &mut rng);
         let node = NodeId(5);
-        let (t, stats) = IndexTable::refresh(node, &ov, kmax_for(64, 2), &mut rng);
+        let mut tables = IndexTables::new(2, 64, 64);
+        let stats = tables.refresh_node(node, &ov, &mut rng);
+        let t = tables.get(node);
         assert!(stats.probe_msgs > 0);
         // At least the k=0 entries (adjacent neighbors) exist in some
         // direction for an interior node.
@@ -317,7 +344,9 @@ mod tests {
         // Find the node owning the top corner: every negative index node of
         // it is a negative-direction node.
         let corner = ov.owner_of(&soc_types::ResVec::from_slice(&[1.0, 1.0]));
-        let (t, _) = IndexTable::refresh(corner, &ov, kmax_for(64, 2), &mut rng);
+        let mut tables = IndexTables::new(2, 64, 64);
+        tables.refresh_node(corner, &ov, &mut rng);
+        let t = tables.get(corner);
         let cz = ov.zone(corner).unwrap();
         for d in 0..2 {
             for id in t.along(d, false) {
@@ -398,8 +427,9 @@ mod tests {
                         walk_step(&ov, node, d, positive, &mut fast),
                         pick_collected(cands, &mut model)
                     );
-                    let side = if positive { &t.positive } else { &t.negative };
-                    let filled: Vec<NodeId> = side[d].iter().flatten().copied().collect();
+                    let filled: Vec<NodeId> = (0..=t.kmax())
+                        .filter_map(|k| t.get(d, positive, k))
+                        .collect();
                     let got = if positive {
                         t.random_positive(d, &mut fast)
                     } else {

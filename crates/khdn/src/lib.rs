@@ -64,53 +64,20 @@ impl KhdnConfig {
     }
 }
 
-/// KHDN-CAN wire messages.
+/// KHDN-CAN wire messages. Like `PidMsg`, every fat body (a
+/// `StateRecord`, a demand vector) sits behind a `Box` that travels with
+/// the message, so an event stays small and a relaying hop re-sends the
+/// box it received.
 #[derive(Clone, Debug)]
 pub enum KhdnMsg {
     /// Record being routed to its duty node.
-    StateUpdate {
-        /// Record payload.
-        rec: StateRecord,
-        /// Key-space target (normalized availability).
-        target: ResVec,
-        /// Routing TTL.
-        hops_left: u32,
-    },
+    StateUpdate(Box<RoutedRecord>),
     /// Record replica pushed to negative neighbors.
-    Replicate {
-        /// Record payload.
-        rec: StateRecord,
-        /// Remaining replication radius.
-        hops_left: usize,
-    },
+    Replicate(Box<Replica>),
     /// Query being routed to the demand vector's duty node.
-    Query {
-        /// Query identity.
-        qid: QueryId,
-        /// Requester.
-        requester: NodeId,
-        /// Demand vector (raw).
-        demand: ResVec,
-        /// Key-space target (normalized demand).
-        target: ResVec,
-        /// Results still wanted.
-        delta: usize,
-        /// Routing TTL.
-        hops_left: u32,
-    },
+    Query(Box<RoutedQuery>),
     /// Positive-direction sweep around the duty node.
-    Sweep {
-        /// Query identity.
-        qid: QueryId,
-        /// Requester.
-        requester: NodeId,
-        /// Demand vector (raw).
-        demand: ResVec,
-        /// Results still wanted.
-        delta: usize,
-        /// Remaining sweep radius.
-        hops_left: usize,
-    },
+    Sweep(Box<Sweep>),
     /// Results to the requester.
     Found {
         /// Query identity.
@@ -123,6 +90,60 @@ pub enum KhdnMsg {
         /// Query identity.
         qid: QueryId,
     },
+}
+
+const _: () = assert!(std::mem::size_of::<KhdnMsg>() <= 32);
+
+/// Body of [`KhdnMsg::StateUpdate`].
+#[derive(Clone, Debug)]
+pub struct RoutedRecord {
+    /// Record payload.
+    pub rec: StateRecord,
+    /// Key-space target (normalized availability).
+    pub target: ResVec,
+    /// Routing TTL.
+    pub hops_left: u32,
+}
+
+/// Body of [`KhdnMsg::Replicate`].
+#[derive(Clone, Debug)]
+pub struct Replica {
+    /// Record payload.
+    pub rec: StateRecord,
+    /// Remaining replication radius.
+    pub hops_left: usize,
+}
+
+/// Body of [`KhdnMsg::Query`].
+#[derive(Clone, Debug)]
+pub struct RoutedQuery {
+    /// Query identity.
+    pub qid: QueryId,
+    /// Requester.
+    pub requester: NodeId,
+    /// Demand vector (raw).
+    pub demand: ResVec,
+    /// Key-space target (normalized demand).
+    pub target: ResVec,
+    /// Results still wanted.
+    pub delta: usize,
+    /// Routing TTL.
+    pub hops_left: u32,
+}
+
+/// Body of [`KhdnMsg::Sweep`].
+#[derive(Clone, Debug)]
+pub struct Sweep {
+    /// Query identity.
+    pub qid: QueryId,
+    /// Requester.
+    pub requester: NodeId,
+    /// Demand vector (raw).
+    pub demand: ResVec,
+    /// Results still wanted.
+    pub delta: usize,
+    /// Remaining sweep radius.
+    pub hops_left: usize,
 }
 
 /// Per-query bookkeeping at the requester side (outstanding sweep
@@ -220,10 +241,10 @@ impl KhdnCan {
                 node,
                 t,
                 MsgKind::KhdnReplicate,
-                KhdnMsg::Replicate {
+                KhdnMsg::Replicate(Box::new(Replica {
                     rec,
                     hops_left: radius - 1,
-                },
+                })),
             );
         }
     }
@@ -308,35 +329,26 @@ impl KhdnCan {
                 node,
                 t,
                 MsgKind::IndexJump,
-                KhdnMsg::Sweep {
+                KhdnMsg::Sweep(Box::new(Sweep {
                     qid,
                     requester,
                     demand,
                     delta,
                     hops_left: self.cfg.sweep_hops.saturating_sub(1),
-                },
+                })),
             );
         }
     }
 
     /// Sweep handling at a positive-direction node.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_sweep(
-        &mut self,
-        ctx: &mut Ctx<'_, KhdnMsg>,
-        node: NodeId,
-        qid: QueryId,
-        requester: NodeId,
-        demand: ResVec,
-        mut delta: usize,
-        hops_left: usize,
-    ) {
+    fn handle_sweep(&mut self, ctx: &mut Ctx<'_, KhdnMsg>, node: NodeId, mut s: Box<Sweep>) {
+        let (qid, requester, demand) = (s.qid, s.requester, s.demand);
         let cands = self.probe_cache(node, &demand, ctx.now, ctx.prof);
         if !cands.is_empty() {
-            delta = delta.saturating_sub(cands.len());
+            s.delta = s.delta.saturating_sub(cands.len());
             self.notify_found(ctx, node, qid, requester, cands);
         }
-        if delta == 0 || hops_left == 0 {
+        if s.delta == 0 || s.hops_left == 0 {
             self.sweep_branch_finished(ctx, node, qid, requester);
             return;
         }
@@ -348,36 +360,17 @@ impl KhdnCan {
             .map(|e| e.node)
             .collect();
         let picks = sample_up_to(&pos, self.cfg.branch, ctx.rng);
-        if picks.is_empty() {
+        // Keep the requester's branch accounting simple and bounded: the
+        // sweep continues on ONE neighbor (the received box travels on),
+        // plus direct leaf probes to the others.
+        let mut iter = picks.into_iter();
+        let Some(first) = iter.next() else {
             self.sweep_branch_finished(ctx, node, qid, requester);
             return;
-        }
-        // This branch forks; tell the requester to adjust its accounting.
-        let extra = picks.len() - 1;
-        if extra > 0 {
-            // Track adjustment lives at the requester; fold it into the
-            // SweepDone protocol by *not* over-forking: relay to exactly
-            // one neighbor and treat the rest as new branches via Found
-            // bookkeeping is complex — instead keep branch count constant:
-            // relay to one; probe others only when they are leaves.
-        }
-        // Keep accounting simple and bounded: continue on ONE neighbor,
-        // plus direct leaf probes (hops_left == 1) to the others.
-        let mut iter = picks.into_iter();
-        if let Some(first) = iter.next() {
-            ctx.send(
-                node,
-                first,
-                MsgKind::IndexJump,
-                KhdnMsg::Sweep {
-                    qid,
-                    requester,
-                    demand,
-                    delta,
-                    hops_left: hops_left - 1,
-                },
-            );
-        }
+        };
+        let delta = s.delta;
+        s.hops_left -= 1;
+        ctx.send(node, first, MsgKind::IndexJump, KhdnMsg::Sweep(s));
         for other in iter {
             // Leaf probe: terminal sweep step (hops_left = 0 at receiver).
             if let Some(t) = self.tracks.get_mut(&qid) {
@@ -387,13 +380,13 @@ impl KhdnCan {
                 node,
                 other,
                 MsgKind::IndexJump,
-                KhdnMsg::Sweep {
+                KhdnMsg::Sweep(Box::new(Sweep {
                     qid,
                     requester,
                     demand,
                     delta,
                     hops_left: 0,
-                },
+                })),
             );
         }
     }
@@ -417,26 +410,12 @@ impl KhdnCan {
         }
     }
 
-    /// Route a message toward `target` greedily; returns `true` when `node`
-    /// owns it.
-    fn forward(
-        &mut self,
-        ctx: &mut Ctx<'_, KhdnMsg>,
-        node: NodeId,
-        target: &ResVec,
-        kind: MsgKind,
-        msg: KhdnMsg,
-    ) -> bool {
+    /// Greedy next hop toward `target`; `None` when `node` owns it.
+    fn route(&mut self, ctx: &Ctx<'_, KhdnMsg>, node: NodeId, target: &ResVec) -> Option<NodeId> {
         let t = ctx.prof.start();
         let hop = self.router.greedy_hop(ctx.can, node, target);
         ctx.prof.stop(Phase::Route, t);
-        match hop {
-            None => true,
-            Some(next) => {
-                ctx.send(node, next, kind, msg);
-                false
-            }
-        }
+        hop
     }
 }
 
@@ -468,61 +447,33 @@ impl DiscoveryOverlay for KhdnCan {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, KhdnMsg>, node: NodeId, msg: KhdnMsg) {
         match msg {
-            KhdnMsg::StateUpdate {
-                rec,
-                target,
-                hops_left,
-            } => {
-                let here = ctx.can.zone(node).is_some_and(|z| z.contains(&target));
-                if here || hops_left == 0 {
-                    self.absorb_record(ctx, node, rec);
-                } else {
-                    let m = KhdnMsg::StateUpdate {
-                        rec,
-                        target,
-                        hops_left: hops_left - 1,
-                    };
-                    if self.forward(ctx, node, &target, MsgKind::StateUpdate, m) {
-                        self.absorb_record(ctx, node, rec);
+            KhdnMsg::StateUpdate(mut m) => {
+                let here = ctx.can.zone(node).is_some_and(|z| z.contains(&m.target));
+                if !here && m.hops_left > 0 {
+                    if let Some(next) = self.route(ctx, node, &m.target) {
+                        m.hops_left -= 1;
+                        ctx.send(node, next, MsgKind::StateUpdate, KhdnMsg::StateUpdate(m));
+                        return;
                     }
                 }
+                self.absorb_record(ctx, node, m.rec);
             }
-            KhdnMsg::Replicate { rec, hops_left } => {
-                self.caches[node.idx()].insert(rec);
-                self.replicate(ctx, node, rec, hops_left);
+            KhdnMsg::Replicate(r) => {
+                self.caches[node.idx()].insert(r.rec);
+                self.replicate(ctx, node, r.rec, r.hops_left);
             }
-            KhdnMsg::Query {
-                qid,
-                requester,
-                demand,
-                target,
-                delta,
-                hops_left,
-            } => {
-                let here = ctx.can.zone(node).is_some_and(|z| z.contains(&target));
-                if here || hops_left == 0 {
-                    self.handle_duty(ctx, node, qid, requester, demand, delta);
-                } else {
-                    let m = KhdnMsg::Query {
-                        qid,
-                        requester,
-                        demand,
-                        target,
-                        delta,
-                        hops_left: hops_left - 1,
-                    };
-                    if self.forward(ctx, node, &target, MsgKind::DutyQuery, m) {
-                        self.handle_duty(ctx, node, qid, requester, demand, delta);
+            KhdnMsg::Query(mut q) => {
+                let here = ctx.can.zone(node).is_some_and(|z| z.contains(&q.target));
+                if !here && q.hops_left > 0 {
+                    if let Some(next) = self.route(ctx, node, &q.target) {
+                        q.hops_left -= 1;
+                        ctx.send(node, next, MsgKind::DutyQuery, KhdnMsg::Query(q));
+                        return;
                     }
                 }
+                self.handle_duty(ctx, node, q.qid, q.requester, q.demand, q.delta);
             }
-            KhdnMsg::Sweep {
-                qid,
-                requester,
-                demand,
-                delta,
-                hops_left,
-            } => self.handle_sweep(ctx, node, qid, requester, demand, delta, hops_left),
+            KhdnMsg::Sweep(s) => self.handle_sweep(ctx, node, s),
             KhdnMsg::Found { qid, candidates } => ctx.query_results(qid, candidates),
             KhdnMsg::SweepDone { qid } => self.branch_done(ctx, qid),
         }
@@ -537,13 +488,16 @@ impl DiscoveryOverlay for KhdnCan {
             avail,
             stored_at: ctx.now,
         };
-        let m = KhdnMsg::StateUpdate {
-            rec,
-            target,
-            hops_left: self.route_budget,
-        };
-        if self.forward(ctx, node, &target, MsgKind::StateUpdate, m) {
-            self.absorb_record(ctx, node, rec);
+        match self.route(ctx, node, &target) {
+            Some(next) => {
+                let m = Box::new(RoutedRecord {
+                    rec,
+                    target,
+                    hops_left: self.route_budget,
+                });
+                ctx.send(node, next, MsgKind::StateUpdate, KhdnMsg::StateUpdate(m));
+            }
+            None => self.absorb_record(ctx, node, rec),
         }
         ctx.timer(node, T_STATE, self.cfg.state_update_ms);
     }
@@ -551,23 +505,26 @@ impl DiscoveryOverlay for KhdnCan {
     fn start_query(&mut self, ctx: &mut Ctx<'_, KhdnMsg>, req: QueryRequest) {
         self.tracks.insert(req.qid, QueryTrack { outstanding: 1 });
         let target = ctx.normalize(&req.demand);
-        let m = KhdnMsg::Query {
-            qid: req.qid,
-            requester: req.requester,
-            demand: req.demand,
-            target,
-            delta: req.wanted,
-            hops_left: self.route_budget,
-        };
-        if self.forward(ctx, req.requester, &target, MsgKind::DutyQuery, m) {
-            self.handle_duty(
+        match self.route(ctx, req.requester, &target) {
+            Some(next) => {
+                let q = Box::new(RoutedQuery {
+                    qid: req.qid,
+                    requester: req.requester,
+                    demand: req.demand,
+                    target,
+                    delta: req.wanted,
+                    hops_left: self.route_budget,
+                });
+                ctx.send(req.requester, next, MsgKind::DutyQuery, KhdnMsg::Query(q));
+            }
+            None => self.handle_duty(
                 ctx,
                 req.requester,
                 req.qid,
                 req.requester,
                 req.demand,
                 req.wanted,
-            );
+            ),
         }
     }
 
@@ -594,12 +551,8 @@ impl DiscoveryOverlay for KhdnCan {
         match msg {
             // Sweep/duty branches die with their target; settle accounting
             // so the requester is not left hanging.
-            KhdnMsg::Sweep { qid, requester, .. } => {
-                self.sweep_branch_finished(ctx, from, qid, requester)
-            }
-            KhdnMsg::Query { qid, requester, .. } => {
-                self.sweep_branch_finished(ctx, from, qid, requester)
-            }
+            KhdnMsg::Sweep(s) => self.sweep_branch_finished(ctx, from, s.qid, s.requester),
+            KhdnMsg::Query(q) => self.sweep_branch_finished(ctx, from, q.qid, q.requester),
             // Records are republished next cycle; notifications are lost.
             _ => {}
         }

@@ -155,6 +155,12 @@ struct PendingQuery {
 
 /// Shard-level events. Every variant is anchored to one node, and the
 /// event is always processed by that node's shard.
+///
+/// An event is moved ~7 times between the handler that emits it and the
+/// handler that consumes it (effect → outbox/queue slab → pop → dispatch),
+/// so it stays at 48 bytes: protocol messages box their fat bodies (see
+/// the message enums), and the dispatch payload rides behind a `Box` that
+/// bounces with the task.
 enum Ev<M> {
     Deliver {
         /// Sender — the suspicion source when the delivery is suppressed
@@ -178,7 +184,7 @@ enum Ev<M> {
     },
     TaskArrive {
         to: NodeId,
-        spec: DispatchSpec,
+        spec: Box<DispatchSpec>,
     },
     Completion {
         node: NodeId,
@@ -192,6 +198,12 @@ enum Ev<M> {
         of: NodeId,
     },
 }
+
+const _: () = {
+    assert!(std::mem::size_of::<Ev<pidcan::PidMsg>>() <= 48);
+    assert!(std::mem::size_of::<Ev<soc_khdn::KhdnMsg>>() <= 48);
+    assert!(std::mem::size_of::<Ev<soc_gossip::GossipMsg>>() <= 48);
+};
 
 /// Coordinator events: whole-system concerns that need exclusive access to
 /// every shard. Processed between windows.
@@ -590,7 +602,7 @@ impl<P: DiscoveryOverlay> Shard<P> {
         let fallbacks: Vec<NodeId> = ranked[1..].iter().map(|c| c.node).collect();
         let tid = self.alloc_tid();
         let expect_s = expected_time(&p.demand, p.duration_s, &self.avg_cap);
-        let spec = DispatchSpec {
+        let spec = Box::new(DispatchSpec {
             tid,
             expect: p.demand,
             duration_s: p.duration_s,
@@ -599,7 +611,7 @@ impl<P: DiscoveryOverlay> Shard<P> {
             fallbacks,
             expect_s,
             is_local: false,
-        };
+        });
         self.dispatch_first(target, spec, world);
     }
 
@@ -610,7 +622,7 @@ impl<P: DiscoveryOverlay> Shard<P> {
     /// the fault model targets the control plane (forwarded queries,
     /// adverts, notifications), where the paper's protocols live. A
     /// payload-level fault story would need its own retransmit model.
-    fn dispatch_first(&mut self, target: NodeId, spec: DispatchSpec, world: &World) {
+    fn dispatch_first(&mut self, target: NodeId, spec: Box<DispatchSpec>, world: &World) {
         self.stats.record(MsgKind::Dispatch);
         let delay = if target == spec.requester {
             1
@@ -636,7 +648,13 @@ impl<P: DiscoveryOverlay> Shard<P> {
     /// delay is the return latency plus the forward transfer — which also
     /// gives every cross-shard leg the WAN latency floor the lookahead
     /// window requires.
-    fn dispatch_bounce(&mut self, at: NodeId, next: NodeId, spec: DispatchSpec, world: &World) {
+    fn dispatch_bounce(
+        &mut self,
+        at: NodeId,
+        next: NodeId,
+        spec: Box<DispatchSpec>,
+        world: &World,
+    ) {
         self.stats.record(MsgKind::Dispatch);
         let back = world.topo.latency(at, spec.requester, &mut self.rng_net);
         let fwd = if next == spec.requester {
@@ -661,11 +679,11 @@ impl<P: DiscoveryOverlay> Shard<P> {
     /// Inequality (2); reject to the next best-fit candidate when the node
     /// no longer qualifies (records were stale / a competitor won the
     /// race). A rejected task with no candidates left fails.
-    fn on_task_arrive(&mut self, to: NodeId, mut spec: DispatchSpec, world: &World) {
+    fn on_task_arrive(&mut self, to: NodeId, mut spec: Box<DispatchSpec>, world: &World) {
         let alive = self.hosts.alive[to.idx()];
         let qualifies = alive && self.hosts.execs[to.idx()].qualifies(&spec.expect);
         if qualifies {
-            self.start_task_on(to, spec);
+            self.start_task_on(to, &spec);
             return;
         }
         // Rejected (or the node died in transit): try the next candidate.
@@ -686,7 +704,7 @@ impl<P: DiscoveryOverlay> Shard<P> {
         }
     }
 
-    fn start_task_on(&mut self, node: NodeId, spec: DispatchSpec) {
+    fn start_task_on(&mut self, node: NodeId, spec: &DispatchSpec) {
         let now = self.now;
         self.task_info
             .insert(spec.tid, (spec.expect_s, spec.is_local));
@@ -780,7 +798,7 @@ impl<P: DiscoveryOverlay> Shard<P> {
             let expect_s = expected_time(&spec.expect, spec.duration_s, &self.avg_cap);
             self.start_task_on(
                 node,
-                DispatchSpec {
+                &DispatchSpec {
                     tid,
                     expect: spec.expect,
                     duration_s: spec.duration_s,
