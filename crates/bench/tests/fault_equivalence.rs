@@ -82,12 +82,25 @@ const PIN_KHDN: &str = "[scenario]\nname = pin-khdn\nprotocol = khdn\nnodes = 15
      duration_ms = 7200000\nlambda = 0.5\nseed = 14\nsample_ms = 600000\n\
      mean_arrival_s = 600\nmean_duration_s = 600\n";
 
-/// 24-node LANs: 8 LANs before churn headroom, so the windowed engine runs
-/// its full 8 shards, with churn swaps and checkpoint resubmissions
-/// crossing them.
+/// 24-node LANs: 8 LANs before churn headroom and 10 with it, which the
+/// windowed engine pairs up into 5 shards, with churn swaps and checkpoint
+/// resubmissions crossing them.
 const PIN_LANS_CKPT: &str = "[scenario]\nname = pin-lans-ckpt\nprotocol = hid\nnodes = 192\n\
      lan_size = 24\nduration_ms = 7200000\nlambda = 0.5\nseed = 15\nchurn = 0.5\n\
      checkpointing = true\nsample_ms = 600000\nmean_arrival_s = 600\nmean_duration_s = 600\n";
+
+/// Sharded churn again, now hostile and defended (run with
+/// `SOC_FAULT_DEFENSE=on`): blackholes and liars feed per-observer
+/// blacklists on every shard while churn swaps take observers and suspects
+/// away, so `node_leave` → `clear_node` / `on_node_left` cross shards with
+/// the defence layer live — the combination the zero-fault pins never meet.
+/// 30-node LANs: the 240 ids (192 + churn headroom) make 8 LANs, one per
+/// shard. (`PIN_LANS_CKPT`'s 24-node LANs make 10, which pair up into 5
+/// shards.)
+const PIN_LANS_DEFENCE: &str = "[scenario]\nname = pin-lans-defence\nprotocol = hid\nnodes = 192\n\
+     lan_size = 30\nduration_ms = 7200000\nlambda = 0.5\nseed = 16\nchurn = 0.5\n\
+     sample_ms = 600000\nmean_arrival_s = 600\nmean_duration_s = 600\n\
+     [fault]\nblackhole = 0.15\nliar = 0.1\n";
 
 /// Fault-free fingerprints (recorded via `repro scenario`). Zero-fault
 /// runs must reproduce them bitwise. These constants are what pins
@@ -101,7 +114,7 @@ fn zero_fault_runs_match_pre_fault_pins() {
         ("Newscast", PIN_NEWSCAST, 0xe326_5c4f_f52a_3bbd),
         ("KHDN", PIN_KHDN, 0x68f9_d495_9232_2402),
         (
-            "8-shard churny HID with checkpointing",
+            "sharded churny HID with checkpointing",
             PIN_LANS_CKPT,
             0xd0e7_50d5_39de_447d,
         ),
@@ -120,6 +133,27 @@ fn zero_fault_runs_match_pre_fault_pins() {
             "{what}: checkpoint resubmissions"
         );
     }
+}
+
+/// The defended hostile 8-shard run, pinned like the zero-fault ones: a
+/// change to how shards store per-node rows, or to which shard the
+/// coordinator notifies on a departure, must leave it alone. That this
+/// run really has blacklisting observers churn away is asserted where the
+/// blacklists are visible — `runner::exec_tests::
+/// churn_takes_blacklisting_observers_away`, same shape, in-crate.
+#[test]
+fn defended_hostile_sharded_churn_matches_pin() {
+    let r = with_env("on", None, || run_spec(PIN_LANS_DEFENCE));
+    assert_eq!(
+        fnv(&r),
+        0x9d44_3e02_0968_03ae,
+        "defended hostile 8-shard churn diverged from the pinned baseline"
+    );
+    let f = &r.faults;
+    assert!(f.blackhole_nodes > 0 && f.liar_nodes > 0, "{f:?}");
+    assert!(f.suspicions > 0, "no strike was ever registered: {f:?}");
+    assert!(f.blacklisted > 0, "nobody was ever blacklisted: {f:?}");
+    assert!(r.killed > 0, "churn never took a busy node away");
 }
 
 /// Omitting `[fault]` and writing it out all-zero are the same run.

@@ -77,6 +77,13 @@ fn exec_mode_from_env() -> ExecMode {
     }
 }
 
+fn defense_from_env() -> bool {
+    matches!(
+        soc_types::knobs::raw("SOC_FAULT_DEFENSE").as_deref(),
+        Some("on")
+    )
+}
+
 /// Host-side state visible to protocols. Each shard holds a full-size
 /// copy: the `execs` rows are authoritative only for the shard's own
 /// nodes, while `alive` and the fault flags are replicated everywhere and
@@ -94,7 +101,7 @@ struct Hosts {
     /// Per-node suspicion blacklists (defence layer; empty when off).
     /// Rows are authoritative for the shard's own observers (`by`).
     blacklist: Blacklist,
-    /// `SOC_FAULT_DEFENSE=on` — read once at construction.
+    /// `SOC_FAULT_DEFENSE=on` — read once per run, at the public entry.
     defense_on: bool,
 }
 
@@ -1289,6 +1296,7 @@ fn bootstrap<'s, P: DiscoveryOverlay>(
     proto: P,
     can_dim: usize,
     mode: ExecMode,
+    defense_on: bool,
 ) -> (Coord<'s>, RwLock<World>, Vec<Mutex<Shard<P>>>, bool) {
     let max_nodes = sc.n_nodes + id_headroom(sc.n_nodes);
     let mut rng_caps = stream_rng(sc.seed, RngStreams::NodeCapacities);
@@ -1296,10 +1304,6 @@ fn bootstrap<'s, P: DiscoveryOverlay>(
     let mut rng_overlay = stream_rng(sc.seed, RngStreams::Overlay);
     let mut rng_fault = stream_rng(sc.seed, RngStreams::Fault);
     let fault_master = FaultPlan::new(sc.fault, max_nodes, &mut rng_fault);
-    let defense_on = matches!(
-        soc_types::knobs::raw("SOC_FAULT_DEFENSE").as_deref(),
-        Some("on")
-    );
 
     let caps: Vec<ResVec> = (0..max_nodes)
         .map(|_| source.node_capacity(&mut rng_caps))
@@ -1821,10 +1825,12 @@ fn run_windowed<P: DiscoveryOverlay + Send>(
     proto: P,
     can_dim: usize,
     mode: ExecMode,
+    defense_on: bool,
 ) -> RunReport {
     // soc-lint: allow(no-wall-clock) -- wall_ms is diagnostic-only and excluded from fingerprint() (see report.rs FINGERPRINT_EXCLUDED)
     let wall_start = std::time::Instant::now();
-    let (mut coord, world, shards, threaded) = bootstrap(sc, source, proto, can_dim, mode);
+    let (mut coord, world, shards, threaded) =
+        bootstrap(sc, source, proto, can_dim, mode, defense_on);
 
     // Protocol start-up, per shard over its own live nodes (global node
     // order within each shard). Cross-shard bootstrap sends are cross-LAN,
@@ -1904,33 +1910,58 @@ fn run_scenario_with_exec(
     source: &mut dyn WorkloadSource,
     mode: ExecMode,
 ) -> RunReport {
+    let defense_on = defense_from_env();
     let max_nodes = sc.n_nodes + id_headroom(sc.n_nodes);
     // Scaled-down scenarios shrink task durations; protocol cycles shrink
     // by the same factor so staleness-vs-lifetime ratios stay faithful.
     let f = (sc.mean_duration_s / 3000.0).min(1.0);
     match sc.protocol {
-        ProtocolChoice::Hid => run_pidcan(sc, source, PidCanConfig::hid().scale_cycles(f), mode),
-        ProtocolChoice::Sid => run_pidcan(sc, source, PidCanConfig::sid().scale_cycles(f), mode),
-        ProtocolChoice::HidSos => {
-            run_pidcan(sc, source, PidCanConfig::hid_sos().scale_cycles(f), mode)
-        }
-        ProtocolChoice::SidSos => {
-            run_pidcan(sc, source, PidCanConfig::sid_sos().scale_cycles(f), mode)
-        }
-        ProtocolChoice::SidVd => {
-            run_pidcan(sc, source, PidCanConfig::sid_vd().scale_cycles(f), mode)
-        }
+        ProtocolChoice::Hid => run_pidcan(
+            sc,
+            source,
+            PidCanConfig::hid().scale_cycles(f),
+            mode,
+            defense_on,
+        ),
+        ProtocolChoice::Sid => run_pidcan(
+            sc,
+            source,
+            PidCanConfig::sid().scale_cycles(f),
+            mode,
+            defense_on,
+        ),
+        ProtocolChoice::HidSos => run_pidcan(
+            sc,
+            source,
+            PidCanConfig::hid_sos().scale_cycles(f),
+            mode,
+            defense_on,
+        ),
+        ProtocolChoice::SidSos => run_pidcan(
+            sc,
+            source,
+            PidCanConfig::sid_sos().scale_cycles(f),
+            mode,
+            defense_on,
+        ),
+        ProtocolChoice::SidVd => run_pidcan(
+            sc,
+            source,
+            PidCanConfig::sid_vd().scale_cycles(f),
+            mode,
+            defense_on,
+        ),
         ProtocolChoice::Newscast => {
             let proto = Newscast::new(
                 GossipConfig::default().scale_cycles(f),
                 sc.n_nodes,
                 max_nodes,
             );
-            run_windowed(sc, source, proto, soc_types::SOC_DIMS, mode)
+            run_windowed(sc, source, proto, soc_types::SOC_DIMS, mode, defense_on)
         }
         ProtocolChoice::Khdn => {
             let proto = KhdnCan::new(KhdnConfig::default().scale_cycles(f), sc.n_nodes, max_nodes);
-            run_windowed(sc, source, proto, soc_types::SOC_DIMS, mode)
+            run_windowed(sc, source, proto, soc_types::SOC_DIMS, mode, defense_on)
         }
     }
 }
@@ -1940,12 +1971,13 @@ fn run_pidcan(
     source: &mut dyn WorkloadSource,
     mut cfg: PidCanConfig,
     mode: ExecMode,
+    defense_on: bool,
 ) -> RunReport {
     let max_nodes = sc.n_nodes + id_headroom(sc.n_nodes);
     cfg.corner_jitter = sc.corner_jitter;
     let dim = cfg.overlay_dim();
     let proto = PidCan::new(cfg, dim, sc.n_nodes, max_nodes);
-    run_windowed(sc, source, proto, dim, mode)
+    run_windowed(sc, source, proto, dim, mode, defense_on)
 }
 
 #[cfg(test)]
@@ -2315,13 +2347,19 @@ mod exec_tests {
         assert_eq!(fp(&sc, ExecMode::Serial), fp(&sc, ExecMode::Sharded));
     }
 
-    /// Where [`Tripwire`] panics.
+    /// Where [`Tripwire`] panics — or, for the one passive wire, counts.
     #[derive(Clone, Copy)]
     enum Trip {
         /// On a shard's k-th message delivery — inside a worker's window.
         Delivery(usize),
         /// On the first node departure — on the coordinator, between windows.
         Leave,
+        /// Never: count the departures of nodes that, as observers, hold
+        /// an active blacklist entry against any of the `ids` node ids.
+        WatchLeaves {
+            ids: u32,
+            observers_gone: &'static AtomicU64,
+        },
     }
 
     /// A protocol that behaves exactly like `inner` until its tripwire
@@ -2377,6 +2415,17 @@ mod exec_tests {
                 !matches!(self.trip, Trip::Leave),
                 "tripwire: churn handler blew up"
             );
+            if let Trip::WatchLeaves {
+                ids,
+                observers_gone,
+            } = self.trip
+            {
+                // The hook runs before the coordinator forgets the
+                // victim's suspicions, so they are still readable here.
+                if (0..ids).any(|x| ctx.host.is_suspect(node, NodeId(x), ctx.now)) {
+                    observers_gone.fetch_add(1, Ordering::Relaxed);
+                }
+            }
             self.inner.on_node_left(ctx, node)
         }
         fn on_zones_reassigned(&mut self, ctx: &mut Ctx<'_, Self::Msg>, affected: &[NodeId]) {
@@ -2408,7 +2457,60 @@ mod exec_tests {
             inner: PidCan::new(cfg, dim, sc.n_nodes, max_nodes),
             trip,
         };
-        run_windowed(&sc, &mut build_source(&sc), proto, dim, ExecMode::Sharded);
+        run_windowed(
+            &sc,
+            &mut build_source(&sc),
+            proto,
+            dim,
+            ExecMode::Sharded,
+            false,
+        );
+    }
+
+    /// The shape of `PIN_LANS_DEFENCE` in the bench crate's
+    /// `fault_equivalence` suite — 8 one-LAN shards, churn 0.5, blackholes and
+    /// liars, defence on — really does what that pin is there for: nodes
+    /// that blacklist others are churned away (so `node_leave` must forget
+    /// an observer's row on one shard and the suspicions about it on all),
+    /// and strikes keep landing throughout.
+    #[test]
+    fn churn_takes_blacklisting_observers_away() {
+        static OBSERVERS_GONE: AtomicU64 = AtomicU64::new(0);
+        let mut sc = Scenario::quick(ProtocolChoice::Hid)
+            .nodes(192)
+            .hours(2)
+            .churn(0.5)
+            .seed(16)
+            .fault(FaultConfig {
+                blackhole_frac: 0.15,
+                liar_frac: 0.1,
+                ..FaultConfig::default()
+            });
+        sc.lan_size = 30;
+        let cfg = PidCanConfig::hid();
+        let dim = cfg.overlay_dim();
+        let max_nodes = sc.n_nodes + id_headroom(sc.n_nodes);
+        let proto = Tripwire {
+            inner: PidCan::new(cfg, dim, sc.n_nodes, max_nodes),
+            trip: Trip::WatchLeaves {
+                ids: max_nodes as u32,
+                observers_gone: &OBSERVERS_GONE,
+            },
+        };
+        let r = run_windowed(
+            &sc,
+            &mut build_source(&sc),
+            proto,
+            dim,
+            ExecMode::Serial,
+            true,
+        );
+        assert!(r.faults.suspicions > 0 && r.faults.blacklisted > 0);
+        assert!(
+            OBSERVERS_GONE.load(Ordering::Relaxed) > 0,
+            "no blacklisting observer ever left: {:?}",
+            r.faults
+        );
     }
 
     /// A worker that panics mid-window must surface its own message on the
