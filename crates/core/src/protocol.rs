@@ -12,8 +12,9 @@ use soc_net::MsgKind;
 use soc_overlay::{
     Candidate, Ctx, DiscoveryOverlay, Phase, QueryRequest, QueryVerdict, RecordCache, StateRecord,
 };
-use soc_types::{NodeId, QueryId, ResVec, SimMillis};
+use soc_types::{NodeId, OwnedRows, QueryId, ResVec, SimMillis};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Timer discriminants.
 const T_STATE: u32 = 0;
@@ -48,19 +49,20 @@ pub struct PidDiag {
 
 /// PID-CAN (SID/HID ± SoS ± VD) as a pluggable discovery overlay.
 ///
-/// `Clone` exists for the sharded executor's pristine per-shard forks
-/// ([`DiscoveryOverlay::fork_shard`]); it is only ever taken before
-/// `on_start`, while all per-node state is empty.
-#[derive(Clone)]
+/// An instance holds per-node rows (finger table, record cache, PIList)
+/// for one contiguous id range: every id for [`PidCan::new`], one shard's
+/// nodes for the executor's [`DiscoveryOverlay::fork_shard`] forks.
 pub struct PidCan {
     cfg: PidCanConfig,
+    /// Expected overlay size (sizes the finger depth and routing TTL).
+    n: usize,
     tables: IndexTables,
     /// Routed-message facade: every next-hop decision (forward, re-route
     /// around a dead hop) goes through here so the `SOC_ROUTE` cache can
     /// memoize the hot (node, target) pairs of a duty-routing burst.
     router: Router,
-    caches: Vec<RecordCache>,
-    pilists: Vec<PiList>,
+    caches: OwnedRows<RecordCache>,
+    pilists: OwnedRows<PiList>,
     queries: HashMap<QueryId, QueryState>,
     overlay_dim: usize,
     route_budget: u32,
@@ -79,16 +81,24 @@ impl PidCan {
     /// smaller spaces. With VD enabled, `overlay_dim` must be one more than
     /// the resource-vector dimensionality.
     pub fn new(cfg: PidCanConfig, overlay_dim: usize, n: usize, max_nodes: usize) -> Self {
+        Self::for_range(cfg, overlay_dim, n, 0..max_nodes as u32)
+    }
+
+    /// Like [`PidCan::new`], with per-node rows for the ids in `owned`
+    /// only. An empty range makes a template that is good for
+    /// [`DiscoveryOverlay::fork_shard`] and nothing else.
+    pub fn for_range(cfg: PidCanConfig, overlay_dim: usize, n: usize, owned: Range<u32>) -> Self {
         let dim = overlay_dim;
         // Generous routing TTL: 4·log2(n) + 16 covers INSCAN detours under
         // churn while bounding worst-case wandering.
         let route_budget = 4 * (n.max(2) as f64).log2().ceil() as u32 + 16;
         PidCan {
             cfg,
-            tables: IndexTables::new(dim, n, max_nodes),
+            n,
+            tables: IndexTables::for_range(dim, n, owned.clone()),
             router: Router::from_env(),
-            caches: vec![RecordCache::new(cfg.record_ttl_ms); max_nodes],
-            pilists: vec![PiList::new(); max_nodes],
+            caches: OwnedRows::new(owned.clone(), |_| RecordCache::new(cfg.record_ttl_ms)),
+            pilists: OwnedRows::new(owned, |_| PiList::new()),
             queries: HashMap::new(),
             overlay_dim: dim,
             route_budget,
@@ -107,6 +117,11 @@ impl PidCan {
         &self.cfg
     }
 
+    /// The id range this instance holds per-node rows for.
+    pub fn owned(&self) -> Range<u32> {
+        self.tables.owned()
+    }
+
     /// Read access to the finger tables (benches/diagnostics).
     pub fn tables(&self) -> &IndexTables {
         &self.tables
@@ -120,12 +135,12 @@ impl PidCan {
 
     /// Read access to a node's record cache (tests/diagnostics).
     pub fn cache(&self, node: NodeId) -> &RecordCache {
-        &self.caches[node.idx()]
+        &self.caches[node]
     }
 
     /// Read access to a node's PIList (tests/diagnostics).
     pub fn pilist(&self, node: NodeId) -> &PiList {
-        &self.pilists[node.idx()]
+        &self.pilists[node]
     }
 
     /// Map a raw resource vector to a CAN key-space point, appending the
@@ -228,7 +243,7 @@ impl PidCan {
     /// Store a routed record at `node` (its duty node, or the closest node
     /// the route could reach).
     fn store_record(&mut self, node: NodeId, subject: NodeId, avail: ResVec, now: SimMillis) {
-        self.caches[node.idx()].insert(StateRecord {
+        self.caches[node].insert(StateRecord {
             subject,
             avail,
             stored_at: now,
@@ -285,7 +300,7 @@ impl PidCan {
         dim_no: usize,
         dim_ttl: usize,
     ) {
-        self.pilists[node.idx()].insert(id, ctx.now);
+        self.pilists[node].insert(id, ctx.now);
         let table = self.tables.get(node);
         match self.cfg.diffusion {
             DiffusionMethod::Hopping => {
@@ -387,7 +402,7 @@ impl PidCan {
         if self.cfg.check_duty_cache {
             let mut found = std::mem::take(&mut self.found_buf);
             let t = ctx.prof.start();
-            self.caches[duty.idx()].qualified_into(&demand, ctx.now, &mut found);
+            self.caches[duty].qualified_into(&demand, ctx.now, &mut found);
             ctx.prof.stop(Phase::CacheProbe, t);
             if !found.is_empty() {
                 delta = delta.saturating_sub(found.len());
@@ -566,7 +581,8 @@ impl DiscoveryOverlay for PidCan {
     }
 
     fn diag_record_match(&self, demand: &ResVec, now: soc_types::SimMillis) -> Option<bool> {
-        Some(self.caches.iter().any(|c| c.has_qualified(demand, now)))
+        let held = self.caches.as_slice();
+        Some(held.iter().any(|c| c.has_qualified(demand, now)))
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, PidMsg>) {
@@ -588,12 +604,13 @@ impl DiscoveryOverlay for PidCan {
         // Every handler at node `x` touches only `caches[x]`, `pilists[x]`
         // and `x`'s finger-table row; query bookkeeping lives at the
         // requester and `Found`/`Exhausted` are delivered there. That is
-        // exactly the partition-by-node property the executor needs.
+        // exactly the partition-by-node property the executor needs — and
+        // a shard's fork has no other node's rows to touch by mistake.
         true
     }
 
-    fn fork_shard(&self) -> Option<Self> {
-        Some(self.clone())
+    fn fork_shard(&self, owned: Range<u32>) -> Option<Self> {
+        Some(Self::for_range(self.cfg, self.overlay_dim, self.n, owned))
     }
 
     fn absorb_diag(&mut self, other: &Self) {
@@ -641,7 +658,7 @@ impl DiscoveryOverlay for PidCan {
             }
             PidMsg::IndexAgent(mut s) => {
                 // Algorithm 4: sample a jump list from the local PIList.
-                s.jumps = self.pilists[node.idx()].sample(
+                s.jumps = self.pilists[node].sample(
                     self.cfg.jump_sample,
                     ctx.now,
                     self.cfg.pilist_ttl_ms,
@@ -658,7 +675,7 @@ impl DiscoveryOverlay for PidCan {
                 // Algorithm 5: search the local cache.
                 let mut found = std::mem::take(&mut self.found_buf);
                 let t = ctx.prof.start();
-                self.caches[node.idx()].qualified_into(&s.demand, ctx.now, &mut found);
+                self.caches[node].qualified_into(&s.demand, ctx.now, &mut found);
                 ctx.prof.stop(Phase::CacheProbe, t);
                 self.diag.jump_visits += 1;
                 let cands: Vec<Candidate> = found
@@ -676,7 +693,7 @@ impl DiscoveryOverlay for PidCan {
                 } else if s.budget > 0 {
                     // §III-B1 relay: extend the chain with this index
                     // node's own positive-index knowledge.
-                    for extra in self.pilists[node.idx()].sample(
+                    for extra in self.pilists[node].sample(
                         self.cfg.jump_refill,
                         ctx.now,
                         self.cfg.pilist_ttl_ms,
@@ -722,9 +739,9 @@ impl DiscoveryOverlay for PidCan {
                 ctx.timer(node, T_STATE, self.cfg.state_update_ms);
             }
             T_DIFFUSE => {
-                self.caches[node.idx()].purge_expired(ctx.now);
-                self.pilists[node.idx()].purge(ctx.now, self.cfg.pilist_ttl_ms);
-                if !self.caches[node.idx()].is_empty_at(ctx.now) {
+                self.caches[node].purge_expired(ctx.now);
+                self.pilists[node].purge(ctx.now, self.cfg.pilist_ttl_ms);
+                if !self.caches[node].is_empty_at(ctx.now) {
                     self.diffuse_index(ctx, node);
                 }
                 ctx.timer(node, T_DIFFUSE, self.cfg.diffusion_ms);
@@ -767,16 +784,16 @@ impl DiscoveryOverlay for PidCan {
     }
 
     fn on_node_joined(&mut self, ctx: &mut Ctx<'_, PidMsg>, node: NodeId) {
-        self.caches[node.idx()] = RecordCache::new(self.cfg.record_ttl_ms);
-        self.pilists[node.idx()] = PiList::new();
+        self.caches[node] = RecordCache::new(self.cfg.record_ttl_ms);
+        self.pilists[node] = PiList::new();
         let stats = self.tables.refresh_node(node, ctx.can, ctx.rng);
         ctx.charge(node, MsgKind::Maintenance, stats.probe_msgs);
         self.arm_node_timers(ctx, node);
     }
 
     fn on_node_left(&mut self, _ctx: &mut Ctx<'_, PidMsg>, node: NodeId) {
-        self.caches[node.idx()] = RecordCache::new(self.cfg.record_ttl_ms);
-        self.pilists[node.idx()] = PiList::new();
+        self.caches[node] = RecordCache::new(self.cfg.record_ttl_ms);
+        self.pilists[node] = PiList::new();
         self.tables.clear_node(node);
         // Abandon queries the departed requester owned. Fingers elsewhere
         // that still point at the dead node are skipped by routing and
@@ -1011,6 +1028,30 @@ mod tests {
             assert_ne!(next, hop, "avoided hop chosen");
             assert_ne!(next, fallback, "suspected fallback chosen");
         }
+    }
+
+    #[test]
+    fn a_fork_holds_rows_for_its_own_range_only() {
+        let template = PidCan::for_range(PidCanConfig::hid(), 2, N, 0..0);
+        assert!(template.owned().is_empty());
+        let fork = template.fork_shard(4..12).expect("PID-CAN forks");
+        assert_eq!(fork.owned(), 4..12);
+        assert_eq!(
+            fork.tables().kmax(),
+            PidCan::new(*fork.config(), 2, N, N).tables().kmax()
+        );
+        for i in 4..12 {
+            assert!(fork.cache(NodeId(i)).is_empty());
+            assert!(fork.pilist(NodeId(i)).is_empty());
+            assert_eq!(fork.tables().epoch_of(NodeId(i)), 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row of n12 is not held here (owned ids 4..12)")]
+    fn a_fork_has_no_cache_for_a_foreign_node() {
+        let fork = PidCan::for_range(PidCanConfig::hid(), 2, N, 4..12);
+        let _ = fork.cache(NodeId(12));
     }
 
     #[test]

@@ -68,7 +68,11 @@ impl RouteBackend {
 /// direct-mapped conflict rate low for 416 KiB per router (104-byte
 /// cells). There is one router per protocol instance and the sharded
 /// executor forks one instance per shard, so a default 8-shard run holds
-/// 8 × 416 KiB.
+/// up to 8 × 416 KiB = 3.3 MB (a router allocates on its first miss).
+/// That is still so now that a shard's per-node tables cover its own ids
+/// only, which makes these caches — each sized for the whole overlay, each
+/// routing for 1/8 of it — the largest replicated item of a sharded run
+/// (30 % of what the n = 2000 cell keeps resident).
 const CELLS: usize = 4096;
 
 /// One memoized next-hop decision.
@@ -98,12 +102,10 @@ pub struct RouteCacheStats {
 ///
 /// Both entry points return bit-identically what their underlying scan
 /// (`inscan_next_hop` / `greedy_next_hop`) returns; the `Cached` backend
-/// only changes *when the work happens*. `Clone` exists for the sharded
-/// executor's per-shard protocol forks; since cache contents never change
-/// what a lookup returns, cloned caches stay semantics-transparent.
-#[derive(Clone)]
+/// only changes *when the work happens*.
 pub struct Router {
     backend: RouteBackend,
+    /// Empty until the first miss stores its answer, then [`CELLS`] long.
     cells: Vec<Option<Entry>>,
     stats: RouteCacheStats,
 }
@@ -113,10 +115,10 @@ impl Router {
     pub fn with_backend(backend: RouteBackend) -> Self {
         Router {
             backend,
-            // The scan backend never touches the cells; allocate lazily on
-            // first cached lookup would complicate the hot path for no
-            // gain — a run constructs O(1) routers.
-            cells: vec![None; CELLS],
+            // A router that never routes — the scan backend's, a protocol
+            // template's, a shard's with no live node — never pays for the
+            // table; the others fill it on their first miss.
+            cells: Vec::new(),
             stats: RouteCacheStats::default(),
         }
     }
@@ -191,7 +193,7 @@ impl Router {
         greedy: bool,
         tbl_epoch: u64,
     ) -> Option<Option<NodeId>> {
-        if let Some(e) = &self.cells[cell] {
+        if let Some(Some(e)) = self.cells.get(cell) {
             if e.node == node
                 && e.greedy == greedy
                 && e.ov_epoch == ov.epoch()
@@ -218,6 +220,9 @@ impl Router {
         tbl_epoch: u64,
         hop: Option<NodeId>,
     ) {
+        if self.cells.is_empty() {
+            self.cells = vec![None; CELLS];
+        }
         self.cells[cell] = Some(Entry {
             node,
             target: *target,
@@ -284,6 +289,24 @@ mod tests {
         }
         let s = router.cache_stats();
         assert!(s.hits > s.misses, "repeats must hit: {s:?}");
+    }
+
+    #[test]
+    fn the_table_is_allocated_by_the_first_miss_of_the_cached_backend() {
+        let (ov, tables, mut rng) = setup(64, 2, 93);
+        let p = random_point(2, &mut rng);
+        let mut cached = Router::with_backend(RouteBackend::Cached);
+        let mut scan = Router::with_backend(RouteBackend::Scan);
+        assert!(cached.cells.is_empty());
+        let want = inscan_next_hop(&ov, &tables, NodeId(3), &p);
+        for _ in 0..2 {
+            assert_eq!(cached.next_hop(&ov, &tables, NodeId(3), &p), want);
+            assert_eq!(scan.next_hop(&ov, &tables, NodeId(3), &p), want);
+        }
+        assert_eq!(cached.cells.len(), CELLS);
+        let stats = cached.cache_stats();
+        assert_eq!((stats.misses, stats.hits), (1, 1));
+        assert!(scan.cells.is_empty(), "the scan backend never needs one");
     }
 
     #[test]

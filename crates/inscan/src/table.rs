@@ -2,7 +2,8 @@
 
 use rand::{Rng, RngExt};
 use soc_can::CanOverlay;
-use soc_types::NodeId;
+use soc_types::{NodeId, OwnedRows};
+use std::ops::Range;
 
 /// The paper's `k` bound: `⌊log2 n^{1/d}⌋` (so the largest finger spans
 /// roughly half the nodes along one dimension) — the largest `k` with
@@ -130,34 +131,46 @@ where
     items.nth(rng.random_range(0..count))
 }
 
-/// All nodes' index tables in one arena, plus shared bookkeeping.
+/// The index tables of one contiguous range of node ids in one arena, plus
+/// shared bookkeeping.
 ///
-/// Node `i`'s row is `arena[i·stride .. (i+1)·stride]` with
+/// The `s`-th owned node's row is `arena[s·stride .. (s+1)·stride]` with
 /// `stride = 2·dim·(kmax+1)` node ids ([`EMPTY`] for "no entry"): no
-/// per-node heap object, refreshes write in place, and cloning all tables
-/// (one per shard fork) is a single `memcpy`.
+/// per-node heap object, and refreshes write in place. The id → slot
+/// mapping is [`OwnedRows::slot`], so asking for a node outside the range
+/// panics — a shard's tables hold its own nodes' rows and nobody else's.
 #[derive(Clone, Debug)]
 pub struct IndexTables {
     arena: Vec<u32>,
     /// Per-node refresh epochs: bumped whenever a node's table content
     /// changes (refresh, clear, eviction). Routing caches compare these to
     /// decide whether a memoized next hop computed from the table is stale.
-    epochs: Vec<u64>,
+    epochs: OwnedRows<u64>,
     dim: usize,
     kmax: usize,
 }
 
 impl IndexTables {
-    /// Empty tables for `max_nodes` ids in a `dim`-dimensional overlay of
-    /// expected size `n`.
+    /// Empty tables for all `max_nodes` ids in a `dim`-dimensional overlay
+    /// of expected size `n`.
     pub fn new(dim: usize, n: usize, max_nodes: usize) -> Self {
+        Self::for_range(dim, n, 0..max_nodes as u32)
+    }
+
+    /// Empty tables for the ids in `owned` only.
+    pub fn for_range(dim: usize, n: usize, owned: Range<u32>) -> Self {
         let kmax = kmax_for(n, dim);
         IndexTables {
-            arena: vec![EMPTY; max_nodes * 2 * dim * (kmax + 1)],
-            epochs: vec![0; max_nodes],
+            arena: vec![EMPTY; owned.len() * 2 * dim * (kmax + 1)],
+            epochs: OwnedRows::new(owned, |_| 0),
             dim,
             kmax,
         }
+    }
+
+    /// The id range these tables hold rows for.
+    pub fn owned(&self) -> Range<u32> {
+        self.epochs.owned()
     }
 
     /// Finger exponent bound.
@@ -172,9 +185,9 @@ impl IndexTables {
 
     /// Where `node`'s row sits in the arena.
     #[inline]
-    fn row_span(&self, node: NodeId) -> std::ops::Range<usize> {
-        let stride = self.stride();
-        node.idx() * stride..(node.idx() + 1) * stride
+    fn row_span(&self, node: NodeId) -> Range<usize> {
+        let (slot, stride) = (self.epochs.slot(node), self.stride());
+        slot * stride..(slot + 1) * stride
     }
 
     /// Table of `node`.
@@ -190,7 +203,7 @@ impl IndexTables {
     /// content may have changed).
     #[inline]
     pub fn epoch_of(&self, node: NodeId) -> u64 {
-        self.epochs[node.idx()]
+        self.epochs[node]
     }
 
     /// Rebuild `node`'s table in place by probe walks along every
@@ -230,11 +243,12 @@ impl IndexTables {
                 }
             }
         }
-        self.epochs[node.idx()] += 1;
+        self.epochs[node] += 1;
         stats
     }
 
-    /// Refresh every live node (bootstrap); returns total probe accounting.
+    /// Refresh every live node (bootstrap of tables that hold every id);
+    /// returns total probe accounting.
     pub fn refresh_all<R: Rng>(&mut self, ov: &CanOverlay, rng: &mut R) -> WalkStats {
         let mut total = WalkStats::default();
         let nodes: Vec<NodeId> = ov.live_nodes().collect();
@@ -245,12 +259,14 @@ impl IndexTables {
         total
     }
 
-    /// Evict a churned-away node from every table; returns entries dropped.
+    /// Evict a churned-away node from every table held here; returns
+    /// entries dropped.
     pub fn evict_everywhere(&mut self, node: NodeId) -> usize {
         debug_assert_ne!(node.0, EMPTY, "the sentinel is not a node id");
         let mut total = 0;
         let stride = self.stride();
-        for (row, epoch) in self.arena.chunks_exact_mut(stride).zip(&mut self.epochs) {
+        let epochs = self.epochs.as_mut_slice();
+        for (row, epoch) in self.arena.chunks_exact_mut(stride).zip(epochs) {
             let mut n = 0;
             for e in row.iter_mut().filter(|e| **e == node.0) {
                 *e = EMPTY;
@@ -268,7 +284,7 @@ impl IndexTables {
     pub fn clear_node(&mut self, node: NodeId) {
         let span = self.row_span(node);
         self.arena[span].fill(EMPTY);
-        self.epochs[node.idx()] += 1;
+        self.epochs[node] += 1;
     }
 }
 

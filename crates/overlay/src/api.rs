@@ -5,6 +5,7 @@ use soc_can::CanOverlay;
 use soc_net::{MsgCounts, MsgKind};
 use soc_profile::ProfRef;
 use soc_types::{NodeId, QueryId, ResVec, SimMillis};
+use std::ops::Range;
 
 /// Protocol-defined timer discriminant (e.g. "state-update cycle",
 /// "diffusion cycle"). Values are private to each protocol.
@@ -241,19 +242,28 @@ pub trait DiscoveryOverlay {
     /// May this protocol's state be partitioned by node across shards?
     /// `true` requires every handler at node `x` to touch only `x`'s own
     /// per-node rows (caches, timers, tables) and requester-owned query
-    /// state — the property the exec-equivalence suites pin. Default
-    /// `false` forces the windowed executor down to one shard.
+    /// state. The executor holds a shardable protocol to that: each shard
+    /// runs an instance forked for its own id range, which has no other
+    /// node's rows to touch, and churn hooks for a node reach its owner
+    /// shard's instance only. A shardable protocol must therefore
+    /// implement [`DiscoveryOverlay::fork_shard`]. Default `false` forces
+    /// the windowed executor down to one shard.
     fn shardable(&self) -> bool {
         false
     }
 
-    /// Clone a pristine per-shard instance (called once per shard before
-    /// `on_start_nodes`, while all per-node state is still empty). `None`
-    /// (the default) also forces a single shard.
-    fn fork_shard(&self) -> Option<Self>
+    /// A pristine instance — same configuration, no per-node state yet —
+    /// holding per-node rows for the ids in `owned` only. Called on a
+    /// template instance once per shard, before `on_start_nodes`; a
+    /// single-shard run forks once with the full id range, so the template
+    /// itself never needs rows. `None` (the default, for protocols that
+    /// are not [`DiscoveryOverlay::shardable`]) makes the one shard run
+    /// the instance it was handed, which must then cover every id.
+    fn fork_shard(&self, owned: Range<u32>) -> Option<Self>
     where
         Self: Sized,
     {
+        let _ = owned;
         None
     }
 
@@ -281,6 +291,9 @@ pub trait DiscoveryOverlay {
     fn on_node_joined(&mut self, ctx: &mut Ctx<'_, Self::Msg>, node: NodeId);
 
     /// A node left the overlay (churn); references to it should be dropped.
+    /// A sharded run calls this on the instance holding `node`'s own rows
+    /// and on no other, so a shardable protocol can only reset those rows
+    /// and abandon the queries `node` requested.
     fn on_node_left(&mut self, ctx: &mut Ctx<'_, Self::Msg>, node: NodeId);
 
     /// Diagnostic: free-form protocol counters for calibration reports.

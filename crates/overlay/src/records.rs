@@ -15,7 +15,7 @@
 //! naive `Vec` oracle.
 
 use soc_types::{NodeId, ResVec, SimMillis};
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// One cached availability record: "node `subject` had availability `avail`
 /// as of `stored_at`".
@@ -73,12 +73,17 @@ impl RecordCache {
     }
 
     /// Insert/replace the record for its subject. Keeps the newer one if a
-    /// record for the same subject is already present.
+    /// record for the same subject is already present (an equally old one
+    /// is replaced).
     pub fn insert(&mut self, rec: StateRecord) {
-        match self.records.get(&rec.subject) {
-            Some(old) if old.stored_at > rec.stored_at => {}
-            _ => {
-                self.records.insert(rec.subject, rec);
+        match self.records.entry(rec.subject) {
+            Entry::Vacant(slot) => {
+                slot.insert(rec);
+            }
+            Entry::Occupied(mut slot) => {
+                if slot.get().stored_at <= rec.stored_at {
+                    slot.insert(rec);
+                }
             }
         }
     }

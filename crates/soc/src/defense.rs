@@ -22,8 +22,9 @@
 //! workspace-wide.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
-use soc_types::{NodeId, SimMillis};
+use soc_types::{NodeId, OwnedRows, SimMillis};
 
 /// Tunables for the suspicion/blacklist/retry pipeline.
 #[derive(Clone, Copy, Debug)]
@@ -65,31 +66,35 @@ struct Entry {
     until: SimMillis,
 }
 
-/// Per-node blacklists: `per[by]` maps suspected node → entry.
-#[derive(Clone, Debug, Default)]
+/// Per-node blacklists: `per[by]` maps suspected node → entry. There is a
+/// row for every observer in the owned id range (a shard's own nodes);
+/// suspects are arbitrary node ids.
+#[derive(Clone, Debug)]
 pub struct Blacklist {
-    per: Vec<BTreeMap<NodeId, Entry>>,
+    per: OwnedRows<BTreeMap<NodeId, Entry>>,
     /// Total blacklisting events over the run (re-blacklisting after
     /// expiry counts again).
     pub blacklisted_total: u64,
-    /// Peak number of simultaneously active entries across all nodes.
-    pub peak: u64,
 }
 
 impl Blacklist {
-    /// A blacklist for `n` nodes, all empty.
-    pub fn new(n: usize) -> Self {
+    /// Empty blacklists for the observers with ids in `observers`.
+    pub fn new(observers: Range<u32>) -> Self {
         Blacklist {
-            per: vec![BTreeMap::new(); n],
+            per: OwnedRows::new(observers, |_| BTreeMap::new()),
             blacklisted_total: 0,
-            peak: 0,
         }
+    }
+
+    /// The observers (ids) this blacklist holds a row for.
+    pub fn observers(&self) -> Range<u32> {
+        self.per.owned()
     }
 
     /// Register a strike by `by` against `of` at `now`. Returns true when
     /// this strike newly blacklisted `of` (for confusion accounting).
     pub fn strike(&mut self, by: NodeId, of: NodeId, now: SimMillis, p: &DefenseParams) -> bool {
-        let e = self.per[by.idx()].entry(of).or_insert(Entry {
+        let e = self.per[by].entry(of).or_insert(Entry {
             strikes: 0,
             window_start: now,
             until: 0,
@@ -106,8 +111,6 @@ impl Blacklist {
             e.strikes = 0;
             e.window_start = now;
             self.blacklisted_total += 1;
-            let active = self.active_total(now);
-            self.peak = self.peak.max(active);
             return true;
         }
         false
@@ -116,23 +119,26 @@ impl Blacklist {
     /// Is `of` currently blacklisted by `by`? Read-only — expired entries
     /// simply stop matching (they are swept lazily on `clear_node`).
     pub fn is_blacklisted(&self, by: NodeId, of: NodeId, now: SimMillis) -> bool {
-        self.per[by.idx()].get(&of).is_some_and(|e| e.until > now)
+        self.per[by].get(&of).is_some_and(|e| e.until > now)
     }
 
-    /// Number of active (unexpired) entries across all observers.
+    /// Number of active (unexpired) entries across the observers held here.
     pub fn active_total(&self, now: SimMillis) -> u64 {
         self.per
+            .as_slice()
             .iter()
             .map(|m| m.values().filter(|e| e.until > now).count() as u64)
             .sum()
     }
 
-    /// A node churned away and was replaced: forget its own suspicions and
-    /// everyone's suspicions about it — the new occupant of the slot is a
-    /// different machine.
+    /// A node churned away and was replaced: forget its own suspicions
+    /// (when its row is held here) and the held observers' suspicions about
+    /// it — the new occupant of the slot is a different machine.
     pub fn clear_node(&mut self, node: NodeId) {
-        self.per[node.idx()].clear();
-        for m in &mut self.per {
+        if let Some(own) = self.per.get_mut(node) {
+            own.clear();
+        }
+        for m in self.per.as_mut_slice() {
             m.remove(&node);
         }
     }
@@ -148,7 +154,7 @@ mod tests {
 
     #[test]
     fn single_strike_does_not_blacklist() {
-        let mut b = Blacklist::new(4);
+        let mut b = Blacklist::new(0..4);
         assert!(!b.strike(NodeId(0), NodeId(1), 1_000, &p()));
         assert!(!b.is_blacklisted(NodeId(0), NodeId(1), 1_001));
         assert_eq!(b.blacklisted_total, 0);
@@ -156,19 +162,19 @@ mod tests {
 
     #[test]
     fn threshold_strikes_within_window_blacklist() {
-        let mut b = Blacklist::new(4);
+        let mut b = Blacklist::new(0..4);
         assert!(!b.strike(NodeId(0), NodeId(1), 1_000, &p()));
         assert!(b.strike(NodeId(0), NodeId(1), 30_000, &p()));
         assert!(b.is_blacklisted(NodeId(0), NodeId(1), 30_001));
         assert_eq!(b.blacklisted_total, 1);
-        assert_eq!(b.peak, 1);
+        assert_eq!(b.active_total(30_001), 1);
     }
 
     #[test]
     fn slow_but_honest_node_is_not_permanently_blacklisted() {
         // Isolated strikes spaced wider than the window never accumulate:
         // the occasional lost message cannot blacklist an honest node.
-        let mut b = Blacklist::new(4);
+        let mut b = Blacklist::new(0..4);
         let params = p();
         for k in 0..10 {
             let t = 1_000 + k * (params.strike_window_ms + 1);
@@ -187,7 +193,7 @@ mod tests {
 
     #[test]
     fn entries_expire_and_can_reblacklist() {
-        let mut b = Blacklist::new(4);
+        let mut b = Blacklist::new(0..4);
         let params = p();
         b.strike(NodeId(0), NodeId(1), 1_000, &params);
         assert!(b.strike(NodeId(0), NodeId(1), 2_000, &params));
@@ -202,7 +208,7 @@ mod tests {
 
     #[test]
     fn suspicion_is_per_observer() {
-        let mut b = Blacklist::new(4);
+        let mut b = Blacklist::new(0..4);
         b.strike(NodeId(0), NodeId(1), 1_000, &p());
         b.strike(NodeId(0), NodeId(1), 2_000, &p());
         assert!(b.is_blacklisted(NodeId(0), NodeId(1), 3_000));
@@ -211,7 +217,7 @@ mod tests {
 
     #[test]
     fn clear_node_forgets_both_directions() {
-        let mut b = Blacklist::new(4);
+        let mut b = Blacklist::new(0..4);
         b.strike(NodeId(0), NodeId(1), 1_000, &p());
         b.strike(NodeId(0), NodeId(1), 2_000, &p());
         b.strike(NodeId(1), NodeId(2), 1_000, &p());
@@ -223,8 +229,31 @@ mod tests {
     }
 
     #[test]
+    fn clear_node_without_the_nodes_own_row_only_forgets_suspicions_about_it() {
+        // Two shards' blacklists: node 1's row lives in `a`, yet `b`'s
+        // observers may suspect it too.
+        let (mut a, mut b) = (Blacklist::new(0..4), Blacklist::new(4..8));
+        for t in [1_000, 2_000] {
+            a.strike(NodeId(1), NodeId(6), t, &p());
+            b.strike(NodeId(5), NodeId(1), t, &p());
+            b.strike(NodeId(5), NodeId(2), t, &p());
+        }
+        a.clear_node(NodeId(1));
+        b.clear_node(NodeId(1));
+        assert_eq!(a.active_total(3_000), 0);
+        assert!(!b.is_blacklisted(NodeId(5), NodeId(1), 3_000));
+        assert!(b.is_blacklisted(NodeId(5), NodeId(2), 3_000));
+    }
+
+    #[test]
+    #[should_panic(expected = "row of n5 is not held here")]
+    fn striking_for_an_observer_held_elsewhere_panics() {
+        Blacklist::new(0..4).strike(NodeId(5), NodeId(1), 1_000, &p());
+    }
+
+    #[test]
     fn while_listed_strikes_do_not_double_count() {
-        let mut b = Blacklist::new(4);
+        let mut b = Blacklist::new(0..4);
         let params = p();
         b.strike(NodeId(0), NodeId(1), 1_000, &params);
         assert!(b.strike(NodeId(0), NodeId(1), 2_000, &params));

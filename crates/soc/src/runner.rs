@@ -5,11 +5,14 @@
 //! The simulation state is partitioned into **shards** — unions of whole
 //! LANs — and driven by one engine in bounded lookahead windows:
 //!
-//! - Every shard owns its nodes' event queue, protocol instance rows,
-//!   executors, pending queries and RNG streams. A window `[w0, wb)` is
-//!   chosen so that `wb − w0` never exceeds the minimum cross-LAN latency
-//!   (the conservative lookahead `L`); each shard then pops its own events
-//!   up to `wb` with no knowledge of the others.
+//! - Every shard owns its nodes' event queue, protocol instance,
+//!   executors, pending queries and RNG streams. Its nodes are one
+//!   contiguous id range, and every per-node table it keeps — executors,
+//!   completion memo, blacklists, the protocol's caches and finger tables —
+//!   has rows for that range and no other ([`OwnedRows`]). A window
+//!   `[w0, wb)` is chosen so that `wb − w0` never exceeds the minimum
+//!   cross-LAN latency (the conservative lookahead `L`); each shard then
+//!   pops its own events up to `wb` with no knowledge of the others.
 //! - Events a shard generates for a foreign shard (message deliveries,
 //!   task dispatches, suspicion timers for foreign observers) are buffered
 //!   in a per-shard **outbox**. Since cross-shard always means cross-LAN,
@@ -52,10 +55,11 @@ use soc_overlay::{
 };
 use soc_psm::{NodeExec, PsmConfig, RunningTask};
 use soc_simcore::{stream_rng, stream_rng_shard, EventQueue, RngStreams};
-use soc_types::{NodeId, QueryId, ResVec, SimMillis, TaskId, PERF_DIMS};
+use soc_types::{NodeId, OwnedRows, QueryId, ResVec, SimMillis, TaskId, PERF_DIMS};
 use soc_workload::{cmax, SyntheticSource, WorkloadSource};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex, RwLock};
@@ -84,12 +88,14 @@ fn defense_from_env() -> bool {
     )
 }
 
-/// Host-side state visible to protocols. Each shard holds a full-size
-/// copy: the `execs` rows are authoritative only for the shard's own
-/// nodes, while `alive` and the fault flags are replicated everywhere and
-/// re-synchronized by the coordinator on churn (the only writer).
+/// Host-side state visible to protocols, one per shard. `execs` and the
+/// blacklist hold rows for the shard's own nodes only — asking for any
+/// other node's is a panic — while `alive` and the fault flags, which
+/// every shard reads for foreign ids (is the destination up? is the
+/// receiver a blackhole?), are full-size replicas re-synchronized by the
+/// coordinator on churn (the only writer).
 struct Hosts {
-    execs: Vec<NodeExec>,
+    execs: OwnedRows<NodeExec>,
     alive: Vec<bool>,
     cmax: ResVec,
     /// Injected-fault state: which nodes are blackholes/liars, loss
@@ -98,8 +104,8 @@ struct Hosts {
     /// synced on churn, drop counters accumulate locally and are summed
     /// into the report.
     fault: FaultPlan,
-    /// Per-node suspicion blacklists (defence layer; empty when off).
-    /// Rows are authoritative for the shard's own observers (`by`).
+    /// Per-node suspicion blacklists (defence layer; empty when off), one
+    /// row per observer (`by`) this shard owns.
     blacklist: Blacklist,
     /// `SOC_FAULT_DEFENSE=on` — read once per run, at the public entry.
     defense_on: bool,
@@ -115,7 +121,7 @@ impl HostInfo for Hosts {
             // and see the real availability.
             return self.cmax;
         }
-        self.execs[node.idx()].availability()
+        self.execs[node].availability()
     }
     fn cmax(&self) -> &ResVec {
         &self.cmax
@@ -260,8 +266,9 @@ const ID_SHARD_SHIFT: u32 = 48;
 /// shard, event)`, in emission order.
 type Outbox<M> = Vec<(SimMillis, usize, Ev<M>)>;
 
-/// One shard: the nodes of a fixed group of LANs, their event queue, their
-/// slice of every per-node table, and private RNG streams.
+/// One shard: the nodes of a fixed group of LANs — a contiguous id range —
+/// their event queue, their rows of every per-node table, and private RNG
+/// streams.
 struct Shard<P: DiscoveryOverlay> {
     id: usize,
     sc: Scenario,
@@ -299,7 +306,7 @@ struct Shard<P: DiscoveryOverlay> {
     /// superseded) and is discarded in O(1); a new prediction equal to the
     /// already-scheduled fire time re-validates the queued event instead of
     /// enqueueing a duplicate.
-    comp_sched: Vec<Option<(SimMillis, u64)>>,
+    comp_sched: OwnedRows<Option<(SimMillis, u64)>>,
     comp_scheduled: u64,
     comp_dedup_skips: u64,
     comp_dead_pops: u64,
@@ -688,7 +695,7 @@ impl<P: DiscoveryOverlay> Shard<P> {
     /// race). A rejected task with no candidates left fails.
     fn on_task_arrive(&mut self, to: NodeId, mut spec: Box<DispatchSpec>, world: &World) {
         let alive = self.hosts.alive[to.idx()];
-        let qualifies = alive && self.hosts.execs[to.idx()].qualifies(&spec.expect);
+        let qualifies = alive && self.hosts.execs[to].qualifies(&spec.expect);
         if qualifies {
             self.start_task_on(to, &spec);
             return;
@@ -723,20 +730,20 @@ impl<P: DiscoveryOverlay> Shard<P> {
             spec.submitted_at,
             now,
         );
-        self.hosts.execs[node.idx()].add_task(now, task);
+        self.hosts.execs[node].add_task(now, task);
         self.schedule_completion(node);
     }
 
     fn schedule_completion(&mut self, node: NodeId) {
         let now = self.now;
-        let exec = &mut self.hosts.execs[node.idx()];
+        let exec = &mut self.hosts.execs[node];
         let t = self.prof.start();
         let predicted = exec.next_completion(now);
         self.prof.stop(Phase::PsmPredict, t);
         match predicted {
             Some(at) => {
                 let epoch = exec.epoch();
-                match self.comp_sched[node.idx()] {
+                match self.comp_sched[node] {
                     // Epoch-aware memo: the queued event already fires at
                     // the newly predicted instant — keep it (with its old
                     // epoch tag, which the memo vouches for) instead of
@@ -745,14 +752,14 @@ impl<P: DiscoveryOverlay> Shard<P> {
                         self.comp_dedup_skips += 1;
                     }
                     _ => {
-                        self.comp_sched[node.idx()] = Some((at, epoch));
+                        self.comp_sched[node] = Some((at, epoch));
                         self.comp_scheduled += 1;
                         self.queue.schedule_at(at, Ev::Completion { node, epoch });
                     }
                 }
             }
             // Idle/starved: whatever is still queued is now stale.
-            None => self.comp_sched[node.idx()] = None,
+            None => self.comp_sched[node] = None,
         }
     }
 
@@ -762,14 +769,13 @@ impl<P: DiscoveryOverlay> Shard<P> {
         // time *and* the epoch tag it was enqueued under — may collect.
         // Everything else is a superseded prediction (or a dead/rejoined
         // node's leftover) and is dropped in O(1).
-        let live =
-            self.hosts.alive[node.idx()] && self.comp_sched[node.idx()] == Some((now, epoch));
+        let live = self.hosts.alive[node.idx()] && self.comp_sched[node] == Some((now, epoch));
         if !live {
             self.comp_dead_pops += 1;
             return;
         }
-        self.comp_sched[node.idx()] = None;
-        let finished = self.hosts.execs[node.idx()].collect_finished(now);
+        self.comp_sched[node] = None;
+        let finished = self.hosts.execs[node].collect_finished(now);
         for f in finished {
             let (expect_s, is_local) = self
                 .task_info
@@ -796,7 +802,7 @@ impl<P: DiscoveryOverlay> Shard<P> {
 
         let spec = src.next_task(node, now, &mut self.rng_work);
 
-        if self.sc.local_exec && self.hosts.execs[node.idx()].qualifies(&spec.expect) {
+        if self.sc.local_exec && self.hosts.execs[node].qualifies(&spec.expect) {
             // Satisfied by the local scheduler: the discovery protocol is
             // never exercised, so the task stays out of T/F-Ratio (the
             // paper's "submitted" denominator is overlay submissions).
@@ -824,7 +830,10 @@ impl<P: DiscoveryOverlay> Shard<P> {
             // Oracle scenarios force a single shard, so this shard's alive
             // flags and executors are globally authoritative.
             let matching = (0..self.hosts.alive.len())
-                .filter(|&i| self.hosts.alive[i] && self.hosts.execs[i].qualifies(&spec.expect))
+                .filter(|&i| {
+                    self.hosts.alive[i]
+                        && self.hosts.execs[NodeId(i as u32)].qualifies(&spec.expect)
+                })
                 .count();
             self.oracle_match_sum += matching as u64;
             if matching > 0 {
@@ -1090,11 +1099,11 @@ impl<'s> Coord<'s> {
         {
             let mut vs = shards[vshard].lock().expect("shard lock");
             vs.now = now;
-            let drained = vs.hosts.execs[victim.idx()].drain_tasks(now);
+            let drained = vs.hosts.execs[victim].drain_tasks(now);
             // Its scheduled completion (if any) dies with it; clearing the
             // memo also stops a later incarnation of the id from matching
             // the leftover event through an epoch collision.
-            vs.comp_sched[victim.idx()] = None;
+            vs.comp_sched[victim] = None;
             for t in drained {
                 let (_, is_local) = vs
                     .task_info
@@ -1171,12 +1180,14 @@ impl<'s> Coord<'s> {
             s.lock().expect("shard lock").hosts.alive[victim.idx()] = false;
         }
         self.live_remove(victim);
-        // Every protocol replica drops its row for the victim (the hook is
-        // local bookkeeping by contract: no sends, no RNG).
-        for s in shards {
-            let mut sh = s.lock().expect("shard lock");
-            sh.now = now;
-            sh.with_proto(&w, |p, ctx| p.on_node_left(ctx, victim));
+        // The victim's rows and the queries it requested live on its own
+        // shard's protocol instance; no other instance has anything of it
+        // to drop (the hook is local bookkeeping by contract: no sends, no
+        // RNG).
+        {
+            let mut vs = shards[vshard].lock().expect("shard lock");
+            vs.now = now;
+            vs.with_proto(&w, |p, ctx| p.on_node_left(ctx, victim));
         }
         // Zone-reassignment notifications go to each affected node's own
         // shard (the hook draws per-node randomness and sends adverts).
@@ -1190,8 +1201,9 @@ impl<'s> Coord<'s> {
             sh.now = now;
             sh.with_proto(&w, |p, ctx| p.on_zones_reassigned(ctx, &own));
         }
-        // The machine behind this id is gone: its suspicions and everyone's
-        // suspicions about it must not leak onto the slot's next occupant.
+        // The machine behind this id is gone: its suspicions (a row on its
+        // own shard) and everyone's suspicions about it (entries in any
+        // shard's rows) must not leak onto the slot's next occupant.
         for s in shards {
             s.lock()
                 .expect("shard lock")
@@ -1222,8 +1234,8 @@ impl<'s> Coord<'s> {
         let oshard = w.shard_of[newcomer.idx()];
         {
             let mut os = shards[oshard].lock().expect("shard lock");
-            os.hosts.execs[newcomer.idx()] = NodeExec::new(cap, PsmConfig::default());
-            os.comp_sched[newcomer.idx()] = None;
+            os.hosts.execs[newcomer] = NodeExec::new(cap, PsmConfig::default());
+            os.comp_sched[newcomer] = None;
         }
         // Churn replacements are as likely to be hostile as the original
         // population (internally gated per fraction — no draw when clean).
@@ -1349,9 +1361,6 @@ fn bootstrap<'s, P: DiscoveryOverlay>(
             None => 8.min(n_lans),
         }
     };
-    if s_target > 1 && proto.fork_shard().is_none() {
-        s_target = 1;
-    }
     let mut fork0: Option<Box<dyn WorkloadSource>> = None;
     if s_target > 1 {
         fork0 = source.fork_shard(0);
@@ -1366,6 +1375,7 @@ fn bootstrap<'s, P: DiscoveryOverlay>(
     let shard_of: Vec<usize> = (0..max_nodes)
         .map(|i| topo.lan_of(NodeId(i as u32)) as usize / lans_per_shard)
         .collect();
+    let owned = owned_ranges(&shard_of, n_shards);
     let mut forks: Vec<Option<Box<dyn WorkloadSource>>> = Vec::with_capacity(n_shards);
     forks.push(fork0);
     for s in 1..n_shards {
@@ -1373,14 +1383,21 @@ fn bootstrap<'s, P: DiscoveryOverlay>(
             "workload source forked shard 0 but refused a later shard",
         )));
     }
-    let mut protos: Vec<P> = Vec::with_capacity(n_shards);
-    protos.push(proto);
-    for _ in 1..n_shards {
-        let f = protos[0]
-            .fork_shard()
-            .expect("protocol answered the fork probe but refused a shard fork");
-        protos.push(f);
+    // Every shard, a lone one too, runs a fork of the template `proto`
+    // that holds rows for the shard's own ids. An unforkable protocol is
+    // unshardable as well, and its one shard runs the instance itself.
+    let mut protos: Vec<P> = owned
+        .iter()
+        .map_while(|ids| proto.fork_shard(ids.clone()))
+        .collect();
+    if protos.is_empty() {
+        protos.push(proto);
     }
+    assert_eq!(
+        protos.len(),
+        n_shards,
+        "a shardable protocol must fork for every shard"
+    );
     let threaded = mode == ExecMode::Sharded && n_shards > 1;
 
     let live: Vec<NodeId> = (0..sc.n_nodes).map(|i| NodeId(i as u32)).collect();
@@ -1393,8 +1410,9 @@ fn bootstrap<'s, P: DiscoveryOverlay>(
     let shards: Vec<Mutex<Shard<P>>> = protos
         .into_iter()
         .zip(forks)
+        .zip(owned)
         .enumerate()
-        .map(|(id, (proto, source))| {
+        .map(|(id, ((proto, source), ids))| {
             Mutex::new(Shard {
                 id,
                 sc: *sc,
@@ -1402,11 +1420,11 @@ fn bootstrap<'s, P: DiscoveryOverlay>(
                 now: 0,
                 proto,
                 hosts: Hosts {
-                    execs: caps.iter().map(|c| NodeExec::new(*c, psm_cfg)).collect(),
+                    execs: OwnedRows::new(ids.clone(), |n| NodeExec::new(caps[n.idx()], psm_cfg)),
                     alive: alive.clone(),
                     cmax: cmax(),
                     fault: fault_master.clone(),
-                    blacklist: Blacklist::new(max_nodes),
+                    blacklist: Blacklist::new(ids.clone()),
                     defense_on,
                 },
                 // Grown on demand (≈ 6 events pend per node). A large
@@ -1419,7 +1437,7 @@ fn bootstrap<'s, P: DiscoveryOverlay>(
                 fx_buf: Vec::new(),
                 fx_next: Vec::new(),
                 task_info: BTreeMap::new(),
-                comp_sched: vec![None; max_nodes],
+                comp_sched: OwnedRows::new(ids, |_| None),
                 comp_scheduled: 0,
                 comp_dedup_skips: 0,
                 comp_dead_pops: 0,
@@ -1473,6 +1491,21 @@ fn bootstrap<'s, P: DiscoveryOverlay>(
         lookahead,
     });
     (coord, world, shards, threaded)
+}
+
+/// The id range each shard owns. Shards are unions of whole LANs and LANs
+/// are consecutive id blocks, so `shard_of` is non-decreasing and every
+/// shard's nodes are one contiguous range — what lets a shard keep its
+/// per-node tables as [`OwnedRows`].
+fn owned_ranges(shard_of: &[usize], n_shards: usize) -> Vec<Range<u32>> {
+    assert!(shard_of.is_sorted(), "shards must be contiguous id ranges");
+    (0..n_shards)
+        .map(|s| {
+            let lo = shard_of.partition_point(|&x| x < s);
+            let hi = shard_of.partition_point(|&x| x <= s);
+            lo as u32..hi as u32
+        })
+        .collect()
 }
 
 /// One coordinator decision between windows.
@@ -1915,55 +1948,26 @@ fn run_scenario_with_exec(
     // Scaled-down scenarios shrink task durations; protocol cycles shrink
     // by the same factor so staleness-vs-lifetime ratios stay faithful.
     let f = (sc.mean_duration_s / 3000.0).min(1.0);
-    match sc.protocol {
-        ProtocolChoice::Hid => run_pidcan(
-            sc,
-            source,
-            PidCanConfig::hid().scale_cycles(f),
-            mode,
-            defense_on,
-        ),
-        ProtocolChoice::Sid => run_pidcan(
-            sc,
-            source,
-            PidCanConfig::sid().scale_cycles(f),
-            mode,
-            defense_on,
-        ),
-        ProtocolChoice::HidSos => run_pidcan(
-            sc,
-            source,
-            PidCanConfig::hid_sos().scale_cycles(f),
-            mode,
-            defense_on,
-        ),
-        ProtocolChoice::SidSos => run_pidcan(
-            sc,
-            source,
-            PidCanConfig::sid_sos().scale_cycles(f),
-            mode,
-            defense_on,
-        ),
-        ProtocolChoice::SidVd => run_pidcan(
-            sc,
-            source,
-            PidCanConfig::sid_vd().scale_cycles(f),
-            mode,
-            defense_on,
-        ),
+    let cfg = match sc.protocol {
+        ProtocolChoice::Hid => PidCanConfig::hid(),
+        ProtocolChoice::Sid => PidCanConfig::sid(),
+        ProtocolChoice::HidSos => PidCanConfig::hid_sos(),
+        ProtocolChoice::SidSos => PidCanConfig::sid_sos(),
+        ProtocolChoice::SidVd => PidCanConfig::sid_vd(),
         ProtocolChoice::Newscast => {
             let proto = Newscast::new(
                 GossipConfig::default().scale_cycles(f),
                 sc.n_nodes,
                 max_nodes,
             );
-            run_windowed(sc, source, proto, soc_types::SOC_DIMS, mode, defense_on)
+            return run_windowed(sc, source, proto, soc_types::SOC_DIMS, mode, defense_on);
         }
         ProtocolChoice::Khdn => {
             let proto = KhdnCan::new(KhdnConfig::default().scale_cycles(f), sc.n_nodes, max_nodes);
-            run_windowed(sc, source, proto, soc_types::SOC_DIMS, mode, defense_on)
+            return run_windowed(sc, source, proto, soc_types::SOC_DIMS, mode, defense_on);
         }
-    }
+    };
+    run_pidcan(sc, source, cfg.scale_cycles(f), mode, defense_on)
 }
 
 fn run_pidcan(
@@ -1973,11 +1977,11 @@ fn run_pidcan(
     mode: ExecMode,
     defense_on: bool,
 ) -> RunReport {
-    let max_nodes = sc.n_nodes + id_headroom(sc.n_nodes);
     cfg.corner_jitter = sc.corner_jitter;
     let dim = cfg.overlay_dim();
-    let proto = PidCan::new(cfg, dim, sc.n_nodes, max_nodes);
-    run_windowed(sc, source, proto, dim, mode, defense_on)
+    // A row-less template: every shard runs a fork sized to its own ids.
+    let template = PidCan::for_range(cfg, dim, sc.n_nodes, 0..0);
+    run_windowed(sc, source, template, dim, mode, defense_on)
 }
 
 #[cfg(test)]
@@ -2384,8 +2388,8 @@ mod exec_tests {
         fn shardable(&self) -> bool {
             self.inner.shardable()
         }
-        fn fork_shard(&self) -> Option<Self> {
-            let inner = self.inner.fork_shard()?;
+        fn fork_shard(&self, owned: Range<u32>) -> Option<Self> {
+            let inner = self.inner.fork_shard(owned)?;
             Some(Tripwire {
                 inner,
                 trip: self.trip,
@@ -2452,9 +2456,8 @@ mod exec_tests {
             .seed(16);
         let cfg = PidCanConfig::hid();
         let dim = cfg.overlay_dim();
-        let max_nodes = sc.n_nodes + id_headroom(sc.n_nodes);
         let proto = Tripwire {
-            inner: PidCan::new(cfg, dim, sc.n_nodes, max_nodes),
+            inner: PidCan::for_range(cfg, dim, sc.n_nodes, 0..0),
             trip,
         };
         run_windowed(
@@ -2491,7 +2494,7 @@ mod exec_tests {
         let dim = cfg.overlay_dim();
         let max_nodes = sc.n_nodes + id_headroom(sc.n_nodes);
         let proto = Tripwire {
-            inner: PidCan::new(cfg, dim, sc.n_nodes, max_nodes),
+            inner: PidCan::for_range(cfg, dim, sc.n_nodes, 0..0),
             trip: Trip::WatchLeaves {
                 ids: max_nodes as u32,
                 observers_gone: &OBSERVERS_GONE,
@@ -2528,6 +2531,81 @@ mod exec_tests {
     #[should_panic(expected = "tripwire: churn handler blew up")]
     fn coordinator_panic_propagates_instead_of_deadlocking() {
         run_tripped(Trip::Leave, 0.75);
+    }
+
+    /// The id ranges `(execs, comp_sched, blacklist rows)` of every shard.
+    fn held<P: DiscoveryOverlay>(shards: &[Mutex<Shard<P>>]) -> Vec<[Range<u32>; 3]> {
+        shards
+            .iter()
+            .map(|s| {
+                let sh = s.lock().expect("shard lock");
+                [
+                    sh.hosts.execs.owned(),
+                    sh.comp_sched.owned(),
+                    sh.hosts.blacklist.observers(),
+                ]
+            })
+            .collect()
+    }
+
+    /// Every per-node table is sized to the shard's own ids: over an
+    /// 8-shard bootstrap the rows of each table add up to `max_nodes`, not
+    /// `8 · max_nodes`, the ranges tile the id space in shard order, and
+    /// they are the `shard_of` map read the other way. A single shard —
+    /// forked (oracle run) or unforkable (Newscast) — holds every id.
+    #[test]
+    fn shards_hold_rows_for_their_own_ids_only() {
+        // 128 nodes + 32 headroom ids in 20-node LANs: 8 LANs, 8 shards.
+        let mut sc = Scenario::quick(ProtocolChoice::Hid).nodes(128).seed(17);
+        sc.lan_size = 20;
+        let max_nodes = (sc.n_nodes + id_headroom(sc.n_nodes)) as u32;
+        let cfg = PidCanConfig::hid();
+        let dim = cfg.overlay_dim();
+        let boot = |sc: &Scenario| {
+            let template = PidCan::for_range(cfg, dim, sc.n_nodes, 0..0);
+            let mut src = build_source(sc);
+            let (_, world, shards, _) =
+                bootstrap(sc, &mut src, template, dim, ExecMode::Serial, false);
+            (world.into_inner().expect("world lock"), shards)
+        };
+
+        let (world, shards) = boot(&sc);
+        assert_eq!(shards.len(), 8);
+        let mut next = 0;
+        for (sid, (s, rows)) in shards.iter().zip(held(&shards)).enumerate() {
+            let sh = s.lock().expect("shard lock");
+            let ids = sh.proto.owned();
+            assert_eq!(ids.start, next, "shard {sid} leaves a gap or overlaps");
+            assert!(!ids.is_empty());
+            assert_eq!(rows, [ids.clone(), ids.clone(), ids.clone()]);
+            assert!(ids.clone().all(|i| world.shard_of[i as usize] == sid));
+            // What every shard reads for foreign ids stays full-size.
+            assert_eq!(sh.hosts.alive.len(), max_nodes as usize);
+            next = ids.end;
+        }
+        assert_eq!(next, max_nodes, "the shards' ranges tile the id space");
+
+        sc.oracle = true;
+        let (_, shards) = boot(&sc);
+        assert_eq!(shards.len(), 1);
+        assert_eq!(
+            shards[0].lock().expect("shard lock").proto.owned(),
+            0..max_nodes
+        );
+        assert_eq!(held(&shards), [[0..max_nodes, 0..max_nodes, 0..max_nodes]]);
+
+        sc.oracle = false;
+        let gossip = Newscast::new(GossipConfig::default(), sc.n_nodes, max_nodes as usize);
+        let mut src = build_source(&sc);
+        let (_, _, shards, _) = bootstrap(
+            &sc,
+            &mut src,
+            gossip,
+            soc_types::SOC_DIMS,
+            ExecMode::Serial,
+            false,
+        );
+        assert_eq!(held(&shards), [[0..max_nodes, 0..max_nodes, 0..max_nodes]]);
     }
 
     /// Unshardable protocols (gossip keeps cross-node handler state) force
