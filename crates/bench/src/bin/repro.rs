@@ -323,6 +323,12 @@ fn fingerprint_hash(r: &RunReport) -> u64 {
 }
 
 fn main() {
+    // A mistyped knob value would otherwise select its default without a
+    // word — for `SOC_FAULT_DEFENSE`, a different simulation.
+    if let Err(e) = soc_types::knobs::check_env() {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
     let args = parse_args();
     let takes_file = matches!(args.cmd.as_str(), "scenario" | "replay");
     if !takes_file {

@@ -1,15 +1,17 @@
 //! The sharded windowed-executor driver must be **bitwise identical** to
 //! the serial driver: `SOC_SIM_EXEC` selects how shard event windows are
 //! pumped (inline vs worker threads), never what they compute. These
-//! tests pin that across the committed `scenarios/` gallery — including
-//! every `hostile-*` entry with the blacklist/retry defence armed, so the
-//! fault-injection and defence paths are exercised under both drivers —
-//! and across trace record→replay in both directions (recorded serial,
-//! replayed sharded, and vice versa).
+//! tests pin that on committed `scenarios/` gallery files — `hostile-*`
+//! entries with the blacklist/retry defence armed, so the fault-injection
+//! and defence paths are exercised under both drivers — and across trace
+//! record→replay in both directions (recorded serial, replayed sharded,
+//! and vice versa).
 //!
-//! The big `large-n` scaling point (10⁴ nodes, 8 shards) is `#[ignore]`d
-//! by default and runs in CI's nightly cron in release; the rest of the
-//! gallery is small enough to stay always-on.
+//! Tier-1 runs the three files that between them cross every
+//! driver-sensitive path (in debug, the whole gallery was 70 % of
+//! `cargo test`'s wall time); the whole gallery and the big `large-n`
+//! scaling point (10⁴ nodes, 8 shards) are `#[ignore]`d and run in release
+//! under `cargo tier2` and CI's nightly cron.
 //!
 //! Every test flips the process-global `SOC_SIM_EXEC` (and, for the
 //! hostile entries, `SOC_FAULT_DEFENSE`) knobs, so all flips serialize
@@ -58,43 +60,58 @@ fn run_both(spec: &ScenarioSpec, defense: &str) -> (RunReport, RunReport) {
     (serial, sharded)
 }
 
-/// Every gallery scenario except the cron-only `large-n` scaling point:
-/// serial and sharded drivers produce bitwise-identical reports. Hostile
-/// entries run with the defence armed so blacklisting, retries and
-/// fault-stream draws all happen under both drivers.
+/// Serial and sharded drivers produce bitwise-identical reports on the
+/// gallery file `name`. A hostile entry runs with the defence armed so
+/// blacklisting, retries and fault-stream draws all happen under both
+/// drivers.
+fn assert_exec_invariant(name: &str) {
+    let spec = load(name);
+    let hostile = spec.name.starts_with("hostile-");
+    let defense = if hostile { "on" } else { "off" };
+    let (serial, sharded) = run_both(&spec, defense);
+    assert_eq!(
+        serial.fingerprint(),
+        sharded.fingerprint(),
+        "{name}: sharded driver diverged from serial (defence {defense})"
+    );
+    if hostile {
+        // Liars corrupt reports rather than dropping messages, so the
+        // broad any() is the right "fault model actually fired" check.
+        assert!(
+            serial.faults.any(),
+            "{name}: hostile entry exercised no fault path"
+        );
+    }
+}
+
+/// The three gallery files that between them cross every driver-sensitive
+/// path: churn (the coordinator's join/leave between windows), faults with
+/// the defence armed (cross-shard `Suspect` routing) and a stateful
+/// workload (per-shard MMPP forks).
 #[test]
 fn gallery_is_exec_invariant() {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(gallery_dir())
+    for name in ["storm.scn", "hostile-blackhole-15.scn", "bursty-mmpp.scn"] {
+        assert_exec_invariant(name);
+    }
+}
+
+/// Every gallery scenario except the `large-n` scaling point, which has
+/// its own test below. Run via
+/// `cargo test --release -p soc-bench --test exec_equivalence -- --ignored`.
+#[test]
+#[ignore = "whole gallery: run in release via CI cron or manually"]
+fn whole_gallery_is_exec_invariant() {
+    let mut names: Vec<String> = std::fs::read_dir(gallery_dir())
         .expect("scenarios/ gallery exists")
         .map(|e| e.expect("readable entry").path())
         .filter(|p| p.extension().is_some_and(|x| x == "scn"))
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n != "large-n.scn")
-        })
+        .map(|p| p.file_name().unwrap().to_string_lossy().to_string())
+        .filter(|n| n != "large-n.scn")
         .collect();
-    files.sort();
-    assert!(files.len() >= 5, "gallery shrank to {}", files.len());
-    for path in files {
-        let name = path.file_name().unwrap().to_string_lossy().to_string();
-        let spec = ScenarioSpec::load(&path).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let hostile = spec.name.starts_with("hostile-");
-        let defense = if hostile { "on" } else { "off" };
-        let (serial, sharded) = run_both(&spec, defense);
-        assert_eq!(
-            serial.fingerprint(),
-            sharded.fingerprint(),
-            "{name}: sharded driver diverged from serial (defence {defense})"
-        );
-        if hostile {
-            // Liars corrupt reports rather than dropping messages, so the
-            // broad any() is the right "fault model actually fired" check.
-            assert!(
-                serial.faults.any(),
-                "{name}: hostile entry exercised no fault path"
-            );
-        }
+    names.sort();
+    assert!(names.len() >= 5, "gallery shrank to {}", names.len());
+    for name in names {
+        assert_exec_invariant(&name);
     }
 }
 
@@ -120,10 +137,8 @@ fn record_replay_round_trips_across_exec_drivers() {
     assert_eq!(rep_serial.fingerprint(), rep_sharded.fingerprint());
 }
 
-/// The multi-shard scaling point (10⁴ nodes across ~313 LANs → the full
-/// default 8 shards): serial and sharded drivers stay bitwise identical
-/// at scale. Run via
-/// `cargo test --release -p soc-bench --test exec_equivalence -- --ignored`.
+/// The multi-shard scaling point (10⁴ nodes across 391 LANs, 8 shards):
+/// serial and sharded drivers stay bitwise identical at scale.
 #[test]
 #[ignore = "large scale: run in release via CI cron or manually"]
 fn large_n_scaling_point_is_exec_invariant() {

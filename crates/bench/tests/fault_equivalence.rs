@@ -154,6 +154,10 @@ fn defended_hostile_sharded_churn_matches_pin() {
     assert!(f.suspicions > 0, "no strike was ever registered: {f:?}");
     assert!(f.blacklisted > 0, "nobody was ever blacklisted: {f:?}");
     assert!(r.killed > 0, "churn never took a busy node away");
+    // A knob value is matched trimmed and lowercased: ` ON ` arms the
+    // defence too, it does not silently select the undefended baseline.
+    let shouted = with_env(" ON ", None, || run_spec(PIN_LANS_DEFENCE));
+    assert_eq!(shouted.fingerprint(), r.fingerprint());
 }
 
 /// Omitting `[fault]` and writing it out all-zero are the same run.
@@ -247,4 +251,28 @@ fn smoke_scale_defence_verdict_holds() {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let ab = diag_hostility(Scale::smoke(), 1, 0.15);
     assert_ab_verdict(&ab, "smoke");
+}
+
+/// `repro` validates the declared knobs before it runs anything: a value
+/// outside a knob's accepted set is a usage error (exit 2) naming the
+/// knob, the value and the accepted set — not a silent run of the default,
+/// which for `SOC_FAULT_DEFENSE` is a different simulation.
+#[test]
+fn repro_refuses_a_mistyped_knob_value() {
+    let scn = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/paper-smoke.scn"
+    );
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["scenario", scn])
+        .env("SOC_FAULT_DEFENSE", "enabled")
+        .output()
+        .expect("repro runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing may run before the check");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        err.trim_end(),
+        "SOC_FAULT_DEFENSE=\"enabled\": expected off | on"
+    );
 }

@@ -51,11 +51,9 @@ pub struct PidDiag {
 ///
 /// An instance holds per-node rows (finger table, record cache, PIList)
 /// for one contiguous id range: every id for [`PidCan::new`], one shard's
-/// nodes for the executor's [`DiscoveryOverlay::fork_shard`] forks.
+/// nodes for the instances the executor builds with [`PidCan::for_range`].
 pub struct PidCan {
     cfg: PidCanConfig,
-    /// Expected overlay size (sizes the finger depth and routing TTL).
-    n: usize,
     tables: IndexTables,
     /// Routed-message facade: every next-hop decision (forward, re-route
     /// around a dead hop) goes through here so the `SOC_ROUTE` cache can
@@ -85,8 +83,7 @@ impl PidCan {
     }
 
     /// Like [`PidCan::new`], with per-node rows for the ids in `owned`
-    /// only. An empty range makes a template that is good for
-    /// [`DiscoveryOverlay::fork_shard`] and nothing else.
+    /// only — what the executor's per-shard constructor calls.
     pub fn for_range(cfg: PidCanConfig, overlay_dim: usize, n: usize, owned: Range<u32>) -> Self {
         let dim = overlay_dim;
         // Generous routing TTL: 4·log2(n) + 16 covers INSCAN detours under
@@ -94,7 +91,6 @@ impl PidCan {
         let route_budget = 4 * (n.max(2) as f64).log2().ceil() as u32 + 16;
         PidCan {
             cfg,
-            n,
             tables: IndexTables::for_range(dim, n, owned.clone()),
             router: Router::from_env(),
             caches: OwnedRows::new(owned.clone(), |_| RecordCache::new(cfg.record_ttl_ms)),
@@ -568,6 +564,13 @@ impl PidCan {
 impl DiscoveryOverlay for PidCan {
     type Msg = PidMsg;
 
+    // Every handler at node `x` touches only `caches[x]`, `pilists[x]` and
+    // `x`'s finger-table row; query bookkeeping lives at the requester and
+    // `Found`/`Exhausted` are delivered there. That is exactly the
+    // partition-by-node property the executor needs — and a shard's
+    // instance has no other node's rows to touch by mistake.
+    const SHARDABLE: bool = true;
+
     fn name(&self) -> &'static str {
         self.cfg.label()
     }
@@ -585,32 +588,14 @@ impl DiscoveryOverlay for PidCan {
         Some(held.iter().any(|c| c.has_qualified(demand, now)))
     }
 
-    fn on_start(&mut self, ctx: &mut Ctx<'_, PidMsg>) {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, PidMsg>, nodes: &[NodeId]) {
         // Build initial finger tables (charged as maintenance) and arm
         // per-node timers.
-        let nodes: Vec<NodeId> = ctx.can.live_nodes().collect();
-        self.on_start_nodes(ctx, &nodes);
-    }
-
-    fn on_start_nodes(&mut self, ctx: &mut Ctx<'_, PidMsg>, nodes: &[NodeId]) {
         for &node in nodes {
             let stats = self.tables.refresh_node(node, ctx.can, ctx.rng);
             ctx.charge(node, MsgKind::Maintenance, stats.probe_msgs);
             self.arm_node_timers(ctx, node);
         }
-    }
-
-    fn shardable(&self) -> bool {
-        // Every handler at node `x` touches only `caches[x]`, `pilists[x]`
-        // and `x`'s finger-table row; query bookkeeping lives at the
-        // requester and `Found`/`Exhausted` are delivered there. That is
-        // exactly the partition-by-node property the executor needs — and
-        // a shard's fork has no other node's rows to touch by mistake.
-        true
-    }
-
-    fn fork_shard(&self, owned: Range<u32>) -> Option<Self> {
-        Some(Self::for_range(self.cfg, self.overlay_dim, self.n, owned))
     }
 
     fn absorb_diag(&mut self, other: &Self) {
@@ -1032,9 +1017,7 @@ mod tests {
 
     #[test]
     fn a_fork_holds_rows_for_its_own_range_only() {
-        let template = PidCan::for_range(PidCanConfig::hid(), 2, N, 0..0);
-        assert!(template.owned().is_empty());
-        let fork = template.fork_shard(4..12).expect("PID-CAN forks");
+        let fork = PidCan::for_range(PidCanConfig::hid(), 2, N, 4..12);
         assert_eq!(fork.owned(), 4..12);
         assert_eq!(
             fork.tables().kmax(),

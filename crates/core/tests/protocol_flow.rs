@@ -427,3 +427,39 @@ fn routed_duty_query_travels_intact_and_pays_one_hop_each() {
         other => panic!("unexpected duty-node output: {other:?}"),
     }
 }
+
+/// `on_start` starts exactly the nodes it is handed. A shard's instance
+/// gets the live nodes among the ids it owns — the churn-headroom ids of
+/// its range join later — so a strict subset of the owned range must arm
+/// timers and build finger rows for that subset and touch no other row.
+#[test]
+fn on_start_starts_exactly_the_nodes_it_is_given() {
+    let mut rng = SmallRng::seed_from_u64(12);
+    let can = CanOverlay::bootstrap(2, N, N, &mut rng);
+    let cmax = ResVec::from_slice(&[10.0, 10.0]);
+    let host = TestHost::uniform(N, ResVec::from_slice(&[5.0, 5.0]), cmax);
+    let mut proto = PidCan::for_range(PidCanConfig::hid(), 2, N, 8..24);
+    let started: Vec<NodeId> = (8..16).map(NodeId).collect();
+
+    let mut ctx = Ctx::new(0, &can, &host, &mut rng);
+    proto.on_start(&mut ctx, &started);
+    let (fx, sent) = ctx.finish();
+
+    let mut timed: Vec<NodeId> = fx
+        .iter()
+        .map(|f| match f {
+            Effect::Timer { node, .. } => *node,
+            other => panic!("on_start only arms timers, got {other:?}"),
+        })
+        .collect();
+    timed.dedup();
+    assert_eq!(timed, started, "timers armed, in the order given");
+    assert!(
+        sent.count(MsgKind::Maintenance) > 0,
+        "finger probes charged"
+    );
+    for i in 8..24 {
+        let built = proto.tables().epoch_of(NodeId(i));
+        assert_eq!(built, u64::from(i < 16), "finger row of n{i}");
+    }
+}

@@ -266,9 +266,8 @@ impl DiscoveryOverlay for Newscast {
         "Newscast"
     }
 
-    fn on_start(&mut self, ctx: &mut Ctx<'_, GossipMsg>) {
-        let nodes: Vec<NodeId> = ctx.can.live_nodes().collect();
-        for node in nodes {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, GossipMsg>, nodes: &[NodeId]) {
+        for &node in nodes {
             self.bootstrap_view(ctx, node);
             let phase = ctx.rng.random_range(0..self.cfg.exchange_ms.max(1));
             ctx.timer(node, T_EXCHANGE, phase);

@@ -46,18 +46,18 @@ pub enum RouteBackend {
 
 impl RouteBackend {
     /// Backend selected by the `SOC_ROUTE` environment variable (`scan` or
-    /// `cached`, case-insensitive); defaults to `Cached`.
+    /// `cached`); defaults to `Cached`.
     ///
-    /// This is the single place `SOC_ROUTE` is parsed (the raw read lives
-    /// in `soc_types::knobs::raw`, the one `env::var` site for all
-    /// `SOC_*` knobs). Still read on every router construction —
-    /// deliberately not `OnceLock`-cached, because the equivalence suites
-    /// flip the variable between runs inside one process to A/B both
-    /// backends; a process-global cache would freeze the first value and
-    /// reduce those bitwise checks to self-comparisons.
+    /// This is the single place `SOC_ROUTE` is parsed (the read, trimmed
+    /// and lowercased like every knob's, is `soc_types::knobs::value`).
+    /// Still read on every router construction — deliberately not
+    /// `OnceLock`-cached, because the equivalence suites flip the variable
+    /// between runs inside one process to A/B both backends; a
+    /// process-global cache would freeze the first value and reduce those
+    /// bitwise checks to self-comparisons.
     pub fn from_env() -> Self {
-        match soc_types::knobs::raw("SOC_ROUTE") {
-            Some(v) if v.eq_ignore_ascii_case("scan") => RouteBackend::Scan,
+        match soc_types::knobs::value("SOC_ROUTE").as_deref() {
+            Some("scan") => RouteBackend::Scan,
             _ => RouteBackend::Cached,
         }
     }
@@ -67,7 +67,7 @@ impl RouteBackend {
 /// touches a few hundred (node, target) pairs; 4096 cells keep the
 /// direct-mapped conflict rate low for 416 KiB per router (104-byte
 /// cells). There is one router per protocol instance and the sharded
-/// executor forks one instance per shard, so a default 8-shard run holds
+/// executor builds one instance per shard, so an 8-shard run holds
 /// up to 8 × 416 KiB = 3.3 MB (a router allocates on its first miss).
 /// That is still so now that a shard's per-node tables cover its own ids
 /// only, which makes these caches — each sized for the whole overlay, each
@@ -115,9 +115,9 @@ impl Router {
     pub fn with_backend(backend: RouteBackend) -> Self {
         Router {
             backend,
-            // A router that never routes — the scan backend's, a protocol
-            // template's, a shard's with no live node — never pays for the
-            // table; the others fill it on their first miss.
+            // A router that never routes — the scan backend's, a shard's
+            // with no live node — never pays for the table; the others fill
+            // it on their first miss.
             cells: Vec::new(),
             stats: RouteCacheStats::default(),
         }

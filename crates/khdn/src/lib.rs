@@ -437,9 +437,8 @@ impl DiscoveryOverlay for KhdnCan {
         "KHDN-CAN"
     }
 
-    fn on_start(&mut self, ctx: &mut Ctx<'_, KhdnMsg>) {
-        let nodes: Vec<NodeId> = ctx.can.live_nodes().collect();
-        for node in nodes {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, KhdnMsg>, nodes: &[NodeId]) {
+        for &node in nodes {
             let phase = ctx.rng.random_range(0..self.cfg.state_update_ms.max(1));
             ctx.timer(node, T_STATE, phase);
         }

@@ -118,16 +118,6 @@ pub const EXPLAINS: &[Explain] = &[
         good: include_str!("../tests/fixtures/examples/float-reduce-order/good.rs"),
         bad: include_str!("../tests/fixtures/examples/float-reduce-order/bad.rs"),
     },
-    Explain {
-        rule: "profiler-span-coverage",
-        rationale: "The PR 8 profiler's 'dispatched ns sum ≤ wall' accounting is only \
-                    trustworthy if no event can dodge the taxonomy: every Ev variant must map \
-                    to a Phase in the runner's dispatch_phase, and the map must actually be \
-                    called by the event loop.",
-        rel: "crates/soc/src/runner.rs",
-        good: include_str!("../tests/fixtures/examples/profiler-span-coverage/good.rs"),
-        bad: include_str!("../tests/fixtures/examples/profiler-span-coverage/bad.rs"),
-    },
 ];
 
 /// Look up the explanation bundle for `rule`.

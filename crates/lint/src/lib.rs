@@ -18,7 +18,7 @@
 //! reduction on fingerprint-feeding paths, no shared mutable state a shard
 //! boundary could cross, no wall clock outside the bench harness, every
 //! `SOC_*` knob documented, every fingerprint exclusion declared, every
-//! `#[ignore]` suite wired into CI, every dispatch arm profiled.
+//! `#[ignore]` suite wired into CI.
 //!
 //! Findings are suppressible only via a justified pragma on (or directly
 //! above) the offending line:
@@ -46,7 +46,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 pub use rules::{markdown_rules_table, META_RULES, RULES};
-pub use shard::{RNG_PATH, RUNNER_PATH};
+pub use shard::RNG_PATH;
 
 /// One diagnostic: `path:line: [rule] message`.
 #[derive(Clone, Debug)]
@@ -279,9 +279,6 @@ fn run_rules(files: &[WorkspaceFile], readme: Option<&str>, ci: Option<&str>) ->
         shard::no_shared_mut_state(wf, &mut raw);
         shard::rng_stream_ownership_uses(wf, &owners, &mut raw);
         shard::float_reduce_order(wf, &item_graph, files, &mut raw);
-        if fi.rel == shard::RUNNER_PATH {
-            shard::profiler_span_coverage(wf, &mut raw);
-        }
     }
     if let Some(wf) = registry {
         rules::env_knob_registry_decls(&wf.info, &entries, readme, &mut raw);

@@ -53,10 +53,6 @@ pub const RULES: &[(&str, &str)] = &[
         "float-reduce-order",
         "f64 sum/fold/+= reductions on sim paths only over sources the item graph proves deterministically ordered",
     ),
-    (
-        "profiler-span-coverage",
-        "every Ev:: variant maps to a profiler Phase in the runner's dispatch_phase (ns-sum-vs-wall stays exhaustive)",
-    ),
 ];
 
 /// The `soc-lint` rules table for the README, regenerated (and

@@ -1,4 +1,4 @@
-//! The **shard-safety rule pack**: four rules written against the item
+//! The **shard-safety rule pack**: three rules written against the item
 //! layer ([`crate::items`]) and the workspace item graph
 //! ([`crate::graph`]), encoding the invariants the upcoming
 //! `SOC_SIM_EXEC=serial|sharded` executor will depend on. Token-pattern
@@ -21,9 +21,6 @@
 //!   ordered (slices, `Vec`s, ranges, `BTreeMap`s, structs built from
 //!   those), because a sharded merge must never inherit an
 //!   order-sensitive total.
-//! * [`profiler_span_coverage`] — every `Ev` variant in the runner maps
-//!   to a profiler `Phase` span via `dispatch_phase`, keeping the PR 8
-//!   "dispatch ns sum ≤ wall" accounting structurally exhaustive.
 
 use crate::graph::ItemGraph;
 use crate::items::{ty_mentions, ItemKind};
@@ -33,9 +30,6 @@ use std::collections::BTreeSet;
 
 /// Path of the RNG stream registry (enum + owner map).
 pub const RNG_PATH: &str = "crates/simcore/src/rng.rs";
-
-/// Path of the scenario runner the span-coverage rule inspects.
-pub const RUNNER_PATH: &str = "crates/soc/src/runner.rs";
 
 fn finding(rule: &'static str, file: &FileInfo, line: u32, msg: String) -> Finding {
     Finding {
@@ -811,121 +805,5 @@ pub fn float_reduce_order(
             }
             k += 1;
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// profiler-span-coverage
-// ---------------------------------------------------------------------------
-
-/// Structural check on the runner: every `Ev` variant must be mapped to
-/// a `Phase` by `dispatch_phase`, and the event loop must actually call
-/// it — the "dispatch ns sum ≤ wall" accounting is only exhaustive if no
-/// arm can silently drop out of the taxonomy.
-pub fn profiler_span_coverage(wf: &WorkspaceFile, out: &mut Vec<Finding>) {
-    let file = &wf.info;
-    let t = &wf.src.tokens;
-    let Some(ev) = wf.items.find(ItemKind::Enum, "Ev") else {
-        out.push(finding(
-            "profiler-span-coverage",
-            file,
-            1,
-            "could not locate `enum Ev` in the runner".into(),
-        ));
-        return;
-    };
-    let Some(f) = wf.items.find(ItemKind::Fn, "dispatch_phase") else {
-        out.push(finding(
-            "profiler-span-coverage",
-            file,
-            ev.line,
-            "runner has no `dispatch_phase` fn mapping Ev arms to profiler Phase spans".into(),
-        ));
-        return;
-    };
-    let (bs, be) = match f.body {
-        Some(r) => r,
-        None => {
-            out.push(finding(
-                "profiler-span-coverage",
-                file,
-                f.line,
-                "`dispatch_phase` has no body to map Ev arms in".into(),
-            ));
-            return;
-        }
-    };
-    for v in &ev.variants {
-        let arm = (bs..be).find(|&i| {
-            t[i].is_ident("Ev")
-                && t.get(i + 1).is_some_and(|x| x.is_punct(':'))
-                && t.get(i + 2).is_some_and(|x| x.is_punct(':'))
-                && t.get(i + 3).is_some_and(|x| x.is_ident(&v.name))
-        });
-        let Some(at) = arm else {
-            out.push(finding(
-                "profiler-span-coverage",
-                file,
-                v.line,
-                format!(
-                    "Ev::{} has no `dispatch_phase` arm: its dispatch time would vanish \
-                     from the profiler's ns-sum-≤-wall accounting",
-                    v.name
-                ),
-            ));
-            continue;
-        };
-        // The arm must produce a Phase between its `=>` and the comma
-        // (or brace) that ends it — not merely have one nearby.
-        let arrow = (at + 4..be)
-            .find(|&i| t[i].is_punct('=') && t.get(i + 1).is_some_and(|x| x.is_punct('>')));
-        let maps = arrow.is_some_and(|a| {
-            let mut depth = 0i32;
-            let mut i = a + 2;
-            while i < be {
-                let x = &t[i];
-                if depth == 0 && x.is_punct(',') {
-                    break;
-                }
-                if x.is_punct('{') || x.is_punct('(') || x.is_punct('[') {
-                    depth += 1;
-                } else if x.is_punct('}') || x.is_punct(')') || x.is_punct(']') {
-                    if depth == 0 {
-                        break;
-                    }
-                    depth -= 1;
-                }
-                if x.is_ident("Phase") {
-                    return true;
-                }
-                i += 1;
-            }
-            false
-        });
-        if !maps {
-            out.push(finding(
-                "profiler-span-coverage",
-                file,
-                t[at].line,
-                format!(
-                    "Ev::{} arm in `dispatch_phase` does not yield a Phase",
-                    v.name
-                ),
-            ));
-        }
-    }
-    // The map must be wired into the loop, not just defined.
-    let calls = t
-        .iter()
-        .enumerate()
-        .filter(|(i, x)| x.is_ident("dispatch_phase") && (*i < f.start || *i >= be))
-        .count();
-    if calls == 0 {
-        out.push(finding(
-            "profiler-span-coverage",
-            file,
-            f.line,
-            "`dispatch_phase` is never called: the event loop does not charge its arms".into(),
-        ));
     }
 }

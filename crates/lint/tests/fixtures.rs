@@ -117,12 +117,6 @@ fn dirty_fixture_fires_every_rule() {
     let other = "crates/other/src/lib.rs";
     assert_finding(&r, "rng-stream-ownership", other, 5);
     assert_finding(&r, "rng-stream-ownership", other, 9);
-    // profiler-span-coverage: variant with no arm, arm that yields no
-    // Phase, dispatch_phase never called from the event loop.
-    let runner = "crates/soc/src/runner.rs";
-    assert_finding(&r, "profiler-span-coverage", runner, 8);
-    assert_finding(&r, "profiler-span-coverage", runner, 11);
-    assert_finding(&r, "profiler-span-coverage", runner, 14);
     // Meta-rules: malformed, unknown-rule, unused.
     let bad = "crates/engine/src/bad_pragmas.rs";
     assert_finding(&r, "malformed-pragma", bad, 4); // missing -- reason
@@ -131,7 +125,7 @@ fn dirty_fixture_fires_every_rule() {
     assert_finding(&r, "unused-pragma", bad, 12); // unknown rule suppresses nothing
     assert_finding(&r, "unused-pragma", bad, 15);
     // Nothing unexpected beyond the seeded set.
-    assert_eq!(r.findings.len(), 47, "findings were:\n{}", render(&r));
+    assert_eq!(r.findings.len(), 44, "findings were:\n{}", render(&r));
     assert_eq!(r.suppressed, 0);
     assert!(!r.clean());
 }
@@ -154,10 +148,10 @@ fn clean_fixture_is_clean() {
     // bench wall clock + bench Cell, cfg(test) iteration and cells,
     // testkit.rs seeding, tests/ tree (incl. a test-only stream draw),
     // registry env::var site, owner-crate stream draws, float reductions
-    // the item graph proves ordered, full dispatch coverage: all exempt
-    // by scope or resolution, none suppressed.
+    // the item graph proves ordered: all exempt by scope or resolution,
+    // none suppressed.
     assert_eq!(r.suppressed, 0);
-    assert_eq!(r.files_scanned, 12);
+    assert_eq!(r.files_scanned, 11);
 }
 
 #[test]
@@ -167,14 +161,13 @@ fn pragma_fixture_suppresses_with_justifications() {
     // wall clock, for-in iteration (standalone pragma), unstable sort and
     // ad-hoc seeding (trailing pragmas), static mut + a Cell field, an
     // unordered float sum (one pragma naming two rules), an unowned
-    // stream variant, an unprofiled dispatch arm.
-    assert_eq!(r.suppressed, 10);
-    assert_eq!(r.pragma_sites, 9, "the 2-rule pragma is a single site");
+    // stream variant.
+    assert_eq!(r.suppressed, 9);
+    assert_eq!(r.pragma_sites, 8, "the 2-rule pragma is a single site");
     for rule in [
         "no-shared-mut-state",
         "rng-stream-ownership",
         "float-reduce-order",
-        "profiler-span-coverage",
     ] {
         assert!(
             r.suppressed_by_rule
@@ -190,9 +183,9 @@ fn pragma_fixture_suppresses_with_justifications() {
 /// surviving `HashMap` iteration, wall-clock read, unstable sort,
 /// ad-hoc RNG seed and interior-mutability cell carries a justified
 /// pragma, every knob is declared and documented, every stream has an
-/// owner, every `#[ignore]` suite is wired into CI, every dispatch arm
-/// is profiled. The suppression count is pinned *exactly*: adding a
-/// pragma anywhere in the tree must show up here as a conscious diff.
+/// owner, every `#[ignore]` suite is wired into CI. The suppression count
+/// is pinned *exactly*: adding a pragma anywhere in the tree must show up
+/// here as a conscious diff.
 #[test]
 fn actual_workspace_is_clean() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -255,40 +248,6 @@ fn real_stream_owner_map_is_exhaustive() {
         );
         assert!(!owner.is_empty(), "empty owner for {name}");
     }
-}
-
-/// Pin the item layer against the *real* runner so the span-coverage
-/// rule can never pass because the parser silently saw nothing: the
-/// event enum and the dispatch map must both resolve.
-#[test]
-fn real_runner_resolves_in_item_layer() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let text =
-        std::fs::read_to_string(root.join(soc_lint::RUNNER_PATH)).expect("real runner exists");
-    let sf = SourceFile::parse(&text);
-    let items = FileItems::parse(&sf);
-    let ev = items
-        .find(ItemKind::Enum, "Ev")
-        .expect("item parser resolves the runner's Ev enum");
-    assert!(
-        ev.variants.len() >= 7,
-        "expected the full shard-event taxonomy, got {:?}",
-        ev.variants.iter().map(|v| &v.name).collect::<Vec<_>>()
-    );
-    // The windowed executor split whole-system events onto the
-    // coordinator's own queue; both enums must resolve.
-    let coev = items
-        .find(ItemKind::Enum, "CoEv")
-        .expect("item parser resolves the runner's CoEv enum");
-    assert!(
-        coev.variants.len() >= 2,
-        "expected churn + sampling on the coordinator, got {:?}",
-        coev.variants.iter().map(|v| &v.name).collect::<Vec<_>>()
-    );
-    let f = items
-        .find(ItemKind::Fn, "dispatch_phase")
-        .expect("item parser resolves dispatch_phase");
-    assert!(f.body.is_some(), "dispatch_phase has no parsed body");
 }
 
 /// Lexer edge cases, table-driven: each source must lex without losing
@@ -474,12 +433,12 @@ fn cli_json_artifact_round_trips() {
     std::fs::remove_file(&out).ok();
     let v = soc_sim::json::parse(&text).expect("artifact parses");
     assert_eq!(v.get("clean").and_then(|x| x.as_bool()), Some(false));
-    assert_eq!(v.get("files_scanned").and_then(|x| x.as_u64()), Some(10));
+    assert_eq!(v.get("files_scanned").and_then(|x| x.as_u64()), Some(9));
     let findings = v
         .get("findings")
         .and_then(|x| x.as_array())
         .expect("findings array");
-    assert_eq!(findings.len(), 47);
+    assert_eq!(findings.len(), 44);
     assert!(findings.iter().any(|f| {
         f.get("rule").and_then(|x| x.as_str()) == Some("float-reduce-order")
             && f.get("path").and_then(|x| x.as_str()) == Some("crates/engine/src/float.rs")

@@ -5,7 +5,6 @@ use soc_can::CanOverlay;
 use soc_net::{MsgCounts, MsgKind};
 use soc_profile::ProfRef;
 use soc_types::{NodeId, QueryId, ResVec, SimMillis};
-use std::ops::Range;
 
 /// Protocol-defined timer discriminant (e.g. "state-update cycle",
 /// "diffusion cycle"). Values are private to each protocol.
@@ -217,55 +216,35 @@ impl<'a, M> Ctx<'a, M> {
 ///
 /// All methods receive the per-event [`Ctx`]; handlers must be
 /// deterministic given `(state, event, rng stream)`.
+///
+/// The scenario runner never copies an instance: it is handed a
+/// constructor `Fn(Range<u32>) -> P` and calls it once per shard with the
+/// id range whose per-node rows that shard's instance must hold.
 pub trait DiscoveryOverlay {
     /// Protocol message payload. `Send` so the sharded executor can move
     /// buffered cross-shard messages between worker threads.
     type Msg: Clone + std::fmt::Debug + Send;
 
-    /// Human-readable protocol name (report labels).
-    fn name(&self) -> &'static str;
-
-    /// Called once at simulation start: arm initial timers.
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Self::Msg>);
-
-    /// Like [`DiscoveryOverlay::on_start`], restricted to `nodes` — the
-    /// sharded executor bootstraps each shard's instance over that shard's
-    /// nodes only, in global node order. The default ignores the filter
-    /// and calls `on_start`, which is correct for the single-shard case
-    /// (the only case a non-overriding protocol ever runs in, because
-    /// [`DiscoveryOverlay::shardable`] defaults to `false`).
-    fn on_start_nodes(&mut self, ctx: &mut Ctx<'_, Self::Msg>, nodes: &[NodeId]) {
-        let _ = nodes;
-        self.on_start(ctx);
-    }
-
     /// May this protocol's state be partitioned by node across shards?
     /// `true` requires every handler at node `x` to touch only `x`'s own
     /// per-node rows (caches, timers, tables) and requester-owned query
-    /// state. The executor holds a shardable protocol to that: each shard
-    /// runs an instance forked for its own id range, which has no other
-    /// node's rows to touch, and churn hooks for a node reach its owner
-    /// shard's instance only. A shardable protocol must therefore
-    /// implement [`DiscoveryOverlay::fork_shard`]. Default `false` forces
-    /// the windowed executor down to one shard.
-    fn shardable(&self) -> bool {
-        false
-    }
+    /// state. The executor holds a shardable protocol to that: it builds
+    /// one instance per shard, each with rows for that shard's id range
+    /// only — there is no other node's row to touch — and churn hooks for
+    /// a node reach its owner shard's instance only. The default `false`
+    /// keeps the windowed executor at one shard, whose one instance holds
+    /// every id.
+    const SHARDABLE: bool = false;
 
-    /// A pristine instance — same configuration, no per-node state yet —
-    /// holding per-node rows for the ids in `owned` only. Called on a
-    /// template instance once per shard, before `on_start_nodes`; a
-    /// single-shard run forks once with the full id range, so the template
-    /// itself never needs rows. `None` (the default, for protocols that
-    /// are not [`DiscoveryOverlay::shardable`]) makes the one shard run
-    /// the instance it was handed, which must then cover every id.
-    fn fork_shard(&self, owned: Range<u32>) -> Option<Self>
-    where
-        Self: Sized,
-    {
-        let _ = owned;
-        None
-    }
+    /// Human-readable protocol name (report labels).
+    fn name(&self) -> &'static str;
+
+    /// Called once at simulation start, before any event: arm the initial
+    /// timers (and build the initial routing state) of `nodes` — the live
+    /// nodes whose rows this instance holds, in ascending id order. That is
+    /// every live node unless the protocol is [`Self::SHARDABLE`]; a
+    /// shardable protocol must start exactly the nodes it is given.
+    fn on_start(&mut self, ctx: &mut Ctx<'_, Self::Msg>, nodes: &[NodeId]);
 
     /// Fold another instance's *diagnostic* counters into this one (the
     /// sharded executor merges shard diagnostics before building the

@@ -87,15 +87,17 @@ pub struct TestHarness<P: DiscoveryOverlay> {
 }
 
 impl<P: DiscoveryOverlay> TestHarness<P> {
-    /// Build a harness; `on_start` is invoked immediately.
+    /// Build a harness; `on_start` is invoked immediately, over every live
+    /// node of `can`.
     pub fn new(mut proto: P, can: CanOverlay, host: TestHost, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut queue = EventQueue::new();
         let n = host.avails.len();
         let mut stats = MsgStats::new(n);
         {
+            let live: Vec<NodeId> = can.live_nodes().collect();
             let mut ctx = Ctx::new(0, &can, &host, &mut rng);
-            proto.on_start(&mut ctx);
+            proto.on_start(&mut ctx, &live);
             let (fx, sent) = ctx.finish();
             stats.record_batch(&sent);
             let mut h = ApplySink {

@@ -224,8 +224,7 @@ impl Profiler {
     /// construction (the same pattern as `SOC_FAULT_DEFENSE`), so the perf
     /// harness can flip it between runs inside one process.
     pub fn from_env() -> Self {
-        let on = matches!(soc_types::knobs::raw("SOC_PROFILE").as_deref(), Some("on"));
-        Self::with_enabled(on)
+        Self::with_enabled(soc_types::knobs::value("SOC_PROFILE").as_deref() == Some("on"))
     }
 
     /// Is recording on?
@@ -517,8 +516,10 @@ mod tests {
     fn from_env_reads_the_knob() {
         // Serialized with nothing: this crate's tests run in one binary
         // and no other test here touches SOC_PROFILE.
-        std::env::set_var("SOC_PROFILE", "on");
-        assert!(Profiler::from_env().is_enabled());
+        for on in ["on", " ON\n"] {
+            std::env::set_var("SOC_PROFILE", on);
+            assert!(Profiler::from_env().is_enabled(), "{on:?}");
+        }
         std::env::set_var("SOC_PROFILE", "off");
         assert!(!Profiler::from_env().is_enabled());
         std::env::remove_var("SOC_PROFILE");

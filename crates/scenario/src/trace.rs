@@ -102,20 +102,14 @@ impl WorkloadSource for RecordingSource {
         cap
     }
 
-    fn next_delay(&mut self, node: NodeId, now: SimMillis, rng: &mut SmallRng) -> SimMillis {
-        let ms = self.inner.next_delay(node, now, rng);
-        self.events.push(TraceEvent::Delay { node: node.0, ms });
-        ms
+    fn next_delay(&mut self, _node: NodeId, _now: SimMillis, _rng: &mut SmallRng) -> SimMillis {
+        // Every shard — a lone one too — draws from its fork; a delay
+        // logged here would land among the master's events.
+        unreachable!("next_delay called on the master recorder");
     }
 
-    fn next_task(&mut self, node: NodeId, now: SimMillis, rng: &mut SmallRng) -> TaskSpec {
-        let t = self.inner.next_task(node, now, rng);
-        self.events.push(TraceEvent::Task {
-            node: node.0,
-            duration_bits: t.duration_s.to_bits(),
-            dims: (0..t.expect.dim()).map(|d| t.expect[d].to_bits()).collect(),
-        });
-        t
+    fn next_task(&mut self, _node: NodeId, _now: SimMillis, _rng: &mut SmallRng) -> TaskSpec {
+        unreachable!("next_task called on the master recorder");
     }
 
     fn note_churn(&mut self, now: SimMillis, left: Option<NodeId>, joined: Option<NodeId>) {
@@ -127,11 +121,11 @@ impl WorkloadSource for RecordingSource {
         });
     }
 
-    fn fork_shard(&mut self, shard: usize) -> Option<Box<dyn WorkloadSource>> {
-        let inner = self.inner.fork_shard(shard)?;
+    fn fork_shard(&mut self, shard: usize) -> Box<dyn WorkloadSource> {
+        let inner = self.inner.fork_shard(shard);
         let buf = Arc::new(Mutex::new(Vec::new()));
         self.shard_bufs.push(Arc::clone(&buf));
-        Some(Box::new(RecordingFork { inner, buf }))
+        Box::new(RecordingFork { inner, buf })
     }
 }
 
@@ -176,6 +170,10 @@ impl WorkloadSource for RecordingFork {
         // the master already recorded the canonical Churn marker.
         self.inner.note_churn(now, left, joined);
     }
+
+    fn fork_shard(&mut self, _shard: usize) -> Box<dyn WorkloadSource> {
+        unreachable!("fork_shard called on a shard fork");
+    }
 }
 
 /// Replays a recorded event stream; panics with a position diagnostic on
@@ -195,7 +193,7 @@ struct ReplaySource {
     /// Indices of `Capacity`/`Churn` events, in trace order.
     master_seq: Arc<Vec<usize>>,
     /// Per-node cursor into `per_node`; each node is served by exactly
-    /// one instance (its shard's fork, or the master when unsharded).
+    /// one instance (its shard's fork).
     node_pos: Vec<usize>,
     /// Cursor into `master_seq`; only the master advances it.
     master_pos: usize,
@@ -331,12 +329,12 @@ impl WorkloadSource for ReplaySource {
         }
     }
 
-    fn fork_shard(&mut self, _shard: usize) -> Option<Box<dyn WorkloadSource>> {
+    fn fork_shard(&mut self, _shard: usize) -> Box<dyn WorkloadSource> {
         // Forks are created before any delay/task consumption, so a fresh
         // cursor vector is exact; each node's cursor is advanced by only
         // one instance because the executor routes each node's calls to a
         // single shard.
-        Some(Box::new(ReplaySource {
+        Box::new(ReplaySource {
             events: Arc::clone(&self.events),
             per_node: Arc::clone(&self.per_node),
             master_seq: Arc::clone(&self.master_seq),
@@ -344,7 +342,7 @@ impl WorkloadSource for ReplaySource {
             master_pos: 0,
             consumed: Arc::clone(&self.consumed),
             is_fork: true,
-        }))
+        })
     }
 }
 

@@ -1,0 +1,781 @@
+//! One shard: its nodes' host state, and the handlers of its events.
+
+use super::event::{dispatch_phase, DispatchSpec, Ev, Outbox};
+use super::World;
+use crate::defense::{Blacklist, DefenseParams};
+use crate::scenario::Scenario;
+use rand::rngs::SmallRng;
+use rand::RngExt;
+use soc_metrics::TaskTracker;
+use soc_net::{FaultPlan, MsgKind, MsgStats};
+use soc_overlay::{
+    Candidate, Ctx, DiscoveryOverlay, Effect, HostInfo, Phase, Profiler, QueryRequest, QueryVerdict,
+};
+use soc_psm::{NodeExec, RunningTask};
+use soc_simcore::EventQueue;
+use soc_types::{NodeId, OwnedRows, QueryId, ResVec, SimMillis, TaskId, PERF_DIMS};
+use soc_workload::WorkloadSource;
+use std::collections::BTreeMap;
+
+/// Host-side state visible to protocols, one per shard. `execs` and the
+/// blacklist hold rows for the shard's own nodes only — asking for any
+/// other node's is a panic — while `alive` and the fault flags, which
+/// every shard reads for foreign ids (is the destination up? is the
+/// receiver a blackhole?), are full-size replicas re-synchronized by the
+/// coordinator on churn (the only writer).
+pub(super) struct Hosts {
+    pub(super) execs: OwnedRows<NodeExec>,
+    pub(super) alive: Vec<bool>,
+    pub(super) cmax: ResVec,
+    /// Injected-fault state: which nodes are blackholes/liars, loss
+    /// channels, drop counters. All-zero config = cooperative network.
+    /// Per-shard mirror of the coordinator's master plan; flags are
+    /// synced on churn, drop counters accumulate locally and are summed
+    /// into the report.
+    pub(super) fault: FaultPlan,
+    /// Per-node suspicion blacklists (defence layer; empty when off), one
+    /// row per observer (`by`) this shard owns.
+    pub(super) blacklist: Blacklist,
+    /// `SOC_FAULT_DEFENSE=on` — read once per run, at the public entry.
+    pub(super) defense_on: bool,
+}
+
+impl HostInfo for Hosts {
+    fn availability(&self, node: NodeId) -> ResVec {
+        if self.fault.is_liar(node) {
+            // Corrupt index advert: the liar claims the global capacity
+            // ceiling, attracting dispatches that then fail the real
+            // qualification re-check on arrival. Ground-truth paths (the
+            // oracle, local exec, arrival re-checks) read `execs` directly
+            // and see the real availability.
+            return self.cmax;
+        }
+        self.execs[node].availability()
+    }
+    fn cmax(&self) -> &ResVec {
+        &self.cmax
+    }
+    fn is_alive(&self, node: NodeId) -> bool {
+        self.alive[node.idx()]
+    }
+    fn is_suspect(&self, by: NodeId, node: NodeId, now: SimMillis) -> bool {
+        self.defense_on && self.blacklist.is_blacklisted(by, node, now)
+    }
+}
+
+/// A discovery in progress (owned by the requester's shard).
+pub(super) struct PendingQuery {
+    pub(super) requester: NodeId,
+    demand: ResVec,
+    duration_s: f64,
+    wanted: usize,
+    submitted_at: SimMillis,
+    candidates: Vec<Candidate>,
+    /// Defence-layer re-issues so far (bounded by `DefenseParams::max_retries`).
+    attempts: u32,
+}
+
+/// Expected execution time per Equation (4)'s description: the work
+/// amount over the system-wide average capacity.
+fn expected_time(demand: &ResVec, duration_s: f64, avg_cap: &ResVec) -> f64 {
+    let mut t: f64 = 0.0;
+    for d in 0..PERF_DIMS {
+        let w = demand[d] * duration_s;
+        if avg_cap[d] > 0.0 {
+            t = t.max(w / avg_cap[d]);
+        }
+    }
+    t.max(1e-6)
+}
+
+/// Task ids are packed `(shard << 48) | counter` so every shard allocates
+/// from a disjoint namespace without coordination. Query ids use the same
+/// packing.
+const ID_SHARD_SHIFT: u32 = 48;
+
+/// What a shard counts while it runs; the report sums these over shards.
+#[derive(Default)]
+pub(super) struct ShardCounters {
+    pub(super) comp_scheduled: u64,
+    pub(super) comp_dedup_skips: u64,
+    pub(super) comp_dead_pops: u64,
+    pub(super) retries: u64,
+    pub(super) suspicions: u64,
+    pub(super) suspected_evil: u64,
+    pub(super) suspected_honest: u64,
+    pub(super) oracle_matchable: u64,
+    pub(super) oracle_match_sum: u64,
+    pub(super) oracle_record_matchable: u64,
+}
+
+impl ShardCounters {
+    pub(super) fn absorb(&mut self, o: &ShardCounters) {
+        self.comp_scheduled += o.comp_scheduled;
+        self.comp_dedup_skips += o.comp_dedup_skips;
+        self.comp_dead_pops += o.comp_dead_pops;
+        self.retries += o.retries;
+        self.suspicions += o.suspicions;
+        self.suspected_evil += o.suspected_evil;
+        self.suspected_honest += o.suspected_honest;
+        self.oracle_matchable += o.oracle_matchable;
+        self.oracle_match_sum += o.oracle_match_sum;
+        self.oracle_record_matchable += o.oracle_record_matchable;
+    }
+}
+
+/// One shard: the nodes of a fixed group of LANs — a contiguous id range —
+/// their event queue, their rows of every per-node table, and private RNG
+/// streams.
+pub(super) struct Shard<P: DiscoveryOverlay> {
+    pub(super) id: usize,
+    pub(super) sc: Scenario,
+    /// This shard's workload fork: serves the `next_delay` / `next_task`
+    /// draws of the nodes the shard owns.
+    pub(super) source: Box<dyn WorkloadSource>,
+    /// Current simulation time: the timestamp of the event being handled
+    /// (or the coordinator's barrier instant during coordinator-driven
+    /// calls). All shard logic reads this, never the queue clock, which
+    /// lags at window boundaries.
+    pub(super) now: SimMillis,
+    pub(super) proto: P,
+    pub(super) hosts: Hosts,
+    pub(super) queue: EventQueue<Ev<P::Msg>>,
+    /// Cross-shard events produced this window, in emission order.
+    /// Drained at the barrier.
+    pub(super) outbox: Outbox<P::Msg>,
+    /// BTreeMap (not HashMap): the churn-kill sweep iterates this map, and
+    /// ordered iteration keeps that sweep deterministic by construction.
+    /// Requester-partitioned: a query lives on its requester's shard.
+    pub(super) pending: BTreeMap<QueryId, PendingQuery>,
+    /// Recycled effect buffers: one `Ctx` is built per delivered event, so
+    /// handing the drained Vec back avoids an allocation per event.
+    pub(super) fx_buf: Vec<Effect<P::Msg>>,
+    pub(super) fx_next: Vec<Effect<P::Msg>>,
+    /// Expectation + locality of every task currently *resident* on this
+    /// shard's executors, keyed by task id (inserted on admit, removed on
+    /// finish or churn-drain). Replaces the serial engine's global
+    /// append-only vectors.
+    pub(super) task_info: BTreeMap<TaskId, (f64, bool)>,
+    /// Per-node completion-event memo: the `(fire time, epoch tag)` of the
+    /// single scheduled `Ev::Completion` this node considers live. A popped
+    /// completion that does not match is stale (its prediction was
+    /// superseded) and is discarded in O(1); a new prediction equal to the
+    /// already-scheduled fire time re-validates the queued event instead of
+    /// enqueueing a duplicate.
+    pub(super) comp_sched: OwnedRows<Option<(SimMillis, u64)>>,
+    /// Defence tunables (fixed; the knob only switches the layer on/off).
+    pub(super) defense: DefenseParams,
+    pub(super) counters: ShardCounters,
+    pub(super) tracker: TaskTracker,
+    pub(super) stats: MsgStats,
+    pub(super) avg_cap: ResVec,
+    pub(super) next_task: u64,
+    pub(super) next_query: u64,
+    /// Consumed only through `source.next_delay`/`next_task`.
+    pub(super) rng_work: SmallRng,
+    pub(super) rng_proto: SmallRng,
+    pub(super) rng_net: SmallRng,
+    pub(super) rng_dispatch: SmallRng,
+    /// Fault-injection stream: consumed only when the fault model is
+    /// enabled, so clean runs never touch it.
+    pub(super) rng_fault: SmallRng,
+    /// Per-phase wall-time attribution (`SOC_PROFILE=on`, read once at
+    /// construction like the defence knob). Observation-only: it draws no
+    /// randomness, owns no simulation state, and its summary is excluded
+    /// from the fingerprint — the `profile_equivalence` suite pins on/off
+    /// runs bitwise-identical.
+    pub(super) prof: Profiler,
+}
+
+impl<P: DiscoveryOverlay> Shard<P> {
+    fn alloc_tid(&mut self) -> TaskId {
+        debug_assert!(self.next_task < 1 << ID_SHARD_SHIFT);
+        let t = TaskId(((self.id as u64) << ID_SHARD_SHIFT) | self.next_task);
+        self.next_task += 1;
+        t
+    }
+
+    fn alloc_qid(&mut self) -> QueryId {
+        debug_assert!(self.next_query < 1 << ID_SHARD_SHIFT);
+        let q = QueryId(((self.id as u64) << ID_SHARD_SHIFT) | self.next_query);
+        self.next_query += 1;
+        q
+    }
+
+    /// Schedule `ev` at `at` on `target`'s shard: directly into our own
+    /// queue, or into the outbox for the window barrier to merge.
+    fn route(&mut self, at: SimMillis, target: NodeId, ev: Ev<P::Msg>, world: &World) {
+        let tgt = world.shard_of[target.idx()];
+        if tgt == self.id {
+            self.queue.schedule_at(at, ev);
+        } else {
+            debug_assert!(
+                at >= self.now + world.lookahead,
+                "cross-shard event inside the lookahead window"
+            );
+            self.outbox.push((at, tgt, ev));
+        }
+    }
+
+    /// Fault verdict for one in-flight control message. Returns true when
+    /// a partition window or a loss channel swallows it. Draws from
+    /// `rng_fault` only when the fault model is enabled — clean runs take
+    /// the constant-false branch and consume no randomness.
+    fn fault_drops_send(&mut self, from: NodeId, to: NodeId, world: &World) -> bool {
+        if !self.hosts.fault.config().enabled() {
+            return false;
+        }
+        let (la, lb) = (world.topo.lan_of(from), world.topo.lan_of(to));
+        if self
+            .hosts
+            .fault
+            .partitioned(self.now, la, lb, world.topo.n_lans())
+        {
+            self.hosts.fault.count_partition_drop();
+            return true;
+        }
+        self.hosts.fault.channel_drop(&mut self.rng_fault)
+    }
+
+    /// A message from `by` to `of` was swallowed by a fault: when the
+    /// defence is on, `by` notices the missing forward/ack after the
+    /// suspicion delay and registers a strike. The suspicion event belongs
+    /// to the observer, so it is routed to `by`'s shard (the suspicion
+    /// delay exceeds the lookahead, so the cross-shard case is safe).
+    fn suspect_later(&mut self, by: NodeId, of: NodeId, world: &World) {
+        if self.hosts.defense_on {
+            self.route(
+                self.now + self.defense.suspect_after_ms,
+                by,
+                Ev::Suspect { by, of },
+                world,
+            );
+        }
+    }
+
+    fn on_suspect(&mut self, by: NodeId, of: NodeId) {
+        if !self.hosts.defense_on || !self.hosts.alive[by.idx()] {
+            return;
+        }
+        self.counters.suspicions += 1;
+        if self.hosts.blacklist.strike(by, of, self.now, &self.defense) {
+            // Confusion accounting: did suspicion land on a real offender?
+            if self.hosts.fault.is_blackhole(of) || self.hosts.fault.is_liar(of) {
+                self.counters.suspected_evil += 1;
+            } else {
+                self.counters.suspected_honest += 1;
+            }
+        }
+    }
+
+    /// Register a discovery for `requester` and hand it to the protocol:
+    /// a fresh query id, the pending record, its deadline, `start_query`.
+    pub(super) fn submit_query(
+        &mut self,
+        requester: NodeId,
+        demand: ResVec,
+        duration_s: f64,
+        submitted_at: SimMillis,
+        world: &World,
+    ) {
+        let qid = self.alloc_qid();
+        self.pending.insert(
+            qid,
+            PendingQuery {
+                requester,
+                demand,
+                duration_s,
+                wanted: self.sc.delta,
+                submitted_at,
+                candidates: Vec::new(),
+                attempts: 0,
+            },
+        );
+        self.queue.schedule_at(
+            self.now + self.sc.query_timeout_ms,
+            Ev::QueryTimeout { qid },
+        );
+        let req = QueryRequest {
+            qid,
+            requester,
+            demand,
+            wanted: self.sc.delta,
+        };
+        self.with_proto(world, |p, ctx| p.start_query(ctx, req));
+    }
+
+    /// Query deadline fired. With the defence on, a query that heard
+    /// nothing at all gets bounded re-issues with exponential backoff
+    /// (fresh random search walks take different paths around the
+    /// blackholes); otherwise — and on exhausted retries — it settles with
+    /// whatever it has.
+    fn on_query_timeout(&mut self, qid: QueryId, world: &World) {
+        if self.hosts.defense_on {
+            let retry = match self.pending.get_mut(&qid) {
+                Some(p)
+                    if p.candidates.is_empty()
+                        && p.attempts < self.defense.max_retries
+                        && self.hosts.alive[p.requester.idx()] =>
+                {
+                    p.attempts += 1;
+                    Some((
+                        p.attempts,
+                        QueryRequest {
+                            qid,
+                            requester: p.requester,
+                            demand: p.demand,
+                            wanted: p.wanted,
+                        },
+                    ))
+                }
+                _ => None,
+            };
+            if let Some((attempts, req)) = retry {
+                self.counters.retries += 1;
+                let backoff = self.sc.query_timeout_ms << attempts.min(8);
+                self.queue
+                    .schedule_at(self.now + backoff, Ev::QueryTimeout { qid });
+                self.with_proto(world, |p, ctx| p.start_query(ctx, req));
+                return;
+            }
+        }
+        self.settle_query(qid, world);
+    }
+
+    /// Run one protocol callback and apply its effects. The callback's
+    /// batched per-kind traffic counts flush as a single `record_batch`
+    /// here instead of one scattered `MsgStats` write per message.
+    pub(super) fn with_proto<F>(&mut self, world: &World, f: F)
+    where
+        F: FnOnce(&mut P, &mut Ctx<'_, P::Msg>),
+    {
+        let buf = std::mem::take(&mut self.fx_buf);
+        let mut ctx = Ctx::new_in(self.now, &world.can, &self.hosts, &mut self.rng_proto, buf);
+        ctx.prof = self.prof.handle();
+        f(&mut self.proto, &mut ctx);
+        let (fx, sent) = ctx.finish();
+        let t = self.prof.start();
+        self.stats.record_batch(&sent);
+        self.prof.stop(Phase::StatsFlush, t);
+        self.fx_buf = self.apply_effects(fx, world);
+    }
+
+    /// Apply queued effects; returns the drained buffer for reuse.
+    ///
+    /// Latency sampling stays here, per message in effect order, so the
+    /// shard's `rng_net` stream is consumed in a canonical order that does
+    /// not depend on the execution driver.
+    fn apply_effects(
+        &mut self,
+        mut work: Vec<Effect<P::Msg>>,
+        world: &World,
+    ) -> Vec<Effect<P::Msg>> {
+        // Iterate: drops may generate follow-up effects (hop budgets bound
+        // the chain).
+        while !work.is_empty() {
+            let mut next = std::mem::take(&mut self.fx_next);
+            for f in work.drain(..) {
+                match f {
+                    Effect::Send {
+                        from,
+                        to,
+                        kind,
+                        msg,
+                    } => {
+                        if self.hosts.alive[to.idx()] {
+                            // Latency is sampled before the fault verdict so
+                            // the per-send `rng_net` draw sequence is exactly
+                            // the clean run's — the stream-isolation invariant.
+                            let t = self.prof.start();
+                            let lat = world.topo.latency(from, to, &mut self.rng_net);
+                            self.prof.stop(Phase::Latency, t);
+                            let t = self.prof.start();
+                            let dropped = self.fault_drops_send(from, to, world);
+                            self.prof.stop(Phase::Fault, t);
+                            if dropped {
+                                self.suspect_later(from, to, world);
+                            } else {
+                                // Cross-shard targets are cross-LAN, so the
+                                // sampled latency is at least the lookahead.
+                                self.route(
+                                    self.now + lat.max(1),
+                                    to,
+                                    Ev::Deliver {
+                                        from,
+                                        to,
+                                        kind,
+                                        msg,
+                                    },
+                                    world,
+                                );
+                            }
+                        } else {
+                            let mut ctx =
+                                Ctx::new(self.now, &world.can, &self.hosts, &mut self.rng_proto);
+                            ctx.prof = self.prof.handle();
+                            self.proto.on_message_dropped(&mut ctx, from, to, msg);
+                            let (fx, sent) = ctx.finish();
+                            let t = self.prof.start();
+                            self.stats.record_batch(&sent);
+                            self.prof.stop(Phase::StatsFlush, t);
+                            next.extend(fx);
+                        }
+                    }
+                    Effect::Timer { node, kind, delay } => {
+                        // Timers are own-node by the shardable contract.
+                        self.route(
+                            self.now + delay.max(1),
+                            node,
+                            Ev::ProtoTimer { node, kind },
+                            world,
+                        );
+                    }
+                    Effect::QueryResults { qid, candidates } => {
+                        self.on_query_results(qid, candidates, world);
+                    }
+                    Effect::QueryDone { qid, verdict } => {
+                        debug_assert_eq!(verdict, QueryVerdict::Exhausted);
+                        self.settle_query(qid, world);
+                    }
+                }
+            }
+            // `work` is drained; swap so follow-ups (if any) run next and
+            // the empty buffer is parked for the next round.
+            std::mem::swap(&mut work, &mut next);
+            self.fx_next = next;
+        }
+        work
+    }
+
+    fn on_query_results(&mut self, qid: QueryId, candidates: Vec<Candidate>, world: &World) {
+        let Some(p) = self.pending.get_mut(&qid) else {
+            return; // late results for a settled query
+        };
+        for c in candidates {
+            if !p.candidates.iter().any(|x| x.node == c.node) {
+                p.candidates.push(c);
+            }
+        }
+        if p.candidates.len() >= p.wanted {
+            self.settle_query(qid, world);
+        }
+    }
+
+    /// Finish a discovery: pick the best-fit live candidate and dispatch,
+    /// or count a failed task.
+    fn settle_query(&mut self, qid: QueryId, world: &World) {
+        let Some(p) = self.pending.remove(&qid) else {
+            return;
+        };
+        if !self.hosts.alive[p.requester.idx()] {
+            // The requester churned away mid-query; its task died with it.
+            self.tracker.task_killed();
+            return;
+        }
+        // The candidates are already "best-fit" by construction: the
+        // randomized agent/jump search returns records from the zones
+        // nearest the demand corner. Picking uniformly at random among the
+        // δ returned candidates is the paper's probabilistic contention
+        // control — a deterministic tightest-first pick would send every
+        // concurrent same-demand query to the same record (the ablation
+        // bench compares both policies).
+        let mut ranked: Vec<Candidate> = p
+            .candidates
+            .iter()
+            .filter(|c| self.hosts.alive[c.node.idx()])
+            .copied()
+            .collect();
+        if ranked.is_empty() {
+            self.tracker.task_failed();
+            return;
+        }
+        // Fisher–Yates on the candidate order (a dedicated dispatch RNG
+        // stream keeps the workload stream pure for trace replay).
+        for i in (1..ranked.len()).rev() {
+            let j = self.rng_dispatch.random_range(0..=i);
+            ranked.swap(i, j);
+        }
+        let target = ranked[0].node;
+        let fallbacks: Vec<NodeId> = ranked[1..].iter().map(|c| c.node).collect();
+        let tid = self.alloc_tid();
+        let expect_s = expected_time(&p.demand, p.duration_s, &self.avg_cap);
+        let spec = Box::new(DispatchSpec {
+            tid,
+            expect: p.demand,
+            duration_s: p.duration_s,
+            submitted_at: p.submitted_at,
+            requester: p.requester,
+            fallbacks,
+            expect_s,
+            is_local: false,
+        });
+        self.dispatch_first(target, spec, world);
+    }
+
+    /// Time to move a task's payload from its requester to `to` (the
+    /// requester keeps it: every leg of a dispatch starts there).
+    fn payload_ms(&mut self, spec: &DispatchSpec, to: NodeId, world: &World) -> SimMillis {
+        if to == spec.requester {
+            return 1;
+        }
+        let kb = self.sc.dispatch_kbytes;
+        world
+            .topo
+            .transfer_ms(spec.requester, to, kb, &mut self.rng_net)
+    }
+
+    /// Ship a task from its requester to `target`, charging the dispatch
+    /// transfer.
+    ///
+    /// Dispatch payloads ride a reliable bulk-transfer path on purpose:
+    /// the fault model targets the control plane (forwarded queries,
+    /// adverts, notifications), where the paper's protocols live. A
+    /// payload-level fault story would need its own retransmit model.
+    fn dispatch_first(&mut self, target: NodeId, spec: Box<DispatchSpec>, world: &World) {
+        self.stats.record(MsgKind::Dispatch);
+        let at = self.now + self.payload_ms(&spec, target, world);
+        self.route(at, target, Ev::TaskArrive { to: target, spec }, world);
+    }
+
+    /// Re-ship a rejected task from the rejecting node `at` to the next
+    /// candidate. The payload physically bounces back through the
+    /// requester (who owns it) before the onward transfer, so the total
+    /// delay is the return latency plus the forward transfer — which also
+    /// gives every cross-shard leg the WAN latency floor the lookahead
+    /// window requires.
+    fn dispatch_bounce(
+        &mut self,
+        at: NodeId,
+        next: NodeId,
+        spec: Box<DispatchSpec>,
+        world: &World,
+    ) {
+        self.stats.record(MsgKind::Dispatch);
+        let back = world.topo.latency(at, spec.requester, &mut self.rng_net);
+        let at = self.now + back.max(1) + self.payload_ms(&spec, next, world);
+        self.route(at, next, Ev::TaskArrive { to: next, spec }, world);
+    }
+
+    /// Task payload arrived at a prospective execution node: re-check
+    /// Inequality (2); reject to the next best-fit candidate when the node
+    /// no longer qualifies (records were stale / a competitor won the
+    /// race). A rejected task with no candidates left fails.
+    fn on_task_arrive(&mut self, to: NodeId, mut spec: Box<DispatchSpec>, world: &World) {
+        let alive = self.hosts.alive[to.idx()];
+        let qualifies = alive && self.hosts.execs[to].qualifies(&spec.expect);
+        if qualifies {
+            self.start_task_on(to, &spec);
+            return;
+        }
+        // Rejected (or the node died in transit): try the next candidate.
+        loop {
+            let Some(next) = spec.fallbacks.first().copied() else {
+                if self.hosts.alive[spec.requester.idx()] {
+                    self.tracker.task_rejected();
+                } else {
+                    self.tracker.task_killed();
+                }
+                return;
+            };
+            spec.fallbacks.remove(0);
+            if self.hosts.alive[next.idx()] {
+                self.dispatch_bounce(to, next, spec, world);
+                return;
+            }
+        }
+    }
+
+    fn start_task_on(&mut self, node: NodeId, spec: &DispatchSpec) {
+        let now = self.now;
+        self.task_info
+            .insert(spec.tid, (spec.expect_s, spec.is_local));
+        let task = RunningTask::with_duration(
+            spec.tid,
+            spec.expect,
+            spec.duration_s,
+            PERF_DIMS,
+            spec.submitted_at,
+            now,
+        );
+        self.hosts.execs[node].add_task(now, task);
+        self.schedule_completion(node);
+    }
+
+    fn schedule_completion(&mut self, node: NodeId) {
+        let now = self.now;
+        let exec = &mut self.hosts.execs[node];
+        let t = self.prof.start();
+        let predicted = exec.next_completion(now);
+        self.prof.stop(Phase::PsmPredict, t);
+        match predicted {
+            Some(at) => {
+                let epoch = exec.epoch();
+                match self.comp_sched[node] {
+                    // Epoch-aware memo: the queued event already fires at
+                    // the newly predicted instant — keep it (with its old
+                    // epoch tag, which the memo vouches for) instead of
+                    // orphaning it and enqueueing a duplicate.
+                    Some((sched_at, _)) if sched_at == at => {
+                        self.counters.comp_dedup_skips += 1;
+                    }
+                    _ => {
+                        self.comp_sched[node] = Some((at, epoch));
+                        self.counters.comp_scheduled += 1;
+                        self.queue.schedule_at(at, Ev::Completion { node, epoch });
+                    }
+                }
+            }
+            // Idle/starved: whatever is still queued is now stale.
+            None => self.comp_sched[node] = None,
+        }
+    }
+
+    fn on_completion(&mut self, node: NodeId, epoch: u64) {
+        let now = self.now;
+        // The epoch guard: only the memoized live event — matched by fire
+        // time *and* the epoch tag it was enqueued under — may collect.
+        // Everything else is a superseded prediction (or a dead/rejoined
+        // node's leftover) and is dropped in O(1).
+        let live = self.hosts.alive[node.idx()] && self.comp_sched[node] == Some((now, epoch));
+        if !live {
+            self.counters.comp_dead_pops += 1;
+            return;
+        }
+        self.comp_sched[node] = None;
+        let finished = self.hosts.execs[node].collect_finished(now);
+        for f in finished {
+            let (expect_s, is_local) = self
+                .task_info
+                .remove(&f.id)
+                .expect("finished task has no expectation record");
+            if is_local {
+                self.tracker.task_local_finished();
+                continue;
+            }
+            let actual_s = ((f.finished_at - f.submitted_at) as f64 / 1000.0).max(1e-3);
+            self.tracker.task_finished(expect_s / actual_s);
+        }
+        self.schedule_completion(node);
+    }
+
+    /// Arm `node`'s next arrival, `now` being the instant the chain starts
+    /// or the previous arrival fired.
+    pub(super) fn schedule_arrival(&mut self, node: NodeId) {
+        let delay = self.source.next_delay(node, self.now, &mut self.rng_work);
+        self.queue
+            .schedule_at(self.now + delay, Ev::Arrival { node });
+    }
+
+    fn on_arrival(&mut self, node: NodeId, world: &World) {
+        if !self.hosts.alive[node.idx()] {
+            return; // chain ends; a future join restarts it
+        }
+        let now = self.now;
+        // Schedule the next arrival first (per-node renewal process).
+        self.schedule_arrival(node);
+
+        let spec = self.source.next_task(node, now, &mut self.rng_work);
+
+        if self.sc.local_exec && self.hosts.execs[node].qualifies(&spec.expect) {
+            // Satisfied by the local scheduler: the discovery protocol is
+            // never exercised, so the task stays out of T/F-Ratio (the
+            // paper's "submitted" denominator is overlay submissions).
+            self.tracker.task_local_generated();
+            let tid = self.alloc_tid();
+            let expect_s = expected_time(&spec.expect, spec.duration_s, &self.avg_cap);
+            self.start_task_on(
+                node,
+                &DispatchSpec {
+                    tid,
+                    expect: spec.expect,
+                    duration_s: spec.duration_s,
+                    submitted_at: now,
+                    requester: node,
+                    fallbacks: Vec::new(),
+                    expect_s,
+                    is_local: true,
+                },
+            );
+            return;
+        }
+
+        self.tracker.task_generated();
+        if self.sc.oracle {
+            // Oracle scenarios force a single shard, so this shard's alive
+            // flags and executors are globally authoritative.
+            let matching = (0..self.hosts.alive.len())
+                .filter(|&i| {
+                    self.hosts.alive[i]
+                        && self.hosts.execs[NodeId(i as u32)].qualifies(&spec.expect)
+                })
+                .count();
+            self.counters.oracle_match_sum += matching as u64;
+            if matching > 0 {
+                self.counters.oracle_matchable += 1;
+            }
+            if self
+                .proto
+                .diag_record_match(&spec.expect, now)
+                .unwrap_or(false)
+            {
+                self.counters.oracle_record_matchable += 1;
+            }
+        }
+        self.submit_query(node, spec.expect, spec.duration_s, now, world);
+    }
+
+    /// Handle one popped event at `self.now`.
+    fn handle(&mut self, ev: Ev<P::Msg>, world: &World) {
+        match ev {
+            Ev::Deliver {
+                from,
+                to,
+                kind,
+                msg,
+            } => {
+                if self.hosts.alive[to.idx()] {
+                    if self.hosts.fault.config().enabled()
+                        && self.hosts.fault.is_blackhole(to)
+                        && kind != MsgKind::FoundNotify
+                    {
+                        // Byzantine receiver: the message vanishes
+                        // unprocessed. FoundNotify is spared so an evil
+                        // requester still collects its own results (the
+                        // selfish-freeloader model, not a self-DoS).
+                        self.hosts.fault.count_blackhole_drop();
+                        self.suspect_later(from, to, world);
+                    } else {
+                        self.with_proto(world, |p, ctx| p.on_message(ctx, to, msg));
+                    }
+                }
+                // Deliveries to nodes that died in-flight vanish; the
+                // sender already paid for the message.
+            }
+            Ev::ProtoTimer { node, kind } => {
+                if self.hosts.alive[node.idx()] {
+                    self.with_proto(world, |p, ctx| p.on_timer(ctx, node, kind));
+                }
+            }
+            Ev::Arrival { node } => self.on_arrival(node, world),
+            Ev::QueryTimeout { qid } => self.on_query_timeout(qid, world),
+            Ev::TaskArrive { to, spec } => self.on_task_arrive(to, spec, world),
+            Ev::Completion { node, epoch } => self.on_completion(node, epoch),
+            Ev::Suspect { by, of } => self.on_suspect(by, of),
+        }
+    }
+
+    /// Pop and handle every queued event strictly before `wb`.
+    pub(super) fn pump(&mut self, wb: SimMillis, world: &World) {
+        loop {
+            let t_pop = self.prof.start();
+            let popped = self.queue.pop_until(wb - 1);
+            self.prof.stop(Phase::QueuePop, t_pop);
+            let Some((t, ev)) = popped else { break };
+            self.now = t;
+            let t_ev = self.prof.start();
+            let ph = dispatch_phase(&ev);
+            self.handle(ev, world);
+            self.prof.stop(ph, t_ev);
+        }
+    }
+}

@@ -1,0 +1,132 @@
+use crate::report::RunReport;
+use crate::scenario::{ProtocolChoice, Scenario};
+use soc_net::FaultConfig;
+
+// These tests run with the defence OFF (the default; no env flips —
+// env-flipping defence tests live in the serialized bench suite).
+
+fn hostile(seed: u64, f: FaultConfig) -> RunReport {
+    Scenario::quick(ProtocolChoice::Hid)
+        .nodes(120)
+        .seed(seed)
+        .fault(f)
+        .run()
+}
+
+#[test]
+fn clean_run_reports_no_fault_activity() {
+    let r = Scenario::quick(ProtocolChoice::Hid)
+        .nodes(120)
+        .seed(31)
+        .run();
+    assert!(
+        !r.faults.any(),
+        "clean run moved fault counters: {:?}",
+        r.faults
+    );
+}
+
+#[test]
+fn explicit_zero_fault_config_is_bitwise_clean() {
+    // `[fault]` with all-zero fractions must equal no fault model at
+    // all — the zero-fault identity, in-crate.
+    let clean = Scenario::quick(ProtocolChoice::Hid)
+        .nodes(120)
+        .seed(32)
+        .run();
+    let zeroed = hostile(32, FaultConfig::default());
+    assert_eq!(clean.fingerprint(), zeroed.fingerprint());
+}
+
+#[test]
+fn blackholes_swallow_messages_and_hurt_discovery() {
+    let clean = Scenario::quick(ProtocolChoice::Hid)
+        .nodes(120)
+        .seed(33)
+        .run();
+    let r = hostile(
+        33,
+        FaultConfig {
+            blackhole_frac: 0.3,
+            ..FaultConfig::default()
+        },
+    );
+    assert!(r.faults.blackhole_nodes > 0, "no blackholes sampled");
+    assert!(r.faults.drops_blackhole > 0, "blackholes dropped nothing");
+    assert_eq!(r.faults.retries, 0, "defence off must never retry");
+    assert!(
+        r.t_ratio < clean.t_ratio,
+        "30% blackholes should depress T-Ratio: {} vs clean {}",
+        r.t_ratio,
+        clean.t_ratio
+    );
+}
+
+#[test]
+fn liars_attract_dispatches_that_get_rejected() {
+    let clean = Scenario::quick(ProtocolChoice::Hid)
+        .nodes(120)
+        .seed(34)
+        .run();
+    let r = hostile(
+        34,
+        FaultConfig {
+            liar_frac: 0.25,
+            ..FaultConfig::default()
+        },
+    );
+    assert!(r.faults.liar_nodes > 0);
+    assert!(
+        r.rejected > clean.rejected,
+        "corrupt adverts should spike rejections: {} vs clean {}",
+        r.rejected,
+        clean.rejected
+    );
+}
+
+#[test]
+fn loss_channels_count_their_drops() {
+    let r = hostile(
+        35,
+        FaultConfig {
+            loss: 0.05,
+            burst_loss: 0.8,
+            burst_len: 20,
+            burst_gap: 200,
+            ..FaultConfig::default()
+        },
+    );
+    assert!(r.faults.drops_loss > 0, "iid channel dropped nothing");
+    assert!(r.faults.drops_burst > 0, "burst channel dropped nothing");
+}
+
+#[test]
+fn partitions_cut_cross_half_traffic_in_windows() {
+    let r = hostile(
+        36,
+        FaultConfig {
+            partition_period_ms: 1_800_000,
+            partition_ms: 600_000,
+            ..FaultConfig::default()
+        },
+    );
+    assert!(r.faults.drops_partition > 0, "partition cut nothing");
+    assert_eq!(r.faults.drops_loss + r.faults.drops_burst, 0);
+}
+
+#[test]
+fn fault_runs_preserve_task_conservation() {
+    let r = hostile(
+        37,
+        FaultConfig {
+            blackhole_frac: 0.15,
+            loss: 0.02,
+            ..FaultConfig::default()
+        },
+    );
+    assert!(r.generated > 0);
+    assert!(
+        r.finished + r.failed + r.killed + r.rejected <= r.generated,
+        "conservation under faults"
+    );
+}

@@ -3,7 +3,11 @@
 //! Every runtime knob the workspace reads from the environment is
 //! declared here — name, accepted values, default, and a doc line — and
 //! read through [`raw`], the single `std::env::var` site for `SOC_*`
-//! variables. `soc-lint`'s `env-knob-registry` rule enforces both halves
+//! variables. Parsers match on [`value`], the same read trimmed and
+//! ASCII-lowercased, so `ON`, ` on ` and `on` are one setting; a value
+//! outside a knob's accepted set selects its default there, which is why a
+//! binary calls [`check_env`] first and refuses to start on one.
+//! `soc-lint`'s `env-knob-registry` rule enforces both halves
 //! mechanically: a direct `env::var("SOC_…")` anywhere else is a finding,
 //! and so is a `SOC_*` string literal naming a knob this table does not
 //! declare. The README's env-knob table is checked against this registry
@@ -44,12 +48,6 @@ pub const KNOBS: &[Knob] = &[
         doc: "Windowed-executor driver; serial runs the shard windows inline, sharded runs them on worker threads (bitwise-identical)",
     },
     Knob {
-        name: "SOC_SIM_SHARDS",
-        values: "positive integer",
-        default: "min(8, LAN count)",
-        doc: "Shard-count override for the windowed executor; part of the simulated configuration, so it changes fingerprints (SOC_SIM_EXEC never does)",
-    },
-    Knob {
         name: "SOC_FAULT_DEFENSE",
         values: "off | on",
         default: "off",
@@ -85,6 +83,37 @@ pub fn raw(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 
+/// A declared knob's setting, normalised for matching: trimmed and
+/// ASCII-lowercased. Every parser of an enumerated knob matches on this,
+/// so they all agree on what `SOC_FAULT_DEFENSE=ON` means.
+pub fn value(name: &str) -> Option<String> {
+    raw(name).map(|v| v.trim().to_ascii_lowercase())
+}
+
+/// Is the normalised setting `v` one of `knob`'s accepted `values`
+/// (alternatives split on ` | `; `positive integer` parsed)?
+fn accepts(knob: &Knob, v: &str) -> bool {
+    if knob.values == "positive integer" {
+        v.parse::<u64>().is_ok_and(|n| n >= 1)
+    } else {
+        knob.values.split(" | ").any(|a| a == v)
+    }
+}
+
+/// Validate every declared knob that is set in the environment against
+/// its accepted `values`. The error names the knob, the offending value
+/// and the accepted set. A parser handed a value it does not know falls
+/// back to the default — for `SOC_FAULT_DEFENSE` that is a different
+/// simulation — so entry points call this before they run anything.
+pub fn check_env() -> Result<(), String> {
+    for k in KNOBS {
+        if let Some(v) = value(k.name).filter(|v| !accepts(k, v)) {
+            return Err(format!("{}={v:?}: expected {}", k.name, k.values));
+        }
+    }
+    Ok(())
+}
+
 /// The README "Environment knobs" table, regenerated from the registry
 /// (tested against the checked-in README so the two cannot drift).
 /// Literal `|` in a field (e.g. `scan | cached`) is escaped as `\|` so
@@ -107,6 +136,23 @@ pub fn markdown_table() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// The tests below that set `SOC_*` variables run on threads of one
+    /// process; `check_env` reads all of them.
+    static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Run `f` with `name` set to `v`, then restore what was there.
+    fn with_var<T>(name: &str, v: &str, f: impl FnOnce() -> T) -> T {
+        let prev = raw(name);
+        std::env::set_var(name, v);
+        let out = f();
+        match prev {
+            Some(p) => std::env::set_var(name, p),
+            None => std::env::remove_var(name),
+        }
+        out
+    }
 
     #[test]
     fn names_are_soc_upper_snake_and_unique() {
@@ -131,14 +177,49 @@ mod tests {
     #[test]
     fn raw_reads_declared_knobs() {
         // Whatever the environment holds, reading a declared knob must
-        // not panic and must round-trip set values. Nothing in this test
-        // binary acts on the knob, so borrowing a real one is harmless.
-        let prev = raw("SOC_BENCH_THREADS");
-        std::env::set_var("SOC_BENCH_THREADS", "knob-roundtrip");
-        assert_eq!(raw("SOC_BENCH_THREADS").as_deref(), Some("knob-roundtrip"));
-        match prev {
-            Some(v) => std::env::set_var("SOC_BENCH_THREADS", v),
-            None => std::env::remove_var("SOC_BENCH_THREADS"),
+        // not panic and must round-trip set values — `value` being the
+        // same read, normalised. Nothing in this test binary acts on the
+        // knob, so borrowing a real one is harmless.
+        let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        with_var("SOC_BENCH_THREADS", " Knob-Roundtrip\n", || {
+            let raw = raw("SOC_BENCH_THREADS");
+            assert_eq!(raw.as_deref(), Some(" Knob-Roundtrip\n"));
+            let value = value("SOC_BENCH_THREADS");
+            assert_eq!(value.as_deref(), Some("knob-roundtrip"));
+        });
+    }
+
+    /// Each knob x {valid, wrong case, garbage}: a mistyped value is an
+    /// error that names the knob, the value and what would have been
+    /// accepted; case and surrounding blanks are not mistakes.
+    #[test]
+    fn check_env_accepts_every_case_and_names_what_it_rejects() {
+        let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let cases: [(&str, &[&str], &[&str]); 5] = [
+            ("SOC_ROUTE", &["scan", "cached", "SCAN"], &["scna", ""]),
+            (
+                "SOC_SIM_EXEC",
+                &["serial", "sharded", "Sharded "],
+                &["threads"],
+            ),
+            (
+                "SOC_FAULT_DEFENSE",
+                &["off", "on", "ON"],
+                &["1", "true", "enabled"],
+            ),
+            ("SOC_PROFILE", &["off", "on", " On"], &["yes"]),
+            ("SOC_BENCH_THREADS", &["1", " 4 "], &["0", "-2", "four"]),
+        ];
+        assert_eq!(cases.len(), KNOBS.len(), "a knob has no validation case");
+        for (name, good, bad) in cases {
+            let knob = get(name).expect("declared");
+            for v in good {
+                with_var(name, v, || assert_eq!(check_env(), Ok(()), "{name}={v:?}"));
+            }
+            for v in bad {
+                let err = with_var(name, v, check_env).expect_err("garbage is refused");
+                assert_eq!(err, format!("{name}={v:?}: expected {}", knob.values));
+            }
         }
     }
 

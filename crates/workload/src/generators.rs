@@ -324,11 +324,11 @@ impl WorkloadSource for SyntheticSource {
         }
     }
 
-    fn fork_shard(&mut self, _shard: usize) -> Option<Box<dyn WorkloadSource>> {
+    fn fork_shard(&mut self, _shard: usize) -> Box<dyn WorkloadSource> {
         // A plain clone is a valid shard fork: all per-node state (MMPP
         // phases) is only ever touched through that node's own calls, and
         // the executor routes each node's calls to exactly one fork.
-        Some(Box::new(self.clone()))
+        Box::new(self.clone())
     }
 }
 

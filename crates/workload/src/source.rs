@@ -20,8 +20,8 @@ use soc_types::{NodeId, ResVec, SimMillis};
 /// A source that ignores the RNG entirely (trace replay) is valid: the
 /// runner guarantees the passed streams are consumed by no one else.
 ///
-/// `Send` is required because the windowed executor may hand per-shard
-/// forks (see [`WorkloadSource::fork_shard`]) to worker threads.
+/// `Send` is required because the windowed executor hands per-shard forks
+/// (see [`WorkloadSource::fork_shard`]) to worker threads.
 pub trait WorkloadSource: Send {
     /// Capacity vector for the next provisioned node (bootstrap fills ids
     /// in order, then one call per churn join).
@@ -40,20 +40,19 @@ pub trait WorkloadSource: Send {
         let _ = (now, left, joined);
     }
 
-    /// A per-shard fork for the windowed executor, or `None` to opt out
-    /// (the executor then forces a single shard, preserving serial
-    /// semantics exactly).
+    /// A fork for shard `shard` of the windowed executor. Every run forks —
+    /// a run with one shard forks once, with `shard = 0` — and the forks
+    /// serve every `next_delay` / `next_task` of the run; the instance the
+    /// runner was handed (the master) keeps `node_capacity`.
     ///
-    /// Contract: the executor calls this once per shard *after* every
-    /// bootstrap [`WorkloadSource::node_capacity`] draw and before any
-    /// `next_delay`/`next_task`. Forks only ever serve `next_delay` and
-    /// `next_task` for nodes owned by their shard — `node_capacity` is
-    /// never called on a fork (capacity draws stay on the master at the
-    /// coordinator). Churn notifications are delivered to the master and
-    /// to every fork, always in shard-id order, so stateful sources see a
-    /// canonical sequence regardless of execution mode.
-    fn fork_shard(&mut self, shard: usize) -> Option<Box<dyn WorkloadSource>> {
-        let _ = shard;
-        None
-    }
+    /// Contract: the executor calls this once per shard, in shard-id
+    /// order, *after* every bootstrap [`WorkloadSource::node_capacity`]
+    /// draw and before any `next_delay`/`next_task`. A fork only ever
+    /// serves `next_delay` and `next_task` for nodes owned by its shard —
+    /// `node_capacity` is never called on a fork (capacity draws stay on
+    /// the master at the coordinator), and a fork is never forked again.
+    /// Churn notifications are delivered to the master and to every fork,
+    /// always in shard-id order, so stateful sources see a canonical
+    /// sequence regardless of execution mode.
+    fn fork_shard(&mut self, shard: usize) -> Box<dyn WorkloadSource>;
 }
