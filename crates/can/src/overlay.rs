@@ -52,12 +52,14 @@ impl CanOverlay {
     /// Bootstrap an overlay of dimension `dim` with capacity for `max_nodes`
     /// node ids; node `first` owns the whole space.
     pub fn new(dim: usize, max_nodes: usize, first: NodeId) -> Self {
+        // The largest table first, while the heap is at its emptiest.
+        let tree = PartitionTree::with_leaf_capacity(dim, first, max_nodes);
         let mut zones = vec![None; max_nodes];
         let mut alive = vec![false; max_nodes];
         zones[first.idx()] = Some(Zone::unit(dim));
         alive[first.idx()] = true;
         CanOverlay {
-            tree: PartitionTree::new(dim, first),
+            tree,
             zones,
             neighbors: vec![Vec::new(); max_nodes],
             alive,

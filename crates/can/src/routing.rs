@@ -4,6 +4,11 @@
 //! the destination point, giving `O(d · n^{1/d})` expected hops. INSCAN
 //! (`soc-inscan`) layers `2^k` finger jumps on top to reach `O(log2 n)`;
 //! both use this module's greedy step as the local fallback.
+//!
+//! "Closest" is [`Zone::route_key`](crate::Zone::route_key), not distance
+//! alone: the key agrees with half-open zone ownership, so every step is a
+//! strict descent and the walk ends at `owner_of(target)` for every target,
+//! including the ones that sit exactly on split planes.
 
 use crate::overlay::CanOverlay;
 use crate::zone::Point;
@@ -27,8 +32,10 @@ impl RouteOutcome {
 
 /// One greedy step from `current` toward `target`.
 ///
-/// Returns `None` when `current`'s zone already contains `target`.
-/// Ties are broken by node id so routing is deterministic.
+/// Returns `None` when `current`'s zone already contains `target`;
+/// otherwise the returned neighbor's [`route_key`](crate::Zone::route_key)
+/// is strictly below `current`'s. Ties are broken by node id so routing is
+/// deterministic.
 pub fn greedy_next_hop(ov: &CanOverlay, current: NodeId, target: &Point) -> Option<NodeId> {
     let zone = ov.zone(current).expect("routing from a dead node");
     if zone.contains(target) {
@@ -52,15 +59,16 @@ pub fn greedy_next_hop(ov: &CanOverlay, current: NodeId, target: &Point) -> Opti
 ///
 /// The caller must already have established that `current`'s zone does not
 /// contain `target`. Neighbors without a zone (mid-churn staleness) are
-/// skipped; ties break by node id. Returns `None` when no neighbor is
-/// accepted (an isolated sender).
+/// skipped; the smallest [`route_key`](crate::Zone::route_key) wins, ties
+/// break by node id. Returns `None` when no neighbor is accepted (an
+/// isolated sender).
 pub fn greedy_next_hop_filtered(
     ov: &CanOverlay,
     current: NodeId,
     target: &Point,
     mut accept: impl FnMut(NodeId) -> bool,
 ) -> Option<NodeId> {
-    let mut best: Option<(f64, NodeId)> = None;
+    let mut best: Option<((f64, u32), NodeId)> = None;
     for e in ov.neighbors(current) {
         if !accept(e.node) {
             continue;
@@ -68,13 +76,9 @@ pub fn greedy_next_hop_filtered(
         let Some(nz) = ov.zone(e.node) else {
             continue;
         };
-        let d = nz.dist_to_point(target);
-        let better = match best {
-            None => true,
-            Some((bd, bn)) => d < bd || (d == bd && e.node < bn),
-        };
-        if better {
-            best = Some((d, e.node));
+        let cand = (nz.route_key(target), e.node);
+        if best.is_none_or(|b| cand < b) {
+            best = Some(cand);
         }
     }
     best.map(|(_, n)| n)

@@ -158,8 +158,32 @@ impl Zone {
         }
     }
 
+    /// What one routing step toward `p` must strictly decrease:
+    /// `(`[`Zone::dist_to_point`]`, open faces)`, compared lexicographically,
+    /// where an *open face* is a dimension in which `p` lies exactly on the
+    /// zone's excluded upper bound (`p[d] == hi[d] != 1.0`).
+    ///
+    /// Distance alone cannot order zones around a target that sits on a
+    /// split plane — and Table I capacities normalize to binary fractions,
+    /// so availability points do: every zone touching the plane is at
+    /// distance 0, yet half-open ownership gives the point to exactly one
+    /// of them. The face count breaks that tie consistently with
+    /// [`Zone::contains`]: the key is `(0.0, 0)` exactly for the owner, and
+    /// any other zone has a face neighbor with a strictly smaller key
+    /// (distance > 0: across the face nearest `p`; distance 0 with `k` open
+    /// faces: across one of them, at most `k − 1` remain), so minimizing it
+    /// over neighbors reaches the owner of every target.
+    pub fn route_key(&self, p: &Point) -> (f64, u32) {
+        let open = (0..self.dim())
+            .filter(|&d| p[d] == self.hi[d] && self.hi[d] != 1.0)
+            .count();
+        (self.dist_to_point(p), open as u32)
+    }
+
     /// Minimum Euclidean distance from the zone (as a closed box) to `p`;
-    /// zero when `p` is inside. This is the metric greedy routing minimizes.
+    /// zero when `p` is inside or on the boundary — including a boundary
+    /// the half-open zone does not own, which is why routing compares
+    /// [`Zone::route_key`] rather than this alone.
     pub fn dist_to_point(&self, p: &Point) -> f64 {
         let mut acc = 0.0;
         for d in 0..self.dim() {
@@ -259,6 +283,39 @@ mod tests {
         assert!((z.dist_to_point(&pt(&[1.0, 0.25])) - 0.5).abs() < 1e-12);
         let corner = z.dist_to_point(&pt(&[1.0, 1.0]));
         assert!((corner - (0.5f64.powi(2) * 2.0).sqrt()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn route_key_is_minimal_exactly_for_the_owner() {
+        // A 4 × 4 grid of quarter-width zones, probed on the eighths
+        // lattice: every second probe coordinate is a split plane, and 0.0
+        // and 1.0 are the faces of the key space.
+        let zones: Vec<Zone> = (0..16)
+            .map(|i| {
+                let (x, y) = ((i % 4) as f64 * 0.25, (i / 4) as f64 * 0.25);
+                Zone::new(pt(&[x, y]), pt(&[x + 0.25, y + 0.25]))
+            })
+            .collect();
+        for i in 0..=8 {
+            for j in 0..=8 {
+                let p = pt(&[i as f64 / 8.0, j as f64 / 8.0]);
+                let mut owners = 0;
+                for z in &zones {
+                    assert_eq!(z.route_key(&p) == (0.0, 0), z.contains(&p), "{z:?} {p:?}");
+                    owners += usize::from(z.contains(&p));
+                }
+                assert_eq!(owners, 1, "{p:?}");
+            }
+        }
+        // On a shared plane both sides are at distance 0; only the side
+        // that does not own the point has an open face.
+        let (left, right) = Zone::unit(2).split(0);
+        let on_plane = pt(&[0.5, 0.3]);
+        assert_eq!(left.route_key(&on_plane), (0.0, 1));
+        assert_eq!(right.route_key(&on_plane), (0.0, 0));
+        // The top face of the key space is closed, so it is never open.
+        assert_eq!(right.route_key(&pt(&[1.0, 1.0])), (0.0, 0));
+        assert_eq!(left.route_key(&pt(&[1.0, 1.0])), (0.5, 0));
     }
 
     #[test]

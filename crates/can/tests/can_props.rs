@@ -1,10 +1,11 @@
 //! Property-based tests for the CAN substrate: the partition tree tiles the
 //! space under arbitrary churn, neighbor tables stay exactly consistent with
-//! zone geometry, and greedy routing always converges to the true owner.
+//! zone geometry, and greedy routing always converges to the true owner —
+//! by strict descent of the routing key, for targets on split planes too.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 use soc_can::{adjacency, is_negative_direction, route_path, CanOverlay, PartitionTree, Zone};
 use soc_types::{NodeId, ResVec};
 
@@ -24,6 +25,63 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 fn pt(c: &[f64]) -> ResVec {
     ResVec::from_slice(c)
+}
+
+/// One target coordinate as the workload draws them: Table I capacities
+/// normalize to binary fractions, so an availability point sits on the
+/// faces of the key space and exactly on midpoint split planes. One draw
+/// in six stays continuous (a loaded node's point).
+fn coord() -> impl Strategy<Value = f64> {
+    (0u8..6, 0u32..=6, 0u32..64, 0.0f64..1.0).prop_map(|(kind, j, k, x)| match kind {
+        0 => 0.0,
+        1 => 1.0,
+        2..=4 => f64::from(k % (1 << j)) / f64::from(1u32 << j),
+        _ => x,
+    })
+}
+
+/// A `dim`-dimensional overlay after `seed`-drawn joins and leaves.
+fn churned_overlay(dim: usize, seed: u64) -> CanOverlay {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut ov = CanOverlay::bootstrap(dim, 24, 64, &mut rng);
+    for id in 24..56 {
+        if rng.random_range(0..3) > 0 {
+            ov.join(NodeId(id), &soc_can::overlay::random_point(dim, &mut rng));
+        } else if ov.len() > 2 {
+            let victim = ov.live_nodes().nth(rng.random_range(0..ov.len())).unwrap();
+            ov.leave(victim);
+        }
+    }
+    ov
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn greedy_routing_descends_to_the_owner_of_lattice_targets(
+        seed in 0u64..100_000,
+        dim_pick in 0usize..3,
+        targets in prop::collection::vec(prop::collection::vec(coord(), 5), 3),
+    ) {
+        let dim = [2, 3, 5][dim_pick];
+        let ov = churned_overlay(dim, seed);
+        for t in &targets {
+            let p = pt(&t[..dim]);
+            let owner = ov.owner_of(&p);
+            for start in ov.live_nodes() {
+                let out = route_path(&ov, start, &p, ov.len());
+                prop_assert_eq!(out.owner, Some(owner), "from {} toward {:?}", start, p);
+                let mut key = ov.zone(start).unwrap().route_key(&p);
+                for hop in &out.path {
+                    let next = ov.zone(*hop).unwrap().route_key(&p);
+                    prop_assert!(next < key, "{:?} -> {:?} at {} toward {:?}", key, next, hop, p);
+                    key = next;
+                }
+                prop_assert_eq!(key, (0.0, 0));
+            }
+        }
+    }
 }
 
 proptest! {

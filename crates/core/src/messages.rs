@@ -61,8 +61,9 @@ pub struct StateUpdate {
     /// CAN key-space target (normalized availability, plus the virtual
     /// coordinate under VD).
     pub target: ResVec,
-    /// Remaining routing-hop budget (drop the record when it hits 0 —
-    /// the next cycle re-publishes anyway).
+    /// Remaining routing-hop budget. Routing descends strictly, so it only
+    /// runs out when churn keeps detouring the walk; the record is then
+    /// dropped and counted in `PidDiag::route_exhausted`.
     pub hops_left: u32,
 }
 

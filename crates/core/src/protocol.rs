@@ -7,6 +7,7 @@ use crate::messages::{DutyQuery, PidMsg, Search, StateUpdate};
 use crate::pilist::PiList;
 use rand::{Rng, RngExt};
 use soc_can::greedy_next_hop_filtered;
+use soc_inscan::table::walk_step;
 use soc_inscan::{IndexTables, Router};
 use soc_net::MsgKind;
 use soc_overlay::{
@@ -45,6 +46,12 @@ pub struct PidDiag {
     pub jump_visits: u64,
     /// Jump visits that found at least one qualified record.
     pub jump_hits: u64,
+    /// Routed messages that ran out of `hops_left` short of the zone that
+    /// owns their target: state updates dropped, duty queries settled at
+    /// the node they had reached. Routing is a strict descent, so this
+    /// stays 0 on a static overlay; only churn (a walk detoured around dead
+    /// or suspected hops) can exhaust a budget.
+    pub route_exhausted: u64,
 }
 
 /// PID-CAN (SID/HID ± SoS ± VD) as a pluggable discovery overlay.
@@ -92,7 +99,7 @@ impl PidCan {
         PidCan {
             cfg,
             tables: IndexTables::for_range(dim, n, owned.clone()),
-            router: Router::from_env(),
+            router: Router::sized_for(owned.len()),
             caches: OwnedRows::new(owned.clone(), |_| RecordCache::new(cfg.record_ttl_ms)),
             pilists: OwnedRows::new(owned, |_| PiList::new()),
             queries: HashMap::new(),
@@ -420,15 +427,7 @@ impl PidCan {
         // ι: one random positive adjacent neighbor per dimension.
         let mut agents: Vec<NodeId> = Vec::new();
         for d in 0..self.overlay_dim {
-            let ups: Vec<NodeId> = ctx
-                .can
-                .neighbors(duty)
-                .iter()
-                .filter(|e| e.dim == d && e.positive)
-                .map(|e| e.node)
-                .collect();
-            if !ups.is_empty() {
-                let pick = ups[ctx.rng.random_range(0..ups.len())];
+            if let Some(pick) = walk_step(ctx.can, duty, d, true, ctx.rng) {
                 if !agents.contains(&pick) {
                     agents.push(pick);
                 }
@@ -604,6 +603,7 @@ impl DiscoveryOverlay for PidCan {
         self.diag.agent_pil_empty += other.diag.agent_pil_empty;
         self.diag.jump_visits += other.diag.jump_visits;
         self.diag.jump_hits += other.diag.jump_hits;
+        self.diag.route_exhausted += other.diag.route_exhausted;
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, PidMsg>, node: NodeId, msg: PidMsg) {
@@ -612,7 +612,10 @@ impl DiscoveryOverlay for PidCan {
                 let zone = ctx.can.zone(node).expect("message at dead node");
                 if !zone.contains(&m.target) {
                     if m.hops_left == 0 {
-                        return; // budget exhausted: the next cycle re-publishes
+                        // Budget exhausted mid-churn; the record is lost
+                        // until the subject's next state cycle.
+                        self.diag.route_exhausted += 1;
+                        return;
                     }
                     if let Some(next) = self.route_toward(ctx, node, &m.target) {
                         m.hops_left -= 1;
@@ -639,6 +642,7 @@ impl DiscoveryOverlay for PidCan {
                 // At the duty node — or the routing budget is exhausted and
                 // the query settles at the closest node reached (best
                 // effort) rather than wandering.
+                self.diag.route_exhausted += u64::from(!here && q.hops_left == 0);
                 self.handle_duty(ctx, node, q.qid, q.requester, q.demand, q.delta);
             }
             PidMsg::IndexAgent(mut s) => {
@@ -815,6 +819,7 @@ impl DiscoveryOverlay for PidCan {
             // state still references it.
             PidMsg::StateUpdate(mut m) => {
                 if m.hops_left == 0 {
+                    self.diag.route_exhausted += 1;
                     return;
                 }
                 match self.route_avoiding(ctx, from, &m.target, to) {
@@ -832,6 +837,8 @@ impl DiscoveryOverlay for PidCan {
                         ctx.send(from, next, MsgKind::DutyQuery, PidMsg::DutyQuery(q));
                         return;
                     }
+                } else {
+                    self.diag.route_exhausted += 1;
                 }
                 self.handle_duty(ctx, from, q.qid, q.requester, q.demand, q.delta);
             }
@@ -870,8 +877,8 @@ mod tests {
         (proto, can, host, rng)
     }
 
-    /// The greedy choice over `node`'s neighbors restricted by `ok`,
-    /// replicating the pre-facade inline loop (distance, then id).
+    /// The greedy choice over `node`'s live neighbors other than `avoid`,
+    /// spelled out independently of `soc_can` (routing key, then id).
     fn manual_greedy(
         can: &CanOverlay,
         host: &TestHost,
@@ -879,14 +886,14 @@ mod tests {
         target: &ResVec,
         avoid: NodeId,
     ) -> Option<NodeId> {
-        let mut best: Option<(f64, NodeId)> = None;
+        let mut best: Option<((f64, u32), NodeId)> = None;
         for e in can.neighbors(node) {
             if e.node == avoid || !host.alive[e.node.idx()] {
                 continue;
             }
-            let d = can.zone(e.node).unwrap().dist_to_point(target);
-            if best.is_none_or(|(bd, bn)| d < bd || (d == bd && e.node < bn)) {
-                best = Some((d, e.node));
+            let k = can.zone(e.node).unwrap().route_key(target);
+            if best.is_none_or(|(bk, bn)| k < bk || (k == bk && e.node < bn)) {
+                best = Some((k, e.node));
             }
         }
         best.map(|(_, n)| n)

@@ -428,6 +428,68 @@ fn routed_duty_query_travels_intact_and_pays_one_hop_each() {
     }
 }
 
+/// §III-A at the paper's own inputs: 256 idle nodes with Table I capacities
+/// in the 5-dimensional key space. Normalized by `cmax`, four of the five
+/// coordinates of such an availability point are binary fractions — they
+/// sit exactly on the midpoint planes CAN splits at — and every publish
+/// must still walk to the one zone that owns its point, well inside the
+/// hop budget.
+#[test]
+fn table1_state_updates_all_reach_their_duty_node() {
+    const NODES: usize = 256;
+    const T_STATE: u32 = 0;
+    let mut rng = SmallRng::seed_from_u64(20);
+    let can = CanOverlay::bootstrap(5, NODES, NODES, &mut rng);
+    let cmax = soc_workload::cmax();
+    let mut host = TestHost::uniform(NODES, cmax, cmax);
+    host.avails = soc_workload::NodeCapacitySampler.sample_n(NODES, &mut rng);
+    let proto = PidCan::new(PidCanConfig::hid(), 5, NODES, NODES);
+    let mut h = TestHarness::new(proto, can, host, 20);
+
+    let (mut on_a_plane, mut hops) = (0, 0);
+    for i in 0..NODES {
+        let subject = NodeId(i as u32);
+        let target = h.host.avails[i].normalize(&h.host.cmax);
+        let duty = h.can.owner_of(&target);
+        // The point touches a zone that does not own it.
+        on_a_plane += usize::from(
+            h.can
+                .live_nodes()
+                .any(|n| n != duty && h.can.zone(n).unwrap().dist_to_point(&target) == 0.0),
+        );
+
+        let mut ctx = Ctx::new(600_000, &h.can, &h.host, &mut rng);
+        h.proto.on_timer(&mut ctx, subject, T_STATE);
+        let mut fx = ctx.finish().0;
+        let (mut at, mut left) = (subject, u32::MAX);
+        while let Some((to, msg)) = fx.into_iter().find_map(|f| match f {
+            Effect::Send { to, msg, .. } => Some((to, msg)),
+            _ => None,
+        }) {
+            let PidMsg::StateUpdate(m) = &msg else {
+                panic!("a state publish only relays state updates, got {msg:?}");
+            };
+            assert_eq!((m.subject, m.target), (subject, target));
+            (at, left, hops) = (to, m.hops_left, hops + 1);
+            fx = step(&mut h, &mut rng, to, Hop::Deliver, msg);
+        }
+        assert_eq!(
+            at, duty,
+            "n{i}'s record for {target:?} settled off its duty node"
+        );
+        assert!(left > 0, "n{i}'s publish arrived on its last hop");
+        let stored = h.proto.cache(duty).fresh(600_000);
+        assert!(stored.iter().any(|r| r.subject == subject));
+    }
+    assert_eq!(h.proto.diag().route_exhausted, 0);
+    assert!(
+        on_a_plane > NODES / 2,
+        "only {on_a_plane} of {NODES} targets sit on a split plane: the world is too easy"
+    );
+    // O(log2 n) hops per publish (§III-A), with room for the greedy tail.
+    assert!(hops <= NODES * 8, "{hops} hops for {NODES} publishes");
+}
+
 /// `on_start` starts exactly the nodes it is handed. A shard's instance
 /// gets the live nodes among the ids it owns — the churn-headroom ids of
 /// its range join later — so a strict subset of the owned range must arm

@@ -11,7 +11,8 @@
 //! remember exactly the hot, re-requested decisions behind explicit
 //! invalidation.
 //!
-//! The cache is a fixed-size direct-mapped table: hashing `(node, target)`
+//! The cache is a direct-mapped table whose size is fixed at construction
+//! (scaled to the ids the router's instance owns): hashing `(node, target)`
 //! picks the **target cell**, and the entry stores the exact target plus
 //! the two epochs its answer was computed under — the overlay structure
 //! epoch ([`CanOverlay::epoch`], bumped on every join/leave/zone change)
@@ -63,17 +64,23 @@ impl RouteBackend {
     }
 }
 
-/// Cache slots (power of two). At 300–2000 nodes a duty-routing burst
-/// touches a few hundred (node, target) pairs; 4096 cells keep the
-/// direct-mapped conflict rate low for 416 KiB per router (104-byte
-/// cells). There is one router per protocol instance and the sharded
-/// executor builds one instance per shard, so an 8-shard run holds
-/// up to 8 × 416 KiB = 3.3 MB (a router allocates on its first miss).
-/// That is still so now that a shard's per-node tables cover its own ids
-/// only, which makes these caches — each sized for the whole overlay, each
-/// routing for 1/8 of it — the largest replicated item of a sharded run
-/// (30 % of what the n = 2000 cell keeps resident).
-const CELLS: usize = 4096;
+/// Most cache slots a router ever allocates, and what one built without an
+/// id count ([`Router::with_backend`], [`Router::from_env`]) gets. At
+/// 300–2000 nodes a duty-routing burst touches a few hundred (node, target)
+/// pairs; 4096 cells keep the direct-mapped conflict rate low for 416 KiB
+/// (104-byte cells).
+///
+/// There is one router per protocol instance and the sharded executor
+/// builds one instance per shard, each routing only for the ids its shard
+/// owns — so [`Router::sized_for`] scales the table to that id count
+/// (rounded up to a power of two, [`MIN_CELLS`] … `MAX_CELLS`): 512 cells =
+/// 52 KiB for a 320-id shard of the n = 2000 cell instead of 416 KiB. The
+/// size only moves the hit rate; a hit is validated against the exact key,
+/// so any size answers bit-identically.
+const MAX_CELLS: usize = 4096;
+
+/// Fewest cache slots a router allocates.
+const MIN_CELLS: usize = 64;
 
 /// One memoized next-hop decision.
 #[derive(Clone, Copy, Debug)]
@@ -105,16 +112,20 @@ pub struct RouteCacheStats {
 /// only changes *when the work happens*.
 pub struct Router {
     backend: RouteBackend,
-    /// Empty until the first miss stores its answer, then [`CELLS`] long.
+    /// Table length minus one (the length is a power of two): selects the
+    /// cell from a key hash.
+    mask: usize,
+    /// Empty until the first miss stores its answer, then `mask + 1` long.
     cells: Vec<Option<Entry>>,
     stats: RouteCacheStats,
 }
 
 impl Router {
-    /// Router with an explicit backend.
+    /// Router with an explicit backend and the largest table.
     pub fn with_backend(backend: RouteBackend) -> Self {
         Router {
             backend,
+            mask: MAX_CELLS - 1,
             // A router that never routes — the scan backend's, a shard's
             // with no live node — never pays for the table; the others fill
             // it on their first miss.
@@ -123,9 +134,19 @@ impl Router {
         }
     }
 
-    /// Router with the `SOC_ROUTE`-selected backend.
+    /// Router with the `SOC_ROUTE`-selected backend and the largest table.
     pub fn from_env() -> Self {
         Self::with_backend(RouteBackend::from_env())
+    }
+
+    /// Router with the `SOC_ROUTE`-selected backend whose table is sized
+    /// for an instance that routes on behalf of `ids` node ids.
+    pub fn sized_for(ids: usize) -> Self {
+        let cells = ids.next_power_of_two().clamp(MIN_CELLS, MAX_CELLS);
+        Router {
+            mask: cells - 1,
+            ..Self::from_env()
+        }
     }
 
     /// Backend in use.
@@ -151,7 +172,7 @@ impl Router {
             return inscan_next_hop(ov, tables, current, target);
         }
         let tbl_epoch = tables.epoch_of(current);
-        let cell = cell_of(current, target, false);
+        let cell = key_hash(current, target, false) & self.mask;
         if let Some(hop) = self.lookup(cell, ov, current, target, false, tbl_epoch) {
             return hop;
         }
@@ -171,7 +192,7 @@ impl Router {
         if self.backend == RouteBackend::Scan {
             return greedy_next_hop(ov, current, target);
         }
-        let cell = cell_of(current, target, true);
+        let cell = key_hash(current, target, true) & self.mask;
         if let Some(hop) = self.lookup(cell, ov, current, target, true, 0) {
             return hop;
         }
@@ -181,8 +202,8 @@ impl Router {
     }
 
     /// `Some(answer)` on a validated hit, `None` on a miss. The caller
-    /// hashes the key once (`cell_of`) and reuses the cell for the
-    /// `store` that follows a miss.
+    /// hashes the key once (`key_hash`, masked to a cell) and reuses the
+    /// cell for the `store` that follows a miss.
     #[inline]
     fn lookup(
         &mut self,
@@ -221,7 +242,7 @@ impl Router {
         hop: Option<NodeId>,
     ) {
         if self.cells.is_empty() {
-            self.cells = vec![None; CELLS];
+            self.cells = vec![None; self.mask + 1];
         }
         self.cells[cell] = Some(Entry {
             node,
@@ -234,13 +255,13 @@ impl Router {
     }
 }
 
-/// FNV-1a over the exact target bits, the node id and the greedy flag:
-/// the direct-mapped target cell. Each ingredient is folded through the
-/// multiply so it reaches the low bits that select the cell (FNV's
-/// multiply only diffuses differences *upward* — a flag parked in a high
-/// bit of the seed would never touch the cell index).
+/// FNV-1a over the exact target bits, the node id and the greedy flag; the
+/// router masks it down to its direct-mapped target cell. Each ingredient
+/// is folded through the multiply so it reaches the low bits that select
+/// the cell (FNV's multiply only diffuses differences *upward* — a flag
+/// parked in a high bit of the seed would never touch the cell index).
 #[inline]
-fn cell_of(node: NodeId, target: &Point, greedy: bool) -> usize {
+fn key_hash(node: NodeId, target: &Point, greedy: bool) -> usize {
     const PRIME: u64 = 0x0000_0100_0000_01B3;
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     h = (h ^ node.0 as u64).wrapping_mul(PRIME);
@@ -251,7 +272,7 @@ fn cell_of(node: NodeId, target: &Point, greedy: bool) -> usize {
     // to_bits differences live mostly in the mantissa's high bits; fold
     // the top half down so they reach the cell index too.
     h ^= h >> 32;
-    (h as usize) & (CELLS - 1)
+    h as usize
 }
 
 #[cfg(test)]
@@ -269,26 +290,52 @@ mod tests {
         (ov, tables, rng)
     }
 
+    /// A cached router with exactly `cells` slots, whatever `SOC_ROUTE` says.
+    fn cached(cells: usize) -> Router {
+        assert!(cells.is_power_of_two());
+        Router {
+            mask: cells - 1,
+            ..Router::with_backend(RouteBackend::Cached)
+        }
+    }
+
     #[test]
     fn cached_agrees_with_scan_and_hits_on_repeats() {
         let (ov, tables, mut rng) = setup(128, 3, 90);
-        let mut router = Router::with_backend(RouteBackend::Cached);
-        let points: Vec<_> = (0..32).map(|_| random_point(3, &mut rng)).collect();
-        for round in 0..3 {
-            for p in &points {
-                for node in [NodeId(0), NodeId(5), NodeId(17)] {
-                    let want = inscan_next_hop(&ov, &tables, node, p);
-                    assert_eq!(router.next_hop(&ov, &tables, node, p), want);
-                    let wantg = greedy_next_hop(&ov, node, p);
-                    assert_eq!(router.greedy_hop(&ov, node, p), wantg);
-                }
-            }
-            if round == 0 {
-                assert_eq!(router.cache_stats().hits, 0, "cold cache cannot hit");
+        // Every other target is snapped to the eighths lattice, where split
+        // planes are, in all but one coordinate — like an availability point,
+        // whose bandwidth coordinate stays continuous: the greedy step must
+        // be memoized exactly there too.
+        let mut points: Vec<_> = (0..32).map(|_| random_point(3, &mut rng)).collect();
+        for p in points.iter_mut().step_by(2) {
+            for d in 0..2 {
+                p[d] = (p[d] * 8.0).round() / 8.0;
             }
         }
-        let s = router.cache_stats();
-        assert!(s.hits > s.misses, "repeats must hit: {s:?}");
+        for cells in [MIN_CELLS, 1024, MAX_CELLS] {
+            let mut router = cached(cells);
+            for round in 0..3 {
+                for p in &points {
+                    for node in [NodeId(0), NodeId(5), NodeId(17)] {
+                        let want = inscan_next_hop(&ov, &tables, node, p);
+                        assert_eq!(router.next_hop(&ov, &tables, node, p), want);
+                        let wantg = greedy_next_hop(&ov, node, p);
+                        assert_eq!(router.greedy_hop(&ov, node, p), wantg);
+                    }
+                }
+                if round == 0 {
+                    assert_eq!(router.cache_stats().hits, 0, "cold cache cannot hit");
+                }
+            }
+            assert_eq!(router.cells.len(), cells);
+            let s = router.cache_stats();
+            // 192 distinct keys: the smaller tables thrash on collisions (and
+            // must still answer exactly), the largest holds nearly all.
+            assert!(s.hits > 0, "repeats must hit at {cells} cells: {s:?}");
+            if cells == MAX_CELLS {
+                assert!(s.hits > s.misses, "repeats must hit: {s:?}");
+            }
+        }
     }
 
     #[test]
@@ -303,10 +350,26 @@ mod tests {
             assert_eq!(cached.next_hop(&ov, &tables, NodeId(3), &p), want);
             assert_eq!(scan.next_hop(&ov, &tables, NodeId(3), &p), want);
         }
-        assert_eq!(cached.cells.len(), CELLS);
+        assert_eq!(cached.cells.len(), MAX_CELLS);
         let stats = cached.cache_stats();
         assert_eq!((stats.misses, stats.hits), (1, 1));
         assert!(scan.cells.is_empty(), "the scan backend never needs one");
+    }
+
+    #[test]
+    fn the_table_is_sized_to_the_ids_the_router_serves() {
+        let (ov, tables, mut rng) = setup(64, 2, 94);
+        let p = random_point(2, &mut rng);
+        // 320 ids is one shard of the n = 2000 cell (2500 ids over 8 shards).
+        for (ids, cells) in [(0, 64), (64, 64), (320, 512), (1563, 2048), (12_500, 4096)] {
+            let mut router = Router {
+                backend: RouteBackend::Cached,
+                ..Router::sized_for(ids)
+            };
+            assert!(router.cells.is_empty());
+            router.next_hop(&ov, &tables, NodeId(3), &p);
+            assert_eq!(router.cells.len(), cells, "table of a {ids}-id router");
+        }
     }
 
     #[test]

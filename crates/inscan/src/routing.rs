@@ -12,6 +12,12 @@ use soc_types::{NodeId, MAX_DIM};
 /// back to a greedy adjacent hop. Returns `None` when `current`'s zone
 /// contains the target.
 ///
+/// Either way the step strictly lowers [`Zone::route_key`](soc_can::Zone::route_key):
+/// a finger is taken only for a strictly smaller distance, and the greedy
+/// hop descends the full key — which is what finishes the walk once the
+/// target is at distance 0 on a split plane some neighbor owns. So a
+/// route reaches `owner_of(target)` for every target, stale fingers or not.
+///
 /// This step runs once per routed hop of every message in the simulation —
 /// the dimension ranking works in a fixed-size stack array (`dim ≤`
 /// [`MAX_DIM`]) with a stable insertion sort, so the step allocates

@@ -176,7 +176,7 @@ impl KhdnCan {
             caches: vec![RecordCache::new(cfg.record_ttl_ms); max_nodes],
             tracks: HashMap::new(),
             route_budget: 4 * (n.max(2) as f64).log2().ceil() as u32 + 16,
-            router: Router::from_env(),
+            router: Router::sized_for(max_nodes),
             found_buf: Vec::new(),
         }
     }

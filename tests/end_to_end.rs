@@ -2,13 +2,27 @@
 //! substrate, INSCAN, PID-CAN, the baselines, PSM execution, workload and
 //! metrics together.
 
-use soc_pidcan::sim::{ProtocolChoice, Scenario};
+use soc_pidcan::sim::{ProtocolChoice, RunReport, Scenario};
 
 fn tiny(p: ProtocolChoice, seed: u64) -> Scenario {
     let mut sc = Scenario::paper(p).nodes(150).hours(3).seed(seed);
     sc.mean_arrival_s = 900.0;
     sc.mean_duration_s = 900.0;
     sc
+}
+
+/// `PidDiag::route_exhausted` of a PID-CAN run, read off the report's
+/// `Debug`-formatted diag string (its last field).
+fn route_exhausted(r: &RunReport) -> u64 {
+    let (_, tail) = r.diag.split_once("route_exhausted: ").expect("PidDiag");
+    tail.trim_end_matches(" }").parse().expect("a counter")
+}
+
+fn sent(r: &RunReport, kind: &str) -> u64 {
+    r.msg_breakdown
+        .iter()
+        .find(|(k, _)| k == kind)
+        .map_or(0, |(_, n)| *n)
 }
 
 #[test]
@@ -26,6 +40,10 @@ fn every_protocol_completes_a_day_in_miniature() {
         assert!(r.f_ratio >= 0.0 && r.f_ratio <= 1.0);
         assert!(r.fairness > 0.0 && r.fairness <= 1.0);
         assert!(r.msg_total > 0, "{}: no traffic recorded", r.label);
+        // On a static overlay every routed message reaches its duty node.
+        if r.diag.starts_with("PidDiag") {
+            assert_eq!(route_exhausted(&r), 0, "{}: {}", r.label, r.diag);
+        }
         // The series is sampled and cumulative.
         assert!(!r.series.is_empty());
         for w in r.series.windows(2) {
@@ -100,6 +118,18 @@ fn churn_degrades_gracefully() {
     let half = tiny(ProtocolChoice::Hid, 4).lambda(0.5).churn(0.5).run();
     let brutal = tiny(ProtocolChoice::Hid, 4).lambda(0.5).churn(0.95).run();
     assert!(half.killed > 0, "churn should kill some tasks");
+    // Routing converges on a static overlay; under churn a walk detoured
+    // around dead hops may still run out of budget, but only rarely.
+    assert_eq!(route_exhausted(&static_run), 0);
+    for r in [&half, &brutal] {
+        let routed = sent(r, "state-update") + sent(r, "duty-query");
+        assert!(
+            route_exhausted(r) * 100 <= routed,
+            "{}: {} of {routed} routed sends ran out of budget",
+            r.scenario,
+            route_exhausted(r)
+        );
+    }
     assert!(
         half.t_ratio > 0.5 * static_run.t_ratio,
         "50% churn should not halve throughput: {} vs {}",
@@ -159,4 +189,26 @@ fn local_execution_bypasses_overlay_at_low_lambda() {
         r.generated
     );
     assert!(r.local_finished > 0);
+}
+
+/// The `paper-cell` benchmark workload (Table III's n = 2000 HID-CAN cell,
+/// first two simulated hours, seed 1). Before routing was a strict descent
+/// 29 % of its state updates circled a split plane until their 60-hop
+/// budget ran out: 762 695 `state-update` sends, of which 10 511 records
+/// were dropped.
+#[test]
+#[ignore = "paper scale: run in release via `cargo tier2`"]
+fn paper_cell_routes_every_state_update_home() {
+    let r = Scenario::paper(ProtocolChoice::Hid)
+        .nodes(2000)
+        .lambda(0.5)
+        .hours(2)
+        .seed(1)
+        .run();
+    assert_eq!(route_exhausted(&r), 0, "{}", r.diag);
+    let updates = sent(&r, "state-update");
+    assert!(
+        (1..=250_000).contains(&updates),
+        "{updates} state-update sends (O(log2 n) hops per publish is ≈ 175 000)"
+    );
 }
