@@ -1,11 +1,11 @@
 //! The global CAN overlay registry: zones + neighbor tables.
 //!
 //! `CanOverlay` plays the role PeerSim's network container plays in the
-//! paper's simulation: it owns the authoritative zone assignment (backed by
-//! the [`PartitionTree`]) and maintains each node's neighbor table
-//! incrementally across joins and departures. Protocol crates read
-//! neighbors/zones from here and exchange *messages* through the simulator —
-//! the registry itself never performs discovery.
+//! paper's simulation: it owns the authoritative zone assignment (the
+//! [`PartitionTree`], which holds the one table of zones) and maintains
+//! each node's neighbor table incrementally across joins and departures.
+//! Protocol crates read neighbors/zones from here and exchange *messages*
+//! through the simulator — the registry itself never performs discovery.
 //!
 //! Incremental-maintenance correctness argument (also exercised by the
 //! property tests): a zone created by a split is contained in the parent
@@ -27,17 +27,29 @@ use std::collections::BTreeSet;
 pub struct NeighborEntry {
     /// The adjacent node.
     pub node: NodeId,
-    /// Dimension along which the zones abut.
-    pub dim: usize,
+    /// Dimension along which the zones abut (`< MAX_DIM`, so a byte).
+    pub dim: u8,
     /// `true` when `node` lies on the *positive* side (it is our positive
     /// neighbor along `dim`).
     pub positive: bool,
 }
 
+// Every routed hop reads one node's whole table (≈ 14 entries at d = 5,
+// n = 10 000) and every finger-walk step one run of it: at 8 bytes an entry
+// that is two cache lines.
+const _: () = assert!(std::mem::size_of::<NeighborEntry>() == 8);
+
+impl NeighborEntry {
+    /// The table's sort key; [`CanOverlay::neighbors_along`] relies on it.
+    #[inline]
+    fn key(&self) -> (u8, bool, NodeId) {
+        (self.dim, self.positive, self.node)
+    }
+}
+
 /// Global CAN state: who owns which zone, and who neighbors whom.
 pub struct CanOverlay {
     tree: PartitionTree,
-    zones: Vec<Option<Zone>>,
     neighbors: Vec<Vec<NeighborEntry>>,
     alive: Vec<bool>,
     n_alive: usize,
@@ -54,13 +66,10 @@ impl CanOverlay {
     pub fn new(dim: usize, max_nodes: usize, first: NodeId) -> Self {
         // The largest table first, while the heap is at its emptiest.
         let tree = PartitionTree::with_leaf_capacity(dim, first, max_nodes);
-        let mut zones = vec![None; max_nodes];
         let mut alive = vec![false; max_nodes];
-        zones[first.idx()] = Some(Zone::unit(dim));
         alive[first.idx()] = true;
         CanOverlay {
             tree,
-            zones,
             neighbors: vec![Vec::new(); max_nodes],
             alive,
             n_alive: 1,
@@ -104,7 +113,7 @@ impl CanOverlay {
     /// Zone owned by `node`.
     #[inline]
     pub fn zone(&self, node: NodeId) -> Option<&Zone> {
-        self.zones[node.idx()].as_ref()
+        self.tree.zone_of(node)
     }
 
     /// The node whose zone contains `p` (the paper's "duty node" for a state
@@ -117,6 +126,20 @@ impl CanOverlay {
     #[inline]
     pub fn neighbors(&self, node: NodeId) -> &[NeighborEntry] {
         &self.neighbors[node.idx()]
+    }
+
+    /// The neighbors of `node` along `dim` on one side, ascending by id:
+    /// one contiguous run of the table, which is kept sorted by
+    /// `(dim, positive, node)`. Empty at the edge of the space and for a
+    /// dimension the overlay does not have.
+    pub fn neighbors_along(&self, node: NodeId, dim: usize, positive: bool) -> &[NeighborEntry] {
+        let table = self.neighbors(node);
+        let Ok(dim) = u8::try_from(dim) else {
+            return &[];
+        };
+        let start = table.partition_point(|e| (e.dim, e.positive) < (dim, positive));
+        let len = table[start..].partition_point(|e| (e.dim, e.positive) == (dim, positive));
+        &table[start..start + len]
     }
 
     /// Iterate over live node ids.
@@ -149,26 +172,26 @@ impl CanOverlay {
         }
         self.neighbors[a.idx()].retain(|e| e.node != b);
         self.neighbors[b.idx()].retain(|e| e.node != a);
-        let (Some(za), Some(zb)) = (self.zones[a.idx()], self.zones[b.idx()]) else {
+        let (Some(za), Some(zb)) = (self.tree.zone_of(a), self.tree.zone_of(b)) else {
             return;
         };
-        if let Some(adj) = adjacency(&za, &zb) {
+        if let Some(adj) = adjacency(za, zb) {
             // `adj.first_is_positive` describes `a` relative to `b`.
             self.neighbors[a.idx()].push(NeighborEntry {
                 node: b,
-                dim: adj.dim,
+                dim: adj.dim as u8,
                 positive: !adj.first_is_positive,
             });
             self.neighbors[b.idx()].push(NeighborEntry {
                 node: a,
-                dim: adj.dim,
+                dim: adj.dim as u8,
                 positive: adj.first_is_positive,
             });
         }
     }
 
     fn sort_table(&mut self, node: NodeId) {
-        self.neighbors[node.idx()].sort_by_key(|e| (e.dim, e.positive, e.node));
+        self.neighbors[node.idx()].sort_by_key(NeighborEntry::key);
     }
 
     /// `newcomer` joins at point `p`: the owner of the enclosing zone splits.
@@ -179,11 +202,9 @@ impl CanOverlay {
     pub fn join(&mut self, newcomer: NodeId, p: &Point) -> NodeId {
         assert!(!self.is_alive(newcomer), "{newcomer} already alive");
         self.epoch += 1;
-        let (owner, new_zone, owner_zone) = self.tree.join(newcomer, p);
+        let owner = self.tree.join(newcomer, p);
         let old_nb: Vec<NodeId> = self.neighbors[owner.idx()].iter().map(|e| e.node).collect();
 
-        self.zones[newcomer.idx()] = Some(new_zone);
-        self.zones[owner.idx()] = Some(owner_zone);
         self.alive[newcomer.idx()] = true;
         self.n_alive += 1;
         self.neighbors[newcomer.idx()].clear();
@@ -232,14 +253,11 @@ impl CanOverlay {
             self.neighbors[v.idx()].retain(|e| e.node != node);
         }
         self.neighbors[node.idx()].clear();
-        self.zones[node.idx()] = None;
         self.alive[node.idx()] = false;
         self.n_alive -= 1;
 
-        // Apply new zones, then re-test every (changed, candidate) pair.
-        for (n, z) in &reass {
-            self.zones[n.idx()] = Some(*z);
-        }
+        // The tree holds the new zones: re-test every (changed, candidate)
+        // pair.
         for (n, _) in &reass {
             // The changed node's table may contain stale entries whose
             // counterpart is being re-tested below; start clean.
@@ -267,32 +285,36 @@ impl CanOverlay {
     /// Exhaustive validation of zone/neighbor consistency (test use).
     pub fn validate(&self) -> Result<(), String> {
         self.tree.validate()?;
-        // Zones match the tree.
-        for n in self.live_nodes() {
-            let z = self.zones[n.idx()].ok_or(format!("{n} alive without zone"))?;
-            if self.tree.zone_of(n) != Some(&z) {
+        // The live set is the tree's leaf owners, and point location lands
+        // in the zone the table serves.
+        let owners: Vec<NodeId> = self.tree.leaves().map(|(n, _)| n).collect();
+        if owners != self.live_nodes().collect::<Vec<_>>() {
+            return Err("live set desynced from the tree's leaf owners".into());
+        }
+        for (n, z) in self.tree.leaves() {
+            if self.tree.find_leaf(&z.center()) != n {
                 return Err(format!("{n} zone desynced from tree"));
             }
         }
         // Neighbor tables are exactly the adjacency relation.
         let live: Vec<NodeId> = self.live_nodes().collect();
         for &a in &live {
-            let za = self.zones[a.idx()].unwrap();
+            let za = self.tree.zone_of(a).unwrap();
             let mut expect: Vec<NeighborEntry> = Vec::new();
             for &b in &live {
                 if a == b {
                     continue;
                 }
-                let zb = self.zones[b.idx()].unwrap();
-                if let Some(adj) = adjacency(&za, &zb) {
+                let zb = self.tree.zone_of(b).unwrap();
+                if let Some(adj) = adjacency(za, zb) {
                     expect.push(NeighborEntry {
                         node: b,
-                        dim: adj.dim,
+                        dim: adj.dim as u8,
                         positive: !adj.first_is_positive,
                     });
                 }
             }
-            expect.sort_by_key(|e| (e.dim, e.positive, e.node));
+            expect.sort_by_key(NeighborEntry::key);
             if expect != self.neighbors[a.idx()] {
                 return Err(format!(
                     "{a} neighbor table mismatch: have {:?}, want {:?}",

@@ -11,26 +11,39 @@
 
 use crate::zone::{Point, Zone};
 use soc_types::NodeId;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 enum NodeKind {
     Leaf(NodeId),
-    Internal { left: usize, right: usize },
+    /// Split at coordinate `at` of dimension `depth % d`: `left` is the
+    /// half below it.
+    Internal {
+        left: u32,
+        right: u32,
+        at: f64,
+    },
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct TreeNode {
-    zone: Zone,
-    parent: Option<usize>,
-    depth: usize,
+    parent: u32,
+    depth: u32,
     kind: NodeKind,
 }
 
-/// The global zone-partition structure.
+// A point location reads one node per level (≈ 14 levels at n = 10 000):
+// two nodes to a cache line, and no zone — a leaf's zone is its owner's row
+// of the one zone table.
+const _: () = assert!(std::mem::size_of::<TreeNode>() <= 32);
+
+/// "No such slot": the root's parent, an absent id's leaf.
+const NONE: u32 = u32::MAX;
+
+/// The global zone-partition structure, and the one table of zones.
 ///
-/// Invariants (checked by `debug_validate` and the property tests):
+/// Invariants (checked by [`PartitionTree::validate`] and the property
+/// tests):
 /// * leaves tile `[0,1]^d` exactly (disjoint interiors, full cover);
 /// * each live `NodeId` owns exactly one leaf;
 /// * every internal node's children merge back to its zone;
@@ -38,9 +51,14 @@ struct TreeNode {
 #[derive(Debug)]
 pub struct PartitionTree {
     nodes: Vec<TreeNode>,
-    free: Vec<usize>,
-    root: usize,
-    leaf_of: HashMap<NodeId, usize>,
+    free: Vec<u32>,
+    root: u32,
+    /// Tree slot of each id's leaf ([`NONE`] when the id owns none).
+    leaf_of: Vec<u32>,
+    /// Zone of each id's leaf — the only copy: internal nodes keep their
+    /// split coordinate, and a merged zone is rebuilt from its two halves.
+    zones: Vec<Option<Zone>>,
+    n_leaves: usize,
     dim: usize,
     /// Last leaf returned by [`PartitionTree::find_leaf`]. Point queries
     /// cluster (oracle checks re-resolve the same demand corner, state
@@ -64,6 +82,8 @@ impl Clone for PartitionTree {
             free: self.free.clone(),
             root: self.root,
             leaf_of: self.leaf_of.clone(),
+            zones: self.zones.clone(),
+            n_leaves: self.n_leaves,
             dim: self.dim,
             // Pure hint: the clone starts cold rather than copying it.
             last_hit: AtomicUsize::new(NO_HIT),
@@ -80,32 +100,33 @@ impl PartitionTree {
         Self::with_leaf_capacity(dim, first, 1)
     }
 
-    /// Like [`PartitionTree::new`], with room for `leaves` leaves — a binary
-    /// tree of `2·leaves − 1` nodes — reserved in one allocation. An overlay
-    /// that knows its id capacity asks for it before anything else: grown
-    /// by doubling instead, the node array of a 10 000-node overlay ends as
-    /// a 3 MB → 6 MB move in the middle of the bootstrap, the one request
-    /// large enough that a recycled heap sometimes cannot place it below
-    /// its old top (+3.7 MB of peak RSS when that happens).
+    /// Like [`PartitionTree::new`], with room for ids below `leaves` — a
+    /// binary tree of `2·leaves − 1` nodes and `leaves` zones — reserved up
+    /// front. An overlay that knows its id capacity asks for it before
+    /// anything else: grown by doubling instead, the largest table of a
+    /// 10 000-node overlay ends as a multi-megabyte move in the middle of
+    /// the bootstrap, the one request large enough that a recycled heap
+    /// sometimes cannot place it below its old top.
     pub fn with_leaf_capacity(dim: usize, first: NodeId, leaves: usize) -> Self {
         let root = TreeNode {
-            zone: Zone::unit(dim),
-            parent: None,
+            parent: NONE,
             depth: 0,
             kind: NodeKind::Leaf(first),
         };
         let mut nodes = Vec::with_capacity((2 * leaves).saturating_sub(1).max(1));
         nodes.push(root);
-        let mut leaf_of = HashMap::new();
-        leaf_of.insert(first, 0);
-        PartitionTree {
+        let mut tree = PartitionTree {
             nodes,
             free: Vec::new(),
             root: 0,
-            leaf_of,
+            leaf_of: vec![NONE; leaves],
+            zones: vec![None; leaves],
+            n_leaves: 0,
             dim,
             last_hit: AtomicUsize::new(NO_HIT),
-        }
+        };
+        tree.set_leaf(first, 0, Zone::unit(dim));
+        tree
     }
 
     /// Dimensionality of the key space.
@@ -115,76 +136,101 @@ impl PartitionTree {
 
     /// Number of live leaves (= overlay size).
     pub fn len(&self) -> usize {
-        self.leaf_of.len()
+        self.n_leaves
     }
 
     /// True when only the bootstrap node remains.
     pub fn is_empty(&self) -> bool {
-        self.leaf_of.is_empty()
+        self.n_leaves == 0
     }
 
     /// Is `node` currently an owner of a zone?
     pub fn contains_node(&self, node: NodeId) -> bool {
-        self.leaf_of.contains_key(&node)
+        self.zone_of(node).is_some()
     }
 
     /// Zone currently owned by `node`, if it is in the overlay.
+    #[inline]
     pub fn zone_of(&self, node: NodeId) -> Option<&Zone> {
-        self.leaf_of.get(&node).map(|&i| &self.nodes[i].zone)
+        self.zones.get(node.idx())?.as_ref()
     }
 
-    /// Owner of the leaf containing `p`.
+    /// Record `node` as the owner of the leaf in `slot`, with zone `zone`
+    /// (the id tables grow on demand for a tree built without a capacity).
+    fn set_leaf(&mut self, node: NodeId, slot: u32, zone: Zone) {
+        if node.idx() >= self.zones.len() {
+            self.zones.resize(node.idx() + 1, None);
+            self.leaf_of.resize(node.idx() + 1, NONE);
+        }
+        if self.zones[node.idx()].is_none() {
+            self.n_leaves += 1;
+        }
+        self.zones[node.idx()] = Some(zone);
+        self.leaf_of[node.idx()] = slot;
+    }
+
+    /// `node` stops owning a leaf; returns the zone it held.
+    fn unset_leaf(&mut self, node: NodeId) -> Zone {
+        self.n_leaves -= 1;
+        self.leaf_of[node.idx()] = NONE;
+        self.zones[node.idx()].take().expect("node not in overlay")
+    }
+
+    fn leaf_zone(&self, owner: NodeId) -> &Zone {
+        self.zone_of(owner).expect("every leaf owner has a zone")
+    }
+
+    /// Owner of the leaf containing `p`, a point of the key space
+    /// `[0,1]^d`.
     pub fn find_leaf(&self, p: &Point) -> NodeId {
+        debug_assert!(
+            Zone::unit(self.dim).contains(p),
+            "{p:?} is outside the key space"
+        );
         // Last-hit fast path: valid between structural changes (the cache
         // is cleared on join/leave, so the slot is a live leaf).
         let cached = self.last_hit.load(Ordering::Relaxed);
         if cached != NO_HIT {
             if let NodeKind::Leaf(owner) = self.nodes[cached].kind {
-                if self.nodes[cached].zone.contains(p) {
+                if self.leaf_zone(owner).contains(p) {
                     return owner;
                 }
             }
         }
-        let mut i = self.root;
+        let mut i = self.root as usize;
         loop {
-            match self.nodes[i].kind {
+            let n = &self.nodes[i];
+            match n.kind {
                 NodeKind::Leaf(owner) => {
                     self.last_hit.store(i, Ordering::Relaxed);
                     return owner;
                 }
-                NodeKind::Internal { left, right } => {
-                    i = if self.nodes[left].zone.contains(p) {
-                        left
-                    } else {
-                        right
-                    };
+                // Inside the parent's zone, the lower half contains `p`
+                // exactly when `p` is below the split plane (half-open:
+                // the plane itself belongs to the upper half).
+                NodeKind::Internal { left, right, at } => {
+                    let below = p[n.depth as usize % self.dim] < at;
+                    i = if below { left } else { right } as usize;
                 }
             }
         }
     }
 
     /// All `(owner, zone)` pairs, ordered by owner id.
-    ///
-    /// `leaf_of` is a HashMap, so its raw iteration order is arbitrary;
-    /// sorting here keeps every caller deterministic by construction
-    /// instead of trusting each call site to normalize.
     pub fn leaves(&self) -> impl Iterator<Item = (NodeId, &Zone)> + '_ {
-        let mut out: Vec<(NodeId, &Zone)> = self
-            .leaf_of // soc-lint: allow(no-unordered-iter) -- order normalized by the sort below
+        self.zones
             .iter()
-            .map(|(&id, &i)| (id, &self.nodes[i].zone))
-            .collect();
-        out.sort_unstable_by_key(|&(id, _)| id); // soc-lint: allow(no-unstable-sort) -- map keys are unique, stability is moot
-        out.into_iter()
+            .enumerate()
+            .filter_map(|(id, z)| Some((NodeId(id as u32), z.as_ref()?)))
     }
 
-    fn alloc(&mut self, n: TreeNode) -> usize {
+    fn alloc(&mut self, n: TreeNode) -> u32 {
         if let Some(i) = self.free.pop() {
-            self.nodes[i] = n;
+            self.nodes[i as usize] = n;
             i
         } else {
             self.nodes.push(n);
-            self.nodes.len() - 1
+            u32::try_from(self.nodes.len() - 1).expect("tree slots fit u32")
         }
     }
 
@@ -193,97 +239,86 @@ impl PartitionTree {
     /// order) and hands the half *not* containing `p`… to itself; the
     /// newcomer takes the half containing `p`.
     ///
-    /// Returns `(splitter, newcomer_zone, splitter_zone)`.
+    /// Returns the splitter; both new zones are in [`Self::zone_of`].
     ///
     /// # Panics
     /// Panics if `newcomer` is already in the overlay.
-    pub fn join(&mut self, newcomer: NodeId, p: &Point) -> (NodeId, Zone, Zone) {
-        assert!(
-            !self.leaf_of.contains_key(&newcomer),
-            "{newcomer} already joined"
-        );
+    pub fn join(&mut self, newcomer: NodeId, p: &Point) -> NodeId {
+        assert!(!self.contains_node(newcomer), "{newcomer} already joined");
         let owner = self.find_leaf(p);
-        let leaf_idx = self.leaf_of[&owner];
-        let depth = self.nodes[leaf_idx].depth;
-        let split_dim = depth % self.dim;
-        let (lo_half, hi_half) = self.nodes[leaf_idx].zone.split(split_dim);
+        let leaf_idx = self.leaf_of[owner.idx()];
+        let depth = self.nodes[leaf_idx as usize].depth;
+        let split_dim = depth as usize % self.dim;
+        let (lo_half, hi_half) = self.leaf_zone(owner).split(split_dim);
 
         // Newcomer takes the half containing its chosen point.
-        let (new_zone, old_zone) = if lo_half.contains(p) {
-            (lo_half, hi_half)
+        let (left_owner, right_owner) = if lo_half.contains(p) {
+            (newcomer, owner)
         } else {
-            (hi_half, lo_half)
+            (owner, newcomer)
         };
 
-        let left_first = new_zone.lo()[split_dim] < old_zone.lo()[split_dim];
-        let (left_zone, right_zone, left_owner, right_owner) = if left_first {
-            (new_zone, old_zone, newcomer, owner)
-        } else {
-            (old_zone, new_zone, owner, newcomer)
+        let child = |owner| TreeNode {
+            parent: leaf_idx,
+            depth: depth + 1,
+            kind: NodeKind::Leaf(owner),
         };
-
-        let left = self.alloc(TreeNode {
-            zone: left_zone,
-            parent: Some(leaf_idx),
-            depth: depth + 1,
-            kind: NodeKind::Leaf(left_owner),
-        });
-        let right = self.alloc(TreeNode {
-            zone: right_zone,
-            parent: Some(leaf_idx),
-            depth: depth + 1,
-            kind: NodeKind::Leaf(right_owner),
-        });
-        self.nodes[leaf_idx].kind = NodeKind::Internal { left, right };
-        self.leaf_of.insert(left_owner, left);
-        self.leaf_of.insert(right_owner, right);
+        let left = self.alloc(child(left_owner));
+        let right = self.alloc(child(right_owner));
+        self.nodes[leaf_idx as usize].kind = NodeKind::Internal {
+            left,
+            right,
+            at: hi_half.lo()[split_dim],
+        };
+        self.set_leaf(left_owner, left, lo_half);
+        self.set_leaf(right_owner, right, hi_half);
         self.last_hit.store(NO_HIT, Ordering::Relaxed);
-
-        (owner, new_zone, old_zone)
+        owner
     }
 
-    fn sibling(&self, idx: usize) -> Option<usize> {
-        let parent = self.nodes[idx].parent?;
-        match self.nodes[parent].kind {
-            NodeKind::Internal { left, right } => Some(if left == idx { right } else { left }),
-            NodeKind::Leaf(_) => unreachable!("parent must be internal"),
+    fn children(&self, idx: u32) -> Option<(u32, u32)> {
+        match self.nodes[idx as usize].kind {
+            NodeKind::Internal { left, right, .. } => Some((left, right)),
+            NodeKind::Leaf(_) => None,
+        }
+    }
+
+    fn leaf_owner(&self, idx: u32) -> Option<NodeId> {
+        match self.nodes[idx as usize].kind {
+            NodeKind::Leaf(owner) => Some(owner),
+            NodeKind::Internal { .. } => None,
         }
     }
 
     /// Find an internal node in the subtree at `idx` whose children are both
     /// leaves, or return `idx` itself if it is a leaf.
-    fn deepest_leaf_pair(&self, idx: usize) -> usize {
+    fn deepest_leaf_pair(&self, idx: u32) -> u32 {
         let mut i = idx;
-        loop {
-            match self.nodes[i].kind {
-                NodeKind::Leaf(_) => return i,
-                NodeKind::Internal { left, right } => {
-                    let both_leaves = matches!(self.nodes[left].kind, NodeKind::Leaf(_))
-                        && matches!(self.nodes[right].kind, NodeKind::Leaf(_));
-                    if both_leaves {
-                        return i;
-                    }
-                    // Descend into an internal child (prefer left for
-                    // determinism).
-                    i = if matches!(self.nodes[left].kind, NodeKind::Internal { .. }) {
-                        left
-                    } else {
-                        right
-                    };
-                }
-            }
+        while let Some((left, right)) = self.children(i) {
+            // Descend into an internal child (prefer left for determinism).
+            i = if self.children(left).is_some() {
+                left
+            } else if self.children(right).is_some() {
+                right
+            } else {
+                return i;
+            };
         }
+        i
     }
 
-    fn collapse(&mut self, parent: usize, new_owner: NodeId) {
-        if let NodeKind::Internal { left, right } = self.nodes[parent].kind {
-            self.free.push(left);
-            self.free.push(right);
-            self.nodes[parent].kind = NodeKind::Leaf(new_owner);
-            self.leaf_of.insert(new_owner, parent);
-        } else {
-            unreachable!("collapse target must be internal");
-        }
+    /// Un-split `parent`, whose children are the leaves of `gone` and
+    /// `stays`: `stays` owns the merged zone. Returns that zone.
+    fn collapse(&mut self, parent: u32, gone: Zone, stays: NodeId) -> Zone {
+        let (left, right) = self.children(parent).expect("collapse target is internal");
+        self.free.push(left);
+        self.free.push(right);
+        self.nodes[parent as usize].kind = NodeKind::Leaf(stays);
+        let merged = gone
+            .merge(self.leaf_zone(stays))
+            .expect("sibling leaves are the halves of one split");
+        self.set_leaf(stays, parent, merged);
+        merged
     }
 
     /// Departure with CAN takeover.
@@ -307,53 +342,84 @@ impl PartitionTree {
         // Collapse frees tree slots without rewriting them; a cached slot
         // could otherwise keep answering as a stale leaf.
         self.last_hit.store(NO_HIT, Ordering::Relaxed);
-        let leaf_idx = *self.leaf_of.get(&node).expect("node not in overlay");
-        self.leaf_of.remove(&node);
-        let Some(sib) = self.sibling(leaf_idx) else {
+        assert!(self.contains_node(node), "node not in overlay");
+        let leaf_idx = self.leaf_of[node.idx()];
+        let zone = self.unset_leaf(node);
+        let parent = self.nodes[leaf_idx as usize].parent;
+        if parent == NONE {
             // Departing node owned the whole space.
             return None;
-        };
-        let parent = self.nodes[leaf_idx].parent.expect("sibling implies parent");
+        }
+        let (left, right) = self.children(parent).expect("a parent is internal");
+        let sib = if left == leaf_idx { right } else { left };
 
-        if let NodeKind::Leaf(sib_owner) = self.nodes[sib].kind {
+        if let Some(sib_owner) = self.leaf_owner(sib) {
             // Simple merge: sibling takes over the parent zone.
-            self.collapse(parent, sib_owner);
-            let z = self.nodes[parent].zone;
-            return Some(vec![(sib_owner, z)]);
+            return Some(vec![(sib_owner, self.collapse(parent, zone, sib_owner))]);
         }
 
         // Handover: pull a leaf pair out of the sibling subtree.
         let pair_parent = self.deepest_leaf_pair(sib);
-        let (mover, stayer) = match self.nodes[pair_parent].kind {
-            NodeKind::Internal { left, right } => {
-                let l_owner = match self.nodes[left].kind {
-                    NodeKind::Leaf(o) => o,
-                    _ => unreachable!(),
-                };
-                let r_owner = match self.nodes[right].kind {
-                    NodeKind::Leaf(o) => o,
-                    _ => unreachable!(),
-                };
-                (l_owner, r_owner)
-            }
-            NodeKind::Leaf(_) => unreachable!("deepest_leaf_pair found a leaf under internal sib"),
+        let (l, r) = self
+            .children(pair_parent)
+            .expect("an internal subtree holds a leaf pair");
+        let (mover, stayer) = match (self.leaf_owner(l), self.leaf_owner(r)) {
+            (Some(l), Some(r)) => (l, r),
+            _ => unreachable!("deepest_leaf_pair returns a pair of leaves"),
         };
         // `stayer` absorbs the pair's merged zone…
-        self.leaf_of.remove(&mover);
-        self.collapse(pair_parent, stayer);
-        let stayer_zone = self.nodes[pair_parent].zone;
+        let moved_from = self.unset_leaf(mover);
+        let stayer_zone = self.collapse(pair_parent, moved_from, stayer);
         // …and `mover` takes the departed node's zone.
-        self.nodes[leaf_idx].kind = NodeKind::Leaf(mover);
-        self.leaf_of.insert(mover, leaf_idx);
-        let mover_zone = self.nodes[leaf_idx].zone;
+        self.nodes[leaf_idx as usize].kind = NodeKind::Leaf(mover);
+        self.set_leaf(mover, leaf_idx, zone);
 
-        Some(vec![(stayer, stayer_zone), (mover, mover_zone)])
+        Some(vec![(stayer, stayer_zone), (mover, zone)])
+    }
+
+    /// The zone the subtree at `idx` covers, rebuilt bottom-up from the
+    /// leaf zones: every split must sit at `depth % d` on the plane its
+    /// node records, and its halves must merge.
+    fn subtree_zone(&self, idx: u32) -> Result<Zone, String> {
+        let n = &self.nodes[idx as usize];
+        match n.kind {
+            NodeKind::Leaf(owner) => {
+                if self.leaf_of.get(owner.idx()) != Some(&idx) {
+                    return Err(format!("leaf_of[{owner}] stale"));
+                }
+                self.zone_of(owner)
+                    .copied()
+                    .ok_or(format!("leaf owner {owner} has no zone"))
+            }
+            NodeKind::Internal { left, right, at } => {
+                let (lo, hi) = (self.subtree_zone(left)?, self.subtree_zone(right)?);
+                let d = n.depth as usize % self.dim;
+                for child in [left, right] {
+                    let c = &self.nodes[child as usize];
+                    if c.parent != idx || c.depth != n.depth + 1 {
+                        return Err(format!("slot {child} mislinked under {idx}"));
+                    }
+                }
+                if lo.hi()[d] != at || hi.lo()[d] != at {
+                    return Err(format!("slot {idx} does not split dim {d} at {at}"));
+                }
+                lo.merge(&hi)
+                    .ok_or_else(|| "children do not merge to parent zone".to_string())
+            }
+        }
     }
 
     /// Exhaustive structural validation (test/debug use).
     pub fn validate(&self) -> Result<(), String> {
         // Leaves must tile the space: total volume 1 and pairwise disjoint.
         let leaves: Vec<(NodeId, Zone)> = self.leaves().map(|(n, z)| (n, *z)).collect();
+        if leaves.len() != self.n_leaves {
+            return Err(format!(
+                "{} zones for {} leaves",
+                leaves.len(),
+                self.n_leaves
+            ));
+        }
         let vol: f64 = leaves.iter().map(|(_, z)| z.volume()).sum();
         if (vol - 1.0).abs() > 1e-9 {
             return Err(format!("leaf volume {vol} != 1"));
@@ -366,22 +432,15 @@ impl PartitionTree {
                 }
             }
         }
-        // leaf_of is consistent.
-        // soc-lint: allow(no-unordered-iter) -- order-blind validation: each entry is checked independently
-        for (&id, &idx) in &self.leaf_of {
-            match self.nodes[idx].kind {
-                NodeKind::Leaf(o) if o == id => {}
-                _ => return Err(format!("leaf_of[{id}] stale")),
+        // Every zone hangs in the tree, and the splits rebuild the space.
+        for (id, _) in &leaves {
+            let slot = self.leaf_of[id.idx()];
+            if slot == NONE || self.leaf_owner(slot) != Some(*id) {
+                return Err(format!("leaf_of[{id}] stale"));
             }
         }
-        // Children merge to parents.
-        for n in &self.nodes {
-            if let NodeKind::Internal { left, right } = n.kind {
-                let merged = self.nodes[left].zone.merge(&self.nodes[right].zone);
-                if merged != Some(n.zone) {
-                    return Err("children do not merge to parent zone".into());
-                }
-            }
+        if self.subtree_zone(self.root)? != Zone::unit(self.dim) {
+            return Err("the root does not cover the key space".into());
         }
         Ok(())
     }

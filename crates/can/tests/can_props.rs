@@ -2,6 +2,9 @@
 //! space under arbitrary churn, neighbor tables stay exactly consistent with
 //! zone geometry, and greedy routing always converges to the true owner —
 //! by strict descent of the routing key, for targets on split planes too.
+//! The flat tables are held to what they replaced: a `neighbors_along` run
+//! is the filtered table, and the zone-less tree locates every lattice
+//! point in the zone `CanOverlay::zone` serves.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -86,6 +89,44 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn neighbor_runs_and_leaf_lookup_agree_with_the_tables(
+        seed in 0u64..100_000,
+        dim_pick in 0usize..3,
+        targets in prop::collection::vec(prop::collection::vec(coord(), 5), 8),
+    ) {
+        let dim = [2, 3, 5][dim_pick];
+        let ov = churned_overlay(dim, seed);
+        prop_assert!(ov.validate().is_ok(), "{:?}", ov.validate());
+        for n in ov.live_nodes() {
+            // One past the last dimension too: an empty run, not a panic.
+            for d in 0..=dim {
+                for positive in [false, true] {
+                    let want: Vec<_> = ov
+                        .neighbors(n)
+                        .iter()
+                        .filter(|e| usize::from(e.dim) == d && e.positive == positive)
+                        .copied()
+                        .collect();
+                    prop_assert_eq!(ov.neighbors_along(n, d, positive), &want[..]);
+                }
+            }
+            // A zone owns its low corner (half-open) and its centre.
+            let z = ov.zone(n).unwrap();
+            prop_assert_eq!(ov.tree().zone_of(n), Some(z));
+            prop_assert_eq!(ov.tree().find_leaf(z.lo()), n);
+            prop_assert_eq!(ov.tree().find_leaf(&z.center()), n);
+        }
+        for t in &targets {
+            let p = pt(&t[..dim]);
+            // Twice: the descent, then the last-hit shortcut.
+            for _ in 0..2 {
+                let owner = ov.tree().find_leaf(&p);
+                prop_assert!(ov.zone(owner).unwrap().contains(&p), "{} for {:?}", owner, p);
+            }
+        }
+    }
 
     #[test]
     fn tree_tiles_space_under_churn(ops in prop::collection::vec(op_strategy(), 1..60)) {

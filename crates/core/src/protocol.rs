@@ -772,6 +772,10 @@ impl DiscoveryOverlay for PidCan {
         );
     }
 
+    fn on_query_settled(&mut self, qid: QueryId) {
+        self.queries.remove(&qid);
+    }
+
     fn on_node_joined(&mut self, ctx: &mut Ctx<'_, PidMsg>, node: NodeId) {
         self.caches[node] = RecordCache::new(self.cfg.record_ttl_ms);
         self.pilists[node] = PiList::new();

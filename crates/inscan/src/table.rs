@@ -107,18 +107,18 @@ pub fn walk_step<R: Rng>(
     positive: bool,
     rng: &mut R,
 ) -> Option<NodeId> {
-    let cands = ov
-        .neighbors(from)
-        .iter()
-        .filter(|e| e.dim == dim && e.positive == positive)
-        .map(|e| e.node);
-    pick_uniform(cands, rng)
+    let run = ov.neighbors_along(from, dim, positive);
+    if run.is_empty() {
+        return None;
+    }
+    Some(run[rng.random_range(0..run.len())].node)
 }
 
-/// Uniformly random element of `items`, or `None` (and no draw) when it is
-/// empty. Two passes instead of a collected `Vec`: count, draw an index
-/// below the count, take `.nth` — the same bound, hence the same draw and
-/// stream position, as indexing a collected vector.
+/// Uniformly random populated finger of one segment, or `None` (and no
+/// draw) when it has none. Two passes over the `kmax + 1` entries instead
+/// of a collected `Vec`: count, draw an index below the count, take `.nth`
+/// — the same bound, hence the same draw and stream position, as indexing
+/// a collected vector.
 fn pick_uniform<I, R>(mut items: I, rng: &mut R) -> Option<NodeId>
 where
     I: Iterator<Item = NodeId> + Clone,
@@ -410,8 +410,8 @@ mod tests {
         }
     }
 
-    /// The collecting pick the three call sites used before: the model the
-    /// allocation-free `pick_uniform` must match draw for draw.
+    /// The collecting pick: the model the allocation-free picks must match
+    /// draw for draw — no draw at all for an empty candidate list.
     fn pick_collected<R: Rng>(filled: Vec<NodeId>, rng: &mut R) -> Option<NodeId> {
         if filled.is_empty() {
             None
@@ -422,20 +422,28 @@ mod tests {
 
     #[test]
     fn picks_match_the_collecting_model_in_lockstep() {
+        // The workload's overlay: five dimensions, after joins and leaves.
         let mut rng = SmallRng::seed_from_u64(56);
-        let ov = CanOverlay::bootstrap(2, 64, 64, &mut rng);
-        let mut tables = IndexTables::new(2, 64, 64);
+        let mut ov = CanOverlay::bootstrap(5, 48, 96, &mut rng);
+        for id in 48..96 {
+            ov.join(NodeId(id), &soc_can::overlay::random_point(5, &mut rng));
+            let victim = ov.live_nodes().nth(rng.random_range(0..ov.len())).unwrap();
+            ov.leave(victim);
+        }
+        let mut tables = IndexTables::new(5, 48, 96);
         tables.refresh_all(&ov, &mut rng);
         let (mut fast, mut model) = (rng.clone(), rng);
         let mut empties = 0;
         for node in ov.live_nodes() {
             let t = tables.get(node);
-            for d in 0..2 {
+            for d in 0..5 {
                 for positive in [true, false] {
+                    // `walk_step` indexes one run of the sorted table; the
+                    // model filters the whole table, counts, takes the nth.
                     let cands: Vec<NodeId> = ov
                         .neighbors(node)
                         .iter()
-                        .filter(|e| e.dim == d && e.positive == positive)
+                        .filter(|e| usize::from(e.dim) == d && e.positive == positive)
                         .map(|e| e.node)
                         .collect();
                     empties += usize::from(cands.is_empty());

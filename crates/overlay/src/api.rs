@@ -266,6 +266,14 @@ pub trait DiscoveryOverlay {
     /// best-fit selection, dispatch and timeouts).
     fn start_query(&mut self, ctx: &mut Ctx<'_, Self::Msg>, req: QueryRequest);
 
+    /// The runner settled `qid` — dispatched its task, or counted it failed
+    /// or killed — and ignores whatever still arrives for it: drop the
+    /// requester-side bookkeeping [`Self::start_query`] created. Default:
+    /// no-op (nothing kept per query).
+    fn on_query_settled(&mut self, qid: QueryId) {
+        let _ = qid;
+    }
+
     /// A node joined the overlay (churn); per-node state should be reset.
     fn on_node_joined(&mut self, ctx: &mut Ctx<'_, Self::Msg>, node: NodeId);
 

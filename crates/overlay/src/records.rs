@@ -5,17 +5,17 @@
 //! seconds", §IV-A) and a fresher record from the same subject node replaces
 //! the older one.
 //!
-//! The cache is a `BTreeMap` keyed by subject, and every read is a walk
-//! that tests each record's age and Inequality (2). In situ a duty cache
-//! holds the tens of records routed to one zone within one TTL, so the
-//! walk is a few hundred nanoseconds and inserts — which outnumber probes
-//! — are one map operation. Results come out in ascending subject order,
-//! which fixes `FoundList` order and every downstream random draw per
-//! seed; `tests/cache_props.rs` holds the cache to its contract against a
-//! naive `Vec` oracle.
+//! The cache is one `Vec` of records sorted by subject, and every read is
+//! a walk that tests each record's age and Inequality (2). In situ a duty
+//! cache holds the tens of records routed to one zone within one TTL (mean
+//! 7–10, at most 46 in a 10 000-node run), so the walk is a few hundred
+//! nanoseconds over contiguous memory and inserts — which outnumber probes
+//! — are a binary search plus a short shift. Results come out in ascending
+//! subject order, which fixes `FoundList` order and every downstream
+//! random draw per seed; `tests/cache_props.rs` holds the cache to its
+//! contract against a naive `Vec` oracle.
 
 use soc_types::{NodeId, ResVec, SimMillis};
-use std::collections::btree_map::{BTreeMap, Entry};
 
 /// One cached availability record: "node `subject` had availability `avail`
 /// as of `stored_at`".
@@ -29,17 +29,27 @@ pub struct StateRecord {
     pub stored_at: SimMillis,
 }
 
+// A probe walks every record of a duty cache: 88 bytes is the subject, the
+// inline `MAX_DIM`-wide availability vector and the timestamp, nothing else.
+const _: () = assert!(std::mem::size_of::<StateRecord>() <= 88);
+
 /// Is `r` within `ttl` of `now`? (Exactly at the TTL still counts.)
 fn is_fresh(r: &StateRecord, now: SimMillis, ttl: SimMillis) -> bool {
     now.saturating_sub(r.stored_at) <= ttl
 }
 
+/// Capacity step, in records. Ten thousand caches of 88-byte records are
+/// the one place where `Vec`'s doubling (and never shrinking) shows: grown
+/// and trimmed in steps of four, capacity stays within three records of
+/// what the cache holds, at one small `realloc` per four net inserts.
+const GROW: usize = 4;
+
 /// TTL'd cache of state records, keyed by subject node.
 #[derive(Clone)]
 pub struct RecordCache {
     ttl_ms: SimMillis,
-    // BTreeMap (not HashMap) so iteration order is deterministic per seed.
-    records: BTreeMap<NodeId, StateRecord>,
+    /// Ascending by subject, one record per subject.
+    records: Vec<StateRecord>,
 }
 
 // Debug stays manual: dumping every cached record per node would swamp any
@@ -58,7 +68,7 @@ impl RecordCache {
     pub fn new(ttl_ms: SimMillis) -> Self {
         RecordCache {
             ttl_ms,
-            records: BTreeMap::new(),
+            records: Vec::new(),
         }
     }
 
@@ -76,35 +86,46 @@ impl RecordCache {
     /// record for the same subject is already present (an equally old one
     /// is replaced).
     pub fn insert(&mut self, rec: StateRecord) {
-        match self.records.entry(rec.subject) {
-            Entry::Vacant(slot) => {
-                slot.insert(rec);
+        match self.position(rec.subject) {
+            Err(at) => {
+                if self.records.len() == self.records.capacity() {
+                    self.records.reserve_exact(GROW);
+                }
+                self.records.insert(at, rec);
             }
-            Entry::Occupied(mut slot) => {
-                if slot.get().stored_at <= rec.stored_at {
-                    slot.insert(rec);
+            Ok(at) => {
+                if self.records[at].stored_at <= rec.stored_at {
+                    self.records[at] = rec;
                 }
             }
         }
+    }
+
+    /// Where `subject`'s record is (`Ok`) or would be inserted (`Err`).
+    fn position(&self, subject: NodeId) -> Result<usize, usize> {
+        self.records.binary_search_by_key(&subject, |r| r.subject)
     }
 
     /// Remove expired records; returns how many were dropped.
     pub fn purge_expired(&mut self, now: SimMillis) -> usize {
         let ttl = self.ttl_ms;
         let before = self.records.len();
-        self.records.retain(|_, r| is_fresh(r, now, ttl));
+        self.records.retain(|r| is_fresh(r, now, ttl));
+        self.records
+            .shrink_to(self.records.len().next_multiple_of(GROW));
         before - self.records.len()
     }
 
     /// Remove the record about `subject` (e.g. it churned away).
     pub fn remove(&mut self, subject: NodeId) -> Option<StateRecord> {
-        self.records.remove(&subject)
+        let at = self.position(subject).ok()?;
+        Some(self.records.remove(at))
     }
 
     /// Is the cache empty of *fresh* records at `now`? (Algorithm 1's
     /// "cache γ is non-empty" test.)
     pub fn is_empty_at(&self, now: SimMillis) -> bool {
-        !self.records.values().any(|r| is_fresh(r, now, self.ttl_ms))
+        !self.records.iter().any(|r| is_fresh(r, now, self.ttl_ms))
     }
 
     /// Number of *stored* records — including expired ones not yet purged,
@@ -125,7 +146,7 @@ impl RecordCache {
     /// [`Self::is_empty_at`]: `fresh_len(now) == 0 ⇔ is_empty_at(now)`.
     pub fn fresh_len(&self, now: SimMillis) -> usize {
         self.records
-            .values()
+            .iter()
             .filter(|r| is_fresh(r, now, self.ttl_ms))
             .count()
     }
@@ -147,7 +168,7 @@ impl RecordCache {
         out.clear();
         out.extend(
             self.records
-                .values()
+                .iter()
                 .filter(|r| is_fresh(r, now, self.ttl_ms) && r.avail.dominates(demand))
                 .copied(),
         );
@@ -158,14 +179,14 @@ impl RecordCache {
     /// oracles/diagnostics.
     pub fn has_qualified(&self, demand: &ResVec, now: SimMillis) -> bool {
         self.records
-            .values()
+            .iter()
             .any(|r| is_fresh(r, now, self.ttl_ms) && r.avail.dominates(demand))
     }
 
     /// All fresh records, in ascending subject order.
     pub fn fresh(&self, now: SimMillis) -> Vec<StateRecord> {
         self.records
-            .values()
+            .iter()
             .filter(|r| is_fresh(r, now, self.ttl_ms))
             .copied()
             .collect()

@@ -1,8 +1,10 @@
 //! Property test: `RecordCache` against a naive `Vec<StateRecord>` oracle
 //! on random op scripts — same qualified lists (contents *and* order), same
 //! fresh views, same counts, same purge results at every step — including
-//! out-of-order timestamps, same-subject replacement races, removals and
-//! heavy expiry. The oracle restates the contract from scratch (linear
+//! out-of-order timestamps, same-subject replacement races (equal stamps,
+//! where the later insert wins, and older re-inserts, which must not),
+//! removals and heavy expiry, over a small integer alphabet and over the
+//! Table I capacity lattice the workload draws. The oracle restates the contract from scratch (linear
 //! search, sort on read), sharing no code with the cache.
 //!
 //! Runs 256 cases minimum (`PROPTEST_CASES` can only raise it), matching
@@ -34,9 +36,11 @@ fn decode(kind: u8, subject: u32, a: u64, dt: u64) -> Op {
         0..=2 => Op::Insert {
             subject,
             a,
-            // Mostly fresh timestamps, some deep in the past (instant
-            // expiry), some out of order relative to earlier inserts.
-            back: dt % (2 * TTL),
+            // One in four stamped *now*: the clock moves on purges and
+            // probes only, so back-to-back inserts for one subject tie on
+            // `stored_at`. The rest mostly fresh, some deep in the past
+            // (instant expiry), some older than the record they meet.
+            back: if dt % 4 == 0 { 0 } else { dt % (2 * TTL) },
         },
         3 => Op::Remove { subject },
         4 => Op::Purge { dt: dt % 2_000 },
@@ -44,13 +48,38 @@ fn decode(kind: u8, subject: u32, a: u64, dt: u64) -> Op {
     }
 }
 
-fn avail(seed: u64) -> ResVec {
-    // Small coordinate alphabet ⇒ plenty of dominance ties and exact hits.
-    ResVec::from_slice(&[
-        (seed % 5) as f64,
-        (seed / 5 % 5) as f64,
-        (seed / 25 % 5) as f64,
-    ])
+/// Which vectors a script draws.
+#[derive(Clone, Copy, Debug)]
+enum Alphabet {
+    /// Three small integer coordinates ⇒ plenty of dominance ties and
+    /// exact hits.
+    Small,
+    /// Table I: an idle node's availability is its capacity, one of four
+    /// levels per dimension (`soc_workload::nodes`), and a loaded node's is
+    /// that minus Table II demands — halves and quarters of the same
+    /// levels — so Inequality (2) is decided by exact equality all the time.
+    TableI,
+}
+
+fn avail(alphabet: Alphabet, seed: u64) -> ResVec {
+    let level = |levels: [f64; 4], digit: u64| levels[(seed / digit % 4) as usize];
+    match alphabet {
+        Alphabet::Small => ResVec::from_slice(&[
+            (seed % 5) as f64,
+            (seed / 5 % 5) as f64,
+            (seed / 25 % 5) as f64,
+        ]),
+        Alphabet::TableI => {
+            let used = [1.0, 0.5, 0.25, 0.0][(seed / 4096 % 4) as usize];
+            ResVec::from_slice(&[
+                level([1.0, 2.0, 4.0, 8.0], 1) * level([1.0, 2.0, 2.4, 3.2], 4),
+                level([20.0, 40.0, 60.0, 80.0], 16),
+                level([5.0, 7.5, 10.0, 6.25], 64),
+                level([20.0, 60.0, 120.0, 240.0], 256),
+                level([512.0, 1024.0, 2048.0, 4096.0], 1024),
+            ]) * used
+        }
+    }
 }
 
 /// The contract, stated naively: an unordered bag with at most one record
@@ -100,7 +129,7 @@ impl Oracle {
 
 /// Run an op script against the cache and the oracle, asserting lockstep
 /// equality of every observable.
-fn run_script(ops: &[(u8, u32, u64, u64)]) -> Result<(), String> {
+fn run_script(alphabet: Alphabet, ops: &[(u8, u32, u64, u64)]) -> Result<(), String> {
     let mut cache = RecordCache::new(TTL);
     let mut oracle = Oracle::default();
     let mut now: SimMillis = TTL; // headroom so `back` cannot underflow 0
@@ -111,7 +140,7 @@ fn run_script(ops: &[(u8, u32, u64, u64)]) -> Result<(), String> {
             Op::Insert { subject, a, back } => {
                 let rec = StateRecord {
                     subject: NodeId(subject),
-                    avail: avail(a),
+                    avail: avail(alphabet, a),
                     stored_at: now.saturating_sub(back),
                 };
                 cache.insert(rec);
@@ -130,7 +159,7 @@ fn run_script(ops: &[(u8, u32, u64, u64)]) -> Result<(), String> {
             }
             Op::Probe { dt, a } => {
                 now += dt;
-                let demand = avail(a / 3);
+                let demand = avail(alphabet, a / 3);
                 let want = oracle.qualified(&demand, now);
                 cache.qualified_into(&demand, now, &mut qbuf);
                 if qbuf != want {
@@ -166,9 +195,11 @@ proptest! {
 
     #[test]
     fn cache_matches_vec_oracle(
+        table_i in 0u8..2,
         ops in prop::collection::vec((0u8..6, 0u32..1000, 0u64..1_000_000, 0u64..20_000), 1..200)
     ) {
-        if let Err(e) = run_script(&ops) {
+        let alphabet = if table_i == 1 { Alphabet::TableI } else { Alphabet::Small };
+        if let Err(e) = run_script(alphabet, &ops) {
             prop_assert!(false, "{e}");
         }
     }
@@ -186,5 +217,25 @@ fn replacement_churn_stays_lockstep() {
         }
         ops.push((5, 0, i * 17, 7)); // probe
     }
-    run_script(&ops).unwrap();
+    run_script(Alphabet::Small, &ops).unwrap();
+    run_script(Alphabet::TableI, &ops).unwrap();
+}
+
+/// The two replacement rules a duty cache meets when updates overtake each
+/// other, spelled out: an equally old record replaces (the later insert
+/// wins), an older one is dropped.
+#[test]
+fn equal_stamp_replaces_and_older_reinsert_does_not() {
+    let rec = |a: u64, stored_at| StateRecord {
+        subject: NodeId(3),
+        avail: avail(Alphabet::TableI, a),
+        stored_at,
+    };
+    let mut cache = RecordCache::new(TTL);
+    cache.insert(rec(1, 1_000));
+    cache.insert(rec(2, 1_000));
+    assert_eq!(cache.fresh(1_000), vec![rec(2, 1_000)]);
+    cache.insert(rec(7, 999));
+    assert_eq!(cache.fresh(1_000), vec![rec(2, 1_000)]);
+    assert_eq!(cache.len(), 1);
 }

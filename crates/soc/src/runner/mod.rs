@@ -136,6 +136,12 @@ fn run_windowed<P: DiscoveryOverlay + Send>(
         drive::merge_outboxes(&shards);
         for (s, own) in shards.iter().zip(&own) {
             let mut sh = s.lock().expect("shard lock");
+            // `on_start` emits for every node of the shard in one callback;
+            // dropped here, the recycled buffers regrow to the size of one
+            // steady-state event's effects instead of keeping start-up's.
+            sh.fx_buf = Vec::new();
+            sh.fx_next = Vec::new();
+            sh.outbox = Vec::new();
             for &node in own {
                 sh.schedule_arrival(node);
             }

@@ -467,6 +467,7 @@ impl<P: DiscoveryOverlay> Shard<P> {
         let Some(p) = self.pending.remove(&qid) else {
             return;
         };
+        self.proto.on_query_settled(qid);
         if !self.hosts.alive[p.requester.idx()] {
             // The requester churned away mid-query; its task died with it.
             self.tracker.task_killed();
