@@ -258,26 +258,37 @@ fn smoke_scale_defence_verdict_holds() {
     assert_ab_verdict(&ab, "smoke");
 }
 
-/// `repro` validates the declared knobs before it runs anything: a value
+/// `repro` validates the environment before it runs anything: a value
 /// outside a knob's accepted set is a usage error (exit 2) naming the
 /// knob, the value and the accepted set — not a silent run of the default,
-/// which for `SOC_FAULT_DEFENSE` is a different simulation.
+/// which for `SOC_FAULT_DEFENSE` is a different simulation. So is a
+/// `SOC_*` variable that is no knob at all, like the removed
+/// `SOC_SIM_EXEC` a script may still set.
 #[test]
 fn repro_refuses_a_mistyped_knob_value() {
     let scn = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../scenarios/paper-smoke.scn"
     );
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["scenario", scn])
-        .env("SOC_FAULT_DEFENSE", "enabled")
-        .output()
-        .expect("repro runs");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(out.stdout.is_empty(), "nothing may run before the check");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(
-        err.trim_end(),
-        "SOC_FAULT_DEFENSE=\"enabled\": expected off | on"
-    );
+    for (setting, complaint) in [
+        (
+            "SOC_FAULT_DEFENSE=enabled",
+            "SOC_FAULT_DEFENSE=\"enabled\": expected off | on",
+        ),
+        (
+            "SOC_SIM_EXEC=sharded",
+            "SOC_SIM_EXEC: not a knob; the knobs are SOC_ROUTE, SOC_FAULT_DEFENSE, \
+             SOC_PROFILE, SOC_BENCH_THREADS",
+        ),
+    ] {
+        let (name, value) = setting.split_once('=').expect("NAME=value");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["scenario", scn])
+            .env(name, value)
+            .output()
+            .expect("repro runs");
+        assert_eq!(out.status.code(), Some(2), "{setting}");
+        assert!(out.stdout.is_empty(), "nothing may run before the check");
+        assert_eq!(String::from_utf8_lossy(&out.stderr).trim_end(), complaint);
+    }
 }

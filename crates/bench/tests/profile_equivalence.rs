@@ -95,7 +95,7 @@ fn profile_summary_is_sane() {
             .run()
     });
     let p = report.profile.as_ref().expect("profiled run has a summary");
-    assert_eq!(p.phases.len(), 18, "all phases reported, fixed order");
+    assert_eq!(p.phases.len(), 17, "all phases reported, fixed order");
 
     // Dispatch arms are disjoint slices of the event loop: their sum
     // cannot exceed the run's wall clock (+1 ms for the truncation of
@@ -138,7 +138,7 @@ fn profile_summary_is_sane() {
     // The render names a top dispatch phase and the tab table parses.
     let table = p.render();
     assert!(table.contains("# top dispatch phase: "));
-    assert!(table.lines().count() >= 18);
+    assert!(table.lines().count() >= 17);
 }
 
 /// The off-path must be truly off: no summary, and (within one process)

@@ -11,7 +11,7 @@
 
 use crate::zone::{Point, Zone};
 use soc_types::NodeId;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 #[derive(Clone, Copy, Debug)]
 enum NodeKind {
@@ -48,7 +48,7 @@ const NONE: u32 = u32::MAX;
 /// * each live `NodeId` owns exactly one leaf;
 /// * every internal node's children merge back to its zone;
 /// * splits cycle through dimensions by depth (`split dim = depth % d`).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct PartitionTree {
     nodes: Vec<TreeNode>,
     free: Vec<u32>,
@@ -66,29 +66,9 @@ pub struct PartitionTree {
     /// O(d) containment — usually skips the O(depth) descent. Invalidated
     /// on every structural change; leaves tile the space, so any *live*
     /// leaf whose zone contains the point is the unique correct answer.
-    ///
-    /// Atomic (Relaxed) rather than `Cell` so the sharded executor may
-    /// call `find_leaf` from several worker threads on a structurally
-    /// frozen tree: any stored index is a live leaf during a window, the
-    /// hint is validated before use, and a racy overwrite only costs one
-    /// extra descent — never a wrong answer.
-    last_hit: AtomicUsize,
-}
-
-impl Clone for PartitionTree {
-    fn clone(&self) -> Self {
-        PartitionTree {
-            nodes: self.nodes.clone(),
-            free: self.free.clone(),
-            root: self.root,
-            leaf_of: self.leaf_of.clone(),
-            zones: self.zones.clone(),
-            n_leaves: self.n_leaves,
-            dim: self.dim,
-            // Pure hint: the clone starts cold rather than copying it.
-            last_hit: AtomicUsize::new(NO_HIT),
-        }
-    }
+    /// A `Cell`, so `find_leaf` can stay `&self`; the hint is validated
+    /// before use, a clone's copy included.
+    last_hit: Cell<usize>,
 }
 
 /// Sentinel for an empty/invalidated `last_hit` cache.
@@ -123,7 +103,7 @@ impl PartitionTree {
             zones: vec![None; leaves],
             n_leaves: 0,
             dim,
-            last_hit: AtomicUsize::new(NO_HIT),
+            last_hit: Cell::new(NO_HIT),
         };
         tree.set_leaf(first, 0, Zone::unit(dim));
         tree
@@ -189,7 +169,7 @@ impl PartitionTree {
         );
         // Last-hit fast path: valid between structural changes (the cache
         // is cleared on join/leave, so the slot is a live leaf).
-        let cached = self.last_hit.load(Ordering::Relaxed);
+        let cached = self.last_hit.get();
         if cached != NO_HIT {
             if let NodeKind::Leaf(owner) = self.nodes[cached].kind {
                 if self.leaf_zone(owner).contains(p) {
@@ -202,7 +182,7 @@ impl PartitionTree {
             let n = &self.nodes[i];
             match n.kind {
                 NodeKind::Leaf(owner) => {
-                    self.last_hit.store(i, Ordering::Relaxed);
+                    self.last_hit.set(i);
                     return owner;
                 }
                 // Inside the parent's zone, the lower half contains `p`
@@ -272,7 +252,7 @@ impl PartitionTree {
         };
         self.set_leaf(left_owner, left, lo_half);
         self.set_leaf(right_owner, right, hi_half);
-        self.last_hit.store(NO_HIT, Ordering::Relaxed);
+        self.last_hit.set(NO_HIT);
         owner
     }
 
@@ -341,7 +321,7 @@ impl PartitionTree {
     pub fn leave(&mut self, node: NodeId) -> Option<Vec<(NodeId, Zone)>> {
         // Collapse frees tree slots without rewriting them; a cached slot
         // could otherwise keep answering as a stale leaf.
-        self.last_hit.store(NO_HIT, Ordering::Relaxed);
+        self.last_hit.set(NO_HIT);
         assert!(self.contains_node(node), "node not in overlay");
         let leaf_idx = self.leaf_of[node.idx()];
         let zone = self.unset_leaf(node);

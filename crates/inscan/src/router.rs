@@ -70,9 +70,8 @@ impl RouteBackend {
 /// pairs; 4096 cells keep the direct-mapped conflict rate low for 416 KiB
 /// (104-byte cells).
 ///
-/// There is one router per protocol instance and the sharded executor
-/// builds one instance per shard, each routing only for the ids its shard
-/// owns — so [`Router::sized_for`] scales the table to that id count
+/// There is one router per protocol instance and the runner builds one
+/// instance per shard, each routing only for the ids its shard owns — so [`Router::sized_for`] scales the table to that id count
 /// (rounded up to a power of two, [`MIN_CELLS`] … `MAX_CELLS`): 512 cells =
 /// 52 KiB for a 320-id shard of the n = 2000 cell instead of 416 KiB. The
 /// size only moves the hit rate; a hit is validated against the exact key,

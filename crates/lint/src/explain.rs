@@ -89,10 +89,11 @@ pub const EXPLAINS: &[Explain] = &[
     },
     Explain {
         rule: "no-shared-mut-state",
-        rationale: "The sharded executor will partition sim state across threads; static mut, \
-                    thread_local! and interior-mutable cells are sharing a shard boundary \
-                    cannot see. Where a single-threaded invariant genuinely makes them sound \
-                    (the profiler's Cell counters), the pragma must spell that invariant out.",
+        rationale: "A run owns all of its state and stays on one thread, but a sweep worker runs \
+                    many cells on that thread: static mut and thread_local! outlive the run that \
+                    wrote them, so one cell's leftovers could steer the next. RefCell/Rc/Cell \
+                    are not flagged — they are !Sync, and with nothing inside a run shared \
+                    between threads the compiler is the check.",
         rel: "crates/soc/src/example.rs",
         good: include_str!("../tests/fixtures/examples/no-shared-mut-state/good.rs"),
         bad: include_str!("../tests/fixtures/examples/no-shared-mut-state/bad.rs"),

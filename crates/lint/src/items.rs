@@ -85,7 +85,7 @@ pub struct Item {
     pub attrs: Vec<String>,
     /// Index of the enclosing item in [`FileItems::items`], if nested.
     pub parent: Option<usize>,
-    /// `static mut` — the one form with no safe single-threaded reading.
+    /// `static mut` — state every run of the process shares.
     pub is_static_mut: bool,
     /// Enum variants (empty for other kinds).
     pub variants: Vec<Variant>,

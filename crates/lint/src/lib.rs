@@ -9,14 +9,14 @@
 //! use/ownership graph ([`graph`]).
 //!
 //! Every selectable implementation in this workspace (`SOC_ROUTE`'s two
-//! routers, `SOC_SIM_EXEC`'s two drivers) is pinned bitwise-identical to
-//! its counterpart, every data-structure replacement is proven against
-//! pinned fingerprints, and the sharded executor stays sound only if that
-//! discipline is enforced mechanically. These rules encode the invariants
-//! that previously lived in tests and prose: RNG stream isolation and
+//! routers) is pinned bitwise-identical to its counterpart, every
+//! data-structure replacement is proven against pinned fingerprints, and
+//! the eight-shard merge stays deterministic only if that discipline is
+//! enforced mechanically. These rules encode the invariants that
+//! previously lived in tests and prose: RNG stream isolation and
 //! ownership, no unordered-collection iteration or order-sensitive float
-//! reduction on fingerprint-feeding paths, no shared mutable state a shard
-//! boundary could cross, no wall clock outside the bench harness, every
+//! reduction on fingerprint-feeding paths, no state that outlives its run
+//! on a thread, no wall clock outside the bench harness, every
 //! `SOC_*` knob documented, every fingerprint exclusion declared, every
 //! `#[ignore]` suite wired into CI.
 //!

@@ -43,7 +43,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "no-shared-mut-state",
-        "no static mut / thread_local! / sim-crate RefCell/Rc/Cell without a justified single-threaded invariant",
+        "no static mut / thread_local! without a justification of why no run sees another's leftovers",
     ),
     (
         "rng-stream-ownership",

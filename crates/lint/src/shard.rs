@@ -1,16 +1,18 @@
 //! The **shard-safety rule pack**: three rules written against the item
 //! layer ([`crate::items`]) and the workspace item graph
-//! ([`crate::graph`]), encoding the invariants the upcoming
-//! `SOC_SIM_EXEC=serial|sharded` executor will depend on. Token-pattern
+//! ([`crate::graph`]), encoding the invariants the windowed executor's
+//! eight-shard cut and shard-ordered merge depend on. Token-pattern
 //! rules catch *uses*; these rules see *structure* — items, field types,
 //! enum variants, ownership edges — so they can prove things per item
 //! ("this reduction iterates a `Vec` field") instead of flagging every
 //! syntactic echo.
 //!
-//! * [`no_shared_mut_state`] — shard boundaries must not cross shared
-//!   mutable state: `static mut` and `thread_local!` anywhere,
-//!   `RefCell`/`Rc`/`Cell` in sim-state crates, all need a justified
-//!   single-threaded-invariant pragma.
+//! * [`no_shared_mut_state`] — no state outlives a run on its thread:
+//!   `static mut` and `thread_local!` need a justified pragma anywhere. A
+//!   sweep worker runs many cells on one thread, and leftovers of one
+//!   cell would leak into the next. (`RefCell`/`Rc`/`Cell` are `!Sync`
+//!   and nothing inside a run is shared between threads, so for those the
+//!   compiler is the check.)
 //! * [`rng_stream_ownership`] — the [`STREAM_OWNERS`-style] declared map
 //!   in `crates/simcore/src/rng.rs` makes stream→crate ownership a
 //!   checked contract: drawing a stream outside its owner is a finding,
@@ -40,49 +42,20 @@ fn finding(rule: &'static str, file: &FileInfo, line: u32, msg: String) -> Findi
     }
 }
 
-/// Token index ranges `[s, e)` covered by `use ... ;` statements — type
-/// idents in imports are declarations of intent, not state.
-fn use_ranges(t: &[Token]) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < t.len() {
-        if t[i].is_ident("use")
-            && (i == 0
-                || t[i - 1].is_punct(';')
-                || t[i - 1].is_punct('{')
-                || t[i - 1].is_punct('}'))
-        {
-            let s = i;
-            while i < t.len() && !t[i].is_punct(';') {
-                i += 1;
-            }
-            out.push((s, i + 1));
-        }
-        i += 1;
-    }
-    out
-}
-
-fn in_ranges(ranges: &[(usize, usize)], i: usize) -> bool {
-    ranges.iter().any(|&(s, e)| s <= i && i < e)
-}
-
 // ---------------------------------------------------------------------------
 // no-shared-mut-state
 // ---------------------------------------------------------------------------
 
-/// Shared or interior-mutable state that a future shard boundary could
-/// cross. `static mut` and `thread_local!` are flagged in every crate
-/// (the bench harness included — its sharing must be justified too);
-/// `RefCell`/`Rc`/`Cell` only in sim-state crates, where the pragma must
-/// state the single-threaded invariant that makes them sound.
+/// State that outlives the run that wrote it: `static mut` and
+/// `thread_local!`, flagged in every crate (the bench harness included —
+/// its sweep workers run cell after cell on one thread, so per-thread
+/// leftovers are exactly what would make a cell depend on its neighbours).
 pub fn no_shared_mut_state(wf: &WorkspaceFile, out: &mut Vec<Finding>) {
     let file = &wf.info;
     if file.is_test_path || file.is_testkit {
         return;
     }
     let t = &wf.src.tokens;
-    let uses = use_ranges(t);
     let context = |i: usize| {
         wf.items
             .enclosing(i)
@@ -90,7 +63,7 @@ pub fn no_shared_mut_state(wf: &WorkspaceFile, out: &mut Vec<Finding>) {
             .unwrap_or_default()
     };
     for i in 0..t.len() {
-        if wf.src.in_test_region(i) || in_ranges(&uses, i) {
+        if wf.src.in_test_region(i) {
             continue;
         }
         if t[i].is_ident("static") && t.get(i + 1).is_some_and(|x| x.is_ident("mut")) {
@@ -99,7 +72,7 @@ pub fn no_shared_mut_state(wf: &WorkspaceFile, out: &mut Vec<Finding>) {
                 file,
                 t[i].line,
                 format!(
-                    "`static mut` is shared mutable state a sharded runner cannot cross{}",
+                    "`static mut` is mutable state every run of the process shares{}",
                     context(i)
                 ),
             ));
@@ -111,29 +84,8 @@ pub fn no_shared_mut_state(wf: &WorkspaceFile, out: &mut Vec<Finding>) {
                 file,
                 t[i].line,
                 format!(
-                    "`thread_local!` state is invisible to a shard merge; justify why \
-                     sharing-by-thread is safe{}",
-                    context(i)
-                ),
-            ));
-            continue;
-        }
-        if !file.is_sim {
-            continue;
-        }
-        if t[i].kind == TokenKind::Ident
-            && matches!(t[i].text.as_str(), "RefCell" | "Rc" | "Cell")
-            && t.get(i + 1)
-                .is_some_and(|x| x.is_punct('<') || x.is_punct(':'))
-        {
-            out.push(finding(
-                "no-shared-mut-state",
-                file,
-                t[i].line,
-                format!(
-                    "`{}` in a sim-state crate: interior mutability crossing a shard \
-                     boundary races; justify the single-threaded invariant{}",
-                    t[i].text,
+                    "`thread_local!` state outlives the run that wrote it; justify why \
+                     the next run on this thread cannot see it{}",
                     context(i)
                 ),
             ));

@@ -3,8 +3,8 @@ pub struct Scratch {
 }
 
 impl Scratch {
-    // Owned state, threaded explicitly: a shard boundary can partition
-    // it without hidden sharing.
+    // Owned state, passed explicitly: it is built with the run and
+    // dropped with it.
     pub fn push(&mut self, v: u64) {
         self.buf.push(v);
     }

@@ -1,10 +1,4 @@
-//! Shared-state violations carrying the justified single-threaded
-//! invariant the rule demands.
+//! A process-wide static carrying the justification the rule demands.
 
-// soc-lint: allow(no-shared-mut-state) -- fixture: process-wide tick counter read only by the single sim thread
+// soc-lint: allow(no-shared-mut-state) -- fixture: process-wide tick counter no run reads back
 pub static mut TICKS: u64 = 0;
-
-pub struct Hint {
-    // soc-lint: allow(no-shared-mut-state) -- re-derivable lookup hint; a Sim never crosses threads mid-run
-    cached: Cell<u64>,
-}

@@ -67,9 +67,9 @@ impl EfficiencyLog {
         (self.sum * self.sum) / (self.n as f64 * self.sum_sq)
     }
 
-    /// Fold another log in (sharded-executor merge). The f64 sums make
-    /// this order-sensitive in the last ulp; callers must absorb in a
-    /// fixed (shard-id) order, which the equivalence suites pin bitwise.
+    /// Fold another log in (per-shard logs, merged in shard order). The
+    /// f64 sums make this order-sensitive in the last ulp; callers must
+    /// absorb in a fixed (shard-id) order, which every fingerprint pins.
     pub fn absorb(&mut self, other: &EfficiencyLog) {
         self.n += other.n;
         self.sum += other.sum;

@@ -214,8 +214,8 @@ impl TaskTracker {
 
     /// Fold another tracker's counters in, leaving `other` untouched.
     ///
-    /// The sharded executor keeps one tracker per shard and builds a fresh
-    /// aggregate (in fixed shard order) at every sample instant; the
+    /// The runner keeps a per-shard tracker and builds a fresh aggregate,
+    /// merged in shard order, at every sample instant; the
     /// per-shard *series* are deliberately not merged — the aggregate owns
     /// the time series. Counter sums are integers and the efficiency fold
     /// is a float sum whose order is fixed by the shard-ordered visit, so
@@ -232,8 +232,8 @@ impl TaskTracker {
         self.eff.absorb(&other.eff);
     }
 
-    /// Adopt a pre-built series (the sharded executor's coordinator owns
-    /// the sampled series and installs it on the final aggregate tracker).
+    /// Adopt a pre-built series (the runner's coordinator owns the
+    /// sampled series and installs it on the final aggregate tracker).
     pub fn set_series(&mut self, series: Vec<MetricPoint>) {
         self.series = series;
     }

@@ -173,8 +173,8 @@ impl FaultPlan {
 
     /// Overwrite `node`'s evil/liar flags without drawing any RNG.
     ///
-    /// The sharded executor keeps one authoritative plan at the
-    /// coordinator (which owns the Fault stream) and a mirror per shard;
+    /// The runner keeps one authoritative plan at the coordinator (which
+    /// owns the Fault stream) and a per-shard mirror;
     /// after every `on_join` re-roll the coordinator pushes the new flags
     /// into each mirror through this setter so all copies agree.
     pub fn set_flags(&mut self, node: NodeId, evil: bool, liar: bool) {

@@ -82,10 +82,10 @@ impl LanTopology {
     }
 
     /// Lower bound on the one-way latency of any message that crosses a
-    /// LAN boundary — the conservative-DES *lookahead*: a sharded executor
-    /// whose shards are unions of whole LANs may execute each shard
-    /// independently for a window of this length, because no cross-shard
-    /// effect can arrive sooner.
+    /// LAN boundary — the conservative-DES *lookahead*: the windowed
+    /// executor, whose shards are unions of whole LANs, runs each shard on
+    /// its own for a window of this length, because no cross-shard effect
+    /// can arrive sooner.
     pub fn min_cross_lan_latency_ms(&self) -> SimMillis {
         self.config.wan_ms.0
     }

@@ -189,8 +189,8 @@ impl MsgStats {
         v
     }
 
-    /// Fold another stats block in (sharded-executor end-of-run merge:
-    /// each shard accounts its own sends, the coordinator sums them).
+    /// Fold another stats block in (end-of-run merge: each shard accounts
+    /// its own sends, the runner sums them in shard order).
     /// Integer sums, so fold order cannot affect the result.
     pub fn absorb(&mut self, other: &MsgStats) {
         for (mine, theirs) in self.by_kind.iter_mut().zip(other.by_kind) {

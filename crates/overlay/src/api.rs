@@ -221,9 +221,8 @@ impl<'a, M> Ctx<'a, M> {
 /// constructor `Fn(Range<u32>) -> P` and calls it once per shard with the
 /// id range whose per-node rows that shard's instance must hold.
 pub trait DiscoveryOverlay {
-    /// Protocol message payload. `Send` so the sharded executor can move
-    /// buffered cross-shard messages between worker threads.
-    type Msg: Clone + std::fmt::Debug + Send;
+    /// Protocol message payload.
+    type Msg: Clone + std::fmt::Debug;
 
     /// May this protocol's state be partitioned by node across shards?
     /// `true` requires every handler at node `x` to touch only `x`'s own
@@ -246,9 +245,9 @@ pub trait DiscoveryOverlay {
     /// shardable protocol must start exactly the nodes it is given.
     fn on_start(&mut self, ctx: &mut Ctx<'_, Self::Msg>, nodes: &[NodeId]);
 
-    /// Fold another instance's *diagnostic* counters into this one (the
-    /// sharded executor merges shard diagnostics before building the
-    /// report). State other than diagnostics must not be touched.
+    /// Fold another instance's *diagnostic* counters into this one
+    /// (per-shard diagnostics, merged in shard order before the report is
+    /// built). State other than diagnostics must not be touched.
     fn absorb_diag(&mut self, other: &Self)
     where
         Self: Sized,

@@ -24,9 +24,9 @@
 //!   them from leaking anywhere else in the sim crates.
 //! * **Always cheap when off.** A disabled profiler reduces every probe to
 //!   one branch on a `None`/`false`; there is no allocation, no syscall,
-//!   no atomic. [`Cell`] counters (not atomics) are deliberate: each `Sim`
-//!   is single-threaded and owns its profiler, so sweep fan-out needs no
-//!   synchronization.
+//!   no atomic. [`Cell`] counters (not atomics) are deliberate: a run
+//!   stays on the thread that started it and owns its profilers, so sweep
+//!   fan-out needs no synchronization.
 //!
 //! ## Phase taxonomy
 //!
@@ -103,16 +103,11 @@ pub enum Phase {
     /// Metrics/statistics flushes (`MsgStats::record_batch`,
     /// `TaskTracker::sample`).
     StatsFlush,
-    /// Sharded-executor synchronization: time a worker spends parked at
-    /// the window barrier waiting for the coordinator and sibling shards —
-    /// the profiler's direct measure of lost parallelism. Zero under the
-    /// inline serial driver.
-    BarrierWait,
 }
 
 impl Phase {
     /// Every phase, in report order (dispatch group first).
-    pub const ALL: [Phase; 18] = [
+    pub const ALL: [Phase; 17] = [
         Phase::DeliverMsg,
         Phase::ProtoTimer,
         Phase::Arrival,
@@ -130,7 +125,6 @@ impl Phase {
         Phase::Latency,
         Phase::Fault,
         Phase::StatsFlush,
-        Phase::BarrierWait,
     ];
 
     /// Stable snake-case label (report tables, JSON keys).
@@ -153,7 +147,6 @@ impl Phase {
             Phase::Latency => "latency",
             Phase::Fault => "fault",
             Phase::StatsFlush => "stats_flush",
-            Phase::BarrierWait => "barrier_wait",
         }
     }
 
@@ -193,14 +186,12 @@ const N: usize = Phase::ALL.len();
 ///
 /// Interior mutability (`Cell`) lets shared references record — the
 /// protocol context holds `&Profiler` while the runner also holds one —
-/// which is sound because a `Sim` never crosses threads mid-run (the sweep
-/// engine parallelises across cells, each with its own `Sim`).
+/// and being `!Sync` keeps it on the thread of its run (the sweep engine
+/// parallelises across cells, each with its own profilers).
 #[derive(Debug)]
 pub struct Profiler {
     enabled: bool,
-    // soc-lint: allow(no-shared-mut-state) -- observation-only counters; a Sim (and its Profiler) never crosses threads mid-run, and the totals are fingerprint-excluded
     ns: [Cell<u64>; N],
-    // soc-lint: allow(no-shared-mut-state) -- same single-threaded invariant as `ns` above
     count: [Cell<u64>; N],
 }
 
@@ -208,9 +199,7 @@ impl Profiler {
     fn with_enabled(enabled: bool) -> Self {
         Profiler {
             enabled,
-            // soc-lint: allow(no-shared-mut-state) -- constructing the single-threaded counters documented on the struct
             ns: std::array::from_fn(|_| Cell::new(0)),
-            // soc-lint: allow(no-shared-mut-state) -- constructing the single-threaded counters documented on the struct
             count: std::array::from_fn(|_| Cell::new(0)),
         }
     }
@@ -265,9 +254,8 @@ impl Profiler {
         }
     }
 
-    /// Attribute externally-measured nanoseconds (and one invocation) to
-    /// `phase`. The sharded executor's workers accumulate barrier-wait
-    /// time in a plain local and fold it in here once per run.
+    /// Attribute externally-measured nanoseconds (and `calls` invocations)
+    /// to `phase`.
     pub fn add_ns(&self, phase: Phase, ns: u64, calls: u64) {
         if self.enabled {
             let i = phase.idx();
@@ -276,10 +264,10 @@ impl Profiler {
         }
     }
 
-    /// Fold another profiler's counters in (sharded-executor end-of-run
-    /// merge: each shard profiles its own spans, the coordinator sums
-    /// them). No-op when `self` is disabled; run-wide enablement is a
-    /// single `SOC_PROFILE` read, so shards agree with the coordinator.
+    /// Fold another profiler's counters in (end-of-run merge: each shard
+    /// profiles its own spans, the coordinator sums them in shard order).
+    /// No-op when `self` is disabled; run-wide enablement is a single
+    /// `SOC_PROFILE` read, so shards agree with the coordinator.
     pub fn absorb(&mut self, other: &Profiler) {
         if !self.enabled {
             return;
@@ -366,7 +354,7 @@ pub struct PhaseStat {
 /// fingerprinted.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProfileSummary {
-    /// All 18 phases, dispatch group first.
+    /// All 17 phases, dispatch group first.
     pub phases: Vec<PhaseStat>,
 }
 
@@ -532,14 +520,14 @@ mod tests {
         let shard = Profiler::with_enabled(true);
         let t = shard.start();
         shard.stop(Phase::DeliverMsg, t);
-        shard.add_ns(Phase::BarrierWait, 1234, 2);
+        shard.add_ns(Phase::Fault, 1234, 2);
         agg.add_count(Phase::QueuePush, 5);
         agg.absorb(&shard);
         let s = agg.summary().unwrap();
         assert_eq!(s.count("deliver"), 1);
         assert_eq!(s.count("queue_push"), 5);
-        assert_eq!(s.count("barrier_wait"), 2);
-        assert!(s.ns("barrier_wait") >= 1234);
+        assert_eq!(s.count("fault"), 2);
+        assert!(s.ns("fault") >= 1234);
         // A disabled aggregate ignores everything.
         let mut off = Profiler::disabled();
         off.absorb(&shard);
@@ -548,7 +536,7 @@ mod tests {
 
     #[test]
     fn phase_taxonomy_is_consistent() {
-        assert_eq!(Phase::ALL.len(), 18);
+        assert_eq!(Phase::ALL.len(), 17);
         let dispatch = Phase::ALL
             .iter()
             .filter(|p| p.group() == PhaseGroup::Dispatch)

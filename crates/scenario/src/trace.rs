@@ -18,8 +18,8 @@ use rand::rngs::SmallRng;
 use soc_sim::{build_source, run_scenario_with, RunReport};
 use soc_types::{NodeId, ResVec, SimMillis};
 use soc_workload::{TaskSpec, WorkloadSource};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 /// One recorded workload decision, in simulation order.
 #[derive(Clone, Debug, PartialEq)]
@@ -64,14 +64,13 @@ pub struct Trace {
 ///
 /// Trace canonical order: the master's own events (capacities and churn
 /// swaps, recorded at the coordinator) come first, then each shard fork's
-/// delay/task events in shard-id order. The windowed executor drives the
-/// same shard decomposition in both `serial` and `sharded` mode, so the
-/// canonical order is identical regardless of how the run executed.
+/// delay/task events in shard-id order — per-shard buffers, merged in
+/// shard order when the run ends.
 struct RecordingSource {
     inner: Box<dyn WorkloadSource>,
     events: Vec<TraceEvent>,
     /// One buffer per shard fork, retained in fork (= shard-id) order.
-    shard_bufs: Vec<Arc<Mutex<Vec<TraceEvent>>>>,
+    shard_bufs: Vec<Rc<RefCell<Vec<TraceEvent>>>>,
 }
 
 impl RecordingSource {
@@ -87,7 +86,7 @@ impl RecordingSource {
     fn into_events(self) -> Vec<TraceEvent> {
         let mut events = self.events;
         for buf in self.shard_bufs {
-            events.append(&mut buf.lock().expect("recording buffer poisoned"));
+            events.append(&mut buf.borrow_mut());
         }
         events
     }
@@ -123,8 +122,8 @@ impl WorkloadSource for RecordingSource {
 
     fn fork_shard(&mut self, shard: usize) -> Box<dyn WorkloadSource> {
         let inner = self.inner.fork_shard(shard);
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        self.shard_bufs.push(Arc::clone(&buf));
+        let buf = Rc::new(RefCell::new(Vec::new()));
+        self.shard_bufs.push(Rc::clone(&buf));
         Box::new(RecordingFork { inner, buf })
     }
 }
@@ -133,7 +132,7 @@ impl WorkloadSource for RecordingSource {
 /// the master drains at the end of the run.
 struct RecordingFork {
     inner: Box<dyn WorkloadSource>,
-    buf: Arc<Mutex<Vec<TraceEvent>>>,
+    buf: Rc<RefCell<Vec<TraceEvent>>>,
 }
 
 impl WorkloadSource for RecordingFork {
@@ -146,22 +145,18 @@ impl WorkloadSource for RecordingFork {
     fn next_delay(&mut self, node: NodeId, now: SimMillis, rng: &mut SmallRng) -> SimMillis {
         let ms = self.inner.next_delay(node, now, rng);
         self.buf
-            .lock()
-            .expect("recording buffer poisoned")
+            .borrow_mut()
             .push(TraceEvent::Delay { node: node.0, ms });
         ms
     }
 
     fn next_task(&mut self, node: NodeId, now: SimMillis, rng: &mut SmallRng) -> TaskSpec {
         let t = self.inner.next_task(node, now, rng);
-        self.buf
-            .lock()
-            .expect("recording buffer poisoned")
-            .push(TraceEvent::Task {
-                node: node.0,
-                duration_bits: t.duration_s.to_bits(),
-                dims: (0..t.expect.dim()).map(|d| t.expect[d].to_bits()).collect(),
-            });
+        self.buf.borrow_mut().push(TraceEvent::Task {
+            node: node.0,
+            duration_bits: t.duration_s.to_bits(),
+            dims: (0..t.expect.dim()).map(|d| t.expect[d].to_bits()).collect(),
+        });
         t
     }
 
@@ -182,23 +177,21 @@ impl WorkloadSource for RecordingFork {
 ///
 /// The replayer is shard-agnostic by design: delay/task events are
 /// consumed through per-*node* cursors and capacity/churn events through
-/// the master's own cursor, so the same trace replays bit-exactly whether
-/// the executor runs its shard windows inline or on worker threads. A
-/// shared counter proves at the end that every recorded event was
-/// consumed exactly once.
+/// the master's own cursor. A shared counter proves at the end that every
+/// recorded event was consumed exactly once.
 struct ReplaySource {
-    events: Arc<Vec<TraceEvent>>,
+    events: Rc<Vec<TraceEvent>>,
     /// Indices of `Delay`/`Task` events, grouped per node, in trace order.
-    per_node: Arc<Vec<Vec<usize>>>,
+    per_node: Rc<Vec<Vec<usize>>>,
     /// Indices of `Capacity`/`Churn` events, in trace order.
-    master_seq: Arc<Vec<usize>>,
+    master_seq: Rc<Vec<usize>>,
     /// Per-node cursor into `per_node`; each node is served by exactly
     /// one instance (its shard's fork).
     node_pos: Vec<usize>,
     /// Cursor into `master_seq`; only the master advances it.
     master_pos: usize,
     /// Total events consumed across the master and every fork.
-    consumed: Arc<AtomicUsize>,
+    consumed: Rc<Cell<usize>>,
     is_fork: bool,
 }
 
@@ -225,18 +218,18 @@ impl ReplaySource {
             }
         }
         ReplaySource {
-            events: Arc::new(events.to_vec()),
-            per_node: Arc::new(per_node),
-            master_seq: Arc::new(master_seq),
+            events: Rc::new(events.to_vec()),
+            per_node: Rc::new(per_node),
+            master_seq: Rc::new(master_seq),
             node_pos: vec![0; n_nodes],
             master_pos: 0,
-            consumed: Arc::new(AtomicUsize::new(0)),
+            consumed: Rc::new(Cell::new(0)),
             is_fork: false,
         }
     }
 
     fn consumed(&self) -> usize {
-        self.consumed.load(Ordering::Relaxed)
+        self.consumed.get()
     }
 
     fn next_master(&mut self, wanted: &str) -> &TraceEvent {
@@ -244,7 +237,7 @@ impl ReplaySource {
             panic!("trace exhausted: no more capacity/churn events (wanted {wanted})");
         };
         self.master_pos += 1;
-        self.consumed.fetch_add(1, Ordering::Relaxed);
+        self.consumed.set(self.consumed.get() + 1);
         &self.events[idx]
     }
 
@@ -261,7 +254,7 @@ impl ReplaySource {
             );
         };
         self.node_pos[node.idx()] = pos + 1;
-        self.consumed.fetch_add(1, Ordering::Relaxed);
+        self.consumed.set(self.consumed.get() + 1);
         &self.events[idx]
     }
 }
@@ -335,12 +328,12 @@ impl WorkloadSource for ReplaySource {
         // one instance because the executor routes each node's calls to a
         // single shard.
         Box::new(ReplaySource {
-            events: Arc::clone(&self.events),
-            per_node: Arc::clone(&self.per_node),
-            master_seq: Arc::clone(&self.master_seq),
+            events: Rc::clone(&self.events),
+            per_node: Rc::clone(&self.per_node),
+            master_seq: Rc::clone(&self.master_seq),
             node_pos: vec![0; self.node_pos.len()],
             master_pos: 0,
-            consumed: Arc::clone(&self.consumed),
+            consumed: Rc::clone(&self.consumed),
             is_fork: true,
         })
     }

@@ -97,10 +97,7 @@ pub struct EventQueue<E> {
     /// windowed executor peeks every shard queue once per lookahead
     /// window and every `pop_until` peeks before popping, so without
     /// this hint the bitmap search runs two to three times per delivered
-    /// event. `Cell` because [`EventQueue::peek_time`] takes `&self`; the
-    /// queue stays `Send` (all engine queues live behind `Mutex`es), it
-    /// merely stops being `Sync`.
-    // soc-lint: allow(no-shared-mut-state) -- cache of queue-local state; each queue is owned by one shard behind a Mutex, so the Cell is never shared across threads
+    /// event. `Cell` because [`EventQueue::peek_time`] takes `&self`.
     min_hint: Cell<Option<Time>>,
 }
 
@@ -126,7 +123,7 @@ impl<E> EventQueue<E> {
             ring_len: 0,
             overflow: BTreeMap::new(),
             ovf_min: Time::MAX,
-            min_hint: Cell::new(None), // soc-lint: allow(no-shared-mut-state) -- same single-owner invariant as the field above
+            min_hint: Cell::new(None),
         }
     }
 

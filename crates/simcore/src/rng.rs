@@ -43,8 +43,8 @@ pub enum RngStreams {
 /// stream (`soc-lint`'s `rng-stream-ownership` rule parses this table
 /// and flags draws from anywhere else, the way the knob registry pins
 /// `SOC_*` reads). One owner per stream keeps draw ordering a local
-/// property of that crate — the invariant the sharded executor will
-/// lean on when streams are split per shard. `"test-only"` marks
+/// property of that crate — the invariant the per-shard streams
+/// ([`stream_rng_shard`]) lean on. `"test-only"` marks
 /// streams that sim code must never draw.
 pub const STREAM_OWNERS: &[(&str, &str)] = &[
     ("NodeCapacities", "soc"),
@@ -89,8 +89,8 @@ pub fn stream_rng(seed: u64, stream: RngStreams) -> SmallRng {
 
 /// Derive the per-shard RNG for `stream` under master `seed`.
 ///
-/// The sharded executor gives every shard its own instance of each
-/// node-facing stream so draw ordering stays a shard-local property.
+/// The runner gives every shard its own instance of each node-facing
+/// stream so draw ordering stays a shard-local property.
 /// Every shard — including shard 0 — mixes a shard-dependent term, so no
 /// shard stream ever aliases the master [`stream_rng`] stream (the
 /// coordinator keeps drawing the master streams for churn/bootstrap).

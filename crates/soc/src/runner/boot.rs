@@ -15,7 +15,6 @@ use soc_types::{NodeId, OwnedRows, ResVec};
 use soc_workload::{cmax, WorkloadSource};
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
-use std::sync::{Mutex, RwLock};
 
 /// Extra node-id headroom so churn joins get fresh ids before old ones are
 /// recycled (a vacated id re-enters the pool only after the queue drains).
@@ -41,7 +40,7 @@ pub(super) fn bootstrap<'s, P: DiscoveryOverlay>(
     make_proto: impl Fn(Range<u32>) -> P,
     can_dim: usize,
     defense_on: bool,
-) -> (Coord<'s>, RwLock<World>, Vec<Mutex<Shard<P>>>) {
+) -> (Coord<'s>, World, Vec<Shard<P>>) {
     let max_nodes = sc.n_nodes + id_headroom(sc.n_nodes);
     let mut rng_caps = stream_rng(sc.seed, RngStreams::NodeCapacities);
     let mut rng_topo = stream_rng(sc.seed, RngStreams::Topology);
@@ -96,49 +95,47 @@ pub(super) fn bootstrap<'s, P: DiscoveryOverlay>(
     }
     let free_ids: VecDeque<NodeId> = (sc.n_nodes..max_nodes).map(|i| NodeId(i as u32)).collect();
 
-    let shards: Vec<Mutex<Shard<P>>> = owned_ranges(&shard_of, n_shards)
+    let shards: Vec<Shard<P>> = owned_ranges(&shard_of, n_shards)
         .into_iter()
         .enumerate()
-        .map(|(id, ids)| {
-            Mutex::new(Shard {
-                id,
-                sc: *sc,
-                source: source.fork_shard(id),
-                now: 0,
-                proto: make_proto(ids.clone()),
-                hosts: Hosts {
-                    execs: OwnedRows::new(ids.clone(), |n| NodeExec::new(caps[n.idx()], psm_cfg)),
-                    alive: alive.clone(),
-                    cmax: cmax(),
-                    fault: fault_master.clone(),
-                    blacklist: Blacklist::new(ids.clone()),
-                    defense_on,
-                },
-                // Grown on demand (≈ 6 events pend per node). A large
-                // up-front reservation pins heap the bootstrap would
-                // otherwise reuse: 1 << 16 slots per shard cost +35 % peak
-                // RSS on the 8-shard n = 10 000 cell.
-                queue: EventQueue::new(),
-                outbox: Vec::new(),
-                pending: BTreeMap::new(),
-                fx_buf: Vec::new(),
-                fx_next: Vec::new(),
-                task_info: BTreeMap::new(),
-                comp_sched: OwnedRows::new(ids, |_| None),
-                defense: DefenseParams::default(),
-                counters: ShardCounters::default(),
-                tracker: TaskTracker::new(),
-                stats: MsgStats::new(max_nodes),
-                avg_cap,
-                next_task: 0,
-                next_query: 0,
-                rng_work: stream_rng_shard(sc.seed, RngStreams::Workload, id),
-                rng_proto: stream_rng_shard(sc.seed, RngStreams::Protocol, id),
-                rng_net: stream_rng_shard(sc.seed, RngStreams::Network, id),
-                rng_dispatch: stream_rng_shard(sc.seed, RngStreams::Dispatch, id),
-                rng_fault: stream_rng_shard(sc.seed, RngStreams::Fault, id),
-                prof: Profiler::from_env(),
-            })
+        .map(|(id, ids)| Shard {
+            id,
+            sc: *sc,
+            source: source.fork_shard(id),
+            now: 0,
+            proto: make_proto(ids.clone()),
+            hosts: Hosts {
+                execs: OwnedRows::new(ids.clone(), |n| NodeExec::new(caps[n.idx()], psm_cfg)),
+                alive: alive.clone(),
+                cmax: cmax(),
+                fault: fault_master.clone(),
+                blacklist: Blacklist::new(ids.clone()),
+                defense_on,
+            },
+            // Grown on demand (≈ 6 events pend per node). A large
+            // up-front reservation pins heap the bootstrap would
+            // otherwise reuse: 1 << 16 slots per shard cost +35 % peak
+            // RSS on the 8-shard n = 10 000 cell.
+            queue: EventQueue::new(),
+            outbox: Vec::new(),
+            pending: BTreeMap::new(),
+            fx_buf: Vec::new(),
+            fx_next: Vec::new(),
+            task_info: BTreeMap::new(),
+            comp_sched: OwnedRows::new(ids, |_| None),
+            defense: DefenseParams::default(),
+            counters: ShardCounters::default(),
+            tracker: TaskTracker::new(),
+            stats: MsgStats::new(max_nodes),
+            avg_cap,
+            next_task: 0,
+            next_query: 0,
+            rng_work: stream_rng_shard(sc.seed, RngStreams::Workload, id),
+            rng_proto: stream_rng_shard(sc.seed, RngStreams::Protocol, id),
+            rng_net: stream_rng_shard(sc.seed, RngStreams::Network, id),
+            rng_dispatch: stream_rng_shard(sc.seed, RngStreams::Dispatch, id),
+            rng_fault: stream_rng_shard(sc.seed, RngStreams::Fault, id),
+            prof: Profiler::from_env(),
         })
         .collect();
 
@@ -158,14 +155,13 @@ pub(super) fn bootstrap<'s, P: DiscoveryOverlay>(
         checkpoint_resubmits: 0,
         blacklist_peak: 0,
         prof: Profiler::from_env(),
-        lookahead,
     };
-    let world = RwLock::new(World {
+    let world = World {
         can,
         topo,
         shard_of,
         lookahead,
-    });
+    };
     (coord, world, shards)
 }
 

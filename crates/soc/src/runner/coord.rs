@@ -1,5 +1,5 @@
 //! The coordinator: churn, sampling and everything else that needs every
-//! shard at the barrier.
+//! shard at once, between windows.
 
 use super::shard::Shard;
 use super::World;
@@ -14,10 +14,9 @@ use soc_simcore::EventQueue;
 use soc_types::{NodeId, QueryId, ResVec, SimMillis, PERF_DIMS};
 use soc_workload::WorkloadSource;
 use std::collections::VecDeque;
-use std::sync::{Mutex, MutexGuard, RwLock};
 
-/// Coordinator events: whole-system concerns that need exclusive access to
-/// every shard. Processed between windows.
+/// Coordinator events: whole-system concerns that need every shard at
+/// once. Processed between windows.
 pub(super) enum CoEv {
     ChurnSwap,
     Sample,
@@ -34,14 +33,14 @@ pub(super) fn push_point(series: &mut Vec<MetricPoint>, p: MetricPoint) {
     }
 }
 
-/// Lock shard `sid` for coordinator work at the barrier instant `now`
-/// (the time its handlers and protocol hooks will read).
+/// Shard `sid`, set up for coordinator work at the between-windows instant
+/// `now` (the time its handlers and protocol hooks will read).
 fn shard_at<P: DiscoveryOverlay>(
-    shards: &[Mutex<Shard<P>>],
+    shards: &mut [Shard<P>],
     sid: usize,
     now: SimMillis,
-) -> MutexGuard<'_, Shard<P>> {
-    let mut sh = shards[sid].lock().expect("shard lock");
+) -> &mut Shard<P> {
+    let sh = &mut shards[sid];
     sh.now = now;
     sh
 }
@@ -49,7 +48,7 @@ fn shard_at<P: DiscoveryOverlay>(
 /// The coordinator: whole-system state no shard may own — the live-node
 /// set, id recycling, the master RNG streams (capacities, overlay points,
 /// churn, fault flags), the master fault plan, and the sampled series.
-/// Runs only between windows, when every shard is at the barrier.
+/// Runs only between windows, when no shard is mid-event.
 pub(super) struct Coord<'s> {
     pub(super) sc: &'s Scenario,
     /// The master workload source: bootstrap + churn capacity draws (the
@@ -69,11 +68,10 @@ pub(super) struct Coord<'s> {
     pub(super) checkpoint_resubmits: u64,
     /// Peak simultaneously-active blacklist entries, sampled at every
     /// metric sample instant (summed across per-shard blacklists with all
-    /// shards quiescent at the barrier — a deterministic definition that
+    /// shards quiescent between windows — a deterministic definition that
     /// replaces the serial engine's strike-time bookkeeping).
     pub(super) blacklist_peak: u64,
     pub(super) prof: Profiler,
-    pub(super) lookahead: SimMillis,
 }
 
 impl Coord<'_> {
@@ -112,8 +110,8 @@ impl Coord<'_> {
 
     pub(super) fn handle_coev<P: DiscoveryOverlay>(
         &mut self,
-        world: &RwLock<World>,
-        shards: &[Mutex<Shard<P>>],
+        world: &mut World,
+        shards: &mut [Shard<P>],
         now: SimMillis,
         ev: CoEv,
     ) {
@@ -134,8 +132,8 @@ impl Coord<'_> {
     fn churn_swap<P: DiscoveryOverlay>(
         &mut self,
         now: SimMillis,
-        world: &RwLock<World>,
-        shards: &[Mutex<Shard<P>>],
+        world: &mut World,
+        shards: &mut [Shard<P>],
     ) {
         // One departure + one join, uniformly spread over time (§IV-B).
         let victim = if self.live.len() > 1 {
@@ -147,11 +145,8 @@ impl Coord<'_> {
         // Churn notifications reach the master and every fork, in shard-id
         // order — the canonical sequence the fork contract promises.
         self.source.note_churn(now, victim, newcomer);
-        for s in shards {
-            s.lock()
-                .expect("shard lock")
-                .source
-                .note_churn(now, victim, newcomer);
+        for s in shards.iter_mut() {
+            s.source.note_churn(now, victim, newcomer);
         }
         if let Some(victim) = victim {
             self.node_leave(victim, now, world, shards);
@@ -166,10 +161,9 @@ impl Coord<'_> {
         &mut self,
         victim: NodeId,
         now: SimMillis,
-        world: &RwLock<World>,
-        shards: &[Mutex<Shard<P>>],
+        w: &mut World,
+        shards: &mut [Shard<P>],
     ) {
-        let mut w = world.write().expect("world lock");
         let vshard = w.shard_of[victim.idx()];
         // Phase 1 — drain the victim's executor (its shard owns the rows).
         // Resident tasks are lost with the node, unless checkpointing (§VI
@@ -177,35 +171,31 @@ impl Coord<'_> {
         // work to the overlay. Tasks the departed node ran for itself have
         // no surviving owner to resubmit them, so they die either way.
         let mut resubmits: Vec<(ResVec, f64, SimMillis)> = Vec::new();
-        {
-            let mut vs = shard_at(shards, vshard, now);
-            let drained = vs.hosts.execs[victim].drain_tasks(now);
-            // Its scheduled completion (if any) dies with it; clearing the
-            // memo also stops a later incarnation of the id from matching
-            // the leftover event through an epoch collision.
-            vs.comp_sched[victim] = None;
-            for t in drained {
-                let (_, is_local) = vs
-                    .task_info
-                    .remove(&t.id)
-                    .expect("resident task has no expectation record");
-                if is_local {
-                    vs.tracker.task_local_killed();
-                    continue;
-                }
-                if !self.sc.checkpointing {
-                    vs.tracker.task_killed();
-                    continue;
-                }
-                let remaining_s = NodeExec::remaining_nominal_s(&t, PERF_DIMS).max(1.0);
-                resubmits.push((t.expect, remaining_s, t.submitted_at));
+        let vs = shard_at(shards, vshard, now);
+        let drained = vs.hosts.execs[victim].drain_tasks(now);
+        // Its scheduled completion (if any) dies with it; clearing the
+        // memo also stops a later incarnation of the id from matching
+        // the leftover event through an epoch collision.
+        vs.comp_sched[victim] = None;
+        for t in drained {
+            let (_, is_local) = vs
+                .task_info
+                .remove(&t.id)
+                .expect("resident task has no expectation record");
+            if is_local {
+                vs.tracker.task_local_killed();
+                continue;
             }
+            if !self.sc.checkpointing {
+                vs.tracker.task_killed();
+                continue;
+            }
+            let remaining_s = NodeExec::remaining_nominal_s(&t, PERF_DIMS).max(1.0);
+            resubmits.push((t.expect, remaining_s, t.submitted_at));
         }
         // Phase 2 — re-submit checkpointed residuals. A surviving node acts
         // as the resubmitter (the original requester may itself have
-        // churned; SOC users re-attach). One resubmitter shard is locked at
-        // a time: the victim shard's lock is already released, so a
-        // resubmitter landing on the victim's own shard cannot deadlock.
+        // churned; SOC users re-attach).
         for (demand, remaining_s, submitted_at) in resubmits {
             self.checkpoint_resubmits += 1;
             let resubmitter = self.random_live();
@@ -214,38 +204,36 @@ impl Coord<'_> {
                 demand,
                 remaining_s,
                 submitted_at,
-                &w,
+                w,
             );
         }
         // Phase 3 — abandon the victim's outstanding discoveries. Swept
         // after the resubmission loop on purpose: the victim is still live
         // at resubmission time (serial semantics), so a residual routed
         // through the victim itself is caught and killed right here.
-        {
-            let mut vs = shard_at(shards, vshard, now);
-            let dead_queries: Vec<QueryId> = vs
-                .pending
-                .iter()
-                .filter(|(_, p)| p.requester == victim)
-                .map(|(&q, _)| q)
-                .collect();
-            for q in dead_queries {
-                vs.pending.remove(&q);
-                vs.tracker.task_killed();
-            }
+        let vs = shard_at(shards, vshard, now);
+        let dead_queries: Vec<QueryId> = vs
+            .pending
+            .iter()
+            .filter(|(_, p)| p.requester == victim)
+            .map(|(&q, _)| q)
+            .collect();
+        for q in dead_queries {
+            vs.pending.remove(&q);
+            vs.tracker.task_killed();
         }
         // Phase 4 — structural removal, then protocol notifications.
         let reass = w.can.leave(victim);
         let affected: Vec<NodeId> = reass.iter().map(|&(n, _)| n).collect();
-        for s in shards {
-            s.lock().expect("shard lock").hosts.alive[victim.idx()] = false;
+        for s in shards.iter_mut() {
+            s.hosts.alive[victim.idx()] = false;
         }
         self.live_remove(victim);
         // The victim's rows and the queries it requested live on its own
         // shard's protocol instance; no other instance has anything of it
         // to drop (the hook is local bookkeeping by contract: no sends, no
         // RNG).
-        shard_at(shards, vshard, now).with_proto(&w, |p, ctx| p.on_node_left(ctx, victim));
+        shard_at(shards, vshard, now).with_proto(w, |p, ctx| p.on_node_left(ctx, victim));
         // Zone-reassignment notifications go to each affected node's own
         // shard (the hook draws per-node randomness and sends adverts).
         for sid in 0..shards.len() {
@@ -254,17 +242,13 @@ impl Coord<'_> {
                 .copied()
                 .filter(|n| w.shard_of[n.idx()] == sid)
                 .collect();
-            shard_at(shards, sid, now).with_proto(&w, |p, ctx| p.on_zones_reassigned(ctx, &own));
+            shard_at(shards, sid, now).with_proto(w, |p, ctx| p.on_zones_reassigned(ctx, &own));
         }
         // The machine behind this id is gone: its suspicions (a row on its
         // own shard) and everyone's suspicions about it (entries in any
         // shard's rows) must not leak onto the slot's next occupant.
-        for s in shards {
-            s.lock()
-                .expect("shard lock")
-                .hosts
-                .blacklist
-                .clear_node(victim);
+        for s in shards.iter_mut() {
+            s.hosts.blacklist.clear_node(victim);
         }
         self.free_ids.push_back(victim);
     }
@@ -273,10 +257,9 @@ impl Coord<'_> {
         &mut self,
         newcomer: NodeId,
         now: SimMillis,
-        world: &RwLock<World>,
-        shards: &[Mutex<Shard<P>>],
+        w: &mut World,
+        shards: &mut [Shard<P>],
     ) {
-        let mut w = world.write().expect("world lock");
         let point = soc_can::overlay::random_point(w.can.dim(), &mut self.rng_overlay);
         let splitter = w.can.join(newcomer, &point);
         // Churn replacements are as likely to be hostile as the original
@@ -285,8 +268,7 @@ impl Coord<'_> {
         self.fault_master.on_join(newcomer, &mut self.rng_fault);
         let evil = self.fault_master.is_blackhole(newcomer);
         let liar = self.fault_master.is_liar(newcomer);
-        for s in shards {
-            let mut sh = s.lock().expect("shard lock");
+        for sh in shards.iter_mut() {
             sh.hosts.alive[newcomer.idx()] = true;
             sh.hosts.fault.set_flags(newcomer, evil, liar);
         }
@@ -295,27 +277,24 @@ impl Coord<'_> {
         // executor row is authoritative, so only it is rebuilt.
         let cap = self.source.node_capacity(&mut self.rng_caps);
         let oshard = w.shard_of[newcomer.idx()];
-        {
-            let mut os = shard_at(shards, oshard, now);
-            os.hosts.execs[newcomer] = NodeExec::new(cap, PsmConfig::default());
-            os.comp_sched[newcomer] = None;
-        }
+        let os = shard_at(shards, oshard, now);
+        os.hosts.execs[newcomer] = NodeExec::new(cap, PsmConfig::default());
+        os.comp_sched[newcomer] = None;
         self.live_add(newcomer);
-        shard_at(shards, oshard, now).with_proto(&w, |p, ctx| p.on_node_joined(ctx, newcomer));
+        os.with_proto(w, |p, ctx| p.on_node_joined(ctx, newcomer));
         shard_at(shards, w.shard_of[splitter.idx()], now)
-            .with_proto(&w, |p, ctx| p.on_zones_reassigned(ctx, &[splitter]));
+            .with_proto(w, |p, ctx| p.on_zones_reassigned(ctx, &[splitter]));
         // Restart the arrival chain on the owner shard's workload fork.
         shard_at(shards, oshard, now).schedule_arrival(newcomer);
     }
 
-    /// Metric sample at a barrier: fold every shard's tracker into a fresh
-    /// aggregate (fixed shard order) and record the point on the
+    /// Metric sample between windows: fold every shard's tracker into a
+    /// fresh aggregate (fixed shard order) and record the point on the
     /// coordinator's series. Also the blacklist-peak observation point.
-    fn sample<P: DiscoveryOverlay>(&mut self, now: SimMillis, shards: &[Mutex<Shard<P>>]) {
+    fn sample<P: DiscoveryOverlay>(&mut self, now: SimMillis, shards: &[Shard<P>]) {
         let mut agg = TaskTracker::new();
         let mut active = 0u64;
-        for s in shards {
-            let sh = s.lock().expect("shard lock");
+        for sh in shards {
             agg.absorb(&sh.tracker);
             active += sh.hosts.blacklist.active_total(now);
         }

@@ -6,19 +6,14 @@ use crate::report::{FaultSummary, RunReport};
 use soc_metrics::TaskTracker;
 use soc_net::MsgStats;
 use soc_overlay::{DiscoveryOverlay, Phase};
-use std::sync::Mutex;
 
 /// Tear down the shards and assemble the report.
 pub(super) fn finish<P: DiscoveryOverlay>(
     mut coord: Coord<'_>,
-    shards: Vec<Mutex<Shard<P>>>,
+    mut shs: Vec<Shard<P>>,
     wall_start: std::time::Instant,
 ) -> RunReport {
     let deadline = coord.sc.duration_ms;
-    let mut shs: Vec<Shard<P>> = shards
-        .into_iter()
-        .map(|m| m.into_inner().expect("shard lock"))
-        .collect();
 
     // One fold over the shards, in shard order, of everything they tally.
     // Queue pushes are too fine-grained to time individually; the queues'

@@ -3,8 +3,8 @@
 //! # The windowed executor
 //!
 //! The simulation state is partitioned into **shards** — unions of whole
-//! LANs, `min(8, LAN count)` of them — and driven by one engine in bounded
-//! lookahead windows:
+//! LANs, `min(8, LAN count)` of them — and driven by one loop, on the
+//! calling thread, in bounded lookahead windows:
 //!
 //! - Every shard ([`shard`]) owns its nodes' event queue ([`event`]), protocol
 //!   instance, workload fork, executors, pending queries and RNG streams.
@@ -19,18 +19,17 @@
 //!   task dispatches, suspicion timers for foreign observers) are buffered
 //!   in a per-shard **outbox**. Since cross-shard always means cross-LAN,
 //!   every such event fires at least `L` after the instant that produced
-//!   it — i.e. at or after `wb` — so buffering until the window barrier
+//!   it — i.e. at or after `wb` — so buffering until the window closes
 //!   can never reorder it before an event the target shard already ran.
-//! - At the barrier the outboxes are drained into the target queues in
-//!   **sender-shard order, each in emission order** ([`drive`]). The queues
-//!   order by `(timestamp, insertion sequence)`, so that insertion order
-//!   alone fixes every same-instant tie — no sort — and the delivered
-//!   schedule is a pure function of the buffered events, independent of how
-//!   the windows were executed.
+//! - When the window closes the outboxes are drained into the target
+//!   queues in **sender-shard order, each in emission order** ([`drive`]).
+//!   The queues order by `(timestamp, insertion sequence)`, so that
+//!   insertion order alone fixes every same-instant tie — no sort — and
+//!   the delivered schedule is a pure function of the buffered events.
 //! - Global concerns (churn, metric sampling, capacity draws, the CAN
 //!   structure) live on a **coordinator** ([`coord`]) with its own event
-//!   queue. Coordinator events run between windows, at a barrier, with
-//!   exclusive access to every shard.
+//!   queue. Coordinator events run between windows, with `&mut` access to
+//!   the world and every shard.
 //!
 //! There is one way to build a shard and one way to pump it. [`boot`] is
 //! handed a constructor `Fn(Range<u32>) -> P` and calls it once per shard
@@ -43,11 +42,13 @@
 //! streams, id namespaces and workload forks make the cut part of what a
 //! fingerprint pins, and nothing in the environment can change it.
 //!
-//! `SOC_SIM_EXEC=serial` (default) runs the shard windows inline on one
-//! thread; `SOC_SIM_EXEC=sharded` runs them on worker threads. Both
-//! drivers execute the *same* shard decomposition, window bounds and merge
-//! order, so their runs are bitwise identical — `RunReport::fingerprint`
-//! pins this. [`finish`] folds the shards into the report.
+//! Nothing in a run is shared between threads: the shards are a plain
+//! `Vec`, pumped one after the other. They remain because the cut decides
+//! which RNG stream serves a draw and how same-instant events tie, so
+//! every pinned `RunReport::fingerprint` depends on it; one plain queue
+//! needs a partition-invariant tie-break first (ROADMAP G(3)). Pumping
+//! the same windows on worker threads lost end to end (README, decisions
+//! table). [`finish`] folds the shards into the report.
 
 mod boot;
 mod coord;
@@ -70,30 +71,12 @@ use soc_types::{NodeId, SimMillis};
 use soc_workload::{SyntheticSource, WorkloadSource};
 use std::ops::Range;
 
-/// Execution driver for the windowed engine. Never part of the simulated
-/// configuration: both drivers run the identical schedule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ExecMode {
-    /// Shard windows run inline on the calling thread.
-    Serial,
-    /// Shard windows run on persistent worker threads.
-    Sharded,
-}
-
-fn exec_mode_from_env() -> ExecMode {
-    match soc_types::knobs::value("SOC_SIM_EXEC").as_deref() {
-        Some("sharded") => ExecMode::Sharded,
-        _ => ExecMode::Serial,
-    }
-}
-
 fn defense_from_env() -> bool {
     soc_types::knobs::value("SOC_FAULT_DEFENSE").as_deref() == Some("on")
 }
 
-/// Immutable-during-window world state shared by every shard, plus the CAN
-/// overlay which only the coordinator mutates (behind the engine's
-/// `RwLock`, write-locked exclusively between windows).
+/// World state every shard reads during a window and only the coordinator
+/// mutates (the CAN overlay, on churn), between windows.
 struct World {
     can: CanOverlay,
     topo: LanTopology,
@@ -104,58 +87,47 @@ struct World {
     lookahead: SimMillis,
 }
 
-/// Run one scenario through the windowed engine with an explicit driver;
-/// `make_proto` builds the protocol instance that holds the rows of one id
-/// range (see [`boot::bootstrap`]).
-fn run_windowed<P: DiscoveryOverlay + Send>(
+/// Run one scenario through the windowed engine; `make_proto` builds the
+/// protocol instance that holds the rows of one id range (see
+/// [`boot::bootstrap`]).
+fn run_windowed<P: DiscoveryOverlay>(
     sc: &Scenario,
     source: &mut dyn WorkloadSource,
     make_proto: impl Fn(Range<u32>) -> P,
     can_dim: usize,
-    mode: ExecMode,
     defense_on: bool,
 ) -> RunReport {
     // soc-lint: allow(no-wall-clock) -- wall_ms is diagnostic-only and excluded from fingerprint() (see report.rs FINGERPRINT_EXCLUDED)
     let wall_start = std::time::Instant::now();
-    let (mut coord, world, shards) = bootstrap(sc, source, make_proto, can_dim, defense_on);
+    let (mut coord, mut world, mut shards) = bootstrap(sc, source, make_proto, can_dim, defense_on);
 
     // Protocol start-up, then the arrival chains, per shard over its own
     // live nodes in id order. Cross-shard bootstrap sends are cross-LAN, so
     // buffering them to the first merge is within the lookahead rule.
-    {
-        let wr = world.read().expect("world lock");
-        let mut own: Vec<Vec<NodeId>> = vec![Vec::new(); shards.len()];
-        for &node in &coord.live {
-            own[wr.shard_of[node.idx()]].push(node);
-        }
-        for (s, own) in shards.iter().zip(&own) {
-            s.lock()
-                .expect("shard lock")
-                .with_proto(&wr, |p, ctx| p.on_start(ctx, own));
-        }
-        drive::merge_outboxes(&shards);
-        for (s, own) in shards.iter().zip(&own) {
-            let mut sh = s.lock().expect("shard lock");
-            // `on_start` emits for every node of the shard in one callback;
-            // dropped here, the recycled buffers regrow to the size of one
-            // steady-state event's effects instead of keeping start-up's.
-            sh.fx_buf = Vec::new();
-            sh.fx_next = Vec::new();
-            sh.outbox = Vec::new();
-            for &node in own {
-                sh.schedule_arrival(node);
-            }
+    let mut own: Vec<Vec<NodeId>> = vec![Vec::new(); shards.len()];
+    for &node in &coord.live {
+        own[world.shard_of[node.idx()]].push(node);
+    }
+    for (sh, own) in shards.iter_mut().zip(&own) {
+        sh.with_proto(&world, |p, ctx| p.on_start(ctx, own));
+    }
+    drive::merge_outboxes(&mut shards);
+    for (sh, own) in shards.iter_mut().zip(&own) {
+        // `on_start` emits for every node of the shard in one callback;
+        // dropped here, the recycled buffers regrow to the size of one
+        // steady-state event's effects instead of keeping start-up's.
+        sh.fx_buf = Vec::new();
+        sh.fx_next = Vec::new();
+        sh.outbox = Vec::new();
+        for &node in own {
+            sh.schedule_arrival(node);
         }
     }
     // Sampling + churn live on the coordinator queue.
     coord.cq.schedule_at(sc.sample_ms, CoEv::Sample);
     coord.schedule_next_churn(0);
 
-    if mode == ExecMode::Sharded && shards.len() > 1 {
-        drive::drive_threaded(&mut coord, &world, &shards);
-    } else {
-        drive::drive_inline(&mut coord, &world, &shards);
-    }
+    drive::drive(&mut coord, &mut world, &mut shards);
 
     finish::finish(coord, shards, wall_start)
 }
@@ -182,17 +154,6 @@ pub fn run_scenario(sc: &Scenario) -> RunReport {
 /// must match the scenario's shape (node counts, call order); the
 /// scenario's own `workload` spec is ignored.
 pub fn run_scenario_with(sc: &Scenario, source: &mut dyn WorkloadSource) -> RunReport {
-    run_scenario_with_exec(sc, source, exec_mode_from_env())
-}
-
-/// Exec-mode-explicit entry point for in-crate equivalence tests (avoids
-/// env-var races under the parallel test harness; env-flipping coverage
-/// lives in the serialized bench suite).
-fn run_scenario_with_exec(
-    sc: &Scenario,
-    source: &mut dyn WorkloadSource,
-    mode: ExecMode,
-) -> RunReport {
     let defense_on = defense_from_env();
     // Scaled-down scenarios shrink task durations; protocol cycles shrink
     // by the same factor so staleness-vs-lifetime ratios stay faithful.
@@ -209,19 +170,19 @@ fn run_scenario_with_exec(
         ProtocolChoice::Newscast => {
             let cfg = GossipConfig::default().scale_cycles(f);
             let make = |ids: Range<u32>| Newscast::new(cfg, sc.n_nodes, ids.end as usize);
-            return run_windowed(sc, source, make, dims, mode, defense_on);
+            return run_windowed(sc, source, make, dims, defense_on);
         }
         ProtocolChoice::Khdn => {
             let cfg = KhdnConfig::default().scale_cycles(f);
             let make = |ids: Range<u32>| KhdnCan::new(cfg, sc.n_nodes, ids.end as usize);
-            return run_windowed(sc, source, make, dims, mode, defense_on);
+            return run_windowed(sc, source, make, dims, defense_on);
         }
     };
     let mut cfg = cfg.scale_cycles(f);
     cfg.corner_jitter = sc.corner_jitter;
     let dim = cfg.overlay_dim();
     let make = |ids| PidCan::for_range(cfg, dim, sc.n_nodes, ids);
-    run_windowed(sc, source, make, dim, mode, defense_on)
+    run_windowed(sc, source, make, dim, defense_on)
 }
 
 #[cfg(test)]

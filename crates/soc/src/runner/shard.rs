@@ -133,7 +133,7 @@ pub(super) struct Shard<P: DiscoveryOverlay> {
     /// draws of the nodes the shard owns.
     pub(super) source: Box<dyn WorkloadSource>,
     /// Current simulation time: the timestamp of the event being handled
-    /// (or the coordinator's barrier instant during coordinator-driven
+    /// (or the coordinator's between-windows instant during its own
     /// calls). All shard logic reads this, never the queue clock, which
     /// lags at window boundaries.
     pub(super) now: SimMillis,
@@ -141,7 +141,7 @@ pub(super) struct Shard<P: DiscoveryOverlay> {
     pub(super) hosts: Hosts,
     pub(super) queue: EventQueue<Ev<P::Msg>>,
     /// Cross-shard events produced this window, in emission order.
-    /// Drained at the barrier.
+    /// Drained when the window closes.
     pub(super) outbox: Outbox<P::Msg>,
     /// BTreeMap (not HashMap): the churn-kill sweep iterates this map, and
     /// ordered iteration keeps that sweep deterministic by construction.
@@ -203,7 +203,7 @@ impl<P: DiscoveryOverlay> Shard<P> {
     }
 
     /// Schedule `ev` at `at` on `target`'s shard: directly into our own
-    /// queue, or into the outbox for the window barrier to merge.
+    /// queue, or into the outbox for the end-of-window merge.
     fn route(&mut self, at: SimMillis, target: NodeId, ev: Ev<P::Msg>, world: &World) {
         let tgt = world.shard_of[target.idx()];
         if tgt == self.id {

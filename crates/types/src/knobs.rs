@@ -5,8 +5,10 @@
 //! read through [`raw`], the single `std::env::var` site for `SOC_*`
 //! variables. Parsers match on [`value`], the same read trimmed and
 //! ASCII-lowercased, so `ON`, ` on ` and `on` are one setting; a value
-//! outside a knob's accepted set selects its default there, which is why a
-//! binary calls [`check_env`] first and refuses to start on one.
+//! outside a knob's accepted set selects its default there, and a `SOC_*`
+//! variable no knob declares (a typo, a knob since removed) is read by
+//! nothing, which is why a binary calls [`check_env`] first and refuses to
+//! start on either.
 //! `soc-lint`'s `env-knob-registry` rule enforces both halves
 //! mechanically: a direct `env::var("SOC_…")` anywhere else is a finding,
 //! and so is a `SOC_*` string literal naming a knob this table does not
@@ -15,7 +17,7 @@
 //!
 //! Reads are deliberately **per call, never process-cached**: the
 //! equivalence suites flip these variables between runs inside one
-//! process to A/B backends and drivers (see
+//! process to A/B backends (see
 //! `crates/bench/tests/route_equivalence.rs`). A `OnceLock` here would
 //! freeze the first value and silently turn those bitwise-equivalence
 //! tests into self-comparisons.
@@ -40,12 +42,6 @@ pub const KNOBS: &[Knob] = &[
         values: "scan | cached",
         default: "cached",
         doc: "Next-hop router backend; scan recomputes the finger/greedy step every hop",
-    },
-    Knob {
-        name: "SOC_SIM_EXEC",
-        values: "serial | sharded",
-        default: "serial",
-        doc: "Windowed-executor driver; serial runs the shard windows inline, sharded runs them on worker threads (bitwise-identical)",
     },
     Knob {
         name: "SOC_FAULT_DEFENSE",
@@ -83,6 +79,17 @@ pub fn raw(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 
+/// The first (in name order) `SOC_*` variable set in the environment that
+/// [`KNOBS`] does not declare. Beside [`raw`] on purpose: these two are
+/// the only places the workspace looks at the environment for `SOC_*`
+/// names.
+fn first_stray() -> Option<String> {
+    std::env::vars_os()
+        .filter_map(|(name, _)| name.into_string().ok())
+        .filter(|name| name.starts_with("SOC_") && get(name).is_none())
+        .min()
+}
+
 /// A declared knob's setting, normalised for matching: trimmed and
 /// ASCII-lowercased. Every parser of an enumerated knob matches on this,
 /// so they all agree on what `SOC_FAULT_DEFENSE=ON` means.
@@ -101,15 +108,24 @@ fn accepts(knob: &Knob, v: &str) -> bool {
 }
 
 /// Validate every declared knob that is set in the environment against
-/// its accepted `values`. The error names the knob, the offending value
-/// and the accepted set. A parser handed a value it does not know falls
-/// back to the default — for `SOC_FAULT_DEFENSE` that is a different
+/// its accepted `values`, and refuse any other set `SOC_*` variable. The
+/// error names the knob, the offending value and the accepted set — or
+/// the stray variable and the knobs that exist. A parser handed a value
+/// it does not know falls back to the default, and a misspelt or removed
+/// knob is read by nobody — for `SOC_FAULT_DEFENSE` either is a different
 /// simulation — so entry points call this before they run anything.
 pub fn check_env() -> Result<(), String> {
     for k in KNOBS {
         if let Some(v) = value(k.name).filter(|v| !accepts(k, v)) {
             return Err(format!("{}={v:?}: expected {}", k.name, k.values));
         }
+    }
+    if let Some(stray) = first_stray() {
+        let declared: Vec<&str> = KNOBS.iter().map(|k| k.name).collect();
+        return Err(format!(
+            "{stray}: not a knob; the knobs are {}",
+            declared.join(", ")
+        ));
     }
     Ok(())
 }
@@ -195,13 +211,8 @@ mod tests {
     #[test]
     fn check_env_accepts_every_case_and_names_what_it_rejects() {
         let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let cases: [(&str, &[&str], &[&str]); 5] = [
+        let cases: [(&str, &[&str], &[&str]); 4] = [
             ("SOC_ROUTE", &["scan", "cached", "SCAN"], &["scna", ""]),
-            (
-                "SOC_SIM_EXEC",
-                &["serial", "sharded", "Sharded "],
-                &["threads"],
-            ),
             (
                 "SOC_FAULT_DEFENSE",
                 &["off", "on", "ON"],
@@ -220,6 +231,20 @@ mod tests {
                 let err = with_var(name, v, check_env).expect_err("garbage is refused");
                 assert_eq!(err, format!("{name}={v:?}: expected {}", knob.values));
             }
+        }
+        // A set `SOC_*` variable that is not a knob — a removed one, a
+        // misspelt one — is refused by name, with the knobs that do exist.
+        for (stray, v) in [("SOC_SIM_EXEC", "sharded"), ("SOC_PROFIL", "on")] {
+            std::env::set_var(stray, v);
+            let err = check_env().expect_err("a stray SOC_ variable is refused");
+            std::env::remove_var(stray);
+            assert_eq!(
+                err,
+                format!(
+                    "{stray}: not a knob; the knobs are SOC_ROUTE, \
+                     SOC_FAULT_DEFENSE, SOC_PROFILE, SOC_BENCH_THREADS"
+                )
+            );
         }
     }
 

@@ -19,10 +19,7 @@ use soc_types::{NodeId, ResVec, SimMillis};
 /// the RNG handed in; they must not draw randomness from anywhere else.
 /// A source that ignores the RNG entirely (trace replay) is valid: the
 /// runner guarantees the passed streams are consumed by no one else.
-///
-/// `Send` is required because the windowed executor hands per-shard forks
-/// (see [`WorkloadSource::fork_shard`]) to worker threads.
-pub trait WorkloadSource: Send {
+pub trait WorkloadSource {
     /// Capacity vector for the next provisioned node (bootstrap fills ids
     /// in order, then one call per churn join).
     fn node_capacity(&mut self, rng: &mut SmallRng) -> ResVec;
@@ -53,6 +50,6 @@ pub trait WorkloadSource: Send {
     /// the master at the coordinator), and a fork is never forked again.
     /// Churn notifications are delivered to the master and to every fork,
     /// always in shard-id order, so stateful sources see a canonical
-    /// sequence regardless of execution mode.
+    /// sequence.
     fn fork_shard(&mut self, shard: usize) -> Box<dyn WorkloadSource>;
 }
