@@ -185,6 +185,37 @@ fn bench_event_queue(c: &mut Criterion) {
             black_box(ev)
         })
     });
+    g.bench_function("proto_timer", |b| {
+        // The queue half of the `proto_timer` phase: 2000 nodes, each with
+        // one periodic timer (scaled state-update, diffusion, refresh and
+        // gossip cycles, 12 … 600 s, first armed at a random phase) that
+        // re-arms as it fires, over a message population that keeps the
+        // clock moving and now and then arms a 60 s query timeout — timers
+        // cross the ring, the coarse wheel and its horizon.
+        const NODES: u32 = 2000;
+        const CYCLES: [u64; 6] = [12_000, 60_000, 80_000, 120_000, 400_000, 600_000];
+        let mut rng = SmallRng::seed_from_u64(49);
+        let mut q: EventQueue<u32> = EventQueue::new();
+        for node in 0..NODES {
+            let period = CYCLES[node as usize % CYCLES.len()];
+            q.schedule_in(rng.random_range(0..period), node);
+        }
+        for (i, &d) in delays.iter().enumerate() {
+            q.schedule_in(d, NODES + i as u32);
+        }
+        let mut i = 0usize;
+        b.iter(|| {
+            let (t, ev) = q.pop().expect("queue never drains");
+            if ev < NODES {
+                q.schedule_in(CYCLES[ev as usize % CYCLES.len()], ev);
+            } else {
+                i = (i + 1) % delays.len();
+                let delay = if i % 16 == 0 { 60_000 } else { delays[i] };
+                q.schedule_in(delay, ev);
+            }
+            black_box(t)
+        })
+    });
     g.finish();
 }
 

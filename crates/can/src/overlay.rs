@@ -45,12 +45,25 @@ impl NeighborEntry {
     fn key(&self) -> (u8, bool, NodeId) {
         (self.dim, self.positive, self.node)
     }
+
+    /// Index of the table run this entry belongs to: `2·dim + positive`.
+    #[inline]
+    fn run(&self) -> usize {
+        2 * usize::from(self.dim) + usize::from(self.positive)
+    }
 }
 
 /// Global CAN state: who owns which zone, and who neighbors whom.
 pub struct CanOverlay {
     tree: PartitionTree,
+    /// Each node's neighbor table, kept sorted by [`NeighborEntry::key`]
+    /// as it is edited — an insert goes to its binary-searched position.
     neighbors: Vec<Vec<NeighborEntry>>,
+    /// Run offsets, `2·dim + 1` per node: with `o` node `i`'s stretch,
+    /// entries of run `r = 2·d + positive` are `neighbors[i][o[r] ..
+    /// o[r + 1]]`; `o[0]` is 0 and `o[2·dim]` the table's length. Edited
+    /// with the table, so a table is capped at `u8::MAX` entries.
+    runs: Vec<u8>,
     alive: Vec<bool>,
     n_alive: usize,
     dim: usize,
@@ -71,6 +84,7 @@ impl CanOverlay {
         CanOverlay {
             tree,
             neighbors: vec![Vec::new(); max_nodes],
+            runs: vec![0; max_nodes * (2 * dim + 1)],
             alive,
             n_alive: 1,
             dim,
@@ -130,16 +144,22 @@ impl CanOverlay {
 
     /// The neighbors of `node` along `dim` on one side, ascending by id:
     /// one contiguous run of the table, which is kept sorted by
-    /// `(dim, positive, node)`. Empty at the edge of the space and for a
-    /// dimension the overlay does not have.
+    /// `(dim, positive, node)`, located by two run offsets. Empty at the
+    /// edge of the space and for a dimension the overlay does not have.
     pub fn neighbors_along(&self, node: NodeId, dim: usize, positive: bool) -> &[NeighborEntry] {
-        let table = self.neighbors(node);
-        let Ok(dim) = u8::try_from(dim) else {
+        if dim >= self.dim {
             return &[];
-        };
-        let start = table.partition_point(|e| (e.dim, e.positive) < (dim, positive));
-        let len = table[start..].partition_point(|e| (e.dim, e.positive) == (dim, positive));
-        &table[start..start + len]
+        }
+        let r = 2 * dim + usize::from(positive);
+        let o = self.run_offsets(node);
+        &self.neighbors[node.idx()][usize::from(o[r])..usize::from(o[r + 1])]
+    }
+
+    /// `node`'s `2·dim + 1` run offsets.
+    #[inline]
+    fn run_offsets(&self, node: NodeId) -> &[u8] {
+        let stride = 2 * self.dim + 1;
+        &self.runs[node.idx() * stride..][..stride]
     }
 
     /// Iterate over live node ids.
@@ -164,34 +184,71 @@ impl CanOverlay {
         self.epoch
     }
 
-    /// Remove any existing mutual entries between `a` and `b`, then re-add
-    /// them if their current zones are adjacent.
+    /// Make `node`'s entry for `other` equal `want` (`None`: no entry): a
+    /// position-remove and a binary-search insert into the sorted table,
+    /// each shifting the run offsets after it, and nothing at all when the
+    /// entry is already right.
+    ///
+    /// # Panics
+    /// Panics if the table would outgrow its `u8` run offsets.
+    fn set_entry(&mut self, node: NodeId, other: NodeId, want: Option<NeighborEntry>) {
+        let stride = 2 * self.dim + 1;
+        let table = &mut self.neighbors[node.idx()];
+        let o = &mut self.runs[node.idx() * stride..][..stride];
+        let have = table.iter().position(|e| e.node == other);
+        if have.map(|i| table[i]) == want {
+            return;
+        }
+        if let Some(i) = have {
+            for end in &mut o[table.remove(i).run() + 1..] {
+                *end -= 1;
+            }
+        }
+        if let Some(e) = want {
+            assert!(
+                table.len() < usize::from(u8::MAX),
+                "{node}'s neighbor table outgrew its u8 run offsets at {} entries",
+                table.len()
+            );
+            let r = e.run();
+            let (lo, hi) = (usize::from(o[r]), usize::from(o[r + 1]));
+            table.insert(lo + table[lo..hi].partition_point(|x| x.node < e.node), e);
+            for end in &mut o[r + 1..] {
+                *end += 1;
+            }
+        }
+    }
+
+    /// Empty `node`'s table and its run offsets.
+    fn clear_table(&mut self, node: NodeId) {
+        let stride = 2 * self.dim + 1;
+        self.neighbors[node.idx()].clear();
+        self.runs[node.idx() * stride..][..stride].fill(0);
+    }
+
+    /// Set the mutual entries between `a` and `b` to what their current
+    /// zones say: adjacent along one dimension, or not neighbors.
     fn retest(&mut self, a: NodeId, b: NodeId) {
         if a == b {
             return;
         }
-        self.neighbors[a.idx()].retain(|e| e.node != b);
-        self.neighbors[b.idx()].retain(|e| e.node != a);
-        let (Some(za), Some(zb)) = (self.tree.zone_of(a), self.tree.zone_of(b)) else {
-            return;
+        let adj = match (self.tree.zone_of(a), self.tree.zone_of(b)) {
+            (Some(za), Some(zb)) => adjacency(za, zb),
+            _ => None,
         };
-        if let Some(adj) = adjacency(za, zb) {
-            // `adj.first_is_positive` describes `a` relative to `b`.
-            self.neighbors[a.idx()].push(NeighborEntry {
-                node: b,
-                dim: adj.dim as u8,
-                positive: !adj.first_is_positive,
-            });
-            self.neighbors[b.idx()].push(NeighborEntry {
-                node: a,
-                dim: adj.dim as u8,
-                positive: adj.first_is_positive,
-            });
-        }
-    }
-
-    fn sort_table(&mut self, node: NodeId) {
-        self.neighbors[node.idx()].sort_by_key(NeighborEntry::key);
+        // `adj.first_is_positive` describes `a` relative to `b`.
+        let to_b = adj.map(|adj| NeighborEntry {
+            node: b,
+            dim: adj.dim as u8,
+            positive: !adj.first_is_positive,
+        });
+        let to_a = adj.map(|adj| NeighborEntry {
+            node: a,
+            dim: adj.dim as u8,
+            positive: adj.first_is_positive,
+        });
+        self.set_entry(a, b, to_b);
+        self.set_entry(b, a, to_a);
     }
 
     /// `newcomer` joins at point `p`: the owner of the enclosing zone splits.
@@ -207,18 +264,13 @@ impl CanOverlay {
 
         self.alive[newcomer.idx()] = true;
         self.n_alive += 1;
-        self.neighbors[newcomer.idx()].clear();
+        self.clear_table(newcomer);
 
         for v in &old_nb {
             self.retest(owner, *v);
             self.retest(newcomer, *v);
         }
         self.retest(owner, newcomer);
-        self.sort_table(owner);
-        self.sort_table(newcomer);
-        for v in old_nb {
-            self.sort_table(v);
-        }
         owner
     }
 
@@ -250,9 +302,9 @@ impl CanOverlay {
 
         // Retire the departed node.
         for v in &dep_nb {
-            self.neighbors[v.idx()].retain(|e| e.node != node);
+            self.set_entry(*v, node, None);
         }
-        self.neighbors[node.idx()].clear();
+        self.clear_table(node);
         self.alive[node.idx()] = false;
         self.n_alive -= 1;
 
@@ -263,21 +315,15 @@ impl CanOverlay {
             // counterpart is being re-tested below; start clean.
             let stale: Vec<NodeId> = self.neighbors[n.idx()].iter().map(|e| e.node).collect();
             for s in stale {
-                self.neighbors[s.idx()].retain(|e| e.node != *n);
+                self.set_entry(s, *n, None);
             }
-            self.neighbors[n.idx()].clear();
+            self.clear_table(*n);
             for v in &cand {
                 self.retest(*n, *v);
             }
         }
         if reass.len() == 2 {
             self.retest(reass[0].0, reass[1].0);
-        }
-        for v in &cand {
-            self.sort_table(*v);
-        }
-        for (n, _) in &reass {
-            self.sort_table(*n);
         }
         reass
     }
@@ -321,6 +367,15 @@ impl CanOverlay {
                     self.neighbors[a.idx()],
                     expect
                 ));
+            }
+        }
+        // Run offsets partition each table by run; a dead node's are zero.
+        for i in 0..self.alive.len() {
+            let node = NodeId(i as u32);
+            let table = &self.neighbors[i];
+            let want = (0..=2 * self.dim).map(|r| table.iter().filter(|e| e.run() < r).count());
+            if !want.eq(self.run_offsets(node).iter().map(|&o| usize::from(o))) {
+                return Err(format!("{node} run offsets desynced from its table"));
             }
         }
         Ok(())
@@ -405,6 +460,20 @@ mod tests {
                 assert_eq!(back.dim, e.dim);
                 assert_ne!(back.positive, e.positive);
             }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "n0's neighbor table outgrew its u8 run offsets at 255 entries")]
+    fn an_over_long_table_is_a_named_panic() {
+        let mut ov = CanOverlay::new(2, 1, NodeId(0));
+        for i in 1..=256 {
+            let e = NeighborEntry {
+                node: NodeId(i),
+                dim: (i % 2) as u8,
+                positive: i % 3 == 0,
+            };
+            ov.set_entry(NodeId(0), e.node, Some(e));
         }
     }
 

@@ -2,9 +2,10 @@
 //! space under arbitrary churn, neighbor tables stay exactly consistent with
 //! zone geometry, and greedy routing always converges to the true owner —
 //! by strict descent of the routing key, for targets on split planes too.
-//! The flat tables are held to what they replaced: a `neighbors_along` run
-//! is the filtered table, and the zone-less tree locates every lattice
-//! point in the zone `CanOverlay::zone` serves.
+//! The flat tables are held to what they replaced: after every join and
+//! leave, each `neighbors_along` run (located by run offsets edited with
+//! the table) is the filtered table, and the zone-less tree locates every
+//! lattice point in the zone `CanOverlay::zone` serves.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -45,8 +46,19 @@ fn coord() -> impl Strategy<Value = f64> {
 
 /// A `dim`-dimensional overlay after `seed`-drawn joins and leaves.
 fn churned_overlay(dim: usize, seed: u64) -> CanOverlay {
+    churned_overlay_checked(dim, seed, |_| Ok(())).unwrap()
+}
+
+/// [`churned_overlay`], calling `check` after the bootstrap and after
+/// every join and leave.
+fn churned_overlay_checked(
+    dim: usize,
+    seed: u64,
+    mut check: impl FnMut(&CanOverlay) -> Result<(), String>,
+) -> Result<CanOverlay, String> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut ov = CanOverlay::bootstrap(dim, 24, 64, &mut rng);
+    check(&ov)?;
     for id in 24..56 {
         if rng.random_range(0..3) > 0 {
             ov.join(NodeId(id), &soc_can::overlay::random_point(dim, &mut rng));
@@ -54,8 +66,40 @@ fn churned_overlay(dim: usize, seed: u64) -> CanOverlay {
             let victim = ov.live_nodes().nth(rng.random_range(0..ov.len())).unwrap();
             ov.leave(victim);
         }
+        check(&ov)?;
     }
-    ov
+    Ok(ov)
+}
+
+/// Every node's `neighbors_along` runs — departed and never-joined ids
+/// included — are exactly its table filtered by `(dim, positive)`, one past
+/// the last dimension too (an empty run, not a panic), and in run order
+/// they concatenate to the whole table.
+fn runs_match_tables(ov: &CanOverlay) -> Result<(), String> {
+    for id in 0..64 {
+        let n = NodeId(id);
+        let mut concat = Vec::new();
+        for d in 0..=ov.dim() {
+            for positive in [false, true] {
+                let want: Vec<_> = ov
+                    .neighbors(n)
+                    .iter()
+                    .filter(|e| usize::from(e.dim) == d && e.positive == positive)
+                    .copied()
+                    .collect();
+                let run = ov.neighbors_along(n, d, positive);
+                prop_assert_eq!(run, &want[..], "{} along {}{}", n, d, positive);
+                concat.extend_from_slice(run);
+            }
+        }
+        prop_assert_eq!(
+            &concat[..],
+            ov.neighbors(n),
+            "{}'s runs do not tile its table",
+            n
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -97,21 +141,10 @@ proptest! {
         targets in prop::collection::vec(prop::collection::vec(coord(), 5), 8),
     ) {
         let dim = [2, 3, 5][dim_pick];
-        let ov = churned_overlay(dim, seed);
+        // Tables are edited in place, so check the runs after every step.
+        let ov = churned_overlay_checked(dim, seed, runs_match_tables)?;
         prop_assert!(ov.validate().is_ok(), "{:?}", ov.validate());
         for n in ov.live_nodes() {
-            // One past the last dimension too: an empty run, not a panic.
-            for d in 0..=dim {
-                for positive in [false, true] {
-                    let want: Vec<_> = ov
-                        .neighbors(n)
-                        .iter()
-                        .filter(|e| usize::from(e.dim) == d && e.positive == positive)
-                        .copied()
-                        .collect();
-                    prop_assert_eq!(ov.neighbors_along(n, d, positive), &want[..]);
-                }
-            }
             // A zone owns its low corner (half-open) and its centre.
             let z = ov.zone(n).unwrap();
             prop_assert_eq!(ov.tree().zone_of(n), Some(z));

@@ -239,13 +239,23 @@ impl Newscast {
     }
 
     fn bootstrap_view(&mut self, ctx: &mut Ctx<'_, GossipMsg>, node: NodeId) {
-        // Seed with a few random live peers (a tracker/bootstrap service).
-        let live: Vec<NodeId> = ctx.can.live_nodes().filter(|&p| p != node).collect();
-        if live.is_empty() {
+        let live: Vec<NodeId> = ctx.can.live_nodes().collect();
+        self.bootstrap_view_from(ctx, node, &live);
+    }
+
+    /// Seed `node`'s view with a few random live peers (a tracker /
+    /// bootstrap service). `live` is every live id, ascending, `node`
+    /// included or not: a draw `j` picks the `j`-th live id other than
+    /// `node`, so one list serves every node of a batch.
+    fn bootstrap_view_from(&mut self, ctx: &mut Ctx<'_, GossipMsg>, node: NodeId, live: &[NodeId]) {
+        let skip = live.binary_search(&node).ok();
+        let others = live.len() - usize::from(skip.is_some());
+        if others == 0 {
             return;
         }
         for _ in 0..self.view_cap.min(4) {
-            let p = live[ctx.rng.random_range(0..live.len())];
+            let j = ctx.rng.random_range(0..others);
+            let p = live[j + usize::from(skip.is_some_and(|s| j >= s))];
             let avail = ctx.host.availability(p);
             self.merge_view(
                 node,
@@ -267,8 +277,10 @@ impl DiscoveryOverlay for Newscast {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, GossipMsg>, nodes: &[NodeId]) {
+        // Bootstrapping changes no liveness: collect the live set once.
+        let live: Vec<NodeId> = ctx.can.live_nodes().collect();
         for &node in nodes {
-            self.bootstrap_view(ctx, node);
+            self.bootstrap_view_from(ctx, node, &live);
             let phase = ctx.rng.random_range(0..self.cfg.exchange_ms.max(1));
             ctx.timer(node, T_EXCHANGE, phase);
         }

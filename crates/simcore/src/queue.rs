@@ -1,17 +1,41 @@
-//! The timestamped event queue: a sliding timing wheel over an event slab.
+//! The timestamped event queue: a two-level timing wheel over an event slab.
 //!
-//! The wheel is a power-of-two ring of per-millisecond FIFO buckets whose
-//! window always starts at the queue clock — it slides forward on every
-//! pop and on every idle `pop_until` jump — with a hierarchical occupancy
-//! bitmap for O(1) next-event search and a memoized minimum so the
-//! windowed executor's per-window peeks cost a single load. Events live
-//! once in a per-queue slab (`Vec` of nodes with a LIFO free list);
-//! buckets are intrusive singly-linked lists of `u32` slab handles, so an
-//! event is written once on schedule and read once on pop. Timers beyond
-//! the window wait in a `BTreeMap` of handles and migrate into the ring
-//! *eagerly*, the moment the window slides over them — which keeps every
-//! overflow key at or beyond the window's end, and with it same-instant
-//! FIFO across migration.
+//! Three tiers, by how far ahead an event fires:
+//!
+//! * the **ring** — a power-of-two ring of per-millisecond FIFO buckets
+//!   whose window starts at the queue clock and slides with it, with a
+//!   hierarchical occupancy bitmap for O(1) next-event search. Every
+//!   message delivery lands here;
+//! * the **coarse wheel** — `COARSE_SLOTS` slots of `SLOT_MS` each, about
+//!   17 simulated minutes: protocol cycles, query timeouts, task transfers
+//!   and completions. A slot is one `u32` list head plus an occupancy bit,
+//!   pushed LIFO; it moves into the ring in one pass once the ring can hold
+//!   all of it;
+//! * the **overflow** `BTreeMap` of slab handles keyed `(time, seq)` —
+//!   only timers beyond the coarse horizon.
+//!
+//! Events live once in a per-queue slab (`Vec` of nodes with a LIFO free
+//! list); ring buckets and coarse slots are intrusive singly-linked lists
+//! of `u32` slab handles, so an event is written once on schedule, relinked
+//! on migration and read once on pop. A memoized minimum makes the
+//! windowed executor's per-window peeks a single load.
+//!
+//! **Which tier holds an event is a function of its time and the clock
+//! alone.** With `kf = now / SLOT_MS + RING_MS / SLOT_MS` — the first
+//! coarse slot the ring cannot hold whole — an event at `t` sits in the
+//! ring iff `t / SLOT_MS < kf`, in the coarse wheel iff `t / SLOT_MS < kf +
+//! COARSE_SLOTS`, and in the overflow map otherwise. A schedule places by
+//! this rule, and every clock move (a pop, an idle `pop_until` jump)
+//! re-applies it at once — whole coarse slots into the ring, then overflow
+//! entries into the ring or the coarse wheel — so it holds between any two
+//! calls (eager migration at both levels). Same-instant FIFO follows by
+//! induction: all pending events at one instant sit in one tier, in
+//! scheduling order. A schedule appends behind them in that tier; a
+//! migration moves all of them at once and in order — out of the map in
+//! `(time, seq)` order, and out of a coarse slot by prepending its LIFO
+//! list into ring buckets that are empty until then (the ring holds no
+//! other instant congruent modulo `RING_MS`), which reverses it back into
+//! scheduling order.
 //!
 //! Delivery order is earliest timestamp first, FIFO among events scheduled
 //! for the same instant. `tests/queue_props.rs` holds the wheel to that
@@ -23,29 +47,124 @@ use std::collections::BTreeMap;
 /// Simulation time in milliseconds (matches `soc_types::SimMillis`).
 pub type Time = u64;
 
-/// Ring width in milliseconds. Control-plane latencies are 2–250 ms and
-/// the window slides with the clock, so every message delivery lands in
-/// the ring; only true ≥ 512 ms timers (protocol cycles, arrival gaps,
-/// task transfers/completions) visit the overflow map. Sized small on
-/// purpose: the windowed executor runs one wheel per shard, and 512 slots
-/// keep each shard's bucket heads and tails (4 KiB) resident in cache as
-/// the engine cycles through every shard per lookahead window.
+/// Ring width in milliseconds. Sized small on purpose: the windowed
+/// executor runs one wheel per shard, and 512 slots keep each shard's
+/// bucket heads and tails (4 KiB) resident in cache as the engine cycles
+/// through every shard per lookahead window.
 const RING_MS: usize = 512;
 /// `RING_MS / 64` occupancy words (one summary `u64` bit per word).
 const RING_WORDS: usize = RING_MS / 64;
-// The single-u64 `summary` can only cover 64 occupancy words; retuning
-// RING_MS past 4096 needs a deeper hierarchy, not just a bigger ring.
-const _: () = assert!(RING_WORDS <= 64 && RING_MS % 64 == 0);
 
-/// Null slab handle: end of a bucket list or of the free list.
+/// Coarse slot width in milliseconds (`1 << SLOT_SHIFT`). The ring holds
+/// the clock's own slot and the next, so every delay up to `SLOT_MS` —
+/// control-plane latencies are 2–250 ms — goes straight to the ring.
+const SLOT_SHIFT: u32 = 8;
+const SLOT_MS: u64 = 1 << SLOT_SHIFT;
+/// Whole coarse slots the ring holds: `kf = now / SLOT_MS + RING_SLOTS`.
+const RING_SLOTS: u64 = RING_MS as u64 / SLOT_MS;
+/// Coarse slots: a horizon of 2^20 ms ≈ 1 048 s, past the 400 s state
+/// cycle, the 600 s TTLs and the 60 s query timeout, for 16 KiB of list
+/// heads per queue.
+const COARSE_SLOTS: usize = 4096;
+/// `COARSE_SLOTS / 64` occupancy words.
+const COARSE_WORDS: usize = COARSE_SLOTS / 64;
+
+// A single-u64 summary covers at most 64 occupancy words; the ring must
+// hold whole coarse slots, and at least two of them so that a slot never
+// has to migrate before the clock reaches it.
+const _: () = assert!(RING_WORDS <= 64 && RING_MS % 64 == 0);
+const _: () = assert!(COARSE_WORDS <= 64 && COARSE_SLOTS % 64 == 0);
+const _: () = assert!(RING_MS as u64 % SLOT_MS == 0 && RING_SLOTS >= 2);
+
+/// Null slab handle: end of a bucket or slot list, or of the free list.
 const NIL: u32 = u32::MAX;
 
-/// One slab slot: a pending event linked into its bucket (`ev` is `Some`;
-/// overflow entries leave `next` unused until they migrate), or a free
-/// slot linked into the free list (`ev` is `None`).
+/// One slab slot: a pending event linked into its ring bucket or coarse
+/// slot (`ev` is `Some`; overflow entries leave the links unused until
+/// they migrate), or a free slot linked into the free list (`ev` is
+/// `None`).
 struct Node<E> {
     next: u32,
+    /// A coarse-wheel event's time minus its slot's start (`< SLOT_MS`).
+    off: u32,
     ev: Option<E>,
+}
+
+// `off` lives in what was padding after `next`: for an 8-aligned event —
+// the simulator's are 48 bytes — a node is still 8 bytes of links plus the
+// payload, as it was before `off`.
+const _: () = {
+    use std::mem::size_of;
+    assert!(size_of::<Node<u64>>() == 8 + size_of::<Option<u64>>());
+    assert!(size_of::<Node<[u64; 6]>>() == 8 + size_of::<Option<[u64; 6]>>());
+};
+
+/// A hierarchical occupancy bitmap over `64 · W` slots: bit `i % 64` of
+/// `words[i / 64]` is set iff slot `i` is non-empty, and summary bit `w`
+/// iff `words[w] != 0`.
+struct Occupancy<const W: usize> {
+    words: [u64; W],
+    summary: u64,
+}
+
+impl<const W: usize> Occupancy<W> {
+    const SLOTS: usize = 64 * W;
+    const EMPTY: Self = Occupancy {
+        words: [0; W],
+        summary: 0,
+    };
+
+    #[inline]
+    fn set(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
+        self.summary |= 1 << (i / 64);
+    }
+
+    #[inline]
+    fn unset(&mut self, i: usize) {
+        self.words[i / 64] &= !(1 << (i % 64));
+        if self.words[i / 64] == 0 {
+            self.summary &= !(1 << (i / 64));
+        }
+    }
+
+    /// First set slot at circular distance `>= 0` from slot `from`,
+    /// searching forward with wraparound. Returns `(index, distance)`.
+    fn next_from(&self, from: usize) -> Option<(usize, usize)> {
+        let (w0, b0) = (from / 64, from % 64);
+        // 1) Tail of the starting word (bits at or after `from`).
+        let tail = self.words[w0] & (!0u64 << b0);
+        if tail != 0 {
+            let idx = w0 * 64 + tail.trailing_zeros() as usize;
+            return Some((idx, idx - from));
+        }
+        // 2) Words strictly after the starting word.
+        let above = if w0 + 1 < W {
+            self.summary & (!0u64 << (w0 + 1))
+        } else {
+            0
+        };
+        if above != 0 {
+            let w = above.trailing_zeros() as usize;
+            let idx = w * 64 + self.words[w].trailing_zeros() as usize;
+            return Some((idx, idx - from));
+        }
+        // 3) Wraparound: words up to and including the starting word. Any
+        // hit in word `w0` is at a bit below `b0` (the tail was empty), so
+        // the wrapped distance is always positive.
+        let low_mask = if w0 + 1 >= 64 {
+            !0u64
+        } else {
+            (1u64 << (w0 + 1)) - 1
+        };
+        let wrapped = self.summary & low_mask;
+        if wrapped != 0 {
+            let w = wrapped.trailing_zeros() as usize;
+            let idx = w * 64 + self.words[w].trailing_zeros() as usize;
+            return Some((idx, Self::SLOTS - from + idx));
+        }
+        None
+    }
 }
 
 /// A deterministic future-event list.
@@ -55,18 +174,19 @@ struct Node<E> {
 /// internals.
 ///
 /// Popping advances the clock: [`EventQueue::now`] is the timestamp of the
-/// most recently popped event. The ring window is `[now, now + RING_MS)`;
-/// every clock move goes through [`EventQueue::pop`] or the idle jump in
-/// [`EventQueue::pop_until`], and both slide the window. Invariants:
+/// most recently popped event. Every clock move goes through
+/// [`EventQueue::pop`] or the idle jump in [`EventQueue::pop_until`], and
+/// both re-tier (see the module doc). Invariants, with `kf` as there:
 ///
-/// * every ring event's time `t` satisfies `now <= t < now + RING_MS`;
-/// * bucket `t % RING_MS` holds only events at exactly `t` (unique within
-///   the window), linked in scheduling order — so per-bucket FIFO is
-///   global same-instant FIFO;
-/// * every overflow key is `>= now + RING_MS` (eager migration), so a
-///   direct ring insert at `t` always follows every overflow entry at `t`;
-/// * `ovf_min` is the earliest overflow key's time (`Time::MAX` if none);
-/// * `occ`/`summary` bits mirror bucket non-emptiness exactly.
+/// * every pending event's time is `>= now`;
+/// * ring events satisfy `t / SLOT_MS < kf` (so `t < now + RING_MS`), and
+///   bucket `t % RING_MS` holds only events at exactly `t`, linked in
+///   scheduling order — per-bucket FIFO is global same-instant FIFO;
+/// * coarse events satisfy `kf <= t / SLOT_MS < kf + COARSE_SLOTS`; slot
+///   `k` sits at `k % COARSE_SLOTS`, newest first;
+/// * every overflow key has `t / SLOT_MS >= kf + COARSE_SLOTS`, and
+///   `ovf_min` is the earliest one's time (`Time::MAX` if none);
+/// * the occupancy bits mirror bucket and slot non-emptiness exactly.
 pub struct EventQueue<E> {
     now: Time,
     seq: u64,
@@ -79,17 +199,19 @@ pub struct EventQueue<E> {
     /// `tails[i]` is only meaningful while `heads[i] != NIL`).
     heads: [u32; RING_MS],
     tails: [u32; RING_MS],
-    /// Occupancy bitmap: bit `i % 64` of word `i / 64` set iff bucket `i`
-    /// is non-empty.
-    occ: [u64; RING_WORDS],
-    /// Summary bitmap: bit `w` set iff `occ[w] != 0`.
-    summary: u64,
+    ring_occ: Occupancy<RING_WORDS>,
     /// Events currently in the ring.
     ring_len: usize,
-    /// Far-future events keyed `(time, seq)` — one small map entry per
-    /// timer, pointing at its slab node. Flat on purpose: timer
-    /// timestamps are near-unique, and the `seq` component of the key
-    /// preserves same-instant FIFO for free.
+    /// Head of each coarse slot's LIFO list (`NIL` when empty). Boxed:
+    /// inline, its 16 KiB rode along every by-value move of a queue and
+    /// of the shard holding it, and read +6 % peak RSS on `churn-storm`.
+    coarse: Box<[u32; COARSE_SLOTS]>,
+    coarse_occ: Occupancy<COARSE_WORDS>,
+    /// Events currently in the coarse wheel.
+    coarse_len: usize,
+    /// Events beyond the coarse horizon keyed `(time, seq)`, each pointing
+    /// at its slab node. The `seq` component of the key preserves
+    /// same-instant FIFO for free.
     overflow: BTreeMap<(Time, u64), u32>,
     ovf_min: Time,
     /// Memoized earliest pending timestamp. `Some(t)` is exact (never
@@ -118,9 +240,14 @@ impl<E> EventQueue<E> {
             free: NIL,
             heads: [NIL; RING_MS],
             tails: [NIL; RING_MS],
-            occ: [0; RING_WORDS],
-            summary: 0,
+            ring_occ: Occupancy::EMPTY,
             ring_len: 0,
+            coarse: vec![NIL; COARSE_SLOTS]
+                .into_boxed_slice()
+                .try_into()
+                .expect("COARSE_SLOTS heads"),
+            coarse_occ: Occupancy::EMPTY,
+            coarse_len: 0,
             overflow: BTreeMap::new(),
             ovf_min: Time::MAX,
             min_hint: Cell::new(None),
@@ -143,7 +270,7 @@ impl<E> EventQueue<E> {
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.ring_len + self.overflow.len()
+        self.ring_len + self.coarse_len + self.overflow.len()
     }
 
     /// True when no events are pending.
@@ -156,6 +283,12 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn scheduled_total(&self) -> u64 {
         self.scheduled_total
+    }
+
+    /// The first coarse slot the ring cannot hold whole.
+    #[inline]
+    fn kf(&self) -> u64 {
+        (self.now >> SLOT_SHIFT) + RING_SLOTS
     }
 
     /// Store `ev` in a recycled or fresh slab slot.
@@ -174,6 +307,7 @@ impl<E> EventQueue<E> {
             let h = self.slab.len() as u32;
             self.slab.push(Node {
                 next: NIL,
+                off: 0,
                 ev: Some(ev),
             });
             h
@@ -186,8 +320,7 @@ impl<E> EventQueue<E> {
         self.slab[h as usize].next = NIL;
         if self.heads[idx] == NIL {
             self.heads[idx] = h;
-            self.occ[idx / 64] |= 1 << (idx % 64);
-            self.summary |= 1 << (idx / 64);
+            self.ring_occ.set(idx);
         } else {
             self.slab[self.tails[idx] as usize].next = h;
         }
@@ -195,45 +328,18 @@ impl<E> EventQueue<E> {
         self.ring_len += 1;
     }
 
-    /// First occupied bucket at ring distance `>= 0` from position `from`,
-    /// searching forward with wraparound. Returns `(index, distance)`.
-    fn next_occupied(&self, from: usize) -> Option<(usize, usize)> {
-        if self.ring_len == 0 {
-            return None;
+    /// Push slab node `h`, an event at coarse-wheel time `time`, onto the
+    /// front of its slot's list.
+    fn push_coarse(&mut self, time: Time, h: u32) {
+        let pos = ((time >> SLOT_SHIFT) % COARSE_SLOTS as u64) as usize;
+        let node = &mut self.slab[h as usize];
+        node.off = (time & (SLOT_MS - 1)) as u32;
+        node.next = self.coarse[pos];
+        if node.next == NIL {
+            self.coarse_occ.set(pos);
         }
-        let (w0, b0) = (from / 64, from % 64);
-        // 1) Tail of the starting word (bits at or after `from`).
-        let tail = self.occ[w0] & (!0u64 << b0);
-        if tail != 0 {
-            let idx = w0 * 64 + tail.trailing_zeros() as usize;
-            return Some((idx, idx - from));
-        }
-        // 2) Words strictly after the starting word.
-        let above = if w0 + 1 < RING_WORDS {
-            self.summary & (!0u64 << (w0 + 1))
-        } else {
-            0
-        };
-        if above != 0 {
-            let w = above.trailing_zeros() as usize;
-            let idx = w * 64 + self.occ[w].trailing_zeros() as usize;
-            return Some((idx, idx - from));
-        }
-        // 3) Wraparound: words up to and including the starting word. Any
-        // hit in word `w0` is at a bit below `b0` (the tail was empty), so
-        // the wrapped distance is always positive.
-        let low_mask = if w0 + 1 >= 64 {
-            !0u64
-        } else {
-            (1u64 << (w0 + 1)) - 1
-        };
-        let wrapped = self.summary & low_mask;
-        if wrapped != 0 {
-            let w = wrapped.trailing_zeros() as usize;
-            let idx = w * 64 + self.occ[w].trailing_zeros() as usize;
-            return Some((idx, RING_MS - from + idx));
-        }
-        None
+        self.coarse[pos] = h;
+        self.coarse_len += 1;
     }
 
     /// Schedule `event` at absolute time `at`.
@@ -251,8 +357,11 @@ impl<E> EventQueue<E> {
             self.min_hint.set(Some(h.min(time)));
         }
         let h = self.alloc(event);
-        if time - self.now < RING_MS as u64 {
+        let (slot, kf) = (time >> SLOT_SHIFT, self.kf());
+        if slot < kf {
             self.link(time, h);
+        } else if slot < kf + COARSE_SLOTS as u64 {
+            self.push_coarse(time, h);
         } else {
             self.overflow.insert((time, seq), h);
             self.ovf_min = self.ovf_min.min(time);
@@ -268,9 +377,8 @@ impl<E> EventQueue<E> {
     /// Timestamp of the next pending event, if any.
     ///
     /// Served from `min_hint` when it is warm; otherwise one search runs
-    /// and the result is memoized. Ring events always precede overflow
-    /// events (window invariants), so the overflow only answers when the
-    /// ring is empty.
+    /// and the result is memoized. The tiers are ordered (ring before
+    /// coarse wheel before overflow), so the first non-empty one answers.
     #[inline]
     pub fn peek_time(&self) -> Option<Time> {
         if self.is_empty() {
@@ -282,9 +390,12 @@ impl<E> EventQueue<E> {
         let t = if self.ring_len > 0 {
             let from = (self.now % RING_MS as u64) as usize;
             let (_, dist) = self
-                .next_occupied(from)
+                .ring_occ
+                .next_from(from)
                 .expect("ring_len > 0 implies an occupied bucket");
             self.now + dist as Time
+        } else if self.coarse_len > 0 {
+            self.coarse_min()
         } else {
             self.ovf_min
         };
@@ -292,21 +403,48 @@ impl<E> EventQueue<E> {
         Some(t)
     }
 
-    /// The clock moved: migrate every overflow entry the window slid over.
-    /// The common case is the one compare in the loop header. Entries
-    /// leave in `(time, seq)` order and land behind nothing but earlier
-    /// migrants at their instant, so plain appends keep FIFO. Migrants lie
-    /// beyond every ring event, so a warm `min_hint` stays exact (when the
-    /// ring is empty the hint already is `ovf_min`).
+    /// Earliest time in a non-empty coarse wheel: the first occupied slot
+    /// from `kf`, then the smallest offset on its list.
+    fn coarse_min(&self) -> Time {
+        let kf = self.kf();
+        let (pos, dist) = self
+            .coarse_occ
+            .next_from((kf % COARSE_SLOTS as u64) as usize)
+            .expect("coarse_len > 0 implies an occupied slot");
+        let (mut h, mut off) = (self.coarse[pos], u32::MAX);
+        while h != NIL {
+            let node = &self.slab[h as usize];
+            off = off.min(node.off);
+            h = node.next;
+        }
+        ((kf + dist as u64) << SLOT_SHIFT) + Time::from(off)
+    }
+
+    /// Move the clock to `to` — no later than the earliest pending event —
+    /// and re-tier. The common case is two shifts and one compare per
+    /// level. Migrants lie beyond every ring event, so a warm `min_hint`
+    /// stays exact (when the ring is empty the hint already is the lowest
+    /// tier's minimum).
     #[inline]
-    fn slide(&mut self) {
-        while self.ovf_min - self.now < RING_MS as u64 {
-            // Empty only in the last window of time, where the `Time::MAX`
-            // "no entry" sentinel itself falls inside the ring.
+    fn advance(&mut self, to: Time) {
+        let kf_old = self.kf();
+        self.now = to;
+        let kf = self.kf();
+        if kf != kf_old && self.coarse_len > 0 {
+            self.drain_coarse(kf_old, kf);
+        }
+        let horizon = kf + COARSE_SLOTS as u64;
+        while self.ovf_min >> SLOT_SHIFT < horizon {
+            // Empty only at the very end of time, where the `Time::MAX`
+            // "no entry" sentinel itself falls inside the horizon.
             let Some(((t, _), h)) = self.overflow.pop_first() else {
                 break;
             };
-            self.link(t, h);
+            if t >> SLOT_SHIFT < kf {
+                self.link(t, h);
+            } else {
+                self.push_coarse(t, h);
+            }
             self.ovf_min = self
                 .overflow
                 .first_key_value()
@@ -314,13 +452,43 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Pop the earliest event, advancing the clock (and sliding the
-    /// window) to its timestamp.
+    /// Move every coarse slot in `from..to` (absolute slot numbers) into
+    /// the ring. A slot's list is newest first and the ring buckets of its
+    /// instants are empty, so prepending each node restores scheduling
+    /// order.
+    fn drain_coarse(&mut self, from: u64, to: u64) {
+        let span = (to - from).min(COARSE_SLOTS as u64) as usize;
+        let start = (from % COARSE_SLOTS as u64) as usize;
+        while let Some((pos, dist)) = self.coarse_occ.next_from(start) {
+            if dist >= span {
+                break;
+            }
+            self.coarse_occ.unset(pos);
+            let base = (from + dist as u64) << SLOT_SHIFT;
+            let mut h = std::mem::replace(&mut self.coarse[pos], NIL);
+            while h != NIL {
+                let node = &mut self.slab[h as usize];
+                let next = node.next;
+                let idx = ((base + Time::from(node.off)) % RING_MS as u64) as usize;
+                node.next = self.heads[idx];
+                if node.next == NIL {
+                    self.tails[idx] = h;
+                    self.ring_occ.set(idx);
+                }
+                self.heads[idx] = h;
+                self.ring_len += 1;
+                self.coarse_len -= 1;
+                h = next;
+            }
+        }
+    }
+
+    /// Pop the earliest event, advancing the clock (and re-tiering) to its
+    /// timestamp.
     pub fn pop(&mut self) -> Option<(Time, E)> {
         let t = self.peek_time()?;
         debug_assert!(t >= self.now, "clock went backwards");
-        self.now = t;
-        self.slide();
+        self.advance(t);
         let idx = (t % RING_MS as u64) as usize;
         let h = self.heads[idx];
         let node = &mut self.slab[h as usize];
@@ -330,10 +498,7 @@ impl<E> EventQueue<E> {
         self.free = h;
         self.ring_len -= 1;
         if self.heads[idx] == NIL {
-            self.occ[idx / 64] &= !(1 << (idx % 64));
-            if self.occ[idx / 64] == 0 {
-                self.summary &= !(1 << (idx / 64));
-            }
+            self.ring_occ.unset(idx);
             // The popped instant is exhausted; the next minimum is
             // unknown until someone asks.
             self.min_hint.set(None);
@@ -352,25 +517,11 @@ impl<E> EventQueue<E> {
             Some(t) if t <= deadline => self.pop(),
             _ => {
                 if self.now < deadline {
-                    self.now = deadline;
-                    self.slide();
+                    self.advance(deadline);
                 }
                 None
             }
         }
-    }
-
-    /// Drop all pending events (used between scenario repetitions).
-    pub fn clear(&mut self) {
-        self.slab.clear();
-        self.free = NIL;
-        self.heads = [NIL; RING_MS];
-        self.occ = [0; RING_WORDS];
-        self.summary = 0;
-        self.ring_len = 0;
-        self.overflow.clear();
-        self.ovf_min = Time::MAX;
-        self.min_hint.set(None);
     }
 }
 
@@ -433,15 +584,16 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_clear() {
+    fn counters() {
         let mut q = EventQueue::new();
         q.schedule_at(1, ());
         q.schedule_at(2, ());
-        assert_eq!(q.scheduled_total(), 2);
-        assert_eq!(q.len(), 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.scheduled_total(), 2);
+        q.schedule_at(5_000, ());
+        q.schedule_at(5_000_000, ());
+        assert_eq!(q.scheduled_total(), 4);
+        assert_eq!(q.len(), 4);
+        q.pop();
+        assert_eq!((q.scheduled_total(), q.len()), (4, 3));
     }
 
     #[test]
@@ -458,14 +610,15 @@ mod tests {
     #[test]
     fn far_future_events_round_trip_the_overflow() {
         let mut q = EventQueue::new();
-        // Beyond the ring horizon (512 ms) and beyond many windows.
-        q.schedule_at(5_000, "near-overflow");
+        // Beyond the ring, and beyond the coarse horizon (≈ 1 048 s).
+        q.schedule_at(5_000, "coarse");
         q.schedule_at(10_000_000, "far");
         q.schedule_at(3, "ring");
+        assert_eq!(q.overflow.len(), 1);
         assert_eq!(q.len(), 3);
         assert_eq!(q.peek_time(), Some(3));
         assert_eq!(q.pop(), Some((3, "ring")));
-        assert_eq!(q.pop(), Some((5_000, "near-overflow")));
+        assert_eq!(q.pop(), Some((5_000, "coarse")));
         assert_eq!(q.pop(), Some((10_000_000, "far")));
         assert_eq!(q.pop(), None);
         assert_eq!(q.now(), 10_000_000);
@@ -476,10 +629,58 @@ mod tests {
         let mut q = EventQueue::new();
         for i in 0..50 {
             q.schedule_at(1_000_000, i);
+            q.schedule_at(9_000_000, 100 + i);
         }
         for i in 0..50 {
             assert_eq!(q.pop(), Some((1_000_000, i)));
         }
+        for i in 0..50 {
+            assert_eq!(q.pop(), Some((9_000_000, 100 + i)));
+        }
+    }
+
+    #[test]
+    fn timers_within_the_coarse_horizon_never_touch_the_map() {
+        let mut q = EventQueue::new();
+        let horizon = COARSE_SLOTS as u64 * SLOT_MS;
+        // Protocol cycles, TTLs and timeouts, re-armed as they fire.
+        for (i, d) in [400_000, 600_000, 60_000, 12_000, horizon - SLOT_MS]
+            .into_iter()
+            .enumerate()
+        {
+            q.schedule_in(d, i);
+        }
+        for _ in 0..1_000 {
+            let (t, i) = q.pop().expect("re-armed timers never drain");
+            assert!(q.overflow.is_empty(), "timer {i} at {t} took the map");
+            q.schedule_in([400_000, 600_000, 60_000, 12_000, horizon - SLOT_MS][i], i);
+        }
+        assert!(q.overflow.is_empty());
+    }
+
+    #[test]
+    fn coarse_slot_ties_stay_fifo_across_both_migrations() {
+        let mut q = EventQueue::new();
+        let horizon = COARSE_SLOTS as u64 * SLOT_MS;
+        let t = horizon + 3 * SLOT_MS + 17; // beyond the horizon at 0
+        q.schedule_at(t, "ovf-1");
+        q.schedule_at(t, "ovf-2");
+        q.schedule_at(t + 1, "ovf-next");
+        q.schedule_at(4 * SLOT_MS, "tick"); // pulls `t` into the wheel
+        assert_eq!(q.overflow.len(), 3);
+        assert_eq!(q.pop(), Some((4 * SLOT_MS, "tick")));
+        assert!(q.overflow.is_empty());
+        q.schedule_at(t, "coarse-1");
+        q.schedule_at(t, "coarse-2");
+        q.schedule_at(t - 3 * SLOT_MS, "tock"); // lets the slot reach the ring
+        assert_eq!(q.pop(), Some((t - 3 * SLOT_MS, "tock")));
+        assert_eq!(q.pop_until(t - SLOT_MS - 1), None);
+        q.schedule_at(t, "ring");
+        for want in ["ovf-1", "ovf-2", "coarse-1", "coarse-2", "ring"] {
+            assert_eq!(q.pop(), Some((t, want)));
+        }
+        assert_eq!(q.pop(), Some((t + 1, "ovf-next")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -503,13 +704,14 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule_at(10, "a");
         q.schedule_at(9_000, "timer"); // pending across the jump
+        q.schedule_at(3_000_000, "late"); // overflow, pending across it
         assert_eq!(q.pop(), Some((10, "a")));
-        // Several windows of idle time with a timer still pending.
+        // Many coarse slots of idle time with timers still pending.
         assert_eq!(q.pop_until(5_000), None);
         assert_eq!(q.now(), 5_000);
-        q.schedule_in(600, "far"); // beyond the slid window
+        q.schedule_in(600, "far"); // beyond the ring
         q.schedule_in(3, "near");
-        q.schedule_in(511, "edge"); // last ring slot
+        q.schedule_in(511, "edge"); // last ring millisecond
         q.schedule_at(9_000, "timer2");
         assert_eq!(q.peek_time(), Some(5_003));
         assert_eq!(q.pop(), Some((5_003, "near")));
@@ -517,6 +719,8 @@ mod tests {
         assert_eq!(q.pop(), Some((5_600, "far")));
         assert_eq!(q.pop(), Some((9_000, "timer")));
         assert_eq!(q.pop(), Some((9_000, "timer2")));
+        assert_eq!(q.pop_until(2_999_999), None);
+        assert_eq!(q.pop(), Some((3_000_000, "late")));
         assert_eq!(q.pop(), None);
     }
 
@@ -524,16 +728,19 @@ mod tests {
     fn tie_across_migration_is_fifo() {
         let mut q = EventQueue::new();
         q.schedule_at(100, "slide");
-        // T = 600 is beyond the window [0, 512): overflow map.
+        // T = 600 is in slot 2, beyond the ring at 0: coarse wheel.
         q.schedule_at(600, "first");
         assert_eq!(q.pop(), Some((100, "slide")));
-        // The window is now [100, 612): "first" migrated, and this
-        // same-instant event goes straight to the ring behind it.
-        q.schedule_at(600, "second");
-        q.schedule_at(612, "beyond"); // overflow again
+        q.schedule_at(600, "second"); // still the coarse wheel
+        assert_eq!(q.pop_until(300), None);
+        // The ring now holds slots 1 and 2: "first" and "second" migrated,
+        // and this same-instant event goes straight to the ring behind.
+        q.schedule_at(600, "third");
+        q.schedule_at(768, "beyond"); // slot 3: coarse again
         assert_eq!(q.pop(), Some((600, "first")));
         assert_eq!(q.pop(), Some((600, "second")));
-        assert_eq!(q.pop(), Some((612, "beyond")));
+        assert_eq!(q.pop(), Some((600, "third")));
+        assert_eq!(q.pop(), Some((768, "beyond")));
     }
 
     /// Payload whose drops are counted.
@@ -545,26 +752,17 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_drop_release_every_payload_exactly_once() {
+    fn drop_releases_every_payload_exactly_once() {
         let drops = std::rc::Rc::new(Cell::new(0));
         let mut q = EventQueue::new();
-        let fill = |q: &mut EventQueue<Counted>| {
-            for t in [5, 5, 300, 511, 512, 90_000] {
-                q.schedule_in(t, Counted(drops.clone()));
-            }
-        };
-        fill(&mut q);
+        // Ring, coarse wheel and overflow map.
+        for t in [5, 5, 300, 511, 512, 90_000, 90_000_000] {
+            q.schedule_in(t, Counted(drops.clone()));
+        }
         drop(q.pop()); // one freed slab slot on the free list
         assert_eq!(drops.get(), 1);
-        q.clear();
-        assert_eq!((drops.get(), q.len()), (6, 0));
-        // The cleared queue is fully usable and, dropped non-empty,
-        // releases the rest.
-        fill(&mut q);
-        drop(q.pop());
-        assert_eq!(drops.get(), 7);
         drop(q);
-        assert_eq!(drops.get(), 12);
+        assert_eq!(drops.get(), 7);
     }
 
     #[test]
@@ -576,9 +774,9 @@ mod tests {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            // Mostly ring traffic, one in eight a far timer.
+            // Mostly ring traffic, one in eight a timer, some far.
             if x % 8 == 0 {
-                x % 20_000
+                x % 2_000_000
             } else {
                 x % 250
             }

@@ -1,9 +1,12 @@
 //! Property test: the timing-wheel `EventQueue` is observationally
 //! identical to a binary-heap model keyed `(time, seq)` on random schedules
 //! — same pop order, same timestamps, same `now()`/`len()` at every step —
-//! including same-timestamp FIFO bursts, far-future overflow entries and
-//! delays that straddle the wheel horizon. A second property pins the
-//! order argument the runner's sort-free barrier merge rests on.
+//! including same-timestamp FIFO bursts, far-future overflow entries, the
+//! protocol cycles and timeouts the simulator arms, delays that straddle
+//! each tier boundary (ring / coarse slot / coarse horizon) with ties split
+//! between a direct insert and a migrant, and idle jumps across many empty
+//! coarse slots. A second property pins the order argument the runner's
+//! sort-free barrier merge rests on.
 //!
 //! Runs 256 cases minimum (`PROPTEST_CASES` can only raise it), per the
 //! acceptance bar for the queue rewrite.
@@ -55,6 +58,16 @@ impl HeapModel {
     }
 }
 
+/// The wheel's tier boundaries, as delays from the clock (ms): an event
+/// goes to the ring below `512 − now % SLOT_MS` and beyond the coarse
+/// horizon at `HORIZON + 512 − now % SLOT_MS` or more.
+const SLOT_MS: u64 = 256;
+const HORIZON: u64 = 4096 * SLOT_MS;
+/// The periodic timers the simulator arms (ms): scaled state-update,
+/// diffusion, finger-refresh and gossip cycles, and the query timeout.
+const CYCLES: [u64; 6] = [12_000, 60_000, 80_000, 120_000, 400_000, 600_000];
+const TIMEOUT_MS: u64 = 60_000;
+
 /// One scripted queue operation. Decoded from a generated tuple so the
 /// vendored proptest's tuple-free strategies suffice.
 #[derive(Clone, Copy, Debug)]
@@ -64,20 +77,32 @@ enum Op {
     /// Schedule at an absolute time that may lie in the past (clamping) or
     /// far beyond the wheel window (overflow).
     ScheduleAt { at: u64 },
+    /// Move the mark `delay` ms past the clock and schedule `burst` events
+    /// there.
+    Mark { delay: u64, burst: usize },
+    /// Schedule `burst` more events at the mark (clamped once passed): a
+    /// tie with events scheduled there before the clock moved, which may
+    /// have migrated a tier since.
+    AtMark { burst: usize },
     /// Pop one event.
     Pop,
     /// Pop bounded by a deadline `ahead` ms past the current clock.
     PopUntil { ahead: u64 },
+    /// Jump the idle clock to `before` ms short of the next event — across
+    /// every empty coarse slot in between — or `ahead` ms when none is
+    /// pending.
+    Idle { before: u64, ahead: u64 },
 }
 
 fn decode(kind: u8, a: u64, burst: usize) -> Op {
+    let b = a / 8;
     match kind {
         // Short-range delays: dense ring traffic with many ties.
         0 => Op::ScheduleIn {
             delay: a % 50,
             burst: 1 + burst,
         },
-        // Mid-range delays: spans several ring windows.
+        // Mid-range delays: spans many coarse slots.
         1 => Op::ScheduleIn {
             delay: a % 20_000,
             burst: 1,
@@ -88,15 +113,42 @@ fn decode(kind: u8, a: u64, burst: usize) -> Op {
         },
         // Possibly-past absolute times exercise the clamp-to-now path.
         3 => Op::ScheduleAt { at: a % 5_000 },
-        // Horizon straddle: RING_MS − 2 ..= RING_MS + 2 (the ring is 512 ms
-        // wide), so same-instant ties split between direct ring inserts
-        // and overflow entries that migrate as the window slides.
+        // Ring edge straddle: 510 ..= 514 ms.
         4 => Op::ScheduleIn {
             delay: 510 + a % 5,
             burst: 1 + burst % 2,
         },
         5 => Op::Pop,
-        _ => Op::PopUntil { ahead: a % 10_000 },
+        6 => Op::PopUntil { ahead: a % 10_000 },
+        // A protocol cycle: first armed at a random phase, then re-armed
+        // one period later.
+        7 => {
+            let period = CYCLES[(a % 6) as usize];
+            Op::ScheduleIn {
+                delay: if burst % 2 == 0 { b % period } else { period },
+                burst: 1,
+            }
+        }
+        8 => Op::ScheduleIn {
+            delay: TIMEOUT_MS,
+            burst: 1 + burst % 3,
+        },
+        // A mark straddling the ring / coarse boundary or the horizon.
+        9 => Op::Mark {
+            delay: if a % 2 == 0 {
+                250 + b % 270
+            } else {
+                HORIZON + 200 + b % 400
+            },
+            burst: 1 + burst % 3,
+        },
+        10 => Op::AtMark {
+            burst: 1 + burst % 3,
+        },
+        _ => Op::Idle {
+            before: 1 + a % 3,
+            ahead: b % (3 * HORIZON),
+        },
     }
 }
 
@@ -106,6 +158,18 @@ fn run_script(ops: &[(u8, u64, usize)]) -> Result<(), String> {
     let mut cal: EventQueue<u64> = EventQueue::new();
     let mut heap = HeapModel::default();
     let mut payload = 0u64;
+    let mut mark = 0u64;
+    let schedule = |cal: &mut EventQueue<u64>,
+                    heap: &mut HeapModel,
+                    at: u64,
+                    burst: usize,
+                    payload: &mut u64| {
+        for _ in 0..burst {
+            cal.schedule_at(at, *payload);
+            heap.schedule_at(at, *payload);
+            *payload += 1;
+        }
+    };
     for &(kind, a, burst) in ops {
         match decode(kind, a, burst) {
             Op::ScheduleIn { delay, burst } => {
@@ -115,11 +179,12 @@ fn run_script(ops: &[(u8, u64, usize)]) -> Result<(), String> {
                     payload += 1;
                 }
             }
-            Op::ScheduleAt { at } => {
-                cal.schedule_at(at, payload);
-                heap.schedule_at(at, payload);
-                payload += 1;
+            Op::ScheduleAt { at } => schedule(&mut cal, &mut heap, at, 1, &mut payload),
+            Op::Mark { delay, burst } => {
+                mark = cal.now() + delay;
+                schedule(&mut cal, &mut heap, mark, burst, &mut payload);
             }
+            Op::AtMark { burst } => schedule(&mut cal, &mut heap, mark, burst, &mut payload),
             Op::Pop => {
                 let (c, h) = (cal.pop(), heap.pop());
                 prop_assert_eq!(c, h, "pop mismatch");
@@ -128,6 +193,14 @@ fn run_script(ops: &[(u8, u64, usize)]) -> Result<(), String> {
                 let deadline = cal.now() + ahead;
                 let (c, h) = (cal.pop_until(deadline), heap.pop_until(deadline));
                 prop_assert_eq!(c, h, "pop_until({deadline}) mismatch");
+            }
+            Op::Idle { before, ahead } => {
+                let deadline = match heap.peek_time() {
+                    Some(t) => t.saturating_sub(before).max(cal.now()),
+                    None => cal.now() + ahead,
+                };
+                let (c, h) = (cal.pop_until(deadline), heap.pop_until(deadline));
+                prop_assert_eq!(c, h, "idle pop_until({deadline}) mismatch");
             }
         }
         prop_assert_eq!(cal.now(), heap.now, "clock diverged");
@@ -161,9 +234,9 @@ proptest! {
 
     #[test]
     fn calendar_matches_heap_model(
-        kinds in prop::collection::vec(0u8..7, 1..120),
-        args in prop::collection::vec(0u64..u64::MAX / 2, 120),
-        bursts in prop::collection::vec(0usize..8, 120),
+        kinds in prop::collection::vec(0u8..12, 1..160),
+        args in prop::collection::vec(0u64..u64::MAX / 2, 160),
+        bursts in prop::collection::vec(0usize..8, 160),
     ) {
         let ops: Vec<(u8, u64, usize)> = kinds
             .iter()
