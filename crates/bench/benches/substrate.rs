@@ -46,54 +46,30 @@ fn bench_routing(c: &mut Criterion) {
 }
 
 fn bench_next_hop(c: &mut Criterion) {
-    // The per-hop decision behind every routed message: the scan recomputes
-    // the finger ranking + candidate tests on every call; the cached router
-    // memoizes per-(node, target-cell) answers behind overlay/table-epoch
-    // validation. The workload replays a fixed pool of (sender, target)
-    // pairs — the steady-state shape of a duty-routing burst, where Table II
-    // demand corners and unchanged availability points recur exactly.
-    use soc_inscan::{RouteBackend, Router};
+    // One INSCAN routing step: the work inside every `Phase::Route` span
+    // (`PidCan::route_toward` / `route_avoiding`, once per routed hop). The
+    // targets are what state updates are routed to: idle nodes'
+    // availability points, Table I capacities over `cmax` — on split planes
+    // in four dimensions, continuous in bandwidth.
+    use soc_inscan::inscan_next_hop;
+    use soc_workload::{cmax, NodeCapacitySampler};
     let mut g = c.benchmark_group("next_hop");
     for &n in &[256usize, 1024] {
         let (ov, tables, mut rng) = setup(n, 5, 48);
         let pairs: Vec<(NodeId, ResVec)> = (0..64)
             .map(|i| {
-                (
-                    NodeId((i * 7) % n as u32),
-                    soc_can::overlay::random_point(5, &mut rng),
-                )
+                let avail = NodeCapacitySampler.sample(&mut rng).normalize(&cmax());
+                (NodeId((i * 7) % n as u32), avail)
             })
             .collect();
-        // Both backends must agree before we time anything.
-        let mut cached = Router::with_backend(RouteBackend::Cached);
-        let mut scan = Router::with_backend(RouteBackend::Scan);
-        for (from, p) in &pairs {
-            assert_eq!(
-                cached.next_hop(&ov, &tables, *from, p),
-                scan.next_hop(&ov, &tables, *from, p)
-            );
-        }
-        for (label, backend) in [
-            ("scan", RouteBackend::Scan),
-            ("cached", RouteBackend::Cached),
-        ] {
-            g.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-                // Warm over the full pair pool first so the cached backend
-                // is timed on its steady-state path (validated hits), the
-                // regime the whole-run 70% hit rate puts it in — not on
-                // the cold first touch of each pair.
-                let mut router = Router::with_backend(backend);
-                for (from, p) in &pairs {
-                    router.next_hop(&ov, &tables, *from, p);
-                }
-                let mut i = 0;
-                b.iter(|| {
-                    i = (i + 1) % pairs.len();
-                    let (from, p) = &pairs[i];
-                    black_box(router.next_hop(&ov, &tables, *from, p))
-                })
-            });
-        }
+        g.bench_with_input(BenchmarkId::new("inscan", n), &n, |b, _| {
+            let mut i = 0;
+            b.iter(|| {
+                i = (i + 1) % pairs.len();
+                let (from, p) = &pairs[i];
+                black_box(inscan_next_hop(&ov, &tables, *from, p))
+            })
+        });
     }
     g.finish();
 }

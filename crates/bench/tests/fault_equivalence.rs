@@ -13,10 +13,9 @@
 //!    quantified fraction of the loss, and it does so without
 //!    blacklisting honest nodes.
 //!
-//! Every test here flips process-global environment knobs
-//! (`SOC_FAULT_DEFENSE`, `SOC_ROUTE`), so all flips serialize through one
-//! mutex — cargo runs this file's tests on separate threads of a single
-//! process.
+//! Every test here flips the process-global `SOC_FAULT_DEFENSE` knob, so
+//! all flips serialize through one mutex — cargo runs this file's tests on
+//! separate threads of a single process.
 
 use soc_bench::{diag_hostility, Scale};
 use soc_scenario::ScenarioSpec;
@@ -25,25 +24,15 @@ use std::sync::Mutex;
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-/// Run `f` with `SOC_FAULT_DEFENSE` and (optionally) `SOC_ROUTE` set,
-/// restoring both afterwards.
-fn with_env<T>(defense: &str, route: Option<&str>, f: impl FnOnce() -> T) -> T {
+/// Run `f` with `SOC_FAULT_DEFENSE` set, restoring it afterwards.
+fn with_env<T>(defense: &str, f: impl FnOnce() -> T) -> T {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev_d = soc_types::knobs::raw("SOC_FAULT_DEFENSE");
-    let prev_r = soc_types::knobs::raw("SOC_ROUTE");
+    let prev = soc_types::knobs::raw("SOC_FAULT_DEFENSE");
     std::env::set_var("SOC_FAULT_DEFENSE", defense);
-    match route {
-        Some(r) => std::env::set_var("SOC_ROUTE", r),
-        None => std::env::remove_var("SOC_ROUTE"),
-    }
     let out = f();
-    match prev_d {
+    match prev {
         Some(v) => std::env::set_var("SOC_FAULT_DEFENSE", v),
         None => std::env::remove_var("SOC_FAULT_DEFENSE"),
-    }
-    match prev_r {
-        Some(v) => std::env::set_var("SOC_ROUTE", v),
-        None => std::env::remove_var("SOC_ROUTE"),
     }
     out
 }
@@ -125,7 +114,7 @@ fn zero_fault_runs_match_pre_fault_pins() {
         ),
     ];
     for (what, spec, pin) in pins {
-        let r = with_env("off", None, || run_spec(spec));
+        let r = with_env("off", || run_spec(spec));
         assert_eq!(
             fnv(&r),
             pin,
@@ -148,7 +137,7 @@ fn zero_fault_runs_match_pre_fault_pins() {
 /// churn_takes_blacklisting_observers_away`, same shape, in-crate.
 #[test]
 fn defended_hostile_sharded_churn_matches_pin() {
-    let r = with_env("on", None, || run_spec(PIN_LANS_DEFENCE));
+    let r = with_env("on", || run_spec(PIN_LANS_DEFENCE));
     assert_eq!(
         fnv(&r),
         0x7256_6364_abd7_dd2f,
@@ -161,7 +150,7 @@ fn defended_hostile_sharded_churn_matches_pin() {
     assert!(r.killed > 0, "churn never took a busy node away");
     // A knob value is matched trimmed and lowercased: ` ON ` arms the
     // defence too, it does not silently select the undefended baseline.
-    let shouted = with_env(" ON ", None, || run_spec(PIN_LANS_DEFENCE));
+    let shouted = with_env(" ON ", || run_spec(PIN_LANS_DEFENCE));
     assert_eq!(shouted.fingerprint(), r.fingerprint());
 }
 
@@ -172,35 +161,8 @@ fn fault_section_absent_equals_explicit_zero() {
         "{PIN_QUICK}\n[fault]\nblackhole = 0\nliar = 0\nloss = 0\nburst_loss = 0\n\
          burst_len = 8\nburst_gap = 200\npartition_period_ms = 0\npartition_ms = 0\n"
     );
-    let (absent, zeroed) = with_env("off", None, || (run_spec(PIN_QUICK), run_spec(&explicit)));
+    let (absent, zeroed) = with_env("off", || (run_spec(PIN_QUICK), run_spec(&explicit)));
     assert_eq!(absent.fingerprint(), zeroed.fingerprint());
-}
-
-const HOSTILE: &str = "[scenario]\nname = fault-routes\nprotocol = hid\nnodes = 150\n\
-     duration_ms = 7200000\nlambda = 0.5\nseed = 11\nchurn = 0.4\nsample_ms = 600000\n\
-     mean_arrival_s = 600\nmean_duration_s = 600\n\
-     [fault]\nblackhole = 0.15\nloss = 0.02\n";
-
-/// The PR 5 route-cache equivalence must survive the fault model: with
-/// faults active — and with the defence detouring around blacklisted next
-/// hops — scan and cached routing still produce bitwise-identical runs.
-#[test]
-fn route_backends_identical_under_faults_and_defence() {
-    for defense in ["off", "on"] {
-        let scan = with_env(defense, Some("scan"), || run_spec(HOSTILE));
-        let cached = with_env(defense, Some("cached"), || run_spec(HOSTILE));
-        assert_eq!(
-            scan.fingerprint(),
-            cached.fingerprint(),
-            "scan and cached routing diverged under faults (defence {defense})"
-        );
-        assert!(scan.faults.drops_total() > 0, "faults never fired");
-    }
-    // And under zero faults with the defence armed: retry may fire on
-    // clean empty-candidate timeouts, but never differently per backend.
-    let scan = with_env("on", Some("scan"), || run_spec(PIN_CHURN));
-    let cached = with_env("on", Some("cached"), || run_spec(PIN_CHURN));
-    assert_eq!(scan.fingerprint(), cached.fingerprint());
 }
 
 fn assert_ab_verdict(ab: &soc_bench::HostilityAb, tag: &str) {
@@ -263,7 +225,7 @@ fn smoke_scale_defence_verdict_holds() {
 /// knob, the value and the accepted set — not a silent run of the default,
 /// which for `SOC_FAULT_DEFENSE` is a different simulation. So is a
 /// `SOC_*` variable that is no knob at all, like the removed
-/// `SOC_SIM_EXEC` a script may still set.
+/// `SOC_SIM_EXEC` or `SOC_ROUTE` a script may still set.
 #[test]
 fn repro_refuses_a_mistyped_knob_value() {
     let scn = concat!(
@@ -277,8 +239,13 @@ fn repro_refuses_a_mistyped_knob_value() {
         ),
         (
             "SOC_SIM_EXEC=sharded",
-            "SOC_SIM_EXEC: not a knob; the knobs are SOC_ROUTE, SOC_FAULT_DEFENSE, \
-             SOC_PROFILE, SOC_BENCH_THREADS",
+            "SOC_SIM_EXEC: not a knob; the knobs are SOC_FAULT_DEFENSE, SOC_PROFILE, \
+             SOC_BENCH_THREADS",
+        ),
+        (
+            "SOC_ROUTE=cached",
+            "SOC_ROUTE: not a knob; the knobs are SOC_FAULT_DEFENSE, SOC_PROFILE, \
+             SOC_BENCH_THREADS",
         ),
     ] {
         let (name, value) = setting.split_once('=').expect("NAME=value");

@@ -67,10 +67,6 @@ pub struct CanOverlay {
     alive: Vec<bool>,
     n_alive: usize,
     dim: usize,
-    /// Structure epoch: bumped on every join/leave (the only operations
-    /// that change zones or neighbor tables). Routing caches compare this
-    /// to decide whether a memoized next hop is still valid.
-    epoch: u64,
 }
 
 impl CanOverlay {
@@ -88,7 +84,6 @@ impl CanOverlay {
             alive,
             n_alive: 1,
             dim,
-            epoch: 0,
         }
     }
 
@@ -176,14 +171,6 @@ impl CanOverlay {
         &self.tree
     }
 
-    /// Structure epoch: changes exactly when any zone or neighbor table
-    /// changes (every join/leave). Two reads of overlay state made under
-    /// the same epoch are guaranteed to observe identical structure.
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Make `node`'s entry for `other` equal `want` (`None`: no entry): a
     /// position-remove and a binary-search insert into the sorted table,
     /// each shifting the run offsets after it, and nothing at all when the
@@ -258,7 +245,6 @@ impl CanOverlay {
     /// Panics if `newcomer` is already alive or its id exceeds capacity.
     pub fn join(&mut self, newcomer: NodeId, p: &Point) -> NodeId {
         assert!(!self.is_alive(newcomer), "{newcomer} already alive");
-        self.epoch += 1;
         let owner = self.tree.join(newcomer, p);
         let old_nb: Vec<NodeId> = self.neighbors[owner.idx()].iter().map(|e| e.node).collect();
 
@@ -282,7 +268,6 @@ impl CanOverlay {
     pub fn leave(&mut self, node: NodeId) -> Vec<(NodeId, Zone)> {
         assert!(self.is_alive(node), "{node} not alive");
         assert!(self.n_alive > 1, "cannot drain the overlay");
-        self.epoch += 1;
 
         // Collect candidate sets *before* mutating zones.
         let dep_nb: Vec<NodeId> = self.neighbors[node.idx()].iter().map(|e| e.node).collect();

@@ -8,7 +8,7 @@ use crate::pilist::PiList;
 use rand::{Rng, RngExt};
 use soc_can::greedy_next_hop_filtered;
 use soc_inscan::table::walk_step;
-use soc_inscan::{IndexTables, Router};
+use soc_inscan::{inscan_next_hop, IndexTables};
 use soc_net::MsgKind;
 use soc_overlay::{
     Candidate, Ctx, DiscoveryOverlay, Phase, QueryRequest, QueryVerdict, RecordCache, StateRecord,
@@ -62,10 +62,6 @@ pub struct PidDiag {
 pub struct PidCan {
     cfg: PidCanConfig,
     tables: IndexTables,
-    /// Routed-message facade: every next-hop decision (forward, re-route
-    /// around a dead hop) goes through here so the `SOC_ROUTE` cache can
-    /// memoize the hot (node, target) pairs of a duty-routing burst.
-    router: Router,
     caches: OwnedRows<RecordCache>,
     pilists: OwnedRows<PiList>,
     queries: HashMap<QueryId, QueryState>,
@@ -99,7 +95,6 @@ impl PidCan {
         PidCan {
             cfg,
             tables: IndexTables::for_range(dim, n, owned.clone()),
-            router: Router::sized_for(owned.len()),
             caches: OwnedRows::new(owned.clone(), |_| RecordCache::new(cfg.record_ttl_ms)),
             pilists: OwnedRows::new(owned, |_| PiList::new()),
             queries: HashMap::new(),
@@ -128,12 +123,6 @@ impl PidCan {
     /// Read access to the finger tables (benches/diagnostics).
     pub fn tables(&self) -> &IndexTables {
         &self.tables
-    }
-
-    /// Route-cache hit/miss accounting (diagnostics; zeros under
-    /// `SOC_ROUTE=scan`).
-    pub fn route_cache_stats(&self) -> soc_inscan::RouteCacheStats {
-        self.router.cache_stats()
     }
 
     /// Read access to a node's record cache (tests/diagnostics).
@@ -190,14 +179,9 @@ impl PidCan {
     /// Next hop for a message at `node` targeting a key-space point, or
     /// `None` when `node` consumes it (it owns the point). The caller does
     /// the send, so a relayed message's box moves straight into it.
-    fn route_toward(
-        &mut self,
-        ctx: &Ctx<'_, PidMsg>,
-        node: NodeId,
-        target: &ResVec,
-    ) -> Option<NodeId> {
+    fn route_toward(&self, ctx: &Ctx<'_, PidMsg>, node: NodeId, target: &ResVec) -> Option<NodeId> {
         let t = ctx.prof.start();
-        let hop = self.router.next_hop(ctx.can, &self.tables, node, target);
+        let hop = inscan_next_hop(ctx.can, &self.tables, node, target);
         ctx.prof.stop(Phase::Route, t);
         let next = hop?;
         if ctx.host.is_suspect(node, next, ctx.now) {
@@ -218,7 +202,7 @@ impl PidCan {
     /// closest live zone to the target it consumes the message itself
     /// (returns `None`).
     fn route_avoiding(
-        &mut self,
+        &self,
         ctx: &Ctx<'_, PidMsg>,
         node: NodeId,
         target: &ResVec,
@@ -228,7 +212,7 @@ impl PidCan {
             return None;
         }
         let t = ctx.prof.start();
-        let hop = self.router.next_hop(ctx.can, &self.tables, node, target);
+        let hop = inscan_next_hop(ctx.can, &self.tables, node, target);
         ctx.prof.stop(Phase::Route, t);
         if let Some(next) = hop {
             if next != avoid && ctx.host.is_alive(next) && !ctx.host.is_suspect(node, next, ctx.now)
@@ -575,10 +559,6 @@ impl DiscoveryOverlay for PidCan {
     }
 
     fn diag_string(&self) -> String {
-        // Route-cache hit/miss counters are deliberately NOT in here: diag
-        // feeds `RunReport::fingerprint`, which must be bitwise identical
-        // across `SOC_ROUTE` backends. Read them via
-        // [`PidCan::route_cache_stats`] instead.
         format!("{:?}", self.diag)
     }
 
@@ -875,8 +855,8 @@ mod tests {
         let can = CanOverlay::bootstrap(2, N, N, &mut rng);
         let cmax = ResVec::from_slice(&[10.0, 10.0]);
         let host = TestHost::uniform(N, ResVec::from_slice(&[5.0, 5.0]), cmax);
-        // Tables stay empty (no refresh), so the router's finger step
-        // degenerates to the plain greedy hop — deterministic without RNG.
+        // Tables stay empty (no refresh), so the finger step degenerates
+        // to the plain greedy hop — deterministic without RNG.
         let proto = PidCan::new(PidCanConfig::hid(), 2, N, N);
         (proto, can, host, rng)
     }
@@ -914,7 +894,7 @@ mod tests {
 
     #[test]
     fn avoided_hop_is_never_chosen() {
-        let (mut proto, can, host, mut rng) = world(71);
+        let (proto, can, host, mut rng) = world(71);
         let (sender, hop, target) = pick_route(&can);
         let ctx = Ctx::new(0, &can, &host, &mut rng);
         let next = proto.route_avoiding(&ctx, sender, &target, hop);
@@ -929,7 +909,7 @@ mod tests {
 
     #[test]
     fn dead_neighbors_are_skipped() {
-        let (mut proto, can, mut host, mut rng) = world(72);
+        let (proto, can, mut host, mut rng) = world(72);
         let (sender, hop, target) = pick_route(&can);
         // Kill everything the plain greedy would prefer except one
         // survivor; the fallback must find that survivor.
@@ -951,7 +931,7 @@ mod tests {
 
     #[test]
     fn isolated_sender_self_consumes() {
-        let (mut proto, can, mut host, mut rng) = world(73);
+        let (proto, can, mut host, mut rng) = world(73);
         let (sender, hop, target) = pick_route(&can);
         for e in can.neighbors(sender) {
             host.alive[e.node.idx()] = false;
@@ -970,7 +950,7 @@ mod tests {
         // detour to the nearest live unsuspected neighbor. The suspicion
         // is per-observer, so routing *from the suspect itself* (or any
         // other node) is unaffected.
-        let (mut proto, can, mut host, mut rng) = world(75);
+        let (proto, can, mut host, mut rng) = world(75);
         let (sender, hop, target) = pick_route(&can);
         host.suspects.push((sender, hop));
         let ctx = Ctx::new(0, &can, &host, &mut rng);
@@ -998,7 +978,7 @@ mod tests {
 
     #[test]
     fn fully_suspected_neighborhood_consumes_instead_of_looping() {
-        let (mut proto, can, mut host, mut rng) = world(76);
+        let (proto, can, mut host, mut rng) = world(76);
         let (sender, _, target) = pick_route(&can);
         for e in can.neighbors(sender) {
             host.suspects.push((sender, e.node));
@@ -1013,7 +993,7 @@ mod tests {
 
     #[test]
     fn forward_avoiding_also_respects_suspicion() {
-        let (mut proto, can, mut host, mut rng) = world(77);
+        let (proto, can, mut host, mut rng) = world(77);
         let (sender, hop, target) = pick_route(&can);
         // `avoid` one node, blacklist the natural fallback: the chosen hop
         // must dodge both.
@@ -1037,7 +1017,8 @@ mod tests {
         for i in 4..12 {
             assert!(fork.cache(NodeId(i)).is_empty());
             assert!(fork.pilist(NodeId(i)).is_empty());
-            assert_eq!(fork.tables().epoch_of(NodeId(i)), 0);
+            let row = fork.tables().get(NodeId(i));
+            assert!((0..2).all(|d| row.along(d, true).is_empty() && row.along(d, false).is_empty()));
         }
     }
 
@@ -1050,7 +1031,7 @@ mod tests {
 
     #[test]
     fn owner_consumes_without_forwarding() {
-        let (mut proto, can, host, mut rng) = world(74);
+        let (proto, can, host, mut rng) = world(74);
         let target = ResVec::from_slice(&[0.97, 0.97]);
         let owner = can.owner_of(&target);
         let ctx = Ctx::new(0, &can, &host, &mut rng);

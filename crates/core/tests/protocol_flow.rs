@@ -520,8 +520,21 @@ fn on_start_starts_exactly_the_nodes_it_is_given() {
         sent.count(MsgKind::Maintenance) > 0,
         "finger probes charged"
     );
+    // A built row holds live ids; an unbuilt one is all `EMPTY`.
     for i in 8..24 {
-        let built = proto.tables().epoch_of(NodeId(i));
-        assert_eq!(built, u64::from(i < 16), "finger row of n{i}");
+        let row = proto.tables().get(NodeId(i));
+        let fingers: Vec<NodeId> = (0..2)
+            .flat_map(|d| [row.along(d, true), row.along(d, false)])
+            .flatten()
+            .collect();
+        if i < 16 {
+            assert!(!fingers.is_empty(), "finger row of n{i} was not built");
+            assert!(
+                fingers.iter().all(|&f| can.is_alive(f)),
+                "n{i}: {fingers:?}"
+            );
+        } else {
+            assert!(fingers.is_empty(), "n{i} was not started: {fingers:?}");
+        }
     }
 }

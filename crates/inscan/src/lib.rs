@@ -16,12 +16,14 @@
 //! Fig. 1) used as the analytical strawman: delay ≤ `2·log2 n` but traffic
 //! `log2 n + N − 1` where `N` is the number of zones overlapping the range.
 
+#[doc(hidden)]
 pub mod router;
 pub mod routing;
 pub mod rq;
 pub mod table;
 
-pub use router::{RouteBackend, RouteCacheStats, Router};
+#[doc(hidden)]
+pub use router::{RouteCacheStats, Router};
 pub use routing::{inscan_next_hop, inscan_route};
 pub use rq::{range_query, RangeQueryOutcome};
 pub use table::{kmax_for, IndexTable, IndexTables, WalkStats};

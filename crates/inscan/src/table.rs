@@ -142,10 +142,8 @@ where
 #[derive(Clone, Debug)]
 pub struct IndexTables {
     arena: Vec<u32>,
-    /// Per-node refresh epochs: bumped whenever a node's table content
-    /// changes (refresh, clear, eviction). Routing caches compare these to
-    /// decide whether a memoized next hop computed from the table is stale.
-    epochs: OwnedRows<u64>,
+    /// The held id range as zero-sized rows: just the id → slot map.
+    slots: OwnedRows<()>,
     dim: usize,
     kmax: usize,
 }
@@ -162,7 +160,7 @@ impl IndexTables {
         let kmax = kmax_for(n, dim);
         IndexTables {
             arena: vec![EMPTY; owned.len() * 2 * dim * (kmax + 1)],
-            epochs: OwnedRows::new(owned, |_| 0),
+            slots: OwnedRows::new(owned, |_| ()),
             dim,
             kmax,
         }
@@ -170,7 +168,7 @@ impl IndexTables {
 
     /// The id range these tables hold rows for.
     pub fn owned(&self) -> Range<u32> {
-        self.epochs.owned()
+        self.slots.owned()
     }
 
     /// Finger exponent bound.
@@ -186,7 +184,7 @@ impl IndexTables {
     /// Where `node`'s row sits in the arena.
     #[inline]
     fn row_span(&self, node: NodeId) -> Range<usize> {
-        let (slot, stride) = (self.epochs.slot(node), self.stride());
+        let (slot, stride) = (self.slots.slot(node), self.stride());
         slot * stride..(slot + 1) * stride
     }
 
@@ -197,13 +195,6 @@ impl IndexTables {
             row: &self.arena[self.row_span(node)],
             seg: self.kmax + 1,
         }
-    }
-
-    /// Refresh epoch of `node`'s table (changes exactly when the table's
-    /// content may have changed).
-    #[inline]
-    pub fn epoch_of(&self, node: NodeId) -> u64 {
-        self.epochs[node]
     }
 
     /// Rebuild `node`'s table in place by probe walks along every
@@ -243,7 +234,6 @@ impl IndexTables {
                 }
             }
         }
-        self.epochs[node] += 1;
         stats
     }
 
@@ -264,18 +254,9 @@ impl IndexTables {
     pub fn evict_everywhere(&mut self, node: NodeId) -> usize {
         debug_assert_ne!(node.0, EMPTY, "the sentinel is not a node id");
         let mut total = 0;
-        let stride = self.stride();
-        let epochs = self.epochs.as_mut_slice();
-        for (row, epoch) in self.arena.chunks_exact_mut(stride).zip(epochs) {
-            let mut n = 0;
-            for e in row.iter_mut().filter(|e| **e == node.0) {
-                *e = EMPTY;
-                n += 1;
-            }
-            if n > 0 {
-                *epoch += 1;
-            }
-            total += n;
+        for e in self.arena.iter_mut().filter(|e| **e == node.0) {
+            *e = EMPTY;
+            total += 1;
         }
         total
     }
@@ -284,7 +265,6 @@ impl IndexTables {
     pub fn clear_node(&mut self, node: NodeId) {
         let span = self.row_span(node);
         self.arena[span].fill(EMPTY);
-        self.epochs[node] += 1;
     }
 }
 

@@ -1,7 +1,7 @@
 //! Property test: the flat finger-table arena ([`IndexTables`]) is
 //! observationally identical to the nested-`Vec` table it replaced, kept
 //! here as the reference model — the same entries, the same eviction
-//! counts, epochs and probe accounting, and the same RNG stream position
+//! counts and probe accounting, and the same RNG stream position
 //! after every call — on random op scripts that interleave refreshes,
 //! clears and evictions with overlay joins and leaves, for every
 //! `(dim, kmax)` shape the arena's stride can take. The arena may hold any
@@ -89,7 +89,6 @@ struct World {
     arena: IndexTables,
     owned: Range<u32>,
     model: Vec<ModelTable>,
-    epochs: Vec<u64>,
     kmax: usize,
     fast: SmallRng,
     slow: SmallRng,
@@ -110,7 +109,6 @@ impl World {
         }
         let got = self.arena.refresh_node(node, &self.ov, &mut self.fast);
         let want = self.model[node.idx()].refresh(node, &self.ov, &mut self.slow);
-        self.epochs[node.idx()] += 1;
         if got != want {
             return Err(format!("WalkStats of {node}: {got:?} vs {want:?}"));
         }
@@ -124,19 +122,17 @@ impl World {
         }
         self.arena.clear_node(node);
         self.model[node.idx()] = ModelTable::new(self.ov.dim(), self.kmax);
-        self.epochs[node.idx()] += 1;
         self.check_node(node)
     }
 
     fn evict(&mut self, node: NodeId) -> Result<(), String> {
         let got = self.arena.evict_everywhere(node);
         // The suspect may be any id; only the held rows lose entries.
-        let mut want = 0;
-        for i in self.owned.clone().map(|i| i as usize) {
-            let n = self.model[i].evict(node);
-            self.epochs[i] += u64::from(n > 0);
-            want += n;
-        }
+        let want: usize = self
+            .owned
+            .clone()
+            .map(|i| self.model[i as usize].evict(node))
+            .sum();
         if got != want {
             return Err(format!(
                 "evicting {node} dropped {got} entries, model {want}"
@@ -151,9 +147,6 @@ impl World {
             return Ok(());
         }
         let (t, m) = (self.arena.get(node), &self.model[node.idx()]);
-        if self.arena.epoch_of(node) != self.epochs[node.idx()] {
-            return Err(format!("epoch of {node}"));
-        }
         if t.kmax() != self.kmax || self.arena.kmax() != self.kmax {
             return Err(format!("kmax of {node}"));
         }
@@ -214,7 +207,6 @@ fn run_script(
         arena,
         owned,
         model: vec![ModelTable::new(dim, kmax); MAX_NODES],
-        epochs: vec![0; MAX_NODES],
         kmax,
         fast: SmallRng::seed_from_u64(seed ^ 0xA5A5),
         slow: SmallRng::seed_from_u64(seed ^ 0xA5A5),
@@ -308,9 +300,9 @@ fn reading_a_row_below_the_owned_range_panics() {
 
 #[test]
 #[should_panic(expected = "row of n34 is not held here")]
-fn reading_an_epoch_past_the_owned_range_panics() {
+fn reading_a_row_past_the_owned_range_panics() {
     let (tables, ..) = ranged_tables();
-    let _ = tables.epoch_of(NodeId(34));
+    let _ = tables.get(NodeId(34));
 }
 
 #[test]

@@ -14,7 +14,7 @@
 //! each reporting qualified cached records to the requester.
 
 use rand::{Rng, RngExt};
-use soc_inscan::Router;
+use soc_can::greedy_next_hop;
 use soc_net::MsgKind;
 use soc_overlay::{
     Candidate, Ctx, DiscoveryOverlay, Phase, ProfRef, QueryRequest, QueryVerdict, RecordCache,
@@ -159,10 +159,6 @@ pub struct KhdnCan {
     caches: Vec<RecordCache>,
     tracks: HashMap<QueryId, QueryTrack>,
     route_budget: u32,
-    /// Routed-message facade (greedy CAN steps for state-update routing,
-    /// replication targeting and query routing), `SOC_ROUTE`-cached like
-    /// PID-CAN's.
-    router: Router,
     /// Recycled buffer for cache probes (one `qualified_into` per duty or
     /// sweep visit; no per-visit Vec).
     found_buf: Vec<StateRecord>,
@@ -176,7 +172,6 @@ impl KhdnCan {
             caches: vec![RecordCache::new(cfg.record_ttl_ms); max_nodes],
             tracks: HashMap::new(),
             route_budget: 4 * (n.max(2) as f64).log2().ceil() as u32 + 16,
-            router: Router::sized_for(max_nodes),
             found_buf: Vec::new(),
         }
     }
@@ -411,9 +406,9 @@ impl KhdnCan {
     }
 
     /// Greedy next hop toward `target`; `None` when `node` owns it.
-    fn route(&mut self, ctx: &Ctx<'_, KhdnMsg>, node: NodeId, target: &ResVec) -> Option<NodeId> {
+    fn route(&self, ctx: &Ctx<'_, KhdnMsg>, node: NodeId, target: &ResVec) -> Option<NodeId> {
         let t = ctx.prof.start();
-        let hop = self.router.greedy_hop(ctx.can, node, target);
+        let hop = greedy_next_hop(ctx.can, node, target);
         ctx.prof.stop(Phase::Route, t);
         hop
     }

@@ -8,11 +8,9 @@
 //! against a per-file item tree ([`items`]) and a workspace
 //! use/ownership graph ([`graph`]).
 //!
-//! Every selectable implementation in this workspace (`SOC_ROUTE`'s two
-//! routers) is pinned bitwise-identical to its counterpart, every
-//! data-structure replacement is proven against pinned fingerprints, and
-//! the eight-shard merge stays deterministic only if that discipline is
-//! enforced mechanically. These rules encode the invariants that
+//! Every data-structure replacement in this workspace is proven against
+//! pinned fingerprints, and the eight-shard merge stays deterministic only
+//! if that discipline is enforced mechanically. These rules encode the invariants that
 //! previously lived in tests and prose: RNG stream isolation and
 //! ownership, no unordered-collection iteration or order-sensitive float
 //! reduction on fingerprint-feeding paths, no state that outlives its run

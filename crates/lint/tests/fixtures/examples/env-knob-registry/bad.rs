@@ -1,3 +1,3 @@
-pub fn route_mode() -> String {
-    std::env::var("SOC_ROUTE").unwrap_or_default()
+pub fn profile_mode() -> String {
+    std::env::var("SOC_PROFILE").unwrap_or_default()
 }

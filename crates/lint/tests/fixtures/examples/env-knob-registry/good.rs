@@ -1,5 +1,5 @@
-pub fn route_mode() -> Option<String> {
+pub fn profile_mode() -> Option<String> {
     // Reads go through the registry, which debug-asserts the knob is
     // declared + documented.
-    soc_types::knobs::raw("SOC_ROUTE")
+    soc_types::knobs::raw("SOC_PROFILE")
 }

@@ -254,16 +254,6 @@ impl Profiler {
         }
     }
 
-    /// Attribute externally-measured nanoseconds (and `calls` invocations)
-    /// to `phase`.
-    pub fn add_ns(&self, phase: Phase, ns: u64, calls: u64) {
-        if self.enabled {
-            let i = phase.idx();
-            self.ns[i].set(self.ns[i].get().saturating_add(ns));
-            self.count[i].set(self.count[i].get() + calls);
-        }
-    }
-
     /// Fold another profiler's counters in (end-of-run merge: each shard
     /// profiles its own spans, the coordinator sums them in shard order).
     /// No-op when `self` is disabled; run-wide enablement is a single
@@ -515,19 +505,26 @@ mod tests {
     }
 
     #[test]
-    fn absorb_and_add_ns_sum_counters() {
+    fn absorb_sums_counters() {
         let mut agg = Profiler::with_enabled(true);
         let shard = Profiler::with_enabled(true);
         let t = shard.start();
         shard.stop(Phase::DeliverMsg, t);
-        shard.add_ns(Phase::Fault, 1234, 2);
+        for _ in 0..2 {
+            let t = shard.start();
+            std::thread::yield_now();
+            shard.stop(Phase::Fault, t);
+        }
+        let t = agg.start();
+        agg.stop(Phase::Fault, t);
         agg.add_count(Phase::QueuePush, 5);
+        let fault_ns = shard.summary().unwrap().ns("fault") + agg.summary().unwrap().ns("fault");
         agg.absorb(&shard);
         let s = agg.summary().unwrap();
         assert_eq!(s.count("deliver"), 1);
         assert_eq!(s.count("queue_push"), 5);
-        assert_eq!(s.count("fault"), 2);
-        assert!(s.ns("fault") >= 1234);
+        assert_eq!(s.count("fault"), 3);
+        assert_eq!(s.ns("fault"), fault_ns);
         // A disabled aggregate ignores everything.
         let mut off = Profiler::disabled();
         off.absorb(&shard);

@@ -15,12 +15,13 @@
 //! declare. The README's env-knob table is checked against this registry
 //! the same way.
 //!
-//! Reads are deliberately **per call, never process-cached**: the
-//! equivalence suites flip these variables between runs inside one
-//! process to A/B backends (see
-//! `crates/bench/tests/route_equivalence.rs`). A `OnceLock` here would
-//! freeze the first value and silently turn those bitwise-equivalence
-//! tests into self-comparisons.
+//! Reads are deliberately **per call, never process-cached**: test suites
+//! flip `SOC_FAULT_DEFENSE` and `SOC_PROFILE` between runs inside one
+//! process (the defended-vs-undefended A/B in
+//! `crates/bench/tests/fault_equivalence.rs`, the off-vs-on pin in
+//! `crates/bench/tests/profile_equivalence.rs`). A `OnceLock` here would
+//! freeze the first value and silently turn those comparisons into
+//! self-comparisons.
 
 /// One declared environment knob.
 #[derive(Clone, Copy, Debug)]
@@ -37,12 +38,6 @@ pub struct Knob {
 
 /// Every `SOC_*` knob the workspace reads, in table order.
 pub const KNOBS: &[Knob] = &[
-    Knob {
-        name: "SOC_ROUTE",
-        values: "scan | cached",
-        default: "cached",
-        doc: "Next-hop router backend; scan recomputes the finger/greedy step every hop",
-    },
     Knob {
         name: "SOC_FAULT_DEFENSE",
         values: "off | on",
@@ -132,7 +127,7 @@ pub fn check_env() -> Result<(), String> {
 
 /// The README "Environment knobs" table, regenerated from the registry
 /// (tested against the checked-in README so the two cannot drift).
-/// Literal `|` in a field (e.g. `scan | cached`) is escaped as `\|` so
+/// Literal `|` in a field (e.g. `off | on`) is escaped as `\|` so
 /// it stays inside its markdown cell.
 pub fn markdown_table() -> String {
     let cell = |s: &str| s.replace('|', "\\|");
@@ -211,12 +206,11 @@ mod tests {
     #[test]
     fn check_env_accepts_every_case_and_names_what_it_rejects() {
         let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let cases: [(&str, &[&str], &[&str]); 4] = [
-            ("SOC_ROUTE", &["scan", "cached", "SCAN"], &["scna", ""]),
+        let cases: [(&str, &[&str], &[&str]); 3] = [
             (
                 "SOC_FAULT_DEFENSE",
                 &["off", "on", "ON"],
-                &["1", "true", "enabled"],
+                &["1", "true", "enabled", ""],
             ),
             ("SOC_PROFILE", &["off", "on", " On"], &["yes"]),
             ("SOC_BENCH_THREADS", &["1", " 4 "], &["0", "-2", "four"]),
@@ -234,15 +228,19 @@ mod tests {
         }
         // A set `SOC_*` variable that is not a knob — a removed one, a
         // misspelt one — is refused by name, with the knobs that do exist.
-        for (stray, v) in [("SOC_SIM_EXEC", "sharded"), ("SOC_PROFIL", "on")] {
+        for (stray, v) in [
+            ("SOC_SIM_EXEC", "sharded"),
+            ("SOC_ROUTE", "cached"),
+            ("SOC_PROFIL", "on"),
+        ] {
             std::env::set_var(stray, v);
             let err = check_env().expect_err("a stray SOC_ variable is refused");
             std::env::remove_var(stray);
             assert_eq!(
                 err,
                 format!(
-                    "{stray}: not a knob; the knobs are SOC_ROUTE, \
-                     SOC_FAULT_DEFENSE, SOC_PROFILE, SOC_BENCH_THREADS"
+                    "{stray}: not a knob; the knobs are SOC_FAULT_DEFENSE, \
+                     SOC_PROFILE, SOC_BENCH_THREADS"
                 )
             );
         }
