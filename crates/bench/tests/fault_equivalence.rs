@@ -2,10 +2,9 @@
 //!
 //! 1. **Zero-fault identity.** A run with no `[fault]` section — or an
 //!    explicit all-zero one — is bitwise identical to the fault-free
-//!    baseline. The FNV fingerprints below pin the windowed executor's
-//!    schedule (re-recorded when the sharded engine replaced the flat
-//!    event loop, which re-rolled every fingerprint); these tests must
-//!    match them until the schedule changes deliberately. Fault
+//!    baseline. The FNV fingerprints below pin the runner's schedule;
+//!    these tests must match them until the schedule changes
+//!    deliberately. Fault
 //!    randomness lives on its own `RngStreams::Fault` stream and the
 //!    clean path draws none of it.
 //! 2. **Measured hostility.** Under 15% blackhole nodes the undefended
@@ -71,21 +70,19 @@ const PIN_KHDN: &str = "[scenario]\nname = pin-khdn\nprotocol = khdn\nnodes = 15
      duration_ms = 7200000\nlambda = 0.5\nseed = 14\nsample_ms = 600000\n\
      mean_arrival_s = 600\nmean_duration_s = 600\n";
 
-/// 24-node LANs: 8 LANs before churn headroom and 10 with it, which the
-/// windowed engine pairs up into 5 shards, with churn swaps and checkpoint
-/// resubmissions crossing them.
+/// 24-node LANs: 8 LANs before churn headroom and 10 with it, so churn
+/// swaps and checkpoint resubmissions cross LAN boundaries, where every
+/// leg pays the WAN latency.
 const PIN_LANS_CKPT: &str = "[scenario]\nname = pin-lans-ckpt\nprotocol = hid\nnodes = 192\n\
      lan_size = 24\nduration_ms = 7200000\nlambda = 0.5\nseed = 15\nchurn = 0.5\n\
      checkpointing = true\nsample_ms = 600000\nmean_arrival_s = 600\nmean_duration_s = 600\n";
 
-/// Sharded churn again, now hostile and defended (run with
+/// Multi-LAN churn again, now hostile and defended (run with
 /// `SOC_FAULT_DEFENSE=on`): blackholes and liars feed per-observer
-/// blacklists on every shard while churn swaps take observers and suspects
-/// away, so `node_leave` → `clear_node` / `on_node_left` cross shards with
-/// the defence layer live — the combination the zero-fault pins never meet.
-/// 30-node LANs: the 240 ids (192 + churn headroom) make 8 LANs, one per
-/// shard. (`PIN_LANS_CKPT`'s 24-node LANs make 10, which pair up into 5
-/// shards.)
+/// blacklists while churn swaps take observers and suspects away, so
+/// `node_leave` → `clear_node` / `on_node_left` run with the defence layer
+/// live — the combination the zero-fault pins never meet. 30-node LANs:
+/// the 240 ids (192 + churn headroom) make 8 LANs.
 const PIN_LANS_DEFENCE: &str = "[scenario]\nname = pin-lans-defence\nprotocol = hid\nnodes = 192\n\
      lan_size = 30\nduration_ms = 7200000\nlambda = 0.5\nseed = 16\nchurn = 0.5\n\
      sample_ms = 600000\nmean_arrival_s = 600\nmean_duration_s = 600\n\
@@ -99,18 +96,22 @@ const PIN_LANS_DEFENCE: &str = "[scenario]\nname = pin-lans-defence\nprotocol = 
 /// The CAN-routed ones (all but Newscast, which never routes) were
 /// re-recorded once when greedy routing became a strict descent of
 /// `Zone::route_key`: messages aimed at split-plane targets arrive instead
-/// of circling, and `PidDiag` prints `route_exhausted`.
+/// of circling, and `PidDiag` prints `route_exhausted`. The four PID-CAN
+/// ones were re-recorded again when the runner stopped cutting a run into
+/// per-LAN-group partitions: the partition keyed RNG streams, id
+/// namespaces and same-instant ties, so every HID run moved; Newscast and
+/// KHDN always ran unpartitioned and did not.
 #[test]
 fn zero_fault_runs_match_pre_fault_pins() {
     let pins: [(&str, &str, u64); 5] = [
-        ("static HID", PIN_QUICK, 0xe6cb_53d6_c359_25c4),
-        ("churny HID", PIN_CHURN, 0x841b_c1db_a713_488e),
+        ("static HID", PIN_QUICK, 0x32a5_c1b0_b1b5_f480),
+        ("churny HID", PIN_CHURN, 0xbe19_3c75_15af_bb1c),
         ("Newscast", PIN_NEWSCAST, 0xe326_5c4f_f52a_3bbd),
         ("KHDN", PIN_KHDN, 0x73e3_445c_f6a0_ec08),
         (
-            "sharded churny HID with checkpointing",
+            "multi-LAN churny HID with checkpointing",
             PIN_LANS_CKPT,
-            0xc699_d8bb_80fb_8e61,
+            0x349e_fdd2_d44b_fcf4,
         ),
     ];
     for (what, spec, pin) in pins {
@@ -129,19 +130,19 @@ fn zero_fault_runs_match_pre_fault_pins() {
     }
 }
 
-/// The defended hostile 8-shard run, pinned like the zero-fault ones: a
-/// change to how shards store per-node rows, or to which shard the
-/// coordinator notifies on a departure, must leave it alone. That this
-/// run really has blacklisting observers churn away is asserted where the
-/// blacklists are visible — `runner::exec_tests::
-/// churn_takes_blacklisting_observers_away`, same shape, in-crate.
+/// The defended hostile multi-LAN churn run, pinned like the zero-fault
+/// ones: a change to how per-node rows are stored, or to how a departure
+/// is announced, must leave it alone. That this run really has
+/// blacklisting observers churn away is asserted where the blacklists are
+/// visible — `runner::exec_tests::churn_takes_blacklisting_observers_away`,
+/// same shape, in-crate.
 #[test]
-fn defended_hostile_sharded_churn_matches_pin() {
+fn defended_hostile_multi_lan_churn_matches_pin() {
     let r = with_env("on", || run_spec(PIN_LANS_DEFENCE));
     assert_eq!(
         fnv(&r),
-        0x7256_6364_abd7_dd2f,
-        "defended hostile 8-shard churn diverged from the pinned baseline"
+        0xc3f1_53a3_2075_da3e,
+        "defended hostile multi-LAN churn diverged from the pinned baseline"
     );
     let f = &r.faults;
     assert!(f.blackhole_nodes > 0 && f.liar_nodes > 0, "{f:?}");

@@ -110,9 +110,10 @@ fn profile_summary_is_sane() {
 
     // Every dispatched event came out of exactly one queue pop, and a pop
     // never returns more than one event. Pops exceed dispatches because
-    // the windowed executor ends every shard window with one miss pop
-    // (the `pop_until(window_bound)` that returns `None`), so the surplus
-    // scales with window count rather than being a single final miss.
+    // every run of node events ends with one miss pop (the `pop_until`
+    // that returns `None` at the next coordinator event or the deadline),
+    // so the surplus scales with the coordinator's event count rather
+    // than being a single final miss.
     let pops = p.count("queue_pop");
     let dispatched = p.dispatch_count();
     assert!(pops >= dispatched, "pops {pops} < dispatched {dispatched}");

@@ -13,9 +13,8 @@ use soc_net::MsgKind;
 use soc_overlay::{
     Candidate, Ctx, DiscoveryOverlay, Phase, QueryRequest, QueryVerdict, RecordCache, StateRecord,
 };
-use soc_types::{NodeId, OwnedRows, QueryId, ResVec, SimMillis};
+use soc_types::{NodeId, QueryId, ResVec, SimMillis};
 use std::collections::HashMap;
-use std::ops::Range;
 
 /// Timer discriminants.
 const T_STATE: u32 = 0;
@@ -56,14 +55,13 @@ pub struct PidDiag {
 
 /// PID-CAN (SID/HID ± SoS ± VD) as a pluggable discovery overlay.
 ///
-/// An instance holds per-node rows (finger table, record cache, PIList)
-/// for one contiguous id range: every id for [`PidCan::new`], one shard's
-/// nodes for the instances the executor builds with [`PidCan::for_range`].
+/// An instance holds a row of every per-node table (finger table, record
+/// cache, PIList) for each of its `max_nodes` ids.
 pub struct PidCan {
     cfg: PidCanConfig,
     tables: IndexTables,
-    caches: OwnedRows<RecordCache>,
-    pilists: OwnedRows<PiList>,
+    caches: Vec<RecordCache>,
+    pilists: Vec<PiList>,
     queries: HashMap<QueryId, QueryState>,
     overlay_dim: usize,
     route_budget: u32,
@@ -82,21 +80,17 @@ impl PidCan {
     /// smaller spaces. With VD enabled, `overlay_dim` must be one more than
     /// the resource-vector dimensionality.
     pub fn new(cfg: PidCanConfig, overlay_dim: usize, n: usize, max_nodes: usize) -> Self {
-        Self::for_range(cfg, overlay_dim, n, 0..max_nodes as u32)
-    }
-
-    /// Like [`PidCan::new`], with per-node rows for the ids in `owned`
-    /// only — what the executor's per-shard constructor calls.
-    pub fn for_range(cfg: PidCanConfig, overlay_dim: usize, n: usize, owned: Range<u32>) -> Self {
         let dim = overlay_dim;
         // Generous routing TTL: 4·log2(n) + 16 covers INSCAN detours under
         // churn while bounding worst-case wandering.
         let route_budget = 4 * (n.max(2) as f64).log2().ceil() as u32 + 16;
         PidCan {
             cfg,
-            tables: IndexTables::for_range(dim, n, owned.clone()),
-            caches: OwnedRows::new(owned.clone(), |_| RecordCache::new(cfg.record_ttl_ms)),
-            pilists: OwnedRows::new(owned, |_| PiList::new()),
+            tables: IndexTables::new(dim, n, max_nodes),
+            caches: (0..max_nodes)
+                .map(|_| RecordCache::new(cfg.record_ttl_ms))
+                .collect(),
+            pilists: (0..max_nodes).map(|_| PiList::new()).collect(),
             queries: HashMap::new(),
             overlay_dim: dim,
             route_budget,
@@ -115,11 +109,6 @@ impl PidCan {
         &self.cfg
     }
 
-    /// The id range this instance holds per-node rows for.
-    pub fn owned(&self) -> Range<u32> {
-        self.tables.owned()
-    }
-
     /// Read access to the finger tables (benches/diagnostics).
     pub fn tables(&self) -> &IndexTables {
         &self.tables
@@ -127,12 +116,12 @@ impl PidCan {
 
     /// Read access to a node's record cache (tests/diagnostics).
     pub fn cache(&self, node: NodeId) -> &RecordCache {
-        &self.caches[node]
+        &self.caches[node.idx()]
     }
 
     /// Read access to a node's PIList (tests/diagnostics).
     pub fn pilist(&self, node: NodeId) -> &PiList {
-        &self.pilists[node]
+        &self.pilists[node.idx()]
     }
 
     /// Map a raw resource vector to a CAN key-space point, appending the
@@ -230,7 +219,7 @@ impl PidCan {
     /// Store a routed record at `node` (its duty node, or the closest node
     /// the route could reach).
     fn store_record(&mut self, node: NodeId, subject: NodeId, avail: ResVec, now: SimMillis) {
-        self.caches[node].insert(StateRecord {
+        self.caches[node.idx()].insert(StateRecord {
             subject,
             avail,
             stored_at: now,
@@ -287,7 +276,7 @@ impl PidCan {
         dim_no: usize,
         dim_ttl: usize,
     ) {
-        self.pilists[node].insert(id, ctx.now);
+        self.pilists[node.idx()].insert(id, ctx.now);
         let table = self.tables.get(node);
         match self.cfg.diffusion {
             DiffusionMethod::Hopping => {
@@ -389,7 +378,7 @@ impl PidCan {
         if self.cfg.check_duty_cache {
             let mut found = std::mem::take(&mut self.found_buf);
             let t = ctx.prof.start();
-            self.caches[duty].qualified_into(&demand, ctx.now, &mut found);
+            self.caches[duty.idx()].qualified_into(&demand, ctx.now, &mut found);
             ctx.prof.stop(Phase::CacheProbe, t);
             if !found.is_empty() {
                 delta = delta.saturating_sub(found.len());
@@ -547,13 +536,6 @@ impl PidCan {
 impl DiscoveryOverlay for PidCan {
     type Msg = PidMsg;
 
-    // Every handler at node `x` touches only `caches[x]`, `pilists[x]` and
-    // `x`'s finger-table row; query bookkeeping lives at the requester and
-    // `Found`/`Exhausted` are delivered there. That is exactly the
-    // partition-by-node property the executor needs — and a shard's
-    // instance has no other node's rows to touch by mistake.
-    const SHARDABLE: bool = true;
-
     fn name(&self) -> &'static str {
         self.cfg.label()
     }
@@ -563,8 +545,7 @@ impl DiscoveryOverlay for PidCan {
     }
 
     fn diag_record_match(&self, demand: &ResVec, now: soc_types::SimMillis) -> Option<bool> {
-        let held = self.caches.as_slice();
-        Some(held.iter().any(|c| c.has_qualified(demand, now)))
+        Some(self.caches.iter().any(|c| c.has_qualified(demand, now)))
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, PidMsg>, nodes: &[NodeId]) {
@@ -575,15 +556,6 @@ impl DiscoveryOverlay for PidCan {
             ctx.charge(node, MsgKind::Maintenance, stats.probe_msgs);
             self.arm_node_timers(ctx, node);
         }
-    }
-
-    fn absorb_diag(&mut self, other: &Self) {
-        self.diag.duty_no_agents += other.diag.duty_no_agents;
-        self.diag.agent_visits += other.diag.agent_visits;
-        self.diag.agent_pil_empty += other.diag.agent_pil_empty;
-        self.diag.jump_visits += other.diag.jump_visits;
-        self.diag.jump_hits += other.diag.jump_hits;
-        self.diag.route_exhausted += other.diag.route_exhausted;
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, PidMsg>, node: NodeId, msg: PidMsg) {
@@ -627,7 +599,7 @@ impl DiscoveryOverlay for PidCan {
             }
             PidMsg::IndexAgent(mut s) => {
                 // Algorithm 4: sample a jump list from the local PIList.
-                s.jumps = self.pilists[node].sample(
+                s.jumps = self.pilists[node.idx()].sample(
                     self.cfg.jump_sample,
                     ctx.now,
                     self.cfg.pilist_ttl_ms,
@@ -644,7 +616,7 @@ impl DiscoveryOverlay for PidCan {
                 // Algorithm 5: search the local cache.
                 let mut found = std::mem::take(&mut self.found_buf);
                 let t = ctx.prof.start();
-                self.caches[node].qualified_into(&s.demand, ctx.now, &mut found);
+                self.caches[node.idx()].qualified_into(&s.demand, ctx.now, &mut found);
                 ctx.prof.stop(Phase::CacheProbe, t);
                 self.diag.jump_visits += 1;
                 let cands: Vec<Candidate> = found
@@ -662,7 +634,7 @@ impl DiscoveryOverlay for PidCan {
                 } else if s.budget > 0 {
                     // §III-B1 relay: extend the chain with this index
                     // node's own positive-index knowledge.
-                    for extra in self.pilists[node].sample(
+                    for extra in self.pilists[node.idx()].sample(
                         self.cfg.jump_refill,
                         ctx.now,
                         self.cfg.pilist_ttl_ms,
@@ -708,9 +680,9 @@ impl DiscoveryOverlay for PidCan {
                 ctx.timer(node, T_STATE, self.cfg.state_update_ms);
             }
             T_DIFFUSE => {
-                self.caches[node].purge_expired(ctx.now);
-                self.pilists[node].purge(ctx.now, self.cfg.pilist_ttl_ms);
-                if !self.caches[node].is_empty_at(ctx.now) {
+                self.caches[node.idx()].purge_expired(ctx.now);
+                self.pilists[node.idx()].purge(ctx.now, self.cfg.pilist_ttl_ms);
+                if !self.caches[node.idx()].is_empty_at(ctx.now) {
                     self.diffuse_index(ctx, node);
                 }
                 ctx.timer(node, T_DIFFUSE, self.cfg.diffusion_ms);
@@ -757,16 +729,16 @@ impl DiscoveryOverlay for PidCan {
     }
 
     fn on_node_joined(&mut self, ctx: &mut Ctx<'_, PidMsg>, node: NodeId) {
-        self.caches[node] = RecordCache::new(self.cfg.record_ttl_ms);
-        self.pilists[node] = PiList::new();
+        self.caches[node.idx()] = RecordCache::new(self.cfg.record_ttl_ms);
+        self.pilists[node.idx()] = PiList::new();
         let stats = self.tables.refresh_node(node, ctx.can, ctx.rng);
         ctx.charge(node, MsgKind::Maintenance, stats.probe_msgs);
         self.arm_node_timers(ctx, node);
     }
 
     fn on_node_left(&mut self, _ctx: &mut Ctx<'_, PidMsg>, node: NodeId) {
-        self.caches[node] = RecordCache::new(self.cfg.record_ttl_ms);
-        self.pilists[node] = PiList::new();
+        self.caches[node.idx()] = RecordCache::new(self.cfg.record_ttl_ms);
+        self.pilists[node.idx()] = PiList::new();
         self.tables.clear_node(node);
         // Abandon queries the departed requester owned. Fingers elsewhere
         // that still point at the dead node are skipped by routing and
@@ -1004,29 +976,6 @@ mod tests {
             assert_ne!(next, hop, "avoided hop chosen");
             assert_ne!(next, fallback, "suspected fallback chosen");
         }
-    }
-
-    #[test]
-    fn a_fork_holds_rows_for_its_own_range_only() {
-        let fork = PidCan::for_range(PidCanConfig::hid(), 2, N, 4..12);
-        assert_eq!(fork.owned(), 4..12);
-        assert_eq!(
-            fork.tables().kmax(),
-            PidCan::new(*fork.config(), 2, N, N).tables().kmax()
-        );
-        for i in 4..12 {
-            assert!(fork.cache(NodeId(i)).is_empty());
-            assert!(fork.pilist(NodeId(i)).is_empty());
-            let row = fork.tables().get(NodeId(i));
-            assert!((0..2).all(|d| row.along(d, true).is_empty() && row.along(d, false).is_empty()));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "row of n12 is not held here (owned ids 4..12)")]
-    fn a_fork_has_no_cache_for_a_foreign_node() {
-        let fork = PidCan::for_range(PidCanConfig::hid(), 2, N, 4..12);
-        let _ = fork.cache(NodeId(12));
     }
 
     #[test]

@@ -490,17 +490,17 @@ fn table1_state_updates_all_reach_their_duty_node() {
     assert!(hops <= NODES * 8, "{hops} hops for {NODES} publishes");
 }
 
-/// `on_start` starts exactly the nodes it is handed. A shard's instance
-/// gets the live nodes among the ids it owns — the churn-headroom ids of
-/// its range join later — so a strict subset of the owned range must arm
-/// timers and build finger rows for that subset and touch no other row.
+/// `on_start` starts exactly the nodes it is handed. The runner hands it
+/// the live nodes — the churn-headroom ids join later — so a strict subset
+/// of the ids must arm timers and build finger rows for that subset and
+/// touch no other row.
 #[test]
 fn on_start_starts_exactly_the_nodes_it_is_given() {
     let mut rng = SmallRng::seed_from_u64(12);
     let can = CanOverlay::bootstrap(2, N, N, &mut rng);
     let cmax = ResVec::from_slice(&[10.0, 10.0]);
     let host = TestHost::uniform(N, ResVec::from_slice(&[5.0, 5.0]), cmax);
-    let mut proto = PidCan::for_range(PidCanConfig::hid(), 2, N, 8..24);
+    let mut proto = PidCan::new(PidCanConfig::hid(), 2, N, N);
     let started: Vec<NodeId> = (8..16).map(NodeId).collect();
 
     let mut ctx = Ctx::new(0, &can, &host, &mut rng);

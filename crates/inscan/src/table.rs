@@ -2,7 +2,7 @@
 
 use rand::{Rng, RngExt};
 use soc_can::CanOverlay;
-use soc_types::{NodeId, OwnedRows};
+use soc_types::NodeId;
 use std::ops::Range;
 
 /// The paper's `k` bound: `⌊log2 n^{1/d}⌋` (so the largest finger spans
@@ -131,19 +131,15 @@ where
     items.nth(rng.random_range(0..count))
 }
 
-/// The index tables of one contiguous range of node ids in one arena, plus
-/// shared bookkeeping.
+/// The index tables of every node id in one arena, plus shared
+/// bookkeeping.
 ///
-/// The `s`-th owned node's row is `arena[s·stride .. (s+1)·stride]` with
+/// Node `i`'s row is `arena[i·stride .. (i+1)·stride]` with
 /// `stride = 2·dim·(kmax+1)` node ids ([`EMPTY`] for "no entry"): no
-/// per-node heap object, and refreshes write in place. The id → slot
-/// mapping is [`OwnedRows::slot`], so asking for a node outside the range
-/// panics — a shard's tables hold its own nodes' rows and nobody else's.
+/// per-node heap object, and refreshes write in place.
 #[derive(Clone, Debug)]
 pub struct IndexTables {
     arena: Vec<u32>,
-    /// The held id range as zero-sized rows: just the id → slot map.
-    slots: OwnedRows<()>,
     dim: usize,
     kmax: usize,
 }
@@ -152,23 +148,12 @@ impl IndexTables {
     /// Empty tables for all `max_nodes` ids in a `dim`-dimensional overlay
     /// of expected size `n`.
     pub fn new(dim: usize, n: usize, max_nodes: usize) -> Self {
-        Self::for_range(dim, n, 0..max_nodes as u32)
-    }
-
-    /// Empty tables for the ids in `owned` only.
-    pub fn for_range(dim: usize, n: usize, owned: Range<u32>) -> Self {
         let kmax = kmax_for(n, dim);
         IndexTables {
-            arena: vec![EMPTY; owned.len() * 2 * dim * (kmax + 1)],
-            slots: OwnedRows::new(owned, |_| ()),
+            arena: vec![EMPTY; max_nodes * 2 * dim * (kmax + 1)],
             dim,
             kmax,
         }
-    }
-
-    /// The id range these tables hold rows for.
-    pub fn owned(&self) -> Range<u32> {
-        self.slots.owned()
     }
 
     /// Finger exponent bound.
@@ -184,8 +169,8 @@ impl IndexTables {
     /// Where `node`'s row sits in the arena.
     #[inline]
     fn row_span(&self, node: NodeId) -> Range<usize> {
-        let (slot, stride) = (self.slots.slot(node), self.stride());
-        slot * stride..(slot + 1) * stride
+        let stride = self.stride();
+        node.idx() * stride..(node.idx() + 1) * stride
     }
 
     /// Table of `node`.

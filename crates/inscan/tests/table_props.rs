@@ -4,9 +4,7 @@
 //! counts and probe accounting, and the same RNG stream position
 //! after every call — on random op scripts that interleave refreshes,
 //! clears and evictions with overlay joins and leaves, for every
-//! `(dim, kmax)` shape the arena's stride can take. The arena may hold any
-//! contiguous id range (a shard's own nodes): the model then drives it for
-//! the owned ids only, and asking it about any other id panics.
+//! `(dim, kmax)` shape the arena's stride can take.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -16,7 +14,6 @@ use soc_can::CanOverlay;
 use soc_inscan::table::walk_step;
 use soc_inscan::{IndexTables, WalkStats};
 use soc_types::NodeId;
-use std::ops::Range;
 
 const START: usize = 24;
 const MAX_NODES: usize = 40;
@@ -85,9 +82,7 @@ impl ModelTable {
 /// Both implementations plus the RNG each one draws from.
 struct World {
     ov: CanOverlay,
-    /// Holds rows for `owned` only; ops on other ids skip both sides.
     arena: IndexTables,
-    owned: Range<u32>,
     model: Vec<ModelTable>,
     kmax: usize,
     fast: SmallRng,
@@ -104,9 +99,6 @@ impl World {
     }
 
     fn refresh(&mut self, node: NodeId) -> Result<(), String> {
-        if !self.owned.contains(&node.0) {
-            return Ok(());
-        }
         let got = self.arena.refresh_node(node, &self.ov, &mut self.fast);
         let want = self.model[node.idx()].refresh(node, &self.ov, &mut self.slow);
         if got != want {
@@ -117,9 +109,6 @@ impl World {
     }
 
     fn clear(&mut self, node: NodeId) -> Result<(), String> {
-        if !self.owned.contains(&node.0) {
-            return Ok(());
-        }
         self.arena.clear_node(node);
         self.model[node.idx()] = ModelTable::new(self.ov.dim(), self.kmax);
         self.check_node(node)
@@ -127,12 +116,7 @@ impl World {
 
     fn evict(&mut self, node: NodeId) -> Result<(), String> {
         let got = self.arena.evict_everywhere(node);
-        // The suspect may be any id; only the held rows lose entries.
-        let want: usize = self
-            .owned
-            .clone()
-            .map(|i| self.model[i as usize].evict(node))
-            .sum();
+        let want: usize = self.model.iter_mut().map(|m| m.evict(node)).sum();
         if got != want {
             return Err(format!(
                 "evicting {node} dropped {got} entries, model {want}"
@@ -143,9 +127,6 @@ impl World {
 
     /// Every read the table offers, in and out of range, for one node.
     fn check_node(&mut self, node: NodeId) -> Result<(), String> {
-        if !self.owned.contains(&node.0) {
-            return Ok(());
-        }
         let (t, m) = (self.arena.get(node), &self.model[node.idx()]);
         if t.kmax() != self.kmax || self.arena.kmax() != self.kmax {
             return Err(format!("kmax of {node}"));
@@ -182,30 +163,15 @@ fn nth_live(ov: &CanOverlay, pick: usize) -> NodeId {
         .expect("non-empty overlay")
 }
 
-fn run_script(
-    dim: usize,
-    kmax: usize,
-    seed: u64,
-    ops: &[(u8, u16)],
-    owned: Range<u32>,
-) -> Result<(), String> {
+fn run_script(dim: usize, kmax: usize, seed: u64, ops: &[(u8, u16)]) -> Result<(), String> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let ov = CanOverlay::bootstrap(dim, START, MAX_NODES, &mut rng);
     // The expected-size argument only feeds `kmax_for`: 2^(kmax·dim)
     // selects the finger depth whatever the overlay really holds.
     let n = 1usize << (kmax * dim);
-    let arena = if owned == (0..MAX_NODES as u32) {
-        IndexTables::new(dim, n, MAX_NODES)
-    } else {
-        IndexTables::for_range(dim, n, owned.clone())
-    };
-    if arena.owned() != owned {
-        return Err(format!("owned range {:?}", arena.owned()));
-    }
     let mut w = World {
         ov,
-        arena,
-        owned,
+        arena: IndexTables::new(dim, n, MAX_NODES),
         model: vec![ModelTable::new(dim, kmax); MAX_NODES],
         kmax,
         fast: SmallRng::seed_from_u64(seed ^ 0xA5A5),
@@ -253,14 +219,9 @@ proptest! {
         kmax in 0usize..=5,
         seed in 0u64..1_000_000,
         ops in prop::collection::vec((0u8..8, 0u16..512), 1..60),
-        // Every third case holds every id; the rest a range with `lo > 0`
-        // that may stop short of the last id.
-        lo in 0u32..=(START as u32),
-        cut in 0u32..=8,
     ) {
-        let owned = if lo % 3 == 0 { 0..MAX_NODES as u32 } else { lo..MAX_NODES as u32 - cut };
-        if let Err(e) = run_script(dim, kmax, seed, &ops, owned.clone()) {
-            prop_assert!(false, "dim {dim} kmax {kmax} owned {owned:?}: {e}");
+        if let Err(e) = run_script(dim, kmax, seed, &ops) {
+            prop_assert!(false, "dim {dim} kmax {kmax}: {e}");
         }
     }
 }
@@ -272,49 +233,8 @@ fn every_shape_stays_lockstep() {
     let ops: Vec<(u8, u16)> = (0u16..64).map(|i| ((i % 8) as u8, i * 37)).collect();
     for dim in 2..=6 {
         for kmax in 0..=5 {
-            for owned in [0..MAX_NODES as u32, 10..34] {
-                run_script(dim, kmax, 11 + dim as u64 * 7 + kmax as u64, &ops, owned)
-                    .unwrap_or_else(|e| panic!("dim {dim} kmax {kmax}: {e}"));
-            }
+            run_script(dim, kmax, 11 + dim as u64 * 7 + kmax as u64, &ops)
+                .unwrap_or_else(|e| panic!("dim {dim} kmax {kmax}: {e}"));
         }
     }
-}
-
-/// A table for ids `10..34`, refreshed for the live ones among them.
-fn ranged_tables() -> (IndexTables, CanOverlay, SmallRng) {
-    let mut rng = SmallRng::seed_from_u64(5);
-    let ov = CanOverlay::bootstrap(2, START, MAX_NODES, &mut rng);
-    let mut tables = IndexTables::for_range(2, START, 10..34);
-    for i in 10..START as u32 {
-        tables.refresh_node(NodeId(i), &ov, &mut rng);
-    }
-    (tables, ov, rng)
-}
-
-#[test]
-#[should_panic(expected = "row of n9 is not held here (owned ids 10..34)")]
-fn reading_a_row_below_the_owned_range_panics() {
-    let (tables, ..) = ranged_tables();
-    let _ = tables.get(NodeId(9));
-}
-
-#[test]
-#[should_panic(expected = "row of n34 is not held here")]
-fn reading_a_row_past_the_owned_range_panics() {
-    let (tables, ..) = ranged_tables();
-    let _ = tables.get(NodeId(34));
-}
-
-#[test]
-#[should_panic(expected = "row of n3 is not held here")]
-fn refreshing_a_row_outside_the_owned_range_panics() {
-    let (mut tables, ov, mut rng) = ranged_tables();
-    tables.refresh_node(NodeId(3), &ov, &mut rng);
-}
-
-#[test]
-#[should_panic(expected = "row of n3 is not held here")]
-fn clearing_a_row_outside_the_owned_range_panics() {
-    let (mut tables, ..) = ranged_tables();
-    tables.clear_node(NodeId(3));
 }

@@ -110,10 +110,10 @@ pub const EXPLAINS: &[Explain] = &[
     },
     Explain {
         rule: "float-reduce-order",
-        rationale: "f64 addition is non-associative, so a sum's bits depend on term order. A \
-                    sharded merge must not inherit an order-sensitive total: reductions on sim \
-                    paths are allowed only over sources the item graph can prove \
-                    deterministically ordered (slices, Vecs, ranges, BTree collections, \
+        rationale: "f64 addition is non-associative, so a sum's bits depend on term order, \
+                    and a HashMap's iteration order differs from one process to the next: \
+                    reductions on sim paths are allowed only over sources the item graph can \
+                    prove deterministically ordered (slices, Vecs, ranges, BTree collections, \
                     structs built from those).",
         rel: "crates/soc/src/example.rs",
         good: include_str!("../tests/fixtures/examples/float-reduce-order/good.rs"),

@@ -9,8 +9,10 @@
 //! use/ownership graph ([`graph`]).
 //!
 //! Every data-structure replacement in this workspace is proven against
-//! pinned fingerprints, and the eight-shard merge stays deterministic only
-//! if that discipline is enforced mechanically. These rules encode the invariants that
+//! pinned fingerprints, and those pins hold only while the discipline is
+//! enforced mechanically: `HashMap` iteration order differs from one
+//! process to the next, and trace record → replay is bit-exact only while
+//! every RNG stream has one owner. These rules encode the invariants that
 //! previously lived in tests and prose: RNG stream isolation and
 //! ownership, no unordered-collection iteration or order-sensitive float
 //! reduction on fingerprint-feeding paths, no state that outlives its run

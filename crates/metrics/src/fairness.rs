@@ -66,15 +66,6 @@ impl EfficiencyLog {
         }
         (self.sum * self.sum) / (self.n as f64 * self.sum_sq)
     }
-
-    /// Fold another log in (per-shard logs, merged in shard order). The
-    /// f64 sums make this order-sensitive in the last ulp; callers must
-    /// absorb in a fixed (shard-id) order, which every fingerprint pins.
-    pub fn absorb(&mut self, other: &EfficiencyLog) {
-        self.n += other.n;
-        self.sum += other.sum;
-        self.sum_sq += other.sum_sq;
-    }
 }
 
 #[cfg(test)]
@@ -117,33 +108,6 @@ mod tests {
         assert!((log.jain() - jain_index(&xs)).abs() < 1e-12);
         assert_eq!(log.len(), 6);
         assert!((log.mean() - xs.iter().sum::<f64>() / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn absorb_in_fixed_order_matches_sequential_recording() {
-        let xs = [0.9, 0.4, 0.1, 0.8];
-        let mut reference = EfficiencyLog::new();
-        let mut a = EfficiencyLog::new();
-        let mut b = EfficiencyLog::new();
-        for (i, &x) in xs.iter().enumerate() {
-            reference.record(x);
-            if i < 2 {
-                a.record(x)
-            } else {
-                b.record(x)
-            }
-        }
-        let mut agg = EfficiencyLog::new();
-        agg.absorb(&a);
-        agg.absorb(&b);
-        let mut agg2 = EfficiencyLog::new();
-        agg2.absorb(&a);
-        agg2.absorb(&b);
-        assert_eq!(agg.len(), reference.len());
-        // Same partition + same fold order ⇒ bitwise-equal results.
-        assert_eq!(agg.mean().to_bits(), agg2.mean().to_bits());
-        assert_eq!(agg.jain().to_bits(), agg2.jain().to_bits());
-        assert!((agg.jain() - jain_index(&xs)).abs() < 1e-12);
     }
 
     #[test]

@@ -212,32 +212,6 @@ impl TaskTracker {
         &self.series
     }
 
-    /// Fold another tracker's counters in, leaving `other` untouched.
-    ///
-    /// The runner keeps a per-shard tracker and builds a fresh aggregate,
-    /// merged in shard order, at every sample instant; the
-    /// per-shard *series* are deliberately not merged — the aggregate owns
-    /// the time series. Counter sums are integers and the efficiency fold
-    /// is a float sum whose order is fixed by the shard-ordered visit, so
-    /// the merge is deterministic.
-    pub fn absorb(&mut self, other: &TaskTracker) {
-        self.generated += other.generated;
-        self.finished += other.finished;
-        self.failed += other.failed;
-        self.killed += other.killed;
-        self.rejected += other.rejected;
-        self.local_generated += other.local_generated;
-        self.local_finished += other.local_finished;
-        self.local_killed += other.local_killed;
-        self.eff.absorb(&other.eff);
-    }
-
-    /// Adopt a pre-built series (the runner's coordinator owns the
-    /// sampled series and installs it on the final aggregate tracker).
-    pub fn set_series(&mut self, series: Vec<MetricPoint>) {
-        self.series = series;
-    }
-
     /// Conservation invariant: outcomes never exceed generation.
     pub fn check_conservation(&self) -> Result<(), String> {
         let consumed = self.finished + self.failed + self.killed + self.rejected;
@@ -314,42 +288,6 @@ mod tests {
         assert_eq!(s[0].t_ms, 3_600_000);
         assert_eq!(s[0].generated, 2);
         assert_eq!(s[0].finished, 1);
-    }
-
-    #[test]
-    fn absorb_matches_single_tracker_accounting() {
-        let mut a = TaskTracker::new();
-        let mut b = TaskTracker::new();
-        let mut reference = TaskTracker::new();
-        for _ in 0..3 {
-            a.task_generated();
-            reference.task_generated();
-        }
-        a.task_finished(0.5);
-        reference.task_finished(0.5);
-        a.task_local_generated();
-        reference.task_local_generated();
-        for _ in 0..2 {
-            b.task_generated();
-            reference.task_generated();
-        }
-        b.task_failed();
-        reference.task_failed();
-        b.task_rejected();
-        reference.task_rejected();
-        b.task_finished(0.9);
-        reference.task_finished(0.9);
-        let mut agg = TaskTracker::new();
-        agg.absorb(&a);
-        agg.absorb(&b);
-        assert_eq!(agg.generated(), reference.generated());
-        assert_eq!(agg.finished(), reference.finished());
-        assert_eq!(agg.failed(), reference.failed());
-        assert_eq!(agg.rejected(), reference.rejected());
-        assert_eq!(agg.local_generated(), reference.local_generated());
-        assert_eq!(agg.t_ratio(), reference.t_ratio());
-        assert_eq!(agg.fairness(), reference.fairness());
-        agg.check_conservation().unwrap();
     }
 
     #[test]

@@ -171,17 +171,6 @@ impl FaultPlan {
         }
     }
 
-    /// Overwrite `node`'s evil/liar flags without drawing any RNG.
-    ///
-    /// The runner keeps one authoritative plan at the coordinator (which
-    /// owns the Fault stream) and a per-shard mirror;
-    /// after every `on_join` re-roll the coordinator pushes the new flags
-    /// into each mirror through this setter so all copies agree.
-    pub fn set_flags(&mut self, node: NodeId, evil: bool, liar: bool) {
-        self.evil[node.idx()] = evil;
-        self.liar[node.idx()] = liar;
-    }
-
     /// Does `node` silently drop everything it receives?
     pub fn is_blackhole(&self, node: NodeId) -> bool {
         self.evil[node.idx()]
@@ -380,29 +369,6 @@ mod tests {
         plan.on_join(NodeId(3), &mut ra);
         plan2.on_join(NodeId(3), &mut rb);
         assert_eq!(plan.is_blackhole(NodeId(3)), plan2.is_blackhole(NodeId(3)));
-    }
-
-    #[test]
-    fn set_flags_mirrors_without_consuming_rng() {
-        let cfg = FaultConfig {
-            blackhole_frac: 0.5,
-            liar_frac: 0.5,
-            ..FaultConfig::default()
-        };
-        let mut master = FaultPlan::new(cfg, 10, &mut rng());
-        let mut mirror = master.clone();
-        let mut r = rng();
-        master.on_join(NodeId(4), &mut r);
-        mirror.set_flags(
-            NodeId(4),
-            master.is_blackhole(NodeId(4)),
-            master.is_liar(NodeId(4)),
-        );
-        for i in 0..10 {
-            let n = NodeId(i);
-            assert_eq!(master.is_blackhole(n), mirror.is_blackhole(n));
-            assert_eq!(master.is_liar(n), mirror.is_liar(n));
-        }
     }
 
     #[test]

@@ -81,15 +81,6 @@ impl LanTopology {
         self.lan_of(a) == self.lan_of(b)
     }
 
-    /// Lower bound on the one-way latency of any message that crosses a
-    /// LAN boundary — the conservative-DES *lookahead*: the windowed
-    /// executor, whose shards are unions of whole LANs, runs each shard on
-    /// its own for a window of this length, because no cross-shard effect
-    /// can arrive sooner.
-    pub fn min_cross_lan_latency_ms(&self) -> SimMillis {
-        self.config.wan_ms.0
-    }
-
     /// Sample the one-way latency of a control message `from → to`.
     pub fn latency<R: Rng>(&self, from: NodeId, to: NodeId, rng: &mut R) -> SimMillis {
         let (lo, hi) = if self.same_lan(from, to) {
@@ -171,17 +162,6 @@ mod tests {
         // Same payload on the LAN is ≥ 5 Mbps ⇒ ≤ ~1.7 s.
         let ms = t.transfer_ms(NodeId(0), NodeId(1), 1024.0, &mut rng);
         assert!(ms <= 1_800, "lan transfer {ms} ms too slow");
-    }
-
-    #[test]
-    fn lookahead_bounds_every_cross_lan_sample() {
-        let (t, mut rng) = topo(100, 20);
-        let look = t.min_cross_lan_latency_ms();
-        assert!(look > 0, "zero lookahead would serialize the executor");
-        for _ in 0..200 {
-            let wan = t.latency(NodeId(0), NodeId(99), &mut rng);
-            assert!(wan >= look, "cross-LAN latency {wan} < lookahead {look}");
-        }
     }
 
     #[test]

@@ -189,16 +189,6 @@ impl MsgStats {
         v
     }
 
-    /// Fold another stats block in (end-of-run merge: each shard accounts
-    /// its own sends, the runner sums them in shard order).
-    /// Integer sums, so fold order cannot affect the result.
-    pub fn absorb(&mut self, other: &MsgStats) {
-        for (mine, theirs) in self.by_kind.iter_mut().zip(other.by_kind) {
-            *mine += theirs;
-        }
-        self.total += other.total;
-    }
-
     /// Reset all counters (between scenario repetitions).
     pub fn clear(&mut self) {
         self.by_kind = [0; MSG_KINDS];
@@ -267,25 +257,6 @@ mod tests {
         assert_eq!(b.len(), 2);
         assert_eq!(b[0], (MsgKind::IndexDiffusion, 5));
         assert_eq!(b[1], (MsgKind::Dispatch, 1));
-    }
-
-    #[test]
-    fn absorb_equals_single_stream_recording() {
-        let mut merged = MsgStats::new(4);
-        let mut reference = MsgStats::new(4);
-        let mut shard_a = MsgStats::new(4);
-        let mut shard_b = MsgStats::new(4);
-        shard_a.record_n(MsgKind::DutyQuery, 3);
-        shard_b.record_n(MsgKind::DutyQuery, 2);
-        shard_b.record(MsgKind::Maintenance);
-        reference.record_n(MsgKind::DutyQuery, 5);
-        reference.record(MsgKind::Maintenance);
-        merged.absorb(&shard_a);
-        merged.absorb(&shard_b);
-        assert_eq!(merged.total(), reference.total());
-        for k in MsgKind::ALL {
-            assert_eq!(merged.count(k), reference.count(k));
-        }
     }
 
     #[test]

@@ -217,43 +217,19 @@ impl<'a, M> Ctx<'a, M> {
 /// All methods receive the per-event [`Ctx`]; handlers must be
 /// deterministic given `(state, event, rng stream)`.
 ///
-/// The scenario runner never copies an instance: it is handed a
-/// constructor `Fn(Range<u32>) -> P` and calls it once per shard with the
-/// id range whose per-node rows that shard's instance must hold.
+/// The scenario runner builds one instance per run, holding every node
+/// id's rows, and never copies it.
 pub trait DiscoveryOverlay {
     /// Protocol message payload.
     type Msg: Clone + std::fmt::Debug;
-
-    /// May this protocol's state be partitioned by node across shards?
-    /// `true` requires every handler at node `x` to touch only `x`'s own
-    /// per-node rows (caches, timers, tables) and requester-owned query
-    /// state. The executor holds a shardable protocol to that: it builds
-    /// one instance per shard, each with rows for that shard's id range
-    /// only — there is no other node's row to touch — and churn hooks for
-    /// a node reach its owner shard's instance only. The default `false`
-    /// keeps the windowed executor at one shard, whose one instance holds
-    /// every id.
-    const SHARDABLE: bool = false;
 
     /// Human-readable protocol name (report labels).
     fn name(&self) -> &'static str;
 
     /// Called once at simulation start, before any event: arm the initial
     /// timers (and build the initial routing state) of `nodes` — the live
-    /// nodes whose rows this instance holds, in ascending id order. That is
-    /// every live node unless the protocol is [`Self::SHARDABLE`]; a
-    /// shardable protocol must start exactly the nodes it is given.
+    /// nodes, in ascending id order.
     fn on_start(&mut self, ctx: &mut Ctx<'_, Self::Msg>, nodes: &[NodeId]);
-
-    /// Fold another instance's *diagnostic* counters into this one
-    /// (per-shard diagnostics, merged in shard order before the report is
-    /// built). State other than diagnostics must not be touched.
-    fn absorb_diag(&mut self, other: &Self)
-    where
-        Self: Sized,
-    {
-        let _ = other;
-    }
 
     /// A message arrived at `node`.
     fn on_message(&mut self, ctx: &mut Ctx<'_, Self::Msg>, node: NodeId, msg: Self::Msg);
@@ -277,9 +253,6 @@ pub trait DiscoveryOverlay {
     fn on_node_joined(&mut self, ctx: &mut Ctx<'_, Self::Msg>, node: NodeId);
 
     /// A node left the overlay (churn); references to it should be dropped.
-    /// A sharded run calls this on the instance holding `node`'s own rows
-    /// and on no other, so a shardable protocol can only reset those rows
-    /// and abandon the queries `node` requested.
     fn on_node_left(&mut self, ctx: &mut Ctx<'_, Self::Msg>, node: NodeId);
 
     /// Diagnostic: free-form protocol counters for calibration reports.

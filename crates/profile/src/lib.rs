@@ -254,20 +254,6 @@ impl Profiler {
         }
     }
 
-    /// Fold another profiler's counters in (end-of-run merge: each shard
-    /// profiles its own spans, the coordinator sums them in shard order).
-    /// No-op when `self` is disabled; run-wide enablement is a single
-    /// `SOC_PROFILE` read, so shards agree with the coordinator.
-    pub fn absorb(&mut self, other: &Profiler) {
-        if !self.enabled {
-            return;
-        }
-        for i in 0..N {
-            self.ns[i].set(self.ns[i].get().saturating_add(other.ns[i].get()));
-            self.count[i].set(self.count[i].get() + other.count[i].get());
-        }
-    }
-
     /// Snapshot the counters. `None` when the profiler is off — a run
     /// without `SOC_PROFILE=on` reports no profile block at all.
     pub fn summary(&self) -> Option<ProfileSummary> {
@@ -502,33 +488,6 @@ mod tests {
         assert!(!Profiler::from_env().is_enabled());
         std::env::remove_var("SOC_PROFILE");
         assert!(!Profiler::from_env().is_enabled());
-    }
-
-    #[test]
-    fn absorb_sums_counters() {
-        let mut agg = Profiler::with_enabled(true);
-        let shard = Profiler::with_enabled(true);
-        let t = shard.start();
-        shard.stop(Phase::DeliverMsg, t);
-        for _ in 0..2 {
-            let t = shard.start();
-            std::thread::yield_now();
-            shard.stop(Phase::Fault, t);
-        }
-        let t = agg.start();
-        agg.stop(Phase::Fault, t);
-        agg.add_count(Phase::QueuePush, 5);
-        let fault_ns = shard.summary().unwrap().ns("fault") + agg.summary().unwrap().ns("fault");
-        agg.absorb(&shard);
-        let s = agg.summary().unwrap();
-        assert_eq!(s.count("deliver"), 1);
-        assert_eq!(s.count("queue_push"), 5);
-        assert_eq!(s.count("fault"), 3);
-        assert_eq!(s.ns("fault"), fault_ns);
-        // A disabled aggregate ignores everything.
-        let mut off = Profiler::disabled();
-        off.absorb(&shard);
-        assert!(off.summary().is_none());
     }
 
     #[test]

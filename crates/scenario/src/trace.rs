@@ -18,8 +18,6 @@ use rand::rngs::SmallRng;
 use soc_sim::{build_source, run_scenario_with, RunReport};
 use soc_types::{NodeId, ResVec, SimMillis};
 use soc_workload::{TaskSpec, WorkloadSource};
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
 
 /// One recorded workload decision, in simulation order.
 #[derive(Clone, Debug, PartialEq)]
@@ -60,36 +58,11 @@ pub struct Trace {
     pub fingerprint: String,
 }
 
-/// Wraps any source and logs its outputs.
-///
-/// Trace canonical order: the master's own events (capacities and churn
-/// swaps, recorded at the coordinator) come first, then each shard fork's
-/// delay/task events in shard-id order — per-shard buffers, merged in
-/// shard order when the run ends.
+/// Wraps any source and logs its outputs, in the order the runner asks
+/// for them.
 struct RecordingSource {
     inner: Box<dyn WorkloadSource>,
     events: Vec<TraceEvent>,
-    /// One buffer per shard fork, retained in fork (= shard-id) order.
-    shard_bufs: Vec<Rc<RefCell<Vec<TraceEvent>>>>,
-}
-
-impl RecordingSource {
-    fn new(inner: Box<dyn WorkloadSource>) -> Self {
-        RecordingSource {
-            inner,
-            events: Vec::new(),
-            shard_bufs: Vec::new(),
-        }
-    }
-
-    /// Drain everything recorded so far into the canonical event stream.
-    fn into_events(self) -> Vec<TraceEvent> {
-        let mut events = self.events;
-        for buf in self.shard_bufs {
-            events.append(&mut buf.borrow_mut());
-        }
-        events
-    }
 }
 
 impl WorkloadSource for RecordingSource {
@@ -101,14 +74,20 @@ impl WorkloadSource for RecordingSource {
         cap
     }
 
-    fn next_delay(&mut self, _node: NodeId, _now: SimMillis, _rng: &mut SmallRng) -> SimMillis {
-        // Every shard — a lone one too — draws from its fork; a delay
-        // logged here would land among the master's events.
-        unreachable!("next_delay called on the master recorder");
+    fn next_delay(&mut self, node: NodeId, now: SimMillis, rng: &mut SmallRng) -> SimMillis {
+        let ms = self.inner.next_delay(node, now, rng);
+        self.events.push(TraceEvent::Delay { node: node.0, ms });
+        ms
     }
 
-    fn next_task(&mut self, _node: NodeId, _now: SimMillis, _rng: &mut SmallRng) -> TaskSpec {
-        unreachable!("next_task called on the master recorder");
+    fn next_task(&mut self, node: NodeId, now: SimMillis, rng: &mut SmallRng) -> TaskSpec {
+        let t = self.inner.next_task(node, now, rng);
+        self.events.push(TraceEvent::Task {
+            node: node.0,
+            duration_bits: t.duration_s.to_bits(),
+            dims: (0..t.expect.dim()).map(|d| t.expect[d].to_bits()).collect(),
+        });
+        t
     }
 
     fn note_churn(&mut self, now: SimMillis, left: Option<NodeId>, joined: Option<NodeId>) {
@@ -119,84 +98,32 @@ impl WorkloadSource for RecordingSource {
             joined: joined.map(|n| n.0),
         });
     }
-
-    fn fork_shard(&mut self, shard: usize) -> Box<dyn WorkloadSource> {
-        let inner = self.inner.fork_shard(shard);
-        let buf = Rc::new(RefCell::new(Vec::new()));
-        self.shard_bufs.push(Rc::clone(&buf));
-        Box::new(RecordingFork { inner, buf })
-    }
-}
-
-/// A per-shard recorder: logs the fork's delay/task stream into a buffer
-/// the master drains at the end of the run.
-struct RecordingFork {
-    inner: Box<dyn WorkloadSource>,
-    buf: Rc<RefCell<Vec<TraceEvent>>>,
-}
-
-impl WorkloadSource for RecordingFork {
-    fn node_capacity(&mut self, _rng: &mut SmallRng) -> ResVec {
-        // Capacity draws stay on the master at the coordinator; a call
-        // here would scramble the canonical event order.
-        unreachable!("node_capacity called on a shard fork");
-    }
-
-    fn next_delay(&mut self, node: NodeId, now: SimMillis, rng: &mut SmallRng) -> SimMillis {
-        let ms = self.inner.next_delay(node, now, rng);
-        self.buf
-            .borrow_mut()
-            .push(TraceEvent::Delay { node: node.0, ms });
-        ms
-    }
-
-    fn next_task(&mut self, node: NodeId, now: SimMillis, rng: &mut SmallRng) -> TaskSpec {
-        let t = self.inner.next_task(node, now, rng);
-        self.buf.borrow_mut().push(TraceEvent::Task {
-            node: node.0,
-            duration_bits: t.duration_s.to_bits(),
-            dims: (0..t.expect.dim()).map(|d| t.expect[d].to_bits()).collect(),
-        });
-        t
-    }
-
-    fn note_churn(&mut self, now: SimMillis, left: Option<NodeId>, joined: Option<NodeId>) {
-        // Forward (stateful inners reset per-node state) but stay silent:
-        // the master already recorded the canonical Churn marker.
-        self.inner.note_churn(now, left, joined);
-    }
-
-    fn fork_shard(&mut self, _shard: usize) -> Box<dyn WorkloadSource> {
-        unreachable!("fork_shard called on a shard fork");
-    }
 }
 
 /// Replays a recorded event stream; panics with a position diagnostic on
 /// any desynchronization (which, given a matching scenario, indicates a
 /// corrupted trace).
 ///
-/// The replayer is shard-agnostic by design: delay/task events are
-/// consumed through per-*node* cursors and capacity/churn events through
-/// the master's own cursor. A shared counter proves at the end that every
-/// recorded event was consumed exactly once.
-struct ReplaySource {
-    events: Rc<Vec<TraceEvent>>,
+/// Delay/task events are consumed through per-*node* cursors and
+/// capacity/churn events through one cursor of their own, so a replay
+/// checks each node's stream in its own order; a counter proves at the end
+/// that every recorded event was consumed exactly once.
+struct ReplaySource<'t> {
+    events: &'t [TraceEvent],
     /// Indices of `Delay`/`Task` events, grouped per node, in trace order.
-    per_node: Rc<Vec<Vec<usize>>>,
+    per_node: Vec<Vec<usize>>,
     /// Indices of `Capacity`/`Churn` events, in trace order.
-    master_seq: Rc<Vec<usize>>,
-    /// Per-node cursor into `per_node`; each node is served by exactly
-    /// one instance (its shard's fork).
+    global_seq: Vec<usize>,
+    /// Per-node cursor into `per_node`.
     node_pos: Vec<usize>,
-    /// Cursor into `master_seq`; only the master advances it.
-    master_pos: usize,
-    /// Total events consumed across the master and every fork.
-    consumed: Rc<Cell<usize>>,
-    is_fork: bool,
+    /// Cursor into `global_seq`.
+    global_pos: usize,
+    /// Total events consumed.
+    consumed: usize,
 }
 
-impl ReplaySource {
-    fn new(events: &[TraceEvent]) -> Self {
+impl<'t> ReplaySource<'t> {
+    fn new(events: &'t [TraceEvent]) -> Self {
         let n_nodes = events
             .iter()
             .map(|ev| match ev {
@@ -208,40 +135,35 @@ impl ReplaySource {
             .max()
             .unwrap_or(0);
         let mut per_node = vec![Vec::new(); n_nodes];
-        let mut master_seq = Vec::new();
+        let mut global_seq = Vec::new();
         for (i, ev) in events.iter().enumerate() {
             match ev {
                 TraceEvent::Delay { node, .. } | TraceEvent::Task { node, .. } => {
                     per_node[*node as usize].push(i)
                 }
-                TraceEvent::Capacity { .. } | TraceEvent::Churn { .. } => master_seq.push(i),
+                TraceEvent::Capacity { .. } | TraceEvent::Churn { .. } => global_seq.push(i),
             }
         }
         ReplaySource {
-            events: Rc::new(events.to_vec()),
-            per_node: Rc::new(per_node),
-            master_seq: Rc::new(master_seq),
+            events,
+            per_node,
+            global_seq,
             node_pos: vec![0; n_nodes],
-            master_pos: 0,
-            consumed: Rc::new(Cell::new(0)),
-            is_fork: false,
+            global_pos: 0,
+            consumed: 0,
         }
     }
 
-    fn consumed(&self) -> usize {
-        self.consumed.get()
-    }
-
-    fn next_master(&mut self, wanted: &str) -> &TraceEvent {
-        let Some(&idx) = self.master_seq.get(self.master_pos) else {
+    fn next_global(&mut self, wanted: &str) -> &'t TraceEvent {
+        let Some(&idx) = self.global_seq.get(self.global_pos) else {
             panic!("trace exhausted: no more capacity/churn events (wanted {wanted})");
         };
-        self.master_pos += 1;
-        self.consumed.set(self.consumed.get() + 1);
+        self.global_pos += 1;
+        self.consumed += 1;
         &self.events[idx]
     }
 
-    fn next_for_node(&mut self, node: NodeId, wanted: &str) -> &TraceEvent {
+    fn next_for_node(&mut self, node: NodeId, wanted: &str) -> &'t TraceEvent {
         let idx_list = self
             .per_node
             .get(node.idx())
@@ -254,15 +176,14 @@ impl ReplaySource {
             );
         };
         self.node_pos[node.idx()] = pos + 1;
-        self.consumed.set(self.consumed.get() + 1);
+        self.consumed += 1;
         &self.events[idx]
     }
 }
 
-impl WorkloadSource for ReplaySource {
+impl WorkloadSource for ReplaySource<'_> {
     fn node_capacity(&mut self, _rng: &mut SmallRng) -> ResVec {
-        assert!(!self.is_fork, "node_capacity called on a shard fork");
-        match self.next_master("capacity") {
+        match self.next_global("capacity") {
             TraceEvent::Capacity { bits } => {
                 let vals: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
                 ResVec::from_slice(&vals)
@@ -302,13 +223,7 @@ impl WorkloadSource for ReplaySource {
     }
 
     fn note_churn(&mut self, _now: SimMillis, left: Option<NodeId>, joined: Option<NodeId>) {
-        if self.is_fork {
-            // The master verifies the canonical Churn marker; forks are
-            // only notified so stateful sources can reset per-node state
-            // (the replayer has none).
-            return;
-        }
-        match self.next_master("churn") {
+        match self.next_global("churn") {
             &TraceEvent::Churn {
                 left: l, joined: j, ..
             } => {
@@ -321,31 +236,18 @@ impl WorkloadSource for ReplaySource {
             other => panic!("trace desync: wanted churn, recorded {other:?}"),
         }
     }
-
-    fn fork_shard(&mut self, _shard: usize) -> Box<dyn WorkloadSource> {
-        // Forks are created before any delay/task consumption, so a fresh
-        // cursor vector is exact; each node's cursor is advanced by only
-        // one instance because the executor routes each node's calls to a
-        // single shard.
-        Box::new(ReplaySource {
-            events: Rc::clone(&self.events),
-            per_node: Rc::clone(&self.per_node),
-            master_seq: Rc::clone(&self.master_seq),
-            node_pos: vec![0; self.node_pos.len()],
-            master_pos: 0,
-            consumed: Rc::clone(&self.consumed),
-            is_fork: true,
-        })
-    }
 }
 
 /// Run `spec` once, recording its realized workload stream.
 pub fn record_run(spec: &ScenarioSpec) -> (RunReport, Trace) {
-    let mut rec = RecordingSource::new(Box::new(build_source(&spec.scenario)));
+    let mut rec = RecordingSource {
+        inner: Box::new(build_source(&spec.scenario)),
+        events: Vec::new(),
+    };
     let report = run_scenario_with(&spec.scenario, &mut rec);
     let trace = Trace {
         spec: spec.clone(),
-        events: rec.into_events(),
+        events: rec.events,
         fingerprint: report.fingerprint(),
     };
     (report, trace)
@@ -368,10 +270,10 @@ pub fn replay_run(trace: &Trace) -> Result<RunReport, String> {
             .unwrap_or("unknown panic");
         format!("replay aborted: {msg}")
     })?;
-    if src.consumed() != trace.events.len() {
+    if src.consumed != trace.events.len() {
         return Err(format!(
             "replay consumed {} of {} recorded events — scenario/trace mismatch",
-            src.consumed(),
+            src.consumed,
             trace.events.len()
         ));
     }

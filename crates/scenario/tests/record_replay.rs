@@ -7,7 +7,7 @@ fn spec(text: &str) -> ScenarioSpec {
     ScenarioSpec::parse(text).expect("valid spec")
 }
 
-fn assert_record_replay_bitexact(spec: &ScenarioSpec) -> Trace {
+fn assert_record_replay_bitexact(spec: &ScenarioSpec) {
     let (report, trace) = record_run(spec);
     assert!(report.generated > 0, "{}: nothing generated", spec.name);
     assert!(!trace.events.is_empty());
@@ -35,7 +35,6 @@ fn assert_record_replay_bitexact(spec: &ScenarioSpec) -> Trace {
     assert_eq!(report.finished, replayed.finished);
     assert_eq!(report.msg_total, replayed.msg_total);
     assert_eq!(report.series, replayed.series);
-    trace
 }
 
 #[test]
@@ -73,7 +72,7 @@ fn replay_rejects_a_tampered_trace() {
         .events
         .iter_mut()
         .find_map(|e| match e {
-            soc_scenario::TraceEvent::Delay { ms, .. } => Some(ms),
+            TraceEvent::Delay { ms, .. } => Some(ms),
             _ => None,
         })
         .expect("at least one delay event");
@@ -142,33 +141,4 @@ fn smoke_scale_hostile_blackhole_replays_bit_exactly() {
         .join("../../scenarios/hostile-blackhole-15.scn");
     let spec = ScenarioSpec::load(path).unwrap();
     assert_record_replay_bitexact(&spec);
-}
-
-/// A run with one shard — an unshardable protocol's, or one LAN holding
-/// every id — forks its workload source like any other, and records
-/// through that fork: the master recorder's `next_delay` / `next_task` are
-/// `unreachable!`, so a run that completes never called them, and the
-/// trace lists the master's events (capacities, churn swaps) before the
-/// fork's first delay instead of interleaved with them.
-#[test]
-fn single_shard_runs_record_through_their_fork() {
-    for (name, shape) in [
-        ("rr-newscast", "protocol = newscast"),
-        ("rr-one-lan", "protocol = hid\nlan_size = 200"),
-    ] {
-        let trace = assert_record_replay_bitexact(&spec(&format!(
-            "[scenario]\nname = {name}\n{shape}\nnodes = 100\nhours = 2\nseed = 8\n\
-             mean_arrival_s = 600\nmean_duration_s = 600\nchurn = 0.5\n"
-        )));
-        let forked =
-            |e: &TraceEvent| matches!(e, TraceEvent::Delay { .. } | TraceEvent::Task { .. });
-        let first = trace.events.iter().position(forked).expect("a delay");
-        assert!(trace.events[..first]
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Churn { .. })));
-        assert!(
-            trace.events[first..].iter().all(forked),
-            "{name}: master events after a fork's"
-        );
-    }
 }

@@ -18,7 +18,7 @@
 //! list); ring buckets and coarse slots are intrusive singly-linked lists
 //! of `u32` slab handles, so an event is written once on schedule, relinked
 //! on migration and read once on pop. A memoized minimum makes the
-//! windowed executor's per-window peeks a single load.
+//! runner's peeks a single load.
 //!
 //! **Which tier holds an event is a function of its time and the clock
 //! alone.** With `kf = now / SLOT_MS + RING_MS / SLOT_MS` — the first
@@ -47,10 +47,8 @@ use std::collections::BTreeMap;
 /// Simulation time in milliseconds (matches `soc_types::SimMillis`).
 pub type Time = u64;
 
-/// Ring width in milliseconds. Sized small on purpose: the windowed
-/// executor runs one wheel per shard, and 512 slots keep each shard's
-/// bucket heads and tails (4 KiB) resident in cache as the engine cycles
-/// through every shard per lookahead window.
+/// Ring width in milliseconds. Sized small on purpose: 512 slots keep the
+/// bucket heads and tails (4 KiB) resident in cache.
 const RING_MS: usize = 512;
 /// `RING_MS / 64` occupancy words (one summary `u64` bit per word).
 const RING_WORDS: usize = RING_MS / 64;
@@ -204,7 +202,7 @@ pub struct EventQueue<E> {
     ring_len: usize,
     /// Head of each coarse slot's LIFO list (`NIL` when empty). Boxed:
     /// inline, its 16 KiB rode along every by-value move of a queue and
-    /// of the shard holding it, and read +6 % peak RSS on `churn-storm`.
+    /// of the state holding it, and read +6 % peak RSS on `churn-storm`.
     coarse: Box<[u32; COARSE_SLOTS]>,
     coarse_occ: Occupancy<COARSE_WORDS>,
     /// Events currently in the coarse wheel.
@@ -216,10 +214,10 @@ pub struct EventQueue<E> {
     ovf_min: Time,
     /// Memoized earliest pending timestamp. `Some(t)` is exact (never
     /// stale); `None` means unknown — recompute on the next query. The
-    /// windowed executor peeks every shard queue once per lookahead
-    /// window and every `pop_until` peeks before popping, so without
-    /// this hint the bitmap search runs two to three times per delivered
-    /// event. `Cell` because [`EventQueue::peek_time`] takes `&self`.
+    /// runner peeks the node queue before every run of pops and every
+    /// `pop_until` peeks before popping, so without this hint the bitmap
+    /// search runs two to three times per delivered event. `Cell` because
+    /// [`EventQueue::peek_time`] takes `&self`.
     min_hint: Cell<Option<Time>>,
 }
 

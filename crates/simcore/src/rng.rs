@@ -43,7 +43,7 @@ pub enum RngStreams {
 /// stream (`soc-lint`'s `rng-stream-ownership` rule parses this table
 /// and flags draws from anywhere else, the way the knob registry pins
 /// `SOC_*` reads). One owner per stream keeps draw ordering a local
-/// property of that crate — the invariant the per-shard streams
+/// property of that crate — the invariant the node-side streams
 /// ([`stream_rng_shard`]) lean on. `"test-only"` marks
 /// streams that sim code must never draw.
 pub const STREAM_OWNERS: &[(&str, &str)] = &[
@@ -87,13 +87,14 @@ pub fn stream_rng(seed: u64, stream: RngStreams) -> SmallRng {
     SmallRng::seed_from_u64(mixed)
 }
 
-/// Derive the per-shard RNG for `stream` under master `seed`.
+/// Derive the RNG for `stream` in partition `shard` under master `seed`.
 ///
-/// The runner gives every shard its own instance of each node-facing
-/// stream so draw ordering stays a shard-local property.
-/// Every shard — including shard 0 — mixes a shard-dependent term, so no
-/// shard stream ever aliases the master [`stream_rng`] stream (the
-/// coordinator keeps drawing the master streams for churn/bootstrap).
+/// The runner draws its node-facing streams from partition 0; a run is
+/// not partitioned any more, but every pinned fingerprint was recorded
+/// under this derivation, so it stays. Every partition — 0 included —
+/// mixes a partition-dependent term, so no such stream ever aliases the
+/// master [`stream_rng`] stream (the coordinator keeps drawing the master
+/// streams for churn/bootstrap).
 pub fn stream_rng_shard(seed: u64, stream: RngStreams, shard: usize) -> SmallRng {
     let mixed = splitmix64(
         splitmix64(seed)

@@ -5,8 +5,7 @@
 //! protocol cycles and timeouts the simulator arms, delays that straddle
 //! each tier boundary (ring / coarse slot / coarse horizon) with ties split
 //! between a direct insert and a migrant, and idle jumps across many empty
-//! coarse slots. A second property pins the order argument the runner's
-//! sort-free barrier merge rests on.
+//! coarse slots.
 //!
 //! Runs 256 cases minimum (`PROPTEST_CASES` can only raise it), per the
 //! acceptance bar for the queue rewrite.
@@ -278,45 +277,5 @@ proptest! {
             prop_assert_eq!(cal.pop(), Some(e));
         }
         prop_assert_eq!(cal.pop(), None);
-    }
-
-    /// What licenses the runner's sort-free barrier merge: queue order is
-    /// `(time, insertion seq)`, so scheduling per-shard outboxes
-    /// concatenated in shard order pops exactly like scheduling the same
-    /// batch stably sorted by time — also relative to same-instant events
-    /// the target queue already holds.
-    #[test]
-    fn shard_order_insertion_pops_like_time_sorted_batch(
-        lens in prop::collection::vec(0usize..12, 1..8),
-        times in prop::collection::vec(0u64..6, 96),
-        locals in prop::collection::vec(0u64..6, 0..10),
-    ) {
-        // Tiny timestamp range on purpose: maximal tie pressure.
-        let mut times = times.iter().copied();
-        let concat: Vec<(u64, u64)> = lens
-            .iter()
-            .enumerate()
-            .flat_map(|(shard, &len)| (0..len).map(move |seq| (shard * 100 + seq) as u64))
-            .map(|payload| (times.next().expect("96 >= 8 * 12"), payload))
-            .collect();
-        let mut sorted = concat.clone();
-        sorted.sort_by_key(|&(t, _)| t); // stable
-        // Full pop order of `locals` then `batch`, on the wheel and on the
-        // model, so the argument is checked against the contract itself.
-        let pops = |batch: &[(u64, u64)]| {
-            let mut q: EventQueue<u64> = EventQueue::new();
-            let mut m = HeapModel::default();
-            let held = locals.iter().enumerate().map(|(i, &t)| (t, 10_000 + i as u64));
-            for (t, payload) in held.chain(batch.iter().copied()) {
-                q.schedule_at(t, payload);
-                m.schedule_at(t, payload);
-            }
-            let wheel: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-            let model: Vec<_> = std::iter::from_fn(|| m.pop()).collect();
-            (wheel, model)
-        };
-        let (wheel, model) = pops(&concat);
-        prop_assert_eq!(&pops(&sorted), &(wheel.clone(), model.clone()), "order diverged");
-        prop_assert_eq!(wheel, model, "wheel left the model");
     }
 }

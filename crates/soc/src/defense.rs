@@ -22,9 +22,8 @@
 //! workspace-wide.
 
 use std::collections::BTreeMap;
-use std::ops::Range;
 
-use soc_types::{NodeId, OwnedRows, SimMillis};
+use soc_types::{NodeId, SimMillis};
 
 /// Tunables for the suspicion/blacklist/retry pipeline.
 #[derive(Clone, Copy, Debug)]
@@ -67,34 +66,28 @@ struct Entry {
 }
 
 /// Per-node blacklists: `per[by]` maps suspected node → entry. There is a
-/// row for every observer in the owned id range (a shard's own nodes);
-/// suspects are arbitrary node ids.
+/// row for every observer id; suspects are arbitrary node ids.
 #[derive(Clone, Debug)]
 pub struct Blacklist {
-    per: OwnedRows<BTreeMap<NodeId, Entry>>,
+    per: Vec<BTreeMap<NodeId, Entry>>,
     /// Total blacklisting events over the run (re-blacklisting after
     /// expiry counts again).
     pub blacklisted_total: u64,
 }
 
 impl Blacklist {
-    /// Empty blacklists for the observers with ids in `observers`.
-    pub fn new(observers: Range<u32>) -> Self {
+    /// Empty blacklists for the observers with ids below `n`.
+    pub fn new(n: usize) -> Self {
         Blacklist {
-            per: OwnedRows::new(observers, |_| BTreeMap::new()),
+            per: vec![BTreeMap::new(); n],
             blacklisted_total: 0,
         }
-    }
-
-    /// The observers (ids) this blacklist holds a row for.
-    pub fn observers(&self) -> Range<u32> {
-        self.per.owned()
     }
 
     /// Register a strike by `by` against `of` at `now`. Returns true when
     /// this strike newly blacklisted `of` (for confusion accounting).
     pub fn strike(&mut self, by: NodeId, of: NodeId, now: SimMillis, p: &DefenseParams) -> bool {
-        let e = self.per[by].entry(of).or_insert(Entry {
+        let e = self.per[by.idx()].entry(of).or_insert(Entry {
             strikes: 0,
             window_start: now,
             until: 0,
@@ -119,26 +112,23 @@ impl Blacklist {
     /// Is `of` currently blacklisted by `by`? Read-only — expired entries
     /// simply stop matching (they are swept lazily on `clear_node`).
     pub fn is_blacklisted(&self, by: NodeId, of: NodeId, now: SimMillis) -> bool {
-        self.per[by].get(&of).is_some_and(|e| e.until > now)
+        self.per[by.idx()].get(&of).is_some_and(|e| e.until > now)
     }
 
-    /// Number of active (unexpired) entries across the observers held here.
+    /// Number of active (unexpired) entries across all observers.
     pub fn active_total(&self, now: SimMillis) -> u64 {
         self.per
-            .as_slice()
             .iter()
             .map(|m| m.values().filter(|e| e.until > now).count() as u64)
             .sum()
     }
 
     /// A node churned away and was replaced: forget its own suspicions
-    /// (when its row is held here) and the held observers' suspicions about
-    /// it — the new occupant of the slot is a different machine.
+    /// and every observer's suspicions about it — the new occupant of the
+    /// slot is a different machine.
     pub fn clear_node(&mut self, node: NodeId) {
-        if let Some(own) = self.per.get_mut(node) {
-            own.clear();
-        }
-        for m in self.per.as_mut_slice() {
+        self.per[node.idx()].clear();
+        for m in &mut self.per {
             m.remove(&node);
         }
     }
@@ -154,7 +144,7 @@ mod tests {
 
     #[test]
     fn single_strike_does_not_blacklist() {
-        let mut b = Blacklist::new(0..4);
+        let mut b = Blacklist::new(4);
         assert!(!b.strike(NodeId(0), NodeId(1), 1_000, &p()));
         assert!(!b.is_blacklisted(NodeId(0), NodeId(1), 1_001));
         assert_eq!(b.blacklisted_total, 0);
@@ -162,7 +152,7 @@ mod tests {
 
     #[test]
     fn threshold_strikes_within_window_blacklist() {
-        let mut b = Blacklist::new(0..4);
+        let mut b = Blacklist::new(4);
         assert!(!b.strike(NodeId(0), NodeId(1), 1_000, &p()));
         assert!(b.strike(NodeId(0), NodeId(1), 30_000, &p()));
         assert!(b.is_blacklisted(NodeId(0), NodeId(1), 30_001));
@@ -174,7 +164,7 @@ mod tests {
     fn slow_but_honest_node_is_not_permanently_blacklisted() {
         // Isolated strikes spaced wider than the window never accumulate:
         // the occasional lost message cannot blacklist an honest node.
-        let mut b = Blacklist::new(0..4);
+        let mut b = Blacklist::new(4);
         let params = p();
         for k in 0..10 {
             let t = 1_000 + k * (params.strike_window_ms + 1);
@@ -193,7 +183,7 @@ mod tests {
 
     #[test]
     fn entries_expire_and_can_reblacklist() {
-        let mut b = Blacklist::new(0..4);
+        let mut b = Blacklist::new(4);
         let params = p();
         b.strike(NodeId(0), NodeId(1), 1_000, &params);
         assert!(b.strike(NodeId(0), NodeId(1), 2_000, &params));
@@ -208,7 +198,7 @@ mod tests {
 
     #[test]
     fn suspicion_is_per_observer() {
-        let mut b = Blacklist::new(0..4);
+        let mut b = Blacklist::new(4);
         b.strike(NodeId(0), NodeId(1), 1_000, &p());
         b.strike(NodeId(0), NodeId(1), 2_000, &p());
         assert!(b.is_blacklisted(NodeId(0), NodeId(1), 3_000));
@@ -217,7 +207,7 @@ mod tests {
 
     #[test]
     fn clear_node_forgets_both_directions() {
-        let mut b = Blacklist::new(0..4);
+        let mut b = Blacklist::new(4);
         b.strike(NodeId(0), NodeId(1), 1_000, &p());
         b.strike(NodeId(0), NodeId(1), 2_000, &p());
         b.strike(NodeId(1), NodeId(2), 1_000, &p());
@@ -229,31 +219,8 @@ mod tests {
     }
 
     #[test]
-    fn clear_node_without_the_nodes_own_row_only_forgets_suspicions_about_it() {
-        // Two shards' blacklists: node 1's row lives in `a`, yet `b`'s
-        // observers may suspect it too.
-        let (mut a, mut b) = (Blacklist::new(0..4), Blacklist::new(4..8));
-        for t in [1_000, 2_000] {
-            a.strike(NodeId(1), NodeId(6), t, &p());
-            b.strike(NodeId(5), NodeId(1), t, &p());
-            b.strike(NodeId(5), NodeId(2), t, &p());
-        }
-        a.clear_node(NodeId(1));
-        b.clear_node(NodeId(1));
-        assert_eq!(a.active_total(3_000), 0);
-        assert!(!b.is_blacklisted(NodeId(5), NodeId(1), 3_000));
-        assert!(b.is_blacklisted(NodeId(5), NodeId(2), 3_000));
-    }
-
-    #[test]
-    #[should_panic(expected = "row of n5 is not held here")]
-    fn striking_for_an_observer_held_elsewhere_panics() {
-        Blacklist::new(0..4).strike(NodeId(5), NodeId(1), 1_000, &p());
-    }
-
-    #[test]
     fn while_listed_strikes_do_not_double_count() {
-        let mut b = Blacklist::new(0..4);
+        let mut b = Blacklist::new(4);
         let params = p();
         b.strike(NodeId(0), NodeId(1), 1_000, &params);
         assert!(b.strike(NodeId(0), NodeId(1), 2_000, &params));

@@ -1,4 +1,4 @@
-//! The events a shard's queue holds, and the profiler phase each is
+//! The events the node queue holds, and the profiler phase each is
 //! charged to.
 
 use soc_net::MsgKind;
@@ -9,7 +9,7 @@ use soc_types::{NodeId, QueryId, ResVec, SimMillis, TaskId};
 /// best-fit order (Inequality (2) is re-checked on arrival; a node that no
 /// longer qualifies rejects, and the task bounces back through the
 /// requester to the next candidate). Carries its own expectation so the
-/// executing shard can settle the efficiency without global tables.
+/// executing node can settle the efficiency when the task finishes.
 #[derive(Clone, Debug)]
 pub(super) struct DispatchSpec {
     pub(super) tid: TaskId,
@@ -25,11 +25,10 @@ pub(super) struct DispatchSpec {
     pub(super) is_local: bool,
 }
 
-/// Shard-level events. Every variant is anchored to one node, and the
-/// event is always processed by that node's shard.
+/// Node events. Every variant is anchored to one node.
 ///
-/// An event is moved ~7 times between the handler that emits it and the
-/// handler that consumes it (effect → outbox/queue slab → pop → dispatch),
+/// An event is moved several times between the handler that emits it and
+/// the handler that consumes it (effect → queue slab → pop → dispatch),
 /// so it stays at 48 bytes: protocol messages box their fat bodies (see
 /// the message enums), and the dispatch payload rides behind a `Box` that
 /// bounces with the task.
@@ -64,7 +63,6 @@ pub(super) enum Ev<M> {
     },
     /// Forward-timeout suspicion: `by` sent a message to `of` that a fault
     /// swallowed; after the suspicion delay, `by` registers a strike.
-    /// Processed by `by`'s shard (the observer owns the suspicion).
     Suspect {
         by: NodeId,
         of: NodeId,
@@ -76,10 +74,6 @@ const _: () = {
     assert!(std::mem::size_of::<Ev<soc_khdn::KhdnMsg>>() <= 48);
     assert!(std::mem::size_of::<Ev<soc_gossip::GossipMsg>>() <= 48);
 };
-
-/// Cross-shard events buffered within one window: `(fire time, target
-/// shard, event)`, in emission order.
-pub(super) type Outbox<M> = Vec<(SimMillis, usize, Ev<M>)>;
 
 /// The dispatch-group phase charged for one popped event. Total order and
 /// disjointness come for free: every event lands in exactly one arm — the

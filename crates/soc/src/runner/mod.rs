@@ -1,135 +1,98 @@
 //! The event loop: tasks, queries, dispatch, execution, churn, metrics.
 //!
-//! # The windowed executor
+//! A run is two values pumped by one loop on the calling thread:
 //!
-//! The simulation state is partitioned into **shards** — unions of whole
-//! LANs, `min(8, LAN count)` of them — and driven by one loop, on the
-//! calling thread, in bounded lookahead windows:
+//! - The **node side** ([`nodes`]) owns every node id: the CAN overlay and
+//!   LAN topology, one event queue ([`event`]), the protocol instance, the
+//!   executors, pending queries, the workload source and the node-side RNG
+//!   streams. Every per-node table — executors, completion memo,
+//!   blacklists, the protocol's caches and finger tables — is a plain
+//!   `Vec` indexed by [`soc_types::NodeId::idx`].
+//! - The **coordinator** ([`coord`]) holds whole-system concerns (churn,
+//!   metric sampling, capacity draws for joiners) on its own queue. At
+//!   equal instants a coordinator event runs first, so churn and sampling
+//!   at `t` precede node events at `t`.
 //!
-//! - Every shard ([`shard`]) owns its nodes' event queue ([`event`]), protocol
-//!   instance, workload fork, executors, pending queries and RNG streams.
-//!   Its nodes are one contiguous id range, and every per-node table it
-//!   keeps — executors, completion memo, blacklists, the protocol's caches
-//!   and finger tables — has rows for that range and no other
-//!   ([`soc_types::OwnedRows`]). A window `[w0, wb)` is chosen so that
-//!   `wb − w0` never exceeds the minimum cross-LAN latency (the
-//!   conservative lookahead `L`); each shard then pops its own events up to
-//!   `wb` with no knowledge of the others.
-//! - Events a shard generates for a foreign shard (message deliveries,
-//!   task dispatches, suspicion timers for foreign observers) are buffered
-//!   in a per-shard **outbox**. Since cross-shard always means cross-LAN,
-//!   every such event fires at least `L` after the instant that produced
-//!   it — i.e. at or after `wb` — so buffering until the window closes
-//!   can never reorder it before an event the target shard already ran.
-//! - When the window closes the outboxes are drained into the target
-//!   queues in **sender-shard order, each in emission order** ([`drive`]).
-//!   The queues order by `(timestamp, insertion sequence)`, so that
-//!   insertion order alone fixes every same-instant tie — no sort — and
-//!   the delivered schedule is a pure function of the buffered events.
-//! - Global concerns (churn, metric sampling, capacity draws, the CAN
-//!   structure) live on a **coordinator** ([`coord`]) with its own event
-//!   queue. Coordinator events run between windows, with `&mut` access to
-//!   the world and every shard.
-//!
-//! There is one way to build a shard and one way to pump it. [`boot`] is
-//! handed a constructor `Fn(Range<u32>) -> P` and calls it once per shard
-//! with the id range whose rows that shard's protocol instance holds; the
-//! workload source is forked once per shard the same way. A protocol that
-//! is not [`DiscoveryOverlay::SHARDABLE`] (the gossip baselines keep
-//! cross-node handler state) and an oracle run get one shard that owns
-//! every id — built and pumped exactly like one of eight. The shard count
-//! is a constant of the simulated model, like `lan_size`: per-shard RNG
-//! streams, id namespaces and workload forks make the cut part of what a
-//! fingerprint pins, and nothing in the environment can change it.
-//!
-//! Nothing in a run is shared between threads: the shards are a plain
-//! `Vec`, pumped one after the other. They remain because the cut decides
-//! which RNG stream serves a draw and how same-instant events tie, so
-//! every pinned `RunReport::fingerprint` depends on it; one plain queue
-//! needs a partition-invariant tie-break first (ROADMAP G(3)). Pumping
-//! the same windows on worker threads lost end to end (README, decisions
-//! table). [`finish`] folds the shards into the report.
+//! [`boot`] builds both, [`drive`] pumps them, [`finish`] assembles the
+//! report. Both queues order by `(timestamp, insertion sequence)`, so
+//! insertion order fixes every same-instant tie and a run is a pure
+//! function of `(scenario, seed)` — and of `SOC_FAULT_DEFENSE`, the one
+//! knob that changes an outcome.
 
 mod boot;
 mod coord;
-mod drive;
 mod event;
 mod finish;
-mod shard;
+mod nodes;
 
 use crate::report::RunReport;
 use crate::scenario::{ProtocolChoice, Scenario};
 use boot::bootstrap;
-use coord::CoEv;
+use coord::{CoEv, Coord};
+use nodes::Nodes;
 use pidcan::{PidCan, PidCanConfig};
-use soc_can::CanOverlay;
 use soc_gossip::{GossipConfig, Newscast};
 use soc_khdn::{KhdnCan, KhdnConfig};
-use soc_net::LanTopology;
 use soc_overlay::DiscoveryOverlay;
-use soc_types::{NodeId, SimMillis};
 use soc_workload::{SyntheticSource, WorkloadSource};
-use std::ops::Range;
 
 fn defense_from_env() -> bool {
     soc_types::knobs::value("SOC_FAULT_DEFENSE").as_deref() == Some("on")
 }
 
-/// World state every shard reads during a window and only the coordinator
-/// mutates (the CAN overlay, on churn), between windows.
-struct World {
-    can: CanOverlay,
-    topo: LanTopology,
-    /// Node → shard (whole-LAN groupings, fixed for the run).
-    shard_of: Vec<usize>,
-    /// Conservative lookahead: the minimum cross-LAN latency. Every
-    /// cross-shard event fires at least this far after its cause.
-    lookahead: SimMillis,
-}
-
-/// Run one scenario through the windowed engine; `make_proto` builds the
-/// protocol instance that holds the rows of one id range (see
-/// [`boot::bootstrap`]).
-fn run_windowed<P: DiscoveryOverlay>(
+/// Run one scenario; `make_proto` builds the protocol instance for an id
+/// capacity (see [`boot::bootstrap`]).
+fn run_with<P: DiscoveryOverlay>(
     sc: &Scenario,
     source: &mut dyn WorkloadSource,
-    make_proto: impl Fn(Range<u32>) -> P,
+    make_proto: impl FnOnce(usize) -> P,
     can_dim: usize,
     defense_on: bool,
 ) -> RunReport {
     // soc-lint: allow(no-wall-clock) -- wall_ms is diagnostic-only and excluded from fingerprint() (see report.rs FINGERPRINT_EXCLUDED)
     let wall_start = std::time::Instant::now();
-    let (mut coord, mut world, mut shards) = bootstrap(sc, source, make_proto, can_dim, defense_on);
+    let (mut coord, mut nodes) = bootstrap(sc, source, make_proto, can_dim, defense_on);
 
-    // Protocol start-up, then the arrival chains, per shard over its own
-    // live nodes in id order. Cross-shard bootstrap sends are cross-LAN, so
-    // buffering them to the first merge is within the lookahead rule.
-    let mut own: Vec<Vec<NodeId>> = vec![Vec::new(); shards.len()];
+    // Protocol start-up, then the arrival chains, over the live nodes in
+    // id order.
+    nodes.with_proto(|p, ctx| p.on_start(ctx, &coord.live));
+    // `on_start` emits for every node in one callback; dropped here, the
+    // recycled buffers regrow to the size of one steady-state event's
+    // effects instead of keeping start-up's.
+    nodes.fx_buf = Vec::new();
+    nodes.fx_next = Vec::new();
     for &node in &coord.live {
-        own[world.shard_of[node.idx()]].push(node);
-    }
-    for (sh, own) in shards.iter_mut().zip(&own) {
-        sh.with_proto(&world, |p, ctx| p.on_start(ctx, own));
-    }
-    drive::merge_outboxes(&mut shards);
-    for (sh, own) in shards.iter_mut().zip(&own) {
-        // `on_start` emits for every node of the shard in one callback;
-        // dropped here, the recycled buffers regrow to the size of one
-        // steady-state event's effects instead of keeping start-up's.
-        sh.fx_buf = Vec::new();
-        sh.fx_next = Vec::new();
-        sh.outbox = Vec::new();
-        for &node in own {
-            sh.schedule_arrival(node);
-        }
+        nodes.schedule_arrival(node);
     }
     // Sampling + churn live on the coordinator queue.
     coord.cq.schedule_at(sc.sample_ms, CoEv::Sample);
     coord.schedule_next_churn(0);
 
-    drive::drive(&mut coord, &mut world, &mut shards);
+    drive(&mut coord, &mut nodes);
 
-    finish::finish(coord, shards, wall_start)
+    finish::finish(coord, nodes, wall_start)
+}
+
+/// Run the earliest coordinator event while it is due at or before the
+/// earliest node event; otherwise pump node events up to the next
+/// coordinator event. Returns when no event remains at or before the
+/// deadline.
+fn drive<P: DiscoveryOverlay>(coord: &mut Coord<'_>, nodes: &mut Nodes<'_, P>) {
+    let deadline = coord.sc.duration_ms;
+    loop {
+        let tn = nodes.queue.peek_time().filter(|&t| t <= deadline);
+        match coord.cq.peek_time().filter(|&t| t <= deadline) {
+            Some(tc) if tn.is_none_or(|t| tc <= t) => {
+                let (at, ev) = coord.cq.pop_until(tc).expect("peeked coordinator event");
+                debug_assert_eq!(at, tc);
+                coord.handle_coev(nodes, tc, ev);
+            }
+            // `tc > tn` here, so the earliest node event is inside.
+            Some(tc) => nodes.pump(tc),
+            None if tn.is_some() => nodes.pump(deadline + 1),
+            None => break,
+        }
+    }
 }
 
 /// Build the scenario's configured synthetic workload source (the object a
@@ -165,24 +128,22 @@ pub fn run_scenario_with(sc: &Scenario, source: &mut dyn WorkloadSource) -> RunR
         ProtocolChoice::HidSos => PidCanConfig::hid_sos(),
         ProtocolChoice::SidSos => PidCanConfig::sid_sos(),
         ProtocolChoice::SidVd => PidCanConfig::sid_vd(),
-        // The baselines are not shardable: the one range their constructor
-        // is handed is every id.
         ProtocolChoice::Newscast => {
             let cfg = GossipConfig::default().scale_cycles(f);
-            let make = |ids: Range<u32>| Newscast::new(cfg, sc.n_nodes, ids.end as usize);
-            return run_windowed(sc, source, make, dims, defense_on);
+            let make = |max_nodes| Newscast::new(cfg, sc.n_nodes, max_nodes);
+            return run_with(sc, source, make, dims, defense_on);
         }
         ProtocolChoice::Khdn => {
             let cfg = KhdnConfig::default().scale_cycles(f);
-            let make = |ids: Range<u32>| KhdnCan::new(cfg, sc.n_nodes, ids.end as usize);
-            return run_windowed(sc, source, make, dims, defense_on);
+            let make = |max_nodes| KhdnCan::new(cfg, sc.n_nodes, max_nodes);
+            return run_with(sc, source, make, dims, defense_on);
         }
     };
     let mut cfg = cfg.scale_cycles(f);
     cfg.corner_jitter = sc.corner_jitter;
     let dim = cfg.overlay_dim();
-    let make = |ids| PidCan::for_range(cfg, dim, sc.n_nodes, ids);
-    run_windowed(sc, source, make, dim, defense_on)
+    let make = |max_nodes| PidCan::new(cfg, dim, sc.n_nodes, max_nodes);
+    run_with(sc, source, make, dim, defense_on)
 }
 
 #[cfg(test)]

@@ -1,40 +1,35 @@
-//! One shard: its nodes' host state, and the handlers of its events.
+//! The node side of a run: every node's host state, the overlay and
+//! network they sit on, and the handlers of their events.
 
-use super::event::{dispatch_phase, DispatchSpec, Ev, Outbox};
-use super::World;
+use super::event::{dispatch_phase, DispatchSpec, Ev};
 use crate::defense::{Blacklist, DefenseParams};
 use crate::scenario::Scenario;
 use rand::rngs::SmallRng;
 use rand::RngExt;
+use soc_can::CanOverlay;
 use soc_metrics::TaskTracker;
-use soc_net::{FaultPlan, MsgKind, MsgStats};
+use soc_net::{FaultPlan, LanTopology, MsgKind, MsgStats};
 use soc_overlay::{
     Candidate, Ctx, DiscoveryOverlay, Effect, HostInfo, Phase, Profiler, QueryRequest, QueryVerdict,
 };
 use soc_psm::{NodeExec, RunningTask};
 use soc_simcore::EventQueue;
-use soc_types::{NodeId, OwnedRows, QueryId, ResVec, SimMillis, TaskId, PERF_DIMS};
+use soc_types::{NodeId, QueryId, ResVec, SimMillis, TaskId, PERF_DIMS};
 use soc_workload::WorkloadSource;
 use std::collections::BTreeMap;
 
-/// Host-side state visible to protocols, one per shard. `execs` and the
-/// blacklist hold rows for the shard's own nodes only — asking for any
-/// other node's is a panic — while `alive` and the fault flags, which
-/// every shard reads for foreign ids (is the destination up? is the
-/// receiver a blackhole?), are full-size replicas re-synchronized by the
-/// coordinator on churn (the only writer).
+/// Host-side state visible to protocols: one row per node id, indexed by
+/// [`NodeId::idx`]. Churn (the coordinator) is the only writer of `alive`
+/// and the fault flags.
 pub(super) struct Hosts {
-    pub(super) execs: OwnedRows<NodeExec>,
+    pub(super) execs: Vec<NodeExec>,
     pub(super) alive: Vec<bool>,
     pub(super) cmax: ResVec,
     /// Injected-fault state: which nodes are blackholes/liars, loss
     /// channels, drop counters. All-zero config = cooperative network.
-    /// Per-shard mirror of the coordinator's master plan; flags are
-    /// synced on churn, drop counters accumulate locally and are summed
-    /// into the report.
     pub(super) fault: FaultPlan,
     /// Per-node suspicion blacklists (defence layer; empty when off), one
-    /// row per observer (`by`) this shard owns.
+    /// row per observer (`by`).
     pub(super) blacklist: Blacklist,
     /// `SOC_FAULT_DEFENSE=on` — read once per run, at the public entry.
     pub(super) defense_on: bool,
@@ -50,7 +45,7 @@ impl HostInfo for Hosts {
             // and see the real availability.
             return self.cmax;
         }
-        self.execs[node].availability()
+        self.execs[node.idx()].availability()
     }
     fn cmax(&self) -> &ResVec {
         &self.cmax
@@ -63,7 +58,7 @@ impl HostInfo for Hosts {
     }
 }
 
-/// A discovery in progress (owned by the requester's shard).
+/// A discovery in progress, keyed by query id.
 pub(super) struct PendingQuery {
     pub(super) requester: NodeId,
     demand: ResVec,
@@ -88,14 +83,9 @@ fn expected_time(demand: &ResVec, duration_s: f64, avg_cap: &ResVec) -> f64 {
     t.max(1e-6)
 }
 
-/// Task ids are packed `(shard << 48) | counter` so every shard allocates
-/// from a disjoint namespace without coordination. Query ids use the same
-/// packing.
-const ID_SHARD_SHIFT: u32 = 48;
-
-/// What a shard counts while it runs; the report sums these over shards.
+/// What the node side counts while it runs, for the report.
 #[derive(Default)]
-pub(super) struct ShardCounters {
+pub(super) struct Counters {
     pub(super) comp_scheduled: u64,
     pub(super) comp_dedup_skips: u64,
     pub(super) comp_dead_pops: u64,
@@ -108,53 +98,34 @@ pub(super) struct ShardCounters {
     pub(super) oracle_record_matchable: u64,
 }
 
-impl ShardCounters {
-    pub(super) fn absorb(&mut self, o: &ShardCounters) {
-        self.comp_scheduled += o.comp_scheduled;
-        self.comp_dedup_skips += o.comp_dedup_skips;
-        self.comp_dead_pops += o.comp_dead_pops;
-        self.retries += o.retries;
-        self.suspicions += o.suspicions;
-        self.suspected_evil += o.suspected_evil;
-        self.suspected_honest += o.suspected_honest;
-        self.oracle_matchable += o.oracle_matchable;
-        self.oracle_match_sum += o.oracle_match_sum;
-        self.oracle_record_matchable += o.oracle_record_matchable;
-    }
-}
-
-/// One shard: the nodes of a fixed group of LANs — a contiguous id range —
-/// their event queue, their rows of every per-node table, and private RNG
-/// streams.
-pub(super) struct Shard<P: DiscoveryOverlay> {
-    pub(super) id: usize,
+/// Every node of the run: the CAN overlay and LAN topology they sit on,
+/// their event queue, their row of every per-node table, and the
+/// node-side RNG streams.
+pub(super) struct Nodes<'s, P: DiscoveryOverlay> {
     pub(super) sc: Scenario,
-    /// This shard's workload fork: serves the `next_delay` / `next_task`
-    /// draws of the nodes the shard owns.
-    pub(super) source: Box<dyn WorkloadSource>,
+    /// The CAN structure; churn (the coordinator) is its only writer.
+    pub(super) can: CanOverlay,
+    pub(super) topo: LanTopology,
+    /// The workload source: every capacity, delay and task of the run.
+    pub(super) source: &'s mut dyn WorkloadSource,
     /// Current simulation time: the timestamp of the event being handled
-    /// (or the coordinator's between-windows instant during its own
-    /// calls). All shard logic reads this, never the queue clock, which
-    /// lags at window boundaries.
+    /// (or the coordinator's instant during its own calls). All node logic
+    /// reads this, never the queue clock, which lags while the coordinator
+    /// runs.
     pub(super) now: SimMillis,
     pub(super) proto: P,
     pub(super) hosts: Hosts,
     pub(super) queue: EventQueue<Ev<P::Msg>>,
-    /// Cross-shard events produced this window, in emission order.
-    /// Drained when the window closes.
-    pub(super) outbox: Outbox<P::Msg>,
     /// BTreeMap (not HashMap): the churn-kill sweep iterates this map, and
     /// ordered iteration keeps that sweep deterministic by construction.
-    /// Requester-partitioned: a query lives on its requester's shard.
     pub(super) pending: BTreeMap<QueryId, PendingQuery>,
     /// Recycled effect buffers: one `Ctx` is built per delivered event, so
     /// handing the drained Vec back avoids an allocation per event.
     pub(super) fx_buf: Vec<Effect<P::Msg>>,
     pub(super) fx_next: Vec<Effect<P::Msg>>,
-    /// Expectation + locality of every task currently *resident* on this
-    /// shard's executors, keyed by task id (inserted on admit, removed on
-    /// finish or churn-drain). Replaces the serial engine's global
-    /// append-only vectors.
+    /// Expectation + locality of every task currently *resident* on an
+    /// executor, keyed by task id (inserted on admit, removed on finish or
+    /// churn-drain).
     pub(super) task_info: BTreeMap<TaskId, (f64, bool)>,
     /// Per-node completion-event memo: the `(fire time, epoch tag)` of the
     /// single scheduled `Ev::Completion` this node considers live. A popped
@@ -162,10 +133,10 @@ pub(super) struct Shard<P: DiscoveryOverlay> {
     /// superseded) and is discarded in O(1); a new prediction equal to the
     /// already-scheduled fire time re-validates the queued event instead of
     /// enqueueing a duplicate.
-    pub(super) comp_sched: OwnedRows<Option<(SimMillis, u64)>>,
+    pub(super) comp_sched: Vec<Option<(SimMillis, u64)>>,
     /// Defence tunables (fixed; the knob only switches the layer on/off).
     pub(super) defense: DefenseParams,
-    pub(super) counters: ShardCounters,
+    pub(super) counters: Counters,
     pub(super) tracker: TaskTracker,
     pub(super) stats: MsgStats,
     pub(super) avg_cap: ResVec,
@@ -187,49 +158,32 @@ pub(super) struct Shard<P: DiscoveryOverlay> {
     pub(super) prof: Profiler,
 }
 
-impl<P: DiscoveryOverlay> Shard<P> {
+impl<P: DiscoveryOverlay> Nodes<'_, P> {
     fn alloc_tid(&mut self) -> TaskId {
-        debug_assert!(self.next_task < 1 << ID_SHARD_SHIFT);
-        let t = TaskId(((self.id as u64) << ID_SHARD_SHIFT) | self.next_task);
+        let t = TaskId(self.next_task);
         self.next_task += 1;
         t
     }
 
     fn alloc_qid(&mut self) -> QueryId {
-        debug_assert!(self.next_query < 1 << ID_SHARD_SHIFT);
-        let q = QueryId(((self.id as u64) << ID_SHARD_SHIFT) | self.next_query);
+        let q = QueryId(self.next_query);
         self.next_query += 1;
         q
-    }
-
-    /// Schedule `ev` at `at` on `target`'s shard: directly into our own
-    /// queue, or into the outbox for the end-of-window merge.
-    fn route(&mut self, at: SimMillis, target: NodeId, ev: Ev<P::Msg>, world: &World) {
-        let tgt = world.shard_of[target.idx()];
-        if tgt == self.id {
-            self.queue.schedule_at(at, ev);
-        } else {
-            debug_assert!(
-                at >= self.now + world.lookahead,
-                "cross-shard event inside the lookahead window"
-            );
-            self.outbox.push((at, tgt, ev));
-        }
     }
 
     /// Fault verdict for one in-flight control message. Returns true when
     /// a partition window or a loss channel swallows it. Draws from
     /// `rng_fault` only when the fault model is enabled — clean runs take
     /// the constant-false branch and consume no randomness.
-    fn fault_drops_send(&mut self, from: NodeId, to: NodeId, world: &World) -> bool {
+    fn fault_drops_send(&mut self, from: NodeId, to: NodeId) -> bool {
         if !self.hosts.fault.config().enabled() {
             return false;
         }
-        let (la, lb) = (world.topo.lan_of(from), world.topo.lan_of(to));
+        let (la, lb) = (self.topo.lan_of(from), self.topo.lan_of(to));
         if self
             .hosts
             .fault
-            .partitioned(self.now, la, lb, world.topo.n_lans())
+            .partitioned(self.now, la, lb, self.topo.n_lans())
         {
             self.hosts.fault.count_partition_drop();
             return true;
@@ -239,16 +193,12 @@ impl<P: DiscoveryOverlay> Shard<P> {
 
     /// A message from `by` to `of` was swallowed by a fault: when the
     /// defence is on, `by` notices the missing forward/ack after the
-    /// suspicion delay and registers a strike. The suspicion event belongs
-    /// to the observer, so it is routed to `by`'s shard (the suspicion
-    /// delay exceeds the lookahead, so the cross-shard case is safe).
-    fn suspect_later(&mut self, by: NodeId, of: NodeId, world: &World) {
+    /// suspicion delay and registers a strike.
+    fn suspect_later(&mut self, by: NodeId, of: NodeId) {
         if self.hosts.defense_on {
-            self.route(
+            self.queue.schedule_at(
                 self.now + self.defense.suspect_after_ms,
-                by,
                 Ev::Suspect { by, of },
-                world,
             );
         }
     }
@@ -276,7 +226,6 @@ impl<P: DiscoveryOverlay> Shard<P> {
         demand: ResVec,
         duration_s: f64,
         submitted_at: SimMillis,
-        world: &World,
     ) {
         let qid = self.alloc_qid();
         self.pending.insert(
@@ -301,7 +250,7 @@ impl<P: DiscoveryOverlay> Shard<P> {
             demand,
             wanted: self.sc.delta,
         };
-        self.with_proto(world, |p, ctx| p.start_query(ctx, req));
+        self.with_proto(|p, ctx| p.start_query(ctx, req));
     }
 
     /// Query deadline fired. With the defence on, a query that heard
@@ -309,7 +258,7 @@ impl<P: DiscoveryOverlay> Shard<P> {
     /// (fresh random search walks take different paths around the
     /// blackholes); otherwise — and on exhausted retries — it settles with
     /// whatever it has.
-    fn on_query_timeout(&mut self, qid: QueryId, world: &World) {
+    fn on_query_timeout(&mut self, qid: QueryId) {
         if self.hosts.defense_on {
             let retry = match self.pending.get_mut(&qid) {
                 Some(p)
@@ -335,41 +284,36 @@ impl<P: DiscoveryOverlay> Shard<P> {
                 let backoff = self.sc.query_timeout_ms << attempts.min(8);
                 self.queue
                     .schedule_at(self.now + backoff, Ev::QueryTimeout { qid });
-                self.with_proto(world, |p, ctx| p.start_query(ctx, req));
+                self.with_proto(|p, ctx| p.start_query(ctx, req));
                 return;
             }
         }
-        self.settle_query(qid, world);
+        self.settle_query(qid);
     }
 
     /// Run one protocol callback and apply its effects. The callback's
     /// batched per-kind traffic counts flush as a single `record_batch`
     /// here instead of one scattered `MsgStats` write per message.
-    pub(super) fn with_proto<F>(&mut self, world: &World, f: F)
+    pub(super) fn with_proto<F>(&mut self, f: F)
     where
         F: FnOnce(&mut P, &mut Ctx<'_, P::Msg>),
     {
         let buf = std::mem::take(&mut self.fx_buf);
-        let mut ctx = Ctx::new_in(self.now, &world.can, &self.hosts, &mut self.rng_proto, buf);
+        let mut ctx = Ctx::new_in(self.now, &self.can, &self.hosts, &mut self.rng_proto, buf);
         ctx.prof = self.prof.handle();
         f(&mut self.proto, &mut ctx);
         let (fx, sent) = ctx.finish();
         let t = self.prof.start();
         self.stats.record_batch(&sent);
         self.prof.stop(Phase::StatsFlush, t);
-        self.fx_buf = self.apply_effects(fx, world);
+        self.fx_buf = self.apply_effects(fx);
     }
 
     /// Apply queued effects; returns the drained buffer for reuse.
     ///
     /// Latency sampling stays here, per message in effect order, so the
-    /// shard's `rng_net` stream is consumed in a canonical order that does
-    /// not depend on the execution driver.
-    fn apply_effects(
-        &mut self,
-        mut work: Vec<Effect<P::Msg>>,
-        world: &World,
-    ) -> Vec<Effect<P::Msg>> {
+    /// `rng_net` stream is consumed in one canonical order.
+    fn apply_effects(&mut self, mut work: Vec<Effect<P::Msg>>) -> Vec<Effect<P::Msg>> {
         // Iterate: drops may generate follow-up effects (hop budgets bound
         // the chain).
         while !work.is_empty() {
@@ -387,31 +331,27 @@ impl<P: DiscoveryOverlay> Shard<P> {
                             // the per-send `rng_net` draw sequence is exactly
                             // the clean run's — the stream-isolation invariant.
                             let t = self.prof.start();
-                            let lat = world.topo.latency(from, to, &mut self.rng_net);
+                            let lat = self.topo.latency(from, to, &mut self.rng_net);
                             self.prof.stop(Phase::Latency, t);
                             let t = self.prof.start();
-                            let dropped = self.fault_drops_send(from, to, world);
+                            let dropped = self.fault_drops_send(from, to);
                             self.prof.stop(Phase::Fault, t);
                             if dropped {
-                                self.suspect_later(from, to, world);
+                                self.suspect_later(from, to);
                             } else {
-                                // Cross-shard targets are cross-LAN, so the
-                                // sampled latency is at least the lookahead.
-                                self.route(
+                                self.queue.schedule_at(
                                     self.now + lat.max(1),
-                                    to,
                                     Ev::Deliver {
                                         from,
                                         to,
                                         kind,
                                         msg,
                                     },
-                                    world,
                                 );
                             }
                         } else {
                             let mut ctx =
-                                Ctx::new(self.now, &world.can, &self.hosts, &mut self.rng_proto);
+                                Ctx::new(self.now, &self.can, &self.hosts, &mut self.rng_proto);
                             ctx.prof = self.prof.handle();
                             self.proto.on_message_dropped(&mut ctx, from, to, msg);
                             let (fx, sent) = ctx.finish();
@@ -422,20 +362,15 @@ impl<P: DiscoveryOverlay> Shard<P> {
                         }
                     }
                     Effect::Timer { node, kind, delay } => {
-                        // Timers are own-node by the shardable contract.
-                        self.route(
-                            self.now + delay.max(1),
-                            node,
-                            Ev::ProtoTimer { node, kind },
-                            world,
-                        );
+                        self.queue
+                            .schedule_at(self.now + delay.max(1), Ev::ProtoTimer { node, kind });
                     }
                     Effect::QueryResults { qid, candidates } => {
-                        self.on_query_results(qid, candidates, world);
+                        self.on_query_results(qid, candidates);
                     }
                     Effect::QueryDone { qid, verdict } => {
                         debug_assert_eq!(verdict, QueryVerdict::Exhausted);
-                        self.settle_query(qid, world);
+                        self.settle_query(qid);
                     }
                 }
             }
@@ -447,7 +382,7 @@ impl<P: DiscoveryOverlay> Shard<P> {
         work
     }
 
-    fn on_query_results(&mut self, qid: QueryId, candidates: Vec<Candidate>, world: &World) {
+    fn on_query_results(&mut self, qid: QueryId, candidates: Vec<Candidate>) {
         let Some(p) = self.pending.get_mut(&qid) else {
             return; // late results for a settled query
         };
@@ -457,13 +392,13 @@ impl<P: DiscoveryOverlay> Shard<P> {
             }
         }
         if p.candidates.len() >= p.wanted {
-            self.settle_query(qid, world);
+            self.settle_query(qid);
         }
     }
 
     /// Finish a discovery: pick the best-fit live candidate and dispatch,
     /// or count a failed task.
-    fn settle_query(&mut self, qid: QueryId, world: &World) {
+    fn settle_query(&mut self, qid: QueryId) {
         let Some(p) = self.pending.remove(&qid) else {
             return;
         };
@@ -510,18 +445,17 @@ impl<P: DiscoveryOverlay> Shard<P> {
             expect_s,
             is_local: false,
         });
-        self.dispatch_first(target, spec, world);
+        self.dispatch_first(target, spec);
     }
 
     /// Time to move a task's payload from its requester to `to` (the
     /// requester keeps it: every leg of a dispatch starts there).
-    fn payload_ms(&mut self, spec: &DispatchSpec, to: NodeId, world: &World) -> SimMillis {
+    fn payload_ms(&mut self, spec: &DispatchSpec, to: NodeId) -> SimMillis {
         if to == spec.requester {
             return 1;
         }
         let kb = self.sc.dispatch_kbytes;
-        world
-            .topo
+        self.topo
             .transfer_ms(spec.requester, to, kb, &mut self.rng_net)
     }
 
@@ -532,38 +466,32 @@ impl<P: DiscoveryOverlay> Shard<P> {
     /// the fault model targets the control plane (forwarded queries,
     /// adverts, notifications), where the paper's protocols live. A
     /// payload-level fault story would need its own retransmit model.
-    fn dispatch_first(&mut self, target: NodeId, spec: Box<DispatchSpec>, world: &World) {
+    fn dispatch_first(&mut self, target: NodeId, spec: Box<DispatchSpec>) {
         self.stats.record(MsgKind::Dispatch);
-        let at = self.now + self.payload_ms(&spec, target, world);
-        self.route(at, target, Ev::TaskArrive { to: target, spec }, world);
+        let at = self.now + self.payload_ms(&spec, target);
+        self.queue
+            .schedule_at(at, Ev::TaskArrive { to: target, spec });
     }
 
     /// Re-ship a rejected task from the rejecting node `at` to the next
     /// candidate. The payload physically bounces back through the
     /// requester (who owns it) before the onward transfer, so the total
-    /// delay is the return latency plus the forward transfer — which also
-    /// gives every cross-shard leg the WAN latency floor the lookahead
-    /// window requires.
-    fn dispatch_bounce(
-        &mut self,
-        at: NodeId,
-        next: NodeId,
-        spec: Box<DispatchSpec>,
-        world: &World,
-    ) {
+    /// delay is the return latency plus the forward transfer.
+    fn dispatch_bounce(&mut self, at: NodeId, next: NodeId, spec: Box<DispatchSpec>) {
         self.stats.record(MsgKind::Dispatch);
-        let back = world.topo.latency(at, spec.requester, &mut self.rng_net);
-        let at = self.now + back.max(1) + self.payload_ms(&spec, next, world);
-        self.route(at, next, Ev::TaskArrive { to: next, spec }, world);
+        let back = self.topo.latency(at, spec.requester, &mut self.rng_net);
+        let at = self.now + back.max(1) + self.payload_ms(&spec, next);
+        self.queue
+            .schedule_at(at, Ev::TaskArrive { to: next, spec });
     }
 
     /// Task payload arrived at a prospective execution node: re-check
     /// Inequality (2); reject to the next best-fit candidate when the node
     /// no longer qualifies (records were stale / a competitor won the
     /// race). A rejected task with no candidates left fails.
-    fn on_task_arrive(&mut self, to: NodeId, mut spec: Box<DispatchSpec>, world: &World) {
+    fn on_task_arrive(&mut self, to: NodeId, mut spec: Box<DispatchSpec>) {
         let alive = self.hosts.alive[to.idx()];
-        let qualifies = alive && self.hosts.execs[to].qualifies(&spec.expect);
+        let qualifies = alive && self.hosts.execs[to.idx()].qualifies(&spec.expect);
         if qualifies {
             self.start_task_on(to, &spec);
             return;
@@ -580,7 +508,7 @@ impl<P: DiscoveryOverlay> Shard<P> {
             };
             spec.fallbacks.remove(0);
             if self.hosts.alive[next.idx()] {
-                self.dispatch_bounce(to, next, spec, world);
+                self.dispatch_bounce(to, next, spec);
                 return;
             }
         }
@@ -598,20 +526,20 @@ impl<P: DiscoveryOverlay> Shard<P> {
             spec.submitted_at,
             now,
         );
-        self.hosts.execs[node].add_task(now, task);
+        self.hosts.execs[node.idx()].add_task(now, task);
         self.schedule_completion(node);
     }
 
     fn schedule_completion(&mut self, node: NodeId) {
         let now = self.now;
-        let exec = &mut self.hosts.execs[node];
+        let exec = &mut self.hosts.execs[node.idx()];
         let t = self.prof.start();
         let predicted = exec.next_completion(now);
         self.prof.stop(Phase::PsmPredict, t);
         match predicted {
             Some(at) => {
                 let epoch = exec.epoch();
-                match self.comp_sched[node] {
+                match self.comp_sched[node.idx()] {
                     // Epoch-aware memo: the queued event already fires at
                     // the newly predicted instant — keep it (with its old
                     // epoch tag, which the memo vouches for) instead of
@@ -620,14 +548,14 @@ impl<P: DiscoveryOverlay> Shard<P> {
                         self.counters.comp_dedup_skips += 1;
                     }
                     _ => {
-                        self.comp_sched[node] = Some((at, epoch));
+                        self.comp_sched[node.idx()] = Some((at, epoch));
                         self.counters.comp_scheduled += 1;
                         self.queue.schedule_at(at, Ev::Completion { node, epoch });
                     }
                 }
             }
             // Idle/starved: whatever is still queued is now stale.
-            None => self.comp_sched[node] = None,
+            None => self.comp_sched[node.idx()] = None,
         }
     }
 
@@ -637,13 +565,14 @@ impl<P: DiscoveryOverlay> Shard<P> {
         // time *and* the epoch tag it was enqueued under — may collect.
         // Everything else is a superseded prediction (or a dead/rejoined
         // node's leftover) and is dropped in O(1).
-        let live = self.hosts.alive[node.idx()] && self.comp_sched[node] == Some((now, epoch));
+        let live =
+            self.hosts.alive[node.idx()] && self.comp_sched[node.idx()] == Some((now, epoch));
         if !live {
             self.counters.comp_dead_pops += 1;
             return;
         }
-        self.comp_sched[node] = None;
-        let finished = self.hosts.execs[node].collect_finished(now);
+        self.comp_sched[node.idx()] = None;
+        let finished = self.hosts.execs[node.idx()].collect_finished(now);
         for f in finished {
             let (expect_s, is_local) = self
                 .task_info
@@ -667,7 +596,7 @@ impl<P: DiscoveryOverlay> Shard<P> {
             .schedule_at(self.now + delay, Ev::Arrival { node });
     }
 
-    fn on_arrival(&mut self, node: NodeId, world: &World) {
+    fn on_arrival(&mut self, node: NodeId) {
         if !self.hosts.alive[node.idx()] {
             return; // chain ends; a future join restarts it
         }
@@ -677,7 +606,7 @@ impl<P: DiscoveryOverlay> Shard<P> {
 
         let spec = self.source.next_task(node, now, &mut self.rng_work);
 
-        if self.sc.local_exec && self.hosts.execs[node].qualifies(&spec.expect) {
+        if self.sc.local_exec && self.hosts.execs[node.idx()].qualifies(&spec.expect) {
             // Satisfied by the local scheduler: the discovery protocol is
             // never exercised, so the task stays out of T/F-Ratio (the
             // paper's "submitted" denominator is overlay submissions).
@@ -702,13 +631,12 @@ impl<P: DiscoveryOverlay> Shard<P> {
 
         self.tracker.task_generated();
         if self.sc.oracle {
-            // Oracle scenarios force a single shard, so this shard's alive
-            // flags and executors are globally authoritative.
-            let matching = (0..self.hosts.alive.len())
-                .filter(|&i| {
-                    self.hosts.alive[i]
-                        && self.hosts.execs[NodeId(i as u32)].qualifies(&spec.expect)
-                })
+            let matching = self
+                .hosts
+                .alive
+                .iter()
+                .zip(&self.hosts.execs)
+                .filter(|&(&alive, exec)| alive && exec.qualifies(&spec.expect))
                 .count();
             self.counters.oracle_match_sum += matching as u64;
             if matching > 0 {
@@ -722,11 +650,11 @@ impl<P: DiscoveryOverlay> Shard<P> {
                 self.counters.oracle_record_matchable += 1;
             }
         }
-        self.submit_query(node, spec.expect, spec.duration_s, now, world);
+        self.submit_query(node, spec.expect, spec.duration_s, now);
     }
 
     /// Handle one popped event at `self.now`.
-    fn handle(&mut self, ev: Ev<P::Msg>, world: &World) {
+    fn handle(&mut self, ev: Ev<P::Msg>) {
         match ev {
             Ev::Deliver {
                 from,
@@ -744,9 +672,9 @@ impl<P: DiscoveryOverlay> Shard<P> {
                         // requester still collects its own results (the
                         // selfish-freeloader model, not a self-DoS).
                         self.hosts.fault.count_blackhole_drop();
-                        self.suspect_later(from, to, world);
+                        self.suspect_later(from, to);
                     } else {
-                        self.with_proto(world, |p, ctx| p.on_message(ctx, to, msg));
+                        self.with_proto(|p, ctx| p.on_message(ctx, to, msg));
                     }
                 }
                 // Deliveries to nodes that died in-flight vanish; the
@@ -754,28 +682,28 @@ impl<P: DiscoveryOverlay> Shard<P> {
             }
             Ev::ProtoTimer { node, kind } => {
                 if self.hosts.alive[node.idx()] {
-                    self.with_proto(world, |p, ctx| p.on_timer(ctx, node, kind));
+                    self.with_proto(|p, ctx| p.on_timer(ctx, node, kind));
                 }
             }
-            Ev::Arrival { node } => self.on_arrival(node, world),
-            Ev::QueryTimeout { qid } => self.on_query_timeout(qid, world),
-            Ev::TaskArrive { to, spec } => self.on_task_arrive(to, spec, world),
+            Ev::Arrival { node } => self.on_arrival(node),
+            Ev::QueryTimeout { qid } => self.on_query_timeout(qid),
+            Ev::TaskArrive { to, spec } => self.on_task_arrive(to, spec),
             Ev::Completion { node, epoch } => self.on_completion(node, epoch),
             Ev::Suspect { by, of } => self.on_suspect(by, of),
         }
     }
 
-    /// Pop and handle every queued event strictly before `wb`.
-    pub(super) fn pump(&mut self, wb: SimMillis, world: &World) {
+    /// Pop and handle every queued event strictly before `until`.
+    pub(super) fn pump(&mut self, until: SimMillis) {
         loop {
             let t_pop = self.prof.start();
-            let popped = self.queue.pop_until(wb - 1);
+            let popped = self.queue.pop_until(until - 1);
             self.prof.stop(Phase::QueuePop, t_pop);
             let Some((t, ev)) = popped else { break };
             self.now = t;
             let t_ev = self.prof.start();
             let ph = dispatch_phase(&ev);
-            self.handle(ev, world);
+            self.handle(ev);
             self.prof.stop(ph, t_ev);
         }
     }

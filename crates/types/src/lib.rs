@@ -8,8 +8,8 @@
 //! to [`MAX_DIM`] without heap allocation.
 //!
 //! Identifier newtypes ([`NodeId`], [`TaskId`], [`QueryId`]) keep the many
-//! integer indexes in the simulator from being mixed up; [`OwnedRows`] is
-//! the per-node table a shard keeps for the contiguous id range it owns.
+//! integer indexes in the simulator from being mixed up; per-node tables
+//! are plain vectors indexed by [`NodeId::idx`].
 //!
 //! [`knobs`] is the central registry of `SOC_*` environment variables —
 //! the single place such knobs are declared, documented and read
@@ -18,12 +18,10 @@
 pub mod ids;
 pub mod knobs;
 pub mod resvec;
-pub mod rows;
 pub mod units;
 
 pub use ids::{NodeId, QueryId, TaskId};
 pub use resvec::{ResVec, MAX_DIM};
-pub use rows::OwnedRows;
 pub use units::{
     secs, to_secs, Dim, SimMillis, DAY, DIM_CPU, DIM_DISK, DIM_IO, DIM_MEM, DIM_NAMES, DIM_NET,
     HOUR, PERF_DIMS, SECOND, SOC_DIMS,

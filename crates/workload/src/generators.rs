@@ -323,13 +323,6 @@ impl WorkloadSource for SyntheticSource {
             }
         }
     }
-
-    fn fork_shard(&mut self, _shard: usize) -> Box<dyn WorkloadSource> {
-        // A plain clone is a valid shard fork: all per-node state (MMPP
-        // phases) is only ever touched through that node's own calls, and
-        // the executor routes each node's calls to exactly one fork.
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -36,20 +36,4 @@ pub trait WorkloadSource {
     fn note_churn(&mut self, now: SimMillis, left: Option<NodeId>, joined: Option<NodeId>) {
         let _ = (now, left, joined);
     }
-
-    /// A fork for shard `shard` of the windowed executor. Every run forks —
-    /// a run with one shard forks once, with `shard = 0` — and the forks
-    /// serve every `next_delay` / `next_task` of the run; the instance the
-    /// runner was handed (the master) keeps `node_capacity`.
-    ///
-    /// Contract: the executor calls this once per shard, in shard-id
-    /// order, *after* every bootstrap [`WorkloadSource::node_capacity`]
-    /// draw and before any `next_delay`/`next_task`. A fork only ever
-    /// serves `next_delay` and `next_task` for nodes owned by its shard —
-    /// `node_capacity` is never called on a fork (capacity draws stay on
-    /// the master at the coordinator), and a fork is never forked again.
-    /// Churn notifications are delivered to the master and to every fork,
-    /// always in shard-id order, so stateful sources see a canonical
-    /// sequence.
-    fn fork_shard(&mut self, shard: usize) -> Box<dyn WorkloadSource>;
 }
