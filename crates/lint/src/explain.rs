@@ -26,8 +26,8 @@ pub const EXPLAINS: &[Explain] = &[
         rule: "no-wall-clock",
         rationale: "Wall time is never simulation state: a run's behaviour may depend only on \
                     its seed and scenario, or record/replay and the bitwise fingerprint pins \
-                    break. Instant::now/SystemTime are allowed only in crates/bench, where \
-                    measuring the host is the whole point.",
+                    break. Instant::now/SystemTime are allowed only in crates/bench and \
+                    benchmark/, where measuring the host is the whole point.",
         rel: "crates/soc/src/example.rs",
         good: include_str!("../tests/fixtures/examples/no-wall-clock/good.rs"),
         bad: include_str!("../tests/fixtures/examples/no-wall-clock/bad.rs"),
@@ -54,7 +54,10 @@ pub const EXPLAINS: &[Explain] = &[
         rule: "rng-stream-discipline",
         rationale: "Replay soundness requires every RNG to be derived as stream_rng(seed, \
                     RngStreams::..): entropy seeding breaks replay outright, and ad-hoc \
-                    SmallRng seeding creates streams whose draws collide with declared ones.",
+                    SmallRng seeding creates streams whose draws collide with declared ones. \
+                    Each stream also has one owner, the runner in crate soc: a stream named \
+                    anywhere else is a second consumer whose draws shift every later one, \
+                    and RngStreams::Test belongs to test code only.",
         rel: "crates/soc/src/example.rs",
         good: include_str!("../tests/fixtures/examples/rng-stream-discipline/good.rs"),
         bad: include_str!("../tests/fixtures/examples/rng-stream-discipline/bad.rs"),
@@ -97,27 +100,6 @@ pub const EXPLAINS: &[Explain] = &[
         rel: "crates/soc/src/example.rs",
         good: include_str!("../tests/fixtures/examples/no-shared-mut-state/good.rs"),
         bad: include_str!("../tests/fixtures/examples/no-shared-mut-state/bad.rs"),
-    },
-    Explain {
-        rule: "rng-stream-ownership",
-        rationale: "STREAM_OWNERS in crates/simcore/src/rng.rs turns the stream-isolation \
-                    convention into a checked contract: every RngStreams variant names its \
-                    owning crate, and drawing a stream from anywhere else is a finding — the \
-                    exact bug class behind the PR 3 stream re-pin.",
-        rel: "crates/simcore/src/rng.rs",
-        good: include_str!("../tests/fixtures/examples/rng-stream-ownership/good.rs"),
-        bad: include_str!("../tests/fixtures/examples/rng-stream-ownership/bad.rs"),
-    },
-    Explain {
-        rule: "float-reduce-order",
-        rationale: "f64 addition is non-associative, so a sum's bits depend on term order, \
-                    and a HashMap's iteration order differs from one process to the next: \
-                    reductions on sim paths are allowed only over sources the item graph can \
-                    prove deterministically ordered (slices, Vecs, ranges, BTree collections, \
-                    structs built from those).",
-        rel: "crates/soc/src/example.rs",
-        good: include_str!("../tests/fixtures/examples/float-reduce-order/good.rs"),
-        bad: include_str!("../tests/fixtures/examples/float-reduce-order/bad.rs"),
     },
 ];
 

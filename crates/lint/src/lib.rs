@@ -3,10 +3,8 @@
 //! A workspace-wide determinism-discipline static analysis pass, in the
 //! house style of the hand-rolled JSON emitter and scenario format: no
 //! crates.io (so no `syn`/`dylint`), just a comment/string-stripping
-//! lexer ([`lexer`]) and two rule layers on top of it — token-pattern
-//! rules ([`rules`]) and, since v2, item-graph rules ([`shard`]) written
-//! against a per-file item tree ([`items`]) and a workspace
-//! use/ownership graph ([`graph`]).
+//! lexer ([`lexer`]) and one layer of token-pattern rules ([`rules`]) on
+//! top of it.
 //!
 //! Every data-structure replacement in this workspace is proven against
 //! pinned fingerprints, and those pins hold only while the discipline is
@@ -14,11 +12,10 @@
 //! process to the next, and trace record → replay is bit-exact only while
 //! every RNG stream has one owner. These rules encode the invariants that
 //! previously lived in tests and prose: RNG stream isolation and
-//! ownership, no unordered-collection iteration or order-sensitive float
-//! reduction on fingerprint-feeding paths, no state that outlives its run
-//! on a thread, no wall clock outside the bench harness, every
-//! `SOC_*` knob documented, every fingerprint exclusion declared, every
-//! `#[ignore]` suite wired into CI.
+//! ownership, no unordered-collection iteration on fingerprint-feeding
+//! paths, no state that outlives its run on a thread, no wall clock
+//! outside the bench harness, every `SOC_*` knob documented, every
+//! fingerprint exclusion declared, every `#[ignore]` suite wired into CI.
 //!
 //! Findings are suppressible only via a justified pragma on (or directly
 //! above) the offending line:
@@ -31,22 +28,15 @@
 //! suppresses nothing is itself a finding — suppressions cannot rot.
 
 pub mod explain;
-pub mod graph;
-pub mod items;
 pub mod lexer;
 pub mod rules;
-pub mod shard;
 
-use graph::ItemGraph;
-use items::FileItems;
 use lexer::SourceFile;
-use soc_sim::json;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 pub use rules::{markdown_rules_table, META_RULES, RULES};
-pub use shard::RNG_PATH;
 
 /// One diagnostic: `path:line: [rule] message`.
 #[derive(Clone, Debug)]
@@ -68,12 +58,10 @@ impl fmt::Display for Finding {
     }
 }
 
-/// A scanned file with everything the two rule layers need: its scope
-/// classification, lexed token stream, and parsed item tree.
+/// A scanned file: its scope classification and lexed token stream.
 pub struct WorkspaceFile {
     pub info: FileInfo,
     pub src: SourceFile,
-    pub items: FileItems,
 }
 
 /// Outcome of linting one workspace.
@@ -103,53 +91,6 @@ impl LintReport {
             *by.entry(f.rule).or_default() += 1;
         }
         by.into_iter().collect()
-    }
-
-    fn suppressed_for(&self, rule: &str) -> usize {
-        self.suppressed_by_rule
-            .iter()
-            .find(|(r, _)| *r == rule)
-            .map_or(0, |(_, n)| *n)
-    }
-
-    /// Machine-readable report through the workspace's hand-rolled JSON
-    /// emitter (`soc_sim::json`, no serde) — uploaded as a CI artifact
-    /// so lint deltas are diffable across PRs.
-    pub fn to_json(&self) -> String {
-        let by_rule = self.findings_by_rule();
-        let count_for = |rule: &str| {
-            by_rule
-                .iter()
-                .find(|(r, _)| *r == rule)
-                .map_or(0, |(_, n)| *n)
-        };
-        let rules = RULES
-            .iter()
-            .map(|(name, _)| *name)
-            .chain(META_RULES.iter().copied())
-            .map(|name| {
-                json::Obj::new()
-                    .str("rule", name)
-                    .u64("findings", count_for(name) as u64)
-                    .u64("suppressed", self.suppressed_for(name) as u64)
-                    .finish()
-            });
-        let findings = self.findings.iter().map(|f| {
-            json::Obj::new()
-                .str("rule", f.rule)
-                .str("path", &f.path)
-                .u64("line", f.line as u64)
-                .str("msg", &f.msg)
-                .finish()
-        });
-        json::Obj::new()
-            .bool("clean", self.clean())
-            .u64("files_scanned", self.files_scanned as u64)
-            .u64("suppressed", self.suppressed as u64)
-            .u64("pragma_sites", self.pragma_sites as u64)
-            .raw("rules", &json::array(rules))
-            .raw("findings", &json::array(findings))
-            .finish()
     }
 }
 
@@ -235,12 +176,9 @@ fn walk(root: &Path, rel: &str, out: &mut Vec<String>) -> std::io::Result<()> {
 }
 
 fn load(rel: &str, text: &str) -> WorkspaceFile {
-    let src = SourceFile::parse(text);
-    let items = FileItems::parse(&src);
     WorkspaceFile {
         info: FileInfo::classify(rel),
-        src,
-        items,
+        src: SourceFile::parse(text),
     }
 }
 
@@ -254,16 +192,6 @@ fn run_rules(files: &[WorkspaceFile], readme: Option<&str>, ci: Option<&str>) ->
         .unwrap_or_default();
     let declared: BTreeSet<String> = entries.iter().map(|e| e.name.clone()).collect();
 
-    // Item layer: the workspace graph and the declared RNG owner map.
-    let item_graph = ItemGraph::build(files);
-    let rng = files.iter().find(|wf| wf.info.rel == shard::RNG_PATH);
-    let owners = rng
-        .map(|wf| shard::stream_owners(&wf.src))
-        .unwrap_or(shard::StreamOwners {
-            entries: Vec::new(),
-            declared: false,
-        });
-
     let mut raw: Vec<Finding> = Vec::new();
     for wf in files {
         let (fi, sf) = (&wf.info, &wf.src);
@@ -271,49 +199,41 @@ fn run_rules(files: &[WorkspaceFile], readme: Option<&str>, ci: Option<&str>) ->
         rules::no_unordered_iter(fi, sf, &mut raw);
         rules::no_unstable_sort(fi, sf, &mut raw);
         rules::rng_stream_discipline(fi, sf, &mut raw);
+        rules::no_shared_mut_state(fi, sf, &mut raw);
         rules::env_knob_reads(fi, sf, &declared, &mut raw);
         rules::ignored_test_wiring(fi, sf, ci, &mut raw);
         if fi.rel == rules::REPORT_PATH {
             rules::fingerprint_coverage(fi, sf, &mut raw);
         }
-        shard::no_shared_mut_state(wf, &mut raw);
-        shard::rng_stream_ownership_uses(wf, &owners, &mut raw);
-        shard::float_reduce_order(wf, &item_graph, files, &mut raw);
     }
     if let Some(wf) = registry {
         rules::env_knob_registry_decls(&wf.info, &entries, readme, &mut raw);
-    }
-    if let Some(wf) = rng {
-        shard::rng_stream_ownership_decls(wf, &owners, &mut raw);
     }
 
     // Pragma application: a finding survives unless a well-formed,
     // justified pragma targets its exact (file, line, rule).
     let known: BTreeSet<&str> = RULES.iter().map(|(n, _)| *n).collect();
     let mut findings: Vec<Finding> = Vec::new();
-    let mut suppressed = 0usize;
     let mut suppressed_by: BTreeMap<&'static str, usize> = BTreeMap::new();
     let mut used: BTreeSet<(String, u32)> = BTreeSet::new(); // (path, pragma line)
-
     for f in raw {
-        let mut keep = true;
-        if let Some(wf) = files.iter().find(|wf| wf.info.rel == f.path) {
-            for p in &wf.src.pragmas {
-                if !p.malformed
-                    && !p.reason.is_empty()
-                    && p.target_line == f.line
-                    && p.rules.iter().any(|r| r == f.rule)
-                {
-                    keep = false;
-                    suppressed += 1;
-                    *suppressed_by.entry(f.rule).or_default() += 1;
-                    used.insert((wf.info.rel.clone(), p.line));
-                    break;
-                }
+        let pragma = files
+            .iter()
+            .find(|wf| wf.info.rel == f.path)
+            .and_then(|wf| {
+                wf.src.pragmas.iter().find(|p| {
+                    !p.malformed
+                        && !p.reason.is_empty()
+                        && p.target_line == f.line
+                        && p.rules.iter().any(|r| r == f.rule)
+                })
+            });
+        match pragma {
+            Some(p) => {
+                *suppressed_by.entry(f.rule).or_default() += 1;
+                used.insert((f.path, p.line));
             }
-        }
-        if keep {
-            findings.push(f);
+            None => findings.push(f),
         }
     }
 
@@ -322,45 +242,30 @@ fn run_rules(files: &[WorkspaceFile], readme: Option<&str>, ci: Option<&str>) ->
     for wf in files {
         let fi = &wf.info;
         for p in &wf.src.pragmas {
+            let meta = |rule, msg| rules::finding(rule, fi, p.line, msg);
             if p.malformed {
-                findings.push(Finding {
-                    rule: "malformed-pragma",
-                    path: fi.rel.clone(),
-                    line: p.line,
-                    msg: "expected `// soc-lint: allow(<rule>) -- <reason>`".into(),
-                });
+                let msg = "expected `// soc-lint: allow(<rule>) -- <reason>`";
+                findings.push(meta("malformed-pragma", msg.into()));
                 continue;
             }
             if p.reason.is_empty() {
-                findings.push(Finding {
-                    rule: "malformed-pragma",
-                    path: fi.rel.clone(),
-                    line: p.line,
-                    msg: "pragma without a `-- <reason>` justification".into(),
-                });
+                let msg = "pragma without a `-- <reason>` justification";
+                findings.push(meta("malformed-pragma", msg.into()));
                 continue;
             }
-            for r in &p.rules {
-                if !known.contains(r.as_str()) {
-                    findings.push(Finding {
-                        rule: "unknown-rule",
-                        path: fi.rel.clone(),
-                        line: p.line,
-                        msg: format!("pragma names unknown rule `{r}`"),
-                    });
-                }
+            for r in p.rules.iter().filter(|r| !known.contains(r.as_str())) {
+                findings.push(meta(
+                    "unknown-rule",
+                    format!("pragma names unknown rule `{r}`"),
+                ));
             }
             if !used.contains(&(fi.rel.clone(), p.line)) {
-                findings.push(Finding {
-                    rule: "unused-pragma",
-                    path: fi.rel.clone(),
-                    line: p.line,
-                    msg: format!(
-                        "pragma allow({}) suppresses nothing on line {}",
-                        p.rules.join(", "),
-                        p.target_line
-                    ),
-                });
+                let rules = p.rules.join(", ");
+                let msg = format!(
+                    "pragma allow({rules}) suppresses nothing on line {}",
+                    p.target_line
+                );
+                findings.push(meta("unused-pragma", msg));
             }
         }
     }
@@ -370,7 +275,7 @@ fn run_rules(files: &[WorkspaceFile], readme: Option<&str>, ci: Option<&str>) ->
     LintReport {
         findings,
         files_scanned: files.len(),
-        suppressed,
+        suppressed: suppressed_by.values().sum(),
         suppressed_by_rule: suppressed_by.into_iter().collect(),
         pragma_sites: used.len(),
     }

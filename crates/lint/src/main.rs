@@ -2,7 +2,7 @@
 //! a per-rule summary, exit non-zero on any unjustified finding.
 //!
 //! ```text
-//! soc-lint [--root PATH] [--json PATH] [--list-rules] [--explain RULE]
+//! soc-lint [--root PATH] [--list-rules] [--explain RULE]
 //! ```
 
 use std::path::PathBuf;
@@ -10,7 +10,6 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut json_out: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -45,21 +44,9 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--json" => match args.next() {
-                Some(p) => json_out = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("soc-lint: --json needs an output path");
-                    return ExitCode::from(2);
-                }
-            },
             "--help" | "-h" => {
-                println!(
-                    "usage: soc-lint [--root PATH] [--json PATH] [--list-rules] [--explain RULE]"
-                );
+                println!("usage: soc-lint [--root PATH] [--list-rules] [--explain RULE]");
                 println!("Determinism-discipline lint for the soc-pidcan workspace.");
-                println!(
-                    "  --json PATH     also write machine-readable findings (hand-rolled JSON)"
-                );
                 println!("  --explain RULE  print a rule's rationale and a good/bad example pair");
                 return ExitCode::SUCCESS;
             }
@@ -100,13 +87,6 @@ fn main() -> ExitCode {
                 for (rule, n) in &report.suppressed_by_rule {
                     println!("  {rule:<24} {n} suppressed");
                 }
-            }
-            if let Some(path) = &json_out {
-                if let Err(e) = std::fs::write(path, report.to_json()) {
-                    eprintln!("soc-lint: cannot write {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-                println!("soc-lint: wrote {}", path.display());
             }
             if report.clean() {
                 println!(

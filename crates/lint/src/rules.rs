@@ -1,10 +1,9 @@
-//! The token-pattern half of the `soc-lint` rule set, plus the shared
-//! [`RULES`] registry covering both layers. Each rule here is a
-//! token-pattern pass over the lexed files (see [`crate::lexer`]); the
+//! The `soc-lint` rule set and its [`RULES`] registry. Each rule is a
+//! token-pattern pass over one lexed file (see [`crate::lexer`]); the
 //! workspace-level rules (`env-knob-registry` declarations,
-//! `fingerprint-coverage`, `ignored-test-wiring`) additionally correlate
-//! across files. The item-graph shard-safety rules live in
-//! [`crate::shard`].
+//! `fingerprint-coverage`, `ignored-test-wiring`) are pinned to one path
+//! and additionally read the knob registry, the README or the CI
+//! workflow.
 
 use crate::lexer::{SourceFile, Token, TokenKind};
 use crate::{FileInfo, Finding};
@@ -15,7 +14,7 @@ use std::collections::BTreeSet;
 pub const RULES: &[(&str, &str)] = &[
     (
         "no-wall-clock",
-        "Instant::now/SystemTime only in crates/bench (wall time is never simulation state)",
+        "Instant::now/SystemTime only in crates/bench and benchmark/ (wall time is never simulation state)",
     ),
     (
         "no-unordered-iter",
@@ -27,7 +26,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "rng-stream-discipline",
-        "RNGs come from stream_rng(seed, RngStreams::..); no from_entropy/ad-hoc seeding",
+        "RNGs come from stream_rng(seed, RngStreams::..), named only in crate soc (Test only in tests); no from_entropy/ad-hoc seeding",
     ),
     (
         "env-knob-registry",
@@ -44,14 +43,6 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "no-shared-mut-state",
         "no static mut / thread_local! without a justification of why no run sees another's leftovers",
-    ),
-    (
-        "rng-stream-ownership",
-        "STREAM_OWNERS maps every RngStreams variant to its owning crate; drawing a stream elsewhere is a finding",
-    ),
-    (
-        "float-reduce-order",
-        "f64 sum/fold/+= reductions on sim paths only over sources the item graph proves deterministically ordered",
     ),
 ];
 
@@ -77,7 +68,15 @@ pub const REPORT_PATH: &str = "crates/soc/src/report.rs";
 /// Path of the CI workflow the ignored-test rule inspects.
 pub const CI_PATH: &str = ".github/workflows/ci.yml";
 
-fn finding(rule: &'static str, file: &FileInfo, line: u32, msg: String) -> Finding {
+/// Path of the RNG stream registry, the one file that may name every
+/// stream.
+const RNG_PATH: &str = "crates/simcore/src/rng.rs";
+
+/// The crate that draws every simulation stream: the runner's `boot.rs`
+/// hands each component its RNG.
+const STREAM_OWNER: &str = "soc";
+
+pub(crate) fn finding(rule: &'static str, file: &FileInfo, line: u32, msg: String) -> Finding {
     Finding {
         rule,
         path: file.rel.clone(),
@@ -86,15 +85,27 @@ fn finding(rule: &'static str, file: &FileInfo, line: u32, msg: String) -> Findi
     }
 }
 
+/// The identifier after `head::` when token `i` starts that path.
+fn path_tail<'a>(t: &'a [Token], i: usize, head: &str) -> Option<&'a str> {
+    let tail = t.get(i + 3)?;
+    (t[i].is_ident(head)
+        && t[i + 1].is_punct(':')
+        && t[i + 2].is_punct(':')
+        && tail.kind == TokenKind::Ident)
+        .then_some(tail.text.as_str())
+}
+
 // ---------------------------------------------------------------------------
 // no-wall-clock
 // ---------------------------------------------------------------------------
 
-/// Wall-clock reads are allowed only in `crates/bench` (harness timing).
-/// Everything else must treat time as simulation state (`wall_ms`-style
-/// diagnostics carry a pragma and a fingerprint exclusion).
+/// Wall-clock reads are allowed only in harness code: `crates/bench` and
+/// the repo benchmark package under `benchmark/`, which time the host on
+/// purpose. Everything else must treat time as simulation state
+/// (`wall_ms`-style diagnostics carry a pragma and a fingerprint
+/// exclusion).
 pub fn no_wall_clock(file: &FileInfo, sf: &SourceFile, out: &mut Vec<Finding>) {
-    if file.crate_name.as_deref() == Some("bench") {
+    if file.crate_name.as_deref() == Some("bench") || file.rel.starts_with("benchmark/") {
         return;
     }
     let t = &sf.tokens;
@@ -107,17 +118,13 @@ pub fn no_wall_clock(file: &FileInfo, sf: &SourceFile, out: &mut Vec<Finding>) {
                 "SystemTime is wall-clock state; simulation time is `SimMillis`".into(),
             ));
         }
-        if t[i].is_ident("Instant")
-            && i + 3 < t.len()
-            && t[i + 1].is_punct(':')
-            && t[i + 2].is_punct(':')
-            && t[i + 3].is_ident("now")
-        {
+        if path_tail(t, i, "Instant") == Some("now") {
             out.push(finding(
                 "no-wall-clock",
                 file,
                 t[i].line,
-                "Instant::now outside crates/bench; wall time must stay out of sim state".into(),
+                "Instant::now outside the bench harness; wall time must stay out of sim state"
+                    .into(),
             ));
         }
     }
@@ -290,7 +297,11 @@ pub fn no_unstable_sort(file: &FileInfo, sf: &SourceFile, out: &mut Vec<Finding>
 // ---------------------------------------------------------------------------
 
 /// Ad-hoc RNG construction on sim paths (replay soundness requires every
-/// stream to come from `stream_rng`), plus entropy seeding anywhere.
+/// stream to come from `stream_rng`), entropy seeding anywhere, and
+/// stream ownership: outside test code, a `RngStreams::` variant may be
+/// named only in crate `soc` (and the registry itself), and `Test` not at
+/// all. One owner per stream keeps its draw order a property of the
+/// runner alone, which is what makes a recorded trace replay bit-exact.
 pub fn rng_stream_discipline(file: &FileInfo, sf: &SourceFile, out: &mut Vec<Finding>) {
     let t = &sf.tokens;
     for i in 0..t.len() {
@@ -307,19 +318,35 @@ pub fn rng_stream_discipline(file: &FileInfo, sf: &SourceFile, out: &mut Vec<Fin
             ));
             continue;
         }
-        // Ad-hoc seeding only matters on non-test sim paths; unit tests,
-        // testkits and benches seed locally by design.
-        if !file.is_sim || file.is_test_path || file.is_testkit || sf.in_test_region(i) {
+        // Unit tests, testkits and benches seed and draw locally by design.
+        if file.is_test_path || file.is_testkit || sf.in_test_region(i) {
             continue;
         }
-        if t[i].is_ident("SmallRng")
-            && i + 3 < t.len()
-            && t[i + 1].is_punct(':')
-            && t[i + 2].is_punct(':')
-            && t[i + 3].kind == TokenKind::Ident
+        if file.rel != RNG_PATH {
+            match path_tail(t, i, "RngStreams") {
+                Some("Test") => out.push(finding(
+                    "rng-stream-discipline",
+                    file,
+                    t[i].line,
+                    "RngStreams::Test outside test code: sim code must not draw a test stream"
+                        .into(),
+                )),
+                Some(v) if file.crate_name.as_deref() != Some(STREAM_OWNER) => out.push(finding(
+                    "rng-stream-discipline",
+                    file,
+                    t[i].line,
+                    format!(
+                        "RngStreams::{v} named outside crate `{STREAM_OWNER}`: a second owner of \
+                         a stream breaks stream isolation"
+                    ),
+                )),
+                _ => {}
+            }
+        }
+        if file.is_sim
             && matches!(
-                t[i + 3].text.as_str(),
-                "seed_from_u64" | "from_seed" | "from_rng"
+                path_tail(t, i, "SmallRng"),
+                Some("seed_from_u64" | "from_seed" | "from_rng")
             )
         {
             out.push(finding(
@@ -330,6 +357,38 @@ pub fn rng_stream_discipline(file: &FileInfo, sf: &SourceFile, out: &mut Vec<Fin
                     .into(),
             ));
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// no-shared-mut-state
+// ---------------------------------------------------------------------------
+
+/// State that outlives the run that wrote it: `static mut` and
+/// `thread_local!`, flagged in every crate (the bench harness included —
+/// its sweep workers run cell after cell on one thread, so per-thread
+/// leftovers are exactly what would make a cell depend on its neighbours).
+/// `RefCell`/`Rc`/`Cell` are `!Sync` and nothing inside a run is shared
+/// between threads, so for those the compiler is the check.
+pub fn no_shared_mut_state(file: &FileInfo, sf: &SourceFile, out: &mut Vec<Finding>) {
+    if file.is_test_path || file.is_testkit {
+        return;
+    }
+    let t = &sf.tokens;
+    for i in 0..t.len() {
+        if sf.in_test_region(i) {
+            continue;
+        }
+        let next = t.get(i + 1);
+        let msg = if t[i].is_ident("static") && next.is_some_and(|x| x.is_ident("mut")) {
+            "`static mut` is mutable state every run of the process shares"
+        } else if t[i].is_ident("thread_local") && next.is_some_and(|x| x.is_punct('!')) {
+            "`thread_local!` state outlives the run that wrote it; justify why the next run on \
+             this thread cannot see it"
+        } else {
+            continue;
+        };
+        out.push(finding("no-shared-mut-state", file, t[i].line, msg.into()));
     }
 }
 
@@ -357,11 +416,8 @@ pub fn env_knob_reads(
     }
     let t = &sf.tokens;
     for i in 0..t.len() {
-        if t[i].is_ident("env")
+        if path_tail(t, i, "env") == Some("var")
             && i + 5 < t.len()
-            && t[i + 1].is_punct(':')
-            && t[i + 2].is_punct(':')
-            && t[i + 3].is_ident("var")
             && t[i + 4].is_punct('(')
             && t[i + 5].kind == TokenKind::Str
             && t[i + 5].text.starts_with("SOC_")

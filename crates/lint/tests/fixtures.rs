@@ -10,10 +10,8 @@
 //! rule fails the build. On top of those, the self-check lints the
 //! *actual* workspace — the tree this file is checked into must be
 //! clean, with its justified-pragma count pinned exactly — and the
-//! CLI's exit codes and `--json` artifact are pinned via the built
-//! binary.
+//! CLI's exit codes are pinned via the built binary.
 
-use soc_lint::items::{FileItems, ItemKind};
 use soc_lint::lexer::{SourceFile, TokenKind};
 use soc_lint::{lint_source, lint_workspace, LintReport};
 use std::path::PathBuf;
@@ -90,28 +88,20 @@ fn dirty_fixture_fires_every_rule() {
     );
     // no-shared-mut-state: static mut and thread_local! — and not the
     // RefCell inside the latter.
-    let shard = "crates/engine/src/shard_state.rs";
-    assert_finding(&r, "no-shared-mut-state", shard, 4);
-    assert_finding(&r, "no-shared-mut-state", shard, 6);
-    // float-reduce-order: unordered sum, unresolvable callee, float-seeded
-    // fold, += accumulation fed by an unordered loop source.
+    let shared = "crates/engine/src/shared_state.rs";
+    assert_finding(&r, "no-shared-mut-state", shared, 4);
+    assert_finding(&r, "no-shared-mut-state", shared, 6);
+    // Float reductions over a HashMap/HashSet: `sum`, float-seeded `fold`
+    // and `+=` in a loop each walk the unordered source on their line.
     let float = "crates/engine/src/float.rs";
-    assert_finding(&r, "float-reduce-order", float, 4);
-    assert_finding(&r, "float-reduce-order", float, 8);
-    assert_finding(&r, "float-reduce-order", float, 12);
-    assert_finding(&r, "float-reduce-order", float, 18);
-    // rng-stream-ownership, declaration side: unowned variant (flagged at
-    // the variant), duplicate entry, empty owner, phantom variant name.
-    let rng = "crates/simcore/src/rng.rs";
-    assert_finding(&r, "rng-stream-ownership", rng, 7);
-    assert_finding(&r, "rng-stream-ownership", rng, 13);
-    assert_finding(&r, "rng-stream-ownership", rng, 14);
-    assert_finding(&r, "rng-stream-ownership", rng, 15);
-    // rng-stream-ownership, use side: drawing another crate's stream and
-    // drawing a test-only stream from sim code.
+    assert_finding(&r, "no-unordered-iter", float, 5);
+    assert_finding(&r, "no-unordered-iter", float, 9);
+    assert_finding(&r, "no-unordered-iter", float, 14);
+    // rng-stream-discipline, ownership clause: a stream named outside
+    // crate `soc`, and the test stream named by sim code.
     let other = "crates/other/src/lib.rs";
-    assert_finding(&r, "rng-stream-ownership", other, 5);
-    assert_finding(&r, "rng-stream-ownership", other, 9);
+    assert_finding(&r, "rng-stream-discipline", other, 5);
+    assert_finding(&r, "rng-stream-discipline", other, 9);
     // Meta-rules: malformed, unknown-rule, unused.
     let bad = "crates/engine/src/bad_pragmas.rs";
     assert_finding(&r, "malformed-pragma", bad, 4); // missing -- reason
@@ -119,8 +109,16 @@ fn dirty_fixture_fires_every_rule() {
     assert_finding(&r, "unknown-rule", bad, 12);
     assert_finding(&r, "unused-pragma", bad, 12); // unknown rule suppresses nothing
     assert_finding(&r, "unused-pragma", bad, 15);
+    // Every registered rule and every meta-rule fires somewhere.
+    let names = soc_lint::RULES.iter().map(|(n, _)| *n);
+    for rule in names.chain(soc_lint::META_RULES.iter().copied()) {
+        assert!(
+            r.findings.iter().any(|f| f.rule == rule),
+            "ws_dirty seeds no [{rule}] finding"
+        );
+    }
     // Nothing unexpected beyond the seeded set.
-    assert_eq!(r.findings.len(), 39, "findings were:\n{}", render(&r));
+    assert_eq!(r.findings.len(), 31, "findings were:\n{}", render(&r));
     assert_eq!(r.suppressed, 0);
     assert!(!r.clean());
 }
@@ -141,13 +139,11 @@ fn clean_fixture_is_clean() {
     let r = lint_fixture("ws_clean");
     assert!(r.clean(), "findings were:\n{}", render(&r));
     // bench wall clock, a sim-crate Cell, cfg(test) iteration and
-    // thread_local!, testkit.rs seeding, tests/ tree (incl. a test-only
-    // stream draw),
-    // registry env::var site, owner-crate stream draws, float reductions
-    // the item graph proves ordered: all exempt by scope or resolution,
-    // none suppressed.
+    // thread_local!, testkit.rs seeding, tests/ tree (incl. a test-stream
+    // draw), registry env::var site, owner-crate stream draws, the stream
+    // registry naming every stream: all exempt by scope, none suppressed.
     assert_eq!(r.suppressed, 0);
-    assert_eq!(r.files_scanned, 10);
+    assert_eq!(r.files_scanned, 9);
 }
 
 #[test]
@@ -155,14 +151,16 @@ fn pragma_fixture_suppresses_with_justifications() {
     let r = lint_fixture("ws_pragma");
     assert!(r.clean(), "findings were:\n{}", render(&r));
     // wall clock, for-in iteration (standalone pragma), unstable sort and
-    // ad-hoc seeding (trailing pragmas), static mut, an unordered float
-    // sum (one pragma naming two rules), an unowned stream variant.
+    // ad-hoc seeding (trailing pragmas), static mut, a stream named outside
+    // its owner crate, a clock-seeded RNG (one pragma naming two rules).
     assert_eq!(r.suppressed, 8);
     assert_eq!(r.pragma_sites, 7, "the 2-rule pragma is a single site");
     for rule in [
+        "no-wall-clock",
+        "no-unordered-iter",
+        "no-unstable-sort",
+        "rng-stream-discipline",
         "no-shared-mut-state",
-        "rng-stream-ownership",
-        "float-reduce-order",
     ] {
         assert!(
             r.suppressed_by_rule
@@ -176,8 +174,9 @@ fn pragma_fixture_suppresses_with_justifications() {
 
 /// The workspace this file is checked into must lint clean: every
 /// surviving `HashMap` iteration, wall-clock read, unstable sort and
-/// ad-hoc RNG seed carries a justified pragma, every knob is declared and documented, every stream has an
-/// owner, every `#[ignore]` suite is wired into CI. The suppression count
+/// ad-hoc RNG seed carries a justified pragma, every knob is declared and
+/// documented, every stream is drawn by its owner crate, every `#[ignore]`
+/// suite is wired into CI. The suppression count
 /// is pinned *exactly*: adding a pragma anywhere in the tree must show up
 /// here as a conscious diff.
 #[test]
@@ -201,47 +200,49 @@ fn actual_workspace_is_clean() {
     assert_eq!(r.pragma_sites, 6, "one pragma per suppressed site");
 }
 
-/// The guard behind "adding an `RngStreams` variant without an owner
-/// fails the lint's own tests": parse the *real* registry with the item
-/// layer and check the declared owner map is exhaustive, duplicate-free
-/// and phantom-free. The workspace self-check above already fails on
-/// any of these via the rule; this additionally pins the item parser
-/// actually seeing the real enum, so the rule cannot pass vacuously.
+/// The ownership clause of `rng-stream-discipline` is not vacuous: the
+/// runner's real `boot.rs` draws every stream, lints clean where it lives,
+/// and fires once per `RngStreams::` line when linted as another crate.
 #[test]
-fn real_stream_owner_map_is_exhaustive() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let text = std::fs::read_to_string(root.join(soc_lint::RNG_PATH)).expect("real rng.rs exists");
-    let sf = SourceFile::parse(&text);
-    let items = FileItems::parse(&sf);
-    let en = items
-        .find(ItemKind::Enum, "RngStreams")
-        .expect("item parser resolves the real RngStreams enum");
-    assert!(
-        en.variants.len() >= 10,
-        "expected the full stream set, got {:?}",
-        en.variants.iter().map(|v| &v.name).collect::<Vec<_>>()
-    );
-    let owners = soc_lint::shard::stream_owners(&sf);
-    assert!(owners.declared, "STREAM_OWNERS missing from the registry");
-    for v in &en.variants {
-        assert_eq!(
-            owners
-                .entries
-                .iter()
-                .filter(|(n, _, _)| n == &v.name)
-                .count(),
-            1,
-            "RngStreams::{} needs exactly one STREAM_OWNERS entry",
-            v.name
-        );
-    }
-    for (name, owner, _) in &owners.entries {
-        assert!(
-            en.variants.iter().any(|v| &v.name == name),
-            "STREAM_OWNERS names phantom variant {name}"
-        );
-        assert!(!owner.is_empty(), "empty owner for {name}");
-    }
+fn real_stream_draws_are_owned_by_the_runner() {
+    let rel = "crates/soc/src/runner/boot.rs";
+    let text = std::fs::read_to_string(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(rel),
+    )
+    .expect("real boot.rs exists");
+    let rule_hits = |r: &LintReport| {
+        r.findings
+            .iter()
+            .filter(|f| f.rule == "rng-stream-discipline")
+            .count()
+    };
+    let home = lint_source(rel, &text);
+    assert_eq!(rule_hits(&home), 0, "findings:\n{}", render(&home));
+    let draw_lines = text
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("//") && l.contains("RngStreams::"))
+        .count();
+    assert!(draw_lines > 0, "boot.rs names no stream");
+    let away = lint_source("crates/net/src/x.rs", &text);
+    assert_eq!(rule_hits(&away), draw_lines, "findings:\n{}", render(&away));
+}
+
+/// `benchmark/` is harness code for `no-wall-clock` only, like
+/// `crates/bench`: the same wall-clock read is clean there and a finding
+/// on a sim path.
+#[test]
+fn benchmark_package_may_read_the_wall_clock() {
+    let text = "pub fn t0() -> Instant {\n    Instant::now()\n}\n";
+    let fired = |rel: &str| {
+        lint_source(rel, text)
+            .findings
+            .iter()
+            .any(|f| f.rule == "no-wall-clock")
+    };
+    assert!(!fired("benchmark/src/x.rs"));
+    assert!(fired("crates/soc/src/x.rs"));
 }
 
 /// Lexer edge cases, table-driven: each source must lex without losing
@@ -404,48 +405,6 @@ fn cli_exit_codes_gate_ci() {
         .output()
         .expect("soc-lint runs");
     assert!(clean.status.success(), "clean fixture must pass");
-}
-
-/// `--json PATH` writes machine-readable findings through the
-/// hand-rolled `soc_sim::json` emitter; pin the shape by parsing it
-/// back with the same module.
-#[test]
-fn cli_json_artifact_round_trips() {
-    let out = std::env::temp_dir().join(format!("soc-lint-{}.json", std::process::id()));
-    let run = std::process::Command::new(env!("CARGO_BIN_EXE_soc-lint"))
-        .arg("--root")
-        .arg(fixture_root("ws_dirty"))
-        .arg("--json")
-        .arg(&out)
-        .output()
-        .expect("soc-lint runs");
-    assert!(
-        !run.status.success(),
-        "dirty fixture still fails with --json"
-    );
-    let text = std::fs::read_to_string(&out).expect("json artifact written");
-    std::fs::remove_file(&out).ok();
-    let v = soc_sim::json::parse(&text).expect("artifact parses");
-    assert_eq!(v.get("clean").and_then(|x| x.as_bool()), Some(false));
-    assert_eq!(v.get("files_scanned").and_then(|x| x.as_u64()), Some(9));
-    let findings = v
-        .get("findings")
-        .and_then(|x| x.as_array())
-        .expect("findings array");
-    assert_eq!(findings.len(), 39);
-    assert!(findings.iter().any(|f| {
-        f.get("rule").and_then(|x| x.as_str()) == Some("float-reduce-order")
-            && f.get("path").and_then(|x| x.as_str()) == Some("crates/engine/src/float.rs")
-    }));
-    // The per-rule block names every registered + meta rule.
-    let rules = v
-        .get("rules")
-        .and_then(|x| x.as_array())
-        .expect("rules array");
-    assert_eq!(
-        rules.len(),
-        soc_lint::RULES.len() + soc_lint::META_RULES.len()
-    );
 }
 
 /// `--explain` renders rationale + both examples for every rule, and

@@ -1,6 +1,6 @@
-//! Test trees may draw test-only streams.
+//! Test trees may draw the test stream.
 
 #[test]
 fn probe_draws() {
-    let _ = stream_rng(1, RngStreams::Probe);
+    let _ = stream_rng(1, RngStreams::Test(0));
 }

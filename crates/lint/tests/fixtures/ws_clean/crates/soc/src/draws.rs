@@ -1,4 +1,4 @@
-//! Drawing a stream from its declared owner crate lints clean.
+//! Drawing a stream from its owner crate, `soc`, lints clean.
 
 pub fn draw(seed: u64) -> SmallRng {
     stream_rng(seed, RngStreams::Alpha)

@@ -1,11 +1,8 @@
-//! Order-sensitive float reductions the item graph cannot bless.
+//! Float reductions over unordered sources: each walks a Hash{Map,Set},
+//! so the total's bits depend on the process's iteration order.
 
 pub fn total_load(load: &HashMap<u64, f64>) -> f64 {
     load.values().sum()
-}
-
-pub fn mystery() -> f64 {
-    fetch().sum::<f64>()
 }
 
 pub fn folded(set: &HashSet<u64>) -> f64 {

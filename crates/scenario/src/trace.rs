@@ -18,6 +18,7 @@ use rand::rngs::SmallRng;
 use soc_sim::{build_source, run_scenario_with, RunReport};
 use soc_types::{NodeId, ResVec, SimMillis};
 use soc_workload::{TaskSpec, WorkloadSource};
+use std::collections::BTreeMap;
 
 /// One recorded workload decision, in simulation order.
 #[derive(Clone, Debug, PartialEq)]
@@ -110,12 +111,13 @@ impl WorkloadSource for RecordingSource {
 /// that every recorded event was consumed exactly once.
 struct ReplaySource<'t> {
     events: &'t [TraceEvent],
-    /// Indices of `Delay`/`Task` events, grouped per node, in trace order.
-    per_node: Vec<Vec<usize>>,
+    /// Indices of `Delay`/`Task` events, grouped per node id, in trace
+    /// order; each iterator is that node's cursor. Keyed sparsely: a node
+    /// id is untrusted trace data, and an id no node asks for must surface
+    /// as an unconsumed event, not size a table.
+    per_node: BTreeMap<u32, std::vec::IntoIter<usize>>,
     /// Indices of `Capacity`/`Churn` events, in trace order.
     global_seq: Vec<usize>,
-    /// Per-node cursor into `per_node`.
-    node_pos: Vec<usize>,
     /// Cursor into `global_seq`.
     global_pos: usize,
     /// Total events consumed.
@@ -124,31 +126,23 @@ struct ReplaySource<'t> {
 
 impl<'t> ReplaySource<'t> {
     fn new(events: &'t [TraceEvent]) -> Self {
-        let n_nodes = events
-            .iter()
-            .map(|ev| match ev {
-                TraceEvent::Delay { node, .. } | TraceEvent::Task { node, .. } => {
-                    *node as usize + 1
-                }
-                _ => 0,
-            })
-            .max()
-            .unwrap_or(0);
-        let mut per_node = vec![Vec::new(); n_nodes];
+        let mut per_node: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
         let mut global_seq = Vec::new();
         for (i, ev) in events.iter().enumerate() {
             match ev {
                 TraceEvent::Delay { node, .. } | TraceEvent::Task { node, .. } => {
-                    per_node[*node as usize].push(i)
+                    per_node.entry(*node).or_default().push(i)
                 }
                 TraceEvent::Capacity { .. } | TraceEvent::Churn { .. } => global_seq.push(i),
             }
         }
         ReplaySource {
             events,
-            per_node,
+            per_node: per_node
+                .into_iter()
+                .map(|(node, idx)| (node, idx.into_iter()))
+                .collect(),
             global_seq,
-            node_pos: vec![0; n_nodes],
             global_pos: 0,
             consumed: 0,
         }
@@ -164,18 +158,12 @@ impl<'t> ReplaySource<'t> {
     }
 
     fn next_for_node(&mut self, node: NodeId, wanted: &str) -> &'t TraceEvent {
-        let idx_list = self
-            .per_node
-            .get(node.idx())
-            .unwrap_or_else(|| panic!("trace has no events for node {} (wanted {wanted})", node.0));
-        let pos = self.node_pos[node.idx()];
-        let Some(&idx) = idx_list.get(pos) else {
+        let Some(idx) = self.per_node.get_mut(&node.0).and_then(Iterator::next) else {
             panic!(
-                "trace exhausted for node {} after {pos} events (wanted {wanted})",
+                "trace has no more events for node {} (wanted {wanted})",
                 node.0
             );
         };
-        self.node_pos[node.idx()] = pos + 1;
         self.consumed += 1;
         &self.events[idx]
     }
@@ -506,5 +494,21 @@ mod tests {
         // Truncation: drop the fingerprint line.
         let cut = text.rsplit_once("fingerprint").unwrap().0;
         assert!(Trace::from_text(cut).is_err());
+        // A node id no node asks for parses (any u32 does), and replay
+        // returns an Err instead of sizing a table by the id.
+        let mut tampered = false;
+        let lines: Vec<String> = text
+            .lines()
+            .map(|l| match l.strip_prefix("a 0 ") {
+                Some(rest) if !tampered => {
+                    tampered = true;
+                    format!("a {} {rest}", u32::MAX)
+                }
+                _ => l.to_string(),
+            })
+            .collect();
+        assert!(tampered, "the trace has a delay line for node 0");
+        let bad = Trace::from_text(&(lines.join("\n") + "\n")).expect("any u32 node id parses");
+        assert!(replay_run(&bad).is_err());
     }
 }

@@ -12,6 +12,13 @@ use rand::SeedableRng;
 
 /// Well-known stream identifiers. Using an enum (not magic numbers) keeps
 /// call sites self-describing.
+///
+/// Every stream has one owner: the runner (crate `soc`, `runner/boot.rs`)
+/// derives each one and hands it to the component that draws from it, and
+/// `Test` belongs to test code alone. One owner per stream keeps draw
+/// order a property of the runner, the invariant record → replay and the
+/// node-side streams ([`stream_rng_shard`]) lean on. `soc-lint`'s
+/// `rng-stream-discipline` rule flags a variant named anywhere else.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RngStreams {
     /// Node capacity sampling (Table I).
@@ -38,26 +45,6 @@ pub enum RngStreams {
     /// Anything test-local.
     Test(u16),
 }
-
-/// Declared stream ownership: which crate is allowed to draw each
-/// stream (`soc-lint`'s `rng-stream-ownership` rule parses this table
-/// and flags draws from anywhere else, the way the knob registry pins
-/// `SOC_*` reads). One owner per stream keeps draw ordering a local
-/// property of that crate — the invariant the node-side streams
-/// ([`stream_rng_shard`]) lean on. `"test-only"` marks
-/// streams that sim code must never draw.
-pub const STREAM_OWNERS: &[(&str, &str)] = &[
-    ("NodeCapacities", "soc"),
-    ("Workload", "soc"),
-    ("Overlay", "soc"),
-    ("Protocol", "soc"),
-    ("Network", "soc"),
-    ("Churn", "soc"),
-    ("Topology", "soc"),
-    ("Dispatch", "soc"),
-    ("Fault", "soc"),
-    ("Test", "test-only"),
-];
 
 impl RngStreams {
     fn id(self) -> u64 {
