@@ -109,3 +109,23 @@ fn hostile_sub_gallery_covers_every_fault_kind() {
         .filter(|s| !s.name.starts_with("hostile-"))
         .all(|s| !s.scenario.fault.enabled()));
 }
+
+/// Every other gallery file runs HID-CAN. Keep one pinned run of a
+/// baseline protocol under churn and faults, so its join / leave, dropped
+/// message and swallowed-exchange paths stay under the fingerprint diff.
+#[test]
+fn gallery_carries_a_non_hid_protocol() {
+    use soc_sim::ProtocolChoice;
+    let specs: Vec<ScenarioSpec> = gallery_files()
+        .iter()
+        .map(|p| ScenarioSpec::load(p).unwrap())
+        .collect();
+    assert!(
+        specs
+            .iter()
+            .any(|s| s.scenario.protocol != ProtocolChoice::Hid
+                && s.scenario.churn_degree > 0.0
+                && s.scenario.fault.enabled()),
+        "no gallery scenario runs a non-HID protocol under churn and faults"
+    );
+}
