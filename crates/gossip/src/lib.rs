@@ -17,8 +17,27 @@ use rand::{Rng, RngExt};
 use soc_net::MsgKind;
 use soc_overlay::{Candidate, Ctx, DiscoveryOverlay, QueryRequest, QueryVerdict};
 use soc_types::{NodeId, QueryId, ResVec, SimMillis};
+use std::cmp::Reverse;
 
 const T_EXCHANGE: u32 = 0;
+
+/// A view's sort key: freshest first, ties by peer id. It is a total order
+/// over entries about distinct peers.
+fn view_key(e: &ViewEntry) -> (Reverse<SimMillis>, NodeId) {
+    (Reverse(e.heartbeat), e.peer)
+}
+
+/// The invariant every writer of `node`'s view keeps: sorted by
+/// [`view_key`], distinct peers, no entry about `node`, at most `cap`
+/// entries.
+fn well_formed(view: &[ViewEntry], node: NodeId, cap: usize) -> bool {
+    view.len() <= cap
+        && view.windows(2).all(|w| view_key(&w[0]) < view_key(&w[1]))
+        && view
+            .iter()
+            .enumerate()
+            .all(|(i, e)| e.peer != node && view[..i].iter().all(|x| x.peer != e.peer))
+}
 
 /// One partial-view entry.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -124,9 +143,20 @@ pub struct Walk {
 /// The Newscast protocol state.
 pub struct Newscast {
     cfg: GossipConfig,
+    /// Per-node partial views, each [`well_formed`].
     views: Vec<Vec<ViewEntry>>,
     view_cap: usize,
     query_ttl: usize,
+    /// The buffer the next merge writes; it then swaps places with the
+    /// merged view.
+    spare: Vec<ViewEntry>,
+    /// Merge scratch: the incoming entries' keys and indices, in key order.
+    order: Vec<(Reverse<SimMillis>, NodeId, u32)>,
+    /// Merge scratch: the peers a merge has already placed, by id; all
+    /// `false` between merges.
+    seen: Vec<bool>,
+    /// Offer buffers whose merge is done, refilled by the next offer.
+    offers: Vec<Vec<ViewEntry>>,
 }
 
 impl Newscast {
@@ -138,6 +168,10 @@ impl Newscast {
             views: vec![Vec::new(); max_nodes],
             view_cap: cfg.view_cap.unwrap_or(log2n).max(1),
             query_ttl: cfg.query_ttl.unwrap_or(2),
+            spare: Vec::new(),
+            order: Vec::new(),
+            seen: vec![false; max_nodes],
+            offers: Vec::new(),
         }
     }
 
@@ -153,34 +187,77 @@ impl Newscast {
 
     /// Merge `incoming` into `node`'s view: freshest entry per peer wins,
     /// then keep the `view_cap` freshest overall (Newscast rule).
+    ///
+    /// The view is already in key order; `order` puts `incoming` in key
+    /// order, ties by position. The merge walks both lists at once into the
+    /// spare buffer, which then becomes the view. The first entry met for a
+    /// peer wins, and on a key tie the view goes first: an equally fresh
+    /// incoming entry never replaces the one kept. `node` is marked seen up
+    /// front, so no entry about it gets in.
     fn merge_view(&mut self, node: NodeId, incoming: &[ViewEntry]) {
-        let view = &mut self.views[node.idx()];
-        for e in incoming {
-            if e.peer == node {
-                continue; // never keep an entry about ourselves
-            }
-            match view.iter_mut().find(|v| v.peer == e.peer) {
-                Some(v) => {
-                    if e.heartbeat > v.heartbeat {
-                        *v = *e;
-                    }
+        let order = &mut self.order;
+        order.clear();
+        order.extend(
+            (0..)
+                .zip(incoming)
+                .map(|(k, e)| (Reverse(e.heartbeat), e.peer, k)),
+        );
+        order.sort();
+        let view = &self.views[node.idx()];
+        let (out, seen) = (&mut self.spare, &mut self.seen);
+        out.clear();
+        // Exactly `view_cap`: no view holds room it can never fill.
+        out.reserve_exact(self.view_cap);
+        seen[node.idx()] = true;
+        let (mut i, mut j) = (0, 0);
+        while out.len() < self.view_cap {
+            let e = match (view.get(i), order.get(j)) {
+                (Some(v), Some(&(hb, peer, k))) if (hb, peer) < view_key(v) => {
+                    j += 1;
+                    &incoming[k as usize]
                 }
-                None => view.push(*e),
+                (Some(v), _) => {
+                    i += 1;
+                    v
+                }
+                (None, Some(&(.., k))) => {
+                    j += 1;
+                    &incoming[k as usize]
+                }
+                (None, None) => break,
+            };
+            if !std::mem::replace(&mut seen[e.peer.idx()], true) {
+                out.push(*e);
             }
         }
-        view.sort_by_key(|v| (std::cmp::Reverse(v.heartbeat), v.peer));
-        view.truncate(self.view_cap);
+        seen[node.idx()] = false;
+        for e in out.iter() {
+            seen[e.peer.idx()] = false;
+        }
+        std::mem::swap(&mut self.views[node.idx()], out);
+        debug_assert!(well_formed(&self.views[node.idx()], node, self.view_cap));
     }
 
-    /// The sender's offer: its view plus a fresh self-entry.
-    fn offer(&self, ctx: &Ctx<'_, GossipMsg>, node: NodeId) -> Vec<ViewEntry> {
-        let mut entries = self.views[node.idx()].clone();
+    /// The sender's offer: its view plus a fresh self-entry, last — the
+    /// receiver replies to the last of the freshest entries.
+    fn offer(&mut self, ctx: &Ctx<'_, GossipMsg>, node: NodeId) -> Vec<ViewEntry> {
+        let mut entries = self
+            .offers
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(self.view_cap + 1));
+        entries.extend_from_slice(&self.views[node.idx()]);
         entries.push(ViewEntry {
             peer: node,
             avail: ctx.host.availability(node),
             heartbeat: ctx.now,
         });
         entries
+    }
+
+    /// Return a consumed offer's buffer for the next [`Newscast::offer`].
+    fn recycle(&mut self, mut entries: Vec<ViewEntry>) {
+        entries.clear();
+        self.offers.push(entries);
     }
 
     /// Fresh entries in `node`'s view qualifying `demand`.
@@ -301,8 +378,12 @@ impl DiscoveryOverlay for Newscast {
                     );
                 }
                 self.merge_view(node, &entries);
+                self.recycle(entries);
             }
-            GossipMsg::ExchangeReply { entries } => self.merge_view(node, &entries),
+            GossipMsg::ExchangeReply { entries } => {
+                self.merge_view(node, &entries);
+                self.recycle(entries);
+            }
             GossipMsg::Query(mut w) => {
                 let found = self.qualified(node, &w.demand, ctx.now);
                 w.wanted = w.wanted.saturating_sub(found.len());
@@ -389,8 +470,12 @@ impl DiscoveryOverlay for Newscast {
             return;
         }
         self.views[from.idx()].retain(|e| e.peer != to);
-        if let GossipMsg::Query(w) = msg {
-            self.walk_on(ctx, from, w);
+        match msg {
+            GossipMsg::Query(w) => self.walk_on(ctx, from, w),
+            GossipMsg::Exchange { entries } | GossipMsg::ExchangeReply { entries } => {
+                self.recycle(entries)
+            }
+            GossipMsg::Found { .. } | GossipMsg::Exhausted { .. } => {}
         }
     }
 }
@@ -398,10 +483,12 @@ impl DiscoveryOverlay for Newscast {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use soc_can::CanOverlay;
     use soc_overlay::testkit::{TestHarness, TestHost};
+    use soc_overlay::Effect;
 
     const N: usize = 64;
 
@@ -430,8 +517,12 @@ mod tests {
             if v.len() == cap {
                 filled += 1;
             }
-            // No self-entries.
-            assert!(v.iter().all(|e| e.peer != NodeId(i as u32)));
+            // Sorted, distinct, no self-entry, and no spare capacity.
+            assert!(well_formed(v, NodeId(i as u32), cap), "node {i}: {v:?}");
+            assert!(
+                h.proto.views[i].capacity() <= cap,
+                "node {i} over-allocated"
+            );
         }
         assert!(filled > N / 2, "only {filled} full views");
     }
@@ -516,5 +607,154 @@ mod tests {
         assert_eq!(p.view_cap(), 11); // ⌈log2 2000⌉ = 11
         let p = Newscast::new(GossipConfig::default(), 64, 64);
         assert_eq!(p.view_cap(), 6);
+    }
+
+    /// The receiver answers the last of the freshest offered entries. A
+    /// view entry stamped at the same millisecond as the initiator's
+    /// self-entry, about a higher peer id, sorts after the self-entry by
+    /// key: only an offer that keeps the self-entry last gets the reply
+    /// back to the initiator.
+    #[test]
+    fn reply_goes_to_the_initiator_on_a_heartbeat_tie() {
+        let mut h = world(6);
+        let (initiator, peer) = (NodeId(3), NodeId(9));
+        let now = 1_000;
+        h.proto.views[initiator.idx()] = vec![ViewEntry {
+            peer,
+            avail: h.host.avails[peer.idx()],
+            heartbeat: now,
+        }];
+        let mut rng = SmallRng::seed_from_u64(6);
+        let mut ctx = Ctx::new(now, &h.can, &h.host, &mut rng);
+        h.proto.on_timer(&mut ctx, initiator, T_EXCHANGE);
+        let exchange = ctx
+            .finish()
+            .0
+            .into_iter()
+            .find_map(|f| match f {
+                Effect::Send { to, msg, .. } => Some((to, msg)),
+                _ => None,
+            })
+            .expect("the initiator sends an exchange");
+        assert_eq!(exchange.0, peer);
+        let mut ctx = Ctx::new(now + 1, &h.can, &h.host, &mut rng);
+        h.proto.on_message(&mut ctx, peer, exchange.1);
+        let replies: Vec<NodeId> = ctx
+            .finish()
+            .0
+            .into_iter()
+            .filter_map(|f| match f {
+                Effect::Send {
+                    to,
+                    msg: GossipMsg::ExchangeReply { .. },
+                    ..
+                } => Some(to),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(replies, [initiator]);
+    }
+
+    /// The find-push-sort merge the sorted-list merge replaced: the model
+    /// it must match step for step.
+    fn model_merge(view: &mut Vec<ViewEntry>, node: NodeId, incoming: &[ViewEntry], cap: usize) {
+        for e in incoming {
+            if e.peer == node {
+                continue;
+            }
+            match view.iter_mut().find(|v| v.peer == e.peer) {
+                Some(v) => {
+                    if e.heartbeat > v.heartbeat {
+                        *v = *e;
+                    }
+                }
+                None => view.push(*e),
+            }
+        }
+        view.sort_by_key(view_key);
+        view.truncate(cap);
+    }
+
+    /// One offer as the workload makes it: the sender's view with its
+    /// self-entry last, or (`crafted`) distinct peers in random order
+    /// that re-offer the receiver's peers older, equally fresh or newer,
+    /// may name the receiver, and are often stamped at one instant.
+    fn draw_offer(
+        rng: &mut SmallRng,
+        views: &[Vec<ViewEntry>],
+        to: NodeId,
+        now: SimMillis,
+        cap: usize,
+    ) -> Vec<ViewEntry> {
+        let n = views.len() as u32;
+        let avail = |rng: &mut SmallRng| ResVec::from_slice(&[rng.random_range(0.0..10.0), 1.0]);
+        let from = NodeId(rng.random_range(0..n));
+        let mut offer = if rng.random_bool(0.5) {
+            views[from.idx()].clone()
+        } else {
+            let mut offer: Vec<ViewEntry> = Vec::new();
+            for _ in 0..rng.random_range(0..=cap) {
+                let peer = NodeId(rng.random_range(0..n));
+                if peer == from || offer.iter().any(|e| e.peer == peer) {
+                    continue;
+                }
+                let heartbeat = match views[to.idx()].iter().find(|e| e.peer == peer) {
+                    Some(v) => (v.heartbeat + rng.random_range(0..3))
+                        .saturating_sub(1)
+                        .min(now),
+                    None => now.saturating_sub(rng.random_range(0..3)),
+                };
+                offer.push(ViewEntry {
+                    peer,
+                    avail: avail(rng),
+                    heartbeat,
+                });
+            }
+            offer
+        };
+        offer.push(ViewEntry {
+            peer: from,
+            avail: avail(rng),
+            heartbeat: now,
+        });
+        offer
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Merges, purges and clears in lockstep on the protocol and on
+        /// the old merge: every view stays identical, `avail` included.
+        #[test]
+        fn merge_matches_find_push_sort(seed in 0u64..1 << 40, cap in 1usize..13, n in 3u32..40) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let cfg = GossipConfig { view_cap: Some(cap), ..GossipConfig::default() };
+            let mut proto = Newscast::new(cfg, n as usize, n as usize);
+            let mut model: Vec<Vec<ViewEntry>> = vec![Vec::new(); n as usize];
+            let mut now: SimMillis = 0;
+            for _ in 0..200 {
+                now += rng.random_range(0..3);
+                let node = NodeId(rng.random_range(0..n));
+                match rng.random_range(0..10) {
+                    0 => {
+                        let gone = NodeId(rng.random_range(0..n));
+                        proto.views[node.idx()].retain(|e| e.peer != gone);
+                        model[node.idx()].retain(|e| e.peer != gone);
+                    }
+                    1 if rng.random_bool(0.2) => {
+                        proto.views[node.idx()].clear();
+                        model[node.idx()].clear();
+                    }
+                    _ => {
+                        let offer = draw_offer(&mut rng, &model, node, now, cap);
+                        proto.merge_view(node, &offer);
+                        model_merge(&mut model[node.idx()], node, &offer, cap);
+                    }
+                }
+                for (i, m) in model.iter().enumerate() {
+                    prop_assert_eq!(&proto.views[i], m);
+                }
+            }
+        }
     }
 }
