@@ -517,7 +517,6 @@ mod tests {
             if v.len() == cap {
                 filled += 1;
             }
-            // Sorted, distinct, no self-entry, and no spare capacity.
             assert!(well_formed(v, NodeId(i as u32), cap), "node {i}: {v:?}");
             assert!(
                 h.proto.views[i].capacity() <= cap,
@@ -675,10 +674,10 @@ mod tests {
         view.truncate(cap);
     }
 
-    /// One offer as the workload makes it: the sender's view with its
-    /// self-entry last, or (`crafted`) distinct peers in random order
-    /// that re-offer the receiver's peers older, equally fresh or newer,
-    /// may name the receiver, and are often stamped at one instant.
+    /// One offer to `to`, ending in the sender's self-entry: either the
+    /// sender's view as the workload sends it, or distinct peers in random
+    /// order that re-offer `to`'s peers older, equally fresh or newer, may
+    /// name `to` itself, and are often stamped at one instant.
     fn draw_offer(
         rng: &mut SmallRng,
         views: &[Vec<ViewEntry>],
