@@ -324,7 +324,7 @@ fn fingerprint_hash(r: &RunReport) -> u64 {
 
 fn main() {
     // A mistyped knob value would otherwise select its default without a
-    // word — for `SOC_FAULT_DEFENSE`, a different simulation.
+    // word, and a removed knob would be read by nobody.
     if let Err(e) = soc_types::knobs::check_env() {
         eprintln!("{e}");
         std::process::exit(2);

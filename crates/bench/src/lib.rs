@@ -218,11 +218,11 @@ pub fn diag_lambda05_with(scale: Scale, seed: u64, jitter: f64) -> Vec<RunReport
 /// the same faults with the blacklist/retry defence on.
 #[derive(Clone, Debug)]
 pub struct HostilityAb {
-    /// Zero-fault baseline (defence knob irrelevant: pinned off).
+    /// Zero-fault baseline, defence off.
     pub clean: RunReport,
-    /// Hostile, `SOC_FAULT_DEFENSE=off` — the undefended damage.
+    /// Hostile, `defense = false` — the undefended damage.
     pub undefended: RunReport,
-    /// Hostile, `SOC_FAULT_DEFENSE=on` — blacklists + bounded retry.
+    /// Hostile, `defense = true` — blacklists + bounded retry.
     pub defended: RunReport,
     /// The blackhole fraction both hostile cells ran under.
     pub blackhole_frac: f64,
@@ -246,48 +246,20 @@ impl HostilityAb {
     }
 }
 
-/// Set an environment knob for the lifetime of the returned guard, which
-/// restores the previous value (or absence) on drop. Knobs are re-read per
-/// `Sim` construction precisely so one process can compare configurations;
-/// callers must not overlap guards for the same key.
-fn env_guard(key: &'static str, value: &str) -> impl Drop {
-    struct Restore {
-        key: &'static str,
-        prev: Option<String>,
-    }
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            match self.prev.take() {
-                Some(v) => std::env::set_var(self.key, v),
-                None => std::env::remove_var(self.key),
-            }
-        }
-    }
-    let prev = std::env::var(key).ok();
-    std::env::set_var(key, value);
-    Restore { key, prev }
-}
-
-/// Run the hostility A/B at one blackhole fraction. The defence knob is
-/// read once per `Sim` construction, so each env guard brackets a whole
-/// sweep; the clean and undefended cells pin it off explicitly rather
-/// than trusting the ambient environment.
+/// Run the hostility A/B at one blackhole fraction: the clean, undefended
+/// and defended cells in one sweep.
 pub fn diag_hostility(scale: Scale, seed: u64, blackhole_frac: f64) -> HostilityAb {
     let clean_sc = scale.scenario(ProtocolChoice::Hid).lambda(0.5).seed(seed);
-    let hostile_sc = clean_sc.fault(FaultConfig {
+    let hostile = FaultConfig {
         blackhole_frac,
         ..FaultConfig::default()
-    });
-    let (clean, undefended) = {
-        let _g = env_guard("SOC_FAULT_DEFENSE", "off");
-        let mut r = run_cells(vec![clean_sc, hostile_sc]);
-        let undefended = r.pop().expect("undefended cell");
-        (r.pop().expect("clean cell"), undefended)
     };
-    let defended = {
-        let _g = env_guard("SOC_FAULT_DEFENSE", "on");
-        run_cells(vec![hostile_sc]).pop().expect("defended cell")
+    let defended = FaultConfig {
+        defense: true,
+        ..hostile
     };
+    let cells = vec![clean_sc, clean_sc.fault(hostile), clean_sc.fault(defended)];
+    let [clean, undefended, defended] = run_cells(cells).try_into().expect("three cells");
     HostilityAb {
         clean,
         undefended,
@@ -499,23 +471,6 @@ mod tests {
         assert_eq!(sc.n_nodes, 300);
         assert_eq!(sc.duration_ms, 6 * 3_600_000);
         assert_eq!(sc.mean_arrival_s, 1200.0);
-    }
-
-    #[test]
-    fn env_guard_restores() {
-        // A scratch name outside the `SOC_` namespace: not a knob.
-        const KEY: &str = "BENCH_ENV_GUARD_SCRATCH";
-        std::env::set_var(KEY, "orig");
-        {
-            let _g = env_guard(KEY, "temp");
-            assert_eq!(std::env::var(KEY).unwrap(), "temp");
-        }
-        assert_eq!(std::env::var(KEY).unwrap(), "orig");
-        std::env::remove_var(KEY);
-        {
-            let _g = env_guard(KEY, "temp");
-        }
-        assert!(std::env::var(KEY).is_err(), "absence is restored too");
     }
 
     #[test]

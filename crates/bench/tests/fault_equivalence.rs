@@ -11,30 +11,10 @@
 //!    run degrades measurably, the blacklist/retry defence recovers a
 //!    quantified fraction of the loss, and it does so without
 //!    blacklisting honest nodes.
-//!
-//! Every test here flips the process-global `SOC_FAULT_DEFENSE` knob, so
-//! all flips serialize through one mutex — cargo runs this file's tests on
-//! separate threads of a single process.
 
 use soc_bench::{diag_hostility, Scale};
 use soc_scenario::ScenarioSpec;
 use soc_sim::RunReport;
-use std::sync::Mutex;
-
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-/// Run `f` with `SOC_FAULT_DEFENSE` set, restoring it afterwards.
-fn with_env<T>(defense: &str, f: impl FnOnce() -> T) -> T {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = soc_types::knobs::raw("SOC_FAULT_DEFENSE");
-    std::env::set_var("SOC_FAULT_DEFENSE", defense);
-    let out = f();
-    match prev {
-        Some(v) => std::env::set_var("SOC_FAULT_DEFENSE", v),
-        None => std::env::remove_var("SOC_FAULT_DEFENSE"),
-    }
-    out
-}
 
 /// Short FNV-1a digest of the full fingerprint — the same hash `repro
 /// scenario` prints as `# fingerprint:`, so pins can be reproduced on the
@@ -77,16 +57,16 @@ const PIN_LANS_CKPT: &str = "[scenario]\nname = pin-lans-ckpt\nprotocol = hid\nn
      lan_size = 24\nduration_ms = 7200000\nlambda = 0.5\nseed = 15\nchurn = 0.5\n\
      checkpointing = true\nsample_ms = 600000\nmean_arrival_s = 600\nmean_duration_s = 600\n";
 
-/// Multi-LAN churn again, now hostile and defended (run with
-/// `SOC_FAULT_DEFENSE=on`): blackholes and liars feed per-observer
-/// blacklists while churn swaps take observers and suspects away, so
-/// `node_leave` → `clear_node` / `on_node_left` run with the defence layer
-/// live — the combination the zero-fault pins never meet. 30-node LANs:
-/// the 240 ids (192 + churn headroom) make 8 LANs.
+/// Multi-LAN churn again, now hostile and defended (`defense = true`):
+/// blackholes and liars feed per-observer blacklists while churn swaps
+/// take observers and suspects away, so `node_leave` → `clear_node` /
+/// `on_node_left` run with the defence layer live — the combination the
+/// zero-fault pins never meet. 30-node LANs: the 240 ids (192 + churn
+/// headroom) make 8 LANs.
 const PIN_LANS_DEFENCE: &str = "[scenario]\nname = pin-lans-defence\nprotocol = hid\nnodes = 192\n\
      lan_size = 30\nduration_ms = 7200000\nlambda = 0.5\nseed = 16\nchurn = 0.5\n\
      sample_ms = 600000\nmean_arrival_s = 600\nmean_duration_s = 600\n\
-     [fault]\nblackhole = 0.15\nliar = 0.1\n";
+     [fault]\nblackhole = 0.15\nliar = 0.1\ndefense = true\n";
 
 /// Fault-free fingerprints (recorded via `repro scenario`). Zero-fault
 /// runs must reproduce them bitwise. These constants are what pins
@@ -100,22 +80,25 @@ const PIN_LANS_DEFENCE: &str = "[scenario]\nname = pin-lans-defence\nprotocol = 
 /// ones were re-recorded again when the runner stopped cutting a run into
 /// per-LAN-group partitions: the partition keyed RNG streams, id
 /// namespaces and same-instant ties, so every HID run moved; Newscast and
-/// KHDN always ran unpartitioned and did not.
+/// KHDN always ran unpartitioned and did not. The two churny ones were
+/// re-recorded once more when churn swaps and samples joined the node
+/// queue: a swap at `t` no longer runs ahead of node events scheduled
+/// earlier for `t`.
 #[test]
 fn zero_fault_runs_match_pre_fault_pins() {
     let pins: [(&str, &str, u64); 5] = [
         ("static HID", PIN_QUICK, 0x32a5_c1b0_b1b5_f480),
-        ("churny HID", PIN_CHURN, 0xbe19_3c75_15af_bb1c),
+        ("churny HID", PIN_CHURN, 0x203c_b9e8_5b4d_bbd1),
         ("Newscast", PIN_NEWSCAST, 0xe326_5c4f_f52a_3bbd),
         ("KHDN", PIN_KHDN, 0x73e3_445c_f6a0_ec08),
         (
             "multi-LAN churny HID with checkpointing",
             PIN_LANS_CKPT,
-            0x349e_fdd2_d44b_fcf4,
+            0xd278_653b_cbab_08f7,
         ),
     ];
     for (what, spec, pin) in pins {
-        let r = with_env("off", || run_spec(spec));
+        let r = run_spec(spec);
         assert_eq!(
             fnv(&r),
             pin,
@@ -138,7 +121,7 @@ fn zero_fault_runs_match_pre_fault_pins() {
 /// same shape, in-crate.
 #[test]
 fn defended_hostile_multi_lan_churn_matches_pin() {
-    let r = with_env("on", || run_spec(PIN_LANS_DEFENCE));
+    let r = run_spec(PIN_LANS_DEFENCE);
     assert_eq!(
         fnv(&r),
         0xc3f1_53a3_2075_da3e,
@@ -149,10 +132,6 @@ fn defended_hostile_multi_lan_churn_matches_pin() {
     assert!(f.suspicions > 0, "no strike was ever registered: {f:?}");
     assert!(f.blacklisted > 0, "nobody was ever blacklisted: {f:?}");
     assert!(r.killed > 0, "churn never took a busy node away");
-    // A knob value is matched trimmed and lowercased: ` ON ` arms the
-    // defence too, it does not silently select the undefended baseline.
-    let shouted = with_env(" ON ", || run_spec(PIN_LANS_DEFENCE));
-    assert_eq!(shouted.fingerprint(), r.fingerprint());
 }
 
 /// Omitting `[fault]` and writing it out all-zero are the same run.
@@ -160,10 +139,13 @@ fn defended_hostile_multi_lan_churn_matches_pin() {
 fn fault_section_absent_equals_explicit_zero() {
     let explicit = format!(
         "{PIN_QUICK}\n[fault]\nblackhole = 0\nliar = 0\nloss = 0\nburst_loss = 0\n\
-         burst_len = 8\nburst_gap = 200\npartition_period_ms = 0\npartition_ms = 0\n"
+         burst_len = 8\nburst_gap = 200\npartition_period_ms = 0\npartition_ms = 0\n\
+         defense = false\n"
     );
-    let (absent, zeroed) = with_env("off", || (run_spec(PIN_QUICK), run_spec(&explicit)));
-    assert_eq!(absent.fingerprint(), zeroed.fingerprint());
+    assert_eq!(
+        run_spec(PIN_QUICK).fingerprint(),
+        run_spec(&explicit).fingerprint()
+    );
 }
 
 fn assert_ab_verdict(ab: &soc_bench::HostilityAb, tag: &str) {
@@ -204,7 +186,6 @@ fn assert_ab_verdict(ab: &soc_bench::HostilityAb, tag: &str) {
 /// quantified recovery with the defence on.
 #[test]
 fn defence_recovers_measurable_fraction_under_blackholes() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let ab = diag_hostility(Scale::bench(), 7, 0.15);
     assert_ab_verdict(&ab, "bench");
     // Zero faults ⇒ the A/B's clean cell carries no fault accounting.
@@ -216,17 +197,17 @@ fn defence_recovers_measurable_fraction_under_blackholes() {
 #[test]
 #[ignore = "smoke scale: run in release via CI cron or manually"]
 fn smoke_scale_defence_verdict_holds() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let ab = diag_hostility(Scale::smoke(), 1, 0.15);
     assert_ab_verdict(&ab, "smoke");
 }
 
 /// `repro` validates the environment before it runs anything: a value
 /// outside a knob's accepted set is a usage error (exit 2) naming the
-/// knob, the value and the accepted set — not a silent run of the default,
-/// which for `SOC_FAULT_DEFENSE` is a different simulation. So is a
-/// `SOC_*` variable that is no knob at all, like the removed
-/// `SOC_SIM_EXEC` or `SOC_ROUTE` a script may still set.
+/// knob, the value and the accepted set — not a silent run of the default.
+/// So is a `SOC_*` variable that is no knob at all, like the removed
+/// `SOC_SIM_EXEC`, `SOC_ROUTE` or `SOC_FAULT_DEFENSE` a script may still
+/// set: for the last, ignoring it would run the undefended simulation
+/// where `[fault] defense = true` is now the way to ask for the defence.
 #[test]
 fn repro_refuses_a_mistyped_knob_value() {
     let scn = concat!(
@@ -235,18 +216,20 @@ fn repro_refuses_a_mistyped_knob_value() {
     );
     for (setting, complaint) in [
         (
-            "SOC_FAULT_DEFENSE=enabled",
-            "SOC_FAULT_DEFENSE=\"enabled\": expected off | on",
+            "SOC_PROFILE=enabled",
+            "SOC_PROFILE=\"enabled\": expected off | on",
         ),
         (
             "SOC_SIM_EXEC=sharded",
-            "SOC_SIM_EXEC: not a knob; the knobs are SOC_FAULT_DEFENSE, SOC_PROFILE, \
-             SOC_BENCH_THREADS",
+            "SOC_SIM_EXEC: not a knob; the knobs are SOC_PROFILE, SOC_BENCH_THREADS",
         ),
         (
             "SOC_ROUTE=cached",
-            "SOC_ROUTE: not a knob; the knobs are SOC_FAULT_DEFENSE, SOC_PROFILE, \
-             SOC_BENCH_THREADS",
+            "SOC_ROUTE: not a knob; the knobs are SOC_PROFILE, SOC_BENCH_THREADS",
+        ),
+        (
+            "SOC_FAULT_DEFENSE=on",
+            "SOC_FAULT_DEFENSE: not a knob; the knobs are SOC_PROFILE, SOC_BENCH_THREADS",
         ),
     ] {
         let (name, value) = setting.split_once('=').expect("NAME=value");

@@ -109,14 +109,12 @@ fn profile_summary_is_sane() {
     assert!(dispatch_ns > 0, "a 2-hour run must attribute some time");
 
     // Every dispatched event came out of exactly one queue pop, and a pop
-    // never returns more than one event. Pops exceed dispatches because
-    // every run of node events ends with one miss pop (the `pop_until`
-    // that returns `None` at the next coordinator event or the deadline),
-    // so the surplus scales with the coordinator's event count rather
-    // than being a single final miss.
+    // never returns more than one event. The run's one loop ends with
+    // exactly one miss pop: the `pop_until` that finds nothing due by the
+    // deadline.
     let pops = p.count("queue_pop");
     let dispatched = p.dispatch_count();
-    assert!(pops >= dispatched, "pops {pops} < dispatched {dispatched}");
+    assert_eq!(pops, dispatched + 1, "pops vs dispatched events");
 
     // Nothing pops that was never pushed.
     assert!(

@@ -20,7 +20,6 @@ pub enum TaskOutcome {
 /// One sampled point of the evaluation time series (a column of the paper's
 /// Fig. 4–8 plots).
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MetricPoint {
     /// Sample time (ms).
     pub t_ms: SimMillis,

@@ -49,6 +49,11 @@ pub struct FaultConfig {
     /// Length of the cut window at the start of each cycle (after the
     /// first full period elapses).
     pub partition_ms: SimMillis,
+    /// Arm the blacklist/retry defence: suspicion strikes on swallowed
+    /// messages, per-observer blacklists, bounded query re-issues. Not a
+    /// fault kind, so [`enabled`](Self::enabled) and [`tag`](Self::tag)
+    /// ignore it.
+    pub defense: bool,
 }
 
 impl Default for FaultConfig {
@@ -62,6 +67,7 @@ impl Default for FaultConfig {
             burst_gap: 200,
             partition_period_ms: 0,
             partition_ms: 0,
+            defense: false,
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Per-phase runtime attribution for the scenario runner, behind the
 //! registered `SOC_PROFILE=off|on` knob (read once per [`Profiler`]
-//! construction, like `SOC_FAULT_DEFENSE`).
+//! construction).
 //!
 //! Every hot-path claim in this workspace so far (queue, cache, route) is
 //! an A/B inference — flip a knob, compare wall clocks. This crate adds
@@ -209,9 +209,8 @@ impl Profiler {
         Self::with_enabled(false)
     }
 
-    /// Construct from the `SOC_PROFILE` knob — read once here, per `Sim`
-    /// construction (the same pattern as `SOC_FAULT_DEFENSE`), so the perf
-    /// harness can flip it between runs inside one process.
+    /// Construct from the `SOC_PROFILE` knob — read once here, per run, so
+    /// the perf harness can flip it between runs inside one process.
     pub fn from_env() -> Self {
         Self::with_enabled(soc_types::knobs::value("SOC_PROFILE").as_deref() == Some("on"))
     }

@@ -27,6 +27,7 @@
 //! [fault]
 //! blackhole = 0.15        # fraction of nodes silently dropping messages
 //! loss = 0.02             # iid per-hop drop probability
+//! defense = true          # blacklist/retry defence (default false)
 //! ```
 //!
 //! Every key except `protocol` is optional: omitted scenario keys take the
@@ -358,6 +359,7 @@ impl ScenarioSpec {
                 burst_gap: s.take_u64("burst_gap", d.burst_gap)?,
                 partition_period_ms: s.take_u64("partition_period_ms", d.partition_period_ms)?,
                 partition_ms: s.take_u64("partition_ms", d.partition_ms)?,
+                defense: s.take_bool("defense", d.defense)?,
             };
             s.finish("fault")?;
         }
@@ -546,6 +548,7 @@ impl ScenarioSpec {
         let _ = writeln!(out, "burst_gap = {}", f.burst_gap);
         let _ = writeln!(out, "partition_period_ms = {}", f.partition_period_ms);
         let _ = writeln!(out, "partition_ms = {}", f.partition_ms);
+        let _ = writeln!(out, "defense = {}", f.defense);
         out
     }
 
@@ -671,10 +674,11 @@ on_factor = 0.2
         let spec = ScenarioSpec::parse(
             "[scenario]\nprotocol = sid\n\n[fault]\nliar = 0.1\nburst_loss = 0.8\n\
              burst_len = 12\nburst_gap = 300\npartition_period_ms = 600000\n\
-             partition_ms = 120000\n",
+             partition_ms = 120000\ndefense = true\n",
         )
         .unwrap();
         let again = ScenarioSpec::parse(&spec.render()).unwrap();
+        assert!(again.scenario.fault.defense);
         assert_eq!(spec, again);
         assert_eq!(spec.render(), again.render());
     }

@@ -7,7 +7,7 @@ fn spec(text: &str) -> ScenarioSpec {
     ScenarioSpec::parse(text).expect("valid spec")
 }
 
-fn assert_record_replay_bitexact(spec: &ScenarioSpec) {
+fn assert_record_replay_bitexact(spec: &ScenarioSpec) -> soc_sim::RunReport {
     let (report, trace) = record_run(spec);
     assert!(report.generated > 0, "{}: nothing generated", spec.name);
     assert!(!trace.events.is_empty());
@@ -35,6 +35,7 @@ fn assert_record_replay_bitexact(spec: &ScenarioSpec) {
     assert_eq!(report.finished, replayed.finished);
     assert_eq!(report.msg_total, replayed.msg_total);
     assert_eq!(report.series, replayed.series);
+    report
 }
 
 #[test]
@@ -120,6 +121,23 @@ fn hostile_runs_replay_bit_exactly() {
          [fault]\nblackhole = 0.15\nliar = 0.1\nloss = 0.02\nburst_loss = 0.5\n\
          partition_period_ms = 1800000\npartition_ms = 300000\n",
     ));
+}
+
+#[test]
+fn defended_runs_replay_from_the_trace_alone() {
+    // The defence is a `[fault]` key, so the trace's embedded spec carries
+    // it: a defended recording replays defended, with nothing read from
+    // the environment.
+    let report = assert_record_replay_bitexact(&spec(
+        "[scenario]\nname = rr-defended\nprotocol = hid\nnodes = 100\nhours = 2\n\
+         mean_arrival_s = 600\nmean_duration_s = 600\nseed = 8\n\
+         [fault]\nblackhole = 0.15\ndefense = true\n",
+    ));
+    assert!(
+        report.faults.retries > 0,
+        "the defence never ran: {:?}",
+        report.faults
+    );
 }
 
 /// Smoke-scale pin of the acceptance criterion (CI cron; ~paper shapes).

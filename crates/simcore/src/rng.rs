@@ -80,8 +80,8 @@ pub fn stream_rng(seed: u64, stream: RngStreams) -> SmallRng {
 /// not partitioned any more, but every pinned fingerprint was recorded
 /// under this derivation, so it stays. Every partition — 0 included —
 /// mixes a partition-dependent term, so no such stream ever aliases the
-/// master [`stream_rng`] stream (the coordinator keeps drawing the master
-/// streams for churn/bootstrap).
+/// master [`stream_rng`] stream (bootstrap and churn keep drawing the
+/// master streams).
 pub fn stream_rng_shard(seed: u64, stream: RngStreams, shard: usize) -> SmallRng {
     let mixed = splitmix64(
         splitmix64(seed)

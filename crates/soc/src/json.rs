@@ -1,8 +1,7 @@
 //! Hand-rolled JSON emission.
 //!
-//! The workspace builds offline, so serde is unavailable (the ROADMAP's
-//! "serde declared but inert" item); report types instead serialize
-//! through this minimal writer. Strings are escaped per RFC 8259, floats
+//! The workspace builds offline with no serialization crate, so report
+//! types serialize through this minimal writer. Strings are escaped per RFC 8259, floats
 //! render via Rust's shortest-round-trip formatter (`{}`), and non-finite
 //! floats become `null` (JSON has no NaN/Infinity).
 

@@ -8,7 +8,6 @@ use soc_net::MsgKind;
 /// when some counter moved, so zero-fault runs stay byte-identical to
 /// reports produced before the fault subsystem existed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultSummary {
     /// Blackhole nodes at end of run (churn re-rolls membership).
     pub blackhole_nodes: u64,
@@ -51,7 +50,6 @@ impl FaultSummary {
 
 /// Aggregated outcome of one scenario run.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunReport {
     /// Protocol label (paper legend name).
     pub label: String,
@@ -116,7 +114,6 @@ pub struct RunReport {
     /// Per-phase wall-time attribution (`SOC_PROFILE=on` only; `None` when
     /// the profiler is off). Observation-only diagnostics — never
     /// fingerprinted, like `wall_ms`.
-    #[cfg_attr(feature = "serde", serde(skip))]
     pub profile: Option<soc_profile::ProfileSummary>,
     /// Protocol-internal diagnostic counters (free-form).
     pub diag: String,

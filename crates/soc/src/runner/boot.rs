@@ -1,6 +1,5 @@
-//! Bootstrap: the node side and the coordinator of one run.
+//! Bootstrap: the state of one run.
 
-use super::coord::Coord;
 use super::nodes::{Counters, Hosts, Nodes};
 use crate::defense::{Blacklist, DefenseParams};
 use crate::scenario::Scenario;
@@ -20,25 +19,24 @@ fn id_headroom(n: usize) -> usize {
     (n / 4).max(16)
 }
 
-/// Build the node side and the coordinator for one run; `make_proto` is
-/// handed the id capacity (`n_nodes` plus churn headroom) and builds the
-/// protocol instance that holds every id's rows.
+/// Build the state of one run; `make_proto` is handed the id capacity
+/// (`n_nodes` plus churn headroom) and builds the protocol instance that
+/// holds every id's rows.
 ///
 /// Ordering is load-bearing: the master streams draw in the exact
 /// bootstrap order (capacities → topology → overlay → fault plan).
 pub(super) fn bootstrap<'s, P: DiscoveryOverlay>(
-    sc: &'s Scenario,
+    sc: &Scenario,
     source: &'s mut dyn WorkloadSource,
     make_proto: impl FnOnce(usize) -> P,
     can_dim: usize,
-    defense_on: bool,
-) -> (Coord<'s>, Nodes<'s, P>) {
+) -> Nodes<'s, P> {
     let max_nodes = sc.n_nodes + id_headroom(sc.n_nodes);
     let mut rng_caps = stream_rng(sc.seed, RngStreams::NodeCapacities);
     let mut rng_topo = stream_rng(sc.seed, RngStreams::Topology);
     let mut rng_overlay = stream_rng(sc.seed, RngStreams::Overlay);
-    let mut rng_fault = stream_rng(sc.seed, RngStreams::Fault);
-    let fault = FaultPlan::new(sc.fault, max_nodes, &mut rng_fault);
+    let mut rng_fault_plan = stream_rng(sc.seed, RngStreams::Fault);
+    let fault = FaultPlan::new(sc.fault, max_nodes, &mut rng_fault_plan);
 
     let caps: Vec<ResVec> = (0..max_nodes)
         .map(|_| source.node_capacity(&mut rng_caps))
@@ -72,7 +70,7 @@ pub(super) fn bootstrap<'s, P: DiscoveryOverlay>(
     // The node-side streams are the derivation every pinned fingerprint
     // was recorded under; no stream may be re-derived.
     let stream = |s| stream_rng_shard(sc.seed, s, 0);
-    let nodes = Nodes {
+    Nodes {
         sc: *sc,
         can,
         topo,
@@ -85,7 +83,6 @@ pub(super) fn bootstrap<'s, P: DiscoveryOverlay>(
             cmax: cmax(),
             fault,
             blacklist: Blacklist::new(max_nodes),
-            defense_on,
         },
         // Grown on demand (≈ 6 events pend per node). A large up-front
         // reservation pins heap the bootstrap would otherwise reuse.
@@ -107,21 +104,15 @@ pub(super) fn bootstrap<'s, P: DiscoveryOverlay>(
         rng_net: stream(RngStreams::Network),
         rng_dispatch: stream(RngStreams::Dispatch),
         rng_fault: stream(RngStreams::Fault),
-        prof: Profiler::from_env(),
-    };
-
-    let coord = Coord {
-        sc,
-        cq: EventQueue::with_capacity(1 << 8),
         rng_caps,
-        rng_churn: stream_rng(sc.seed, RngStreams::Churn),
         rng_overlay,
-        rng_fault,
-        free_ids,
+        rng_churn: stream_rng(sc.seed, RngStreams::Churn),
+        rng_fault_plan,
         live,
         live_pos,
+        free_ids,
         checkpoint_resubmits: 0,
         blacklist_peak: 0,
-    };
-    (coord, nodes)
+        prof: Profiler::from_env(),
+    }
 }

@@ -25,7 +25,8 @@ pub(super) struct DispatchSpec {
     pub(super) is_local: bool,
 }
 
-/// Node events. Every variant is anchored to one node.
+/// The run's events: node events, each anchored to one node, and the two
+/// whole-system ones (churn swaps and metric samples).
 ///
 /// An event is moved several times between the handler that emits it and
 /// the handler that consumes it (effect → queue slab → pop → dispatch),
@@ -67,6 +68,10 @@ pub(super) enum Ev<M> {
         by: NodeId,
         of: NodeId,
     },
+    /// One departure and one join (§IV-B churn).
+    ChurnSwap,
+    /// Periodic metric sample.
+    Sample,
 }
 
 const _: () = {
@@ -94,5 +99,7 @@ pub(super) fn dispatch_phase<M>(ev: &Ev<M>) -> Phase {
         Ev::TaskArrive { .. } => Phase::TaskArrive,
         Ev::Completion { .. } => Phase::Completion,
         Ev::Suspect { .. } => Phase::Suspect,
+        Ev::ChurnSwap => Phase::ChurnSwap,
+        Ev::Sample => Phase::Sample,
     }
 }

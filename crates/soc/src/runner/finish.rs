@@ -1,29 +1,27 @@
 //! Tear-down: assemble the report.
 
-use super::coord::Coord;
 use super::nodes::Nodes;
 use crate::report::{FaultSummary, RunReport};
 use soc_overlay::{DiscoveryOverlay, Phase};
 
 /// Take the final sample and assemble the report.
 pub(super) fn finish<P: DiscoveryOverlay>(
-    coord: Coord<'_>,
     mut nodes: Nodes<'_, P>,
     wall_start: std::time::Instant,
 ) -> RunReport {
-    let sc = coord.sc;
+    let sc = nodes.sc;
     let deadline = sc.duration_ms;
 
-    // Queue pushes are too fine-grained to time individually; the queues'
-    // own scheduling counters give the invocation count for free.
-    let pushes = coord.cq.scheduled_total() + nodes.queue.scheduled_total();
+    // Queue pushes are too fine-grained to time individually; the queue's
+    // own scheduling counter gives the invocation count for free.
+    let pushes = nodes.queue.scheduled_total();
     nodes.prof.add_count(Phase::QueuePush, pushes);
     let (hosts, counters) = (&nodes.hosts, &nodes.counters);
     let faults = FaultSummary {
         blackhole_nodes: hosts.fault.blackhole_count(),
         liar_nodes: hosts.fault.liar_count(),
         blacklisted: hosts.blacklist.blacklisted_total,
-        blacklist_peak: coord
+        blacklist_peak: nodes
             .blacklist_peak
             .max(hosts.blacklist.active_total(deadline)),
         drops_blackhole: hosts.fault.drops_blackhole,
@@ -64,7 +62,7 @@ pub(super) fn finish<P: DiscoveryOverlay>(
         failed: tracker.failed(),
         killed: tracker.killed(),
         rejected: tracker.rejected(),
-        checkpoint_resubmits: coord.checkpoint_resubmits,
+        checkpoint_resubmits: nodes.checkpoint_resubmits,
         completion_scheduled: counters.comp_scheduled,
         completion_dedup_skips: counters.comp_dedup_skips,
         completion_dead_pops: counters.comp_dead_pops,

@@ -1,5 +1,5 @@
-//! The node side of a run: every node's host state, the overlay and
-//! network they sit on, and the handlers of their events.
+//! The state of a run — every node's host state, the overlay and network
+//! they sit on, the event queue — and the handlers of node events.
 
 use super::event::{dispatch_phase, DispatchSpec, Ev};
 use crate::defense::{Blacklist, DefenseParams};
@@ -16,11 +16,11 @@ use soc_psm::{NodeExec, RunningTask};
 use soc_simcore::EventQueue;
 use soc_types::{NodeId, QueryId, ResVec, SimMillis, TaskId, PERF_DIMS};
 use soc_workload::WorkloadSource;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Host-side state visible to protocols: one row per node id, indexed by
-/// [`NodeId::idx`]. Churn (the coordinator) is the only writer of `alive`
-/// and the fault flags.
+/// [`NodeId::idx`]. Churn swaps are the only writer of `alive` and the
+/// fault flags.
 pub(super) struct Hosts {
     pub(super) execs: Vec<NodeExec>,
     pub(super) alive: Vec<bool>,
@@ -31,8 +31,6 @@ pub(super) struct Hosts {
     /// Per-node suspicion blacklists (defence layer; empty when off), one
     /// row per observer (`by`).
     pub(super) blacklist: Blacklist,
-    /// `SOC_FAULT_DEFENSE=on` — read once per run, at the public entry.
-    pub(super) defense_on: bool,
 }
 
 impl HostInfo for Hosts {
@@ -54,7 +52,7 @@ impl HostInfo for Hosts {
         self.alive[node.idx()]
     }
     fn is_suspect(&self, by: NodeId, node: NodeId, now: SimMillis) -> bool {
-        self.defense_on && self.blacklist.is_blacklisted(by, node, now)
+        self.fault.config().defense && self.blacklist.is_blacklisted(by, node, now)
     }
 }
 
@@ -99,19 +97,17 @@ pub(super) struct Counters {
 }
 
 /// Every node of the run: the CAN overlay and LAN topology they sit on,
-/// their event queue, their row of every per-node table, and the
-/// node-side RNG streams.
+/// the run's one event queue, their row of every per-node table, the
+/// live set and the RNG streams.
 pub(super) struct Nodes<'s, P: DiscoveryOverlay> {
     pub(super) sc: Scenario,
-    /// The CAN structure; churn (the coordinator) is its only writer.
+    /// The CAN structure; churn swaps are its only writer.
     pub(super) can: CanOverlay,
     pub(super) topo: LanTopology,
     /// The workload source: every capacity, delay and task of the run.
     pub(super) source: &'s mut dyn WorkloadSource,
     /// Current simulation time: the timestamp of the event being handled
-    /// (or the coordinator's instant during its own calls). All node logic
-    /// reads this, never the queue clock, which lags while the coordinator
-    /// runs.
+    /// (0 during start-up).
     pub(super) now: SimMillis,
     pub(super) proto: P,
     pub(super) hosts: Hosts,
@@ -134,7 +130,8 @@ pub(super) struct Nodes<'s, P: DiscoveryOverlay> {
     /// already-scheduled fire time re-validates the queued event instead of
     /// enqueueing a duplicate.
     pub(super) comp_sched: Vec<Option<(SimMillis, u64)>>,
-    /// Defence tunables (fixed; the knob only switches the layer on/off).
+    /// Defence tunables (fixed; `[fault] defense` only switches the layer
+    /// on or off).
     pub(super) defense: DefenseParams,
     pub(super) counters: Counters,
     pub(super) tracker: TaskTracker,
@@ -150,11 +147,28 @@ pub(super) struct Nodes<'s, P: DiscoveryOverlay> {
     /// Fault-injection stream: consumed only when the fault model is
     /// enabled, so clean runs never touch it.
     pub(super) rng_fault: SmallRng,
+    /// Master streams: joiners' capacities, overlay points, churn victims
+    /// and timing, and the fault plan's draws of who is hostile (at
+    /// bootstrap and on every join).
+    pub(super) rng_caps: SmallRng,
+    pub(super) rng_overlay: SmallRng,
+    pub(super) rng_churn: SmallRng,
+    pub(super) rng_fault_plan: SmallRng,
+    /// The live nodes, and each id's position in `live` (`usize::MAX`
+    /// when not live).
+    pub(super) live: Vec<NodeId>,
+    pub(super) live_pos: Vec<usize>,
+    /// Vacated ids, recycled oldest first by churn joins.
+    pub(super) free_ids: VecDeque<NodeId>,
+    pub(super) checkpoint_resubmits: u64,
+    /// Peak simultaneously-active blacklist entries, sampled at every
+    /// metric sample instant.
+    pub(super) blacklist_peak: u64,
     /// Per-phase wall-time attribution (`SOC_PROFILE=on`, read once at
-    /// construction like the defence knob). Observation-only: it draws no
-    /// randomness, owns no simulation state, and its summary is excluded
-    /// from the fingerprint — the `profile_equivalence` suite pins on/off
-    /// runs bitwise-identical.
+    /// construction). Observation-only: it draws no randomness, owns no
+    /// simulation state, and its summary is excluded from the fingerprint
+    /// — the `profile_equivalence` suite pins on/off runs
+    /// bitwise-identical.
     pub(super) prof: Profiler,
 }
 
@@ -195,7 +209,7 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
     /// defence is on, `by` notices the missing forward/ack after the
     /// suspicion delay and registers a strike.
     fn suspect_later(&mut self, by: NodeId, of: NodeId) {
-        if self.hosts.defense_on {
+        if self.sc.fault.defense {
             self.queue.schedule_at(
                 self.now + self.defense.suspect_after_ms,
                 Ev::Suspect { by, of },
@@ -204,7 +218,7 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
     }
 
     fn on_suspect(&mut self, by: NodeId, of: NodeId) {
-        if !self.hosts.defense_on || !self.hosts.alive[by.idx()] {
+        if !self.sc.fault.defense || !self.hosts.alive[by.idx()] {
             return;
         }
         self.counters.suspicions += 1;
@@ -259,7 +273,7 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
     /// blackholes); otherwise — and on exhausted retries — it settles with
     /// whatever it has.
     fn on_query_timeout(&mut self, qid: QueryId) {
-        if self.hosts.defense_on {
+        if self.sc.fault.defense {
             let retry = match self.pending.get_mut(&qid) {
                 Some(p)
                     if p.candidates.is_empty()
@@ -690,14 +704,18 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
             Ev::TaskArrive { to, spec } => self.on_task_arrive(to, spec),
             Ev::Completion { node, epoch } => self.on_completion(node, epoch),
             Ev::Suspect { by, of } => self.on_suspect(by, of),
+            Ev::ChurnSwap => self.churn_swap(),
+            Ev::Sample => self.sample(),
         }
     }
 
-    /// Pop and handle every queued event strictly before `until`.
-    pub(super) fn pump(&mut self, until: SimMillis) {
+    /// Pop and handle every event due by the end of the run. Ties at one
+    /// instant run in insertion order.
+    pub(super) fn run(&mut self) {
+        let deadline = self.sc.duration_ms;
         loop {
             let t_pop = self.prof.start();
-            let popped = self.queue.pop_until(until - 1);
+            let popped = self.queue.pop_until(deadline);
             self.prof.stop(Phase::QueuePop, t_pop);
             let Some((t, ev)) = popped else { break };
             self.now = t;

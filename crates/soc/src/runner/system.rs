@@ -1,43 +1,33 @@
-//! The coordinator: churn, sampling and everything else that acts on the
-//! system as a whole rather than on one node's event.
+//! Whole-system events: the start of a run, churn swaps and metric
+//! samples. They act on the system as a whole rather than on one node, and
+//! ride the same queue as every node event.
 
+use super::event::Ev;
 use super::nodes::Nodes;
-use crate::scenario::Scenario;
-use rand::rngs::SmallRng;
 use rand::RngExt;
-use soc_overlay::{DiscoveryOverlay, Phase};
+use soc_overlay::DiscoveryOverlay;
 use soc_psm::{NodeExec, PsmConfig};
-use soc_simcore::EventQueue;
 use soc_types::{NodeId, QueryId, ResVec, SimMillis, PERF_DIMS};
-use std::collections::VecDeque;
 
-/// Coordinator events: whole-system concerns. At equal instants they run
-/// before node events.
-pub(super) enum CoEv {
-    ChurnSwap,
-    Sample,
-}
+impl<P: DiscoveryOverlay> Nodes<'_, P> {
+    /// Protocol start-up, then the arrival chains over the live nodes in id
+    /// order, then the first sample and the first churn swap.
+    pub(super) fn start(&mut self) {
+        let live = std::mem::take(&mut self.live);
+        self.with_proto(|p, ctx| p.on_start(ctx, &live));
+        // `on_start` emits for every node in one callback; dropped here, the
+        // recycled buffers regrow to the size of one steady-state event's
+        // effects instead of keeping start-up's.
+        self.fx_buf = Vec::new();
+        self.fx_next = Vec::new();
+        for &node in &live {
+            self.schedule_arrival(node);
+        }
+        self.live = live;
+        self.queue.schedule_at(self.sc.sample_ms, Ev::Sample);
+        self.schedule_next_churn();
+    }
 
-/// The coordinator: whole-system state no node owns — the live-node set,
-/// id recycling, the master RNG streams (capacities, overlay points,
-/// churn, fault flags) and the blacklist peak.
-pub(super) struct Coord<'s> {
-    pub(super) sc: &'s Scenario,
-    pub(super) cq: EventQueue<CoEv>,
-    pub(super) rng_caps: SmallRng,
-    pub(super) rng_churn: SmallRng,
-    pub(super) rng_overlay: SmallRng,
-    pub(super) rng_fault: SmallRng,
-    pub(super) free_ids: VecDeque<NodeId>,
-    pub(super) live: Vec<NodeId>,
-    pub(super) live_pos: Vec<usize>,
-    pub(super) checkpoint_resubmits: u64,
-    /// Peak simultaneously-active blacklist entries, sampled at every
-    /// metric sample instant.
-    pub(super) blacklist_peak: u64,
-}
-
-impl Coord<'_> {
     fn live_add(&mut self, node: NodeId) {
         self.live_pos[node.idx()] = self.live.len();
         self.live.push(node);
@@ -58,7 +48,7 @@ impl Coord<'_> {
         self.live[self.rng_churn.random_range(0..self.live.len())]
     }
 
-    pub(super) fn schedule_next_churn(&mut self, now: SimMillis) {
+    fn schedule_next_churn(&mut self) {
         if self.sc.churn_degree <= 0.0 {
             return;
         }
@@ -67,33 +57,11 @@ impl Coord<'_> {
         let interval = (3_000_000.0 / swaps_per_window).max(1.0) as SimMillis;
         // Jitter to avoid lockstep with other periodic events.
         let jitter = self.rng_churn.random_range(0..=interval / 4 + 1);
-        self.cq
-            .schedule_at(now + interval + jitter, CoEv::ChurnSwap);
+        self.queue
+            .schedule_at(self.now + interval + jitter, Ev::ChurnSwap);
     }
 
-    /// Run one coordinator event at `now`; node handlers and protocol
-    /// hooks it calls read `now` too.
-    pub(super) fn handle_coev<P: DiscoveryOverlay>(
-        &mut self,
-        nodes: &mut Nodes<'_, P>,
-        now: SimMillis,
-        ev: CoEv,
-    ) {
-        nodes.now = now;
-        let t = nodes.prof.start();
-        match ev {
-            CoEv::ChurnSwap => {
-                self.churn_swap(now, nodes);
-                nodes.prof.stop(Phase::ChurnSwap, t);
-            }
-            CoEv::Sample => {
-                self.sample(now, nodes);
-                nodes.prof.stop(Phase::Sample, t);
-            }
-        }
-    }
-
-    fn churn_swap<P: DiscoveryOverlay>(&mut self, now: SimMillis, nodes: &mut Nodes<'_, P>) {
+    pub(super) fn churn_swap(&mut self) {
         // One departure + one join, uniformly spread over time (§IV-B).
         let victim = if self.live.len() > 1 {
             Some(self.random_live())
@@ -101,44 +69,39 @@ impl Coord<'_> {
             None
         };
         let newcomer = self.free_ids.front().copied();
-        nodes.source.note_churn(now, victim, newcomer);
+        self.source.note_churn(self.now, victim, newcomer);
         if let Some(victim) = victim {
-            self.node_leave(victim, now, nodes);
+            self.node_leave(victim);
         }
         if let Some(newcomer) = self.free_ids.pop_front() {
-            self.node_join(newcomer, nodes);
+            self.node_join(newcomer);
         }
-        self.schedule_next_churn(now);
+        self.schedule_next_churn();
     }
 
-    fn node_leave<P: DiscoveryOverlay>(
-        &mut self,
-        victim: NodeId,
-        now: SimMillis,
-        nodes: &mut Nodes<'_, P>,
-    ) {
+    fn node_leave(&mut self, victim: NodeId) {
         // Phase 1 — drain the victim's executor. Resident tasks are lost
         // with the node, unless checkpointing (§VI future work) captures
         // their progress and re-submits the residual work to the overlay.
         // Tasks the departed node ran for itself have no surviving owner to
         // resubmit them, so they die either way.
         let mut resubmits: Vec<(ResVec, f64, SimMillis)> = Vec::new();
-        let drained = nodes.hosts.execs[victim.idx()].drain_tasks(now);
+        let drained = self.hosts.execs[victim.idx()].drain_tasks(self.now);
         // Its scheduled completion (if any) dies with it; clearing the
         // memo also stops a later incarnation of the id from matching
         // the leftover event through an epoch collision.
-        nodes.comp_sched[victim.idx()] = None;
+        self.comp_sched[victim.idx()] = None;
         for t in drained {
-            let (_, is_local) = nodes
+            let (_, is_local) = self
                 .task_info
                 .remove(&t.id)
                 .expect("resident task has no expectation record");
             if is_local {
-                nodes.tracker.task_local_killed();
+                self.tracker.task_local_killed();
                 continue;
             }
             if !self.sc.checkpointing {
-                nodes.tracker.task_killed();
+                self.tracker.task_killed();
                 continue;
             }
             let remaining_s = NodeExec::remaining_nominal_s(&t, PERF_DIMS).max(1.0);
@@ -150,61 +113,62 @@ impl Coord<'_> {
         for (demand, remaining_s, submitted_at) in resubmits {
             self.checkpoint_resubmits += 1;
             let resubmitter = self.random_live();
-            nodes.submit_query(resubmitter, demand, remaining_s, submitted_at);
+            self.submit_query(resubmitter, demand, remaining_s, submitted_at);
         }
         // Phase 3 — abandon the victim's outstanding discoveries. Swept
         // after the resubmission loop on purpose: the victim is still live
         // at resubmission time, so a residual routed through the victim
         // itself is caught and killed right here.
-        let dead_queries: Vec<QueryId> = nodes
+        let dead_queries: Vec<QueryId> = self
             .pending
             .iter()
             .filter(|(_, p)| p.requester == victim)
             .map(|(&q, _)| q)
             .collect();
         for q in dead_queries {
-            nodes.pending.remove(&q);
-            nodes.tracker.task_killed();
+            self.pending.remove(&q);
+            self.tracker.task_killed();
         }
         // Phase 4 — structural removal, then protocol notifications.
-        let reass = nodes.can.leave(victim);
+        let reass = self.can.leave(victim);
         let affected: Vec<NodeId> = reass.iter().map(|&(n, _)| n).collect();
-        nodes.hosts.alive[victim.idx()] = false;
+        self.hosts.alive[victim.idx()] = false;
         self.live_remove(victim);
-        nodes.with_proto(|p, ctx| p.on_node_left(ctx, victim));
-        nodes.with_proto(|p, ctx| p.on_zones_reassigned(ctx, &affected));
+        self.with_proto(|p, ctx| p.on_node_left(ctx, victim));
+        self.with_proto(|p, ctx| p.on_zones_reassigned(ctx, &affected));
         // The machine behind this id is gone: its suspicions and everyone's
         // suspicions about it must not leak onto the slot's next occupant.
-        nodes.hosts.blacklist.clear_node(victim);
+        self.hosts.blacklist.clear_node(victim);
         self.free_ids.push_back(victim);
     }
 
-    fn node_join<P: DiscoveryOverlay>(&mut self, newcomer: NodeId, nodes: &mut Nodes<'_, P>) {
-        let point = soc_can::overlay::random_point(nodes.can.dim(), &mut self.rng_overlay);
-        let splitter = nodes.can.join(newcomer, &point);
+    fn node_join(&mut self, newcomer: NodeId) {
+        let point = soc_can::overlay::random_point(self.can.dim(), &mut self.rng_overlay);
+        let splitter = self.can.join(newcomer, &point);
         // Churn replacements are as likely to be hostile as the original
         // population (internally gated per fraction — no draw when clean).
-        nodes.hosts.alive[newcomer.idx()] = true;
-        nodes.hosts.fault.on_join(newcomer, &mut self.rng_fault);
+        self.hosts.alive[newcomer.idx()] = true;
+        self.hosts.fault.on_join(newcomer, &mut self.rng_fault_plan);
         // Fresh machine: new capacity, idle scheduler.
-        let cap = nodes.source.node_capacity(&mut self.rng_caps);
-        nodes.hosts.execs[newcomer.idx()] = NodeExec::new(cap, PsmConfig::default());
-        nodes.comp_sched[newcomer.idx()] = None;
+        let cap = self.source.node_capacity(&mut self.rng_caps);
+        self.hosts.execs[newcomer.idx()] = NodeExec::new(cap, PsmConfig::default());
+        self.comp_sched[newcomer.idx()] = None;
         self.live_add(newcomer);
-        nodes.with_proto(|p, ctx| p.on_node_joined(ctx, newcomer));
-        nodes.with_proto(|p, ctx| p.on_zones_reassigned(ctx, &[splitter]));
+        self.with_proto(|p, ctx| p.on_node_joined(ctx, newcomer));
+        self.with_proto(|p, ctx| p.on_zones_reassigned(ctx, &[splitter]));
         // Restart the arrival chain.
-        nodes.schedule_arrival(newcomer);
+        self.schedule_arrival(newcomer);
     }
 
     /// Metric sample: record the point on the tracker's series. Also the
     /// blacklist-peak observation point.
-    fn sample<P: DiscoveryOverlay>(&mut self, now: SimMillis, nodes: &mut Nodes<'_, P>) {
-        nodes.tracker.sample(now);
-        let active = nodes.hosts.blacklist.active_total(now);
+    pub(super) fn sample(&mut self) {
+        let now = self.now;
+        self.tracker.sample(now);
+        let active = self.hosts.blacklist.active_total(now);
         self.blacklist_peak = self.blacklist_peak.max(active);
         if now + self.sc.sample_ms <= self.sc.duration_ms {
-            self.cq.schedule_at(now + self.sc.sample_ms, CoEv::Sample);
+            self.queue.schedule_at(now + self.sc.sample_ms, Ev::Sample);
         }
     }
 }

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 enum Trip {
     /// On the k-th message delivery — a node event.
     Delivery(usize),
-    /// On the first node departure — a coordinator event.
+    /// On the first node departure — a churn swap.
     Leave,
     /// Never: count the departures of nodes that, as observers, hold
     /// an active blacklist entry against any of the `ids` node ids.
@@ -63,7 +63,7 @@ impl<P: DiscoveryOverlay> DiscoveryOverlay for Tripwire<P> {
             observers_gone,
         } = self.trip
         {
-            // The hook runs before the coordinator forgets the
+            // The hook runs before the churn swap forgets the
             // victim's suspicions, so they are still readable here.
             if (0..ids).any(|x| ctx.host.is_suspect(node, NodeId(x), ctx.now)) {
                 observers_gone.fetch_add(1, Ordering::Relaxed);
@@ -98,7 +98,7 @@ fn run_tripped(trip: Trip, churn: f64) {
         inner: PidCan::new(cfg, dim, sc.n_nodes, max_nodes),
         trip,
     };
-    run_with(&sc, &mut build_source(&sc), tripped, dim, false);
+    run_with(&sc, &mut build_source(&sc), tripped, dim);
 }
 
 /// The shape of `PIN_LANS_DEFENCE` in the bench crate's
@@ -118,6 +118,7 @@ fn churn_takes_blacklisting_observers_away() {
         .fault(FaultConfig {
             blackhole_frac: 0.15,
             liar_frac: 0.1,
+            defense: true,
             ..FaultConfig::default()
         });
     sc.lan_size = 30;
@@ -130,7 +131,7 @@ fn churn_takes_blacklisting_observers_away() {
             observers_gone: &OBSERVERS_GONE,
         },
     };
-    let r = run_with(&sc, &mut build_source(&sc), watched, dim, true);
+    let r = run_with(&sc, &mut build_source(&sc), watched, dim);
     assert!(r.faults.suspicions > 0 && r.faults.blacklisted > 0);
     assert!(
         OBSERVERS_GONE.load(Ordering::Relaxed) > 0,
@@ -143,13 +144,13 @@ fn churn_takes_blacklisting_observers_away() {
 /// own message — nothing between the handler and the caller rewraps it.
 #[test]
 #[should_panic(expected = "tripwire: delivery handler blew up")]
-fn handler_panic_in_a_window_keeps_its_message() {
+fn handler_panic_keeps_its_message() {
     run_tripped(Trip::Delivery(500), 0.0);
 }
 
-/// Same for a protocol hook the coordinator calls.
+/// Same for a protocol hook a churn swap calls.
 #[test]
 #[should_panic(expected = "tripwire: churn handler blew up")]
-fn hook_panic_between_windows_keeps_its_message() {
+fn churn_hook_panic_keeps_its_message() {
     run_tripped(Trip::Leave, 0.75);
 }

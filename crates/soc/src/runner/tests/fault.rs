@@ -2,8 +2,8 @@ use crate::report::RunReport;
 use crate::scenario::{ProtocolChoice, Scenario};
 use soc_net::FaultConfig;
 
-// These tests run with the defence OFF (the default; no env flips —
-// env-flipping defence tests live in the serialized bench suite).
+// These tests run with the defence off (the `[fault] defense` default;
+// the defended A/B lives in the bench suite).
 
 fn hostile(seed: u64, f: FaultConfig) -> RunReport {
     Scenario::quick(ProtocolChoice::Hid)

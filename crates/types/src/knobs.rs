@@ -15,13 +15,11 @@
 //! declare. The README's env-knob table is checked against this registry
 //! the same way.
 //!
-//! Reads are deliberately **per call, never process-cached**: test suites
-//! flip `SOC_FAULT_DEFENSE` and `SOC_PROFILE` between runs inside one
-//! process (the defended-vs-undefended A/B in
-//! `crates/bench/tests/fault_equivalence.rs`, the off-vs-on pin in
-//! `crates/bench/tests/profile_equivalence.rs`). A `OnceLock` here would
-//! freeze the first value and silently turn those comparisons into
-//! self-comparisons.
+//! Reads are deliberately **per call, never process-cached**: a test suite
+//! flips `SOC_PROFILE` between runs inside one process (the off-vs-on pin
+//! in `crates/bench/tests/profile_equivalence.rs`). A `OnceLock` here
+//! would freeze the first value and silently turn that comparison into a
+//! self-comparison.
 
 /// One declared environment knob.
 #[derive(Clone, Copy, Debug)]
@@ -38,12 +36,6 @@ pub struct Knob {
 
 /// Every `SOC_*` knob the workspace reads, in table order.
 pub const KNOBS: &[Knob] = &[
-    Knob {
-        name: "SOC_FAULT_DEFENSE",
-        values: "off | on",
-        default: "off",
-        doc: "Blacklist/retry defence layer under injected faults; off is the undefended baseline",
-    },
     Knob {
         name: "SOC_PROFILE",
         values: "off | on",
@@ -87,7 +79,7 @@ fn first_stray() -> Option<String> {
 
 /// A declared knob's setting, normalised for matching: trimmed and
 /// ASCII-lowercased. Every parser of an enumerated knob matches on this,
-/// so they all agree on what `SOC_FAULT_DEFENSE=ON` means.
+/// so they all agree on what `SOC_PROFILE=ON` means.
 pub fn value(name: &str) -> Option<String> {
     raw(name).map(|v| v.trim().to_ascii_lowercase())
 }
@@ -107,8 +99,8 @@ fn accepts(knob: &Knob, v: &str) -> bool {
 /// error names the knob, the offending value and the accepted set — or
 /// the stray variable and the knobs that exist. A parser handed a value
 /// it does not know falls back to the default, and a misspelt or removed
-/// knob is read by nobody — for `SOC_FAULT_DEFENSE` either is a different
-/// simulation — so entry points call this before they run anything.
+/// knob is read by nobody, so entry points call this before they run
+/// anything.
 pub fn check_env() -> Result<(), String> {
     for k in KNOBS {
         if let Some(v) = value(k.name).filter(|v| !accepts(k, v)) {
@@ -206,13 +198,12 @@ mod tests {
     #[test]
     fn check_env_accepts_every_case_and_names_what_it_rejects() {
         let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let cases: [(&str, &[&str], &[&str]); 3] = [
+        let cases: [(&str, &[&str], &[&str]); 2] = [
             (
-                "SOC_FAULT_DEFENSE",
-                &["off", "on", "ON"],
-                &["1", "true", "enabled", ""],
+                "SOC_PROFILE",
+                &["off", "on", "ON", " On"],
+                &["1", "true", "enabled", "yes", ""],
             ),
-            ("SOC_PROFILE", &["off", "on", " On"], &["yes"]),
             ("SOC_BENCH_THREADS", &["1", " 4 "], &["0", "-2", "four"]),
         ];
         assert_eq!(cases.len(), KNOBS.len(), "a knob has no validation case");
@@ -232,16 +223,14 @@ mod tests {
             ("SOC_SIM_EXEC", "sharded"),
             ("SOC_ROUTE", "cached"),
             ("SOC_PROFIL", "on"),
+            ("SOC_FAULT_DEFENSE", "on"),
         ] {
             std::env::set_var(stray, v);
             let err = check_env().expect_err("a stray SOC_ variable is refused");
             std::env::remove_var(stray);
             assert_eq!(
                 err,
-                format!(
-                    "{stray}: not a knob; the knobs are SOC_FAULT_DEFENSE, \
-                     SOC_PROFILE, SOC_BENCH_THREADS"
-                )
+                format!("{stray}: not a knob; the knobs are SOC_PROFILE, SOC_BENCH_THREADS")
             );
         }
     }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Print the `# fingerprint:` line of every gallery scenario, and of the
-# hostile ones again with the fault defence armed, in the format of
+# hostile ones again with the fault defence armed (`defense = true`
+# inserted after `[fault]` in a temporary copy), in the format of
 # scenarios/fingerprints.txt. CI diffs the two. A change that moves a
 # simulated outcome on purpose re-pins explicitly:
 #
@@ -11,16 +12,18 @@ set -euo pipefail
 
 repro="${1:-target/release/repro}"
 gallery="$(dirname "$0")"
-unset SOC_FAULT_DEFENSE
+defended="$(mktemp)"
+trap 'rm -f "$defended"' EXIT
 
 fingerprint() {
     "$repro" scenario "$1" | sed -n 's/^# fingerprint: //p'
 }
 
-echo "# <scenario> <SOC_FAULT_DEFENSE> <fingerprint>, written by scenarios/fingerprints.sh"
+echo "# <scenario> <defense> <fingerprint>, written by scenarios/fingerprints.sh"
 for f in "$gallery"/*.scn; do
     echo "$(basename "$f") off $(fingerprint "$f")"
 done
 for f in "$gallery"/hostile-*.scn; do
-    echo "$(basename "$f") on $(SOC_FAULT_DEFENSE=on fingerprint "$f")"
+    sed '/^\[fault\]/a defense = true' "$f" > "$defended"
+    echo "$(basename "$f") on $(fingerprint "$defended")"
 done
