@@ -21,11 +21,13 @@
 pub mod neighbors;
 pub mod overlay;
 pub mod routing;
+pub mod row;
 pub mod tree;
 pub mod zone;
 
 pub use neighbors::{adjacency, is_negative_direction, Adjacency};
 pub use overlay::{CanOverlay, NeighborEntry};
 pub use routing::{greedy_next_hop, greedy_next_hop_filtered, route_path, RouteOutcome};
+pub use row::ZoneRow;
 pub use tree::PartitionTree;
 pub use zone::{Point, Zone};

@@ -73,7 +73,7 @@ mod tests {
 
     #[test]
     fn halves_are_adjacent() {
-        let (a, b) = Zone::unit(2).split(0);
+        let (a, b) = (z(&[0.0, 0.0], &[0.5, 1.0]), z(&[0.5, 0.0], &[1.0, 1.0]));
         let adj = adjacency(&a, &b).unwrap();
         assert_eq!(adj.dim, 0);
         assert!(!adj.first_is_positive); // a is the lower half
@@ -145,7 +145,7 @@ mod tests {
     #[test]
     fn adjacent_negative_neighbor_is_negative_direction() {
         // An abutting lower neighbor is also a negative-direction node.
-        let (lo, hi) = Zone::unit(2).split(0);
+        let (lo, hi) = (z(&[0.0, 0.0], &[0.5, 1.0]), z(&[0.5, 0.0], &[1.0, 1.0]));
         assert!(is_negative_direction(&lo, &hi));
         assert!(!is_negative_direction(&hi, &lo));
     }

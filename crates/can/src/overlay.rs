@@ -16,6 +16,7 @@
 //! neighbor lists of the affected nodes is exhaustive.
 
 use crate::neighbors::adjacency;
+use crate::row::ZoneRow;
 use crate::tree::PartitionTree;
 use crate::zone::{Point, Zone};
 use rand::{Rng, RngExt};
@@ -119,10 +120,18 @@ impl CanOverlay {
         self.alive.get(node.idx()).copied().unwrap_or(false)
     }
 
-    /// Zone owned by `node`.
+    /// Zone owned by `node`, decoded from its row of the zone table.
     #[inline]
-    pub fn zone(&self, node: NodeId) -> Option<&Zone> {
+    pub fn zone(&self, node: NodeId) -> Option<Zone> {
         self.tree.zone_of(node)
+    }
+
+    /// `node`'s zone as stored: the row answers the point tests a routed
+    /// hop makes ([`ZoneRow::contains`], [`ZoneRow::route_key`], …)
+    /// exactly as the decoded [`Zone`] would, without decoding it.
+    #[inline]
+    pub fn row(&self, node: NodeId) -> Option<&ZoneRow> {
+        self.tree.row(node)
     }
 
     /// The node whose zone contains `p` (the paper's "duty node" for a state
@@ -214,13 +223,14 @@ impl CanOverlay {
     }
 
     /// Set the mutual entries between `a` and `b` to what their current
-    /// zones say: adjacent along one dimension, or not neighbors.
+    /// zones say: adjacent along one dimension, or not neighbors. Tested
+    /// on the zone rows, without decoding them.
     fn retest(&mut self, a: NodeId, b: NodeId) {
         if a == b {
             return;
         }
-        let adj = match (self.tree.zone_of(a), self.tree.zone_of(b)) {
-            (Some(za), Some(zb)) => adjacency(za, zb),
+        let adj = match (self.tree.row(a), self.tree.row(b)) {
+            (Some(za), Some(zb)) => za.adjacency(zb),
             _ => None,
         };
         // `adj.first_is_positive` describes `a` relative to `b`.
@@ -337,7 +347,7 @@ impl CanOverlay {
                     continue;
                 }
                 let zb = self.tree.zone_of(b).unwrap();
-                if let Some(adj) = adjacency(za, zb) {
+                if let Some(adj) = adjacency(&za, &zb) {
                     expect.push(NeighborEntry {
                         node: b,
                         dim: adj.dim as u8,

@@ -37,7 +37,7 @@ impl RouteOutcome {
 /// is strictly below `current`'s. Ties are broken by node id so routing is
 /// deterministic.
 pub fn greedy_next_hop(ov: &CanOverlay, current: NodeId, target: &Point) -> Option<NodeId> {
-    let zone = ov.zone(current).expect("routing from a dead node");
+    let zone = ov.row(current).expect("routing from a dead node");
     if zone.contains(target) {
         return None;
     }
@@ -47,7 +47,7 @@ pub fn greedy_next_hop(ov: &CanOverlay, current: NodeId, target: &Point) -> Opti
         // corrupt, and silently skipping it would hide that (the filtered
         // walk below skips zone-less entries by design, which is correct
         // only for the route-around-churn callers).
-        debug_assert!(ov.zone(n).is_some(), "neighbor table points at dead node");
+        debug_assert!(ov.row(n).is_some(), "neighbor table points at dead node");
         true
     })
 }
@@ -73,7 +73,7 @@ pub fn greedy_next_hop_filtered(
         if !accept(e.node) {
             continue;
         }
-        let Some(nz) = ov.zone(e.node) else {
+        let Some(nz) = ov.row(e.node) else {
             continue;
         };
         let cand = (nz.route_key(target), e.node);
@@ -106,7 +106,7 @@ pub fn route_path(ov: &CanOverlay, from: NodeId, target: &Point, max_hops: usize
         }
     }
     // Did not converge within the budget.
-    if ov.zone(cur).is_some_and(|z| z.contains(target)) {
+    if ov.row(cur).is_some_and(|z| z.contains(target)) {
         RouteOutcome {
             owner: Some(cur),
             path,

@@ -9,6 +9,7 @@
 //!
 //! The tree also answers point location (`find_leaf`) in O(depth).
 
+use crate::row::ZoneRow;
 use crate::zone::{Point, Zone};
 use soc_types::NodeId;
 use std::cell::Cell;
@@ -55,9 +56,11 @@ pub struct PartitionTree {
     root: u32,
     /// Tree slot of each id's leaf ([`NONE`] when the id owns none).
     leaf_of: Vec<u32>,
-    /// Zone of each id's leaf — the only copy: internal nodes keep their
-    /// split coordinate, and a merged zone is rebuilt from its two halves.
-    zones: Vec<Option<Zone>>,
+    /// Zone of each id's leaf, one 32-byte [`ZoneRow`] each — the only
+    /// copy: internal nodes keep their split coordinate, and a merged zone
+    /// is rebuilt from its two halves. [`PartitionTree::zone_of`] decodes
+    /// a row; joins and leaves never do.
+    zones: Vec<Option<ZoneRow>>,
     n_leaves: usize,
     dim: usize,
     /// Last leaf returned by [`PartitionTree::find_leaf`]. Point queries
@@ -105,7 +108,7 @@ impl PartitionTree {
             dim,
             last_hit: Cell::new(NO_HIT),
         };
-        tree.set_leaf(first, 0, Zone::unit(dim));
+        tree.set_leaf(first, 0, ZoneRow::unit(dim));
         tree
     }
 
@@ -126,18 +129,24 @@ impl PartitionTree {
 
     /// Is `node` currently an owner of a zone?
     pub fn contains_node(&self, node: NodeId) -> bool {
-        self.zone_of(node).is_some()
+        self.row(node).is_some()
     }
 
     /// Zone currently owned by `node`, if it is in the overlay.
     #[inline]
-    pub fn zone_of(&self, node: NodeId) -> Option<&Zone> {
+    pub fn zone_of(&self, node: NodeId) -> Option<Zone> {
+        self.row(node).map(ZoneRow::zone)
+    }
+
+    /// The row of `node`'s zone, if it is in the overlay.
+    #[inline]
+    pub fn row(&self, node: NodeId) -> Option<&ZoneRow> {
         self.zones.get(node.idx())?.as_ref()
     }
 
     /// Record `node` as the owner of the leaf in `slot`, with zone `zone`
     /// (the id tables grow on demand for a tree built without a capacity).
-    fn set_leaf(&mut self, node: NodeId, slot: u32, zone: Zone) {
+    fn set_leaf(&mut self, node: NodeId, slot: u32, zone: ZoneRow) {
         if node.idx() >= self.zones.len() {
             self.zones.resize(node.idx() + 1, None);
             self.leaf_of.resize(node.idx() + 1, NONE);
@@ -150,14 +159,14 @@ impl PartitionTree {
     }
 
     /// `node` stops owning a leaf; returns the zone it held.
-    fn unset_leaf(&mut self, node: NodeId) -> Zone {
+    fn unset_leaf(&mut self, node: NodeId) -> ZoneRow {
         self.n_leaves -= 1;
         self.leaf_of[node.idx()] = NONE;
         self.zones[node.idx()].take().expect("node not in overlay")
     }
 
-    fn leaf_zone(&self, owner: NodeId) -> &Zone {
-        self.zone_of(owner).expect("every leaf owner has a zone")
+    fn leaf_row(&self, owner: NodeId) -> &ZoneRow {
+        self.row(owner).expect("every leaf owner has a zone")
     }
 
     /// Owner of the leaf containing `p`, a point of the key space
@@ -172,7 +181,7 @@ impl PartitionTree {
         let cached = self.last_hit.get();
         if cached != NO_HIT {
             if let NodeKind::Leaf(owner) = self.nodes[cached].kind {
-                if self.leaf_zone(owner).contains(p) {
+                if self.leaf_row(owner).contains(p) {
                     return owner;
                 }
             }
@@ -197,11 +206,11 @@ impl PartitionTree {
     }
 
     /// All `(owner, zone)` pairs, ordered by owner id.
-    pub fn leaves(&self) -> impl Iterator<Item = (NodeId, &Zone)> + '_ {
+    pub fn leaves(&self) -> impl Iterator<Item = (NodeId, Zone)> + '_ {
         self.zones
             .iter()
             .enumerate()
-            .filter_map(|(id, z)| Some((NodeId(id as u32), z.as_ref()?)))
+            .filter_map(|(id, z)| Some((NodeId(id as u32), z.as_ref()?.zone())))
     }
 
     fn alloc(&mut self, n: TreeNode) -> u32 {
@@ -229,7 +238,7 @@ impl PartitionTree {
         let leaf_idx = self.leaf_of[owner.idx()];
         let depth = self.nodes[leaf_idx as usize].depth;
         let split_dim = depth as usize % self.dim;
-        let (lo_half, hi_half) = self.leaf_zone(owner).split(split_dim);
+        let (lo_half, hi_half) = self.leaf_row(owner).split(split_dim);
 
         // Newcomer takes the half containing its chosen point.
         let (left_owner, right_owner) = if lo_half.contains(p) {
@@ -248,7 +257,7 @@ impl PartitionTree {
         self.nodes[leaf_idx as usize].kind = NodeKind::Internal {
             left,
             right,
-            at: hi_half.lo()[split_dim],
+            at: hi_half.bounds(split_dim).0,
         };
         self.set_leaf(left_owner, left, lo_half);
         self.set_leaf(right_owner, right, hi_half);
@@ -289,13 +298,13 @@ impl PartitionTree {
 
     /// Un-split `parent`, whose children are the leaves of `gone` and
     /// `stays`: `stays` owns the merged zone. Returns that zone.
-    fn collapse(&mut self, parent: u32, gone: Zone, stays: NodeId) -> Zone {
+    fn collapse(&mut self, parent: u32, gone: ZoneRow, stays: NodeId) -> ZoneRow {
         let (left, right) = self.children(parent).expect("collapse target is internal");
         self.free.push(left);
         self.free.push(right);
         self.nodes[parent as usize].kind = NodeKind::Leaf(stays);
         let merged = gone
-            .merge(self.leaf_zone(stays))
+            .merge(self.leaf_row(stays))
             .expect("sibling leaves are the halves of one split");
         self.set_leaf(stays, parent, merged);
         merged
@@ -335,7 +344,8 @@ impl PartitionTree {
 
         if let Some(sib_owner) = self.leaf_owner(sib) {
             // Simple merge: sibling takes over the parent zone.
-            return Some(vec![(sib_owner, self.collapse(parent, zone, sib_owner))]);
+            let merged = self.collapse(parent, zone, sib_owner);
+            return Some(vec![(sib_owner, merged.zone())]);
         }
 
         // Handover: pull a leaf pair out of the sibling subtree.
@@ -354,20 +364,20 @@ impl PartitionTree {
         self.nodes[leaf_idx as usize].kind = NodeKind::Leaf(mover);
         self.set_leaf(mover, leaf_idx, zone);
 
-        Some(vec![(stayer, stayer_zone), (mover, zone)])
+        Some(vec![(stayer, stayer_zone.zone()), (mover, zone.zone())])
     }
 
     /// The zone the subtree at `idx` covers, rebuilt bottom-up from the
     /// leaf zones: every split must sit at `depth % d` on the plane its
     /// node records, and its halves must merge.
-    fn subtree_zone(&self, idx: u32) -> Result<Zone, String> {
+    fn subtree_zone(&self, idx: u32) -> Result<ZoneRow, String> {
         let n = &self.nodes[idx as usize];
         match n.kind {
             NodeKind::Leaf(owner) => {
                 if self.leaf_of.get(owner.idx()) != Some(&idx) {
                     return Err(format!("leaf_of[{owner}] stale"));
                 }
-                self.zone_of(owner)
+                self.row(owner)
                     .copied()
                     .ok_or(format!("leaf owner {owner} has no zone"))
             }
@@ -380,7 +390,7 @@ impl PartitionTree {
                         return Err(format!("slot {child} mislinked under {idx}"));
                     }
                 }
-                if lo.hi()[d] != at || hi.lo()[d] != at {
+                if lo.bounds(d).1 != at || hi.bounds(d).0 != at {
                     return Err(format!("slot {idx} does not split dim {d} at {at}"));
                 }
                 lo.merge(&hi)
@@ -392,7 +402,7 @@ impl PartitionTree {
     /// Exhaustive structural validation (test/debug use).
     pub fn validate(&self) -> Result<(), String> {
         // Leaves must tile the space: total volume 1 and pairwise disjoint.
-        let leaves: Vec<(NodeId, Zone)> = self.leaves().map(|(n, z)| (n, *z)).collect();
+        let leaves: Vec<(NodeId, Zone)> = self.leaves().collect();
         if leaves.len() != self.n_leaves {
             return Err(format!(
                 "{} zones for {} leaves",
@@ -419,7 +429,7 @@ impl PartitionTree {
                 return Err(format!("leaf_of[{id}] stale"));
             }
         }
-        if self.subtree_zone(self.root)? != Zone::unit(self.dim) {
+        if self.subtree_zone(self.root)? != ZoneRow::unit(self.dim) {
             return Err("the root does not cover the key space".into());
         }
         Ok(())
@@ -440,7 +450,7 @@ mod tests {
         let t = PartitionTree::new(2, NodeId(0));
         assert_eq!(t.len(), 1);
         assert_eq!(t.find_leaf(&pt(&[0.3, 0.9])), NodeId(0));
-        assert_eq!(t.zone_of(NodeId(0)), Some(&Zone::unit(2)));
+        assert_eq!(t.zone_of(NodeId(0)), Some(Zone::unit(2)));
         t.validate().unwrap();
     }
 

@@ -7,10 +7,11 @@ pub type Point = ResVec;
 
 /// A half-open axis-aligned box `[lo, hi)` per dimension.
 ///
-/// Splits always occur at midpoints, so all boundaries are exact binary
-/// fractions and `f64` equality on them is reliable. Zones whose upper bound
-/// is exactly `1.0` treat that face as *closed* so the point `1.0`
-/// (a fully-idle node's normalized availability) is owned by someone.
+/// Splits always occur at midpoints ([`crate::ZoneRow::split`]), so all
+/// boundaries are exact binary fractions and `f64` equality on them is
+/// reliable. Zones whose upper bound is exactly `1.0` treat that face as
+/// *closed* so the point `1.0` (a fully-idle node's normalized
+/// availability) is owned by someone.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct Zone {
     lo: ResVec,
@@ -35,6 +36,13 @@ impl Zone {
         for i in 0..lo.dim() {
             assert!(lo[i] < hi[i], "degenerate zone in dim {i}: {lo:?}..{hi:?}");
         }
+        Zone { lo, hi }
+    }
+
+    /// [`Zone::new`] without the checks, for corners known to be ordered
+    /// (a decoded [`crate::ZoneRow`]).
+    #[inline]
+    pub(crate) fn from_corners(lo: ResVec, hi: ResVec) -> Zone {
         Zone { lo, hi }
     }
 
@@ -75,15 +83,7 @@ impl Zone {
     /// Does the zone contain `p`? Half-open except on the top face of the
     /// key space (where `hi == 1.0` is inclusive).
     pub fn contains(&self, p: &Point) -> bool {
-        debug_assert_eq!(self.dim(), p.dim());
-        (0..self.dim()).all(|d| {
-            let inside_hi = if self.hi[d] == 1.0 {
-                p[d] <= 1.0
-            } else {
-                p[d] < self.hi[d]
-            };
-            p[d] >= self.lo[d] && inside_hi
-        })
+        contains(self.dim(), p, |d| (self.lo[d], self.hi[d]))
     }
 
     /// Does the *open interior* of `self` intersect the box `[lo, hi]`?
@@ -102,62 +102,6 @@ impl Zone {
         self.lo[dim] < other.hi[dim] && self.hi[dim] > other.lo[dim]
     }
 
-    /// Split at the midpoint of `dim`, returning `(lower, upper)`.
-    ///
-    /// # Panics
-    /// Panics if the zone is too thin to split (below f64 resolution).
-    pub fn split(&self, dim: usize) -> (Zone, Zone) {
-        let mid = 0.5 * (self.lo[dim] + self.hi[dim]);
-        assert!(
-            mid > self.lo[dim] && mid < self.hi[dim],
-            "zone too thin to split along dim {dim}"
-        );
-        let mut lo_hi = self.hi;
-        lo_hi[dim] = mid;
-        let mut hi_lo = self.lo;
-        hi_lo[dim] = mid;
-        (
-            Zone {
-                lo: self.lo,
-                hi: lo_hi,
-            },
-            Zone {
-                lo: hi_lo,
-                hi: self.hi,
-            },
-        )
-    }
-
-    /// Merge two boxes that abut exactly along one dimension and have
-    /// identical cross-sections in every other dimension (in particular,
-    /// the two halves of one [`Zone::split`]). Returns `None` otherwise.
-    pub fn merge(&self, other: &Zone) -> Option<Zone> {
-        let mut diff_dim = None;
-        for d in 0..self.dim() {
-            if self.lo[d] == other.lo[d] && self.hi[d] == other.hi[d] {
-                continue;
-            }
-            if diff_dim.is_some() {
-                return None; // differ in more than one dimension
-            }
-            diff_dim = Some(d);
-        }
-        let d = diff_dim?;
-        if self.hi[d] == other.lo[d] {
-            Some(Zone {
-                lo: self.lo,
-                hi: other.hi,
-            })
-        } else if other.hi[d] == self.lo[d] {
-            Some(Zone {
-                lo: other.lo,
-                hi: self.hi,
-            })
-        } else {
-            None
-        }
-    }
-
     /// What one routing step toward `p` must strictly decrease:
     /// `(`[`Zone::dist_to_point`]`, open faces)`, compared lexicographically,
     /// where an *open face* is a dimension in which `p` lies exactly on the
@@ -174,10 +118,7 @@ impl Zone {
     /// faces: across one of them, at most `k − 1` remain), so minimizing it
     /// over neighbors reaches the owner of every target.
     pub fn route_key(&self, p: &Point) -> (f64, u32) {
-        let open = (0..self.dim())
-            .filter(|&d| p[d] == self.hi[d] && self.hi[d] != 1.0)
-            .count();
-        (self.dist_to_point(p), open as u32)
+        route_key(self.dim(), p, |d| (self.lo[d], self.hi[d]))
     }
 
     /// Minimum Euclidean distance from the zone (as a closed box) to `p`;
@@ -185,18 +126,7 @@ impl Zone {
     /// the half-open zone does not own, which is why routing compares
     /// [`Zone::route_key`] rather than this alone.
     pub fn dist_to_point(&self, p: &Point) -> f64 {
-        let mut acc = 0.0;
-        for d in 0..self.dim() {
-            let gap = if p[d] < self.lo[d] {
-                self.lo[d] - p[d]
-            } else if p[d] > self.hi[d] {
-                p[d] - self.hi[d]
-            } else {
-                0.0
-            };
-            acc += gap * gap;
-        }
-        acc.sqrt()
+        dist_to_point(self.dim(), p, |d| (self.lo[d], self.hi[d]))
     }
 
     /// Clamp `p` into the closed zone (nearest point of the box).
@@ -209,12 +139,69 @@ impl Zone {
     }
 }
 
+// The point tests of a `dim`-dimensional box whose bounds along `d` are
+// `bounds(d) = (lo, hi)`. A `Zone` reads its bounds from its corners and a
+// `ZoneRow` decodes them from its integers; both answer through these
+// bodies, so a row and its decoded zone agree bit for bit.
+
+/// [`Zone::contains`].
+#[inline]
+pub(crate) fn contains(dim: usize, p: &Point, bounds: impl Fn(usize) -> (f64, f64)) -> bool {
+    debug_assert_eq!(dim, p.dim());
+    (0..dim).all(|d| {
+        let (lo, hi) = bounds(d);
+        let inside_hi = if hi == 1.0 { p[d] <= 1.0 } else { p[d] < hi };
+        p[d] >= lo && inside_hi
+    })
+}
+
+/// [`Zone::route_key`].
+#[inline]
+pub(crate) fn route_key(
+    dim: usize,
+    p: &Point,
+    bounds: impl Fn(usize) -> (f64, f64) + Copy,
+) -> (f64, u32) {
+    let open = (0..dim)
+        .filter(|&d| {
+            let hi = bounds(d).1;
+            p[d] == hi && hi != 1.0
+        })
+        .count();
+    (dist_to_point(dim, p, bounds), open as u32)
+}
+
+/// [`Zone::dist_to_point`].
+#[inline]
+pub(crate) fn dist_to_point(dim: usize, p: &Point, bounds: impl Fn(usize) -> (f64, f64)) -> f64 {
+    let mut acc = 0.0;
+    for d in 0..dim {
+        let (lo, hi) = bounds(d);
+        let gap = if p[d] < lo {
+            lo - p[d]
+        } else if p[d] > hi {
+            p[d] - hi
+        } else {
+            0.0
+        };
+        acc += gap * gap;
+    }
+    acc.sqrt()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ZoneRow;
 
     fn pt(s: &[f64]) -> Point {
         ResVec::from_slice(s)
+    }
+
+    /// The halves of `z` split at the midpoint of `d`.
+    fn halves(z: &Zone, d: usize) -> (Zone, Zone) {
+        let (a, b) = ZoneRow::pack(z).split(d);
+        (a.zone(), b.zone())
     }
 
     #[test]
@@ -230,7 +217,7 @@ mod tests {
     #[test]
     fn split_partitions_exactly() {
         let z = Zone::unit(2);
-        let (a, b) = z.split(0);
+        let (a, b) = halves(&z, 0);
         assert_eq!(a.hi()[0], 0.5);
         assert_eq!(b.lo()[0], 0.5);
         assert!(a.contains(&pt(&[0.49, 0.5])));
@@ -241,7 +228,7 @@ mod tests {
 
     #[test]
     fn merge_is_inverse_of_split() {
-        let z = Zone::new(pt(&[0.25, 0.5]), pt(&[0.5, 1.0]));
+        let z = ZoneRow::pack(&Zone::new(pt(&[0.25, 0.5]), pt(&[0.5, 1.0])));
         for d in 0..2 {
             let (a, b) = z.split(d);
             assert_eq!(a.merge(&b), Some(z));
@@ -251,16 +238,16 @@ mod tests {
 
     #[test]
     fn merge_rejects_incompatible_boxes() {
-        let z = Zone::unit(2);
-        let (a, b) = z.split(0);
+        let (a, b) = ZoneRow::unit(2).split(0);
         let (a1, _a2) = a.split(1);
         assert_eq!(a1.merge(&b), None); // differ in two dims
-                                        // Abutting boxes with identical cross-sections DO merge (union box),
-                                        // even when they are not the two halves of one split.
+                                        // Abutting boxes with identical cross-sections whose union is a
+                                        // box but not a zone of the tree (0 .. 0.75) do not merge.
         let (b1, _b2) = b.split(0);
-        let merged = a.merge(&b1).expect("compatible abutting boxes merge");
-        assert_eq!(merged.lo()[0], 0.0);
-        assert_eq!(merged.hi()[0], 0.75);
+        assert_eq!(a.merge(&b1), None);
+        // Equal abutting halves of two different splits do not either.
+        let (_, a_hi) = a.split(0);
+        assert_eq!(a_hi.merge(&b1), None);
         // Mismatched cross-sections never merge.
         let (short, _) = b.split(1); // right half, lower y only
         assert_eq!(a.merge(&short), None);
@@ -269,7 +256,7 @@ mod tests {
     #[test]
     fn overlaps_box_matches_fig1_intuition() {
         // Query box = positive orthant from v; zones crossing it overlap.
-        let (left, right) = Zone::unit(2).split(0);
+        let (left, right) = halves(&Zone::unit(2), 0);
         let v = pt(&[0.6, 0.3]);
         let one = pt(&[1.0, 1.0]);
         assert!(!left.overlaps_box(&v, &one));
@@ -309,7 +296,7 @@ mod tests {
         }
         // On a shared plane both sides are at distance 0; only the side
         // that does not own the point has an open face.
-        let (left, right) = Zone::unit(2).split(0);
+        let (left, right) = halves(&Zone::unit(2), 0);
         let on_plane = pt(&[0.5, 0.3]);
         assert_eq!(left.route_key(&on_plane), (0.0, 1));
         assert_eq!(right.route_key(&on_plane), (0.0, 0));
@@ -327,7 +314,7 @@ mod tests {
 
     #[test]
     fn ranges_overlap_is_symmetric() {
-        let (a, b) = Zone::unit(2).split(0);
+        let (a, b) = halves(&Zone::unit(2), 0);
         assert!(!a.ranges_overlap(&b, 0));
         assert!(!b.ranges_overlap(&a, 0));
         assert!(a.ranges_overlap(&b, 1));

@@ -5,13 +5,20 @@
 //! The flat tables are held to what they replaced: after every join and
 //! leave, each `neighbors_along` run (located by run offsets edited with
 //! the table) is the filtered table, and the zone-less tree locates every
-//! lattice point in the zone `CanOverlay::zone` serves.
+//! lattice point in the zone `CanOverlay::zone` serves. The packed zone
+//! rows are held to the `f64` zones they encode: every zone round-trips,
+//! and on every pair a join or leave re-tests, integer row adjacency is
+//! the `f64` `adjacency`.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use soc_can::{adjacency, is_negative_direction, route_path, CanOverlay, PartitionTree, Zone};
-use soc_types::{NodeId, ResVec};
+use soc_can::overlay::random_point;
+use soc_can::{
+    adjacency, is_negative_direction, route_path, CanOverlay, PartitionTree, Point, Zone, ZoneRow,
+};
+use soc_types::{NodeId, ResVec, SOC_DIMS};
+use soc_workload::{cmax, NodeCapacitySampler};
 
 /// A churn script: joins (point) and leaves (victim selector).
 #[derive(Clone, Debug)]
@@ -61,7 +68,7 @@ fn churned_overlay_checked(
     check(&ov)?;
     for id in 24..56 {
         if rng.random_range(0..3) > 0 {
-            ov.join(NodeId(id), &soc_can::overlay::random_point(dim, &mut rng));
+            ov.join(NodeId(id), &random_point(dim, &mut rng));
         } else if ov.len() > 2 {
             let victim = ov.live_nodes().nth(rng.random_range(0..ov.len())).unwrap();
             ov.leave(victim);
@@ -214,7 +221,7 @@ proptest! {
         let mut ov = CanOverlay::bootstrap(2, 24, 64, &mut rng);
         for round in 0..churn_rounds {
             let newcomer = NodeId(24 + round as u32);
-            ov.join(newcomer, &soc_can::overlay::random_point(2, &mut rng));
+            ov.join(newcomer, &random_point(2, &mut rng));
             let nth = (seed as usize + round) % ov.len();
             let victim = ov.live_nodes().nth(nth).unwrap();
             ov.leave(victim);
@@ -273,16 +280,163 @@ proptest! {
 
     #[test]
     fn split_then_merge_roundtrip(
-        lo in prop::array::uniform3(0.0f64..0.5),
-        w in 0.1f64..0.5,
+        cuts in prop::collection::vec(0usize..3, 0..24),
         dim in 0usize..3,
     ) {
-        let z = Zone::new(pt(&lo), pt(&[lo[0] + w, lo[1] + w, lo[2] + w]));
+        // A zone of the tree: the unit box after `cuts` midpoint splits,
+        // keeping the lower or upper half by the parity of the step.
+        let mut z = ZoneRow::unit(3);
+        for (i, &d) in cuts.iter().enumerate() {
+            let (lo, hi) = z.split(d);
+            z = if i % 2 == 0 { lo } else { hi };
+        }
         let (a, b) = z.split(dim);
         prop_assert_eq!(a.merge(&b), Some(z));
-        prop_assert!((a.volume() + b.volume() - z.volume()).abs() < 1e-12);
+        prop_assert_eq!(b.merge(&a), Some(z));
+        let (za, zb) = (a.zone(), b.zone());
+        prop_assert_eq!(za.volume() + zb.volume(), z.zone().volume());
         // Halves are adjacent along the split dimension.
-        let adj = adjacency(&a, &b).unwrap();
+        let adj = adjacency(&za, &zb).unwrap();
         prop_assert_eq!(adj.dim, dim);
+        prop_assert_eq!(a.adjacency(&b), Some(adj));
     }
+}
+
+/// A join point as the simulator draws them: uniform ([`random_point`],
+/// what a churn join picks), or — one draw in `lattice` of four — a Table I
+/// node's capacity normalized by `cmax`, which sits on the faces of the key
+/// space and on split planes.
+fn join_point(rng: &mut SmallRng, lattice: u32) -> Point {
+    if rng.random_range(0..4) < lattice {
+        NodeCapacitySampler.sample(rng).div_elem(&cmax())
+    } else {
+        random_point(SOC_DIMS, rng)
+    }
+}
+
+/// `n`'s row decodes to the zone `CanOverlay::zone` serves and packs back
+/// to itself.
+fn row_round_trips(ov: &CanOverlay, n: NodeId) -> Result<(), String> {
+    let row = *ov.tree().row(n).ok_or(format!("{n} has no row"))?;
+    let zone = ov.zone(n).ok_or(format!("{n} has no zone"))?;
+    prop_assert_eq!(row.zone(), zone, "{}", n);
+    prop_assert_eq!(ZoneRow::pack(&zone), row, "{}", n);
+    Ok(())
+}
+
+/// Row adjacency of `a` and `b` is the `f64` adjacency of their zones.
+fn rows_agree(ov: &CanOverlay, a: NodeId, b: NodeId) -> Result<(), String> {
+    if a == b {
+        return Ok(());
+    }
+    let (ra, rb) = (ov.tree().row(a).unwrap(), ov.tree().row(b).unwrap());
+    prop_assert_eq!(
+        ra.adjacency(rb),
+        adjacency(&ra.zone(), &rb.zone()),
+        "{} {}",
+        a,
+        b
+    );
+    Ok(())
+}
+
+/// `ov.join(id, p)`, then the checks on every pair the join re-tests: the
+/// splitter and the newcomer against each other and against each of the
+/// splitter's old neighbors.
+fn checked_join(ov: &mut CanOverlay, id: NodeId, p: &Point) -> Result<(), String> {
+    let owner = ov.owner_of(p);
+    let old: Vec<NodeId> = ov.neighbors(owner).iter().map(|e| e.node).collect();
+    ov.join(id, p);
+    for n in [owner, id] {
+        row_round_trips(ov, n)?;
+        for &v in &old {
+            rows_agree(ov, n, v)?;
+        }
+    }
+    rows_agree(ov, owner, id)
+}
+
+/// `ov.leave(victim)`, then the checks on every pair the leave re-tests:
+/// each reassigned node against the victim's neighbors, the reassigned
+/// nodes and their old neighbors (which covers the two reassigned nodes
+/// against each other).
+fn checked_leave(ov: &mut CanOverlay, victim: NodeId, ids: u32) -> Result<(), String> {
+    let old: Vec<Vec<NodeId>> = (0..ids)
+        .map(|i| ov.neighbors(NodeId(i)).iter().map(|e| e.node).collect())
+        .collect();
+    let reass: Vec<NodeId> = ov.leave(victim).into_iter().map(|(n, _)| n).collect();
+    let mut cand: Vec<NodeId> = old[victim.idx()].clone();
+    for n in &reass {
+        cand.push(*n);
+        cand.extend(&old[n.idx()]);
+    }
+    cand.retain(|&v| v != victim);
+    for &n in &reass {
+        row_round_trips(ov, n)?;
+        for &v in &cand {
+            rows_agree(ov, n, v)?;
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    #[test]
+    fn zone_rows_round_trip_and_agree_with_f64_adjacency(
+        seed in 0u64..100_000,
+        lattice in 1u32..=3,
+    ) {
+        // A 10 000-node bootstrap, joins as the workload draws them.
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut ov = CanOverlay::new(SOC_DIMS, 10_000, NodeId(0));
+        for id in 1..10_000 {
+            let p = join_point(&mut rng, lattice);
+            checked_join(&mut ov, NodeId(id), &p)?;
+        }
+        for n in ov.live_nodes() {
+            row_round_trips(&ov, n)?;
+        }
+
+        // A churned overlay: joins and leaves in equal measure.
+        const IDS: u32 = 600;
+        let mut ov = CanOverlay::new(SOC_DIMS, IDS as usize, NodeId(0));
+        for id in 1..IDS / 2 {
+            let p = join_point(&mut rng, lattice);
+            checked_join(&mut ov, NodeId(id), &p)?;
+        }
+        for _ in 0..IDS {
+            let id = NodeId(rng.random_range(0..IDS));
+            if !ov.is_alive(id) {
+                let p = join_point(&mut rng, lattice);
+                checked_join(&mut ov, id, &p)?;
+            } else if ov.len() > 1 {
+                checked_leave(&mut ov, id, IDS)?;
+            }
+        }
+        for n in ov.live_nodes() {
+            row_round_trips(&ov, n)?;
+        }
+        prop_assert!(ov.validate().is_ok(), "{:?}", ov.validate());
+    }
+}
+
+/// Joins at 0 halve the zone there: 32 halvings reach the 2^-32 row
+/// resolution with every zone exact, and the 33rd is the named panic of a
+/// split below resolution, not a wrong zone.
+#[test]
+#[should_panic(expected = "zone too thin to split along dim 0")]
+fn halving_one_dimension_past_2_pow_minus_32_is_a_named_panic() {
+    let origin = pt(&[0.0]);
+    let mut t = PartitionTree::new(1, NodeId(0));
+    for k in 1..=32u32 {
+        t.join(NodeId(k), &origin);
+        let width = 1.0 / f64::from(1u32 << (k - 1)) / 2.0;
+        let want = Zone::new(pt(&[0.0]), pt(&[width]));
+        assert_eq!(t.zone_of(NodeId(k)), Some(want), "after {k} halvings");
+        assert_eq!(t.find_leaf(&origin), NodeId(k));
+    }
+    t.validate().unwrap();
+    t.join(NodeId(33), &origin);
 }

@@ -9,7 +9,7 @@
 
 use crate::config::DiffusionMethod;
 use rand::Rng;
-use soc_can::{is_negative_direction, CanOverlay};
+use soc_can::CanOverlay;
 use soc_inscan::IndexTables;
 use soc_types::NodeId;
 use std::collections::VecDeque;
@@ -30,24 +30,6 @@ impl DiffusionOutcome {
     /// Number of distinct nodes notified.
     pub fn coverage(&self) -> usize {
         self.reached.len()
-    }
-
-    /// Fraction of the origin's negative-direction nodes that were notified.
-    pub fn negative_direction_coverage(&self, ov: &CanOverlay, origin: NodeId) -> f64 {
-        let oz = ov.zone(origin).expect("origin alive");
-        let neg: Vec<NodeId> = ov
-            .live_nodes()
-            .filter(|&n| n != origin)
-            .filter(|&n| is_negative_direction(ov.zone(n).unwrap(), oz))
-            .collect();
-        if neg.is_empty() {
-            return 1.0;
-        }
-        let hit = neg
-            .iter()
-            .filter(|n| self.reached.iter().any(|(r, _)| r == *n))
-            .count();
-        hit as f64 / neg.len() as f64
     }
 }
 

@@ -14,11 +14,26 @@ use soc_types::{NodeId, SimMillis};
 /// Two columns in one insertion order, `ids[i]` received at `times[i]`:
 /// every relayed index message looks its sender up in the id column (4
 /// bytes an entry, ≈ 110 entries in a 10 000-node run), and only the
-/// TTL passes read the time column.
+/// TTL passes read the time column. Receipt times are 4-byte milliseconds
+/// too, exact because a run is shorter than 2^32 ms (the scenario spec
+/// rejects a longer one), so an entry is 8 bytes in all.
 #[derive(Clone, Debug, Default)]
 pub struct PiList {
     ids: Vec<NodeId>,
-    times: Vec<SimMillis>,
+    times: Vec<u32>,
+}
+
+/// `now` as a receipt time.
+///
+/// # Panics
+/// Panics at or past 2^32 ms, which no run reaches.
+fn receipt(now: SimMillis) -> u32 {
+    u32::try_from(now).expect("PIList receipt times are below 2^32 ms")
+}
+
+/// Is a receipt at `t` still fresh at `now`?
+fn is_fresh(t: u32, now: SimMillis, ttl: SimMillis) -> bool {
+    now.saturating_sub(SimMillis::from(t)) <= ttl
 }
 
 impl PiList {
@@ -30,11 +45,12 @@ impl PiList {
     /// Record that `index_node`'s identifier arrived at `now`. Re-receipt
     /// refreshes the timestamp.
     pub fn insert(&mut self, index_node: NodeId, now: SimMillis) {
+        let t = receipt(now);
         match self.ids.iter().position(|&n| n == index_node) {
-            Some(i) => self.times[i] = now,
+            Some(i) => self.times[i] = t,
             None => {
                 self.ids.push(index_node);
-                self.times.push(now);
+                self.times.push(t);
             }
         }
     }
@@ -43,7 +59,7 @@ impl PiList {
     pub fn purge(&mut self, now: SimMillis, ttl: SimMillis) -> usize {
         let mut kept = 0;
         for i in 0..self.ids.len() {
-            if now.saturating_sub(self.times[i]) <= ttl {
+            if is_fresh(self.times[i], now, ttl) {
                 self.ids[kept] = self.ids[i];
                 self.times[kept] = self.times[i];
                 kept += 1;
@@ -52,14 +68,6 @@ impl PiList {
         self.ids.truncate(kept);
         self.times.truncate(kept);
         kept
-    }
-
-    /// Remove a specific node (e.g. observed dead).
-    pub fn remove(&mut self, node: NodeId) {
-        if let Some(i) = self.ids.iter().position(|&n| n == node) {
-            self.ids.remove(i);
-            self.times.remove(i);
-        }
     }
 
     /// Number of stored entries (fresh or not).
@@ -77,7 +85,7 @@ impl PiList {
         self.ids
             .iter()
             .zip(&self.times)
-            .filter(|&(_, &t)| now.saturating_sub(t) <= ttl)
+            .filter(|&(_, &t)| is_fresh(t, now, ttl))
             .map(|(&n, _)| n)
             .collect()
     }
@@ -160,15 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_specific_node() {
-        let mut p = PiList::new();
-        p.insert(NodeId(1), 0);
-        p.insert(NodeId(2), 0);
-        p.remove(NodeId(1));
-        assert_eq!(p.fresh(0, 100), vec![NodeId(2)]);
-    }
-
-    #[test]
     fn sampling_is_roughly_uniform() {
         let mut p = PiList::new();
         for i in 0..4 {
@@ -186,7 +185,8 @@ mod tests {
         }
     }
 
-    /// The one-`Vec`-of-tuples list the columns replaced, as the model.
+    /// The one-`Vec`-of-tuples list the columns replaced, with 64-bit
+    /// receipt times, as the model.
     #[derive(Default)]
     struct Tuples(Vec<(NodeId, SimMillis)>);
 
@@ -219,18 +219,20 @@ mod tests {
         }
     }
 
-    #[test]
-    fn columns_match_the_tuple_list_in_lockstep() {
+    /// Drive a list and the model through one seeded script of inserts,
+    /// purges and samples whose clock starts at `start` and ends at
+    /// `start + 4 000 · 39` ms at the latest.
+    fn lockstep(start: SimMillis) {
         const TTL: SimMillis = 600;
         let mut script = SmallRng::seed_from_u64(10);
         let (mut fast, mut slow) = (SmallRng::seed_from_u64(11), SmallRng::seed_from_u64(11));
         let (mut p, mut m) = (PiList::new(), Tuples::default());
-        let mut now: SimMillis = 0;
+        let mut now = start;
         for _ in 0..4_000 {
             now += script.random_range(0..40u64);
             // Few ids, so re-receipts (refreshes) outnumber first inserts.
             let id = NodeId(script.random_range(0..48));
-            match script.random_range(0..8) {
+            match script.random_range(0..7) {
                 0..=3 => {
                     p.insert(id, now);
                     m.insert(id, now);
@@ -238,10 +240,6 @@ mod tests {
                 4 => {
                     m.0.retain(|e| now.saturating_sub(e.1) <= TTL);
                     assert_eq!(p.purge(now, TTL), m.0.len());
-                }
-                5 => {
-                    p.remove(id);
-                    m.0.retain(|e| e.0 != id);
                 }
                 _ => {
                     let k = script.random_range(0..6);
@@ -256,5 +254,32 @@ mod tests {
         }
         // Same stream position: every sample drew the same bounds.
         assert_eq!(fast.random::<u64>(), slow.random::<u64>());
+    }
+
+    #[test]
+    fn columns_match_the_tuple_list_in_lockstep() {
+        lockstep(0);
+    }
+
+    #[test]
+    fn u32_receipt_times_match_the_u64_model_just_below_2_pow_32() {
+        // The script's clock advances at most 156 000 ms, so it runs its
+        // last minutes right under 2^32; then two receipts at the last
+        // representable millisecond and 700 ms before it.
+        lockstep((1 << 32) - 156_100);
+        let (mut p, mut m) = (PiList::new(), Tuples::default());
+        for (id, t) in [(1, u64::from(u32::MAX) - 700), (2, u64::from(u32::MAX))] {
+            p.insert(NodeId(id), t);
+            m.insert(NodeId(id), t);
+        }
+        for now in [u64::from(u32::MAX), 1 << 32, (1 << 32) + 600] {
+            assert_eq!(p.fresh(now, 600), m.fresh(now, 600), "at {now}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "PIList receipt times are below 2^32 ms")]
+    fn a_receipt_at_2_pow_32_is_a_named_panic() {
+        PiList::new().insert(NodeId(1), 1 << 32);
     }
 }

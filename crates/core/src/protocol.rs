@@ -197,7 +197,7 @@ impl PidCan {
         target: &ResVec,
         avoid: NodeId,
     ) -> Option<NodeId> {
-        if ctx.can.zone(node).is_some_and(|z| z.contains(target)) {
+        if ctx.can.row(node).is_some_and(|z| z.contains(target)) {
             return None;
         }
         let t = ctx.prof.start();
@@ -561,7 +561,7 @@ impl DiscoveryOverlay for PidCan {
     fn on_message(&mut self, ctx: &mut Ctx<'_, PidMsg>, node: NodeId, msg: PidMsg) {
         match msg {
             PidMsg::StateUpdate(mut m) => {
-                let zone = ctx.can.zone(node).expect("message at dead node");
+                let zone = ctx.can.row(node).expect("message at dead node");
                 if !zone.contains(&m.target) {
                     if m.hops_left == 0 {
                         // Budget exhausted mid-churn; the record is lost
@@ -583,7 +583,7 @@ impl DiscoveryOverlay for PidCan {
                 dim_ttl,
             } => self.relay_index(ctx, node, id, dim_no, dim_ttl),
             PidMsg::DutyQuery(mut q) => {
-                let here = ctx.can.zone(node).is_some_and(|z| z.contains(&q.target));
+                let here = ctx.can.row(node).is_some_and(|z| z.contains(&q.target));
                 if !here && q.hops_left > 0 {
                     if let Some(next) = self.route_toward(ctx, node, &q.target) {
                         q.hops_left -= 1;

@@ -30,19 +30,20 @@ pub fn inscan_next_hop(
     current: NodeId,
     target: &Point,
 ) -> Option<NodeId> {
-    let zone = ov.zone(current).expect("routing from dead node");
+    let zone = ov.row(current).expect("routing from dead node");
     if zone.contains(target) {
         return None;
     }
     let cur_dist = zone.dist_to_point(target);
     let table = tables.get(current);
 
-    // Rank dimensions by how far we still have to travel along them.
-    let c = zone.center();
+    // Rank dimensions by how far we still have to travel along them (from
+    // the zone's centre, `(lo + hi) · 0.5` as `Zone::center` computes it).
     let ndims = ov.dim();
     let mut dims = [(0.0f64, 0usize, false); MAX_DIM];
     for (d, slot) in dims.iter_mut().enumerate().take(ndims) {
-        let gap = target[d] - c[d];
+        let (lo, hi) = zone.bounds(d);
+        let gap = target[d] - (lo + hi) * 0.5;
         *slot = (gap.abs(), d, gap > 0.0);
     }
     // Stable insertion sort, descending by gap (shift only while strictly
@@ -66,14 +67,15 @@ pub fn inscan_next_hop(
             let Some(cand) = table.get(d, positive, k) else {
                 continue;
             };
-            let Some(cz) = ov.zone(cand) else {
+            let Some(cz) = ov.row(cand) else {
                 continue; // stale entry (churn); skip
             };
             // No overshoot along d, and strict global progress.
+            let (lo, hi) = cz.bounds(d);
             let overshoot = if positive {
-                cz.lo()[d] > target[d]
+                lo > target[d]
             } else {
-                cz.hi()[d] < target[d]
+                hi < target[d]
             };
             if overshoot {
                 continue;
@@ -112,7 +114,7 @@ pub fn inscan_route(
             }
         }
     }
-    if ov.zone(cur).is_some_and(|z| z.contains(target)) {
+    if ov.row(cur).is_some_and(|z| z.contains(target)) {
         RouteOutcome {
             owner: Some(cur),
             path,

@@ -333,7 +333,7 @@ mod tests {
             for id in t.along(d, false) {
                 let z = ov.zone(id).unwrap();
                 assert!(
-                    is_negative_direction(z, cz) || z.ranges_overlap(cz, 1 - d),
+                    is_negative_direction(&z, &cz) || z.ranges_overlap(&cz, 1 - d),
                     "walk along {d} from the corner must stay weakly negative"
                 );
             }

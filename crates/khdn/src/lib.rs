@@ -442,7 +442,7 @@ impl DiscoveryOverlay for KhdnCan {
     fn on_message(&mut self, ctx: &mut Ctx<'_, KhdnMsg>, node: NodeId, msg: KhdnMsg) {
         match msg {
             KhdnMsg::StateUpdate(mut m) => {
-                let here = ctx.can.zone(node).is_some_and(|z| z.contains(&m.target));
+                let here = ctx.can.row(node).is_some_and(|z| z.contains(&m.target));
                 if !here && m.hops_left > 0 {
                     if let Some(next) = self.route(ctx, node, &m.target) {
                         m.hops_left -= 1;
@@ -457,7 +457,7 @@ impl DiscoveryOverlay for KhdnCan {
                 self.replicate(ctx, node, r.rec, r.hops_left);
             }
             KhdnMsg::Query(mut q) => {
-                let here = ctx.can.zone(node).is_some_and(|z| z.contains(&q.target));
+                let here = ctx.can.row(node).is_some_and(|z| z.contains(&q.target));
                 if !here && q.hops_left > 0 {
                     if let Some(next) = self.route(ctx, node, &q.target) {
                         q.hops_left -= 1;

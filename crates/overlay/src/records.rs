@@ -29,16 +29,16 @@ pub struct StateRecord {
     pub stored_at: SimMillis,
 }
 
-// A probe walks every record of a duty cache: 88 bytes is the subject, the
+// A probe walks every record of a duty cache: 72 bytes is the subject, the
 // inline `MAX_DIM`-wide availability vector and the timestamp, nothing else.
-const _: () = assert!(std::mem::size_of::<StateRecord>() <= 88);
+const _: () = assert!(std::mem::size_of::<StateRecord>() == 72);
 
 /// Is `r` within `ttl` of `now`? (Exactly at the TTL still counts.)
 fn is_fresh(r: &StateRecord, now: SimMillis, ttl: SimMillis) -> bool {
     now.saturating_sub(r.stored_at) <= ttl
 }
 
-/// Capacity step, in records. Ten thousand caches of 88-byte records are
+/// Capacity step, in records. Ten thousand caches of 72-byte records are
 /// the one place where `Vec`'s doubling (and never shrinking) shows: grown
 /// and trimmed in steps of four, capacity stays within three records of
 /// what the cache holds, at one small `realloc` per four net inserts.

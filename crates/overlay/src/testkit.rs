@@ -9,7 +9,7 @@ use crate::api::{Candidate, Ctx, DiscoveryOverlay, Effect, HostInfo, QueryReques
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use soc_can::CanOverlay;
-use soc_net::{MsgKind, MsgStats};
+use soc_net::MsgStats;
 use soc_simcore::EventQueue;
 use soc_types::{NodeId, QueryId, ResVec, SimMillis};
 use std::collections::HashMap;
@@ -242,9 +242,4 @@ impl<M> ApplySink<'_, M> {
             }
         }
     }
-}
-
-/// Convenience: count a kind quickly in tests.
-pub fn kind_count<P: DiscoveryOverlay>(h: &TestHarness<P>, kind: MsgKind) -> u64 {
-    h.stats.count(kind)
 }

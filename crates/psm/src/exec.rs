@@ -1,11 +1,12 @@
 //! Per-node PSM execution state.
 
 use soc_types::{ResVec, SimMillis, TaskId, MAX_DIM};
+use std::sync::{Mutex, PoisonError};
 
 /// Per-VM maintenance overhead (§IV-A, from the Walters et al. report):
 /// fractional capacity loss on the rate dimensions plus an absolute memory
 /// cost, *per running VM instance*.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct VmOverhead {
     /// Fraction of total CPU capacity consumed per VM (default 0.05).
     pub cpu_frac: f64,
@@ -42,7 +43,7 @@ impl VmOverhead {
 }
 
 /// Scheduler configuration.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PsmConfig {
     /// Per-VM maintenance cost.
     pub overhead: VmOverhead,
@@ -74,6 +75,25 @@ impl PsmConfig {
             mem_dim: None,
         }
     }
+
+    /// The process's one copy of this config. A run builds every node from
+    /// the same config, so an executor row holds a pointer to it instead of
+    /// its own 56-byte copy; each distinct config is stored once and kept
+    /// for the life of the process (a process sees a handful). No run can
+    /// observe another through this table: it only ever hands back a value
+    /// equal to the one it was given.
+    fn shared(self) -> &'static PsmConfig {
+        static SHARED: Mutex<Vec<&'static PsmConfig>> = Mutex::new(Vec::new());
+        // Every update is one push of a finished value, so a table poisoned
+        // by a panic elsewhere is still whole.
+        let mut shared = SHARED.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&c) = shared.iter().find(|&&c| *c == self) {
+            return c;
+        }
+        let c: &'static PsmConfig = Box::leak(Box::new(self));
+        shared.push(c);
+        c
+    }
 }
 
 /// A task currently executing on a node.
@@ -90,6 +110,11 @@ pub struct RunningTask {
     /// When execution began on this node.
     pub started_at: SimMillis,
 }
+
+// Every event on a node walks all its resident tasks: the id, the
+// expectation and remaining-work vectors (`MAX_DIM` wide each) and two
+// timestamps.
+const _: () = assert!(std::mem::size_of::<RunningTask>() == 128);
 
 impl RunningTask {
     /// Build a task whose expected duration (at exactly its expectation
@@ -169,12 +194,16 @@ impl CompletionHeap {
 #[derive(Clone, Debug)]
 pub struct NodeExec {
     capacity: ResVec,
-    config: PsmConfig,
+    config: &'static PsmConfig,
     tasks: Vec<RunningTask>,
     last_integrated: SimMillis,
     epoch: u64,
     pred: CompletionHeap,
 }
+
+// One row per node id: the capacity vector, a pointer to the run's one
+// config, the task list and the completion memo.
+const _: () = assert!(std::mem::size_of::<NodeExec>() <= 152);
 
 impl NodeExec {
     /// A node with capacity vector `c_i` and the given config.
@@ -188,7 +217,7 @@ impl NodeExec {
         }
         NodeExec {
             capacity,
-            config,
+            config: config.shared(),
             tasks: Vec::new(),
             last_integrated: 0,
             epoch: 0,
@@ -623,6 +652,16 @@ mod tests {
         let rem = NodeExec::remaining_nominal_s(&drained[0], 1);
         assert!((rem - 50.0).abs() < 1e-6, "remaining {rem}");
         assert_eq!(node.n_tasks(), 0);
+    }
+
+    #[test]
+    fn executors_share_one_copy_of_an_equal_config() {
+        let a = NodeExec::new(v(&[1.0, 2.0]), PsmConfig::bare(2));
+        let b = NodeExec::new(v(&[3.0, 4.0]), PsmConfig::bare(2));
+        let c = NodeExec::new(v(&[3.0, 4.0]), PsmConfig::bare(1));
+        assert!(std::ptr::eq(a.config, b.config));
+        assert!(!std::ptr::eq(a.config, c.config));
+        assert_eq!(*c.config, PsmConfig::bare(1));
     }
 
     #[test]

@@ -37,6 +37,7 @@
 //! `parse ∘ render` is the identity (pinned by the round-trip tests).
 
 use soc_sim::{FaultConfig, ProtocolChoice, Scenario};
+use soc_types::RUN_LIMIT_MS;
 use soc_workload::{ArrivalModel, DemandModel, DurationModel, NodeModel, WorkloadSpec};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -407,6 +408,9 @@ impl ScenarioSpec {
         if sc.duration_ms == 0 || sc.sample_ms == 0 {
             return Err("duration_ms / sample_ms: must be > 0".into());
         }
+        if sc.duration_ms >= RUN_LIMIT_MS {
+            return Err(format!("duration_ms: must be < {RUN_LIMIT_MS} (2^32 ms)"));
+        }
         if sc.churn_degree < 0.0 {
             return Err("churn: must be ≥ 0".into());
         }
@@ -633,6 +637,18 @@ on_factor = 0.2
         let e =
             ScenarioSpec::parse("[scenario]\nprotocol = hid\nseed = 1\nseed = 2\n").unwrap_err();
         assert!(e.msg.contains("duplicate"), "{e}");
+    }
+
+    #[test]
+    fn a_run_of_2_pow_32_ms_is_rejected_and_one_ms_less_parses() {
+        let spec = |ms: u64| format!("[scenario]\nprotocol = hid\nduration_ms = {ms}\n");
+        let e = ScenarioSpec::parse(&spec(4_294_967_296)).unwrap_err();
+        assert!(
+            e.msg.contains("duration_ms") && e.msg.contains("4294967296"),
+            "{e}"
+        );
+        let ok = ScenarioSpec::parse(&spec(4_294_967_295)).unwrap();
+        assert_eq!(ok.scenario.duration_ms, u64::from(u32::MAX));
     }
 
     #[test]

@@ -37,6 +37,11 @@ fn run_with<P: DiscoveryOverlay>(
     make_proto: impl FnOnce(usize) -> P,
     can_dim: usize,
 ) -> RunReport {
+    assert!(
+        sc.duration_ms < soc_types::RUN_LIMIT_MS,
+        "duration_ms: must be < {} (2^32 ms)",
+        soc_types::RUN_LIMIT_MS
+    );
     // soc-lint: allow(no-wall-clock) -- wall_ms is diagnostic-only and excluded from fingerprint() (see report.rs FINGERPRINT_EXCLUDED)
     let wall_start = std::time::Instant::now();
     let mut nodes = bootstrap(sc, source, make_proto, can_dim);

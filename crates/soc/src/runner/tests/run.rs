@@ -36,6 +36,14 @@ fn all_protocols_run_quickly() {
 }
 
 #[test]
+#[should_panic(expected = "duration_ms: must be < 4294967296 (2^32 ms)")]
+fn a_run_of_2_pow_32_ms_fails_at_start() {
+    let mut sc = Scenario::quick(ProtocolChoice::Hid).nodes(40);
+    sc.duration_ms = soc_types::RUN_LIMIT_MS;
+    sc.run();
+}
+
+#[test]
 fn deterministic_given_seed() {
     let a = quick(ProtocolChoice::Hid, 7);
     let b = quick(ProtocolChoice::Hid, 7);

@@ -187,12 +187,6 @@ impl Scenario {
         self
     }
 
-    /// Enable checkpoint-based fault tolerance (§VI future work).
-    pub fn with_checkpointing(mut self) -> Self {
-        self.checkpointing = true;
-        self
-    }
-
     /// Set the workload shape.
     pub fn workload(mut self, w: WorkloadSpec) -> Self {
         self.workload = w;

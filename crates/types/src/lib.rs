@@ -24,5 +24,5 @@ pub use ids::{NodeId, QueryId, TaskId};
 pub use resvec::{ResVec, MAX_DIM};
 pub use units::{
     secs, to_secs, Dim, SimMillis, DAY, DIM_CPU, DIM_DISK, DIM_IO, DIM_MEM, DIM_NAMES, DIM_NET,
-    HOUR, PERF_DIMS, SECOND, SOC_DIMS,
+    HOUR, PERF_DIMS, RUN_LIMIT_MS, SECOND, SOC_DIMS,
 };

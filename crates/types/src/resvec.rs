@@ -13,9 +13,14 @@ use std::ops::{Add, AddAssign, Div, Index, IndexMut, Mul, Sub, SubAssign};
 /// Maximum supported dimensionality.
 ///
 /// The paper's SOC uses 5 dimensions; the VD variant (§IV-A, SID-CAN+VD)
-/// adds a sixth *virtual* dimension, and illustrations use 2. Eight leaves
-/// headroom while keeping the struct at 72 bytes.
-pub const MAX_DIM: usize = 8;
+/// adds a sixth *virtual* dimension, and illustrations use 2. Six is the
+/// widest vector the paper has, and keeps the struct at 56 bytes: every
+/// state record, cached zone corner and running task carries one.
+pub const MAX_DIM: usize = 6;
+
+// Five Table I dimensions plus VD's virtual one, and not a slot more.
+const _: () = assert!(MAX_DIM == crate::units::SOC_DIMS + 1);
+const _: () = assert!(std::mem::size_of::<ResVec>() == 56);
 
 /// A `d`-dimensional resource vector with `d <= MAX_DIM`.
 ///

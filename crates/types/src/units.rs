@@ -15,6 +15,12 @@ pub const HOUR: SimMillis = 3_600 * SECOND;
 /// One simulated day (the paper's experiment duration), in [`SimMillis`].
 pub const DAY: SimMillis = 24 * HOUR;
 
+/// Every run is shorter than this: 2^32 ms, ≈ 49.7 days (the paper's runs
+/// are one day). A time within a run therefore fits a `u32`, which is how
+/// the PIList stores its receipt times; the scenario spec rejects a longer
+/// run and the runner asserts it.
+pub const RUN_LIMIT_MS: SimMillis = 1 << 32;
+
 /// A resource-dimension index (`0..d`).
 pub type Dim = usize;
 

@@ -79,7 +79,7 @@ fn hid_diffusion_reaches_negative_direction_nodes_over_rounds() {
     let neg: Vec<NodeId> = ov
         .live_nodes()
         .filter(|&n| n != origin)
-        .filter(|&n| is_negative_direction(ov.zone(n).unwrap(), oz))
+        .filter(|&n| is_negative_direction(&ov.zone(n).unwrap(), &oz))
         .collect();
     let hit = neg.iter().filter(|n| seen.contains(*n)).count();
     // The chain structure (one next-dimension chain per visited relay)
