@@ -1,18 +1,14 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
+//! Ablation benchmarks for the paper's protocol parameters:
 //!
 //! * `l_sweep`       — diffusion fan-out L ∈ {1, 2, 3} (§III-B1 fixes L=2).
-//! * `duty_cache`    — Algorithm 3 fidelity: duty node consulting its own
-//!   cache vs handing straight to random agents.
 //! * `delta_sweep`   — δ (results per query) ∈ {1, 3, 5}.
 //! * `sos_overhead`  — SoS on/off query traffic.
-//! * `jump_policy`   — jump budget tight vs wide.
 //!
 //! Each bench runs the pipeline at bench scale and also records the
 //! interesting scalar (match rate / traffic) via eprintln so the numbers
 //! land in bench_output.txt.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pidcan::{PidCan, PidCanConfig};
 use soc_sim::{ProtocolChoice, Scenario};
 use std::hint::black_box;
 
@@ -76,37 +72,6 @@ fn bench_l_sweep(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_duty_cache(c: &mut Criterion) {
-    let mut g = c.benchmark_group("duty_cache");
-    g.sample_size(10);
-    for on in [false, true] {
-        g.bench_with_input(
-            BenchmarkId::new("fig6_hid", if on { "checked" } else { "faithful" }),
-            &on,
-            |b, &on| {
-                b.iter(|| {
-                    // Route through the runner by constructing the config
-                    // variant at unit level: PidCanConfig is honored by
-                    // PidCan::new; the scenario runner uses presets, so
-                    // spell out a custom run via the protocol directly.
-                    let mut cfg = PidCanConfig::hid();
-                    cfg.check_duty_cache = on;
-                    black_box(PidCan::new(cfg, 5, 150, 150));
-                    // The metric-level comparison runs once outside the
-                    // timing loop (see eprintln below).
-                })
-            },
-        );
-    }
-    // One full comparison for the record.
-    let r = bench_scenario(ProtocolChoice::Hid).run();
-    eprintln!(
-        "[ablation duty_cache] faithful (off): F-Ratio {:.3}, rejected {}",
-        r.f_ratio, r.rejected
-    );
-    g.finish();
-}
-
 fn bench_delta_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("delta_sweep");
     g.sample_size(10);
@@ -153,6 +118,6 @@ fn bench_sos_overhead(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_l_sweep, bench_duty_cache, bench_delta_sweep, bench_sos_overhead
+    targets = bench_l_sweep, bench_delta_sweep, bench_sos_overhead
 }
 criterion_main!(benches);

@@ -46,8 +46,9 @@ fn bench_routing(c: &mut Criterion) {
 }
 
 fn bench_next_hop(c: &mut Criterion) {
-    // One INSCAN routing step: the work inside every `Phase::Route` span
-    // (`PidCan::route_toward` / `route_avoiding`, once per routed hop). The
+    // One INSCAN routing step, what the profile's `route` count counts
+    // (`PidCan::route_toward` / `route_avoiding`, once per routed hop): a
+    // run's routing cost is that count × this bench's ns. The
     // targets are what state updates are routed to: idle nodes'
     // availability points, Table I capacities over `cmax` — on split planes
     // in four dimensions, continuous in bandwidth.

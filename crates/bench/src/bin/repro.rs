@@ -7,8 +7,8 @@
 //! repro fig8              # Fig. 8: HID-CAN under churn
 //! repro table3            # Table III: HID-CAN scalability
 //! repro all               # everything above
-//! repro diag              # λ=0.5 rejection split (oracle on), baseline vs
-//!                         #   search-corner jitter (--jitter)
+//! repro diag              # λ=0.5 rejection split (oracle on) and the
+//!                         #   hostility A/B (defence off vs on)
 //! repro scenario FILE     # run a scenario file (see scenarios/ gallery);
 //!                         #   --record PATH dumps the realized trace
 //! repro replay TRACE      # replay a recorded trace bit-exactly and
@@ -17,17 +17,15 @@
 //!
 //! Options: `--scale full|smoke|bench` (default smoke), `--seed N`
 //! (default 1; scenario files keep their own seed unless overridden),
-//! `--json PATH` (dump every report of the command as JSON), `--jitter J`
-//! (diag comparison point, default 0.15). Full scale reproduces §IV-A
-//! exactly (2000–12000 nodes, 24 simulated hours) and takes minutes per
-//! figure; smoke preserves the shapes in seconds. Wall time, RSS and the
+//! `--json PATH` (dump every report of the command as JSON). Full scale
+//! reproduces §IV-A exactly (2000–12000 nodes, 24 simulated hours) and
+//! takes minutes per figure; smoke preserves the shapes in seconds. Wall time, RSS and the
 //! per-layer breakdown are measured by the repo benchmark (`benchmark/`),
 //! not here.
 
 use soc_bench::{
-    diag_hostility, diag_lambda05, diag_lambda05_with, fig4, fig5, fig8, fig8_checkpointing,
-    print_diag, print_diag_compare, print_fig8, print_hostility, print_series, print_table3,
-    reports_json, table3, Scale,
+    diag_hostility, diag_lambda05, fig4, fig5, fig8, fig8_checkpointing, print_diag, print_fig8,
+    print_hostility, print_series, print_table3, reports_json, table3, Scale,
 };
 use soc_scenario::{record_run, replay_run, ScenarioSpec, Trace};
 use soc_sim::RunReport;
@@ -42,7 +40,6 @@ struct Args {
     lambda: f64,
     json: Option<String>,
     record: Option<String>,
-    jitter: f64,
 }
 
 fn parse_args() -> Args {
@@ -56,7 +53,6 @@ fn parse_args() -> Args {
         lambda: 1.0,
         json: None,
         record: None,
-        jitter: 0.15,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -98,12 +94,6 @@ fn parse_args() -> Args {
                     std::process::exit(2);
                 });
             }
-            "--jitter" => {
-                args.jitter = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--jitter needs a number");
-                    std::process::exit(2);
-                });
-            }
             cmd if args.cmd.is_empty() && !cmd.starts_with('-') => {
                 args.cmd = cmd.to_string();
             }
@@ -119,8 +109,7 @@ fn parse_args() -> Args {
     if args.cmd.is_empty() {
         eprintln!(
             "usage: repro <fig4|fig5|fig8|table3|ckpt|diag|all> \
-             [--scale full|smoke|bench] [--seed N] [--lambda L] [--json PATH] \
-             [--jitter J]\n\
+             [--scale full|smoke|bench] [--seed N] [--lambda L] [--json PATH]\n\
              \x20      repro scenario FILE [--seed N] [--record PATH] [--json PATH]\n\
              \x20      repro replay TRACE [--json PATH]"
         );
@@ -215,7 +204,7 @@ fn run_table3(scale: Scale, seed: u64) -> Sections {
     vec![("table3".to_string(), reports)]
 }
 
-fn run_diag(scale: Scale, seed: u64, jitter: f64) -> Sections {
+fn run_diag(scale: Scale, seed: u64) -> Sections {
     println!("== diagnostic: λ=0.5 rejection split (oracle on) ==");
     let base = diag_lambda05(scale, seed);
     println!("{}", print_diag(&base));
@@ -225,15 +214,11 @@ fn run_diag(scale: Scale, seed: u64, jitter: f64) -> Sections {
             println!("#   {}", r.diag);
         }
     }
-    println!("\n== candidate-set diversification: corner jitter {jitter} ==");
-    let jit = diag_lambda05_with(scale, seed, jitter);
-    println!("{}", print_diag_compare(&base, &jit, jitter));
-    println!("== hostility A/B: 15% blackhole nodes, defence off vs on ==");
+    println!("\n== hostility A/B: 15% blackhole nodes, defence off vs on ==");
     let ab = diag_hostility(scale, seed, 0.15);
     println!("{}", print_hostility(&ab));
     vec![
         ("baseline".to_string(), base),
-        (format!("jitter={jitter}"), jit),
         ("hostility-clean".to_string(), vec![ab.clean]),
         ("hostility-undefended".to_string(), vec![ab.undefended]),
         ("hostility-defended".to_string(), vec![ab.defended]),
@@ -373,7 +358,7 @@ fn main() {
         "fig8" => run_fig8(args.scale, seed),
         "ckpt" => run_ckpt(args.scale, seed),
         "table3" => run_table3(args.scale, seed),
-        "diag" => run_diag(args.scale, seed, args.jitter),
+        "diag" => run_diag(args.scale, seed),
         "scenario" => {
             let (sections, used_seed) = run_scenario_cmd(&args);
             json_seed = used_seed;

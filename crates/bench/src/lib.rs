@@ -187,14 +187,6 @@ pub fn table3(scale: Scale, seed: u64) -> Vec<RunReport> {
 ///   node failed Inequality (2) again on task arrival (stale records /
 ///   contention casualties).
 pub fn diag_lambda05(scale: Scale, seed: u64) -> Vec<RunReport> {
-    diag_lambda05_with(scale, seed, 0.0)
-}
-
-/// [`diag_lambda05`] with per-query search-corner jitter (the ROADMAP's
-/// candidate-set diversification follow-up). `repro diag` runs the sweep
-/// at jitter 0 and at the requested jitter and prints the rejection-share
-/// comparison side by side.
-pub fn diag_lambda05_with(scale: Scale, seed: u64, jitter: f64) -> Vec<RunReport> {
     run_cells(
         scale
             .table3_nodes
@@ -204,8 +196,7 @@ pub fn diag_lambda05_with(scale: Scale, seed: u64, jitter: f64) -> Vec<RunReport
                     .scenario(ProtocolChoice::Hid)
                     .nodes(n)
                     .lambda(0.5)
-                    .seed(seed)
-                    .jitter(jitter);
+                    .seed(seed);
                 sc.oracle = true;
                 sc
             })
@@ -299,28 +290,6 @@ pub fn print_hostility(ab: &HostilityAb) -> String {
         ab.degradation(),
         ab.recovered_fraction() * 100.0,
     ));
-    out
-}
-
-/// Render the jitter A/B: how the arrival-time re-check rejection share
-/// (rejected / submissions) and T-Ratio move when the search corner is
-/// diversified.
-pub fn print_diag_compare(base: &[RunReport], jit: &[RunReport], jitter: f64) -> String {
-    let mut out =
-        format!("scenario\trej%@0\trej%@{jitter}\tT@0\tT@{jitter}\tfailed@0\tfailed@{jitter}\n");
-    for (b, j) in base.iter().zip(jit) {
-        let share = |r: &RunReport| r.rejected as f64 / r.generated.max(1) as f64 * 100.0;
-        out.push_str(&format!(
-            "{}\t{:.1}\t{:.1}\t{:.3}\t{:.3}\t{}\t{}\n",
-            b.scenario,
-            share(b),
-            share(j),
-            b.t_ratio,
-            j.t_ratio,
-            b.failed,
-            j.failed,
-        ));
-    }
     out
 }
 

@@ -47,19 +47,6 @@ pub struct PidCanConfig {
     pub jump_refill: usize,
     /// Hard cap on index-jump hops per query attempt (delay bound).
     pub jump_budget: usize,
-    /// Whether the duty node also searches its own cache before handing the
-    /// query to index agents. Algorithm 3 does *not* (the duty node goes
-    /// straight to random agents); enabling this shortcut makes all
-    /// same-zone queries hit identical records, recreating exactly the
-    /// contention hotspots the randomized agent/jump path avoids — the
-    /// ablation bench quantifies that. Default: off (faithful).
-    pub check_duty_cache: bool,
-    /// Candidate-set diversification: nudge each duty query's target point
-    /// up by `U[0, corner_jitter]` per normalized dimension, so concurrent
-    /// same-corner queries land on adjacent duty zones instead of racing
-    /// for one zone's records. 0 (default) = faithful paper behavior; the
-    /// λ=0.5 contention diagnostic (`repro diag`) A/Bs this knob.
-    pub corner_jitter: f64,
 }
 
 impl Default for PidCanConfig {
@@ -77,8 +64,6 @@ impl Default for PidCanConfig {
             jump_sample: 8,
             jump_refill: 3,
             jump_budget: 40,
-            check_duty_cache: false,
-            corner_jitter: 0.0,
         }
     }
 }

@@ -11,7 +11,7 @@ use soc_inscan::table::walk_step;
 use soc_inscan::{inscan_next_hop, IndexTables};
 use soc_net::MsgKind;
 use soc_overlay::{
-    Candidate, Ctx, DiscoveryOverlay, Phase, QueryRequest, QueryVerdict, RecordCache, StateRecord,
+    Candidate, Ctx, DiscoveryOverlay, QueryRequest, QueryVerdict, RecordCache, StateRecord,
 };
 use soc_types::{NodeId, QueryId, ResVec, SimMillis};
 use std::collections::HashMap;
@@ -125,28 +125,9 @@ impl PidCan {
     }
 
     /// Map a raw resource vector to a CAN key-space point, appending the
-    /// random virtual coordinate under VD. `jitter` opts a *duty query*
-    /// into corner diversification; record placement (StateUpdate) must
-    /// always pass `false` so cached records stay at the node's true
-    /// availability point.
-    fn key_point<R: Rng>(
-        &self,
-        ctx_cmax: &ResVec,
-        v: &ResVec,
-        rng: &mut R,
-        jitter: bool,
-    ) -> ResVec {
-        let mut p = v.normalize(ctx_cmax);
-        if jitter && self.cfg.corner_jitter > 0.0 {
-            // Diversify the search corner: an upward nudge keeps the duty
-            // zone on the qualified side (records there satisfy a demand at
-            // or below the jittered point) while spreading concurrent
-            // same-demand queries over adjacent zones. RNG draws are gated
-            // on the knob so jitter-off runs are bitwise unchanged.
-            for d in 0..p.dim() {
-                p[d] = (p[d] + rng.random::<f64>() * self.cfg.corner_jitter).min(1.0);
-            }
-        }
+    /// random virtual coordinate under VD.
+    fn key_point<R: Rng>(&self, ctx_cmax: &ResVec, v: &ResVec, rng: &mut R) -> ResVec {
+        let p = v.normalize(ctx_cmax);
         if self.cfg.virtual_dim {
             p.push_dim(rng.random::<f64>())
         } else {
@@ -168,11 +149,14 @@ impl PidCan {
     /// Next hop for a message at `node` targeting a key-space point, or
     /// `None` when `node` consumes it (it owns the point). The caller does
     /// the send, so a relayed message's box moves straight into it.
-    fn route_toward(&self, ctx: &Ctx<'_, PidMsg>, node: NodeId, target: &ResVec) -> Option<NodeId> {
-        let t = ctx.prof.start();
-        let hop = inscan_next_hop(ctx.can, &self.tables, node, target);
-        ctx.prof.stop(Phase::Route, t);
-        let next = hop?;
+    fn route_toward(
+        &self,
+        ctx: &mut Ctx<'_, PidMsg>,
+        node: NodeId,
+        target: &ResVec,
+    ) -> Option<NodeId> {
+        ctx.routes += 1;
+        let next = inscan_next_hop(ctx.can, &self.tables, node, target)?;
         if ctx.host.is_suspect(node, next, ctx.now) {
             // Defence layer: the computed next hop is on `node`'s
             // blacklist. Detour greedily around every suspect (and the
@@ -192,7 +176,7 @@ impl PidCan {
     /// (returns `None`).
     fn route_avoiding(
         &self,
-        ctx: &Ctx<'_, PidMsg>,
+        ctx: &mut Ctx<'_, PidMsg>,
         node: NodeId,
         target: &ResVec,
         avoid: NodeId,
@@ -200,10 +184,8 @@ impl PidCan {
         if ctx.can.row(node).is_some_and(|z| z.contains(target)) {
             return None;
         }
-        let t = ctx.prof.start();
-        let hop = inscan_next_hop(ctx.can, &self.tables, node, target);
-        ctx.prof.stop(Phase::Route, t);
-        if let Some(next) = hop {
+        ctx.routes += 1;
+        if let Some(next) = inscan_next_hop(ctx.can, &self.tables, node, target) {
             if next != avoid && ctx.host.is_alive(next) && !ctx.host.is_suspect(node, next, ctx.now)
             {
                 return Some(next);
@@ -371,28 +353,8 @@ impl PidCan {
         qid: QueryId,
         requester: NodeId,
         demand: ResVec,
-        mut delta: usize,
+        delta: usize,
     ) {
-        // Optionally search the duty node's own cache first (best-fit
-        // records live in the zone enclosing the demand vector).
-        if self.cfg.check_duty_cache {
-            let mut found = std::mem::take(&mut self.found_buf);
-            let t = ctx.prof.start();
-            self.caches[duty.idx()].qualified_into(&demand, ctx.now, &mut found);
-            ctx.prof.stop(Phase::CacheProbe, t);
-            if !found.is_empty() {
-                delta = delta.saturating_sub(found.len());
-                let cands = found
-                    .iter()
-                    .map(|r| Candidate {
-                        node: r.subject,
-                        avail: r.avail,
-                    })
-                    .collect();
-                self.notify_found(ctx, duty, qid, requester, cands);
-            }
-            self.found_buf = found;
-        }
         if delta == 0 {
             self.finish_query(ctx, duty, qid, requester);
             return;
@@ -503,7 +465,7 @@ impl PidCan {
     ) {
         let target = {
             let cmax = *ctx.host.cmax();
-            self.key_point(&cmax, &effective, ctx.rng, true)
+            self.key_point(&cmax, &effective, ctx.rng)
         };
         match self.route_toward(ctx, requester, &target) {
             Some(next) => {
@@ -615,9 +577,8 @@ impl DiscoveryOverlay for PidCan {
             PidMsg::IndexJump(mut s) => {
                 // Algorithm 5: search the local cache.
                 let mut found = std::mem::take(&mut self.found_buf);
-                let t = ctx.prof.start();
+                ctx.probes += 1;
                 self.caches[node.idx()].qualified_into(&s.demand, ctx.now, &mut found);
-                ctx.prof.stop(Phase::CacheProbe, t);
                 self.diag.jump_visits += 1;
                 let cands: Vec<Candidate> = found
                     .iter()
@@ -663,7 +624,7 @@ impl DiscoveryOverlay for PidCan {
                 let avail = ctx.host.availability(node);
                 let target = {
                     let cmax = *ctx.host.cmax();
-                    self.key_point(&cmax, &avail, ctx.rng, false)
+                    self.key_point(&cmax, &avail, ctx.rng)
                 };
                 match self.route_toward(ctx, node, &target) {
                     Some(next) => {
@@ -868,8 +829,8 @@ mod tests {
     fn avoided_hop_is_never_chosen() {
         let (proto, can, host, mut rng) = world(71);
         let (sender, hop, target) = pick_route(&can);
-        let ctx = Ctx::new(0, &can, &host, &mut rng);
-        let next = proto.route_avoiding(&ctx, sender, &target, hop);
+        let mut ctx = Ctx::new(0, &can, &host, &mut rng);
+        let next = proto.route_avoiding(&mut ctx, sender, &target, hop);
         let expect = manual_greedy(&can, &host, sender, &target, hop).unwrap();
         assert_ne!(expect, hop);
         assert_eq!(
@@ -894,9 +855,9 @@ mod tests {
         } else {
             hop
         };
-        let ctx = Ctx::new(0, &can, &host, &mut rng);
+        let mut ctx = Ctx::new(0, &can, &host, &mut rng);
         assert_eq!(
-            proto.route_avoiding(&ctx, sender, &target, avoid),
+            proto.route_avoiding(&mut ctx, sender, &target, avoid),
             Some(survivor)
         );
     }
@@ -908,9 +869,9 @@ mod tests {
         for e in can.neighbors(sender) {
             host.alive[e.node.idx()] = false;
         }
-        let ctx = Ctx::new(0, &can, &host, &mut rng);
+        let mut ctx = Ctx::new(0, &can, &host, &mut rng);
         assert_eq!(
-            proto.route_avoiding(&ctx, sender, &target, hop),
+            proto.route_avoiding(&mut ctx, sender, &target, hop),
             None,
             "an isolated sender must consume the message"
         );
@@ -925,8 +886,8 @@ mod tests {
         let (proto, can, mut host, mut rng) = world(75);
         let (sender, hop, target) = pick_route(&can);
         host.suspects.push((sender, hop));
-        let ctx = Ctx::new(0, &can, &host, &mut rng);
-        let next = proto.route_toward(&ctx, sender, &target);
+        let mut ctx = Ctx::new(0, &can, &host, &mut rng);
+        let next = proto.route_toward(&mut ctx, sender, &target);
         let expect = manual_greedy(&can, &host, sender, &target, hop).unwrap();
         assert_ne!(
             next,
@@ -940,9 +901,9 @@ mod tests {
         );
         // Another observer with an empty blacklist keeps the plain route.
         host.suspects.clear();
-        let ctx = Ctx::new(0, &can, &host, &mut rng);
+        let mut ctx = Ctx::new(0, &can, &host, &mut rng);
         assert_eq!(
-            proto.route_toward(&ctx, sender, &target),
+            proto.route_toward(&mut ctx, sender, &target),
             Some(hop),
             "no suspicion, no detour"
         );
@@ -955,9 +916,9 @@ mod tests {
         for e in can.neighbors(sender) {
             host.suspects.push((sender, e.node));
         }
-        let ctx = Ctx::new(0, &can, &host, &mut rng);
+        let mut ctx = Ctx::new(0, &can, &host, &mut rng);
         assert_eq!(
-            proto.route_toward(&ctx, sender, &target),
+            proto.route_toward(&mut ctx, sender, &target),
             None,
             "a sender that suspects every neighbor must consume, not loop"
         );
@@ -971,8 +932,8 @@ mod tests {
         // must dodge both.
         let fallback = manual_greedy(&can, &host, sender, &target, hop).unwrap();
         host.suspects.push((sender, fallback));
-        let ctx = Ctx::new(0, &can, &host, &mut rng);
-        if let Some(next) = proto.route_avoiding(&ctx, sender, &target, hop) {
+        let mut ctx = Ctx::new(0, &can, &host, &mut rng);
+        if let Some(next) = proto.route_avoiding(&mut ctx, sender, &target, hop) {
             assert_ne!(next, hop, "avoided hop chosen");
             assert_ne!(next, fallback, "suspected fallback chosen");
         }
@@ -983,9 +944,9 @@ mod tests {
         let (proto, can, host, mut rng) = world(74);
         let target = ResVec::from_slice(&[0.97, 0.97]);
         let owner = can.owner_of(&target);
-        let ctx = Ctx::new(0, &can, &host, &mut rng);
+        let mut ctx = Ctx::new(0, &can, &host, &mut rng);
         assert_eq!(
-            proto.route_avoiding(&ctx, owner, &target, NodeId(u32::MAX)),
+            proto.route_avoiding(&mut ctx, owner, &target, NodeId(u32::MAX)),
             None,
             "the zone owner consumes directly"
         );

@@ -17,8 +17,7 @@ use rand::{Rng, RngExt};
 use soc_can::greedy_next_hop;
 use soc_net::MsgKind;
 use soc_overlay::{
-    Candidate, Ctx, DiscoveryOverlay, Phase, ProfRef, QueryRequest, QueryVerdict, RecordCache,
-    StateRecord,
+    Candidate, Ctx, DiscoveryOverlay, QueryRequest, QueryVerdict, RecordCache, StateRecord,
 };
 use soc_types::{NodeId, QueryId, ResVec, SimMillis};
 use std::collections::HashMap;
@@ -179,17 +178,9 @@ impl KhdnCan {
     /// Probe `node`'s cache for `demand`, returning the qualified records
     /// as `Candidate`s (empty Vec allocates nothing) via the recycled
     /// buffer.
-    fn probe_cache(
-        &mut self,
-        node: NodeId,
-        demand: &ResVec,
-        now: SimMillis,
-        prof: ProfRef<'_>,
-    ) -> Vec<Candidate> {
+    fn probe_cache(&mut self, node: NodeId, demand: &ResVec, now: SimMillis) -> Vec<Candidate> {
         let mut found = std::mem::take(&mut self.found_buf);
-        let t = prof.start();
         self.caches[node.idx()].qualified_into(demand, now, &mut found);
-        prof.stop(Phase::CacheProbe, t);
         let cands = found
             .iter()
             .map(|r| Candidate {
@@ -289,7 +280,8 @@ impl KhdnCan {
         demand: ResVec,
         mut delta: usize,
     ) {
-        let cands = self.probe_cache(node, &demand, ctx.now, ctx.prof);
+        ctx.probes += 1;
+        let cands = self.probe_cache(node, &demand, ctx.now);
         if !cands.is_empty() {
             delta = delta.saturating_sub(cands.len());
             self.notify_found(ctx, node, qid, requester, cands);
@@ -338,7 +330,8 @@ impl KhdnCan {
     /// Sweep handling at a positive-direction node.
     fn handle_sweep(&mut self, ctx: &mut Ctx<'_, KhdnMsg>, node: NodeId, mut s: Box<Sweep>) {
         let (qid, requester, demand) = (s.qid, s.requester, s.demand);
-        let cands = self.probe_cache(node, &demand, ctx.now, ctx.prof);
+        ctx.probes += 1;
+        let cands = self.probe_cache(node, &demand, ctx.now);
         if !cands.is_empty() {
             s.delta = s.delta.saturating_sub(cands.len());
             self.notify_found(ctx, node, qid, requester, cands);
@@ -406,11 +399,9 @@ impl KhdnCan {
     }
 
     /// Greedy next hop toward `target`; `None` when `node` owns it.
-    fn route(&self, ctx: &Ctx<'_, KhdnMsg>, node: NodeId, target: &ResVec) -> Option<NodeId> {
-        let t = ctx.prof.start();
-        let hop = greedy_next_hop(ctx.can, node, target);
-        ctx.prof.stop(Phase::Route, t);
-        hop
+    fn route(&self, ctx: &mut Ctx<'_, KhdnMsg>, node: NodeId, target: &ResVec) -> Option<NodeId> {
+        ctx.routes += 1;
+        greedy_next_hop(ctx.can, node, target)
     }
 }
 

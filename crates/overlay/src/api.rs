@@ -3,7 +3,6 @@
 use rand::rngs::SmallRng;
 use soc_can::CanOverlay;
 use soc_net::{MsgCounts, MsgKind};
-use soc_profile::ProfRef;
 use soc_types::{NodeId, QueryId, ResVec, SimMillis};
 
 /// Protocol-defined timer discriminant (e.g. "state-update cycle",
@@ -110,11 +109,13 @@ pub struct Ctx<'a, M> {
     pub host: &'a dyn HostInfo,
     /// Protocol randomness (its own deterministic stream).
     pub rng: &'a mut SmallRng,
-    /// Profiler handle for detail spans (routing, cache probes). Detached
-    /// by default; the scenario runner attaches its run profiler after
-    /// construction. Recording through it is observation-only — a span
-    /// never changes protocol behaviour.
-    pub prof: ProfRef<'a>,
+    /// Routing steps computed in this callback (one per INSCAN finger or
+    /// greedy next-hop step). Protocols only add to it; the runner folds
+    /// it into the run's totals, which the profile reports as `route`.
+    pub routes: u64,
+    /// Record-cache qualification probes made in this callback, kept
+    /// like [`Ctx::routes`] and reported as `cache_probe`.
+    pub probes: u64,
     effects: Vec<Effect<M>>,
     /// Per-kind counts of everything sent or charged in this callback,
     /// flushed by the runner as one `MsgStats::record_batch` instead of a
@@ -135,7 +136,8 @@ impl<'a, M> Ctx<'a, M> {
             can,
             host,
             rng,
-            prof: ProfRef::none(),
+            routes: 0,
+            probes: 0,
             effects: Vec::new(),
             sent: MsgCounts::new(),
         }
@@ -159,7 +161,8 @@ impl<'a, M> Ctx<'a, M> {
             can,
             host,
             rng,
-            prof: ProfRef::none(),
+            routes: 0,
+            probes: 0,
             effects: buffer,
             sent: MsgCounts::new(),
         }

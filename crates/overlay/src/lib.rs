@@ -19,6 +19,3 @@ pub use api::{
     Candidate, Ctx, DiscoveryOverlay, Effect, HostInfo, QueryRequest, QueryVerdict, TimerKind,
 };
 pub use records::{RecordCache, StateRecord};
-// Re-exported so protocol crates can record profiler spans through the
-// `Ctx` they already hold, without a direct soc-profile dependency.
-pub use soc_profile::{Phase, ProfRef, ProfileSummary, Profiler};

@@ -256,7 +256,6 @@ impl ScenarioSpec {
         sc.dispatch_kbytes = sc_sect.take_f64("dispatch_kbytes", sc.dispatch_kbytes)?;
         sc.oracle = sc_sect.take_bool("oracle", sc.oracle)?;
         sc.checkpointing = sc_sect.take_bool("checkpointing", sc.checkpointing)?;
-        sc.corner_jitter = sc_sect.take_f64("corner_jitter", sc.corner_jitter)?;
         sc_sect.finish("scenario")?;
 
         let mut workload = WorkloadSpec::default();
@@ -417,9 +416,6 @@ impl ScenarioSpec {
         if sc.delta == 0 {
             return Err("delta: must be ≥ 1".into());
         }
-        if !(0.0..=1.0).contains(&sc.corner_jitter) {
-            return Err("corner_jitter: must be in [0, 1]".into());
-        }
         let f = &sc.fault;
         if !(0.0..=1.0).contains(&f.blackhole_frac) || !(0.0..=1.0).contains(&f.liar_frac) {
             return Err("fault blackhole / liar: must be in [0, 1]".into());
@@ -462,7 +458,6 @@ impl ScenarioSpec {
         let _ = writeln!(out, "dispatch_kbytes = {}", sc.dispatch_kbytes);
         let _ = writeln!(out, "oracle = {}", sc.oracle);
         let _ = writeln!(out, "checkpointing = {}", sc.checkpointing);
-        let _ = writeln!(out, "corner_jitter = {}", sc.corner_jitter);
         out.push('\n');
         let _ = writeln!(out, "[arrival]");
         match sc.workload.arrival {
@@ -619,6 +614,11 @@ on_factor = 0.2
     #[test]
     fn rejects_unknown_keys_and_sections() {
         let e = ScenarioSpec::parse("[scenario]\nprotocol = hid\nnodez = 5\n").unwrap_err();
+        assert!(e.msg.contains("unknown key"), "{e}");
+        assert_eq!(e.line, 3);
+        // A key this parser once read and no longer does is unknown too.
+        let e =
+            ScenarioSpec::parse("[scenario]\nprotocol = hid\ncorner_jitter = 0.15\n").unwrap_err();
         assert!(e.msg.contains("unknown key"), "{e}");
         assert_eq!(e.line, 3);
         let e = ScenarioSpec::parse("[scnario]\nprotocol = hid\n").unwrap_err();

@@ -64,7 +64,6 @@ fn gallery_covers_every_generator_axis() {
     assert!(specs
         .iter()
         .any(|s| matches!(s.scenario.workload.nodes, NodeModel::Classes { .. })));
-    assert!(specs.iter().any(|s| s.scenario.corner_jitter > 0.0));
     assert!(specs
         .iter()
         .any(|s| s.scenario.churn_degree > 0.0 && s.scenario.checkpointing));

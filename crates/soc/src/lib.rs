@@ -20,11 +20,13 @@
 
 pub mod defense;
 pub mod json;
+mod profile;
 pub mod report;
 pub mod runner;
 pub mod scenario;
 
 pub use defense::{Blacklist, DefenseParams};
+pub use profile::{PhaseStat, ProfileSummary};
 pub use report::{FaultSummary, RunReport};
 pub use runner::{build_source, run_scenario, run_scenario_with};
 pub use scenario::{ProtocolChoice, Scenario};

@@ -114,7 +114,7 @@ pub struct RunReport {
     /// Per-phase wall-time attribution (`SOC_PROFILE=on` only; `None` when
     /// the profiler is off). Observation-only diagnostics — never
     /// fingerprinted, like `wall_ms`.
-    pub profile: Option<soc_profile::ProfileSummary>,
+    pub profile: Option<crate::profile::ProfileSummary>,
     /// Protocol-internal diagnostic counters (free-form).
     pub diag: String,
 }
@@ -468,10 +468,10 @@ mod tests {
         // summary must not perturb the fingerprint by a single byte.
         let a = fake();
         let mut b = fake();
-        b.profile = Some(soc_profile::ProfileSummary {
-            phases: vec![soc_profile::PhaseStat {
+        b.profile = Some(crate::profile::ProfileSummary {
+            phases: vec![crate::profile::PhaseStat {
                 label: "deliver",
-                group: "dispatch",
+                group: "event",
                 ns: 123_456_789,
                 count: 42,
             }],
@@ -484,17 +484,17 @@ mod tests {
         let a = fake();
         assert!(a.to_json().contains("\"profile\":null"));
         let mut b = fake();
-        b.profile = Some(soc_profile::ProfileSummary {
-            phases: vec![soc_profile::PhaseStat {
+        b.profile = Some(crate::profile::ProfileSummary {
+            phases: vec![crate::profile::PhaseStat {
                 label: "route",
-                group: "detail",
+                group: "count",
                 ns: 1000,
                 count: 3,
             }],
         });
         let j = b.to_json();
         assert!(j.contains(
-            "\"profile\":[{\"phase\":\"route\",\"group\":\"detail\",\"ns\":1000,\"count\":3}]"
+            "\"profile\":[{\"phase\":\"route\",\"group\":\"count\",\"ns\":1000,\"count\":3}]"
         ));
     }
 }

@@ -2,11 +2,12 @@
 
 use super::nodes::{Counters, Hosts, Nodes};
 use crate::defense::{Blacklist, DefenseParams};
+use crate::profile::Profiler;
 use crate::scenario::Scenario;
 use soc_can::CanOverlay;
 use soc_metrics::TaskTracker;
 use soc_net::{FaultPlan, LanTopology, LatencyConfig, MsgStats};
-use soc_overlay::{DiscoveryOverlay, Profiler};
+use soc_overlay::DiscoveryOverlay;
 use soc_psm::{NodeExec, PsmConfig};
 use soc_simcore::{stream_rng, stream_rng_shard, EventQueue, RngStreams};
 use soc_types::{NodeId, ResVec};

@@ -1,8 +1,8 @@
 //! The events the node queue holds, and the profiler phase each is
 //! charged to.
 
+use crate::profile::Phase;
 use soc_net::MsgKind;
-use soc_overlay::Phase;
 use soc_types::{NodeId, QueryId, ResVec, SimMillis, TaskId};
 
 /// A task en route to its execution node, with fallback candidates in
@@ -80,12 +80,12 @@ const _: () = {
     assert!(std::mem::size_of::<Ev<soc_gossip::GossipMsg>>() <= 48);
 };
 
-/// The dispatch-group phase charged for one popped event. Total order and
+/// The event-arm phase charged for one popped event. Total order and
 /// disjointness come for free: every event lands in exactly one arm — the
 /// compiler demands an arm per variant, and the two lints below keep a
 /// `_ =>` from standing in for one (clippy files a wildcard that covers a
 /// single variant under its own name), so no event can leave the
-/// profiler's "dispatch ns sum ≤ wall" accounting.
+/// profiler's tiling of the loop.
 #[deny(
     clippy::wildcard_enum_match_arm,
     clippy::match_wildcard_for_single_variants

@@ -1,8 +1,9 @@
 //! Tear-down: assemble the report.
 
 use super::nodes::Nodes;
+use crate::profile::Phase;
 use crate::report::{FaultSummary, RunReport};
-use soc_overlay::{DiscoveryOverlay, Phase};
+use soc_overlay::DiscoveryOverlay;
 
 /// Take the final sample and assemble the report.
 pub(super) fn finish<P: DiscoveryOverlay>(
@@ -12,11 +13,18 @@ pub(super) fn finish<P: DiscoveryOverlay>(
     let sc = nodes.sc;
     let deadline = sc.duration_ms;
 
-    // Queue pushes are too fine-grained to time individually; the queue's
-    // own scheduling counter gives the invocation count for free.
-    let pushes = nodes.queue.scheduled_total();
-    nodes.prof.add_count(Phase::QueuePush, pushes);
+    // The work inside the loop's arms is counted, not timed: the runner's
+    // counters and the queue's own scheduling counter.
     let (hosts, counters) = (&nodes.hosts, &nodes.counters);
+    for (phase, n) in [
+        (Phase::Route, counters.routes),
+        (Phase::CacheProbe, counters.probes),
+        (Phase::PsmPredict, counters.predicts),
+        (Phase::QueuePush, nodes.queue.scheduled_total()),
+        (Phase::Latency, counters.sends),
+    ] {
+        nodes.prof.add_count(phase, n);
+    }
     let faults = FaultSummary {
         blackhole_nodes: hosts.fault.blackhole_count(),
         liar_nodes: hosts.fault.liar_count(),

@@ -93,8 +93,7 @@ pub fn run_scenario_with(sc: &Scenario, source: &mut dyn WorkloadSource) -> RunR
             return run_with(sc, source, make, dims);
         }
     };
-    let mut cfg = cfg.scale_cycles(f);
-    cfg.corner_jitter = sc.corner_jitter;
+    let cfg = cfg.scale_cycles(f);
     let dim = cfg.overlay_dim();
     let make = |max_nodes| PidCan::new(cfg, dim, sc.n_nodes, max_nodes);
     run_with(sc, source, make, dim)

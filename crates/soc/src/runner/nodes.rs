@@ -3,15 +3,14 @@
 
 use super::event::{dispatch_phase, DispatchSpec, Ev};
 use crate::defense::{Blacklist, DefenseParams};
+use crate::profile::{Phase, Profiler};
 use crate::scenario::Scenario;
 use rand::rngs::SmallRng;
 use rand::RngExt;
 use soc_can::CanOverlay;
 use soc_metrics::TaskTracker;
 use soc_net::{FaultPlan, LanTopology, MsgKind, MsgStats};
-use soc_overlay::{
-    Candidate, Ctx, DiscoveryOverlay, Effect, HostInfo, Phase, Profiler, QueryRequest, QueryVerdict,
-};
+use soc_overlay::{Candidate, Ctx, DiscoveryOverlay, Effect, HostInfo, QueryRequest, QueryVerdict};
 use soc_psm::{NodeExec, RunningTask};
 use soc_simcore::EventQueue;
 use soc_types::{NodeId, QueryId, ResVec, SimMillis, TaskId, PERF_DIMS};
@@ -94,6 +93,24 @@ pub(super) struct Counters {
     pub(super) oracle_matchable: u64,
     pub(super) oracle_match_sum: u64,
     pub(super) oracle_record_matchable: u64,
+    /// Routing steps and record-cache probes the protocol reported
+    /// through its `Ctx`.
+    pub(super) routes: u64,
+    pub(super) probes: u64,
+    /// PSM completion predictions.
+    pub(super) predicts: u64,
+    /// Sends to a live target (each samples a latency).
+    pub(super) sends: u64,
+}
+
+/// Fold a finished protocol callback's traffic and work counts into the
+/// run's and hand back its effects.
+fn flush<M>(ctx: Ctx<'_, M>, counters: &mut Counters, stats: &mut MsgStats) -> Vec<Effect<M>> {
+    counters.routes += ctx.routes;
+    counters.probes += ctx.probes;
+    let (fx, sent) = ctx.finish();
+    stats.record_batch(&sent);
+    fx
 }
 
 /// Every node of the run: the CAN overlay and LAN topology they sit on,
@@ -164,7 +181,7 @@ pub(super) struct Nodes<'s, P: DiscoveryOverlay> {
     /// Peak simultaneously-active blacklist entries, sampled at every
     /// metric sample instant.
     pub(super) blacklist_peak: u64,
-    /// Per-phase wall-time attribution (`SOC_PROFILE=on`, read once at
+    /// Where the loop's wall time goes (`SOC_PROFILE=on`, read once at
     /// construction). Observation-only: it draws no randomness, owns no
     /// simulation state, and its summary is excluded from the fingerprint
     /// — the `profile_equivalence` suite pins on/off runs
@@ -307,19 +324,16 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
 
     /// Run one protocol callback and apply its effects. The callback's
     /// batched per-kind traffic counts flush as a single `record_batch`
-    /// here instead of one scattered `MsgStats` write per message.
+    /// here instead of one scattered `MsgStats` write per message, and its
+    /// routing and probe counts join the run's.
     pub(super) fn with_proto<F>(&mut self, f: F)
     where
         F: FnOnce(&mut P, &mut Ctx<'_, P::Msg>),
     {
         let buf = std::mem::take(&mut self.fx_buf);
         let mut ctx = Ctx::new_in(self.now, &self.can, &self.hosts, &mut self.rng_proto, buf);
-        ctx.prof = self.prof.handle();
         f(&mut self.proto, &mut ctx);
-        let (fx, sent) = ctx.finish();
-        let t = self.prof.start();
-        self.stats.record_batch(&sent);
-        self.prof.stop(Phase::StatsFlush, t);
+        let fx = flush(ctx, &mut self.counters, &mut self.stats);
         self.fx_buf = self.apply_effects(fx);
     }
 
@@ -344,13 +358,9 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
                             // Latency is sampled before the fault verdict so
                             // the per-send `rng_net` draw sequence is exactly
                             // the clean run's — the stream-isolation invariant.
-                            let t = self.prof.start();
+                            self.counters.sends += 1;
                             let lat = self.topo.latency(from, to, &mut self.rng_net);
-                            self.prof.stop(Phase::Latency, t);
-                            let t = self.prof.start();
-                            let dropped = self.fault_drops_send(from, to);
-                            self.prof.stop(Phase::Fault, t);
-                            if dropped {
+                            if self.fault_drops_send(from, to) {
                                 self.suspect_later(from, to);
                             } else {
                                 self.queue.schedule_at(
@@ -366,13 +376,8 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
                         } else {
                             let mut ctx =
                                 Ctx::new(self.now, &self.can, &self.hosts, &mut self.rng_proto);
-                            ctx.prof = self.prof.handle();
                             self.proto.on_message_dropped(&mut ctx, from, to, msg);
-                            let (fx, sent) = ctx.finish();
-                            let t = self.prof.start();
-                            self.stats.record_batch(&sent);
-                            self.prof.stop(Phase::StatsFlush, t);
-                            next.extend(fx);
+                            next.extend(flush(ctx, &mut self.counters, &mut self.stats));
                         }
                     }
                     Effect::Timer { node, kind, delay } => {
@@ -547,10 +552,8 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
     fn schedule_completion(&mut self, node: NodeId) {
         let now = self.now;
         let exec = &mut self.hosts.execs[node.idx()];
-        let t = self.prof.start();
-        let predicted = exec.next_completion(now);
-        self.prof.stop(Phase::PsmPredict, t);
-        match predicted {
+        self.counters.predicts += 1;
+        match exec.next_completion(now) {
             Some(at) => {
                 let epoch = exec.epoch();
                 match self.comp_sched[node.idx()] {
@@ -710,19 +713,19 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
     }
 
     /// Pop and handle every event due by the end of the run. Ties at one
-    /// instant run in insertion order.
+    /// instant run in insertion order. The profiler laps after each pop and
+    /// after each handled event, so pops and event arms tile the loop.
     pub(super) fn run(&mut self) {
         let deadline = self.sc.duration_ms;
+        self.prof.open();
         loop {
-            let t_pop = self.prof.start();
             let popped = self.queue.pop_until(deadline);
-            self.prof.stop(Phase::QueuePop, t_pop);
+            self.prof.lap(Phase::QueuePop);
             let Some((t, ev)) = popped else { break };
             self.now = t;
-            let t_ev = self.prof.start();
-            let ph = dispatch_phase(&ev);
+            let phase = dispatch_phase(&ev);
             self.handle(ev);
-            self.prof.stop(ph, t_ev);
+            self.prof.lap(phase);
         }
     }
 }

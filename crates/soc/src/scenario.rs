@@ -107,12 +107,6 @@ pub struct Scenario {
     /// default is the paper's §IV-A workload; base rates always come from
     /// `lambda`, `mean_arrival_s` and `mean_duration_s` above.
     pub workload: WorkloadSpec,
-    /// Per-query search-corner jitter for PID-CAN protocols: each duty
-    /// query's target point is nudged up by `U[0, corner_jitter]` per
-    /// dimension, spreading concurrent same-corner queries over adjacent
-    /// zones (candidate-set diversification against the λ=0.5 re-check
-    /// rejection pile-up). 0 = faithful paper behavior.
-    pub corner_jitter: f64,
     /// Fault model: blackhole/liar nodes, lossy links, partitions. The
     /// all-zero default is the cooperative paper network, bit-for-bit.
     pub fault: FaultConfig,
@@ -139,7 +133,6 @@ impl Scenario {
             oracle: false,
             checkpointing: false,
             workload: WorkloadSpec::default(),
-            corner_jitter: 0.0,
             fault: FaultConfig::default(),
         }
     }
@@ -193,19 +186,13 @@ impl Scenario {
         self
     }
 
-    /// Set the per-query search-corner jitter (0 disables).
-    pub fn jitter(mut self, j: f64) -> Self {
-        self.corner_jitter = j;
-        self
-    }
-
     /// Set the fault model (all-zero disables).
     pub fn fault(mut self, f: FaultConfig) -> Self {
         self.fault = f;
         self
     }
 
-    /// The report's scenario descriptor. Default-workload, jitter-free
+    /// The report's scenario descriptor. Default-workload, fault-free
     /// configurations render exactly as before; extensions append tags.
     pub fn descriptor(&self) -> String {
         let mut s = format!(
@@ -214,9 +201,6 @@ impl Scenario {
         );
         if !self.workload.is_paper() {
             s.push_str(&format!(" wl={}", self.workload.tag()));
-        }
-        if self.corner_jitter > 0.0 {
-            s.push_str(&format!(" jit={}", self.corner_jitter));
         }
         if self.fault.enabled() {
             s.push_str(&format!(" flt={}", self.fault.tag()));
