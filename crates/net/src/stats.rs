@@ -5,7 +5,7 @@
 /// Table III's "msg delivery cost" sums all of these; keeping them separate
 /// also lets the benches report per-class breakdowns.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[repr(usize)]
+#[repr(u8)]
 pub enum MsgKind {
     /// Periodic availability-state record routed to its duty node.
     StateUpdate = 0,
@@ -33,6 +33,9 @@ pub enum MsgKind {
 
 /// Number of message classes.
 pub const MSG_KINDS: usize = 11;
+
+// One byte: the runner's queued deliveries carry a kind each.
+const _: () = assert!(std::mem::size_of::<MsgKind>() == 1);
 
 impl MsgKind {
     /// All kinds, for iteration/reporting.

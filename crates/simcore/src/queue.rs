@@ -88,13 +88,16 @@ struct Node<E> {
     ev: Option<E>,
 }
 
-// `off` lives in what was padding after `next`: for an 8-aligned event —
-// the simulator's are 48 bytes — a node is still 8 bytes of links plus the
-// payload, as it was before `off`.
+// `off` lives in what was padding after `next`: for an 8-aligned event a
+// node is 8 bytes of links plus the payload. The simulator's events are
+// 16 bytes with a niche (an enum tag) that `Option` folds into, so its
+// nodes are 24 bytes.
 const _: () = {
     use std::mem::size_of;
+    use std::num::NonZeroU64;
     assert!(size_of::<Node<u64>>() == 8 + size_of::<Option<u64>>());
     assert!(size_of::<Node<[u64; 6]>>() == 8 + size_of::<Option<[u64; 6]>>());
+    assert!(size_of::<Node<(u64, NonZeroU64)>>() == 24);
 };
 
 /// A hierarchical occupancy bitmap over `64 · W` slots: bit `i % 64` of

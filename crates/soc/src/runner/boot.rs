@@ -1,5 +1,6 @@
 //! Bootstrap: the state of one run.
 
+use super::event::Msgs;
 use super::nodes::{Counters, Hosts, Nodes};
 use crate::defense::{Blacklist, DefenseParams};
 use crate::profile::Profiler;
@@ -85,9 +86,11 @@ pub(super) fn bootstrap<'s, P: DiscoveryOverlay>(
             fault,
             blacklist: Blacklist::new(max_nodes),
         },
-        // Grown on demand (≈ 6 events pend per node). A large up-front
-        // reservation pins heap the bootstrap would otherwise reuse.
+        // Grown on demand (≈ 4.4 events pend per node at the peak). A
+        // large up-front reservation pins heap the bootstrap would
+        // otherwise reuse.
         queue: EventQueue::new(),
+        msgs: Msgs::new(),
         pending: BTreeMap::new(),
         fx_buf: Vec::new(),
         fx_next: Vec::new(),

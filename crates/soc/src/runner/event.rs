@@ -30,10 +30,10 @@ pub(super) struct DispatchSpec {
 ///
 /// An event is moved several times between the handler that emits it and
 /// the handler that consumes it (effect → queue slab → pop → dispatch),
-/// so it stays at 48 bytes: protocol messages box their fat bodies (see
-/// the message enums), and the dispatch payload rides behind a `Box` that
-/// bounces with the task.
-pub(super) enum Ev<M> {
+/// and most of the run's pending events are timers, so it is 16 bytes: a
+/// message body waits in [`Msgs`] and the event names its slot, and the
+/// dispatch payload rides behind a `Box` that bounces with the task.
+pub(super) enum Ev {
     Deliver {
         /// Sender — the suspicion source when the delivery is suppressed
         /// by a blackhole receiver.
@@ -42,7 +42,8 @@ pub(super) enum Ev<M> {
         /// Accounting class (blackholes spare `FoundNotify`: an evil
         /// requester still collects its own results).
         kind: MsgKind,
-        msg: M,
+        /// The body, taken out of [`Msgs`] as soon as the event pops.
+        msg: MsgSlot,
     },
     ProtoTimer {
         node: NodeId,
@@ -74,11 +75,77 @@ pub(super) enum Ev<M> {
     Sample,
 }
 
+// The tag leaves `Option<Ev>` a niche, so the queue's slab node is the
+// 16-byte event plus its 8 bytes of links.
 const _: () = {
-    assert!(std::mem::size_of::<Ev<pidcan::PidMsg>>() <= 48);
-    assert!(std::mem::size_of::<Ev<soc_khdn::KhdnMsg>>() <= 48);
-    assert!(std::mem::size_of::<Ev<soc_gossip::GossipMsg>>() <= 48);
+    use std::mem::size_of;
+    assert!(size_of::<Ev>() == 16);
+    assert!(size_of::<Option<Ev>>() == 16);
 };
+
+/// Names one message body waiting in [`Msgs`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) struct MsgSlot(u32);
+
+/// The bodies of the messages in flight: one slot per `Ev::Deliver` still
+/// queued, filled when the delivery is scheduled and emptied when it pops.
+/// Freed slots are reused last in, first out, so the slab is as long as
+/// the most deliveries ever pending at once.
+pub(super) struct Msgs<M> {
+    slots: Vec<Option<M>>,
+    free: Vec<u32>,
+}
+
+// `put` and `take` are `#[inline]`: left out of line they cost
+// message-heavy runs 3–4 % of wall time (`churn-storm`, `gossip-baseline`),
+// with the body passed through the stack and `LanTopology::latency` pushed
+// out of `apply_effects`.
+impl<M> Msgs<M> {
+    pub(super) fn new() -> Self {
+        Msgs {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Park `msg` in the most recently freed slot, or a new one.
+    #[inline]
+    pub(super) fn put(&mut self, msg: M) -> MsgSlot {
+        match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = Some(msg);
+                MsgSlot(i)
+            }
+            None => {
+                let i = u32::try_from(self.slots.len()).expect("message slab outgrew u32 slots");
+                self.slots.push(Some(msg));
+                MsgSlot(i)
+            }
+        }
+    }
+
+    /// Take the body out of `slot` and free the slot.
+    #[inline]
+    pub(super) fn take(&mut self, slot: MsgSlot) -> M {
+        let msg = self.slots[slot.0 as usize]
+            .take()
+            .unwrap_or_else(|| panic!("message slot {} taken while free", slot.0));
+        self.free.push(slot.0);
+        msg
+    }
+
+    /// Slots holding a body.
+    #[cfg(test)]
+    pub(super) fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// Slots ever allocated: the most bodies held at once.
+    #[cfg(test)]
+    pub(super) fn len(&self) -> usize {
+        self.slots.len()
+    }
+}
 
 /// The event-arm phase charged for one popped event. Total order and
 /// disjointness come for free: every event lands in exactly one arm — the
@@ -90,7 +157,7 @@ const _: () = {
     clippy::wildcard_enum_match_arm,
     clippy::match_wildcard_for_single_variants
 )]
-pub(super) fn dispatch_phase<M>(ev: &Ev<M>) -> Phase {
+pub(super) fn dispatch_phase(ev: &Ev) -> Phase {
     match ev {
         Ev::Deliver { .. } => Phase::DeliverMsg,
         Ev::ProtoTimer { .. } => Phase::ProtoTimer,
@@ -101,5 +168,56 @@ pub(super) fn dispatch_phase<M>(ev: &Ev<M>) -> Phase {
         Ev::Suspect { .. } => Phase::Suspect,
         Ev::ChurnSwap => Phase::ChurnSwap,
         Ev::Sample => Phase::Sample,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{MsgSlot, Msgs};
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    #[test]
+    fn freed_slots_are_reused_last_in_first_out() {
+        let mut m = Msgs::new();
+        let (a, b, c) = (m.put('a'), m.put('b'), m.put('c'));
+        assert_eq!((a, b, c), (MsgSlot(0), MsgSlot(1), MsgSlot(2)));
+        assert_eq!(m.take(a), 'a');
+        assert_eq!(m.take(c), 'c');
+        assert_eq!((m.live(), m.len()), (1, 3));
+        assert_eq!(m.put('d'), c);
+        assert_eq!(m.put('e'), a);
+        assert_eq!(m.put('f'), MsgSlot(3));
+        assert_eq!((m.take(b), m.take(c), m.take(a)), ('b', 'd', 'e'));
+        assert_eq!((m.live(), m.len()), (1, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "message slot 0 taken while free")]
+    fn taking_a_freed_slot_panics() {
+        let mut m = Msgs::new();
+        let a = m.put(1u8);
+        m.take(a);
+        m.take(a);
+    }
+
+    struct Counted(Rc<Cell<u32>>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.set(self.0.get() + 1);
+        }
+    }
+
+    #[test]
+    fn dropping_the_slab_drops_each_held_body_once() {
+        let drops = Rc::new(Cell::new(0));
+        let mut m = Msgs::new();
+        let slots: Vec<MsgSlot> = (0..5).map(|_| m.put(Counted(drops.clone()))).collect();
+        drop(m.take(slots[1]));
+        drop(m.take(slots[3]));
+        assert_eq!(drops.get(), 2);
+        drop(m);
+        assert_eq!(drops.get(), 5);
     }
 }

@@ -1,7 +1,7 @@
 //! The state of a run — every node's host state, the overlay and network
 //! they sit on, the event queue — and the handlers of node events.
 
-use super::event::{dispatch_phase, DispatchSpec, Ev};
+use super::event::{dispatch_phase, DispatchSpec, Ev, Msgs};
 use crate::defense::{Blacklist, DefenseParams};
 use crate::profile::{Phase, Profiler};
 use crate::scenario::Scenario;
@@ -128,7 +128,9 @@ pub(super) struct Nodes<'s, P: DiscoveryOverlay> {
     pub(super) now: SimMillis,
     pub(super) proto: P,
     pub(super) hosts: Hosts,
-    pub(super) queue: EventQueue<Ev<P::Msg>>,
+    pub(super) queue: EventQueue<Ev>,
+    /// The bodies of the deliveries in `queue`.
+    pub(super) msgs: Msgs<P::Msg>,
     /// BTreeMap (not HashMap): the churn-kill sweep iterates this map, and
     /// ordered iteration keeps that sweep deterministic by construction.
     pub(super) pending: BTreeMap<QueryId, PendingQuery>,
@@ -363,6 +365,7 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
                             if self.fault_drops_send(from, to) {
                                 self.suspect_later(from, to);
                             } else {
+                                let msg = self.msgs.put(msg);
                                 self.queue.schedule_at(
                                     self.now + lat.max(1),
                                     Ev::Deliver {
@@ -671,7 +674,7 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
     }
 
     /// Handle one popped event at `self.now`.
-    fn handle(&mut self, ev: Ev<P::Msg>) {
+    pub(super) fn handle(&mut self, ev: Ev) {
         match ev {
             Ev::Deliver {
                 from,
@@ -679,6 +682,8 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
                 kind,
                 msg,
             } => {
+                // Free the slot before anything can swallow the delivery.
+                let msg = self.msgs.take(msg);
                 if self.hosts.alive[to.idx()] {
                     if self.hosts.fault.config().enabled()
                         && self.hosts.fault.is_blackhole(to)

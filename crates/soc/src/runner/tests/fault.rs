@@ -1,5 +1,9 @@
+use super::boot::bootstrap;
+use super::build_source;
+use super::event::Ev;
 use crate::report::RunReport;
 use crate::scenario::{ProtocolChoice, Scenario};
+use pidcan::{PidCan, PidCanConfig};
 use soc_net::FaultConfig;
 
 // These tests run with the defence off (the `[fault] defense` default;
@@ -129,4 +133,58 @@ fn fault_runs_preserve_task_conservation() {
         r.finished + r.failed + r.killed + r.rejected <= r.generated,
         "conservation under faults"
     );
+}
+
+#[test]
+fn message_slots_track_the_queued_deliveries() {
+    // Churn kills receivers in flight, blackholes swallow deliveries and
+    // lossy channels drop sends before they are queued: no path may leak a
+    // slot or free one twice.
+    let sc = Scenario::quick(ProtocolChoice::Hid)
+        .nodes(120)
+        .seed(38)
+        .churn(0.6)
+        .fault(FaultConfig {
+            blackhole_frac: 0.15,
+            loss: 0.05,
+            ..FaultConfig::default()
+        });
+    let mut source = build_source(&sc);
+    // Cycles scaled as `run_scenario_with` scales them.
+    let cfg = PidCanConfig::hid().scale_cycles((sc.mean_duration_s / 3000.0).min(1.0));
+    let dim = cfg.overlay_dim();
+    let make = |max_nodes| PidCan::new(cfg, dim, sc.n_nodes, max_nodes);
+    let mut nodes = bootstrap(&sc, &mut source, make, dim);
+    nodes.start();
+    // Deliveries pending: the sends no fault dropped, less those popped.
+    let (mut popped, mut to_dead, mut peak) = (0u64, 0u64, 0u64);
+    loop {
+        let f = &nodes.hosts.fault;
+        let dropped = f.drops_loss + f.drops_burst + f.drops_partition;
+        let pending = nodes.counters.sends - dropped - popped;
+        assert_eq!(nodes.msgs.live() as u64, pending, "at {} ms", nodes.now);
+        peak = peak.max(pending);
+        let Some((t, ev)) = nodes.queue.pop_until(sc.duration_ms) else {
+            break;
+        };
+        nodes.now = t;
+        if let Ev::Deliver { to, .. } = ev {
+            popped += 1;
+            to_dead += u64::from(!nodes.hosts.alive[to.idx()]);
+        }
+        nodes.handle(ev);
+    }
+    let f = &nodes.hosts.fault;
+    assert!(to_dead > 0, "no delivery met a dead receiver");
+    assert!(f.drops_blackhole > 0 && f.drops_loss > 0, "no fault drop");
+    assert!(
+        nodes.msgs.len() as u64 <= peak,
+        "{} slots for at most {peak} pending deliveries",
+        nodes.msgs.len()
+    );
+    let mut queued = 0;
+    while let Some((_, ev)) = nodes.queue.pop() {
+        queued += usize::from(matches!(ev, Ev::Deliver { .. }));
+    }
+    assert_eq!(nodes.msgs.live(), queued);
 }
