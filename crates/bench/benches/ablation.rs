@@ -7,6 +7,10 @@
 //! Each bench runs the pipeline at bench scale and also records the
 //! interesting scalar (match rate / traffic) via eprintln so the numbers
 //! land in bench_output.txt.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a bench seeds a local RNG for its inputs"
+)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use soc_sim::{ProtocolChoice, Scenario};
@@ -50,7 +54,7 @@ fn bench_l_sweep(c: &mut Criterion) {
         });
         // Message count per round (ω growth) for the report.
         let mut msgs = 0usize;
-        let mut cov = std::collections::HashSet::new();
+        let mut cov = std::collections::BTreeSet::new();
         for _ in 0..100 {
             let out = pidcan::simulate_diffusion(
                 &ov,

@@ -2,6 +2,10 @@
 //! (the machinery behind Table III's message-cost scaling), INSCAN-RQ
 //! flooding (Fig. 1 strawman), index diffusion (Fig. 2–3) and the PSM
 //! scheduler's hot operations.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a bench seeds a local RNG for its inputs"
+)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;

@@ -18,7 +18,8 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-// soc-lint: allow(no-shared-mut-state) -- scoped per-thread test knob, not sim state: read once when sizing the pool, and sweep results merge by cell index regardless of thread count
+// Allowed past the workspace's `thread_local!` ban by the crate-level
+// `#[expect]` in lib.rs.
 thread_local! {
     /// Scoped thread-count override (see [`with_thread_override`]).
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };

@@ -214,31 +214,34 @@ fn repro_refuses_a_mistyped_knob_value() {
         env!("CARGO_MANIFEST_DIR"),
         "/../../scenarios/paper-smoke.scn"
     );
-    for (setting, complaint) in [
+    for (name, value, complaint) in [
         (
-            "SOC_PROFILE=enabled",
+            "SOC_PROFILE",
+            "enabled",
             "SOC_PROFILE=\"enabled\": expected off | on",
         ),
         (
-            "SOC_SIM_EXEC=sharded",
+            "SOC_SIM_EXEC",
+            "sharded",
             "SOC_SIM_EXEC: not a knob; the knobs are SOC_PROFILE, SOC_BENCH_THREADS",
         ),
         (
-            "SOC_ROUTE=cached",
+            "SOC_ROUTE",
+            "cached",
             "SOC_ROUTE: not a knob; the knobs are SOC_PROFILE, SOC_BENCH_THREADS",
         ),
         (
-            "SOC_FAULT_DEFENSE=on",
+            "SOC_FAULT_DEFENSE",
+            "on",
             "SOC_FAULT_DEFENSE: not a knob; the knobs are SOC_PROFILE, SOC_BENCH_THREADS",
         ),
     ] {
-        let (name, value) = setting.split_once('=').expect("NAME=value");
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(["scenario", scn])
             .env(name, value)
             .output()
             .expect("repro runs");
-        assert_eq!(out.status.code(), Some(2), "{setting}");
+        assert_eq!(out.status.code(), Some(2), "{name}={value}");
         assert!(out.stdout.is_empty(), "nothing may run before the check");
         assert_eq!(String::from_utf8_lossy(&out.stderr).trim_end(), complaint);
     }

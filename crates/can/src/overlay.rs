@@ -387,6 +387,10 @@ pub fn random_point<R: Rng>(dim: usize, rng: &mut R) -> Point {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unit tests seed a local RNG; no simulation stream is involved"
+)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;

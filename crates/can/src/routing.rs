@@ -117,6 +117,10 @@ pub fn route_path(ov: &CanOverlay, from: NodeId, target: &Point, max_hops: usize
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unit tests seed a local RNG; no simulation stream is involved"
+)]
 mod tests {
     use super::*;
     use crate::overlay::random_point;

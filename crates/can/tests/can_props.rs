@@ -9,6 +9,10 @@
 //! rows are held to the `f64` zones they encode: every zone round-trips,
 //! and on every pair a join or leave re-tests, integer row adjacency is
 //! the `f64` `adjacency`.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests seed a local RNG; no simulation stream is involved"
+)]
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;

@@ -144,6 +144,10 @@ pub fn line_diffusion_depths(r: usize) -> Vec<usize> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unit tests seed a local RNG; no simulation stream is involved"
+)]
 mod tests {
     use super::*;
     use crate::config::DiffusionMethod;
@@ -220,8 +224,8 @@ mod tests {
         let mut sid_msgs = 0usize;
         // Aggregate distinct nodes over repeated rounds (the protocol
         // diffuses every cycle, so cumulative coverage is what matters).
-        let mut hid_seen = std::collections::HashSet::new();
-        let mut sid_seen = std::collections::HashSet::new();
+        let mut hid_seen = std::collections::BTreeSet::new();
+        let mut sid_seen = std::collections::BTreeSet::new();
         for _ in 0..rounds {
             let h = simulate_diffusion(&ov, &tables, origin, DiffusionMethod::Hopping, 2, &mut rng);
             let s = simulate_diffusion(

@@ -14,7 +14,7 @@ use soc_overlay::{
     Candidate, Ctx, DiscoveryOverlay, QueryRequest, QueryVerdict, RecordCache, StateRecord,
 };
 use soc_types::{NodeId, QueryId, ResVec, SimMillis};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Timer discriminants.
 const T_STATE: u32 = 0;
@@ -62,7 +62,7 @@ pub struct PidCan {
     tables: IndexTables,
     caches: Vec<RecordCache>,
     pilists: Vec<PiList>,
-    queries: HashMap<QueryId, QueryState>,
+    queries: BTreeMap<QueryId, QueryState>,
     overlay_dim: usize,
     route_budget: u32,
     diag: PidDiag,
@@ -91,7 +91,7 @@ impl PidCan {
                 .map(|_| RecordCache::new(cfg.record_ttl_ms))
                 .collect(),
             pilists: (0..max_nodes).map(|_| PiList::new()).collect(),
-            queries: HashMap::new(),
+            queries: BTreeMap::new(),
             overlay_dim: dim,
             route_budget,
             diag: PidDiag::default(),
@@ -704,7 +704,6 @@ impl DiscoveryOverlay for PidCan {
         // Abandon queries the departed requester owned. Fingers elsewhere
         // that still point at the dead node are skipped by routing and
         // fixed by the periodic refresh / `on_zones_reassigned`.
-        // soc-lint: allow(no-unordered-iter) -- per-entry removal with no cross-entry effects; visit order cannot leak
         self.queries.retain(|_, q| q.requester != node);
     }
 
@@ -771,6 +770,10 @@ impl DiscoveryOverlay for PidCan {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unit tests seed a local RNG; no simulation stream is involved"
+)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;

@@ -1,6 +1,10 @@
 //! End-to-end PID-CAN protocol flow tests on the synchronous test harness:
 //! state publication → index diffusion → duty-query → agents → jumps →
 //! FoundList, plus SoS retry and churn-drop recovery.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests seed a local RNG; no simulation stream is involved"
+)]
 
 use pidcan::{DutyQuery, PidCan, PidCanConfig, PidMsg, StateUpdate};
 use rand::rngs::SmallRng;

@@ -1,6 +1,10 @@
 //! Property tests on PID-CAN's pure components: the SoS slack relation
 //! (Formula (3)), ω message-count algebra, diffusion target orientation and
 //! jump-list handling.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests seed a local RNG; no simulation stream is involved"
+)]
 
 use pidcan::diffusion::{binary_decomposition, theorem1_hops};
 use pidcan::{DiffusionMethod, PiList, PidCanConfig};

@@ -481,6 +481,10 @@ impl DiscoveryOverlay for Newscast {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unit tests seed a local RNG; no simulation stream is involved"
+)]
 mod tests {
     use super::*;
     use proptest::prelude::*;

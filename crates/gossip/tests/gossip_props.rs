@@ -1,5 +1,9 @@
 //! Property tests for the Newscast baseline's view algebra: merges keep
 //! the freshest information, never exceed the cap, never self-reference.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests seed a local RNG; no simulation stream is involved"
+)]
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;

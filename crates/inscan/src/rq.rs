@@ -11,7 +11,7 @@ use crate::routing::inscan_route;
 use crate::table::IndexTables;
 use soc_can::{CanOverlay, Point};
 use soc_types::NodeId;
-use std::collections::{HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// Result of one INSCAN-RQ execution.
 #[derive(Clone, Debug)]
@@ -59,7 +59,7 @@ pub fn range_query(
     let duty = route.owner.expect("INSCAN routing converges");
 
     // BFS flood across responsible zones.
-    let mut seen: HashSet<NodeId> = HashSet::new();
+    let mut seen: BTreeSet<NodeId> = BTreeSet::new();
     let mut order: Vec<NodeId> = Vec::new();
     let mut queue: VecDeque<(NodeId, usize)> = VecDeque::new();
     let mut depth = 0usize;
@@ -91,6 +91,10 @@ pub fn range_query(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unit tests seed a local RNG; no simulation stream is involved"
+)]
 mod tests {
     use super::*;
     use crate::table::IndexTables;
@@ -115,11 +119,11 @@ mod tests {
             let hi = ResVec::splat(2, 1.0);
             let out = range_query(&ov, &tables, NodeId(0), &v, &hi);
             // Ground truth by exhaustive scan.
-            let expect: HashSet<NodeId> = ov
+            let expect: BTreeSet<NodeId> = ov
                 .live_nodes()
                 .filter(|&n| ov.zone(n).unwrap().overlaps_box(&v, &hi))
                 .collect();
-            let got: HashSet<NodeId> = out.responsible.iter().copied().collect();
+            let got: BTreeSet<NodeId> = out.responsible.iter().copied().collect();
             assert_eq!(got, expect, "flood missed responsible zones");
             assert_eq!(out.flood_msgs, expect.len() - 1);
         }

@@ -1,6 +1,10 @@
 //! Property test: a full INSCAN route is a strict descent of the routing
 //! key and ends at the owner, for the split-plane targets the workload
 //! draws, on overlays whose fingers went stale under joins and leaves.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests seed a local RNG; no simulation stream is involved"
+)]
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;

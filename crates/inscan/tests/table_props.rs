@@ -5,6 +5,10 @@
 //! after every call — on random op scripts that interleave refreshes,
 //! clears and evictions with overlay joins and leaves, for every
 //! `(dim, kmax)` shape the arena's stride can take.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests seed a local RNG; no simulation stream is involved"
+)]
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;

@@ -20,7 +20,7 @@ use soc_overlay::{
     Candidate, Ctx, DiscoveryOverlay, QueryRequest, QueryVerdict, RecordCache, StateRecord,
 };
 use soc_types::{NodeId, QueryId, ResVec, SimMillis};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 const T_STATE: u32 = 0;
 
@@ -156,7 +156,7 @@ struct QueryTrack {
 pub struct KhdnCan {
     cfg: KhdnConfig,
     caches: Vec<RecordCache>,
-    tracks: HashMap<QueryId, QueryTrack>,
+    tracks: BTreeMap<QueryId, QueryTrack>,
     route_budget: u32,
     /// Recycled buffer for cache probes (one `qualified_into` per duty or
     /// sweep visit; no per-visit Vec).
@@ -169,7 +169,7 @@ impl KhdnCan {
         KhdnCan {
             cfg,
             caches: vec![RecordCache::new(cfg.record_ttl_ms); max_nodes],
-            tracks: HashMap::new(),
+            tracks: BTreeMap::new(),
             route_budget: 4 * (n.max(2) as f64).log2().ceil() as u32 + 16,
             found_buf: Vec::new(),
         }
@@ -545,6 +545,10 @@ impl DiscoveryOverlay for KhdnCan {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unit tests seed a local RNG; no simulation stream is involved"
+)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;

@@ -261,6 +261,10 @@ impl FaultPlan {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unit tests seed a local RNG; no simulation stream is involved"
+)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;

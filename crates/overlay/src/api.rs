@@ -297,6 +297,10 @@ pub trait DiscoveryOverlay {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unit tests seed a local RNG; no simulation stream is involved"
+)]
 mod tests {
     use super::*;
     use rand::SeedableRng;

@@ -12,7 +12,7 @@ use soc_can::CanOverlay;
 use soc_net::MsgStats;
 use soc_simcore::EventQueue;
 use soc_types::{NodeId, QueryId, ResVec, SimMillis};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Static host info for tests.
 pub struct TestHost {
@@ -56,8 +56,10 @@ impl HostInfo for TestHost {
 
 enum Ev<M> {
     Msg {
-        /// Kept for trace/debug symmetry with the real runner.
-        #[allow(dead_code)]
+        #[expect(
+            dead_code,
+            reason = "kept for trace/debug symmetry with the real runner"
+        )]
         from: NodeId,
         to: NodeId,
         msg: M,
@@ -79,9 +81,9 @@ pub struct TestHarness<P: DiscoveryOverlay> {
     /// Message accounting.
     pub stats: MsgStats,
     /// Collected query results.
-    pub results: HashMap<QueryId, Vec<Candidate>>,
+    pub results: BTreeMap<QueryId, Vec<Candidate>>,
     /// Collected query verdicts.
-    pub done: HashMap<QueryId, QueryVerdict>,
+    pub done: BTreeMap<QueryId, QueryVerdict>,
     rng: SmallRng,
     queue: EventQueue<Ev<P::Msg>>,
 }
@@ -90,6 +92,10 @@ impl<P: DiscoveryOverlay> TestHarness<P> {
     /// Build a harness; `on_start` is invoked immediately, over every live
     /// node of `can`.
     pub fn new(mut proto: P, can: CanOverlay, host: TestHost, seed: u64) -> Self {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a test harness seeds its own stream: it runs protocol logic, not a run"
+        )]
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut queue = EventQueue::new();
         let n = host.avails.len();
@@ -102,8 +108,8 @@ impl<P: DiscoveryOverlay> TestHarness<P> {
             stats.record_batch(&sent);
             let mut h = ApplySink {
                 queue: &mut queue,
-                results: &mut HashMap::new(),
-                done: &mut HashMap::new(),
+                results: &mut BTreeMap::new(),
+                done: &mut BTreeMap::new(),
                 host: &host,
                 dropped: &mut Vec::new(),
             };
@@ -114,8 +120,8 @@ impl<P: DiscoveryOverlay> TestHarness<P> {
             can,
             host,
             stats,
-            results: HashMap::new(),
-            done: HashMap::new(),
+            results: BTreeMap::new(),
+            done: BTreeMap::new(),
             rng,
             queue,
         }
@@ -210,8 +216,8 @@ impl<P: DiscoveryOverlay> TestHarness<P> {
 
 struct ApplySink<'s, M> {
     queue: &'s mut EventQueue<Ev<M>>,
-    results: &'s mut HashMap<QueryId, Vec<Candidate>>,
-    done: &'s mut HashMap<QueryId, QueryVerdict>,
+    results: &'s mut BTreeMap<QueryId, Vec<Candidate>>,
+    done: &'s mut BTreeMap<QueryId, QueryVerdict>,
     host: &'s TestHost,
     dropped: &'s mut Vec<(NodeId, NodeId, M)>,
 }

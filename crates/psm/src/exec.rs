@@ -159,32 +159,28 @@ pub struct FinishedTask {
     pub finished_at: SimMillis,
 }
 
-/// Cached completion prediction: the finish-time min-heap plus the
-/// predicted next completion, both valid for exactly one epoch.
+/// Cached completion prediction: the earliest predicted finish time,
+/// valid for exactly one epoch.
 ///
 /// Under proportional sharing every allocation-changing event
-/// (admit/complete/kill/drain) re-rates *all* resident tasks, so the heap
-/// cannot be repaired incrementally — it is rebuilt lazily on the first
-/// prediction after an epoch bump and then answers every further
+/// (admit/complete/kill/drain) re-rates *all* resident tasks, so the
+/// minimum cannot be repaired incrementally — it is recomputed lazily on
+/// the first prediction after an epoch bump and then answers every further
 /// [`NodeExec::next_completion`] in O(1) (absolute finish times are
 /// invariant while rates are constant).
 #[derive(Clone, Debug)]
-struct CompletionHeap {
-    /// Epoch the heap was built under (`u64::MAX` = never built).
+struct CompletionMemo {
+    /// Epoch the memo was computed under (`u64::MAX` = never computed).
     epoch: u64,
-    /// Min-heap of `(finish_at, task admission order)` over the resident
-    /// tasks that do finish (starved tasks are excluded at build time).
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(SimMillis, usize)>>,
-    /// The memoized answer: earliest predicted completion, `None` when the
-    /// node is idle or every task is starved.
+    /// Earliest predicted completion over the resident tasks that do
+    /// finish; `None` when the node is idle or every task is starved.
     next: Option<SimMillis>,
 }
 
-impl CompletionHeap {
+impl CompletionMemo {
     fn new() -> Self {
-        CompletionHeap {
+        CompletionMemo {
             epoch: u64::MAX,
-            heap: std::collections::BinaryHeap::new(),
             next: None,
         }
     }
@@ -198,12 +194,12 @@ pub struct NodeExec {
     tasks: Vec<RunningTask>,
     last_integrated: SimMillis,
     epoch: u64,
-    pred: CompletionHeap,
+    pred: CompletionMemo,
 }
 
 // One row per node id: the capacity vector, a pointer to the run's one
 // config, the task list and the completion memo.
-const _: () = assert!(std::mem::size_of::<NodeExec>() <= 152);
+const _: () = assert!(std::mem::size_of::<NodeExec>() <= 128);
 
 impl NodeExec {
     /// A node with capacity vector `c_i` and the given config.
@@ -221,7 +217,7 @@ impl NodeExec {
             tasks: Vec::new(),
             last_integrated: 0,
             epoch: 0,
-            pred: CompletionHeap::new(),
+            pred: CompletionMemo::new(),
         }
     }
 
@@ -381,10 +377,11 @@ impl NodeExec {
     /// rates, or `None` when idle. Valid until the epoch changes.
     ///
     /// Incremental: the first call after an allocation-changing event
-    /// (admit/complete/kill/drain — anything that bumps the epoch) rebuilds
-    /// the per-task finish-time min-heap in one pass; every further call in
-    /// the same epoch peeks it in O(1). Absolute finish times do not drift
-    /// while rates are constant, so the memo needs no time parameter — the
+    /// (admit/complete/kill/drain — anything that bumps the epoch)
+    /// recomputes the minimum of the per-task finish times in one pass;
+    /// every further call in the same epoch returns it in O(1). Absolute
+    /// finish times do not drift while rates are constant, so the memo
+    /// needs no time parameter — the
     /// only exception is a prediction already at-or-behind `now` (the
     /// residual-epsilon case, where the completion event fired but the work
     /// was not yet below the `is_done` threshold), which recomputes so the
@@ -399,14 +396,13 @@ impl NodeExec {
         }
         self.integrate(now);
         self.pred.epoch = self.epoch;
-        self.pred.heap.clear();
+        self.pred.next = None;
         if self.tasks.is_empty() {
-            self.pred.next = None;
             return None;
         }
         let c = self.effective_capacity();
         let l = self.load();
-        for (i, t) in self.tasks.iter().enumerate() {
+        for t in &self.tasks {
             // A task finishes when its slowest dimension drains.
             let mut finish_s: f64 = 0.0;
             let mut starved = false;
@@ -427,10 +423,9 @@ impl NodeExec {
                 // absorbed by the is_done epsilon via one extra
                 // integration step.
                 let at = now + (finish_s * 1_000.0).ceil() as SimMillis;
-                self.pred.heap.push(std::cmp::Reverse((at, i)));
+                self.pred.next = Some(self.pred.next.map_or(at, |m| m.min(at)));
             }
         }
-        self.pred.next = self.pred.heap.peek().map(|r| r.0 .0);
         self.pred.next
     }
 

@@ -1,13 +1,13 @@
 //! Deterministic discrete-event simulation engine.
 //!
 //! This is the substitute for PeerSim's event-driven mode used by the paper
-//! (§IV-A): a timestamped event queue with a millisecond `u64` clock,
-//! deterministic FIFO tie-breaking for simultaneous events, and seedable RNG
-//! streams so every experiment is exactly reproducible from `(scenario,
-//! seed)`.
+//! (§IV-A): a timestamped event queue with a millisecond `u64` clock and
+//! deterministic FIFO tie-breaking for simultaneous events.
 //!
 //! The engine is intentionally minimal: protocol logic lives in the overlay
-//! crates, and the scenario runner (`soc-sim`) owns the main loop:
+//! crates, and the scenario runner (`soc-sim`) owns the main loop and the
+//! seeded RNG streams that make every experiment exactly reproducible from
+//! `(scenario, seed)`:
 //!
 //! ```
 //! use soc_simcore::EventQueue;
@@ -24,7 +24,5 @@
 //! ```
 
 pub mod queue;
-pub mod rng;
 
 pub use queue::{EventQueue, Time};
-pub use rng::{stream_rng, stream_rng_shard, RngStreams};

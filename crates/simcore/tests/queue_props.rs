@@ -220,6 +220,10 @@ fn run_script(ops: &[(u8, u64, usize)]) -> Result<(), String> {
 }
 
 /// At least 256 cases (the acceptance bar); `PROPTEST_CASES` may raise it.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "PROPTEST_CASES sizes this test, not a run"
+)]
 fn cases() -> ProptestConfig {
     let env = std::env::var("PROPTEST_CASES")
         .ok()

@@ -18,8 +18,8 @@
 //!   leaks into another's routing decisions.
 //!
 //! Iteration-bearing state uses `BTreeMap` so every walk is in NodeId
-//! order — the same determinism discipline `soc-lint` enforces
-//! workspace-wide.
+//! order — the workspace `clippy.toml` disallows `HashMap` and `HashSet`
+//! outright.
 
 use std::collections::BTreeMap;
 

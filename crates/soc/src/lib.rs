@@ -22,6 +22,7 @@ pub mod defense;
 pub mod json;
 mod profile;
 pub mod report;
+mod rng;
 pub mod runner;
 pub mod scenario;
 

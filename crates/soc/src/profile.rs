@@ -11,9 +11,13 @@
 //! times the matching microbenchmark's ns.
 //!
 //! The profiler is observation-only: it draws no randomness and steers no
-//! control flow, and its [`ProfileSummary`] is listed in
-//! `FINGERPRINT_EXCLUDED`. The `profile_equivalence` suite in
+//! control flow, and [`crate::RunReport::fingerprint`] ignores its
+//! [`ProfileSummary`] by name. The `profile_equivalence` suite in
 //! `crates/bench` pins on and off runs bit-identical.
+#![expect(
+    clippy::disallowed_types,
+    reason = "spans are observation-only: their ProfileSummary is never fingerprinted"
+)]
 
 use std::time::Instant;
 
@@ -114,7 +118,6 @@ const N: usize = Phase::ALL.len();
 
 /// The profiler's one clock read.
 fn clock() -> Instant {
-    // soc-lint: allow(no-wall-clock) -- spans are observation-only, reported via ProfileSummary which is FINGERPRINT_EXCLUDED
     Instant::now()
 }
 

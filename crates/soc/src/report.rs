@@ -119,21 +119,6 @@ pub struct RunReport {
     pub diag: String,
 }
 
-/// [`RunReport`] fields deliberately left out of [`RunReport::fingerprint`].
-///
-/// Exclusions are declarations, not comments: the `fingerprint-coverage`
-/// lint cross-checks this list against the struct fields and the encoder
-/// body, so adding a field to `RunReport` forces an explicit decision —
-/// encode it or list it here with a reason.
-///
-/// - `wall_ms`: wall-clock runtime, diagnostics only. It varies run to run
-///   by construction and must never affect bitwise-equivalence checks.
-/// - `profile`: per-phase wall-time attribution (`SOC_PROFILE=on`). Pure
-///   observation of the run, made of wall-clock reads; fingerprinting it
-///   would both vary run to run and break the on/off bitwise-equivalence
-///   contract the `profile_equivalence` suite pins.
-pub const FINGERPRINT_EXCLUDED: &[&str] = &["wall_ms", "profile"];
-
 impl RunReport {
     /// One-line human summary.
     pub fn summary(&self) -> String {
@@ -169,49 +154,87 @@ impl RunReport {
         out
     }
 
-    /// Bit-exact canonical encoding of every *deterministic* field — all of
-    /// them except `wall_ms` (wall-clock diagnostics). Floats are encoded
-    /// as raw IEEE-754 bits, so two reports fingerprint equal iff the runs
-    /// were bitwise identical. Every equivalence suite, pinned constant
-    /// and the repo benchmark's per-rep check compare this string.
+    /// Bit-exact canonical encoding of every *deterministic* field. Floats
+    /// are encoded as raw IEEE-754 bits, so two reports fingerprint equal
+    /// iff the runs were bitwise identical. Every equivalence suite, pinned
+    /// constant and the repo benchmark's per-rep check compare this string.
     pub fn fingerprint(&self) -> String {
+        Self::encode(self)
+    }
+
+    /// [`RunReport::fingerprint`]'s body. Its parameter pattern names every
+    /// field and has no `..`, so a field added to `RunReport` does not
+    /// compile until it is encoded here or ignored by name with its
+    /// reason; an ignored field has no binding and no `self` to reach it
+    /// through, so it cannot leak into the encoding either.
+    fn encode(
+        RunReport {
+            label,
+            scenario,
+            series,
+            generated,
+            finished,
+            failed,
+            killed,
+            rejected,
+            checkpoint_resubmits,
+            completion_scheduled,
+            completion_dedup_skips,
+            completion_dead_pops,
+            local_generated,
+            local_finished,
+            oracle_matchable,
+            oracle_record_matchable,
+            oracle_mean_matching,
+            t_ratio,
+            f_ratio,
+            fairness,
+            mean_efficiency,
+            msg_total,
+            msg_per_node,
+            msg_breakdown,
+            faults,
+            // Wall-clock runtime, diagnostics only: it varies run to run by
+            // construction and must never affect bitwise-equivalence checks.
+            wall_ms: _,
+            // Per-phase wall-time attribution (`SOC_PROFILE=on`): pure
+            // observation of the run, made of wall-clock reads. Encoding it
+            // would vary run to run and break the on/off bitwise
+            // equivalence the `profile_equivalence` suite pins.
+            profile: _,
+            diag,
+        }: &RunReport,
+    ) -> String {
         use std::fmt::Write;
         fn f(out: &mut String, v: f64) {
             let _ = write!(out, "{:016x};", v.to_bits());
         }
         let mut out = String::with_capacity(512);
-        let _ = write!(out, "{}|{}|", self.label, self.scenario);
+        let _ = write!(out, "{label}|{scenario}|");
         let _ = write!(
             out,
-            "g{};f{};x{};k{};r{};c{};lg{};lf{};m{};cs{};cd{};cp{};|",
-            self.generated,
-            self.finished,
-            self.failed,
-            self.killed,
-            self.rejected,
-            self.checkpoint_resubmits,
-            self.local_generated,
-            self.local_finished,
-            self.msg_total,
-            self.completion_scheduled,
-            self.completion_dedup_skips,
-            self.completion_dead_pops,
+            "g{generated};f{finished};x{failed};k{killed};r{rejected};c{checkpoint_resubmits};\
+             lg{local_generated};lf{local_finished};m{msg_total};cs{completion_scheduled};\
+             cd{completion_dedup_skips};cp{completion_dead_pops};|",
         );
         let _ = write!(
             out,
-            "om{:?};or{:?};|",
-            self.oracle_matchable, self.oracle_record_matchable
+            "om{oracle_matchable:?};or{oracle_record_matchable:?};|"
         );
-        if let Some(v) = self.oracle_mean_matching {
+        if let Some(v) = *oracle_mean_matching {
             f(&mut out, v);
         }
-        f(&mut out, self.t_ratio);
-        f(&mut out, self.f_ratio);
-        f(&mut out, self.fairness);
-        f(&mut out, self.mean_efficiency);
-        f(&mut out, self.msg_per_node);
+        for v in [
+            *t_ratio,
+            *f_ratio,
+            *fairness,
+            *mean_efficiency,
+            *msg_per_node,
+        ] {
+            f(&mut out, v);
+        }
         out.push('|');
-        for p in &self.series {
+        for p in series {
             let _ = write!(
                 out,
                 "t{};g{};f{};x{};k{};",
@@ -222,15 +245,15 @@ impl RunReport {
             f(&mut out, p.fairness);
         }
         out.push('|');
-        for (label, count) in &self.msg_breakdown {
+        for (label, count) in msg_breakdown {
             let _ = write!(out, "{label}={count};");
         }
-        let _ = write!(out, "|{}", self.diag);
+        let _ = write!(out, "|{diag}");
         // Fault counters are encoded only when some counter moved: clean
         // runs keep the exact pre-fault-subsystem encoding, so historical
         // fingerprints (and the zero-fault identity pins) stay valid.
-        if self.faults.any() {
-            let fs = &self.faults;
+        if faults.any() {
+            let fs = faults;
             let _ = write!(
                 out,
                 "|flt:bn{};ln{};db{};dl{};du{};dp{};rt{};su{};bl{};bp{};se{};sh{};",

@@ -1,4 +1,4 @@
-//! Seedable, independent RNG streams.
+//! Seedable, independent RNG streams, private to the runner.
 //!
 //! Every stochastic component of the simulation (workload generation, each
 //! protocol's probabilistic choices, the network latency sampler, churn)
@@ -13,14 +13,14 @@ use rand::SeedableRng;
 /// Well-known stream identifiers. Using an enum (not magic numbers) keeps
 /// call sites self-describing.
 ///
-/// Every stream has one owner: the runner (crate `soc`, `runner/boot.rs`)
-/// derives each one and hands it to the component that draws from it, and
-/// `Test` belongs to test code alone. One owner per stream keeps draw
+/// Every stream has one owner: this module is private to `soc-sim`, and
+/// its one caller, `runner/boot.rs`, derives each stream and hands it to
+/// the component that draws from it, so no other crate can name one.
+/// `Test` exists only in test builds. One owner per stream keeps draw
 /// order a property of the runner, the invariant record → replay and the
-/// node-side streams ([`stream_rng_shard`]) lean on. `soc-lint`'s
-/// `rng-stream-discipline` rule flags a variant named anywhere else.
+/// node-side streams ([`stream_rng_shard`]) lean on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RngStreams {
+pub(crate) enum RngStreams {
     /// Node capacity sampling (Table I).
     NodeCapacities,
     /// Task arrival times and demand vectors (Table II).
@@ -43,6 +43,7 @@ pub enum RngStreams {
     /// trace-replay invariant from the record/replay subsystem depends on it.
     Fault,
     /// Anything test-local.
+    #[cfg(test)]
     Test(u16),
 }
 
@@ -58,6 +59,7 @@ impl RngStreams {
             RngStreams::Topology => 7,
             RngStreams::Dispatch => 8,
             RngStreams::Fault => 9,
+            #[cfg(test)]
             RngStreams::Test(k) => 1000 + k as u64,
         }
     }
@@ -68,9 +70,12 @@ impl RngStreams {
 // streams.
 
 /// Derive the RNG for `stream` under master `seed`.
-pub fn stream_rng(seed: u64, stream: RngStreams) -> SmallRng {
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one constructor every master stream comes from"
+)]
+pub(crate) fn stream_rng(seed: u64, stream: RngStreams) -> SmallRng {
     let mixed = splitmix64(splitmix64(seed) ^ stream.id().wrapping_mul(0xA24B_AED4_963E_E407));
-    // soc-lint: allow(rng-stream-discipline) -- this IS the blessed constructor the rule funnels everyone through
     SmallRng::seed_from_u64(mixed)
 }
 
@@ -82,13 +87,16 @@ pub fn stream_rng(seed: u64, stream: RngStreams) -> SmallRng {
 /// mixes a partition-dependent term, so no such stream ever aliases the
 /// master [`stream_rng`] stream (bootstrap and churn keep drawing the
 /// master streams).
-pub fn stream_rng_shard(seed: u64, stream: RngStreams, shard: usize) -> SmallRng {
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one constructor every partition stream comes from"
+)]
+pub(crate) fn stream_rng_shard(seed: u64, stream: RngStreams, shard: usize) -> SmallRng {
     let mixed = splitmix64(
         splitmix64(seed)
             ^ stream.id().wrapping_mul(0xA24B_AED4_963E_E407)
             ^ splitmix64(0x9E37_79B9_7F4A_7C15 ^ shard as u64),
     );
-    // soc-lint: allow(rng-stream-discipline) -- blessed shard-stream constructor, same funnel as stream_rng
     SmallRng::seed_from_u64(mixed)
 }
 

@@ -4,13 +4,14 @@ use super::event::Msgs;
 use super::nodes::{Counters, Hosts, Nodes};
 use crate::defense::{Blacklist, DefenseParams};
 use crate::profile::Profiler;
+use crate::rng::{stream_rng, stream_rng_shard, RngStreams};
 use crate::scenario::Scenario;
 use soc_can::CanOverlay;
 use soc_metrics::TaskTracker;
 use soc_net::{FaultPlan, LanTopology, LatencyConfig, MsgStats};
 use soc_overlay::DiscoveryOverlay;
 use soc_psm::{NodeExec, PsmConfig};
-use soc_simcore::{stream_rng, stream_rng_shard, EventQueue, RngStreams};
+use soc_simcore::EventQueue;
 use soc_types::{NodeId, ResVec};
 use soc_workload::{cmax, WorkloadSource};
 use std::collections::{BTreeMap, VecDeque};

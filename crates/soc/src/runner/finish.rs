@@ -6,6 +6,10 @@ use crate::report::{FaultSummary, RunReport};
 use soc_overlay::DiscoveryOverlay;
 
 /// Take the final sample and assemble the report.
+#[expect(
+    clippy::disallowed_types,
+    reason = "wall_ms is diagnostic-only: fingerprint() ignores it by name"
+)]
 pub(super) fn finish<P: DiscoveryOverlay>(
     mut nodes: Nodes<'_, P>,
     wall_start: std::time::Instant,

@@ -42,7 +42,10 @@ fn run_with<P: DiscoveryOverlay>(
         "duration_ms: must be < {} (2^32 ms)",
         soc_types::RUN_LIMIT_MS
     );
-    // soc-lint: allow(no-wall-clock) -- wall_ms is diagnostic-only and excluded from fingerprint() (see report.rs FINGERPRINT_EXCLUDED)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "wall_ms is diagnostic-only: fingerprint() ignores it by name"
+    )]
     let wall_start = std::time::Instant::now();
     let mut nodes = bootstrap(sc, source, make_proto, can_dim);
     nodes.start();

@@ -85,7 +85,7 @@ impl fmt::Display for QueryId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn node_id_roundtrip_and_format() {
@@ -97,7 +97,9 @@ mod tests {
 
     #[test]
     fn ids_are_hashable_and_ordered() {
-        let mut set = HashSet::new();
+        fn hashable<T: std::hash::Hash>(_: &T) {}
+        hashable(&(NodeId(0), TaskId(0), QueryId(0)));
+        let mut set = BTreeSet::new();
         set.insert(TaskId(1));
         set.insert(TaskId(1));
         set.insert(TaskId(2));

@@ -9,11 +9,12 @@
 //! variable no knob declares (a typo, a knob since removed) is read by
 //! nothing, which is why a binary calls [`check_env`] first and refuses to
 //! start on either.
-//! `soc-lint`'s `env-knob-registry` rule enforces both halves
-//! mechanically: a direct `env::var("SOC_…")` anywhere else is a finding,
-//! and so is a `SOC_*` string literal naming a knob this table does not
-//! declare. The README's env-knob table is checked against this registry
-//! the same way.
+//! The workspace `clippy.toml` disallows `std::env::var`, `var_os`,
+//! `vars` and `vars_os`, so [`raw`] and `first_stray` are the two places
+//! that carry an `#[expect]` for them; a read of an undeclared name trips
+//! `raw`'s debug assertion. This module's tests check that every entry is
+//! a unique, documented `SOC_UPPER_SNAKE` name, and that the README's
+//! env-knob table matches the registry.
 //!
 //! Reads are deliberately **per call, never process-cached**: a test suite
 //! flips `SOC_PROFILE` between runs inside one process (the off-vs-on pin
@@ -57,7 +58,8 @@ pub fn get(name: &str) -> Option<&'static Knob> {
 
 /// Read a declared knob from the environment. This is the one place the
 /// workspace touches `std::env::var` for `SOC_*` names; reading an
-/// undeclared name is a bug (debug-asserted here, linted statically).
+/// undeclared name is a bug (debug-asserted here).
+#[expect(clippy::disallowed_methods, reason = "the one read of a declared knob")]
 pub fn raw(name: &str) -> Option<String> {
     debug_assert!(
         get(name).is_some(),
@@ -70,6 +72,10 @@ pub fn raw(name: &str) -> Option<String> {
 /// [`KNOBS`] does not declare. Beside [`raw`] on purpose: these two are
 /// the only places the workspace looks at the environment for `SOC_*`
 /// names.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one scan for SOC_ variables no knob declares"
+)]
 fn first_stray() -> Option<String> {
     std::env::vars_os()
         .filter_map(|(name, _)| name.into_string().ok())
@@ -160,7 +166,11 @@ mod tests {
     #[test]
     fn names_are_soc_upper_snake_and_unique() {
         for (i, k) in KNOBS.iter().enumerate() {
-            assert!(k.name.starts_with("SOC_"), "{}", k.name);
+            assert!(
+                k.name.len() > "SOC_".len() && k.name.starts_with("SOC_"),
+                "{}",
+                k.name
+            );
             assert!(
                 k.name
                     .chars()
@@ -168,7 +178,9 @@ mod tests {
                 "{}",
                 k.name
             );
-            assert!(!k.doc.is_empty() && !k.values.is_empty() && !k.default.is_empty());
+            for field in [k.doc, k.values, k.default] {
+                assert!(!field.trim().is_empty(), "{} has a blank field", k.name);
+            }
             assert!(
                 KNOBS[..i].iter().all(|p| p.name != k.name),
                 "duplicate {}",

@@ -12,8 +12,8 @@
 //! are plain vectors indexed by [`NodeId::idx`].
 //!
 //! [`knobs`] is the central registry of `SOC_*` environment variables —
-//! the single place such knobs are declared, documented and read
-//! (enforced workspace-wide by `soc-lint`).
+//! the single place such knobs are declared, documented and read (the
+//! workspace `clippy.toml` disallows every other `std::env::var`).
 
 pub mod ids;
 pub mod knobs;

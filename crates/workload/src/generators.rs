@@ -326,6 +326,10 @@ impl WorkloadSource for SyntheticSource {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unit tests seed a local RNG; no simulation stream is involved"
+)]
 mod tests {
     use super::*;
     use crate::DemandSampler;

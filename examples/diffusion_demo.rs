@@ -5,6 +5,10 @@
 //! ```text
 //! cargo run --release --example diffusion_demo
 //! ```
+#![expect(
+    clippy::disallowed_methods,
+    reason = "an example seeds a local RNG to build its overlay"
+)]
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -13,7 +17,7 @@ use soc_pidcan::inscan::IndexTables;
 use soc_pidcan::pidcan::diffusion::{line_diffusion_depths, simulate_diffusion};
 use soc_pidcan::pidcan::DiffusionMethod;
 use soc_pidcan::types::ResVec;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 fn main() {
     // -- Fig. 2: Theorem 1 on a 19-node line ------------------------------
@@ -41,7 +45,7 @@ fn main() {
         ("SID (spreading)", DiffusionMethod::Spreading),
         ("HID (hopping)  ", DiffusionMethod::Hopping),
     ] {
-        let mut seen: HashSet<_> = HashSet::new();
+        let mut seen: BTreeSet<_> = BTreeSet::new();
         let mut msgs = 0usize;
         let mut depth = 0usize;
         let rounds = 50;

@@ -9,6 +9,10 @@
 //! ```text
 //! cargo run --release --example range_query_demo
 //! ```
+#![expect(
+    clippy::disallowed_methods,
+    reason = "an example seeds a local RNG to build its overlay"
+)]
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

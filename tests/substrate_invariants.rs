@@ -1,6 +1,10 @@
 //! Cross-crate invariant tests at the substrate level: CAN + INSCAN +
 //! PID-CAN structures driven together, checking the paper's analytic
 //! claims (§III-A/B) on live structures.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests seed a local RNG; no simulation stream is involved"
+)]
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -70,7 +74,7 @@ fn hid_diffusion_reaches_negative_direction_nodes_over_rounds() {
     // quantified by the `diffusion_coverage` bench.
     let (ov, tables, mut rng) = setup(216, 3, 3);
     let origin = ov.owner_of(&ResVec::splat(3, 1.0));
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     for _ in 0..300 {
         let out = simulate_diffusion(&ov, &tables, origin, DiffusionMethod::Hopping, 2, &mut rng);
         seen.extend(out.reached.iter().map(|(n, _)| *n));
