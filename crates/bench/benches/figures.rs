@@ -5,13 +5,13 @@
 //! bench).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use soc_bench::{fig4, fig5, fig8, table3, Scale};
+use soc_bench::{fig4, fig5, fig8, sweep, table3, Scale};
 use std::hint::black_box;
 
 fn bench_fig4(c: &mut Criterion) {
     c.bench_function("fig4_shape", |b| {
         b.iter(|| {
-            let out = fig4(Scale::bench(), 1);
+            let out = fig4(Scale::bench(), 1, sweep::thread_count());
             // λ = 0.84: SID-CAN beats Newscast (scarce resources need the
             // directed search).
             let (_, hi) = (&out[0].0, &out[0].1);
@@ -80,7 +80,7 @@ fn bench_fig8(c: &mut Criterion) {
 fn bench_table3(c: &mut Criterion) {
     c.bench_function("table3_shape", |b| {
         b.iter(|| {
-            let rows = table3(Scale::bench(), 1);
+            let rows = table3(Scale::bench(), 1, sweep::thread_count());
             // Per-node message cost grows sublinearly with n.
             let first = rows.first().unwrap().msg_per_node;
             let last = rows.last().unwrap().msg_per_node;

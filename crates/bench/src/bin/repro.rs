@@ -25,7 +25,7 @@
 
 use soc_bench::{
     diag_hostility, diag_lambda05, fig4, fig5, fig8, fig8_checkpointing, print_diag, print_fig8,
-    print_hostility, print_series, print_table3, reports_json, table3, Scale,
+    print_hostility, print_series, print_table3, reports_json, sweep, table3, Scale,
 };
 use soc_scenario::{record_run, replay_run, ScenarioSpec, Trace};
 use soc_sim::RunReport;
@@ -123,7 +123,7 @@ type Sections = Vec<(String, Vec<RunReport>)>;
 fn run_fig4(scale: Scale, seed: u64) -> Sections {
     println!("== Fig. 4: contrary results under different query ranges ==");
     let mut sections = Sections::new();
-    for (lambda, reports) in fig4(scale, seed) {
+    for (lambda, reports) in fig4(scale, seed, sweep::thread_count()) {
         println!("\n-- Fig. 4 (demand ratio = {lambda}) — Throughput Ratio --");
         println!("{}", print_series(&reports, "t"));
         for r in &reports {
@@ -196,7 +196,7 @@ fn run_ckpt(scale: Scale, seed: u64) -> Sections {
 
 fn run_table3(scale: Scale, seed: u64) -> Sections {
     println!("== Table III: system scalability of HID-CAN ==");
-    let reports = table3(scale, seed);
+    let reports = table3(scale, seed, sweep::thread_count());
     println!("{}", print_table3(&reports));
     for r in &reports {
         println!("# {}", r.summary());

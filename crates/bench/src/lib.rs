@@ -7,13 +7,6 @@
 //! the command line; the Criterion benches call the same code at smoke
 //! scale so `cargo bench` regenerates every figure's shape.
 
-// Clippy reports a `thread_local!` in item position at the crate root, so
-// the one in `sweep.rs` is expected here rather than beside it.
-#![expect(
-    clippy::disallowed_macros,
-    reason = "sweep::THREAD_OVERRIDE is a scoped per-thread test knob, not sim state: read once \
-              when sizing the pool, and sweep results merge by cell index regardless of thread count"
-)]
 pub mod sweep;
 
 use soc_sim::{FaultConfig, ProtocolChoice, RunReport, Scenario};
@@ -76,18 +69,20 @@ impl Scale {
     }
 }
 
-/// Run every scenario of a sweep through the parallel fan-out engine.
+/// Run every scenario of a sweep through the parallel fan-out engine with
+/// `threads` workers.
 ///
 /// One task per grid cell; results come back in cell order, so the output
 /// is bitwise identical to the serial loop the figures used to run (the
 /// `parallel_equivalence` integration test pins this).
-fn run_cells(cells: Vec<Scenario>) -> Vec<RunReport> {
-    sweep::map_indexed(cells.len(), |i| cells[i].run())
+fn run_cells(cells: Vec<Scenario>, threads: usize) -> Vec<RunReport> {
+    sweep::map_indexed_with_threads(cells.len(), threads, |i| cells[i].run())
 }
 
 /// Fig. 4: SID-CAN vs Newscast vs KHDN-CAN at λ = 0.84 and λ = 0.25
-/// (throughput-ratio series). Returns `(λ, reports)` pairs.
-pub fn fig4(scale: Scale, seed: u64) -> Vec<(f64, Vec<RunReport>)> {
+/// (throughput-ratio series), over `threads` workers. Returns `(λ,
+/// reports)` pairs.
+pub fn fig4(scale: Scale, seed: u64, threads: usize) -> Vec<(f64, Vec<RunReport>)> {
     let protos = [
         ProtocolChoice::Newscast,
         ProtocolChoice::Sid,
@@ -102,7 +97,7 @@ pub fn fig4(scale: Scale, seed: u64) -> Vec<(f64, Vec<RunReport>)> {
                 .map(move |&p| scale.scenario(p).lambda(lambda).seed(seed))
         })
         .collect();
-    let mut reports = run_cells(cells);
+    let mut reports = run_cells(cells, threads);
     lambdas
         .into_iter()
         .map(|lambda| (lambda, reports.drain(..protos.len()).collect()))
@@ -117,6 +112,7 @@ pub fn fig5(scale: Scale, lambda: f64, seed: u64) -> Vec<RunReport> {
             .iter()
             .map(|&p| scale.scenario(p).lambda(lambda).seed(seed))
             .collect(),
+        sweep::thread_count(),
     )
 }
 
@@ -133,7 +129,10 @@ pub fn fig8(scale: Scale, seed: u64) -> Vec<(f64, RunReport)> {
                 .seed(seed)
         })
         .collect();
-    DEGREES.into_iter().zip(run_cells(cells)).collect()
+    DEGREES
+        .into_iter()
+        .zip(run_cells(cells, sweep::thread_count()))
+        .collect()
 }
 
 /// Extension (the paper's §VI future work): HID-CAN under churn with
@@ -154,7 +153,7 @@ pub fn fig8_checkpointing(scale: Scale, seed: u64) -> Vec<(f64, RunReport, RunRe
             [base, ck]
         })
         .collect();
-    let mut reports = run_cells(cells).into_iter();
+    let mut reports = run_cells(cells, sweep::thread_count()).into_iter();
     DEGREES
         .into_iter()
         .map(|deg| {
@@ -165,8 +164,9 @@ pub fn fig8_checkpointing(scale: Scale, seed: u64) -> Vec<(f64, RunReport, RunRe
         .collect()
 }
 
-/// Table III: HID-CAN scalability across node counts at λ = 0.5.
-pub fn table3(scale: Scale, seed: u64) -> Vec<RunReport> {
+/// Table III: HID-CAN scalability across node counts at λ = 0.5, over
+/// `threads` workers.
+pub fn table3(scale: Scale, seed: u64, threads: usize) -> Vec<RunReport> {
     run_cells(
         scale
             .table3_nodes
@@ -179,6 +179,7 @@ pub fn table3(scale: Scale, seed: u64) -> Vec<RunReport> {
                     .seed(seed)
             })
             .collect(),
+        threads,
     )
 }
 
@@ -208,6 +209,7 @@ pub fn diag_lambda05(scale: Scale, seed: u64) -> Vec<RunReport> {
                 sc
             })
             .collect(),
+        sweep::thread_count(),
     )
 }
 
@@ -257,7 +259,9 @@ pub fn diag_hostility(scale: Scale, seed: u64, blackhole_frac: f64) -> Hostility
         ..hostile
     };
     let cells = vec![clean_sc, clean_sc.fault(hostile), clean_sc.fault(defended)];
-    let [clean, undefended, defended] = run_cells(cells).try_into().expect("three cells");
+    let [clean, undefended, defended] = run_cells(cells, sweep::thread_count())
+        .try_into()
+        .expect("three cells");
     HostilityAb {
         clean,
         undefended,

@@ -8,7 +8,7 @@
 //! smoke scale and is `#[ignore]`d by default (CI's cron runs it in
 //! release).
 
-use soc_bench::{fig4, sweep, table3, Scale};
+use soc_bench::{fig4, table3, Scale};
 use soc_sim::{ProtocolChoice, RunReport};
 
 /// Serial reference for `fig4`: the exact loop the figure ran before the
@@ -61,11 +61,11 @@ fn assert_identical(serial: &[RunReport], parallel: &[RunReport], what: &str) {
 
 #[test]
 fn fig4_parallel_is_bitwise_identical() {
-    // with_thread_override forces the genuinely-parallel work-queue path
-    // even on a 1-core host, without touching process-global env.
+    // Four workers force the genuinely-parallel work-queue path even on a
+    // 1-core host, without touching process-global env.
     let scale = Scale::bench();
     let serial = fig4_serial(scale, 7);
-    let parallel = sweep::with_thread_override(4, || fig4(scale, 7));
+    let parallel = fig4(scale, 7, 4);
     assert_eq!(serial.len(), parallel.len());
     for ((ls, s), (lp, p)) in serial.iter().zip(&parallel) {
         assert_eq!(ls, lp, "lambda order");
@@ -77,7 +77,7 @@ fn fig4_parallel_is_bitwise_identical() {
 fn table3_parallel_is_bitwise_identical() {
     let scale = Scale::bench();
     let serial = table3_serial(scale, 7);
-    let parallel = sweep::with_thread_override(4, || table3(scale, 7));
+    let parallel = table3(scale, 7, 4);
     assert_identical(&serial, &parallel, "table3");
 }
 
@@ -86,8 +86,8 @@ fn repeated_parallel_runs_are_stable() {
     // Scheduling nondeterminism must never leak: two parallel executions
     // of the same sweep fingerprint identically.
     let scale = Scale::bench();
-    let a = sweep::with_thread_override(3, || table3(scale, 11));
-    let b = sweep::with_thread_override(3, || table3(scale, 11));
+    let a = table3(scale, 11, 3);
+    let b = table3(scale, 11, 3);
     assert_identical(&a, &b, "table3 repeat");
 }
 
@@ -99,11 +99,11 @@ fn repeated_parallel_runs_are_stable() {
 fn smoke_scale_fig4_and_table3_identical() {
     let scale = Scale::smoke();
     let serial = table3_serial(scale, 1);
-    let parallel = sweep::with_thread_override(4, || table3(scale, 1));
+    let parallel = table3(scale, 1, 4);
     assert_identical(&serial, &parallel, "table3@smoke");
 
     let serial = fig4_serial(scale, 1);
-    let parallel = sweep::with_thread_override(4, || fig4(scale, 1));
+    let parallel = fig4(scale, 1, 4);
     for ((ls, s), (lp, p)) in serial.iter().zip(&parallel) {
         assert_eq!(ls, lp);
         assert_identical(s, p, "fig4@smoke");

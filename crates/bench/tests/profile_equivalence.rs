@@ -16,7 +16,7 @@
 //! serializes every flip-run-restore through a shared mutex so parallel
 //! test threads cannot leak a flip into each other's runs.
 
-use soc_bench::{fig4, table3, Scale};
+use soc_bench::{fig4, sweep, table3, Scale};
 use soc_sim::{ProtocolChoice, RunReport, Scenario};
 use std::sync::Mutex;
 
@@ -57,13 +57,13 @@ fn assert_identical(off: &[RunReport], on: &[RunReport], what: &str) {
 #[test]
 fn profile_is_observation_only() {
     let (scale, seed) = (Scale::bench(), 7);
-    let off = with_profile("off", || table3(scale, seed));
-    let on = with_profile("on", || table3(scale, seed));
+    let off = with_profile("off", || table3(scale, seed, sweep::thread_count()));
+    let on = with_profile("on", || table3(scale, seed, sweep::thread_count()));
     assert_identical(&off, &on, "table3");
 
     // fig4 covers KHDN (greedy routing + its cache probes) and Newscast.
-    let off = with_profile("off", || fig4(scale, seed));
-    let on = with_profile("on", || fig4(scale, seed));
+    let off = with_profile("off", || fig4(scale, seed, sweep::thread_count()));
+    let on = with_profile("on", || fig4(scale, seed, sweep::thread_count()));
     assert_eq!(off.len(), on.len());
     for ((lo, o), (lp, p)) in off.iter().zip(&on) {
         assert_eq!(lo, lp, "lambda order");

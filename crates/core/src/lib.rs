@@ -35,5 +35,5 @@ pub mod protocol;
 pub use config::{DiffusionMethod, PidCanConfig};
 pub use diffusion::{simulate_diffusion, DiffusionOutcome};
 pub use messages::{DutyQuery, PidMsg, Search, StateUpdate};
-pub use pilist::PiList;
+pub use pilist::PiLists;
 pub use protocol::PidCan;

@@ -4,7 +4,7 @@
 
 use crate::config::{DiffusionMethod, PidCanConfig};
 use crate::messages::{DutyQuery, PidMsg, Search, StateUpdate};
-use crate::pilist::PiList;
+use crate::pilist::PiLists;
 use rand::{Rng, RngExt};
 use soc_can::greedy_next_hop_filtered;
 use soc_inscan::table::walk_step;
@@ -61,7 +61,7 @@ pub struct PidCan {
     cfg: PidCanConfig,
     tables: IndexTables,
     caches: Vec<RecordCache>,
-    pilists: Vec<PiList>,
+    pilists: PiLists,
     queries: BTreeMap<QueryId, QueryState>,
     overlay_dim: usize,
     route_budget: u32,
@@ -90,7 +90,7 @@ impl PidCan {
             caches: (0..max_nodes)
                 .map(|_| RecordCache::new(cfg.record_ttl_ms))
                 .collect(),
-            pilists: (0..max_nodes).map(|_| PiList::new()).collect(),
+            pilists: PiLists::new(max_nodes),
             queries: BTreeMap::new(),
             overlay_dim: dim,
             route_budget,
@@ -119,9 +119,10 @@ impl PidCan {
         &self.caches[node.idx()]
     }
 
-    /// Read access to a node's PIList (tests/diagnostics).
-    pub fn pilist(&self, node: NodeId) -> &PiList {
-        &self.pilists[node.idx()]
+    /// The PILists (tests/diagnostics); reading one takes `&mut` for the
+    /// scratch every list shares.
+    pub fn pilists(&mut self) -> &mut PiLists {
+        &mut self.pilists
     }
 
     /// Map a raw resource vector to a CAN key-space point, appending the
@@ -258,7 +259,7 @@ impl PidCan {
         dim_no: usize,
         dim_ttl: usize,
     ) {
-        self.pilists[node.idx()].insert(id, ctx.now);
+        self.pilists.insert(node, id, ctx.now);
         let table = self.tables.get(node);
         match self.cfg.diffusion {
             DiffusionMethod::Hopping => {
@@ -561,7 +562,8 @@ impl DiscoveryOverlay for PidCan {
             }
             PidMsg::IndexAgent(mut s) => {
                 // Algorithm 4: sample a jump list from the local PIList.
-                s.jumps = self.pilists[node.idx()].sample(
+                s.jumps = self.pilists.sample(
+                    node,
                     self.cfg.jump_sample,
                     ctx.now,
                     self.cfg.pilist_ttl_ms,
@@ -595,7 +597,8 @@ impl DiscoveryOverlay for PidCan {
                 } else if s.budget > 0 {
                     // §III-B1 relay: extend the chain with this index
                     // node's own positive-index knowledge.
-                    for extra in self.pilists[node.idx()].sample(
+                    for extra in self.pilists.sample(
+                        node,
                         self.cfg.jump_refill,
                         ctx.now,
                         self.cfg.pilist_ttl_ms,
@@ -642,7 +645,7 @@ impl DiscoveryOverlay for PidCan {
             }
             T_DIFFUSE => {
                 self.caches[node.idx()].purge_expired(ctx.now);
-                self.pilists[node.idx()].purge(ctx.now, self.cfg.pilist_ttl_ms);
+                self.pilists.purge(node, ctx.now, self.cfg.pilist_ttl_ms);
                 if !self.caches[node.idx()].is_empty_at(ctx.now) {
                     self.diffuse_index(ctx, node);
                 }
@@ -691,7 +694,7 @@ impl DiscoveryOverlay for PidCan {
 
     fn on_node_joined(&mut self, ctx: &mut Ctx<'_, PidMsg>, node: NodeId) {
         self.caches[node.idx()] = RecordCache::new(self.cfg.record_ttl_ms);
-        self.pilists[node.idx()] = PiList::new();
+        self.pilists.clear(node);
         let stats = self.tables.refresh_node(node, ctx.can, ctx.rng);
         ctx.charge(node, MsgKind::Maintenance, stats.probe_msgs);
         self.arm_node_timers(ctx, node);
@@ -699,7 +702,7 @@ impl DiscoveryOverlay for PidCan {
 
     fn on_node_left(&mut self, _ctx: &mut Ctx<'_, PidMsg>, node: NodeId) {
         self.caches[node.idx()] = RecordCache::new(self.cfg.record_ttl_ms);
-        self.pilists[node.idx()] = PiList::new();
+        self.pilists.clear(node);
         self.tables.clear_node(node);
         // Abandon queries the departed requester owned. Fingers elsewhere
         // that still point at the dead node are skipped by routing and

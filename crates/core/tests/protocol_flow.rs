@@ -68,7 +68,7 @@ fn diffusion_populates_pilists() {
     warm_up(&mut h);
     assert!(h.stats.count(MsgKind::IndexDiffusion) > 0);
     let with_pil = (0..N)
-        .filter(|&i| !h.proto.pilist(NodeId(i as u32)).is_empty())
+        .filter(|&i| !h.proto.pilists().is_empty(NodeId(i as u32)))
         .count();
     assert!(
         with_pil > N / 4,
@@ -270,7 +270,8 @@ fn index_messages_carry_decreasing_ttl() {
     let mut checked = 0;
     for i in 0..N {
         let node = NodeId(i as u32);
-        for id in h.proto.pilist(node).fresh(h.now(), 900_000) {
+        let now = h.now();
+        for id in h.proto.pilists().fresh(node, now, 900_000) {
             // The diffused identifier names a cache-holder (it held records
             // when it diffused; records may have expired since, so check
             // the cache has ever been non-empty via current content OR just

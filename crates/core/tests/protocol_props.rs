@@ -7,7 +7,7 @@
 )]
 
 use pidcan::diffusion::{binary_decomposition, theorem1_hops};
-use pidcan::{DiffusionMethod, PiList, PidCanConfig};
+use pidcan::{DiffusionMethod, PiLists, PidCanConfig};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -43,15 +43,16 @@ proptest! {
         k in 0usize..16,
         seed in 0u64..1000,
     ) {
-        let mut p = PiList::new();
+        let node = NodeId(0);
+        let mut p = PiLists::new(64);
         for (t, id) in ids.iter().enumerate() {
-            p.insert(NodeId(*id), t as u64 * 10);
+            p.insert(node, NodeId(*id), t as u64 * 10);
         }
         let now = 10_000;
         let ttl = 600;
-        let fresh = p.fresh(now, ttl);
+        let fresh = p.fresh(node, now, ttl);
         let mut rng = SmallRng::seed_from_u64(seed);
-        let sample = p.sample(k, now, ttl, &mut rng);
+        let sample = p.sample(node, k, now, ttl, &mut rng);
         prop_assert!(sample.len() <= k);
         for s in &sample {
             prop_assert!(fresh.contains(s));
