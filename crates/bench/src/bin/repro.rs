@@ -21,7 +21,8 @@
 //! reproduces §IV-A exactly (2000–12000 nodes, 24 simulated hours) and
 //! takes minutes per figure; smoke preserves the shapes in seconds. Wall time, RSS and the
 //! per-layer breakdown are measured by the repo benchmark (`benchmark/`),
-//! not here.
+//! not here. A scenario file or trace that cannot be read or is rejected
+//! by its parser exits 2 with the error on stderr.
 
 use soc_bench::{
     diag_hostility, diag_lambda05, fig4, fig5, fig8, fig8_checkpointing, print_diag, print_fig8,
@@ -235,7 +236,7 @@ fn run_scenario_cmd(args: &Args) -> (Sections, u64) {
     };
     let mut spec = ScenarioSpec::load(file).unwrap_or_else(|e| {
         eprintln!("{e}");
-        std::process::exit(1);
+        std::process::exit(2);
     });
     if let Some(seed) = args.seed {
         spec.scenario.seed = seed;
@@ -277,7 +278,7 @@ fn run_replay(args: &Args) -> (Sections, u64) {
     };
     let trace = Trace::load(file).unwrap_or_else(|e| {
         eprintln!("{e}");
-        std::process::exit(1);
+        std::process::exit(2);
     });
     println!(
         "== replay {} ({} events) ==",

@@ -4,8 +4,8 @@
 //! [`Scale`] (full paper scale or a fast smoke scale), runs every protocol
 //! line in the figure and returns the reports; `print_*` helpers render the
 //! same rows/series the paper plots. The `repro` binary exposes these on
-//! the command line; the Criterion benches call the same code at smoke
-//! scale so `cargo bench` regenerates every figure's shape.
+//! the command line; this crate's tests call the same code at
+//! [`Scale::bench`] and [`Scale::smoke`].
 
 pub mod sweep;
 
@@ -38,7 +38,7 @@ impl Scale {
         }
     }
 
-    /// Reduced scale preserving the shape (used by tests and `cargo bench`).
+    /// Reduced scale preserving the shape (`repro`'s default, tier-2 tests).
     pub fn smoke() -> Self {
         Scale {
             nodes: 300,
@@ -49,7 +49,7 @@ impl Scale {
         }
     }
 
-    /// Minimal scale for Criterion timing loops (each run ≲ 100 ms).
+    /// Minimal scale for tier-1 tests (each run ≲ 100 ms in release).
     pub fn bench() -> Self {
         Scale {
             nodes: 150,

@@ -2,6 +2,8 @@
 //! the fan-out path are **bitwise identical** to a plain serial loop over
 //! the same cells (each `Scenario::run` owns its RNG streams, so cell
 //! results cannot depend on execution order — this pins it).
+//! `fig4_parallel_is_bitwise_identical` also asserts Fig. 4(a)'s ordering
+//! on the reports it already has.
 //!
 //! The always-on tests run at the fast `bench` scale so tier-1 stays quick;
 //! `smoke_scale_fig4_and_table3_identical` repeats the check at the paper's
@@ -71,6 +73,14 @@ fn fig4_parallel_is_bitwise_identical() {
         assert_eq!(ls, lp, "lambda order");
         assert_identical(s, p, "fig4");
     }
+    // Fig. 4(a)'s shape on the same reports: at λ = 0.84 resources are
+    // scarce and SID-CAN's directed search beats Newscast's random view
+    // (seed 7: 0.172 vs 0.113).
+    let (lambda, hi) = &parallel[0];
+    assert_eq!(*lambda, 0.84);
+    let t_ratio = |label: &str| hi.iter().find(|r| r.label == label).unwrap().t_ratio;
+    let (sid, news) = (t_ratio("SID-CAN"), t_ratio("Newscast"));
+    assert!(sid > news, "fig4(a) inverted: SID {sid} vs Newscast {news}");
 }
 
 #[test]

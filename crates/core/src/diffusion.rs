@@ -3,7 +3,7 @@
 //! The live protocol diffuses through `PidMsg::Index` messages
 //! ([`crate::protocol`]); this module provides a synchronous simulation of
 //! one diffusion round for analysis, plus the binary-decomposition argument
-//! behind Theorem 1, so tests and benches can reproduce Fig. 2 (relay depth
+//! behind Theorem 1, so tests and examples can reproduce Fig. 2 (relay depth
 //! `≤ ⌈log2 r⌉` per dimension) and Fig. 3 (SID vs HID coverage) without
 //! running the full event loop.
 

@@ -10,9 +10,7 @@ use soc_can::greedy_next_hop_filtered;
 use soc_inscan::table::walk_step;
 use soc_inscan::{inscan_next_hop, IndexTables};
 use soc_net::MsgKind;
-use soc_overlay::{
-    Candidate, Ctx, DiscoveryOverlay, QueryRequest, QueryVerdict, RecordCache, StateRecord,
-};
+use soc_overlay::{Candidate, Ctx, DiscoveryOverlay, QueryRequest, RecordCache, StateRecord};
 use soc_types::{NodeId, QueryId, ResVec, SimMillis};
 use std::collections::BTreeMap;
 
@@ -449,7 +447,7 @@ impl PidCan {
             self.issue_query(ctx, requester, qid, original, original, wanted);
         } else {
             self.queries.remove(&qid);
-            ctx.query_done(qid, QueryVerdict::Exhausted);
+            ctx.query_done(qid);
         }
     }
 

@@ -15,7 +15,7 @@
 
 use rand::{Rng, RngExt};
 use soc_net::MsgKind;
-use soc_overlay::{Candidate, Ctx, DiscoveryOverlay, QueryRequest, QueryVerdict};
+use soc_overlay::{Candidate, Ctx, DiscoveryOverlay, QueryRequest};
 use soc_types::{NodeId, QueryId, ResVec, SimMillis};
 use std::cmp::Reverse;
 
@@ -285,7 +285,7 @@ impl Newscast {
     /// Tell the requester the walk ended at `node` without enough results.
     fn walk_exhausted(ctx: &mut Ctx<'_, GossipMsg>, node: NodeId, w: &Walk) {
         if node == w.requester {
-            ctx.query_done(w.qid, QueryVerdict::Exhausted);
+            ctx.query_done(w.qid);
         } else {
             ctx.send(
                 node,
@@ -408,7 +408,7 @@ impl DiscoveryOverlay for Newscast {
                 ctx.query_results(qid, candidates);
             }
             GossipMsg::Exhausted { qid } => {
-                ctx.query_done(qid, QueryVerdict::Exhausted);
+                ctx.query_done(qid);
             }
         }
     }
@@ -579,7 +579,7 @@ mod tests {
         let deadline = h.now() + 60_000;
         h.run_until(deadline);
         assert!(h.results.get(&qid).is_none_or(|r| r.is_empty()));
-        assert_eq!(h.done.get(&qid), Some(&QueryVerdict::Exhausted));
+        assert!(h.done.contains(&qid));
     }
 
     #[test]
@@ -600,7 +600,7 @@ mod tests {
         let deadline = h.now() + 120_000;
         h.run_until(deadline);
         let got = h.results.get(&qid).map_or(0, |r| r.len());
-        let done = h.done.contains_key(&qid);
+        let done = h.done.contains(&qid);
         assert!(got > 0 || done, "query hung against dead peers");
     }
 

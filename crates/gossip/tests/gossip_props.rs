@@ -73,7 +73,7 @@ proptest! {
             let deadline = h.now() + 120_000;
             h.run_until(deadline);
             let got = h.results.get(&qid).map_or(0, |r| r.len());
-            let done = h.done.contains_key(&qid);
+            let done = h.done.contains(&qid);
             prop_assert!(got > 0 || done, "query {qid:?} neither answered nor settled");
             // Every candidate honestly dominates the demand.
             for c in h.results.get(&qid).cloned().unwrap_or_default() {

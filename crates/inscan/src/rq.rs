@@ -5,7 +5,7 @@
 //! `2·log2 n` but the network traffic per query is `log2 n + N − 1`, where
 //! `N` is the total number of all responsible nodes (shadow area in
 //! Fig. 1)"*. This module computes the exact responsible set and both cost
-//! terms so tests/benches can verify those bounds.
+//! terms so tests and examples can verify those bounds.
 
 use crate::routing::inscan_route;
 use crate::table::IndexTables;

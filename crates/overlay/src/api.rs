@@ -49,14 +49,6 @@ pub struct Candidate {
     pub avail: ResVec,
 }
 
-/// Terminal protocol verdict for a query.
-#[derive(Clone, Debug, PartialEq)]
-pub enum QueryVerdict {
-    /// The protocol exhausted its search without enough results. Whatever
-    /// candidates were already reported still count.
-    Exhausted,
-}
-
 /// Effects a protocol handler requests; the runner applies them after the
 /// handler returns (message latencies, accounting, task dispatch).
 #[derive(Clone, Debug)]
@@ -89,13 +81,12 @@ pub enum Effect<M> {
         /// Qualified records found.
         candidates: Vec<Candidate>,
     },
-    /// The protocol is done with this query (gave up or finished).
+    /// The protocol exhausted its search for this query without enough
+    /// results. Whatever candidates were already reported still count;
+    /// success is implied by `QueryResults` reaching `wanted`.
     QueryDone {
         /// The query.
         qid: QueryId,
-        /// Verdict (currently only exhaustion; success is implied by
-        /// `QueryResults` reaching `wanted`).
-        verdict: QueryVerdict,
     },
 }
 
@@ -189,9 +180,9 @@ impl<'a, M> Ctx<'a, M> {
         self.effects.push(Effect::QueryResults { qid, candidates });
     }
 
-    /// Declare the protocol finished with `qid`.
-    pub fn query_done(&mut self, qid: QueryId, verdict: QueryVerdict) {
-        self.effects.push(Effect::QueryDone { qid, verdict });
+    /// Declare the protocol's search for `qid` exhausted.
+    pub fn query_done(&mut self, qid: QueryId) {
+        self.effects.push(Effect::QueryDone { qid });
     }
 
     /// Charge maintenance traffic performed synchronously (e.g. finger
@@ -332,7 +323,7 @@ mod tests {
         ctx.send(NodeId(0), NodeId(1), MsgKind::DutyQuery, 7);
         ctx.timer(NodeId(0), 3, 100);
         ctx.query_results(QueryId(9), vec![]);
-        ctx.query_done(QueryId(9), QueryVerdict::Exhausted);
+        ctx.query_done(QueryId(9));
         ctx.charge(NodeId(2), MsgKind::Maintenance, 5);
         let (fx, sent) = ctx.finish();
         assert_eq!(fx.len(), 4, "charge is accounting, not an effect");
@@ -346,13 +337,7 @@ mod tests {
             }
         ));
         assert!(matches!(fx[2], Effect::QueryResults { .. }));
-        assert!(matches!(
-            fx[3],
-            Effect::QueryDone {
-                verdict: QueryVerdict::Exhausted,
-                ..
-            }
-        ));
+        assert!(matches!(fx[3], Effect::QueryDone { qid: QueryId(9) }));
         assert_eq!(sent.count(MsgKind::DutyQuery), 1);
         assert_eq!(sent.count(MsgKind::Maintenance), 5);
         assert_eq!(sent.count(MsgKind::Dispatch), 0);

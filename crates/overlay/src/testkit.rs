@@ -5,14 +5,14 @@
 //! *logic*, this harness is enough: fixed 1 ms hop latency, deterministic
 //! FIFO delivery, effect application identical in spirit to the runner's.
 
-use crate::api::{Candidate, Ctx, DiscoveryOverlay, Effect, HostInfo, QueryRequest, QueryVerdict};
+use crate::api::{Candidate, Ctx, DiscoveryOverlay, Effect, HostInfo, QueryRequest};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use soc_can::CanOverlay;
 use soc_net::MsgStats;
 use soc_simcore::EventQueue;
 use soc_types::{NodeId, QueryId, ResVec, SimMillis};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Static host info for tests.
 pub struct TestHost {
@@ -82,8 +82,8 @@ pub struct TestHarness<P: DiscoveryOverlay> {
     pub stats: MsgStats,
     /// Collected query results.
     pub results: BTreeMap<QueryId, Vec<Candidate>>,
-    /// Collected query verdicts.
-    pub done: BTreeMap<QueryId, QueryVerdict>,
+    /// Queries the protocol declared exhausted.
+    pub done: BTreeSet<QueryId>,
     rng: SmallRng,
     queue: EventQueue<Ev<P::Msg>>,
 }
@@ -109,7 +109,7 @@ impl<P: DiscoveryOverlay> TestHarness<P> {
             let mut h = ApplySink {
                 queue: &mut queue,
                 results: &mut BTreeMap::new(),
-                done: &mut BTreeMap::new(),
+                done: &mut BTreeSet::new(),
                 host: &host,
                 dropped: &mut Vec::new(),
             };
@@ -121,7 +121,7 @@ impl<P: DiscoveryOverlay> TestHarness<P> {
             host,
             stats,
             results: BTreeMap::new(),
-            done: BTreeMap::new(),
+            done: BTreeSet::new(),
             rng,
             queue,
         }
@@ -217,7 +217,7 @@ impl<P: DiscoveryOverlay> TestHarness<P> {
 struct ApplySink<'s, M> {
     queue: &'s mut EventQueue<Ev<M>>,
     results: &'s mut BTreeMap<QueryId, Vec<Candidate>>,
-    done: &'s mut BTreeMap<QueryId, QueryVerdict>,
+    done: &'s mut BTreeSet<QueryId>,
     host: &'s TestHost,
     dropped: &'s mut Vec<(NodeId, NodeId, M)>,
 }
@@ -242,8 +242,8 @@ impl<M> ApplySink<'_, M> {
                 Effect::QueryResults { qid, candidates } => {
                     self.results.entry(qid).or_default().extend(candidates);
                 }
-                Effect::QueryDone { qid, verdict } => {
-                    self.done.insert(qid, verdict);
+                Effect::QueryDone { qid } => {
+                    self.done.insert(qid);
                 }
             }
         }

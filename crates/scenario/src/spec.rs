@@ -125,6 +125,12 @@ impl Section {
         }
     }
 
+    fn take_u32(&mut self, key: &str, default: u32) -> Result<u32, ParseError> {
+        let line = self.entries.get(key).map_or(0, |(_, line)| *line);
+        let v = self.take_u64(key, u64::from(default))?;
+        u32::try_from(v).or_else(|_| err(line, format!("{key}: must be ≤ {}, got {v}", u32::MAX)))
+    }
+
     fn take_usize(&mut self, key: &str, default: usize) -> Result<usize, ParseError> {
         Ok(self.take_u64(key, default as u64)? as usize)
     }
@@ -317,7 +323,7 @@ impl ScenarioSpec {
             workload.demand = match model.as_str() {
                 "uniform" => DemandModel::Uniform,
                 "hotspot" => DemandModel::Hotspot {
-                    corners: s.take_u64("corners", 4)? as u32,
+                    corners: s.take_u32("corners", 4)?,
                     skew: s.take_f64("skew", 1.0)?,
                     width: s.take_f64("width", 0.1)?,
                 },
@@ -415,6 +421,9 @@ impl ScenarioSpec {
         }
         if sc.delta == 0 {
             return Err("delta: must be ≥ 1".into());
+        }
+        if sc.lan_size == 0 {
+            return Err("lan_size: must be ≥ 1".into());
         }
         let f = &sc.fault;
         if !(0.0..=1.0).contains(&f.blackhole_frac) || !(0.0..=1.0).contains(&f.liar_frac) {
@@ -637,6 +646,30 @@ on_factor = 0.2
         let e =
             ScenarioSpec::parse("[scenario]\nprotocol = hid\nseed = 1\nseed = 2\n").unwrap_err();
         assert!(e.msg.contains("duplicate"), "{e}");
+    }
+
+    #[test]
+    fn a_lan_of_zero_nodes_is_rejected() {
+        let e = ScenarioSpec::parse("[scenario]\nprotocol = hid\nnodes = 50\nlan_size = 0\n")
+            .unwrap_err();
+        assert!(e.msg.contains("lan_size"), "{e}");
+        let ok = ScenarioSpec::parse("[scenario]\nprotocol = hid\nlan_size = 1\n").unwrap();
+        assert_eq!(ok.scenario.lan_size, 1);
+    }
+
+    #[test]
+    fn hotspot_corners_past_u32_are_rejected_not_wrapped() {
+        let spec = |c: u64| {
+            format!("[scenario]\nprotocol = hid\n\n[demand]\nmodel = hotspot\ncorners = {c}\n")
+        };
+        let e = ScenarioSpec::parse(&spec(4_294_967_297)).unwrap_err();
+        assert!(e.msg.contains("corners"), "{e}");
+        assert_eq!(e.line, 6);
+        let ok = ScenarioSpec::parse(&spec(u64::from(u32::MAX))).unwrap();
+        match ok.scenario.workload.demand {
+            DemandModel::Hotspot { corners, .. } => assert_eq!(corners, u32::MAX),
+            other => panic!("wrong demand model {other:?}"),
+        }
     }
 
     #[test]

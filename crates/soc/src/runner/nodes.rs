@@ -10,7 +10,7 @@ use rand::RngExt;
 use soc_can::CanOverlay;
 use soc_metrics::TaskTracker;
 use soc_net::{FaultPlan, LanTopology, MsgKind, MsgStats};
-use soc_overlay::{Candidate, Ctx, DiscoveryOverlay, Effect, HostInfo, QueryRequest, QueryVerdict};
+use soc_overlay::{Candidate, Ctx, DiscoveryOverlay, Effect, HostInfo, QueryRequest};
 use soc_psm::{NodeExec, RunningTask};
 use soc_simcore::EventQueue;
 use soc_types::{NodeId, QueryId, ResVec, SimMillis, TaskId, PERF_DIMS};
@@ -390,8 +390,7 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
                     Effect::QueryResults { qid, candidates } => {
                         self.on_query_results(qid, candidates);
                     }
-                    Effect::QueryDone { qid, verdict } => {
-                        debug_assert_eq!(verdict, QueryVerdict::Exhausted);
+                    Effect::QueryDone { qid } => {
                         self.settle_query(qid);
                     }
                 }

@@ -1,5 +1,4 @@
-//! Fig. 8 / checkpointing qualitative claims, promoted from the
-//! `benches/figures.rs` shape asserts into real integration tests:
+//! Fig. 8 / checkpointing qualitative claims as integration tests:
 //!
 //! * checkpoint-based fault tolerance (§VI future work) must *recover*
 //!   tasks that churn would otherwise kill — strictly fewer kills,
@@ -68,9 +67,8 @@ fn checkpointing_recovers_killed_tasks_across_churn_degrees() {
     }
 }
 
-/// The Fig. 8 shape claim (previously asserted only inside
-/// `benches/figures.rs::bench_fig8` at bench scale): churn hurts but does
-/// not collapse HID-CAN at the paper's λ = 0.5 operating point.
+/// The Fig. 8 shape claim: churn hurts but does not collapse HID-CAN at
+/// the paper's λ = 0.5 operating point.
 #[test]
 #[ignore = "smoke scale: run in release via CI cron or manually"]
 fn fig8_shape_churn_degrades_gracefully() {

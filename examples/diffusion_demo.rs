@@ -1,6 +1,7 @@
 //! Index-diffusion visualization (the paper's Fig. 2 and Fig. 3): compare
-//! SID (spreading) and HID (hopping) reach from a top-corner node, and
-//! verify Theorem 1's binary-decomposition bound on a line network.
+//! SID (spreading) and HID (hopping) reach from a top-corner node, sweep
+//! HID's fan-out L over {1, 2, 3}, and verify Theorem 1's
+//! binary-decomposition bound on a line network.
 //!
 //! ```text
 //! cargo run --release --example diffusion_demo
@@ -16,8 +17,32 @@ use soc_pidcan::can::CanOverlay;
 use soc_pidcan::inscan::IndexTables;
 use soc_pidcan::pidcan::diffusion::{line_diffusion_depths, simulate_diffusion};
 use soc_pidcan::pidcan::DiffusionMethod;
-use soc_pidcan::types::ResVec;
+use soc_pidcan::types::{NodeId, ResVec};
 use std::collections::BTreeSet;
+
+const ROUNDS: usize = 50;
+
+/// Run `ROUNDS` diffusion rounds from `origin`: distinct nodes notified,
+/// messages sent and the deepest relay chain.
+fn coverage(
+    ov: &CanOverlay,
+    tables: &IndexTables,
+    origin: NodeId,
+    method: DiffusionMethod,
+    l: usize,
+    rng: &mut SmallRng,
+) -> (usize, usize, usize) {
+    let mut seen: BTreeSet<NodeId> = BTreeSet::new();
+    let mut msgs = 0;
+    let mut depth = 0;
+    for _ in 0..ROUNDS {
+        let out = simulate_diffusion(ov, tables, origin, method, l, rng);
+        msgs += out.messages;
+        depth = depth.max(out.max_depth);
+        seen.extend(out.reached.iter().map(|(node, _)| *node));
+    }
+    (seen.len(), msgs, depth)
+}
 
 fn main() {
     // -- Fig. 2: Theorem 1 on a 19-node line ------------------------------
@@ -45,21 +70,21 @@ fn main() {
         ("SID (spreading)", DiffusionMethod::Spreading),
         ("HID (hopping)  ", DiffusionMethod::Hopping),
     ] {
-        let mut seen: BTreeSet<_> = BTreeSet::new();
-        let mut msgs = 0usize;
-        let mut depth = 0usize;
-        let rounds = 50;
-        for _ in 0..rounds {
-            let out = simulate_diffusion(&ov, &tables, origin, method, 2, &mut rng);
-            msgs += out.messages;
-            depth = depth.max(out.max_depth);
-            seen.extend(out.reached.iter().map(|(node, _)| *node));
-        }
+        let (seen, msgs, depth) = coverage(&ov, &tables, origin, method, 2, &mut rng);
         println!(
-            "  {label}: {rounds} rounds → {:>3} distinct nodes notified, \
-             {:>4} msgs total, max depth {depth}",
-            seen.len(),
-            msgs
+            "  {label}: {ROUNDS} rounds → {seen:>3} distinct nodes notified, \
+             {msgs:>4} msgs total, max depth {depth}"
+        );
+    }
+
+    // -- Fan-out L (§III-B1 fixes L = 2) ----------------------------------
+    println!("\n== HID fan-out L: L random 2^k relay hops along each dimension ==");
+    for l in [1, 2, 3] {
+        let (seen, msgs, depth) =
+            coverage(&ov, &tables, origin, DiffusionMethod::Hopping, l, &mut rng);
+        println!(
+            "  L = {l}: {ROUNDS} rounds → {seen:>3} distinct nodes notified, \
+             {msgs:>4} msgs total, max depth {depth}"
         );
     }
     println!(

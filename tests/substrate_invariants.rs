@@ -71,7 +71,7 @@ fn hid_diffusion_reaches_negative_direction_nodes_over_rounds() {
     // dimension. That covers every distance when r = n^{1/d} ≲ 2^kmax + 2^kmax
     // (the paper's 5-D SOC has r ≈ 4.6), which is the regime this test
     // pins; low-dimensional/high-r spaces are structurally under-covered —
-    // quantified by the `diffusion_coverage` bench.
+    // `examples/diffusion_demo.rs` prints the 2-D coverage per fan-out L.
     let (ov, tables, mut rng) = setup(216, 3, 3);
     let origin = ov.owner_of(&ResVec::splat(3, 1.0));
     let mut seen = std::collections::BTreeSet::new();
