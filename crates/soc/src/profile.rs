@@ -8,7 +8,8 @@
 //! an arm reads a clock. The work inside the arms — routing steps, cache
 //! probes, PSM predictions, sends — is reported as counts, taken at the end
 //! of the run from the runner's always-on counters; its cost is a count
-//! times the matching microbenchmark's ns.
+//! times the matching repo-benchmark kernel's ns (`inscan.next_hop_ns`,
+//! `overlay.probe_ns`, `psm.predict_ns`, …).
 //!
 //! The profiler is observation-only: it draws no randomness and steers no
 //! control flow, and [`crate::RunReport::fingerprint`] ignores its
