@@ -15,6 +15,17 @@ fn repro_refuses_a_scenario_file_the_parser_rejects() {
             "[scenario]\nprotocol = hid\n\n[demand]\nmodel = hotspot\ncorners = 4294967297\n",
             "line 6: corners: must be ≤ 4294967295, got 4294967297",
         ),
+        (
+            // Each demand draw walks the corner ranks: refused, not run.
+            "corners-1e8",
+            "[scenario]\nprotocol = hid\nnodes = 50\nhours = 1\n\n[demand]\nmodel = hotspot\ncorners = 100000000\n",
+            "hotspot: corners must be ≤ 1024, got 100000000",
+        ),
+        (
+            "timeout0",
+            "[scenario]\nprotocol = hid\nnodes = 50\nhours = 1\nquery_timeout_ms = 0\n",
+            "query_timeout_ms: must be ≥ 1",
+        ),
     ] {
         let path = format!("{dir}/{name}.scn");
         std::fs::write(&path, body).expect("write the scenario file");

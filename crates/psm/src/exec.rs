@@ -341,8 +341,13 @@ impl NodeExec {
 
     /// Admit a task at `now` (unconditionally — see DESIGN.md on
     /// contention). Returns the new epoch.
+    ///
+    /// The list grows one slot at a time: a plain push would start it at
+    /// four 128-byte slots, and almost every node holds fewer tasks than
+    /// that.
     pub fn add_task(&mut self, now: SimMillis, task: RunningTask) -> u64 {
         self.integrate(now);
+        self.tasks.reserve_exact(1);
         self.tasks.push(task);
         self.epoch += 1;
         self.epoch
@@ -733,6 +738,44 @@ mod tests {
             RunningTask::with_duration(TaskId(0), v(&[10.0]), 10.0, 1, 100_000, 100_000),
         );
         assert_eq!(node.next_completion(100_000), Some(110_000));
+    }
+
+    #[test]
+    fn a_task_list_holds_no_more_slots_than_its_peak() {
+        let mut node = NodeExec::new(v(&[10.0]), PsmConfig::bare(1));
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let (mut now, mut peak) = (0, 0);
+        for i in 0..2_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            now += x % 5_000;
+            match x % 16 {
+                0 => {
+                    node.kill_all(now);
+                }
+                1 => {
+                    node.drain_tasks(now);
+                }
+                2..=7 => {
+                    node.collect_finished(now);
+                }
+                _ => {
+                    let duration_s = (x >> 8) as f64 % 20.0 + 1.0;
+                    node.add_task(
+                        now,
+                        RunningTask::with_duration(TaskId(i), v(&[1.0]), duration_s, 1, now, now),
+                    );
+                }
+            }
+            peak = peak.max(node.n_tasks());
+            assert!(
+                node.tasks.capacity() <= peak,
+                "{} slots, peak {peak}",
+                node.tasks.capacity()
+            );
+        }
+        assert!(peak > 4, "the mix must grow a list past Vec's first four");
     }
 
     #[test]

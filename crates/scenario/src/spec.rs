@@ -422,6 +422,11 @@ impl ScenarioSpec {
         if sc.delta == 0 {
             return Err("delta: must be ≥ 1".into());
         }
+        if sc.query_timeout_ms == 0 {
+            // Every query would settle the instant it is issued, and the
+            // run would report every task failed.
+            return Err("query_timeout_ms: must be ≥ 1".into());
+        }
         if sc.lan_size == 0 {
             return Err("lan_size: must be ≥ 1".into());
         }
@@ -658,6 +663,15 @@ on_factor = 0.2
     }
 
     #[test]
+    fn a_query_timeout_of_zero_is_rejected() {
+        let spec = |ms: u64| format!("[scenario]\nprotocol = hid\nquery_timeout_ms = {ms}\n");
+        let e = ScenarioSpec::parse(&spec(0)).unwrap_err();
+        assert!(e.msg.contains("query_timeout_ms: must be ≥ 1"), "{e}");
+        let ok = ScenarioSpec::parse(&spec(1)).unwrap();
+        assert_eq!(ok.scenario.query_timeout_ms, 1);
+    }
+
+    #[test]
     fn hotspot_corners_past_u32_are_rejected_not_wrapped() {
         let spec = |c: u64| {
             format!("[scenario]\nprotocol = hid\n\n[demand]\nmodel = hotspot\ncorners = {c}\n")
@@ -665,9 +679,14 @@ on_factor = 0.2
         let e = ScenarioSpec::parse(&spec(4_294_967_297)).unwrap_err();
         assert!(e.msg.contains("corners"), "{e}");
         assert_eq!(e.line, 6);
-        let ok = ScenarioSpec::parse(&spec(u64::from(u32::MAX))).unwrap();
+        // A count that fits in u32 is still held to the generator's bound.
+        let e = ScenarioSpec::parse(&spec(u64::from(u32::MAX))).unwrap_err();
+        assert!(e.msg.contains("corners must be ≤"), "{e}");
+        let max = soc_workload::MAX_HOTSPOT_CORNERS;
+        assert!(ScenarioSpec::parse(&spec(u64::from(max) + 1)).is_err());
+        let ok = ScenarioSpec::parse(&spec(u64::from(max))).unwrap();
         match ok.scenario.workload.demand {
-            DemandModel::Hotspot { corners, .. } => assert_eq!(corners, u32::MAX),
+            DemandModel::Hotspot { corners, .. } => assert_eq!(corners, max),
             other => panic!("wrong demand model {other:?}"),
         }
     }

@@ -87,9 +87,9 @@ pub(super) fn bootstrap<'s, P: DiscoveryOverlay>(
             fault,
             blacklist: Blacklist::new(max_nodes),
         },
-        // Grown on demand (≈ 4.4 events pend per node at the peak). A
-        // large up-front reservation pins heap the bootstrap would
-        // otherwise reuse.
+        // Grown on demand, by a quarter of its peak (≈ 4.4 events pend per
+        // node at the peak). A large up-front reservation pins heap the
+        // bootstrap would otherwise reuse.
         queue: EventQueue::new(),
         msgs: Msgs::new(),
         pending: BTreeMap::new(),

@@ -63,6 +63,14 @@ pub struct SyntheticSource {
     caps: NodeCapacitySampler,
     /// Per-node MMPP phase, grown lazily by node index.
     phases: Vec<Phase>,
+    /// Sum of the hotspot Zipf weights over the corner ranks (0 for the
+    /// uniform demand model).
+    zipf_total: f64,
+}
+
+/// Zipf popularity of hotspot corner rank `k` (1-based).
+fn zipf_weight(k: u32, skew: f64) -> f64 {
+    1.0 / (k as f64).powf(skew)
 }
 
 impl SyntheticSource {
@@ -77,6 +85,12 @@ impl SyntheticSource {
         }
         assert!(lambda > 0.0 && lambda <= 1.0, "λ must be in (0,1]");
         assert!(mean_duration_s > 0.0);
+        let zipf_total = match spec.demand {
+            DemandModel::Uniform => 0.0,
+            DemandModel::Hotspot { corners, skew, .. } => {
+                (1..=corners).map(|k| zipf_weight(k, skew)).sum()
+            }
+        };
         SyntheticSource {
             spec,
             lambda,
@@ -85,6 +99,7 @@ impl SyntheticSource {
             poisson: PoissonArrivals::new(mean_arrival_s),
             caps: NodeCapacitySampler,
             phases: Vec::new(),
+            zipf_total,
         }
     }
 
@@ -240,11 +255,10 @@ impl SyntheticSource {
                 width,
             } => {
                 // Zipf popularity over the corner ranks.
-                let total: f64 = (1..=corners).map(|k| 1.0 / (k as f64).powf(skew)).sum();
-                let mut pick = rng.random::<f64>() * total;
+                let mut pick = rng.random::<f64>() * self.zipf_total;
                 let mut corner = corners - 1;
                 for k in 1..=corners {
-                    let w = 1.0 / (k as f64).powf(skew);
+                    let w = zipf_weight(k, skew);
                     if pick < w {
                         corner = k - 1;
                         break;

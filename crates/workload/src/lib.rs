@@ -26,4 +26,6 @@ pub use generators::SyntheticSource;
 pub use nodes::{cmax, NodeCapacitySampler};
 pub use poisson::PoissonArrivals;
 pub use source::WorkloadSource;
-pub use spec::{ArrivalModel, DemandModel, DurationModel, NodeModel, WorkloadSpec};
+pub use spec::{
+    ArrivalModel, DemandModel, DurationModel, NodeModel, WorkloadSpec, MAX_HOTSPOT_CORNERS,
+};

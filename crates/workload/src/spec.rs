@@ -72,6 +72,10 @@ pub enum DurationModel {
     },
 }
 
+/// The most corners a [`DemandModel::Hotspot`] may have. A draw walks the
+/// Zipf weights rank by rank, so its cost grows with the corner count.
+pub const MAX_HOTSPOT_CORNERS: u32 = 1024;
+
 /// How demand vectors are placed in the Table II box `[base·λ, top·λ]^d`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum DemandModel {
@@ -82,7 +86,7 @@ pub enum DemandModel {
     /// Each sample lands uniformly in a sub-box of relative `width` around
     /// its corner — concentrated multi-dimensional contention.
     Hotspot {
-        /// Number of hotspot corners (≥ 1).
+        /// Number of hotspot corners, in `1..=MAX_HOTSPOT_CORNERS`.
         corners: u32,
         /// Zipf exponent (0 = uniform popularity; ~1 = classic skew).
         skew: f64,
@@ -223,6 +227,11 @@ impl WorkloadSpec {
             if corners == 0 {
                 return Err("hotspot: corners must be ≥ 1".into());
             }
+            if corners > MAX_HOTSPOT_CORNERS {
+                return Err(format!(
+                    "hotspot: corners must be ≤ {MAX_HOTSPOT_CORNERS}, got {corners}"
+                ));
+            }
             if skew < 0.0 {
                 return Err("hotspot: skew must be ≥ 0".into());
             }
@@ -285,6 +294,16 @@ mod tests {
             ..WorkloadSpec::default()
         };
         assert!(no_corners.validate().is_err());
+        let corners = |corners| WorkloadSpec {
+            demand: DemandModel::Hotspot {
+                corners,
+                skew: 1.0,
+                width: 0.2,
+            },
+            ..WorkloadSpec::default()
+        };
+        assert!(corners(MAX_HOTSPOT_CORNERS).validate().is_ok());
+        assert!(corners(MAX_HOTSPOT_CORNERS + 1).validate().is_err());
         let over_amplitude = WorkloadSpec {
             arrival: ArrivalModel::Diurnal {
                 amplitude: 1.5,
