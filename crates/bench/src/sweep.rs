@@ -9,26 +9,17 @@
 //! loop regardless of scheduling (asserted by
 //! `tests/parallel_equivalence.rs`).
 //!
-//! Thread count: the caller passes it; [`thread_count`] reads
-//! `SOC_BENCH_THREADS` if set (≥1), else
-//! `std::thread::available_parallelism()`. No rayon — plain
-//! `std::thread::scope` keeps the build offline-friendly.
+//! Thread count: the caller passes it; [`thread_count`] is
+//! `std::thread::available_parallelism()`, which honours `taskset` and
+//! cgroup CPU limits, so `taskset -c 0 repro table3` runs a sweep
+//! serially. No rayon — plain `std::thread::scope` keeps the build
+//! offline-friendly.
 
-use soc_types::knobs;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Worker threads a sweep will use: `SOC_BENCH_THREADS` (clamped to ≥1)
-/// if set, else the machine's available parallelism.
-///
-/// Read per call, never cached — the rule for every knob (see
-/// `soc_types::knobs`).
+/// Worker threads a sweep will use: the CPUs this process may run on.
 pub fn thread_count() -> usize {
-    if let Some(v) = knobs::raw("SOC_BENCH_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

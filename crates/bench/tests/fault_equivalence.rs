@@ -205,9 +205,10 @@ fn smoke_scale_defence_verdict_holds() {
 /// outside a knob's accepted set is a usage error (exit 2) naming the
 /// knob, the value and the accepted set — not a silent run of the default.
 /// So is a `SOC_*` variable that is no knob at all, like the removed
-/// `SOC_SIM_EXEC`, `SOC_ROUTE` or `SOC_FAULT_DEFENSE` a script may still
-/// set: for the last, ignoring it would run the undefended simulation
-/// where `[fault] defense = true` is now the way to ask for the defence.
+/// `SOC_SIM_EXEC`, `SOC_ROUTE`, `SOC_FAULT_DEFENSE` or `SOC_BENCH_THREADS`
+/// a script may still set: for `SOC_FAULT_DEFENSE`, ignoring it would run
+/// the undefended simulation where `[fault] defense = true` is now the way
+/// to ask for the defence.
 #[test]
 fn repro_refuses_a_mistyped_knob_value() {
     let scn = concat!(
@@ -223,17 +224,22 @@ fn repro_refuses_a_mistyped_knob_value() {
         (
             "SOC_SIM_EXEC",
             "sharded",
-            "SOC_SIM_EXEC: not a knob; the knobs are SOC_PROFILE, SOC_BENCH_THREADS",
+            "SOC_SIM_EXEC: not a knob; the knobs are SOC_PROFILE",
         ),
         (
             "SOC_ROUTE",
             "cached",
-            "SOC_ROUTE: not a knob; the knobs are SOC_PROFILE, SOC_BENCH_THREADS",
+            "SOC_ROUTE: not a knob; the knobs are SOC_PROFILE",
         ),
         (
             "SOC_FAULT_DEFENSE",
             "on",
-            "SOC_FAULT_DEFENSE: not a knob; the knobs are SOC_PROFILE, SOC_BENCH_THREADS",
+            "SOC_FAULT_DEFENSE: not a knob; the knobs are SOC_PROFILE",
+        ),
+        (
+            "SOC_BENCH_THREADS",
+            "4",
+            "SOC_BENCH_THREADS: not a knob; the knobs are SOC_PROFILE",
         ),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))

@@ -65,8 +65,6 @@ pub struct CanOverlay {
     /// o[r + 1]]`; `o[0]` is 0 and `o[2·dim]` the table's length. Edited
     /// with the table, so a table is capped at `u8::MAX` entries.
     runs: Vec<u8>,
-    alive: Vec<bool>,
-    n_alive: usize,
     dim: usize,
 }
 
@@ -76,14 +74,10 @@ impl CanOverlay {
     pub fn new(dim: usize, max_nodes: usize, first: NodeId) -> Self {
         // The largest table first, while the heap is at its emptiest.
         let tree = PartitionTree::with_leaf_capacity(dim, first, max_nodes);
-        let mut alive = vec![false; max_nodes];
-        alive[first.idx()] = true;
         CanOverlay {
             tree,
             neighbors: vec![Vec::new(); max_nodes],
             runs: vec![0; max_nodes * (2 * dim + 1)],
-            alive,
-            n_alive: 1,
             dim,
         }
     }
@@ -104,20 +98,21 @@ impl CanOverlay {
         self.dim
     }
 
-    /// Number of live nodes.
+    /// Number of live nodes: the partition tree's zone owners.
     pub fn len(&self) -> usize {
-        self.n_alive
+        self.tree.len()
     }
 
     /// True when the overlay has no live node (never happens in scenarios).
     pub fn is_empty(&self) -> bool {
-        self.n_alive == 0
+        self.tree.is_empty()
     }
 
-    /// Is `node` currently part of the overlay?
+    /// Is `node` currently part of the overlay, that is, does it own a
+    /// zone of the partition tree?
     #[inline]
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.alive.get(node.idx()).copied().unwrap_or(false)
+        self.tree.contains_node(node)
     }
 
     /// Zone owned by `node`, decoded from its row of the zone table.
@@ -166,13 +161,9 @@ impl CanOverlay {
         &self.runs[node.idx() * stride..][..stride]
     }
 
-    /// Iterate over live node ids.
+    /// Iterate over live node ids, ascending.
     pub fn live_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.alive
-            .iter()
-            .enumerate()
-            .filter(|(_, &a)| a)
-            .map(|(i, _)| NodeId(i as u32))
+        self.tree.owners()
     }
 
     /// Access the underlying partition tree (read-only).
@@ -257,9 +248,6 @@ impl CanOverlay {
         assert!(!self.is_alive(newcomer), "{newcomer} already alive");
         let owner = self.tree.join(newcomer, p);
         let old_nb: Vec<NodeId> = self.neighbors[owner.idx()].iter().map(|e| e.node).collect();
-
-        self.alive[newcomer.idx()] = true;
-        self.n_alive += 1;
         self.clear_table(newcomer);
 
         for v in &old_nb {
@@ -277,14 +265,14 @@ impl CanOverlay {
     /// Panics if `node` is not alive, or if it is the last live node.
     pub fn leave(&mut self, node: NodeId) -> Vec<(NodeId, Zone)> {
         assert!(self.is_alive(node), "{node} not alive");
-        assert!(self.n_alive > 1, "cannot drain the overlay");
+        assert!(self.len() > 1, "cannot drain the overlay");
 
         // Collect candidate sets *before* mutating zones.
         let dep_nb: Vec<NodeId> = self.neighbors[node.idx()].iter().map(|e| e.node).collect();
         let reass = self
             .tree
             .leave(node)
-            .expect("n_alive > 1 implies non-final leave");
+            .expect("more than one live node implies a non-final leave");
 
         let mut cand: BTreeSet<NodeId> = dep_nb.iter().copied().collect();
         for (n, _) in &reass {
@@ -300,8 +288,6 @@ impl CanOverlay {
             self.set_entry(*v, node, None);
         }
         self.clear_table(node);
-        self.alive[node.idx()] = false;
-        self.n_alive -= 1;
 
         // The tree holds the new zones: re-test every (changed, candidate)
         // pair.
@@ -326,12 +312,7 @@ impl CanOverlay {
     /// Exhaustive validation of zone/neighbor consistency (test use).
     pub fn validate(&self) -> Result<(), String> {
         self.tree.validate()?;
-        // The live set is the tree's leaf owners, and point location lands
-        // in the zone the table serves.
-        let owners: Vec<NodeId> = self.tree.leaves().map(|(n, _)| n).collect();
-        if owners != self.live_nodes().collect::<Vec<_>>() {
-            return Err("live set desynced from the tree's leaf owners".into());
-        }
+        // Point location lands in the zone the table serves.
         for (n, z) in self.tree.leaves() {
             if self.tree.find_leaf(&z.center()) != n {
                 return Err(format!("{n} zone desynced from tree"));
@@ -365,7 +346,7 @@ impl CanOverlay {
             }
         }
         // Run offsets partition each table by run; a dead node's are zero.
-        for i in 0..self.alive.len() {
+        for i in 0..self.neighbors.len() {
             let node = NodeId(i as u32);
             let table = &self.neighbors[i];
             let want = (0..=2 * self.dim).map(|r| table.iter().filter(|e| e.run() < r).count());

@@ -122,14 +122,27 @@ impl PartitionTree {
         self.n_leaves
     }
 
-    /// True when only the bootstrap node remains.
+    /// True when no id owns a zone (the last node has left).
     pub fn is_empty(&self) -> bool {
         self.n_leaves == 0
     }
 
-    /// Is `node` currently an owner of a zone?
+    /// Is `node` currently an owner of a zone? Reads the id's leaf slot,
+    /// not its zone row: the runner asks on every send and delivery.
+    #[inline]
     pub fn contains_node(&self, node: NodeId) -> bool {
-        self.row(node).is_some()
+        self.leaf_of
+            .get(node.idx())
+            .is_some_and(|&slot| slot != NONE)
+    }
+
+    /// The ids that own a zone, ascending, without decoding any zone.
+    pub fn owners(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.leaf_of
+            .iter()
+            .enumerate()
+            .filter(|&(_, &slot)| slot != NONE)
+            .map(|(id, _)| NodeId(id as u32))
     }
 
     /// Zone currently owned by `node`, if it is in the overlay.
@@ -422,7 +435,11 @@ impl PartitionTree {
                 }
             }
         }
-        // Every zone hangs in the tree, and the splits rebuild the space.
+        // The ids with a leaf slot are the ids with a zone, and every zone
+        // hangs in the tree; the splits rebuild the space.
+        if !self.owners().eq(leaves.iter().map(|&(id, _)| id)) {
+            return Err("leaf slots and zone rows disagree on the owners".into());
+        }
         for (id, _) in &leaves {
             let slot = self.leaf_of[id.idx()];
             if slot == NONE || self.leaf_owner(slot) != Some(*id) {

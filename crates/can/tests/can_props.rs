@@ -8,7 +8,9 @@
 //! lattice point in the zone `CanOverlay::zone` serves. The packed zone
 //! rows are held to the `f64` zones they encode: every zone round-trips,
 //! and on every pair a join or leave re-tests, integer row adjacency is
-//! the `f64` `adjacency`.
+//! the `f64` `adjacency`. Liveness has one owner, the tree: after every
+//! join and leave the overlay's count, its ascending `live_nodes` and
+//! `is_alive` all agree with who has a zone.
 #![expect(
     clippy::disallowed_methods,
     reason = "tests seed a local RNG; no simulation stream is involved"
@@ -142,6 +144,21 @@ proptest! {
     }
 }
 
+/// The live set is the tree's zone owners, however it is asked: `len`
+/// counts `live_nodes`, which ascend strictly, and `is_alive` holds for an
+/// id below `ids` — and for `ids` itself, one past them — exactly when it
+/// has a zone.
+fn live_set_is_the_tree(ov: &CanOverlay, ids: u32) -> Result<(), String> {
+    let live: Vec<NodeId> = ov.live_nodes().collect();
+    prop_assert_eq!(ov.len(), live.len());
+    prop_assert!(live.windows(2).all(|w| w[0] < w[1]), "{:?}", live);
+    for id in 0..=ids {
+        let n = NodeId(id);
+        prop_assert_eq!(ov.is_alive(n), ov.zone(n).is_some(), "{}", n);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -152,8 +169,12 @@ proptest! {
         targets in prop::collection::vec(prop::collection::vec(coord(), 5), 8),
     ) {
         let dim = [2, 3, 5][dim_pick];
-        // Tables are edited in place, so check the runs after every step.
-        let ov = churned_overlay_checked(dim, seed, runs_match_tables)?;
+        // Tables are edited in place, so check the runs and the live set
+        // after every step.
+        let ov = churned_overlay_checked(dim, seed, |ov| {
+            runs_match_tables(ov)?;
+            live_set_is_the_tree(ov, 64)
+        })?;
         prop_assert!(ov.validate().is_ok(), "{:?}", ov.validate());
         for n in ov.live_nodes() {
             // A zone owns its low corner (half-open) and its centre.
@@ -418,6 +439,7 @@ proptest! {
             } else if ov.len() > 1 {
                 checked_leave(&mut ov, id, IDS)?;
             }
+            live_set_is_the_tree(&ov, IDS)?;
         }
         for n in ov.live_nodes() {
             row_round_trips(&ov, n)?;

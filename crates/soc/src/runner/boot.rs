@@ -53,8 +53,6 @@ pub(super) fn bootstrap<'s, P: DiscoveryOverlay>(
     };
 
     let psm_cfg = PsmConfig::default();
-    let mut alive = vec![false; max_nodes];
-    alive[..sc.n_nodes].fill(true);
     let can = CanOverlay::bootstrap(can_dim, sc.n_nodes, max_nodes, &mut rng_overlay);
     let topo = LanTopology::new(
         max_nodes,
@@ -64,10 +62,6 @@ pub(super) fn bootstrap<'s, P: DiscoveryOverlay>(
     );
 
     let live: Vec<NodeId> = (0..sc.n_nodes).map(|i| NodeId(i as u32)).collect();
-    let mut live_pos = vec![usize::MAX; max_nodes];
-    for (i, n) in live.iter().enumerate() {
-        live_pos[n.idx()] = i;
-    }
     let free_ids: VecDeque<NodeId> = (sc.n_nodes..max_nodes).map(|i| NodeId(i as u32)).collect();
 
     // The node-side streams are the derivation every pinned fingerprint
@@ -75,14 +69,12 @@ pub(super) fn bootstrap<'s, P: DiscoveryOverlay>(
     let stream = |s| stream_rng_shard(sc.seed, s, 0);
     Nodes {
         sc: *sc,
-        can,
         topo,
         source,
-        now: 0,
         proto: make_proto(max_nodes),
         hosts: Hosts {
+            can,
             execs: caps.iter().map(|&c| NodeExec::new(c, psm_cfg)).collect(),
-            alive,
             cmax: cmax(),
             fault,
             blacklist: Blacklist::new(max_nodes),
@@ -114,7 +106,6 @@ pub(super) fn bootstrap<'s, P: DiscoveryOverlay>(
         rng_churn: stream_rng(sc.seed, RngStreams::Churn),
         rng_fault_plan,
         live,
-        live_pos,
         free_ids,
         checkpoint_resubmits: 0,
         blacklist_peak: 0,

@@ -17,12 +17,13 @@ use soc_types::{NodeId, QueryId, ResVec, SimMillis, TaskId, PERF_DIMS};
 use soc_workload::WorkloadSource;
 use std::collections::{BTreeMap, VecDeque};
 
-/// Host-side state visible to protocols: one row per node id, indexed by
-/// [`NodeId::idx`]. Churn swaps are the only writer of `alive` and the
-/// fault flags.
+/// Host-side state visible to protocols: the CAN overlay, whose partition
+/// tree is the one record of which ids are alive, and one row per node id,
+/// indexed by [`NodeId::idx`]. Churn swaps are the only writer of the
+/// overlay and the fault flags.
 pub(super) struct Hosts {
+    pub(super) can: CanOverlay,
     pub(super) execs: Vec<NodeExec>,
-    pub(super) alive: Vec<bool>,
     pub(super) cmax: ResVec,
     /// Injected-fault state: which nodes are blackholes/liars, loss
     /// channels, drop counters. All-zero config = cooperative network.
@@ -47,8 +48,9 @@ impl HostInfo for Hosts {
     fn cmax(&self) -> &ResVec {
         &self.cmax
     }
+    #[inline]
     fn is_alive(&self, node: NodeId) -> bool {
-        self.alive[node.idx()]
+        self.can.is_alive(node)
     }
     fn is_suspect(&self, by: NodeId, node: NodeId, now: SimMillis) -> bool {
         self.fault.config().defense && self.blacklist.is_blacklisted(by, node, now)
@@ -113,21 +115,18 @@ fn flush<M>(ctx: Ctx<'_, M>, counters: &mut Counters, stats: &mut MsgStats) -> V
     fx
 }
 
-/// Every node of the run: the CAN overlay and LAN topology they sit on,
-/// the run's one event queue, their row of every per-node table, the
-/// live set and the RNG streams.
+/// Every node of the run: the LAN topology they sit on, the run's one
+/// event queue, their row of every per-node table, the live set and the
+/// RNG streams.
 pub(super) struct Nodes<'s, P: DiscoveryOverlay> {
     pub(super) sc: Scenario,
-    /// The CAN structure; churn swaps are its only writer.
-    pub(super) can: CanOverlay,
     pub(super) topo: LanTopology,
     /// The workload source: every capacity, delay and task of the run.
     pub(super) source: &'s mut dyn WorkloadSource,
-    /// Current simulation time: the timestamp of the event being handled
-    /// (0 during start-up).
-    pub(super) now: SimMillis,
     pub(super) proto: P,
     pub(super) hosts: Hosts,
+    /// The run's events, and its clock: [`EventQueue::now`] is the
+    /// timestamp of the event being handled (0 during start-up).
     pub(super) queue: EventQueue<Ev>,
     /// The bodies of the deliveries in `queue`.
     pub(super) msgs: Msgs<P::Msg>,
@@ -173,10 +172,10 @@ pub(super) struct Nodes<'s, P: DiscoveryOverlay> {
     pub(super) rng_overlay: SmallRng,
     pub(super) rng_churn: SmallRng,
     pub(super) rng_fault_plan: SmallRng,
-    /// The live nodes, and each id's position in `live` (`usize::MAX`
-    /// when not live).
+    /// The live nodes in the order churn draws its victims from: the
+    /// bootstrap ids ascending, then each departure swap-removed and each
+    /// join pushed. Who is alive is the overlay's to say.
     pub(super) live: Vec<NodeId>,
-    pub(super) live_pos: Vec<usize>,
     /// Vacated ids, recycled oldest first by churn joins.
     pub(super) free_ids: VecDeque<NodeId>,
     pub(super) checkpoint_resubmits: u64,
@@ -216,7 +215,7 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
         if self
             .hosts
             .fault
-            .partitioned(self.now, la, lb, self.topo.n_lans())
+            .partitioned(self.queue.now(), la, lb, self.topo.n_lans())
         {
             self.hosts.fault.count_partition_drop();
             return true;
@@ -230,18 +229,19 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
     fn suspect_later(&mut self, by: NodeId, of: NodeId) {
         if self.sc.fault.defense {
             self.queue.schedule_at(
-                self.now + self.defense.suspect_after_ms,
+                self.queue.now() + self.defense.suspect_after_ms,
                 Ev::Suspect { by, of },
             );
         }
     }
 
     fn on_suspect(&mut self, by: NodeId, of: NodeId) {
-        if !self.sc.fault.defense || !self.hosts.alive[by.idx()] {
+        if !self.sc.fault.defense || !self.hosts.is_alive(by) {
             return;
         }
         self.counters.suspicions += 1;
-        if self.hosts.blacklist.strike(by, of, self.now, &self.defense) {
+        let now = self.queue.now();
+        if self.hosts.blacklist.strike(by, of, now, &self.defense) {
             // Confusion accounting: did suspicion land on a real offender?
             if self.hosts.fault.is_blackhole(of) || self.hosts.fault.is_liar(of) {
                 self.counters.suspected_evil += 1;
@@ -274,7 +274,7 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
             },
         );
         self.queue.schedule_at(
-            self.now + self.sc.query_timeout_ms,
+            self.queue.now() + self.sc.query_timeout_ms,
             Ev::QueryTimeout { qid },
         );
         let req = QueryRequest {
@@ -297,7 +297,7 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
                 Some(p)
                     if p.candidates.is_empty()
                         && p.attempts < self.defense.max_retries
-                        && self.hosts.alive[p.requester.idx()] =>
+                        && self.hosts.is_alive(p.requester) =>
                 {
                     p.attempts += 1;
                     Some((
@@ -316,7 +316,7 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
                 self.counters.retries += 1;
                 let backoff = self.sc.query_timeout_ms << attempts.min(8);
                 self.queue
-                    .schedule_at(self.now + backoff, Ev::QueryTimeout { qid });
+                    .schedule_at(self.queue.now() + backoff, Ev::QueryTimeout { qid });
                 self.with_proto(|p, ctx| p.start_query(ctx, req));
                 return;
             }
@@ -333,7 +333,8 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
         F: FnOnce(&mut P, &mut Ctx<'_, P::Msg>),
     {
         let buf = std::mem::take(&mut self.fx_buf);
-        let mut ctx = Ctx::new_in(self.now, &self.can, &self.hosts, &mut self.rng_proto, buf);
+        let now = self.queue.now();
+        let mut ctx = Ctx::new_in(now, &self.hosts.can, &self.hosts, &mut self.rng_proto, buf);
         f(&mut self.proto, &mut ctx);
         let fx = flush(ctx, &mut self.counters, &mut self.stats);
         self.fx_buf = self.apply_effects(fx);
@@ -344,6 +345,7 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
     /// Latency sampling stays here, per message in effect order, so the
     /// `rng_net` stream is consumed in one canonical order.
     fn apply_effects(&mut self, mut work: Vec<Effect<P::Msg>>) -> Vec<Effect<P::Msg>> {
+        let now = self.queue.now();
         // Iterate: drops may generate follow-up effects (hop budgets bound
         // the chain).
         while !work.is_empty() {
@@ -356,7 +358,7 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
                         kind,
                         msg,
                     } => {
-                        if self.hosts.alive[to.idx()] {
+                        if self.hosts.is_alive(to) {
                             // Latency is sampled before the fault verdict so
                             // the per-send `rng_net` draw sequence is exactly
                             // the clean run's — the stream-isolation invariant.
@@ -367,7 +369,7 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
                             } else {
                                 let msg = self.msgs.put(msg);
                                 self.queue.schedule_at(
-                                    self.now + lat.max(1),
+                                    now + lat.max(1),
                                     Ev::Deliver {
                                         from,
                                         to,
@@ -378,14 +380,14 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
                             }
                         } else {
                             let mut ctx =
-                                Ctx::new(self.now, &self.can, &self.hosts, &mut self.rng_proto);
+                                Ctx::new(now, &self.hosts.can, &self.hosts, &mut self.rng_proto);
                             self.proto.on_message_dropped(&mut ctx, from, to, msg);
                             next.extend(flush(ctx, &mut self.counters, &mut self.stats));
                         }
                     }
                     Effect::Timer { node, kind, delay } => {
                         self.queue
-                            .schedule_at(self.now + delay.max(1), Ev::ProtoTimer { node, kind });
+                            .schedule_at(now + delay.max(1), Ev::ProtoTimer { node, kind });
                     }
                     Effect::QueryResults { qid, candidates } => {
                         self.on_query_results(qid, candidates);
@@ -424,7 +426,7 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
             return;
         };
         self.proto.on_query_settled(qid);
-        if !self.hosts.alive[p.requester.idx()] {
+        if !self.hosts.is_alive(p.requester) {
             // The requester churned away mid-query; its task died with it.
             self.tracker.task_killed();
             return;
@@ -439,7 +441,7 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
         let mut ranked: Vec<Candidate> = p
             .candidates
             .iter()
-            .filter(|c| self.hosts.alive[c.node.idx()])
+            .filter(|c| self.hosts.is_alive(c.node))
             .copied()
             .collect();
         if ranked.is_empty() {
@@ -489,7 +491,7 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
     /// payload-level fault story would need its own retransmit model.
     fn dispatch_first(&mut self, target: NodeId, spec: Box<DispatchSpec>) {
         self.stats.record(MsgKind::Dispatch);
-        let at = self.now + self.payload_ms(&spec, target);
+        let at = self.queue.now() + self.payload_ms(&spec, target);
         self.queue
             .schedule_at(at, Ev::TaskArrive { to: target, spec });
     }
@@ -501,7 +503,7 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
     fn dispatch_bounce(&mut self, at: NodeId, next: NodeId, spec: Box<DispatchSpec>) {
         self.stats.record(MsgKind::Dispatch);
         let back = self.topo.latency(at, spec.requester, &mut self.rng_net);
-        let at = self.now + back.max(1) + self.payload_ms(&spec, next);
+        let at = self.queue.now() + back.max(1) + self.payload_ms(&spec, next);
         self.queue
             .schedule_at(at, Ev::TaskArrive { to: next, spec });
     }
@@ -511,7 +513,7 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
     /// no longer qualifies (records were stale / a competitor won the
     /// race). A rejected task with no candidates left fails.
     fn on_task_arrive(&mut self, to: NodeId, mut spec: Box<DispatchSpec>) {
-        let alive = self.hosts.alive[to.idx()];
+        let alive = self.hosts.is_alive(to);
         let qualifies = alive && self.hosts.execs[to.idx()].qualifies(&spec.expect);
         if qualifies {
             self.start_task_on(to, &spec);
@@ -520,7 +522,7 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
         // Rejected (or the node died in transit): try the next candidate.
         loop {
             let Some(next) = spec.fallbacks.first().copied() else {
-                if self.hosts.alive[spec.requester.idx()] {
+                if self.hosts.is_alive(spec.requester) {
                     self.tracker.task_rejected();
                 } else {
                     self.tracker.task_killed();
@@ -528,7 +530,7 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
                 return;
             };
             spec.fallbacks.remove(0);
-            if self.hosts.alive[next.idx()] {
+            if self.hosts.is_alive(next) {
                 self.dispatch_bounce(to, next, spec);
                 return;
             }
@@ -536,7 +538,7 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
     }
 
     fn start_task_on(&mut self, node: NodeId, spec: &DispatchSpec) {
-        let now = self.now;
+        let now = self.queue.now();
         self.task_info
             .insert(spec.tid, (spec.expect_s, spec.is_local));
         let task = RunningTask::with_duration(
@@ -552,7 +554,7 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
     }
 
     fn schedule_completion(&mut self, node: NodeId) {
-        let now = self.now;
+        let now = self.queue.now();
         let exec = &mut self.hosts.execs[node.idx()];
         self.counters.predicts += 1;
         match exec.next_completion(now) {
@@ -579,13 +581,12 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
     }
 
     fn on_completion(&mut self, node: NodeId, epoch: u64) {
-        let now = self.now;
+        let now = self.queue.now();
         // The epoch guard: only the memoized live event — matched by fire
         // time *and* the epoch tag it was enqueued under — may collect.
         // Everything else is a superseded prediction (or a dead/rejoined
         // node's leftover) and is dropped in O(1).
-        let live =
-            self.hosts.alive[node.idx()] && self.comp_sched[node.idx()] == Some((now, epoch));
+        let live = self.hosts.is_alive(node) && self.comp_sched[node.idx()] == Some((now, epoch));
         if !live {
             self.counters.comp_dead_pops += 1;
             return;
@@ -610,16 +611,16 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
     /// Arm `node`'s next arrival, `now` being the instant the chain starts
     /// or the previous arrival fired.
     pub(super) fn schedule_arrival(&mut self, node: NodeId) {
-        let delay = self.source.next_delay(node, self.now, &mut self.rng_work);
-        self.queue
-            .schedule_at(self.now + delay, Ev::Arrival { node });
+        let now = self.queue.now();
+        let delay = self.source.next_delay(node, now, &mut self.rng_work);
+        self.queue.schedule_at(now + delay, Ev::Arrival { node });
     }
 
     fn on_arrival(&mut self, node: NodeId) {
-        if !self.hosts.alive[node.idx()] {
+        if !self.hosts.is_alive(node) {
             return; // chain ends; a future join restarts it
         }
-        let now = self.now;
+        let now = self.queue.now();
         // Schedule the next arrival first (per-node renewal process).
         self.schedule_arrival(node);
 
@@ -650,12 +651,11 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
 
         self.tracker.task_generated();
         if self.sc.oracle {
+            let execs = &self.hosts.execs;
             let matching = self
-                .hosts
-                .alive
+                .live
                 .iter()
-                .zip(&self.hosts.execs)
-                .filter(|&(&alive, exec)| alive && exec.qualifies(&spec.expect))
+                .filter(|n| execs[n.idx()].qualifies(&spec.expect))
                 .count();
             self.counters.oracle_match_sum += matching as u64;
             if matching > 0 {
@@ -672,7 +672,7 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
         self.submit_query(node, spec.expect, spec.duration_s, now);
     }
 
-    /// Handle one popped event at `self.now`.
+    /// Handle one popped event at `queue.now()`.
     pub(super) fn handle(&mut self, ev: Ev) {
         match ev {
             Ev::Deliver {
@@ -683,7 +683,7 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
             } => {
                 // Free the slot before anything can swallow the delivery.
                 let msg = self.msgs.take(msg);
-                if self.hosts.alive[to.idx()] {
+                if self.hosts.is_alive(to) {
                     if self.hosts.fault.config().enabled()
                         && self.hosts.fault.is_blackhole(to)
                         && kind != MsgKind::FoundNotify
@@ -702,7 +702,7 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
                 // sender already paid for the message.
             }
             Ev::ProtoTimer { node, kind } => {
-                if self.hosts.alive[node.idx()] {
+                if self.hosts.is_alive(node) {
                     self.with_proto(|p, ctx| p.on_timer(ctx, node, kind));
                 }
             }
@@ -725,8 +725,7 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
         loop {
             let popped = self.queue.pop_until(deadline);
             self.prof.lap(Phase::QueuePop);
-            let Some((t, ev)) = popped else { break };
-            self.now = t;
+            let Some((_, ev)) = popped else { break };
             let phase = dispatch_phase(&ev);
             self.handle(ev);
             self.prof.lap(phase);

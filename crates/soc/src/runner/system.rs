@@ -28,24 +28,9 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
         self.schedule_next_churn();
     }
 
-    fn live_add(&mut self, node: NodeId) {
-        self.live_pos[node.idx()] = self.live.len();
-        self.live.push(node);
-    }
-
-    fn live_remove(&mut self, node: NodeId) {
-        let pos = self.live_pos[node.idx()];
-        debug_assert_ne!(pos, usize::MAX);
-        let last = *self.live.last().expect("non-empty live set");
-        self.live.swap_remove(pos);
-        if last != node {
-            self.live_pos[last.idx()] = pos;
-        }
-        self.live_pos[node.idx()] = usize::MAX;
-    }
-
-    fn random_live(&mut self) -> NodeId {
-        self.live[self.rng_churn.random_range(0..self.live.len())]
+    /// A position in `live`, drawn uniformly from `rng_churn`.
+    fn random_live_pos(&mut self) -> usize {
+        self.rng_churn.random_range(0..self.live.len())
     }
 
     fn schedule_next_churn(&mut self) {
@@ -58,20 +43,18 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
         // Jitter to avoid lockstep with other periodic events.
         let jitter = self.rng_churn.random_range(0..=interval / 4 + 1);
         self.queue
-            .schedule_at(self.now + interval + jitter, Ev::ChurnSwap);
+            .schedule_at(self.queue.now() + interval + jitter, Ev::ChurnSwap);
     }
 
     pub(super) fn churn_swap(&mut self) {
         // One departure + one join, uniformly spread over time (§IV-B).
-        let victim = if self.live.len() > 1 {
-            Some(self.random_live())
-        } else {
-            None
-        };
+        let victim_pos = (self.live.len() > 1).then(|| self.random_live_pos());
+        let victim = victim_pos.map(|pos| self.live[pos]);
         let newcomer = self.free_ids.front().copied();
-        self.source.note_churn(self.now, victim, newcomer);
-        if let Some(victim) = victim {
-            self.node_leave(victim);
+        let now = self.queue.now();
+        self.source.note_churn(now, victim, newcomer);
+        if let Some(pos) = victim_pos {
+            self.node_leave(pos);
         }
         if let Some(newcomer) = self.free_ids.pop_front() {
             self.node_join(newcomer);
@@ -79,14 +62,16 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
         self.schedule_next_churn();
     }
 
-    fn node_leave(&mut self, victim: NodeId) {
+    /// The node at `pos` in `live` departs.
+    fn node_leave(&mut self, pos: usize) {
+        let victim = self.live[pos];
         // Phase 1 — drain the victim's executor. Resident tasks are lost
         // with the node, unless checkpointing (§VI future work) captures
         // their progress and re-submits the residual work to the overlay.
         // Tasks the departed node ran for itself have no surviving owner to
         // resubmit them, so they die either way.
         let mut resubmits: Vec<(ResVec, f64, SimMillis)> = Vec::new();
-        let drained = self.hosts.execs[victim.idx()].drain_tasks(self.now);
+        let drained = self.hosts.execs[victim.idx()].drain_tasks(self.queue.now());
         // Its scheduled completion (if any) dies with it; clearing the
         // memo also stops a later incarnation of the id from matching
         // the leftover event through an epoch collision.
@@ -112,7 +97,8 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
         // churned; SOC users re-attach).
         for (demand, remaining_s, submitted_at) in resubmits {
             self.checkpoint_resubmits += 1;
-            let resubmitter = self.random_live();
+            let pos = self.random_live_pos();
+            let resubmitter = self.live[pos];
             self.submit_query(resubmitter, demand, remaining_s, submitted_at);
         }
         // Phase 3 — abandon the victim's outstanding discoveries. Swept
@@ -130,10 +116,10 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
             self.tracker.task_killed();
         }
         // Phase 4 — structural removal, then protocol notifications.
-        let reass = self.can.leave(victim);
+        let reass = self.hosts.can.leave(victim);
         let affected: Vec<NodeId> = reass.iter().map(|&(n, _)| n).collect();
-        self.hosts.alive[victim.idx()] = false;
-        self.live_remove(victim);
+        let gone = self.live.swap_remove(pos);
+        debug_assert_eq!(gone, victim, "live moved under a departure");
         self.with_proto(|p, ctx| p.on_node_left(ctx, victim));
         self.with_proto(|p, ctx| p.on_zones_reassigned(ctx, &affected));
         // The machine behind this id is gone: its suspicions and everyone's
@@ -143,17 +129,16 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
     }
 
     fn node_join(&mut self, newcomer: NodeId) {
-        let point = soc_can::overlay::random_point(self.can.dim(), &mut self.rng_overlay);
-        let splitter = self.can.join(newcomer, &point);
+        let point = soc_can::overlay::random_point(self.hosts.can.dim(), &mut self.rng_overlay);
+        let splitter = self.hosts.can.join(newcomer, &point);
         // Churn replacements are as likely to be hostile as the original
         // population (internally gated per fraction — no draw when clean).
-        self.hosts.alive[newcomer.idx()] = true;
         self.hosts.fault.on_join(newcomer, &mut self.rng_fault_plan);
         // Fresh machine: new capacity, idle scheduler.
         let cap = self.source.node_capacity(&mut self.rng_caps);
         self.hosts.execs[newcomer.idx()] = NodeExec::new(cap, PsmConfig::default());
         self.comp_sched[newcomer.idx()] = None;
-        self.live_add(newcomer);
+        self.live.push(newcomer);
         self.with_proto(|p, ctx| p.on_node_joined(ctx, newcomer));
         self.with_proto(|p, ctx| p.on_zones_reassigned(ctx, &[splitter]));
         // Restart the arrival chain.
@@ -163,7 +148,7 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
     /// Metric sample: record the point on the tracker's series. Also the
     /// blacklist-peak observation point.
     pub(super) fn sample(&mut self) {
-        let now = self.now;
+        let now = self.queue.now();
         self.tracker.sample(now);
         let active = self.hosts.blacklist.active_total(now);
         self.blacklist_peak = self.blacklist_peak.max(active);

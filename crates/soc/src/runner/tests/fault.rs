@@ -1,10 +1,14 @@
 use super::boot::bootstrap;
 use super::build_source;
 use super::event::Ev;
+use super::nodes::Nodes;
 use crate::report::RunReport;
 use crate::scenario::{ProtocolChoice, Scenario};
 use pidcan::{PidCan, PidCanConfig};
 use soc_net::FaultConfig;
+use soc_overlay::HostInfo;
+use soc_types::NodeId;
+use soc_workload::WorkloadSource;
 
 // These tests run with the defence off (the `[fault] defense` default;
 // the defended A/B lives in the bench suite).
@@ -135,6 +139,18 @@ fn fault_runs_preserve_task_conservation() {
     );
 }
 
+/// A started HID run of `sc`, for a test that pops and handles its events
+/// itself.
+fn started_hid<'s>(sc: &Scenario, source: &'s mut dyn WorkloadSource) -> Nodes<'s, PidCan> {
+    // Cycles scaled as `run_scenario_with` scales them.
+    let cfg = PidCanConfig::hid().scale_cycles((sc.mean_duration_s / 3000.0).min(1.0));
+    let dim = cfg.overlay_dim();
+    let make = |max_nodes| PidCan::new(cfg, dim, sc.n_nodes, max_nodes);
+    let mut nodes = bootstrap(sc, source, make, dim);
+    nodes.start();
+    nodes
+}
+
 #[test]
 fn message_slots_track_the_queued_deliveries() {
     // Churn kills receivers in flight, blackholes swallow deliveries and
@@ -150,27 +166,26 @@ fn message_slots_track_the_queued_deliveries() {
             ..FaultConfig::default()
         });
     let mut source = build_source(&sc);
-    // Cycles scaled as `run_scenario_with` scales them.
-    let cfg = PidCanConfig::hid().scale_cycles((sc.mean_duration_s / 3000.0).min(1.0));
-    let dim = cfg.overlay_dim();
-    let make = |max_nodes| PidCan::new(cfg, dim, sc.n_nodes, max_nodes);
-    let mut nodes = bootstrap(&sc, &mut source, make, dim);
-    nodes.start();
+    let mut nodes = started_hid(&sc, &mut source);
     // Deliveries pending: the sends no fault dropped, less those popped.
     let (mut popped, mut to_dead, mut peak) = (0u64, 0u64, 0u64);
     loop {
         let f = &nodes.hosts.fault;
         let dropped = f.drops_loss + f.drops_burst + f.drops_partition;
         let pending = nodes.counters.sends - dropped - popped;
-        assert_eq!(nodes.msgs.live() as u64, pending, "at {} ms", nodes.now);
+        assert_eq!(
+            nodes.msgs.live() as u64,
+            pending,
+            "at {} ms",
+            nodes.queue.now()
+        );
         peak = peak.max(pending);
-        let Some((t, ev)) = nodes.queue.pop_until(sc.duration_ms) else {
+        let Some((_, ev)) = nodes.queue.pop_until(sc.duration_ms) else {
             break;
         };
-        nodes.now = t;
         if let Ev::Deliver { to, .. } = ev {
             popped += 1;
-            to_dead += u64::from(!nodes.hosts.alive[to.idx()]);
+            to_dead += u64::from(!nodes.hosts.is_alive(to));
         }
         nodes.handle(ev);
     }
@@ -187,4 +202,36 @@ fn message_slots_track_the_queued_deliveries() {
         queued += usize::from(matches!(ev, Ev::Deliver { .. }));
     }
     assert_eq!(nodes.msgs.live(), queued);
+}
+
+#[test]
+fn churn_keeps_the_live_list_equal_to_the_overlay() {
+    // The overlay's partition tree says who is alive; the runner's `live`
+    // list only orders them for churn's draws. Every swap must leave the
+    // two holding the same ids, and the queue's clock must only advance.
+    let mut sc = Scenario::quick(ProtocolChoice::Hid)
+        .nodes(120)
+        .seed(39)
+        .churn(0.9);
+    sc.checkpointing = true;
+    let mut source = build_source(&sc);
+    let mut nodes = started_hid(&sc, &mut source);
+    let (mut swaps, mut last) = (0u32, nodes.queue.now());
+    while let Some((t, ev)) = nodes.queue.pop_until(sc.duration_ms) {
+        assert!(t >= last, "clock went back from {last} to {t} ms");
+        assert_eq!(nodes.queue.now(), t);
+        last = t;
+        let swap = matches!(ev, Ev::ChurnSwap);
+        nodes.handle(ev);
+        if swap {
+            swaps += 1;
+            let mut live = nodes.live.clone();
+            live.sort();
+            let can: Vec<NodeId> = nodes.hosts.can.live_nodes().collect();
+            assert_eq!(live, can, "after churn swap {swaps} at {t} ms");
+            assert!(live.iter().all(|&n| nodes.hosts.is_alive(n)));
+        }
+    }
+    assert!(swaps > 10, "only {swaps} churn swaps");
+    assert!(nodes.checkpoint_resubmits > 0, "no checkpoint resubmitted");
 }

@@ -36,20 +36,12 @@ pub struct Knob {
 }
 
 /// Every `SOC_*` knob the workspace reads, in table order.
-pub const KNOBS: &[Knob] = &[
-    Knob {
-        name: "SOC_PROFILE",
-        values: "off | on",
-        default: "off",
-        doc: "Per-phase runtime profiler in the scenario runner; observation-only, never fingerprinted",
-    },
-    Knob {
-        name: "SOC_BENCH_THREADS",
-        values: "positive integer",
-        default: "available parallelism",
-        doc: "Worker threads for the deterministic sweep fan-out in crates/bench",
-    },
-];
+pub const KNOBS: &[Knob] = &[Knob {
+    name: "SOC_PROFILE",
+    values: "off | on",
+    default: "off",
+    doc: "Per-phase runtime profiler in the scenario runner; observation-only, never fingerprinted",
+}];
 
 /// Registry entry for `name`, if declared.
 pub fn get(name: &str) -> Option<&'static Knob> {
@@ -91,13 +83,9 @@ pub fn value(name: &str) -> Option<String> {
 }
 
 /// Is the normalised setting `v` one of `knob`'s accepted `values`
-/// (alternatives split on ` | `; `positive integer` parsed)?
+/// (alternatives split on ` | `)?
 fn accepts(knob: &Knob, v: &str) -> bool {
-    if knob.values == "positive integer" {
-        v.parse::<u64>().is_ok_and(|n| n >= 1)
-    } else {
-        knob.values.split(" | ").any(|a| a == v)
-    }
+    knob.values.split(" | ").any(|a| a == v)
 }
 
 /// Validate every declared knob that is set in the environment against
@@ -196,10 +184,10 @@ mod tests {
         // same read, normalised. Nothing in this test binary acts on the
         // knob, so borrowing a real one is harmless.
         let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        with_var("SOC_BENCH_THREADS", " Knob-Roundtrip\n", || {
-            let raw = raw("SOC_BENCH_THREADS");
+        with_var("SOC_PROFILE", " Knob-Roundtrip\n", || {
+            let raw = raw("SOC_PROFILE");
             assert_eq!(raw.as_deref(), Some(" Knob-Roundtrip\n"));
-            let value = value("SOC_BENCH_THREADS");
+            let value = value("SOC_PROFILE");
             assert_eq!(value.as_deref(), Some("knob-roundtrip"));
         });
     }
@@ -210,14 +198,11 @@ mod tests {
     #[test]
     fn check_env_accepts_every_case_and_names_what_it_rejects() {
         let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let cases: [(&str, &[&str], &[&str]); 2] = [
-            (
-                "SOC_PROFILE",
-                &["off", "on", "ON", " On"],
-                &["1", "true", "enabled", "yes", ""],
-            ),
-            ("SOC_BENCH_THREADS", &["1", " 4 "], &["0", "-2", "four"]),
-        ];
+        let cases: [(&str, &[&str], &[&str]); 1] = [(
+            "SOC_PROFILE",
+            &["off", "on", "ON", " On"],
+            &["1", "true", "enabled", "yes", ""],
+        )];
         assert_eq!(cases.len(), KNOBS.len(), "a knob has no validation case");
         for (name, good, bad) in cases {
             let knob = get(name).expect("declared");
@@ -236,13 +221,14 @@ mod tests {
             ("SOC_ROUTE", "cached"),
             ("SOC_PROFIL", "on"),
             ("SOC_FAULT_DEFENSE", "on"),
+            ("SOC_BENCH_THREADS", "4"),
         ] {
             std::env::set_var(stray, v);
             let err = check_env().expect_err("a stray SOC_ variable is refused");
             std::env::remove_var(stray);
             assert_eq!(
                 err,
-                format!("{stray}: not a knob; the knobs are SOC_PROFILE, SOC_BENCH_THREADS")
+                format!("{stray}: not a knob; the knobs are SOC_PROFILE")
             );
         }
     }
