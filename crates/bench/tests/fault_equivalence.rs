@@ -50,6 +50,21 @@ const PIN_KHDN: &str = "[scenario]\nname = pin-khdn\nprotocol = khdn\nnodes = 15
      duration_ms = 7200000\nlambda = 0.5\nseed = 14\nsample_ms = 600000\n\
      mean_arrival_s = 600\nmean_duration_s = 600\n";
 
+/// The paper's other PID-CAN variants on `PIN_QUICK`'s shape: SID's
+/// fan-out (Algorithms 1–2 with every target picked by the initiator),
+/// VD's virtual dimension and SoS's slacked first query.
+const PIN_SID: &str = "[scenario]\nname = pin-sid\nprotocol = sid\nnodes = 150\n\
+     duration_ms = 7200000\nlambda = 0.5\nseed = 17\nsample_ms = 600000\n\
+     mean_arrival_s = 600\nmean_duration_s = 600\n";
+
+const PIN_SID_VD: &str = "[scenario]\nname = pin-sid-vd\nprotocol = sid+vd\nnodes = 150\n\
+     duration_ms = 7200000\nlambda = 0.5\nseed = 18\nsample_ms = 600000\n\
+     mean_arrival_s = 600\nmean_duration_s = 600\n";
+
+const PIN_HID_SOS: &str = "[scenario]\nname = pin-hid-sos\nprotocol = hid+sos\nnodes = 150\n\
+     duration_ms = 7200000\nlambda = 0.5\nseed = 19\nsample_ms = 600000\n\
+     mean_arrival_s = 600\nmean_duration_s = 600\n";
+
 /// 24-node LANs: 8 LANs before churn headroom and 10 with it, so churn
 /// swaps and checkpoint resubmissions cross LAN boundaries, where every
 /// leg pays the WAN latency.
@@ -83,11 +98,15 @@ const PIN_LANS_DEFENCE: &str = "[scenario]\nname = pin-lans-defence\nprotocol = 
 /// KHDN always ran unpartitioned and did not. The two churny ones were
 /// re-recorded once more when churn swaps and samples joined the node
 /// queue: a swap at `t` no longer runs ahead of node events scheduled
-/// earlier for `t`.
+/// earlier for `t`. The SID, SID+VD and HID+SoS pins came later and have
+/// never been re-recorded.
 #[test]
 fn zero_fault_runs_match_pre_fault_pins() {
-    let pins: [(&str, &str, u64); 5] = [
+    let pins: [(&str, &str, u64); 8] = [
         ("static HID", PIN_QUICK, 0x32a5_c1b0_b1b5_f480),
+        ("static SID", PIN_SID, 0xde9a_18d8_d2e7_1ebb),
+        ("static SID+VD", PIN_SID_VD, 0x5542_6fd0_138c_01e7),
+        ("static HID+SoS", PIN_HID_SOS, 0x45ab_8086_e74e_a6cc),
         ("churny HID", PIN_CHURN, 0x203c_b9e8_5b4d_bbd1),
         ("Newscast", PIN_NEWSCAST, 0xe326_5c4f_f52a_3bbd),
         ("KHDN", PIN_KHDN, 0x73e3_445c_f6a0_ec08),
