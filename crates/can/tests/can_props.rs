@@ -24,7 +24,7 @@ use soc_can::{
     adjacency, is_negative_direction, route_path, CanOverlay, PartitionTree, Point, Zone, ZoneRow,
 };
 use soc_types::{NodeId, ResVec, SOC_DIMS};
-use soc_workload::{cmax, NodeCapacitySampler};
+use soc_workload::{cmax, table1_capacity};
 
 /// A churn script: joins (point) and leaves (victim selector).
 #[derive(Clone, Debug)]
@@ -333,7 +333,7 @@ proptest! {
 /// space and on split planes.
 fn join_point(rng: &mut SmallRng, lattice: u32) -> Point {
     if rng.random_range(0..4) < lattice {
-        NodeCapacitySampler.sample(rng).div_elem(&cmax())
+        table1_capacity(rng).div_elem(&cmax())
     } else {
         random_point(SOC_DIMS, rng)
     }

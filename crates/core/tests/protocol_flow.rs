@@ -447,7 +447,9 @@ fn table1_state_updates_all_reach_their_duty_node() {
     let can = CanOverlay::bootstrap(5, NODES, NODES, &mut rng);
     let cmax = soc_workload::cmax();
     let mut host = TestHost::uniform(NODES, cmax, cmax);
-    host.avails = soc_workload::NodeCapacitySampler.sample_n(NODES, &mut rng);
+    host.avails = (0..NODES)
+        .map(|_| soc_workload::table1_capacity(&mut rng))
+        .collect();
     let proto = PidCan::new(PidCanConfig::hid(), 5, NODES, NODES);
     let mut h = TestHarness::new(proto, can, host, 20);
 

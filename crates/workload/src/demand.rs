@@ -1,4 +1,6 @@
-//! Table II: task demand sampling under a demand ratio `λ`.
+//! Table II: the task demand ranges under a demand ratio `λ`, and the
+//! [`TaskSpec`] a workload source hands the runner. The draw itself is
+//! [`crate::SyntheticSource`]'s paper path.
 //!
 //! | parameter | value |
 //! |---|---|
@@ -12,7 +14,6 @@
 //! Durations are exponential with mean 3000 s ("overall average execution
 //! time is 3000 seconds"), consistent with the Poisson arrival model.
 
-use rand::{Rng, RngExt};
 use soc_types::{ResVec, SOC_DIMS};
 
 /// Per-dimension demand bases (the `1×` lower bounds of Table II).
@@ -32,57 +33,6 @@ pub struct TaskSpec {
     pub duration_s: f64,
 }
 
-/// Samples Table II demands for a fixed demand ratio.
-#[derive(Clone, Copy, Debug)]
-pub struct DemandSampler {
-    lambda: f64,
-    mean_duration_s: f64,
-}
-
-impl DemandSampler {
-    /// Sampler with demand ratio `lambda` and the paper's 3000 s mean
-    /// duration.
-    ///
-    /// # Panics
-    /// Panics unless `0 < lambda <= 1`.
-    pub fn new(lambda: f64) -> Self {
-        Self::with_mean_duration(lambda, 3000.0)
-    }
-
-    /// Sampler with an explicit mean duration (scaled-down benches).
-    pub fn with_mean_duration(lambda: f64, mean_duration_s: f64) -> Self {
-        assert!(lambda > 0.0 && lambda <= 1.0, "λ must be in (0,1]");
-        assert!(mean_duration_s > 0.0);
-        DemandSampler {
-            lambda,
-            mean_duration_s,
-        }
-    }
-
-    /// The configured demand ratio λ.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
-    /// Draw one task.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> TaskSpec {
-        let mut e = ResVec::zeros(SOC_DIMS);
-        for d in 0..SOC_DIMS {
-            let lo = BASE[d] * self.lambda;
-            let hi = TOP[d] * self.lambda;
-            e[d] = rng.random_range(lo..=hi);
-        }
-        // Exponential(mean) via inverse transform; clamp the tail so a
-        // single task cannot outlive several simulated days.
-        let u: f64 = rng.random::<f64>().max(1e-12);
-        let duration_s = (-u.ln() * self.mean_duration_s).min(10.0 * 86_400.0);
-        TaskSpec {
-            expect: e,
-            duration_s,
-        }
-    }
-}
-
 #[cfg(test)]
 #[expect(
     clippy::disallowed_methods,
@@ -90,23 +40,30 @@ impl DemandSampler {
 )]
 mod tests {
     use super::*;
+    use crate::{SyntheticSource, WorkloadSource, WorkloadSpec};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use soc_workload_test_util::*;
+    use soc_types::NodeId;
 
-    mod soc_workload_test_util {
-        pub fn mean(xs: &[f64]) -> f64 {
-            xs.iter().sum::<f64>() / xs.len() as f64
-        }
+    /// Draw `n` tasks from the paper workload (Table II, 3000 s mean
+    /// duration) at demand ratio `lambda`.
+    fn paper_tasks(lambda: f64, n: usize, seed: u64) -> Vec<TaskSpec> {
+        let mut src = SyntheticSource::new(WorkloadSpec::default(), lambda, 3000.0, 3000.0);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| src.next_task(NodeId(0), 0, &mut rng))
+            .collect()
+    }
+
+    fn mean(xs: impl Iterator<Item = f64>) -> f64 {
+        let (sum, n) = xs.fold((0.0, 0usize), |(s, n), x| (s + x, n + 1));
+        sum / n as f64
     }
 
     #[test]
     fn demands_respect_table2_bounds() {
-        let mut rng = SmallRng::seed_from_u64(21);
-        for &lambda in &[1.0, 0.84, 0.5, 0.25] {
-            let s = DemandSampler::new(lambda);
-            for _ in 0..300 {
-                let t = s.sample(&mut rng);
+        for (seed, lambda) in [1.0, 0.84, 0.5, 0.25].into_iter().enumerate() {
+            for t in paper_tasks(lambda, 300, 21 + seed as u64) {
                 for d in 0..SOC_DIMS {
                     assert!(
                         t.expect[d] >= BASE[d] * lambda - 1e-12
@@ -122,19 +79,8 @@ mod tests {
 
     #[test]
     fn smaller_lambda_means_smaller_demands() {
-        let mut rng = SmallRng::seed_from_u64(22);
-        let hi = DemandSampler::new(1.0);
-        let lo = DemandSampler::new(0.25);
-        let hi_mean = mean(
-            &(0..500)
-                .map(|_| hi.sample(&mut rng).expect[0])
-                .collect::<Vec<_>>(),
-        );
-        let lo_mean = mean(
-            &(0..500)
-                .map(|_| lo.sample(&mut rng).expect[0])
-                .collect::<Vec<_>>(),
-        );
+        let hi_mean = mean(paper_tasks(1.0, 500, 22).iter().map(|t| t.expect[0]));
+        let lo_mean = mean(paper_tasks(0.25, 500, 122).iter().map(|t| t.expect[0]));
         assert!(
             (hi_mean / lo_mean - 4.0).abs() < 0.5,
             "ratio {hi_mean}/{lo_mean} should be ≈4"
@@ -143,17 +89,14 @@ mod tests {
 
     #[test]
     fn duration_mean_is_3000s() {
-        let mut rng = SmallRng::seed_from_u64(23);
-        let s = DemandSampler::new(0.5);
-        let durations: Vec<f64> = (0..20_000).map(|_| s.sample(&mut rng).duration_s).collect();
-        let m = mean(&durations);
+        let m = mean(paper_tasks(0.5, 20_000, 23).iter().map(|t| t.duration_s));
         assert!((m - 3000.0).abs() < 100.0, "mean duration {m} not ≈ 3000 s");
     }
 
     #[test]
     #[should_panic]
     fn zero_lambda_rejected() {
-        let _ = DemandSampler::new(0.0);
+        let _ = SyntheticSource::new(WorkloadSpec::default(), 0.0, 3000.0, 3000.0);
     }
 
     #[test]
@@ -161,11 +104,8 @@ mod tests {
         // Even at λ=1 the demand never exceeds the global cmax (Table I/II
         // are aligned); a query for it is satisfiable by a fully idle
         // top-spec node.
-        let mut rng = SmallRng::seed_from_u64(24);
-        let s = DemandSampler::new(1.0);
         let cm = crate::nodes::cmax();
-        for _ in 0..500 {
-            let t = s.sample(&mut rng);
+        for t in paper_tasks(1.0, 500, 24) {
             assert!(cm.dominates(&t.expect));
         }
     }

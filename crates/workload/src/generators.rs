@@ -2,21 +2,22 @@
 //! [`WorkloadSpec`].
 //!
 //! One struct implements [`WorkloadSource`] for all model combinations.
-//! The paper-default path draws *exactly* the same RNG sequence as the
-//! original `PoissonArrivals`/`DemandSampler`/`NodeCapacitySampler` calls
-//! (a unit test pins the parity), so switching the runner to the source
-//! boundary does not disturb paper-workload runs.
+//! Its default spec is §IV-A's workload, and the only copy of it: Table I
+//! capacities ([`crate::nodes`]), Poisson arrivals, Table II demands
+//! ([`crate::demand`]) and exponential durations. Every other model swaps
+//! one of those draws for its own.
 
 use crate::demand::{BASE, TOP};
+use crate::nodes::{table1_capacity, table1_half};
 use crate::source::WorkloadSource;
 use crate::spec::{ArrivalModel, DemandModel, DurationModel, NodeModel, WorkloadSpec};
-use crate::{NodeCapacitySampler, PoissonArrivals, TaskSpec};
+use crate::TaskSpec;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngExt};
 use soc_types::{NodeId, ResVec, SimMillis, SOC_DIMS};
 
 /// Durations are clamped so one task cannot outlive several simulated days
-/// (same guard as the paper sampler; essential for Pareto tails).
+/// (essential for Pareto tails).
 const MAX_DURATION_S: f64 = 10.0 * 86_400.0;
 
 /// Exponential(mean) via inverse transform, in the caller's unit.
@@ -59,8 +60,6 @@ pub struct SyntheticSource {
     lambda: f64,
     mean_arrival_ms: f64,
     mean_duration_s: f64,
-    poisson: PoissonArrivals,
-    caps: NodeCapacitySampler,
     /// Per-node MMPP phase, grown lazily by node index.
     phases: Vec<Phase>,
     /// Sum of the hotspot Zipf weights over the corner ranks (0 for the
@@ -77,13 +76,14 @@ impl SyntheticSource {
     /// Build a source for `spec` with the scenario's base rates.
     ///
     /// # Panics
-    /// Panics when `spec.validate()` fails or a base rate is non-positive
-    /// (same contract as the paper samplers).
+    /// Panics when `spec.validate()` fails, a base rate is non-positive or
+    /// `lambda` is outside `(0, 1]`.
     pub fn new(spec: WorkloadSpec, lambda: f64, mean_arrival_s: f64, mean_duration_s: f64) -> Self {
         if let Err(e) = spec.validate() {
             panic!("invalid workload spec: {e}");
         }
         assert!(lambda > 0.0 && lambda <= 1.0, "λ must be in (0,1]");
+        assert!(mean_arrival_s > 0.0);
         assert!(mean_duration_s > 0.0);
         let zipf_total = match spec.demand {
             DemandModel::Uniform => 0.0,
@@ -96,8 +96,6 @@ impl SyntheticSource {
             lambda,
             mean_arrival_ms: mean_arrival_s * 1000.0,
             mean_duration_s,
-            poisson: PoissonArrivals::new(mean_arrival_s),
-            caps: NodeCapacitySampler,
             phases: Vec::new(),
             zipf_total,
         }
@@ -242,7 +240,6 @@ impl SyntheticSource {
         let mut e = ResVec::zeros(SOC_DIMS);
         match self.spec.demand {
             DemandModel::Uniform => {
-                // Identical draw order to `DemandSampler::sample`.
                 for d in 0..SOC_DIMS {
                     let lo = BASE[d] * self.lambda;
                     let hi = TOP[d] * self.lambda;
@@ -296,17 +293,19 @@ impl SyntheticSource {
 impl WorkloadSource for SyntheticSource {
     fn node_capacity(&mut self, rng: &mut SmallRng) -> ResVec {
         match self.spec.nodes {
-            NodeModel::Paper => self.caps.sample(rng),
+            NodeModel::Paper => table1_capacity(rng),
             NodeModel::Classes { big_frac } => {
                 let big = rng.random::<f64>() < big_frac;
-                self.caps.sample_half(rng, big)
+                table1_half(rng, big)
             }
         }
     }
 
     fn next_delay(&mut self, node: NodeId, now: SimMillis, rng: &mut SmallRng) -> SimMillis {
         match self.spec.arrival {
-            ArrivalModel::Poisson => self.poisson.next_delay(rng),
+            ArrivalModel::Poisson => {
+                (exp_sample(self.mean_arrival_ms, rng).round() as SimMillis).max(1)
+            }
             ArrivalModel::Mmpp { .. } => self.mmpp_delay(node, now, rng),
             ArrivalModel::Diurnal {
                 amplitude,
@@ -346,7 +345,6 @@ impl WorkloadSource for SyntheticSource {
 )]
 mod tests {
     use super::*;
-    use crate::DemandSampler;
     use rand::SeedableRng;
 
     fn src(spec: WorkloadSpec) -> SyntheticSource {
@@ -357,25 +355,67 @@ mod tests {
         SmallRng::seed_from_u64(seed)
     }
 
+    /// Delays of one node's Poisson arrival chain at mean `mean_s`.
+    fn poisson_delays(mean_s: f64, n: usize, seed: u64) -> Vec<SimMillis> {
+        let mut s = SyntheticSource::new(WorkloadSpec::default(), 0.5, mean_s, 1200.0);
+        let mut r = rng(seed);
+        (0..n).map(|_| s.next_delay(NodeId(0), 0, &mut r)).collect()
+    }
+
     #[test]
-    fn paper_path_matches_legacy_samplers_bitwise() {
-        // The default spec must consume the RNG exactly like the original
-        // PoissonArrivals + DemandSampler pair, so switching the runner to
-        // the source boundary leaves paper-workload runs untouched.
-        let mut s = src(WorkloadSpec::default());
-        let mut a = rng(99);
-        let mut b = rng(99);
-        let poisson = PoissonArrivals::new(1200.0);
-        let demand = DemandSampler::with_mean_duration(0.5, 1200.0);
-        for i in 0..200 {
-            let d1 = s.next_delay(NodeId(0), i * 1000, &mut a);
-            let d2 = poisson.next_delay(&mut b);
-            assert_eq!(d1, d2, "delay draw {i} diverged");
-            let t1 = s.next_task(NodeId(0), i * 1000, &mut a);
-            let t2 = demand.sample(&mut b);
-            assert_eq!(t1.expect, t2.expect, "demand draw {i} diverged");
-            assert!((t1.duration_s - t2.duration_s).abs() < 1e-12);
+    fn mean_matches_configuration() {
+        // §IV-A: Poisson arrivals with a 3000 s mean per node.
+        let n = 20_000;
+        let total: u64 = poisson_delays(3000.0, n, 31).iter().sum();
+        let mean_s = total as f64 / n as f64 / 1000.0;
+        assert!(
+            (mean_s - 3000.0).abs() < 60.0,
+            "empirical mean {mean_s} ≠ 3000 s"
+        );
+    }
+
+    #[test]
+    fn delays_are_positive() {
+        assert!(poisson_delays(0.001, 1000, 32).iter().all(|&d| d >= 1));
+    }
+
+    #[test]
+    fn expected_arrival_count_matches_paper_math() {
+        // 2000 nodes × 86400 s / 3000 s ≈ 57 600 tasks/day (§IV-A).
+        let mut s = SyntheticSource::new(WorkloadSpec::default(), 0.5, 3000.0, 3000.0);
+        let mut r = rng(34);
+        let day: SimMillis = 86_400_000;
+        let mut tasks = 0u32;
+        for node in 0..2000 {
+            let mut now = s.next_delay(NodeId(node), 0, &mut r);
+            while now < day {
+                tasks += 1;
+                now += s.next_delay(NodeId(node), now, &mut r);
+            }
         }
+        // The count is Poisson with mean 57 600: σ ≈ 240.
+        assert!(
+            (f64::from(tasks) - 57_600.0).abs() < 1_200.0,
+            "{tasks} tasks in a day"
+        );
+    }
+
+    #[test]
+    fn memorylessness_smoke() {
+        // The distribution of delays conditioned on exceeding t matches the
+        // unconditional one (exponential memorylessness), checked via means.
+        let samples = poisson_delays(10.0, 50_000, 33);
+        let uncond: f64 = samples.iter().map(|&x| x as f64).sum::<f64>() / samples.len() as f64;
+        let tail: Vec<f64> = samples
+            .iter()
+            .filter(|&&x| x > 5_000)
+            .map(|&x| (x - 5_000) as f64)
+            .collect();
+        let cond = tail.iter().sum::<f64>() / tail.len() as f64;
+        assert!(
+            (uncond - cond).abs() / uncond < 0.1,
+            "memorylessness violated: {uncond} vs {cond}"
+        );
     }
 
     #[test]

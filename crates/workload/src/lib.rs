@@ -1,8 +1,9 @@
-//! Workload generation: Table I node capacities, Table II task demands,
-//! Poisson arrivals — plus the [`WorkloadSource`] boundary and the
-//! [`SyntheticSource`] generator library (bursty MMPP, diurnal,
-//! flash-crowd arrivals; Pareto durations; Zipf demand hotspots;
-//! heterogeneous capacity classes) behind declarative [`WorkloadSpec`]s.
+//! Workload generation: the [`WorkloadSource`] boundary and its one
+//! generator, [`SyntheticSource`]. Its default [`WorkloadSpec`] is the
+//! paper's workload — Table I node capacities ([`nodes`]), Table II task
+//! demands ([`demand`]), Poisson arrivals and exponential durations; the
+//! other specs swap in bursty MMPP, diurnal or flash-crowd arrivals, Pareto
+//! durations, Zipf demand hotspots or heterogeneous capacity classes.
 //!
 //! §IV-A: *"the user requests (or tasks) will be periodically generated on
 //! each node based on Poisson process with 3000 seconds as its mean"*, and
@@ -17,14 +18,12 @@
 pub mod demand;
 pub mod generators;
 pub mod nodes;
-pub mod poisson;
 pub mod source;
 pub mod spec;
 
-pub use demand::{DemandSampler, TaskSpec};
+pub use demand::TaskSpec;
 pub use generators::SyntheticSource;
-pub use nodes::{cmax, NodeCapacitySampler};
-pub use poisson::PoissonArrivals;
+pub use nodes::{cmax, table1_capacity};
 pub use source::WorkloadSource;
 pub use spec::{
     ArrivalModel, DemandModel, DurationModel, NodeModel, WorkloadSpec, MAX_HOTSPOT_CORNERS,

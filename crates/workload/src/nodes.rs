@@ -15,6 +15,7 @@
 
 use rand::{Rng, RngExt};
 use soc_types::ResVec;
+use std::ops::{Range, RangeInclusive};
 
 const PROCS: [f64; 4] = [1.0, 2.0, 4.0, 8.0];
 const RATES: [f64; 4] = [1.0, 2.0, 2.4, 3.2];
@@ -36,47 +37,35 @@ pub fn cmax() -> ResVec {
     ])
 }
 
-/// Samples node capacity vectors per Table I.
-#[derive(Clone, Debug, Default)]
-pub struct NodeCapacitySampler;
+/// Draw one Table I capacity vector `(cpu, io, net, disk, mem)`.
+pub fn table1_capacity<R: Rng>(rng: &mut R) -> ResVec {
+    draw(rng, 0..4, NET_RANGE.0..=NET_RANGE.1)
+}
 
-impl NodeCapacitySampler {
-    /// Draw one capacity vector `(cpu, io, net, disk, mem)`.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> ResVec {
-        let procs = PROCS[rng.random_range(0..4)];
-        let rate = RATES[rng.random_range(0..4)];
-        let io = IOS[rng.random_range(0..4)];
-        let mem = MEMS[rng.random_range(0..4)];
-        let disk = DISKS[rng.random_range(0..4)];
-        let net = rng.random_range(NET_RANGE.0..=NET_RANGE.1);
-        ResVec::from_slice(&[procs * rate, io, net, disk, mem])
+/// Draw one capacity vector from one half of the Table I grid: `upper`
+/// takes every dimension from its top two discrete levels (and the upper
+/// half of the LAN range), `!upper` from the bottom two. Both halves stay
+/// inside the grid, so [`cmax`] still dominates every draw — the
+/// heterogeneous "node class" model builds on this.
+pub(crate) fn table1_half<R: Rng>(rng: &mut R, upper: bool) -> ResVec {
+    let mid = (NET_RANGE.0 + NET_RANGE.1) / 2.0;
+    if upper {
+        draw(rng, 2..4, mid..=NET_RANGE.1)
+    } else {
+        draw(rng, 0..2, NET_RANGE.0..=mid)
     }
+}
 
-    /// Sample `n` capacity vectors.
-    pub fn sample_n<R: Rng>(&self, n: usize, rng: &mut R) -> Vec<ResVec> {
-        (0..n).map(|_| self.sample(rng)).collect()
-    }
-
-    /// Draw one capacity vector restricted to one half of the Table I grid:
-    /// `upper` samples every dimension from its top-two discrete levels (and
-    /// the upper LAN range), `!upper` from the bottom two. Both halves stay
-    /// inside the Table I grid, so [`cmax`] still dominates every sample —
-    /// the heterogeneous "node class" generators build on this.
-    pub fn sample_half<R: Rng>(&self, rng: &mut R, upper: bool) -> ResVec {
-        let lo = if upper { 2 } else { 0 };
-        let procs = PROCS[rng.random_range(lo..lo + 2)];
-        let rate = RATES[rng.random_range(lo..lo + 2)];
-        let io = IOS[rng.random_range(lo..lo + 2)];
-        let mem = MEMS[rng.random_range(lo..lo + 2)];
-        let disk = DISKS[rng.random_range(lo..lo + 2)];
-        let mid = (NET_RANGE.0 + NET_RANGE.1) / 2.0;
-        let net = if upper {
-            rng.random_range(mid..=NET_RANGE.1)
-        } else {
-            rng.random_range(NET_RANGE.0..=mid)
-        };
-        ResVec::from_slice(&[procs * rate, io, net, disk, mem])
-    }
+/// The Table I draw: each discrete dimension picks one of `levels`, the
+/// LAN bandwidth is uniform over `net`.
+fn draw<R: Rng>(rng: &mut R, levels: Range<usize>, net: RangeInclusive<f64>) -> ResVec {
+    let procs = PROCS[rng.random_range(levels.clone())];
+    let rate = RATES[rng.random_range(levels.clone())];
+    let io = IOS[rng.random_range(levels.clone())];
+    let mem = MEMS[rng.random_range(levels.clone())];
+    let disk = DISKS[rng.random_range(levels)];
+    let net = rng.random_range(net);
+    ResVec::from_slice(&[procs * rate, io, net, disk, mem])
 }
 
 #[cfg(test)]
@@ -104,10 +93,9 @@ mod tests {
     #[test]
     fn samples_within_table1() {
         let mut rng = SmallRng::seed_from_u64(9);
-        let s = NodeCapacitySampler;
         let cm = cmax();
         for _ in 0..500 {
-            let c = s.sample(&mut rng);
+            let c = table1_capacity(&mut rng);
             assert!(cm.dominates(&c), "{c:?} exceeds cmax");
             assert!(c.all_positive());
             // CPU is a product of listed discrete values.
@@ -126,8 +114,7 @@ mod tests {
     fn capacity_distribution_covers_grid() {
         // With 2000 samples every discrete level should appear.
         let mut rng = SmallRng::seed_from_u64(10);
-        let s = NodeCapacitySampler;
-        let caps = s.sample_n(2000, &mut rng);
+        let caps: Vec<ResVec> = (0..2000).map(|_| table1_capacity(&mut rng)).collect();
         for io in IOS {
             assert!(caps.iter().any(|c| c[1] == io), "io level {io} missing");
         }
