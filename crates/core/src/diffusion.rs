@@ -1,11 +1,12 @@
-//! Index-diffusion analysis (§III-B, Theorem 1, Fig. 2–3).
+//! Index diffusion (§III-B1, Algorithms 1–2; Theorem 1, Fig. 2–3).
 //!
-//! The live protocol diffuses through `PidMsg::Index` messages
-//! ([`crate::protocol`]); this module provides a synchronous simulation of
-//! one diffusion round for analysis, plus the binary-decomposition argument
-//! behind Theorem 1, so tests and examples can reproduce Fig. 2 (relay depth
-//! `≤ ⌈log2 r⌉` per dimension) and Fig. 3 (SID vs HID coverage) without
-//! running the full event loop.
+//! [`fan_out`] is the per-node rule of both algorithms, written once: which
+//! `(dim_no, dim_ttl)` index messages a node sends, as the sender or as a
+//! relay. The live protocol ([`crate::protocol`]) walks it with `PidMsg::Index`
+//! messages; [`simulate_diffusion`] walks it synchronously for one round,
+//! for analysis. With the binary-decomposition argument behind Theorem 1,
+//! tests and examples reproduce Fig. 2 (relay depth `≤ ⌈log2 r⌉` per
+//! dimension) and Fig. 3 (SID vs HID coverage) without the event loop.
 
 use crate::config::DiffusionMethod;
 use rand::Rng;
@@ -13,6 +14,38 @@ use soc_can::CanOverlay;
 use soc_inscan::IndexTables;
 use soc_types::NodeId;
 use std::collections::VecDeque;
+
+/// The index messages one node sends in a diffusion round, as
+/// `(dim_no, dim_ttl)` pairs in send order; each goes to one random
+/// negative index node along `dim_no`.
+///
+/// `hop` is `None` at the sender (Algorithm 1) and the received message's
+/// `(dim_no, dim_ttl)` at a relay (Algorithm 2). Under HID a message
+/// carries a same-dimension budget `dim_ttl`: the sender sends one message
+/// along dimension 0 with budget `l`, and a relay passes the message on
+/// along its dimension while budget is left, then starts the next
+/// dimension with a fresh budget. Under SID the sender, and then every
+/// relay for the next dimension, picks all `l` targets itself. When every
+/// pick succeeds a round sends `ω = Σ_{j=1..d} l^j` messages either way.
+pub fn fan_out(
+    method: DiffusionMethod,
+    l: usize,
+    dims: usize,
+    hop: Option<(usize, usize)>,
+) -> impl Iterator<Item = (usize, usize)> {
+    let next_dim = hop.map_or(0, |(dim_no, _)| dim_no + 1);
+    let (same_dim, next_ttl, copies) = match (method, hop) {
+        (DiffusionMethod::Hopping, Some((dim_no, ttl))) if ttl > 1 => {
+            (Some((dim_no, ttl - 1)), l, 1)
+        }
+        (DiffusionMethod::Hopping, _) => (None, l, 1),
+        (DiffusionMethod::Spreading, _) => (None, 0, l),
+    };
+    let copies = if next_dim < dims { copies } else { 0 };
+    same_dim
+        .into_iter()
+        .chain(std::iter::repeat_n((next_dim, next_ttl), copies))
+}
 
 /// Result of one synchronous diffusion round from a single origin.
 #[derive(Clone, Debug)]
@@ -33,8 +66,9 @@ impl DiffusionOutcome {
     }
 }
 
-/// Run one diffusion round from `origin` using the given method, with the
-/// same target-selection rules as the live protocol.
+/// Run one diffusion round from `origin` using the given method: a
+/// breadth-first walk of [`fan_out`], as the live protocol would send it
+/// with every message delivered.
 pub fn simulate_diffusion<R: Rng>(
     ov: &CanOverlay,
     tables: &IndexTables,
@@ -43,61 +77,24 @@ pub fn simulate_diffusion<R: Rng>(
     l: usize,
     rng: &mut R,
 ) -> DiffusionOutcome {
-    let dim = ov.dim();
+    let dims = ov.dim();
     let mut reached: Vec<(NodeId, usize)> = Vec::new();
     let mut messages = 0usize;
     let mut max_depth = 0usize;
-    let note = |node: NodeId, depth: usize, reached: &mut Vec<(NodeId, usize)>| {
-        if !reached.iter().any(|(n, _)| *n == node) {
-            reached.push((node, depth));
+    // (sender, the message it received, its depth); the origin received none.
+    let mut queue: VecDeque<(NodeId, Option<(usize, usize)>, usize)> = VecDeque::new();
+    queue.push_back((origin, None, 0));
+    while let Some((at, hop, depth)) = queue.pop_front() {
+        if hop.is_some() {
+            max_depth = max_depth.max(depth);
+            if !reached.iter().any(|(n, _)| *n == at) {
+                reached.push((at, depth));
+            }
         }
-    };
-
-    match method {
-        DiffusionMethod::Hopping => {
-            // (at, dim, remaining ttl, depth) — Algorithms 1–2.
-            let mut queue: VecDeque<(NodeId, usize, usize, usize)> = VecDeque::new();
-            if let Some(t) = tables.get(origin).random_ninode(0, rng) {
+        for (dim_no, dim_ttl) in fan_out(method, l, dims, hop) {
+            if let Some(t) = tables.get(at).random_ninode(dim_no, rng) {
                 messages += 1;
-                queue.push_back((t, 0, l, 1));
-            }
-            while let Some((at, j, q, depth)) = queue.pop_front() {
-                max_depth = max_depth.max(depth);
-                note(at, depth, &mut reached);
-                if q > 1 {
-                    if let Some(t) = tables.get(at).random_ninode(j, rng) {
-                        messages += 1;
-                        queue.push_back((t, j, q - 1, depth + 1));
-                    }
-                }
-                if j + 1 < dim {
-                    if let Some(t) = tables.get(at).random_ninode(j + 1, rng) {
-                        messages += 1;
-                        queue.push_back((t, j + 1, l, depth + 1));
-                    }
-                }
-            }
-        }
-        DiffusionMethod::Spreading => {
-            // Initiators pick all L same-dimension targets themselves.
-            let mut queue: VecDeque<(NodeId, usize, usize)> = VecDeque::new(); // (at, dim, depth)
-            for _ in 0..l {
-                if let Some(t) = tables.get(origin).random_ninode(0, rng) {
-                    messages += 1;
-                    queue.push_back((t, 0, 1));
-                }
-            }
-            while let Some((at, j, depth)) = queue.pop_front() {
-                max_depth = max_depth.max(depth);
-                note(at, depth, &mut reached);
-                if j + 1 < dim {
-                    for _ in 0..l {
-                        if let Some(t) = tables.get(at).random_ninode(j + 1, rng) {
-                            messages += 1;
-                            queue.push_back((t, j + 1, depth + 1));
-                        }
-                    }
-                }
+                queue.push_back((t, Some((dim_no, dim_ttl)), depth + 1));
             }
         }
     }
@@ -196,6 +193,42 @@ mod tests {
         assert!(depths.iter().all(|&d| d <= 4));
         // Specifically (13)₁₀ = (1101)₂ → 3 hops, as §III-B1 works out.
         assert_eq!(depths[13], 3);
+    }
+
+    /// Messages of one round when every pick succeeds: `fan_out` expanded
+    /// from the sender down.
+    fn full_round(method: DiffusionMethod, l: usize, dims: usize) -> usize {
+        let mut messages = 0;
+        let mut pending = vec![None];
+        while let Some(hop) = pending.pop() {
+            for msg in fan_out(method, l, dims, hop) {
+                messages += 1;
+                pending.push(Some(msg));
+            }
+        }
+        messages
+    }
+
+    #[test]
+    fn fan_out_sends_omega_messages_when_every_pick_succeeds() {
+        // §III-B1: "if L = 2 and d = 3, the total number of messages is
+        // only 14" — ω = Σ_{j=1..d} L^j, for HID's relayed budget as for
+        // SID's initiator-picked targets.
+        for l in 1..=4 {
+            let cfg = crate::config::PidCanConfig {
+                fanout_l: l,
+                ..Default::default()
+            };
+            for dims in 1..=6 {
+                for method in [DiffusionMethod::Hopping, DiffusionMethod::Spreading] {
+                    assert_eq!(
+                        full_round(method, l, dims),
+                        cfg.omega(dims),
+                        "{method:?} L = {l}, d = {dims}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! (Algorithms 1–2) and the contention-minimized best-fit query
 //! (Algorithms 3–5), with optional SoS and VD.
 
-use crate::config::{DiffusionMethod, PidCanConfig};
+use crate::config::PidCanConfig;
+use crate::diffusion::fan_out;
 use crate::messages::{DutyQuery, PidMsg, Search, StateUpdate};
 use crate::pilist::PiLists;
 use rand::{Rng, RngExt};
@@ -207,106 +208,27 @@ impl PidCan {
         });
     }
 
-    /// Algorithm 1 (index-sender): diffuse `node`'s identifier because its
-    /// cache is non-empty.
-    fn diffuse_index(&mut self, ctx: &mut Ctx<'_, PidMsg>, node: NodeId) {
-        let table = self.tables.get(node);
-        match self.cfg.diffusion {
-            DiffusionMethod::Hopping => {
-                // One message along dimension 0 with TTL = L; relays fan out
-                // the remaining dimensions (Algorithm 2).
-                if let Some(t) = table.random_ninode(0, ctx.rng) {
-                    ctx.send(
-                        node,
-                        t,
-                        MsgKind::IndexDiffusion,
-                        PidMsg::Index {
-                            id: node,
-                            dim_no: 0,
-                            dim_ttl: self.cfg.fanout_l,
-                        },
-                    );
-                }
-            }
-            DiffusionMethod::Spreading => {
-                // The initiator picks all L same-dimension targets itself.
-                for _ in 0..self.cfg.fanout_l {
-                    if let Some(t) = table.random_ninode(0, ctx.rng) {
-                        ctx.send(
-                            node,
-                            t,
-                            MsgKind::IndexDiffusion,
-                            PidMsg::Index {
-                                id: node,
-                                dim_no: 0,
-                                dim_ttl: 0,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Algorithm 2 (index-relay) at `node` for `{id, dim_no, dim_ttl}`.
-    fn relay_index(
-        &mut self,
+    /// Algorithms 1–2: send `id`'s index on from `node` — as the sender
+    /// (`hop = None`, its cache is non-empty) or as a relay of the
+    /// `(dim_no, dim_ttl)` message it received — to one random negative
+    /// index node per [`fan_out`] entry.
+    fn diffuse(
+        &self,
         ctx: &mut Ctx<'_, PidMsg>,
         node: NodeId,
         id: NodeId,
-        dim_no: usize,
-        dim_ttl: usize,
+        hop: Option<(usize, usize)>,
     ) {
-        self.pilists.insert(node, id, ctx.now);
         let table = self.tables.get(node);
-        match self.cfg.diffusion {
-            DiffusionMethod::Hopping => {
-                if dim_ttl > 1 {
-                    if let Some(t) = table.random_ninode(dim_no, ctx.rng) {
-                        ctx.send(
-                            node,
-                            t,
-                            MsgKind::IndexDiffusion,
-                            PidMsg::Index {
-                                id,
-                                dim_no,
-                                dim_ttl: dim_ttl - 1,
-                            },
-                        );
-                    }
-                }
-                if dim_no + 1 < self.overlay_dim {
-                    if let Some(t) = table.random_ninode(dim_no + 1, ctx.rng) {
-                        ctx.send(
-                            node,
-                            t,
-                            MsgKind::IndexDiffusion,
-                            PidMsg::Index {
-                                id,
-                                dim_no: dim_no + 1,
-                                dim_ttl: self.cfg.fanout_l,
-                            },
-                        );
-                    }
-                }
-            }
-            DiffusionMethod::Spreading => {
-                if dim_no + 1 < self.overlay_dim {
-                    for _ in 0..self.cfg.fanout_l {
-                        if let Some(t) = table.random_ninode(dim_no + 1, ctx.rng) {
-                            ctx.send(
-                                node,
-                                t,
-                                MsgKind::IndexDiffusion,
-                                PidMsg::Index {
-                                    id,
-                                    dim_no: dim_no + 1,
-                                    dim_ttl: 0,
-                                },
-                            );
-                        }
-                    }
-                }
+        let (method, l) = (self.cfg.diffusion, self.cfg.fanout_l);
+        for (dim_no, dim_ttl) in fan_out(method, l, self.overlay_dim, hop) {
+            if let Some(t) = table.random_ninode(dim_no, ctx.rng) {
+                let msg = PidMsg::Index {
+                    id,
+                    dim_no,
+                    dim_ttl,
+                };
+                ctx.send(node, t, MsgKind::IndexDiffusion, msg);
             }
         }
     }
@@ -542,7 +464,10 @@ impl DiscoveryOverlay for PidCan {
                 id,
                 dim_no,
                 dim_ttl,
-            } => self.relay_index(ctx, node, id, dim_no, dim_ttl),
+            } => {
+                self.pilists.insert(node, id, ctx.now);
+                self.diffuse(ctx, node, id, Some((dim_no, dim_ttl)));
+            }
             PidMsg::DutyQuery(mut q) => {
                 let here = ctx.can.row(node).is_some_and(|z| z.contains(&q.target));
                 if !here && q.hops_left > 0 {
@@ -645,7 +570,7 @@ impl DiscoveryOverlay for PidCan {
                 self.caches[node.idx()].purge_expired(ctx.now);
                 self.pilists.purge(node, ctx.now, self.cfg.pilist_ttl_ms);
                 if !self.caches[node.idx()].is_empty_at(ctx.now) {
-                    self.diffuse_index(ctx, node);
+                    self.diffuse(ctx, node, node, None);
                 }
                 ctx.timer(node, T_DIFFUSE, self.cfg.diffusion_ms);
             }
