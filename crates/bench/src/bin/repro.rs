@@ -265,7 +265,7 @@ fn run_scenario_cmd(args: &Args) -> (Sections, u64) {
     };
     println!("{}", report.summary());
     println!("{}", report.series_rows());
-    println!("# fingerprint: {:016x}", fingerprint_hash(&report));
+    println!("# fingerprint: {:016x}", report.fingerprint_digest());
     let seed = spec.scenario.seed;
     (vec![(spec.name.clone(), vec![report])], seed)
 }
@@ -297,15 +297,6 @@ fn run_replay(args: &Args) -> (Sections, u64) {
             std::process::exit(1);
         }
     }
-}
-
-/// Short FNV-1a digest of the full fingerprint, for human comparison.
-fn fingerprint_hash(r: &RunReport) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in r.fingerprint().bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 fn main() {

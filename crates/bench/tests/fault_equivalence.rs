@@ -16,17 +16,6 @@ use soc_bench::{diag_hostility, Scale};
 use soc_scenario::ScenarioSpec;
 use soc_sim::RunReport;
 
-/// Short FNV-1a digest of the full fingerprint — the same hash `repro
-/// scenario` prints as `# fingerprint:`, so pins can be reproduced on the
-/// command line.
-fn fnv(r: &RunReport) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in r.fingerprint().bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 fn run_spec(text: &str) -> RunReport {
     ScenarioSpec::parse(text)
         .expect("inline spec parses")
@@ -119,7 +108,7 @@ fn zero_fault_runs_match_pre_fault_pins() {
     for (what, spec, pin) in pins {
         let r = run_spec(spec);
         assert_eq!(
-            fnv(&r),
+            r.fingerprint_digest(),
             pin,
             "{what}: zero-fault run diverged from the pinned baseline"
         );
@@ -142,7 +131,7 @@ fn zero_fault_runs_match_pre_fault_pins() {
 fn defended_hostile_multi_lan_churn_matches_pin() {
     let r = run_spec(PIN_LANS_DEFENCE);
     assert_eq!(
-        fnv(&r),
+        r.fingerprint_digest(),
         0xc3f1_53a3_2075_da3e,
         "defended hostile multi-LAN churn diverged from the pinned baseline"
     );
@@ -211,13 +200,16 @@ fn defence_recovers_measurable_fraction_under_blackholes() {
     assert!(!ab.clean.faults.any());
 }
 
-/// Same verdict at the paper's smoke scale — run in release via
-/// `cargo test --release -p soc-bench --test fault_equivalence -- --ignored`.
-#[test]
-#[ignore = "smoke scale: run in release via CI cron or manually"]
-fn smoke_scale_defence_verdict_holds() {
-    let ab = diag_hostility(Scale::smoke(), 1, 0.15);
-    assert_ab_verdict(&ab, "smoke");
+#[cfg(feature = "tier2")]
+mod tier2 {
+    use super::*;
+
+    /// Same verdict at the paper's smoke scale (`cargo tier2`).
+    #[test]
+    fn smoke_scale_defence_verdict_holds() {
+        let ab = diag_hostility(Scale::smoke(), 1, 0.15);
+        assert_ab_verdict(&ab, "smoke");
+    }
 }
 
 /// `repro` validates the environment before it runs anything: a value

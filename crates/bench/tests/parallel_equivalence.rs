@@ -7,7 +7,7 @@
 //!
 //! The always-on tests run at the fast `bench` scale so tier-1 stays quick;
 //! `smoke_scale_fig4_and_table3_identical` repeats the check at the paper's
-//! smoke scale and is `#[ignore]`d by default (CI's cron runs it in
+//! smoke scale in the `tier2` module (`cargo tier2`; CI's cron runs it in
 //! release).
 
 use soc_bench::{fig4, table3, Scale};
@@ -101,21 +101,24 @@ fn repeated_parallel_runs_are_stable() {
     assert_identical(&a, &b, "table3 repeat");
 }
 
-/// The acceptance-bar check at the paper's smoke scale (minutes in debug,
-/// seconds in release) — run via
-/// `cargo test --release -p soc-bench --test parallel_equivalence -- --ignored`.
-#[test]
-#[ignore = "smoke scale: run in release via CI cron or manually"]
-fn smoke_scale_fig4_and_table3_identical() {
-    let scale = Scale::smoke();
-    let serial = table3_serial(scale, 1);
-    let parallel = table3(scale, 1, 4);
-    assert_identical(&serial, &parallel, "table3@smoke");
+#[cfg(feature = "tier2")]
+mod tier2 {
+    use super::*;
 
-    let serial = fig4_serial(scale, 1);
-    let parallel = fig4(scale, 1, 4);
-    for ((ls, s), (lp, p)) in serial.iter().zip(&parallel) {
-        assert_eq!(ls, lp);
-        assert_identical(s, p, "fig4@smoke");
+    /// The acceptance-bar check at the paper's smoke scale (minutes in debug,
+    /// seconds in release; `cargo tier2`).
+    #[test]
+    fn smoke_scale_fig4_and_table3_identical() {
+        let scale = Scale::smoke();
+        let serial = table3_serial(scale, 1);
+        let parallel = table3(scale, 1, 4);
+        assert_identical(&serial, &parallel, "table3@smoke");
+
+        let serial = fig4_serial(scale, 1);
+        let parallel = fig4(scale, 1, 4);
+        for ((ls, s), (lp, p)) in serial.iter().zip(&parallel) {
+            assert_eq!(ls, lp);
+            assert_identical(s, p, "fig4@smoke");
+        }
     }
 }

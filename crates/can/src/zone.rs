@@ -128,15 +128,6 @@ impl Zone {
     pub fn dist_to_point(&self, p: &Point) -> f64 {
         dist_to_point(self.dim(), p, |d| (self.lo[d], self.hi[d]))
     }
-
-    /// Clamp `p` into the closed zone (nearest point of the box).
-    pub fn clamp_point(&self, p: &Point) -> Point {
-        let mut q = *p;
-        for d in 0..self.dim() {
-            q[d] = q[d].clamp(self.lo[d], self.hi[d]);
-        }
-        q
-    }
 }
 
 // The point tests of a `dim`-dimensional box whose bounds along `d` are
@@ -303,13 +294,6 @@ mod tests {
         // The top face of the key space is closed, so it is never open.
         assert_eq!(right.route_key(&pt(&[1.0, 1.0])), (0.0, 0));
         assert_eq!(left.route_key(&pt(&[1.0, 1.0])), (0.5, 0));
-    }
-
-    #[test]
-    fn clamp_point_projects_onto_box() {
-        let z = Zone::new(pt(&[0.0, 0.0]), pt(&[0.5, 0.5]));
-        assert_eq!(z.clamp_point(&pt(&[0.9, 0.2])), pt(&[0.5, 0.2]));
-        assert_eq!(z.clamp_point(&pt(&[0.1, 0.2])), pt(&[0.1, 0.2]));
     }
 
     #[test]

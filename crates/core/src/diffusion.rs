@@ -82,7 +82,7 @@ pub fn simulate_diffusion<R: Rng>(
     let mut messages = 0usize;
     let mut max_depth = 0usize;
     // (sender, the message it received, its depth); the origin received none.
-    let mut queue: VecDeque<(NodeId, Option<(usize, usize)>, usize)> = VecDeque::new();
+    let mut queue = VecDeque::new();
     queue.push_back((origin, None, 0));
     while let Some((at, hop, depth)) = queue.pop_front() {
         if hop.is_some() {

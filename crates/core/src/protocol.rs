@@ -366,7 +366,7 @@ impl PidCan {
             if let Some(qm) = self.queries.get_mut(&qid) {
                 qm.slacked = false;
             }
-            self.issue_query(ctx, requester, qid, original, original, wanted);
+            self.issue_query(ctx, requester, qid, original, wanted);
         } else {
             self.queries.remove(&qid);
             ctx.query_done(qid);
@@ -381,7 +381,6 @@ impl PidCan {
         requester: NodeId,
         qid: QueryId,
         effective: ResVec,
-        _original: ResVec,
         wanted: usize,
     ) {
         let target = {
@@ -601,14 +600,7 @@ impl DiscoveryOverlay for PidCan {
                 wanted: req.wanted,
             },
         );
-        self.issue_query(
-            ctx,
-            req.requester,
-            req.qid,
-            effective,
-            req.demand,
-            req.wanted,
-        );
+        self.issue_query(ctx, req.requester, req.qid, effective, req.wanted);
     }
 
     fn on_query_settled(&mut self, qid: QueryId) {

@@ -17,4 +17,4 @@ pub mod stats;
 
 pub use fault::{FaultConfig, FaultPlan};
 pub use latency::{LanTopology, LatencyConfig};
-pub use stats::{MsgCounts, MsgKind, MsgStats, MSG_KINDS};
+pub use stats::{MsgKind, MsgStats, MSG_KINDS};

@@ -71,70 +71,21 @@ impl MsgKind {
     }
 }
 
-/// Per-kind message counts accumulated locally by one protocol callback
-/// (see `soc_overlay::Ctx`), flushed into [`MsgStats`] in a single batch.
-///
-/// A callback that forwards a burst of messages touches this small stack
-/// array instead of issuing one scattered `MsgStats` write per message.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MsgCounts {
-    by_kind: [u64; MSG_KINDS],
-}
-
-impl MsgCounts {
-    /// All-zero counts.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Count `n` messages of `kind`.
-    #[inline]
-    pub fn add(&mut self, kind: MsgKind, n: u64) {
-        self.by_kind[kind as usize] += n;
-    }
-
-    /// Count of `kind`.
-    pub fn count(&self, kind: MsgKind) -> u64 {
-        self.by_kind[kind as usize]
-    }
-
-    /// True when nothing was counted (the flush can be skipped).
-    pub fn is_zero(&self) -> bool {
-        self.by_kind.iter().all(|&c| c == 0)
-    }
-
-    /// Reset to zero (buffer reuse between callbacks).
-    pub fn clear(&mut self) {
-        self.by_kind = [0; MSG_KINDS];
-    }
-}
-
 /// Counters of messages *sent or forwarded*, per kind.
 ///
 /// The paper's headline metric divides the grand total by the node count —
 /// no per-node counter is needed for any reported quantity, so `record` is
-/// a pair of array/scalar increments with no per-node storage (the earlier
-/// per-node `Vec<u64>` cost an `n`-sized allocation per run and a scattered
-/// memory write per message for data only tests ever read). Hot callers
-/// batch through [`MsgCounts`] and flush once per protocol callback
+/// a pair of array/scalar increments with no per-node storage. A protocol
+/// callback counts into its own `MsgStats` (in `soc_overlay::Ctx`), which
+/// the runner folds into the run's once per callback
 /// ([`MsgStats::record_batch`]).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MsgStats {
     by_kind: [u64; MSG_KINDS],
-    n_nodes: usize,
     total: u64,
 }
 
 impl MsgStats {
-    /// Counters for a population of `n` nodes, all zero.
-    pub fn new(n: usize) -> Self {
-        MsgStats {
-            by_kind: [0; MSG_KINDS],
-            n_nodes: n,
-            total: 0,
-        }
-    }
-
     /// Record one message of `kind` sent (or forwarded).
     #[inline]
     pub fn record(&mut self, kind: MsgKind) {
@@ -148,13 +99,13 @@ impl MsgStats {
         self.total += n;
     }
 
-    /// Fold one callback's batched counts in (one pass over the fixed-size
-    /// kind array, instead of a write per message).
-    pub fn record_batch(&mut self, counts: &MsgCounts) {
-        for (mine, theirs) in self.by_kind.iter_mut().zip(counts.by_kind) {
+    /// Merge another set of counters in (one callback's batch: a pass over
+    /// the fixed-size kind array instead of a write per message).
+    pub fn record_batch(&mut self, batch: &MsgStats) {
+        for (mine, theirs) in self.by_kind.iter_mut().zip(batch.by_kind) {
             *mine += theirs;
-            self.total += theirs;
         }
+        self.total += batch.total;
     }
 
     /// Total messages of `kind`.
@@ -165,20 +116,6 @@ impl MsgStats {
     /// Total messages across all kinds.
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// Size of the node population the counters describe.
-    pub fn n_nodes(&self) -> usize {
-        self.n_nodes
-    }
-
-    /// The paper's headline metric: mean messages sent/forwarded per node.
-    pub fn per_node_cost(&self) -> f64 {
-        if self.n_nodes == 0 {
-            0.0
-        } else {
-            self.total as f64 / self.n_nodes as f64
-        }
     }
 
     /// Per-kind breakdown `(kind, count)`, descending by count.
@@ -205,7 +142,7 @@ mod tests {
 
     #[test]
     fn record_updates_all_views() {
-        let mut s = MsgStats::new(4);
+        let mut s = MsgStats::default();
         s.record(MsgKind::StateUpdate);
         s.record(MsgKind::StateUpdate);
         s.record(MsgKind::IndexJump);
@@ -213,13 +150,11 @@ mod tests {
         assert_eq!(s.count(MsgKind::IndexJump), 1);
         assert_eq!(s.count(MsgKind::DutyQuery), 0);
         assert_eq!(s.total(), 3);
-        assert_eq!(s.n_nodes(), 4);
-        assert!((s.per_node_cost() - 0.75).abs() < 1e-12);
     }
 
     #[test]
     fn record_n_batches() {
-        let mut s = MsgStats::new(2);
+        let mut s = MsgStats::default();
         s.record_n(MsgKind::Maintenance, 17);
         assert_eq!(s.count(MsgKind::Maintenance), 17);
         assert_eq!(s.total(), 17);
@@ -227,31 +162,24 @@ mod tests {
 
     #[test]
     fn record_batch_equals_per_message_records() {
-        let mut batched = MsgStats::new(2);
-        let mut scattered = MsgStats::new(2);
-        let mut c = MsgCounts::new();
+        let mut batched = MsgStats::default();
+        let mut scattered = MsgStats::default();
+        let mut c = MsgStats::default();
         for _ in 0..3 {
-            c.add(MsgKind::DutyQuery, 1);
+            c.record(MsgKind::DutyQuery);
             scattered.record(MsgKind::DutyQuery);
         }
-        c.add(MsgKind::Maintenance, 7);
+        c.record_n(MsgKind::Maintenance, 7);
         scattered.record_n(MsgKind::Maintenance, 7);
-        assert!(!c.is_zero());
-        assert_eq!(c.count(MsgKind::DutyQuery), 3);
         batched.record_batch(&c);
-        assert_eq!(batched.total(), scattered.total());
-        for k in MsgKind::ALL {
-            assert_eq!(batched.count(k), scattered.count(k));
-        }
-        c.clear();
-        assert!(c.is_zero());
-        batched.record_batch(&c);
-        assert_eq!(batched.total(), scattered.total());
+        assert_eq!(batched, scattered);
+        batched.record_batch(&MsgStats::default());
+        assert_eq!(batched, scattered);
     }
 
     #[test]
     fn breakdown_is_sorted_and_sparse() {
-        let mut s = MsgStats::new(2);
+        let mut s = MsgStats::default();
         for _ in 0..5 {
             s.record(MsgKind::IndexDiffusion);
         }
@@ -264,7 +192,7 @@ mod tests {
 
     #[test]
     fn clear_resets() {
-        let mut s = MsgStats::new(2);
+        let mut s = MsgStats::default();
         s.record(MsgKind::Maintenance);
         s.clear();
         assert_eq!(s.total(), 0);
@@ -277,11 +205,5 @@ mod tests {
             assert!(!k.label().is_empty());
         }
         assert_eq!(MsgKind::ALL.len(), MSG_KINDS);
-    }
-
-    #[test]
-    fn empty_stats_cost_is_zero() {
-        let s = MsgStats::new(0);
-        assert_eq!(s.per_node_cost(), 0.0);
     }
 }

@@ -2,7 +2,7 @@
 
 use rand::rngs::SmallRng;
 use soc_can::CanOverlay;
-use soc_net::{MsgCounts, MsgKind};
+use soc_net::{MsgKind, MsgStats};
 use soc_types::{NodeId, QueryId, ResVec, SimMillis};
 
 /// Protocol-defined timer discriminant (e.g. "state-update cycle",
@@ -109,9 +109,9 @@ pub struct Ctx<'a, M> {
     pub probes: u64,
     effects: Vec<Effect<M>>,
     /// Per-kind counts of everything sent or charged in this callback,
-    /// flushed by the runner as one `MsgStats::record_batch` instead of a
+    /// folded into the run's by one `MsgStats::record_batch` instead of a
     /// scattered counter write per message.
-    sent: MsgCounts,
+    sent: MsgStats,
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -130,7 +130,7 @@ impl<'a, M> Ctx<'a, M> {
             routes: 0,
             probes: 0,
             effects: Vec::new(),
-            sent: MsgCounts::new(),
+            sent: MsgStats::default(),
         }
     }
 
@@ -155,13 +155,13 @@ impl<'a, M> Ctx<'a, M> {
             routes: 0,
             probes: 0,
             effects: buffer,
-            sent: MsgCounts::new(),
+            sent: MsgStats::default(),
         }
     }
 
     /// Queue a message send (counted against `from`'s traffic).
     pub fn send(&mut self, from: NodeId, to: NodeId, kind: MsgKind, msg: M) {
-        self.sent.add(kind, 1);
+        self.sent.record(kind);
         self.effects.push(Effect::Send {
             from,
             to,
@@ -190,13 +190,13 @@ impl<'a, M> Ctx<'a, M> {
     /// queued; the counts flush with everything else in [`Ctx::finish`].
     pub fn charge(&mut self, node: NodeId, kind: MsgKind, count: u64) {
         let _ = node;
-        self.sent.add(kind, count);
+        self.sent.record_n(kind, count);
     }
 
     /// Drain the queued effects and the batched traffic counts
     /// (runner-side). The counts cover every `send` and `charge` this
     /// context saw and are folded into `MsgStats` in one batch.
-    pub fn finish(self) -> (Vec<Effect<M>>, MsgCounts) {
+    pub fn finish(self) -> (Vec<Effect<M>>, MsgStats) {
         (self.effects, self.sent)
     }
 

@@ -98,8 +98,7 @@ impl<P: DiscoveryOverlay> TestHarness<P> {
         )]
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut queue = EventQueue::new();
-        let n = host.avails.len();
-        let mut stats = MsgStats::new(n);
+        let mut stats = MsgStats::default();
         {
             let live: Vec<NodeId> = can.live_nodes().collect();
             let mut ctx = Ctx::new(0, &can, &host, &mut rng);
@@ -113,7 +112,7 @@ impl<P: DiscoveryOverlay> TestHarness<P> {
                 host: &host,
                 dropped: &mut Vec::new(),
             };
-            h.apply(fx, 0);
+            h.apply(fx);
         }
         TestHarness {
             proto,
@@ -146,7 +145,7 @@ impl<P: DiscoveryOverlay> TestHarness<P> {
                 host: &self.host,
                 dropped: &mut dropped,
             };
-            sink.apply(fx, 0);
+            sink.apply(fx);
         }
         for (from, to, msg) in dropped {
             let mut ctx = Ctx::new(self.queue.now(), &self.can, &self.host, &mut self.rng);
@@ -223,7 +222,7 @@ struct ApplySink<'s, M> {
 }
 
 impl<M> ApplySink<'_, M> {
-    fn apply(&mut self, fx: Vec<Effect<M>>, _depth: usize) {
+    fn apply(&mut self, fx: Vec<Effect<M>>) {
         // Traffic accounting already happened in batch when the producing
         // `Ctx` was finished; effects only move data.
         for f in fx {

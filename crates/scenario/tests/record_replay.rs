@@ -140,23 +140,26 @@ fn defended_runs_replay_from_the_trace_alone() {
     );
 }
 
-/// Smoke-scale pin of the acceptance criterion (CI cron; ~paper shapes).
-#[test]
-#[ignore = "smoke scale; run in CI cron via -- --ignored"]
-fn smoke_scale_gallery_storm_replays_bit_exactly() {
-    let path =
-        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/storm.scn");
-    let spec = ScenarioSpec::load(path).unwrap();
-    assert_record_replay_bitexact(&spec);
-}
+#[cfg(feature = "tier2")]
+mod tier2 {
+    use super::*;
 
-/// Smoke-scale hostile pin (CI cron): the reference 15% blackhole gallery
-/// entry records and replays bit-exactly at its committed scale.
-#[test]
-#[ignore = "smoke scale; run in CI cron via -- --ignored"]
-fn smoke_scale_hostile_blackhole_replays_bit_exactly() {
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../scenarios/hostile-blackhole-15.scn");
-    let spec = ScenarioSpec::load(path).unwrap();
-    assert_record_replay_bitexact(&spec);
+    /// Smoke-scale pin of the acceptance criterion (`cargo tier2`; ~paper shapes).
+    #[test]
+    fn smoke_scale_gallery_storm_replays_bit_exactly() {
+        let path =
+            std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/storm.scn");
+        let spec = ScenarioSpec::load(path).unwrap();
+        assert_record_replay_bitexact(&spec);
+    }
+
+    /// Smoke-scale hostile pin (`cargo tier2`): the reference 15% blackhole gallery
+    /// entry records and replays bit-exactly at its committed scale.
+    #[test]
+    fn smoke_scale_hostile_blackhole_replays_bit_exactly() {
+        let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../../scenarios/hostile-blackhole-15.scn");
+        let spec = ScenarioSpec::load(path).unwrap();
+        assert_record_replay_bitexact(&spec);
+    }
 }

@@ -162,6 +162,16 @@ impl RunReport {
         Self::encode(self)
     }
 
+    /// FNV-1a digest of [`RunReport::fingerprint`]: what `repro scenario`
+    /// prints as `# fingerprint:` and what the pinned constants hold.
+    pub fn fingerprint_digest(&self) -> u64 {
+        self.fingerprint()
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+            })
+    }
+
     /// [`RunReport::fingerprint`]'s body. Its parameter pattern names every
     /// field and has no `..`, so a field added to `RunReport` does not
     /// compile until it is encoded here or ignored by name with its

@@ -18,7 +18,7 @@ use rand::SeedableRng;
 /// the component that draws from it, so no other crate can name one.
 /// `Test` exists only in test builds. One owner per stream keeps draw
 /// order a property of the runner, the invariant record → replay and the
-/// node-side streams ([`stream_rng_shard`]) lean on.
+/// node-side streams ([`node_stream_rng`]) lean on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum RngStreams {
     /// Node capacity sampling (Table I).
@@ -79,23 +79,23 @@ pub(crate) fn stream_rng(seed: u64, stream: RngStreams) -> SmallRng {
     SmallRng::seed_from_u64(mixed)
 }
 
-/// Derive the RNG for `stream` in partition `shard` under master `seed`.
+/// Derive the node-side RNG for `stream` under master `seed`: the streams
+/// the nodes' events draw from, where bootstrap and churn draw the master
+/// [`stream_rng`] streams.
 ///
-/// The runner draws its node-facing streams from partition 0; a run is
-/// not partitioned any more, but every pinned fingerprint was recorded
-/// under this derivation, so it stays. Every partition — 0 included —
-/// mixes a partition-dependent term, so no such stream ever aliases the
-/// master [`stream_rng`] stream (bootstrap and churn keep drawing the
-/// master streams).
+/// A node-side stream mixes one more constant term into the master
+/// derivation, so it never aliases its master stream. The term is what the
+/// first of the runner's old per-partition streams mixed in; every pinned
+/// fingerprint was recorded under it, so it stays.
 #[expect(
     clippy::disallowed_methods,
-    reason = "the one constructor every partition stream comes from"
+    reason = "the one constructor every node-side stream comes from"
 )]
-pub(crate) fn stream_rng_shard(seed: u64, stream: RngStreams, shard: usize) -> SmallRng {
+pub(crate) fn node_stream_rng(seed: u64, stream: RngStreams) -> SmallRng {
     let mixed = splitmix64(
         splitmix64(seed)
             ^ stream.id().wrapping_mul(0xA24B_AED4_963E_E407)
-            ^ splitmix64(0x9E37_79B9_7F4A_7C15 ^ shard as u64),
+            ^ splitmix64(0x9E37_79B9_7F4A_7C15),
     );
     SmallRng::seed_from_u64(mixed)
 }
@@ -140,28 +140,17 @@ mod tests {
     }
 
     #[test]
-    fn shard_streams_are_distinct_from_master_and_each_other() {
-        // No shard stream (shard 0 included) may alias the master stream,
-        // and distinct shards must decorrelate.
-        let mut master = stream_rng(7, RngStreams::Fault);
-        let vm: Vec<u64> = (0..8).map(|_| master.random()).collect();
-        let mut prev: Vec<Vec<u64>> = vec![vm];
-        for shard in 0..4 {
-            let mut r = stream_rng_shard(7, RngStreams::Fault, shard);
-            let v: Vec<u64> = (0..8).map(|_| r.random()).collect();
-            for p in &prev {
-                assert_ne!(*p, v, "shard {shard} stream aliases another stream");
-            }
-            prev.push(v);
-        }
-    }
-
-    #[test]
-    fn shard_stream_is_deterministic() {
-        let mut a = stream_rng_shard(9, RngStreams::Workload, 3);
-        let mut b = stream_rng_shard(9, RngStreams::Workload, 3);
-        for _ in 0..32 {
-            assert_eq!(a.random::<u64>(), b.random::<u64>());
+    fn node_streams_never_alias_master_streams() {
+        for stream in [
+            RngStreams::Workload,
+            RngStreams::Protocol,
+            RngStreams::Fault,
+        ] {
+            let mut master = stream_rng(7, stream);
+            let mut node = node_stream_rng(7, stream);
+            let vm: Vec<u64> = (0..8).map(|_| master.random()).collect();
+            let vn: Vec<u64> = (0..8).map(|_| node.random()).collect();
+            assert_ne!(vm, vn, "{stream:?}: the node stream aliases the master");
         }
     }
 

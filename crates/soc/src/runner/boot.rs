@@ -4,7 +4,7 @@ use super::event::Msgs;
 use super::nodes::{Counters, Hosts, Nodes};
 use crate::defense::{Blacklist, DefenseParams};
 use crate::profile::Profiler;
-use crate::rng::{stream_rng, stream_rng_shard, RngStreams};
+use crate::rng::{node_stream_rng, stream_rng, RngStreams};
 use crate::scenario::Scenario;
 use soc_can::CanOverlay;
 use soc_metrics::TaskTracker;
@@ -66,7 +66,7 @@ pub(super) fn bootstrap<'s, P: DiscoveryOverlay>(
 
     // The node-side streams are the derivation every pinned fingerprint
     // was recorded under; no stream may be re-derived.
-    let stream = |s| stream_rng_shard(sc.seed, s, 0);
+    let stream = |s| node_stream_rng(sc.seed, s);
     Nodes {
         sc: *sc,
         topo,
@@ -92,7 +92,7 @@ pub(super) fn bootstrap<'s, P: DiscoveryOverlay>(
         defense: DefenseParams::default(),
         counters: Counters::default(),
         tracker: TaskTracker::new(),
-        stats: MsgStats::new(max_nodes),
+        stats: MsgStats::default(),
         avg_cap,
         next_task: 0,
         next_query: 0,

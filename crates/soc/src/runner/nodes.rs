@@ -435,9 +435,10 @@ impl<P: DiscoveryOverlay> Nodes<'_, P> {
         // randomized agent/jump search returns records from the zones
         // nearest the demand corner. Picking uniformly at random among the
         // δ returned candidates is the paper's probabilistic contention
-        // control — a deterministic tightest-first pick would send every
-        // concurrent same-demand query to the same record (the ablation
-        // bench compares both policies).
+        // control. Measured at full scale (seeds 1–3, HID λ = 1 / 0.5 /
+        // 0.25 and SID λ = 0.5), neither tightest-first nor loosest-first
+        // moves the median T-Ratio more than 0.006 from uniform, inside the
+        // ≈ 0.01 seed spread: under stale records the pick is not a lever.
         let mut ranked: Vec<Candidate> = p
             .candidates
             .iter()

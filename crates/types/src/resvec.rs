@@ -76,12 +76,6 @@ impl ResVec {
         &self.vals[..self.dim as usize]
     }
 
-    /// Mutable access to the components.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.vals[..self.dim as usize]
-    }
-
     /// Iterate over components by value.
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
@@ -103,22 +97,10 @@ impl ResVec {
             .all(|(a, b)| a >= b)
     }
 
-    /// `self ⪯ other`.
-    #[inline]
-    pub fn dominated_by(&self, other: &ResVec) -> bool {
-        other.dominates(self)
-    }
-
     /// All components strictly positive.
     #[inline]
     pub fn all_positive(&self) -> bool {
         self.iter().all(|v| v > 0.0)
-    }
-
-    /// All components `>= 0`.
-    #[inline]
-    pub fn all_non_negative(&self) -> bool {
-        self.iter().all(|v| v >= 0.0)
     }
 
     /// Componentwise minimum.
@@ -139,17 +121,6 @@ impl ResVec {
         let mut r = *self;
         for i in 0..self.dim() {
             r.vals[i] = r.vals[i].max(other.vals[i]);
-        }
-        r
-    }
-
-    /// Componentwise multiplication (Hadamard product).
-    #[inline]
-    pub fn mul_elem(&self, other: &ResVec) -> ResVec {
-        debug_assert_eq!(self.dim, other.dim);
-        let mut r = *self;
-        for i in 0..self.dim() {
-            r.vals[i] *= other.vals[i];
         }
         r
     }
@@ -207,18 +178,6 @@ impl ResVec {
         self.iter().sum()
     }
 
-    /// Largest component.
-    #[inline]
-    pub fn max_component(&self) -> f64 {
-        self.iter().fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Smallest component.
-    #[inline]
-    pub fn min_component(&self) -> f64 {
-        self.iter().fold(f64::INFINITY, f64::min)
-    }
-
     /// Euclidean (L2) distance.
     #[inline]
     pub fn dist_l2(&self, other: &ResVec) -> f64 {
@@ -229,17 +188,6 @@ impl ResVec {
             .map(|(a, b)| (a - b) * (a - b))
             .sum::<f64>()
             .sqrt()
-    }
-
-    /// Chebyshev (L∞) distance.
-    #[inline]
-    pub fn dist_linf(&self, other: &ResVec) -> f64 {
-        debug_assert_eq!(self.dim, other.dim);
-        self.as_slice()
-            .iter()
-            .zip(other.as_slice())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max)
     }
 
     /// Best-fit *slack* of a candidate availability `self` against demand
@@ -272,19 +220,6 @@ impl ResVec {
         r.dim += 1;
         r
     }
-
-    /// Drop the trailing component (inverse of [`Self::push_dim`]).
-    ///
-    /// # Panics
-    /// Panics if the vector is one-dimensional.
-    #[inline]
-    pub fn pop_dim(&self) -> ResVec {
-        assert!(self.dim() > 1, "cannot drop below 1 dimension");
-        let mut r = *self;
-        r.dim -= 1;
-        r.vals[r.dim as usize] = 0.0;
-        r
-    }
 }
 
 impl Index<usize> for ResVec {
@@ -298,7 +233,7 @@ impl Index<usize> for ResVec {
 impl IndexMut<usize> for ResVec {
     #[inline]
     fn index_mut(&mut self, i: usize) -> &mut f64 {
-        &mut self.as_mut_slice()[i]
+        &mut self.vals[..self.dim as usize][i]
     }
 }
 
@@ -423,7 +358,6 @@ mod tests {
         let avail = v(&[4.0, 100.0, 2.0]);
         let demand = v(&[4.0, 99.0, 2.0]);
         assert!(avail.dominates(&demand));
-        assert!(demand.dominated_by(&avail));
         let too_big = v(&[4.1, 99.0, 2.0]);
         assert!(!avail.dominates(&too_big));
         // Dominance is reflexive and antisymmetric (up to equality).
@@ -450,14 +384,13 @@ mod tests {
         let b = v(&[2.0, 1.0, 3.0]);
         let d = a.sub_clamped(&b);
         assert_eq!(d.as_slice(), &[0.0, 1.0, 0.0]);
-        assert!(d.all_non_negative());
+        assert!(d.iter().all(|x| x >= 0.0));
     }
 
     #[test]
     fn mul_div_elem() {
         let a = v(&[2.0, 3.0]);
         let b = v(&[4.0, 6.0]);
-        assert_eq!(a.mul_elem(&b).as_slice(), &[8.0, 18.0]);
         assert_eq!(b.div_elem(&a).as_slice(), &[2.0, 2.0]);
         // 0/0 convention.
         let z = ResVec::zeros(2);
@@ -481,7 +414,6 @@ mod tests {
         let a = v(&[0.0, 0.0]);
         let b = v(&[3.0, 4.0]);
         assert!((a.dist_l2(&b) - 5.0).abs() < 1e-12);
-        assert_eq!(a.dist_linf(&b), 4.0);
         assert_eq!(a.dist_l2(&a), 0.0);
     }
 
@@ -502,7 +434,7 @@ mod tests {
         let b = a.push_dim(0.7);
         assert_eq!(b.dim(), 3);
         assert_eq!(b[2], 0.7);
-        assert_eq!(b.pop_dim(), a);
+        assert_eq!(ResVec::from_slice(&b.as_slice()[..2]), a);
     }
 
     #[test]
@@ -511,7 +443,5 @@ mod tests {
         let b = v(&[2.0, 4.0, 3.0]);
         assert_eq!(a.min(&b).as_slice(), &[1.0, 4.0, 3.0]);
         assert_eq!(a.max(&b).as_slice(), &[2.0, 5.0, 3.0]);
-        assert_eq!(a.max_component(), 5.0);
-        assert_eq!(a.min_component(), 1.0);
     }
 }

@@ -191,24 +191,28 @@ fn local_execution_bypasses_overlay_at_low_lambda() {
     assert!(r.local_finished > 0);
 }
 
-/// The `paper-cell` benchmark workload (Table III's n = 2000 HID-CAN cell,
-/// first two simulated hours, seed 1). Before routing was a strict descent
-/// 29 % of its state updates circled a split plane until their 60-hop
-/// budget ran out: 762 695 `state-update` sends, of which 10 511 records
-/// were dropped.
-#[test]
-#[ignore = "paper scale: run in release via `cargo tier2`"]
-fn paper_cell_routes_every_state_update_home() {
-    let r = Scenario::paper(ProtocolChoice::Hid)
-        .nodes(2000)
-        .lambda(0.5)
-        .hours(2)
-        .seed(1)
-        .run();
-    assert_eq!(route_exhausted(&r), 0, "{}", r.diag);
-    let updates = sent(&r, "state-update");
-    assert!(
-        (1..=250_000).contains(&updates),
-        "{updates} state-update sends (O(log2 n) hops per publish is ≈ 175 000)"
-    );
+#[cfg(feature = "tier2")]
+mod tier2 {
+    use super::*;
+
+    /// The `paper-cell` benchmark workload (Table III's n = 2000 HID-CAN cell,
+    /// first two simulated hours, seed 1). Before routing was a strict descent
+    /// 29 % of its state updates circled a split plane until their 60-hop
+    /// budget ran out: 762 695 `state-update` sends, of which 10 511 records
+    /// were dropped.
+    #[test]
+    fn paper_cell_routes_every_state_update_home() {
+        let r = Scenario::paper(ProtocolChoice::Hid)
+            .nodes(2000)
+            .lambda(0.5)
+            .hours(2)
+            .seed(1)
+            .run();
+        assert_eq!(route_exhausted(&r), 0, "{}", r.diag);
+        let updates = sent(&r, "state-update");
+        assert!(
+            (1..=250_000).contains(&updates),
+            "{updates} state-update sends (O(log2 n) hops per publish is ≈ 175 000)"
+        );
+    }
 }
