@@ -33,7 +33,7 @@ pub mod pilist;
 pub mod protocol;
 
 pub use config::{DiffusionMethod, PidCanConfig};
-pub use diffusion::{fan_out, simulate_diffusion, DiffusionOutcome};
+pub use diffusion::{simulate_diffusion, DiffusionOutcome};
 pub use messages::{DutyQuery, PidMsg, Search, StateUpdate};
 pub use pilist::PiLists;
 pub use protocol::PidCan;

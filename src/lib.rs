@@ -15,7 +15,7 @@
 //! | [`can`] | `soc-can` | CAN overlay (zones, partition tree, routing) |
 //! | [`inscan`] | `soc-inscan` | INSCAN index tables + `O(log n)` routing + INSCAN-RQ |
 //! | [`psm`] | `soc-psm` | proportional-share (credit) execution model |
-//! | [`workload`] | `soc-workload` | Table I/II samplers, Poisson arrivals |
+//! | [`workload`] | `soc-workload` | the paper's workload (Table I/II, Poisson arrivals) and its variants |
 //! | [`metrics`] | `soc-metrics` | T-Ratio / F-Ratio / Jain fairness |
 //! | [`overlay`] | `soc-overlay` | the `DiscoveryOverlay` protocol trait |
 //! | [`pidcan`] | `pidcan` | **the paper's contribution**: SID/HID diffusion, Algorithms 1–5, SoS, VD |

@@ -15,12 +15,12 @@ fn read(rel: &str) -> String {
 fn rust_files(dir: &str, out: &mut Vec<String>) {
     let path = format!("{}/{dir}", env!("CARGO_MANIFEST_DIR"));
     for entry in std::fs::read_dir(&path).unwrap_or_else(|e| panic!("{path}: {e}")) {
-        let name = entry.expect("a directory entry").file_name();
-        let rel = format!("{dir}/{}", name.to_string_lossy());
-        if rel.ends_with(".rs") {
-            out.push(rel);
-        } else if std::path::Path::new(&format!("{path}/{}", name.to_string_lossy())).is_dir() {
+        let entry = entry.expect("a directory entry");
+        let rel = format!("{dir}/{}", entry.file_name().to_string_lossy());
+        if entry.path().is_dir() {
             rust_files(&rel, out);
+        } else if rel.ends_with(".rs") {
+            out.push(rel);
         }
     }
 }
